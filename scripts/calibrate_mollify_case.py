@@ -23,8 +23,8 @@ from levicheck.mollify import (
 
 def identity_residual(case):
     """Max deviation of -Delta_tau v from (c/16)(1+ghat^2)(1-P~) on interior nodes."""
-    tau1, tau2 = tau_fields(case.phi)
-    cert = -delta_tau_fields(case.v, tau1, tau2)
+    tau1, tau2 = tau_fields(case.phi.gradient_fields())
+    cert = -delta_tau_fields(case.v.hessian_fields(), tau1, tau2)
     n1, n2, n3 = case.v.grid.extents
     h = case.v.grid.spacing
     road_dd = np.empty((n1, n2))

@@ -26,9 +26,7 @@ __all__ = [
     "Grid3",
     "ScalarField3",
     "DiscField",
-    "fd_gradient",
-    "fd_hessian",
-    "complex_wirtinger",
+    "wirtinger_parts",
     "circle_mean",
     "stable_sum",
 ]
@@ -198,12 +196,7 @@ class ScalarField3:
 
     def complex_wirtinger(self, node) -> tuple[complex, float, complex]:
         """(d/dz2, d2/dz2 dz2bar, d2/dy1 dz2bar) at a node, z2 = xi2 + i*xi3."""
-        g = self.fd_gradient(node)
-        hess = self.fd_hessian(node)
-        dz2 = 0.5 * (g[1] - 1j * g[2])
-        dz2dz2bar = 0.25 * (hess[1, 1] + hess[2, 2])
-        dy1dz2bar = 0.5 * (hess[0, 1] + 1j * hess[0, 2])
-        return dz2, dz2dz2bar, dy1dz2bar
+        return wirtinger_parts(self.fd_gradient(node), self.fd_hessian(node))
 
     # -- whole-grid finite differences ------------------------------------
 
@@ -217,38 +210,60 @@ class ScalarField3:
             arr[tuple(sl_hi)] = np.nan
         return arr
 
+    # Whole-grid stencils work on the flattened C-order values: a neighbour
+    # steps[ax] cells away along each axis sits a fixed flat offset away, so
+    # every stencil term is one contiguous slice.  The flat span [lo, hi) runs
+    # from the first interior node to the last; ring nodes inside it pick up
+    # wrapped neighbours and are overwritten with NaN afterwards.
+
+    def _flat_span(self) -> tuple[int, int]:
+        _, n1, n2 = self.grid.extents
+        lo = n1 * n2 + n2 + 1
+        return lo, self.values.size - lo
+
+    def _shifted(self, steps: dict[int, int]) -> np.ndarray:
+        """Flat values at node + steps, for every node of the flat span."""
+        _, n1, n2 = self.grid.extents
+        offset = sum((n1 * n2, n2, 1)[ax] * step for ax, step in steps.items())
+        lo, hi = self._flat_span()
+        return self.values.reshape(-1)[lo + offset : hi + offset]
+
     def gradient_fields(self) -> np.ndarray:
         """Shape (3,) + extents; valid one cell in from every face, NaN on the ring."""
-        v, h = self.values, self.grid.spacing
-        g = np.empty((3,) + v.shape)
+        lo, hi = self._flat_span()
+        g = np.empty((3,) + self.values.shape)
+        inner = g.reshape(3, -1)[:, lo:hi]
         for ax in range(3):
-            g[ax] = (np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / (2.0 * h)
+            np.subtract(self._shifted({ax: 1}), self._shifted({ax: -1}), out=inner[ax])
+        inner /= 2.0 * self.grid.spacing
         return self._nan_ring(g)
 
     def hessian_fields(self) -> np.ndarray:
         """Shape (3, 3) + extents; valid one cell in from every face, NaN on the ring."""
-        v, h = self.values, self.grid.spacing
+        h = self.grid.spacing
         hh = h * h
-        out = np.empty((3, 3) + v.shape)
-        for ax in range(3):
-            out[ax, ax] = (np.roll(v, -1, axis=ax) - 2.0 * v + np.roll(v, 1, axis=ax)) / hh
+        lo, hi = self._flat_span()
+        out = np.empty((3, 3) + self.values.shape)
+        inner = out.reshape(3, 3, -1)[:, :, lo:hi]
+        twice_centre = 2.0 * self._shifted({})
+        # same operation order as fd_hessian, so interior values match it bit for bit
         for a in range(3):
+            pure = inner[a, a]
+            np.subtract(self._shifted({a: 1}), twice_centre, out=pure)
+            pure += self._shifted({a: -1})
+            pure /= hh
             for b in range(a + 1, 3):
-                spp = np.roll(np.roll(v, -1, axis=a), -1, axis=b)
-                spm = np.roll(np.roll(v, -1, axis=a), 1, axis=b)
-                smp = np.roll(np.roll(v, 1, axis=a), -1, axis=b)
-                smm = np.roll(np.roll(v, 1, axis=a), 1, axis=b)
-                out[a, b] = out[b, a] = (spp - spm - smp + smm) / (4.0 * hh)
+                mixed = inner[a, b]
+                np.subtract(self._shifted({a: 1, b: 1}), self._shifted({a: 1, b: -1}), out=mixed)
+                mixed -= self._shifted({a: -1, b: 1})
+                mixed += self._shifted({a: -1, b: -1})
+                mixed /= 4.0 * hh
+                inner[b, a] = mixed
         return self._nan_ring(out)
 
     def wirtinger_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d/dz2, d2/dz2 dz2bar, d2/dy1 dz2bar) arrays over the grid."""
-        g = self.gradient_fields()
-        hess = self.hessian_fields()
-        dz2 = 0.5 * (g[1] - 1j * g[2])
-        dz2dz2bar = 0.25 * (hess[1, 1] + hess[2, 2])
-        dy1dz2bar = 0.5 * (hess[0, 1] + 1j * hess[0, 2])
-        return dz2, dz2dz2bar, dy1dz2bar
+        return wirtinger_parts(self.gradient_fields(), self.hessian_fields())
 
     # -- geometry helpers --------------------------------------------------
 
@@ -327,16 +342,13 @@ class ScalarField3:
                 writer.writerow([repr(float(a)), repr(float(b)), repr(float(c)), repr(float(v))])
 
 
-def fd_gradient(f: ScalarField3, node) -> tuple[float, float, float]:
-    return f.fd_gradient(node)
-
-
-def fd_hessian(f: ScalarField3, node) -> np.ndarray:
-    return f.fd_hessian(node)
-
-
-def complex_wirtinger(f: ScalarField3, node) -> tuple[complex, float, complex]:
-    return f.complex_wirtinger(node)
+def wirtinger_parts(g, hess):
+    """(d/dz2, d2/dz2 dz2bar, d2/dy1 dz2bar) from the xi-gradient and xi-Hessian,
+    z2 = xi2 + i*xi3; works on one node's values and on whole-grid arrays alike."""
+    dz2 = 0.5 * (g[1] - 1j * g[2])
+    dz2dz2bar = 0.25 * (hess[1, 1] + hess[2, 2])
+    dy1dz2bar = 0.5 * (hess[0, 1] + 1j * hess[0, 2])
+    return dz2, dz2dz2bar, dy1dz2bar
 
 
 @dataclass

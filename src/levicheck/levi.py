@@ -31,6 +31,7 @@ from levicheck.fields import (
     StencilError,
     circle_mean,
     stable_sum,
+    wirtinger_parts,
 )
 
 __all__ = [
@@ -270,8 +271,8 @@ class Defining2:
         def data(z1: complex, z2: complex) -> WirtingerData:
             node = phi.grid.nearest_node((z1.imag, z2.real, z2.imag))
             g = phi.fd_gradient(node)
-            dz2, lap, mix = phi.complex_wirtinger(node)
             hess = phi.fd_hessian(node)
+            dz2, lap, mix = wirtinger_parts(g, hess)
             return WirtingerData(
                 rho=z1.real - float(phi.values[node]),
                 rz1=0.5 * (1.0 + 1j * g[0]),
@@ -307,9 +308,9 @@ def tau_of_phi(phi: ScalarField3, node) -> TangentPair:
     return TangentPair(-0.5 * dz2, 0.5 * (1.0 + 1j * g[0]))
 
 
-def tau_fields(phi: ScalarField3) -> tuple[np.ndarray, np.ndarray]:
-    """Complex tau(phi) component arrays over the whole grid (NaN ring)."""
-    g = phi.gradient_fields()
+def tau_fields(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex tau(phi) component arrays over the whole grid (NaN ring), from
+    g = phi.gradient_fields()."""
     dz2 = 0.5 * (g[1] - 1j * g[2])
     return -0.5 * dz2, 0.5 * (1.0 + 1j * g[0])
 
@@ -355,12 +356,12 @@ def delta_tau(v: ScalarField3, tau, node) -> float:
     return float(complex_form)
 
 
-def delta_tau_fields(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray) -> np.ndarray:
+def delta_tau_fields(hess: np.ndarray, tau1: np.ndarray, tau2: np.ndarray) -> np.ndarray:
     """Vectorized Delta_tau v over the grid with the same dual-form check.
 
-    tau1, tau2 broadcast against the grid shape; returns NaN on the ring.
+    hess = v.hessian_fields(); tau1, tau2 broadcast against the grid shape;
+    returns NaN on the ring.
     """
-    hess = v.hessian_fields()
     mix = 0.5 * (hess[0, 1] + 1j * hess[0, 2])
     lap = 0.25 * (hess[1, 1] + hess[2, 2])
     cross = np.conjugate(tau1) * tau2
@@ -403,17 +404,15 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
     the -Delta_{tau(phi)} route."""
     g = phi.gradient_fields()
     hess = phi.hessian_fields()
-    dz2 = 0.5 * (g[1] - 1j * g[2])
-    lap = 0.25 * (hess[1, 1] + hess[2, 2])
-    mix = 0.5 * (hess[0, 1] + 1j * hess[0, 2])
+    dz2, lap, mix = wirtinger_parts(g, hess)
     phi_y1 = g[0]
     direct = (
         -0.25 * hess[0, 0] * _abs2(dz2)
         + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
         - 0.25 * (1.0 + phi_y1**2) * lap
     )
-    tau1, tau2 = tau_fields(phi)
-    via_operator = -delta_tau_fields(phi, tau1, tau2)
+    tau1, tau2 = tau_fields(g)
+    via_operator = -delta_tau_fields(hess, tau1, tau2)
     _dual_check(direct, via_operator, "graph_levi_fields")
     return direct
 

@@ -175,43 +175,20 @@ class MollifiedField:
         return float(np.max(np.abs(self.field.values - self.base_window())))
 
 
-_DIRECT_TAP_LIMIT = 11**3
-
-
-def convolve3(v: ScalarField3, delta: float, method: str = "auto") -> MollifiedField:
+def convolve3(v: ScalarField3, delta: float) -> MollifiedField:
     """Discrete convolution with theta_delta on the shrunken grid U^delta.
 
-    method "direct" accumulates taps in a fixed C-order loop; "fft" uses a
-    zero-pad-free valid-mode transform.  Both reduce to the same sum; "auto"
-    picks "direct" for small kernels.  Output nodes keep a full kernel
-    stencil inside the base grid and sit strictly more than delta from its
-    boundary faces.
+    A valid-mode FFT transform, so no zero padding enters the sum.  Output
+    nodes keep a full kernel stencil inside the base grid and sit strictly
+    more than delta from its boundary faces.
     """
-    if method not in ("auto", "direct", "fft"):
-        raise ParameterError(f"unknown convolution method {method!r}")
     kernel = make_kernel(delta, v.grid.spacing)
-    radius = kernel.cell_radius
     margin = kernel.margin
     if any(n - 2 * margin < 5 for n in v.grid.extents):
         raise StencilError(
             f"kernel radius {delta} leaves no usable interior at extents {v.grid.extents}"
         )
-    if method == "auto":
-        method = "direct" if kernel.weights.size <= _DIRECT_TAP_LIMIT else "fft"
-    vals = v.values
-    if method == "direct":
-        side = 2 * radius + 1
-        out = np.zeros(tuple(n - 2 * radius for n in v.grid.extents))
-        n0, n1, n2 = out.shape
-        w = kernel.weights
-        for a in range(side):
-            for b in range(side):
-                for c in range(side):
-                    wk = w[a, b, c]
-                    if wk != 0.0:
-                        out += wk * vals[a : a + n0, b : b + n1, c : c + n2]
-    else:
-        out = fftconvolve(vals, kernel.weights, mode="valid")
+    out = fftconvolve(v.values, kernel.weights, mode="valid")
     core = np.ascontiguousarray(out[1:-1, 1:-1, 1:-1])
     sub = Grid3(
         tuple(o + v.grid.spacing * margin for o in v.grid.origin),
@@ -305,21 +282,17 @@ def regularized_defining(
             "shrink delta or epsilon"
         )
 
+    graph = Defining2.from_graph_field(tilde)
+
     def data(z1: complex, z2: complex) -> WirtingerData:
-        node = tilde.grid.nearest_node((z1.imag, z2.real, z2.imag))
-        g = tilde.fd_gradient(node)
-        dz2, lap, mix = tilde.complex_wirtinger(node)
-        hess00 = tilde.fd_hessian(node)[0, 0]
+        d = graph.data(z1, z2)
         return WirtingerData(
-            rho=z1.real
-            - float(tilde.values[node])
-            + epsilon * (abs(z1) ** 2 + abs(z2) ** 2)
-            + epsilon,
-            rz1=0.5 * (1.0 + 1j * g[0]) + epsilon * np.conjugate(z1),
-            rz2=-dz2 + epsilon * np.conjugate(z2),
-            rz1z1b=-0.25 * hess00 + epsilon,
-            rz2z2b=-lap + epsilon,
-            rz1z2b=0.5j * mix,
+            rho=d.rho + epsilon * (abs(z1) ** 2 + abs(z2) ** 2) + epsilon,
+            rz1=d.rz1 + epsilon * np.conjugate(z1),
+            rz2=d.rz2 + epsilon * np.conjugate(z2),
+            rz1z1b=d.rz1z1b + epsilon,
+            rz2z2b=d.rz2z2b + epsilon,
+            rz1z2b=d.rz1z2b,
         )
 
     exponent = 1.0 / (alpha - 3.0 / p)
@@ -447,7 +420,6 @@ def mollified_sign_certificate(
     deltas=None,
     kink_planes=(),
     hypothesis_tol: float | None = None,
-    method: str = "auto",
 ) -> CertificateReport:
     """Sweep m(delta) = min over U^delta of -Delta_{tau(phi)}(v*theta_delta).
 
@@ -485,8 +457,9 @@ def mollified_sign_certificate(
     if any(d < 2.0 * h for d in deltas):
         raise UnderResolvedKernelError(f"sweep contains deltas below 2h = {2.0 * h}")
 
-    tau1, tau2 = tau_fields(phi)
-    raw = -delta_tau_fields(v, tau1, tau2)
+    tau1, tau2 = tau_fields(phi.gradient_fields())
+    hess = v.hessian_fields()
+    raw = -delta_tau_fields(hess, tau1, tau2)
     kinks = kink_plane_mask(v.grid, kink_planes)
     valid = np.isfinite(raw) & ~kinks
     if not valid.any():
@@ -502,17 +475,16 @@ def mollified_sign_certificate(
             "away from declared kinks"
         )
 
-    hess = v.hessian_fields()
     frob = np.sqrt(np.sum(hess * hess, axis=(0, 1)))
     finite = np.isfinite(frob) & ~kinks
     w2p = float((h**3 * np.sum(frob[finite] ** p)) ** (1.0 / p))
 
     m_values = []
     for d in deltas:
-        mol = convolve3(v, d, method=method)
+        mol = convolve3(v, d)
         m = mol.margin
         sel = tuple(slice(m, n - m) for n in v.grid.extents)
-        lap = delta_tau_fields(mol.field, tau1[sel], tau2[sel])
+        lap = delta_tau_fields(mol.field.hessian_fields(), tau1[sel], tau2[sel])
         m_values.append(float(np.nanmin(-lap)))
     m_arr = np.array(m_values)
 

@@ -269,29 +269,30 @@ def test_08_green_identity_residuals():
 
 
 def test_09_report_determinism_across_threads(tmp_path):
-    # Same config and seed: byte-identical report.json on rerun and at
-    # 1, 4, and 8 worker threads.
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "scenario": "green-identity",
-                "outdir": str(tmp_path / "out"),
-                "seed": 0,
-            }
-        )
-    )
-    blobs = []
-    for threads in (1, 4, 8, 8):
-        env = dict(os.environ)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = str(threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "levicheck", "run", "--config", str(config)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        blobs.append((tmp_path / "out" / "report.json").read_bytes())
-    assert all(blob == blobs[0] for blob in blobs)
+    # Same config and seed: byte-identical report.json on rerun and across
+    # worker thread counts, for the Green identity and the 3-D stencil and
+    # FFT convolution scenarios.
+    runs = [
+        ({"scenario": "green-identity"}, (1, 4, 8, 8)),
+        ({"scenario": "levi-check"}, (1, 4)),
+        ({"scenario": "levi-check", "params": {"model": "g2"}, "expect_violation": True}, (1, 4)),
+        ({"scenario": "mollify-sweep"}, (1, 4)),
+    ]
+    for index, (scenario, thread_counts) in enumerate(runs):
+        outdir = tmp_path / f"out{index}"
+        config = tmp_path / f"config{index}.json"
+        config.write_text(json.dumps({**scenario, "outdir": str(outdir), "seed": 0}))
+        blobs = []
+        for threads in thread_counts:
+            env = dict(os.environ)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "levicheck", "run", "--config", str(config)],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            blobs.append((outdir / "report.json").read_bytes())
+        assert all(blob == blobs[0] for blob in blobs), scenario

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_poly import Poly3
 from levicheck.fields import (
     DiscField,
     DomainError,
@@ -14,9 +16,6 @@ from levicheck.fields import (
     ScalarField3,
     StencilError,
     circle_mean,
-    complex_wirtinger,
-    fd_gradient,
-    fd_hessian,
     stable_sum,
 )
 
@@ -74,7 +73,7 @@ class TestFdGradient:
     def test_coordinate_field(self):
         f = ScalarField3.from_function(centered_grid(0.125, 9), lambda a, b, c: a)
         for node in [(4, 4, 4), (1, 2, 7), (6, 1, 1)]:
-            g = fd_gradient(f, node)
+            g = f.fd_gradient(node)
             assert abs(g[0] - 1.0) <= 1e-12
             assert abs(g[1]) <= 1e-12
             assert abs(g[2]) <= 1e-12
@@ -84,12 +83,12 @@ class TestFdGradient:
         g = Grid3((0.0, 0.0, 0.0), 0.01, (9, 60, 9))
         f = ScalarField3.from_function(g, lambda a, b, c: b * b)
         node = g.nearest_node((0.04, 0.5, 0.04))
-        assert abs(fd_gradient(f, node)[1] - 1.0) <= 1e-10
+        assert abs(f.fd_gradient(node)[1] - 1.0) <= 1e-10
 
     def test_sin_taylor_bound(self):
         h = 0.01
         f = ScalarField3.from_function(centered_grid(h, 9), lambda a, b, c: np.sin(a))
-        g = fd_gradient(f, (4, 4, 4))
+        g = f.fd_gradient((4, 4, 4))
         assert abs(g[0] - math.sin(h) / h) <= 1e-12
         assert abs(1.0 - g[0]) <= h * h / 6.0
         assert abs(g[1]) <= 1e-12 and abs(g[2]) <= 1e-12
@@ -98,7 +97,7 @@ class TestFdGradient:
     def test_boundary_node_raises(self, node):
         f = ScalarField3.from_function(centered_grid(0.1, 9), lambda a, b, c: a)
         with pytest.raises(StencilError):
-            fd_gradient(f, node)
+            f.fd_gradient(node)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -109,7 +108,7 @@ class TestFdGradient:
         f = ScalarField3.from_function(
             centered_grid(0.125, 7), lambda x, y, z: a[0] * x + a[1] * y + a[2] * z + b
         )
-        g = fd_gradient(f, (3, 3, 3))
+        g = f.fd_gradient((3, 3, 3))
         scale = 1.0 + max(abs(v) for v in a) + abs(b)
         assert max(abs(g[k] - a[k]) for k in range(3)) <= 1e-9 * scale
 
@@ -117,14 +116,14 @@ class TestFdGradient:
 class TestFdHessian:
     def test_bilinear_mixed_entry(self):
         f = ScalarField3.from_function(centered_grid(0.0625, 9), lambda a, b, c: a * b)
-        hess = fd_hessian(f, (3, 5, 4))
+        hess = f.fd_hessian((3, 5, 4))
         assert hess[0, 1] == 1.0
         assert hess[1, 0] == 1.0
         assert hess[0, 2] == 0.0 and hess[1, 2] == 0.0
 
     def test_pure_quadratic_entry(self):
         f = ScalarField3.from_function(centered_grid(0.0625, 9), lambda a, b, c: c * c)
-        hess = fd_hessian(f, (4, 4, 3))
+        hess = f.fd_hessian((4, 4, 3))
         assert hess[2, 2] == 2.0
         assert hess[0, 0] == 0.0 and hess[1, 1] == 0.0
 
@@ -132,7 +131,7 @@ class TestFdHessian:
         f = ScalarField3.from_function(
             centered_grid(0.05, 9), lambda a, b, c: np.sin(a * b) + np.cos(b * c) + a * c * c
         )
-        hess = fd_hessian(f, (4, 4, 4))
+        hess = f.fd_hessian((4, 4, 4))
         assert np.array_equal(hess, hess.T)
 
     def test_kink_second_difference_values(self):
@@ -145,17 +144,17 @@ class TestFdHessian:
             lambda a, b, c: np.abs(a),
             Regularity("c11", constant=1.0),
         )
-        assert fd_hessian(on, (4, 4, 4))[0, 0] == 16.0
-        assert fd_hessian(on, (5, 4, 4))[0, 0] == 0.0
+        assert on.fd_hessian((4, 4, 4))[0, 0] == 16.0
+        assert on.fd_hessian((5, 4, 4))[0, 0] == 0.0
         off = ScalarField3.from_function(
             Grid3((-4.5 * h, -4 * h, -4 * h), h, (9, 9, 9)),
             lambda a, b, c: np.abs(a),
             Regularity("c11", constant=1.0),
         )
         # nodes sit at half-integer multiples of h; xi1 = +-h/2 at indices 4, 5
-        assert fd_hessian(off, (4, 4, 4))[0, 0] == 8.0
-        assert fd_hessian(off, (5, 4, 4))[0, 0] == 8.0
-        assert fd_hessian(off, (6, 4, 4))[0, 0] == 0.0
+        assert off.fd_hessian((4, 4, 4))[0, 0] == 8.0
+        assert off.fd_hessian((5, 4, 4))[0, 0] == 8.0
+        assert off.fd_hessian((6, 4, 4))[0, 0] == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -182,7 +181,7 @@ class TestFdHessian:
                 + 2 * mat[1, 2] * y * z
             ),
         )
-        hess = fd_hessian(f, (3, 3, 3))
+        hess = f.fd_hessian((3, 3, 3))
         assert np.max(np.abs(hess - mat)) <= 1e-8
 
 
@@ -192,12 +191,18 @@ class TestWholeGridDerivatives:
         f = ScalarField3.from_function(g, lambda a, b, c: np.sin(a + 2 * b) * np.cos(c))
         grad = f.gradient_fields()
         hess = f.hessian_fields()
-        for node in [(1, 1, 1), (3, 2, 4), (5, 5, 5)]:
-            gn = fd_gradient(f, node)
-            hn = fd_hessian(f, node)
-            for ax in range(3):
-                assert abs(grad[(ax,) + node] - gn[ax]) <= 1e-14
-            assert np.max(np.abs(hess[(slice(None), slice(None)) + node] - hn)) <= 1e-14
+        for node in itertools.product(range(1, 6), repeat=3):
+            assert tuple(grad[(slice(None),) + node]) == f.fd_gradient(node)
+            assert np.array_equal(hess[(slice(None), slice(None)) + node], f.fd_hessian(node))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_quadratic_hessian_exact_on_interior(self, seed):
+        poly = Poly3.random(np.random.default_rng(seed), degrees=(2,))
+        f = ScalarField3.from_function(centered_grid(0.125, 7), poly)
+        exact = poly.hess(np.zeros(3))
+        inner = f.hessian_fields()[:, :, 1:-1, 1:-1, 1:-1]
+        assert np.max(np.abs(inner - exact[:, :, None, None, None])) <= 1e-8
 
     def test_ring_is_nan(self):
         f = ScalarField3.from_function(centered_grid(0.1, 5), lambda a, b, c: a * b * c)
@@ -211,18 +216,18 @@ class TestComplexWirtinger:
     def test_z2_modulus_squared(self):
         f = ScalarField3.from_function(centered_grid(0.125, 7), lambda a, b, c: b * b + c * c)
         for node in [(1, 1, 1), (3, 3, 3), (5, 2, 4)]:
-            _, lap, _ = complex_wirtinger(f, node)
+            _, lap, _ = f.complex_wirtinger(node)
             assert lap == 1.0
 
     def test_re_z2(self):
         f = ScalarField3.from_function(centered_grid(0.125, 7), lambda a, b, c: b)
-        dz2, lap, mix = complex_wirtinger(f, (3, 3, 3))
+        dz2, lap, mix = f.complex_wirtinger((3, 3, 3))
         assert dz2 == 0.5 + 0.0j
         assert lap == 0.0 and mix == 0.0
 
     def test_xi1_xi3_mixed(self):
         f = ScalarField3.from_function(centered_grid(0.125, 7), lambda a, b, c: a * c)
-        _, _, mix = complex_wirtinger(f, (3, 3, 3))
+        _, _, mix = f.complex_wirtinger((3, 3, 3))
         assert mix == 0.5j
 
     def test_field_level_agreement(self):
@@ -231,7 +236,7 @@ class TestComplexWirtinger:
         )
         dz2, lap, mix = f.wirtinger_fields()
         node = (3, 4, 2)
-        dn, ln, mn = complex_wirtinger(f, node)
+        dn, ln, mn = f.complex_wirtinger(node)
         assert abs(dz2[node] - dn) <= 1e-14
         assert abs(lap[node] - ln) <= 1e-14
         assert abs(mix[node] - mn) <= 1e-14
@@ -248,8 +253,8 @@ class TestConvergenceOrder:
         errors = []
         for h in (0.1, 0.05, 0.025):
             f = ScalarField3.from_function(centered_grid(h, 9), fn)
-            g = np.array(fd_gradient(f, (4, 4, 4)))
-            hess = fd_hessian(f, (4, 4, 4))
+            g = np.array(f.fd_gradient((4, 4, 4)))
+            hess = f.fd_hessian((4, 4, 4))
             e_grad = np.max(np.abs(g - exact_grad()))
             # d2/dxi1 dxi2 of sin(a + b/2)cos(c) at 0 is -0.5*sin(0) = 0,
             # d2/dxi1^2 is -sin(0) = 0; use xi3 entries which are nonzero

@@ -116,7 +116,7 @@ class TestTauOfPhi:
         phi = ScalarField3.from_function(
             centered_grid(0.1, 9), lambda a, b, c: np.sin(a * b) + np.cos(c) * b
         )
-        t1, t2 = tau_fields(phi)
+        t1, t2 = tau_fields(phi.gradient_fields())
         finite = np.isfinite(t2.real)
         assert np.max(np.abs(t2.real[finite] - 0.5)) == 0.0
 
@@ -151,7 +151,7 @@ class TestDeltaTau:
         )
         tau1 = np.full(v.grid.shape, 0.3 - 0.2j)
         tau2 = np.full(v.grid.shape, 0.5 + 0.1j)
-        arr = delta_tau_fields(v, tau1, tau2)
+        arr = delta_tau_fields(v.hessian_fields(), tau1, tau2)
         node = (3, 2, 4)
         assert arr[node] == pytest.approx(
             delta_tau(v, TangentPair(0.3 - 0.2j, 0.5 + 0.1j), node), abs=1e-13

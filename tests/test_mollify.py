@@ -43,6 +43,20 @@ def smooth_field(grid, fn):
     return ScalarField3.from_function(grid, fn, Regularity("smooth"))
 
 
+def direct_convolve(values, weights):
+    """Reference valid-mode sum: taps accumulated in a fixed C-order loop."""
+    side = weights.shape[0]
+    out = np.zeros(tuple(n - side + 1 for n in values.shape))
+    n0, n1, n2 = out.shape
+    for a in range(side):
+        for b in range(side):
+            for c in range(side):
+                wk = weights[a, b, c]
+                if wk != 0.0:
+                    out += wk * values[a : a + n0, b : b + n1, c : c + n2]
+    return out
+
+
 class TestKernelProfile:
     def test_profile_constants_match_frozen_quadrature(self):
         c, m2 = kernel_profile_constants()
@@ -122,15 +136,13 @@ class TestConvolve3:
             cube_grid(1.0 / 24.0, 29),
             lambda a, b, c: np.sin(2.0 * a) + np.cos(b + c) + a * b * c,
         )
-        d = convolve3(v, 4.0 / 24.0, method="direct")
-        f = convolve3(v, 4.0 / 24.0, method="fft")
-        assert d.field.grid == f.field.grid
-        assert np.max(np.abs(d.field.values - f.field.values)) <= 1e-12
-
-    def test_unknown_method_rejected(self):
-        v = smooth_field(cube_grid(1.0 / 16.0, 17), lambda a, b, c: a)
-        with pytest.raises(ParameterError):
-            convolve3(v, 0.2, method="spectral")
+        # 9^3 taps (at most 11^3, the old direct-loop range) and 13^3 taps
+        for cells in (4, 6):
+            mol = convolve3(v, cells / 24.0)
+            assert mol.kernel.weights.size == (2 * cells + 1) ** 3
+            ref = direct_convolve(v.values, mol.kernel.weights)[1:-1, 1:-1, 1:-1]
+            assert ref.shape == mol.field.grid.shape
+            assert np.max(np.abs(ref - mol.field.values)) <= 1e-12
 
     def test_output_nodes_beyond_delta(self):
         h = 1.0 / 32.0
@@ -220,7 +232,7 @@ class TestConvolve3:
         v = smooth_field(grid, poly)
         tau1 = np.full(grid.shape, t1r + 1j * t1i)
         tau2 = np.full(grid.shape, 0.5 + 0.0j)
-        raw = delta_tau_fields(v, tau1, tau2)
+        raw = delta_tau_fields(v.hessian_fields(), tau1, tau2)
         inner_grid = Grid3(tuple(o + h for o in grid.origin), h, (n - 2, n - 2, n - 2))
         raw_field = ScalarField3(inner_grid, raw[1:-1, 1:-1, 1:-1], Regularity("smooth"))
 
@@ -228,7 +240,7 @@ class TestConvolve3:
         lhs_full = convolve3(v, delta)
         m = lhs_full.margin
         lhs = delta_tau_fields(
-            lhs_full.field,
+            lhs_full.field.hessian_fields(),
             np.full(lhs_full.field.grid.shape, t1r + 1j * t1i),
             np.full(lhs_full.field.grid.shape, 0.5 + 0.0j),
         )[1:-1, 1:-1, 1:-1]
@@ -293,8 +305,8 @@ class TestCertificateBasics:
         grid = cube_grid(1.0 / 32.0, 41)
         v = smooth_field(grid, lambda a, b, c: -(b * b + c * c) - 0.1 * np.sin(a + b))
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
-        tau1, tau2 = tau_fields(phi)
-        raw = -delta_tau_fields(v, tau1, tau2)
+        tau1, tau2 = tau_fields(phi.gradient_fields())
+        raw = -delta_tau_fields(v.hessian_fields(), tau1, tau2)
         raw_min = float(np.nanmin(raw))
         assert raw_min > 0.0
         rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2)
@@ -396,8 +408,8 @@ def shipped_report(shipped_case):
 class TestStaircaseCase:
     def test_node_identity_against_plateau_model(self, shipped_case):
         case = shipped_case
-        tau1, tau2 = tau_fields(case.phi)
-        cert = -delta_tau_fields(case.v, tau1, tau2)
+        tau1, tau2 = tau_fields(case.phi.gradient_fields())
+        cert = -delta_tau_fields(case.v.hessian_fields(), tau1, tau2)
         n1, n2, n3 = case.v.grid.extents
         h = case.v.grid.spacing
         mid = case.v.values[:, :, n3 // 2] / case.scale
@@ -411,8 +423,8 @@ class TestStaircaseCase:
 
     def test_certificate_nonnegative_and_tight(self, shipped_case):
         case = shipped_case
-        tau1, tau2 = tau_fields(case.phi)
-        cert = -delta_tau_fields(case.v, tau1, tau2)
+        tau1, tau2 = tau_fields(case.phi.gradient_fields())
+        cert = -delta_tau_fields(case.v.hessian_fields(), tau1, tau2)
         finite = np.isfinite(cert)
         assert float(cert[finite].min()) >= -1e-12
         # tight on the plateau slab: u = xi1 + xi2 inside road_top
@@ -426,7 +438,7 @@ class TestStaircaseCase:
 
     def test_tau_components_are_the_box_average(self, shipped_case):
         case = shipped_case
-        tau1, tau2 = tau_fields(case.phi)
+        tau1, tau2 = tau_fields(case.phi.gradient_fields())
         inner = np.s_[1:-1, 1:-1, 1:-1]
         assert np.max(np.abs(tau2[inner] - 0.5)) == 0.0
         assert np.max(np.abs(tau1[inner].imag)) == 0.0
