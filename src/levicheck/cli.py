@@ -247,7 +247,7 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
 
     identity_ok = True
     rows = []
-    for n in range(1, min(depth, 10) + 1):
+    for n in range(1, depth + 1):
         length = system.interval_length(n)
         expected = Fraction(1, 2**n)
         for k in range(n):
@@ -262,7 +262,7 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
         Assertion(
             "interval_length_identity",
             identity_ok,
-            {"generations_checked": min(depth, 10)},
+            {"generations_checked": depth},
         ),
         Assertion(
             "quadratic_growth_bound",

@@ -281,29 +281,6 @@ class ScalarField3:
         sel = tuple(slice(a, b) for a, b in zip(lo, hi))
         return ScalarField3(sub, self.values[sel].copy(), self.regularity)
 
-    def value(self, point) -> float:
-        """Trilinear interpolation at an off-grid point."""
-        h = self.grid.spacing
-        idx: list[int] = []
-        frac: list[float] = []
-        for p, o, n in zip(point, self.grid.origin, self.grid.extents):
-            x = (float(p) - o) / h
-            i = math.floor(x)
-            if i == -1 and x >= -1e-9:
-                i = 0
-            if i == n - 1 and x <= n - 1 + 1e-9:
-                i = n - 2
-            if not 0 <= i <= n - 2:
-                raise DomainError(f"point {tuple(point)} outside grid")
-            idx.append(i)
-            frac.append(x - i)
-        i, j, k = idx
-        cube = self.values[i : i + 2, j : j + 2, k : k + 2]
-        w1 = np.array([1.0 - frac[0], frac[0]])
-        w2 = np.array([1.0 - frac[1], frac[1]])
-        w3 = np.array([1.0 - frac[2], frac[2]])
-        return float(np.einsum("a,b,c,abc->", w1, w2, w3, cube))
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
@@ -414,38 +391,52 @@ class DiscField:
         i, j = (int(n) for n in node)
         return (self.spacing * (i - self.half), self.spacing * (j - self.half))
 
+    def _cell(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower cell index along one axis (points within 1e-9 cell of the
+        first or last node snap into the square) and whether it exists."""
+        n = self.values.shape[0]
+        i = np.floor(w)
+        i = np.where((i == -1) & (w >= -1e-9), 0.0, i)
+        i = np.where((i == n - 1) & (w <= n - 1 + 1e-9), n - 2.0, i)
+        return i, (0 <= i) & (i <= n - 2)
+
+    def sample(self, x, y) -> np.ndarray:
+        """Bilinear interpolation at arrays of points; NaN outside the sampled
+        square and wherever one of the four cell corners is non-finite."""
+        h = self.spacing
+        u = np.asarray(x, dtype=np.float64) / h + self.half
+        v = np.asarray(y, dtype=np.float64) / h + self.half
+        i, ok_i = self._cell(u)
+        j, ok_j = self._cell(v)
+        ok = ok_i & ok_j
+        ii = np.where(ok, i, 0).astype(np.intp)
+        jj = np.where(ok, j, 0).astype(np.intp)
+        c00 = self.values[ii, jj]
+        c10 = self.values[ii + 1, jj]
+        c01 = self.values[ii, jj + 1]
+        c11 = self.values[ii + 1, jj + 1]
+        with np.errstate(invalid="ignore"):
+            fx, fy = u - i, v - j
+            out = (
+                c00 * (1.0 - fx) * (1.0 - fy)
+                + c10 * fx * (1.0 - fy)
+                + c01 * (1.0 - fx) * fy
+                + c11 * fx * fy
+            )
+        ok &= np.isfinite(c00) & np.isfinite(c10) & np.isfinite(c01) & np.isfinite(c11)
+        return np.where(ok, out, np.nan)
+
     def value(self, z) -> float:
-        """Bilinear interpolation; DomainError off the finite sample set."""
+        """Bilinear interpolation at one point; DomainError off the finite
+        sample set."""
         if isinstance(z, complex):
             x, y = z.real, z.imag
         else:
             x, y = float(z[0]), float(z[1])
-        h = self.spacing
-        n = self.values.shape[0]
-        u = x / h + self.half
-        v = y / h + self.half
-        i = math.floor(u)
-        j = math.floor(v)
-        if i == -1 and u >= -1e-9:
-            i = 0
-        if j == -1 and v >= -1e-9:
-            j = 0
-        if i == n - 1 and u <= n - 1 + 1e-9:
-            i = n - 2
-        if j == n - 1 and v <= n - 1 + 1e-9:
-            j = n - 2
-        if not (0 <= i <= n - 2 and 0 <= j <= n - 2):
-            raise DomainError(f"point ({x}, {y}) outside sampled square")
-        fx, fy = u - i, v - j
-        cell = self.values[i : i + 2, j : j + 2]
-        if not np.isfinite(cell).all():
-            raise DomainError(f"point ({x}, {y}) touches undefined samples")
-        return float(
-            cell[0, 0] * (1.0 - fx) * (1.0 - fy)
-            + cell[1, 0] * fx * (1.0 - fy)
-            + cell[0, 1] * (1.0 - fx) * fy
-            + cell[1, 1] * fx * fy
-        )
+        out = float(self.sample(x, y))
+        if math.isnan(out):
+            raise DomainError(f"point ({x}, {y}) outside the finite sample set")
+        return out
 
     def laplacian_field(self) -> np.ndarray:
         """5-point Laplacian; NaN on the outer ring and wherever inputs are NaN."""
@@ -474,5 +465,7 @@ def circle_mean(g: DiscField, center, r: float, n_theta: int = 512) -> float:
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     xs = cx + r * np.cos(theta)
     ys = cy + r * np.sin(theta)
-    samples = [g.value((x, y)) for x, y in zip(xs, ys)]
-    return math.fsum(samples) / n_theta
+    samples = g.sample(xs, ys)
+    if np.isnan(samples).any():
+        raise DomainError(f"circle |z - ({cx}, {cy})| = {r} leaves the finite sample set")
+    return math.fsum(samples.tolist()) / n_theta

@@ -602,7 +602,7 @@ def green_identity_report(u: DiscField, r: float, n_theta: int = 512) -> GreenId
     used = weights != 0.0
     if not np.isfinite(lap[used]).all():
         raise DomainError("Laplacian undefined somewhere in the disc of integration")
-    area_raw = stable_sum(np.where(used, weights * lap, 0.0))
+    area_raw = stable_sum((weights * lap)[used])
     area_term = area_raw / (2.0 * math.pi)
     residual = abs(mean - center - area_term)
     return GreenIdentityReport(

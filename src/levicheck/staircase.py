@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from levicheck.fields import DiscField, ParameterError
+from levicheck.fields import DiscField, ParameterError, circle_mean
 
 __all__ = [
     "CantorSystem",
@@ -830,8 +830,6 @@ def _segment_mean_checks(
     drift (about c3 r^2) overtakes the kink excess even for steep caps,
     so larger circles would test the wrong regime.
     """
-    from levicheck.fields import circle_mean
-
     cap = domain.cap
     h = cap.spacing
     radius = min(max(4.0 * h, 0.004), 0.0085)
@@ -860,8 +858,6 @@ def superharmonic_mean_excess(
     positive value witnesses failure of the mean-value inequality at that
     scale.  Values are keyed by the radius repr.
     """
-    from levicheck.fields import circle_mean
-
     out = {}
     for r in radii:
         mean = circle_mean(domain.cap, center, float(r), n_theta=n_theta)

@@ -270,13 +270,17 @@ def test_08_green_identity_residuals():
 
 def test_09_report_determinism_across_threads(tmp_path):
     # Same config and seed: byte-identical report.json on rerun and across
-    # worker thread counts, for the Green identity and the 3-D stencil and
-    # FFT convolution scenarios.
+    # worker thread counts, for the Green identity, the 3-D stencil and FFT
+    # convolution scenarios, and the staircase cap's circle-mean checks.
     runs = [
         ({"scenario": "green-identity"}, (1, 4, 8, 8)),
         ({"scenario": "levi-check"}, (1, 4)),
         ({"scenario": "levi-check", "params": {"model": "g2"}, "expect_violation": True}, (1, 4)),
         ({"scenario": "mollify-sweep"}, (1, 4)),
+        (
+            {"scenario": "hartogs-scan", "params": {"cap": "staircase"}, "expect_violation": True},
+            (1, 4),
+        ),
     ]
     for index, (scenario, thread_counts) in enumerate(runs):
         outdir = tmp_path / f"out{index}"

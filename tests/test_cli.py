@@ -175,11 +175,12 @@ class TestRunReports:
         report = read_report(tmp_path)
         by_name = {a["name"]: a for a in report["assertions"]}
         assert by_name["interval_length_identity"]["passed"] is True
+        assert by_name["interval_length_identity"]["detail"]["generations_checked"] == 12
         assert by_name["quadratic_growth_bound"]["detail"]["L"] == 4.5
         assert float(report["tables"]["x0_certificate"]["growth"]) == 4.5
         rows = (tmp_path / "out" / "intervals.csv").read_text().splitlines()
         assert rows[0] == "n,count,length_exact,length"
-        assert len(rows) == 11
+        assert len(rows) == 1 + 12
 
     def test_hartogs_ball_no_violations(self, tmp_path):
         cfg = write_config(

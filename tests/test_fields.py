@@ -275,19 +275,6 @@ class TestSubfieldAndInterpolation:
         assert sub.values[node] == f.values[3, 5, 4]
         assert sub.grid.node_coords(node) == pytest.approx(g.node_coords((3, 5, 4)), abs=1e-12)
 
-    def test_trilinear_affine_exact(self):
-        f = ScalarField3.from_function(
-            centered_grid(0.25, 5), lambda a, b, c: 2 * a - b + 0.5 * c + 3
-        )
-        pt = (0.1, -0.2, 0.37)
-        expected = 2 * pt[0] - pt[1] + 0.5 * pt[2] + 3
-        assert abs(f.value(pt) - expected) <= 1e-12
-
-    def test_trilinear_outside_raises(self):
-        f = ScalarField3.from_function(centered_grid(0.25, 5), lambda a, b, c: a)
-        with pytest.raises(DomainError):
-            f.value((2.0, 0.0, 0.0))
-
 
 class TestSerialization:
     def test_json_roundtrip_exact(self):
@@ -319,7 +306,87 @@ class TestSerialization:
         assert stable_sum(vals) == math.fsum(vals.tolist())
 
 
+def per_point_bilinear(g, x, y):
+    """One-point bilinear reference: the scalar form of DiscField.sample,
+    raising DomainError where sample gives NaN."""
+    n = g.values.shape[0]
+    u = x / g.spacing + g.half
+    v = y / g.spacing + g.half
+    i = math.floor(u)
+    j = math.floor(v)
+    if i == -1 and u >= -1e-9:
+        i = 0
+    if j == -1 and v >= -1e-9:
+        j = 0
+    if i == n - 1 and u <= n - 1 + 1e-9:
+        i = n - 2
+    if j == n - 1 and v <= n - 1 + 1e-9:
+        j = n - 2
+    if not (0 <= i <= n - 2 and 0 <= j <= n - 2):
+        raise DomainError("outside sampled square")
+    fx, fy = u - i, v - j
+    cell = g.values[i : i + 2, j : j + 2]
+    if not np.isfinite(cell).all():
+        raise DomainError("touches undefined samples")
+    return float(
+        cell[0, 0] * (1.0 - fx) * (1.0 - fy)
+        + cell[1, 0] * fx * (1.0 - fy)
+        + cell[0, 1] * (1.0 - fx) * fy
+        + cell[1, 1] * fx * fy
+    )
+
+
+def _log_cap_field():
+    # NaN outside |z| < 1; coarse, so drawn points reach every region
+    return DiscField.from_function(1.0, 1.0 / 16, lambda x, y: 0.5 * np.log(1.0 - x * x - y * y))
+
+
+def _inf_corner_field():
+    # smallest square: a quarter of its cells touch the inf node, and its
+    # edge cells are finite, so the snap band decides their values
+    vals = np.add.outer(np.arange(5.0), 0.5 * np.arange(5.0))
+    vals[3, 2] = np.inf
+    return DiscField(0.5, 0.25, vals)
+
+
+SAMPLER_FIELDS = {"log_cap": _log_cap_field(), "inf_corner": _inf_corner_field()}
+
+
+def _cell_coordinates(rng, n, size):
+    """Coordinates in cell units, mixed in equal shares: anywhere in the
+    square +-2 cells, exact nodes, and inside or just past the 1e-9 snap
+    band at the first and the last node."""
+    kinds = [
+        rng.uniform(-2.0, n + 1.0, size),
+        rng.integers(-2, n + 2, size).astype(float),
+        -rng.uniform(0.0, 2e-9, size),
+        n - 1 + rng.uniform(0.0, 2e-9, size),
+    ]
+    return np.choose(rng.integers(0, len(kinds), size), kinds)
+
+
 class TestDiscField:
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(sorted(SAMPLER_FIELDS)), seed=st.integers(0, 2**32 - 1))
+    def test_sample_matches_per_point_reference(self, name, seed):
+        g = SAMPLER_FIELDS[name]
+        rng = np.random.default_rng(seed)
+        n = g.values.shape[0]
+        xs = (_cell_coordinates(rng, n, 400) - g.half) * g.spacing
+        ys = (_cell_coordinates(rng, n, 400) - g.half) * g.spacing
+        got = g.sample(xs, ys)
+        assert got.shape == xs.shape
+        for x, y, s in zip(xs.tolist(), ys.tolist(), got.tolist()):
+            try:
+                expected = per_point_bilinear(g, x, y)
+            except DomainError:
+                assert math.isnan(s)
+                with pytest.raises(DomainError):
+                    g.value((x, y))
+                continue
+            assert s == expected
+            assert g.value((x, y)) == expected
+
     def test_inside_mask_and_node_values(self):
         g = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x + y * y)
         assert g.values[g.half, g.half] == 0.0

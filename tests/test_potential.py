@@ -395,6 +395,10 @@ class TestZygmundSeminorm:
         assert m <= top * 1.02
         assert m >= 2.0 * 0.09 ** (2.0 - alpha)
 
+    def test_returns_python_float(self):
+        field = DiscField.from_function(1.0, 1.0 / 256.0, lambda x, y: x * x + y * y)
+        assert type(zygmund_seminorm(field, 1.0, budget=200)) is float
+
     def test_affine_field_has_zero_seminorm(self):
         field = DiscField.from_function(
             1.0, 1.0 / 256.0, lambda x, y: 0.3 * x - 0.7 * y + 0.1
