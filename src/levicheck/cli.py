@@ -5,6 +5,8 @@ fields (dotted paths reach into ``params``).  Every scenario writes
 ``<outdir>/report.json`` plus CSV exports.  Reports are byte-identical
 across reruns and thread counts for a fixed config and seed: wall-clock
 runtime goes to a ``runtime.txt`` sidecar, never into the report.
+``seed`` is recorded in every report but reserved: no computation reads
+it yet.
 
 Exit codes: 0 all assertions pass, 1 an assertion failed (named on
 stderr), 2 usage or configuration error.

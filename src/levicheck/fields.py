@@ -11,8 +11,6 @@ results are bit-reproducible regardless of thread count.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -120,14 +118,6 @@ class Grid3:
         if any(not 0 <= idx[k] < self.extents[k] for k in range(3)):
             raise DomainError(f"point {tuple(point)} outside grid")
         return idx
-
-    def interior(self, margin: int = 1) -> tuple[slice, slice, slice]:
-        """Slices selecting nodes at least `margin` cells from every face."""
-        if margin < 1:
-            raise ValueError("margin must be >= 1")
-        if any(n <= 2 * margin for n in self.extents):
-            raise StencilError(f"margin {margin} leaves no interior nodes")
-        return tuple(slice(margin, n - margin) for n in self.extents)
 
 
 @dataclass
@@ -264,59 +254,6 @@ class ScalarField3:
     def wirtinger_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d/dz2, d2/dz2 dz2bar, d2/dy1 dz2bar) arrays over the grid."""
         return wirtinger_parts(self.gradient_fields(), self.hessian_fields())
-
-    # -- geometry helpers --------------------------------------------------
-
-    def subfield(self, lo, hi) -> "ScalarField3":
-        """Restriction to the index box [lo, hi) per axis."""
-        lo = tuple(int(a) for a in lo)
-        hi = tuple(int(b) for b in hi)
-        if any(not 0 <= a < b <= n for a, b, n in zip(lo, hi, self.grid.extents)):
-            raise ValueError("index box out of range")
-        sub = Grid3(
-            tuple(o + self.grid.spacing * a for o, a in zip(self.grid.origin, lo)),
-            self.grid.spacing,
-            tuple(b - a for a, b in zip(lo, hi)),
-        )
-        sel = tuple(slice(a, b) for a, b in zip(lo, hi))
-        return ScalarField3(sub, self.values[sel].copy(), self.regularity)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "origin": list(self.grid.origin),
-            "spacing": self.grid.spacing,
-            "extents": list(self.grid.extents),
-            "regularity": {
-                "tag": self.regularity.tag,
-                "alpha": self.regularity.alpha,
-                "constant": self.regularity.constant,
-            },
-            "values": self.values.ravel(order="C").tolist(),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScalarField3":
-        d = json.loads(text)
-        grid = Grid3(tuple(d["origin"]), d["spacing"], tuple(d["extents"]))
-        vals = np.array(d["values"], dtype=np.float64).reshape(grid.shape)
-        reg = d["regularity"]
-        return cls(grid, vals, Regularity(reg["tag"], reg["alpha"], reg["constant"]))
-
-    def to_csv(self, path) -> None:
-        x1, x2, x3 = self.grid.mesh()
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["xi1", "xi2", "xi3", "value"])
-            for a, b, c, v in zip(
-                x1.ravel(order="C"),
-                x2.ravel(order="C"),
-                x3.ravel(order="C"),
-                self.values.ravel(order="C"),
-            ):
-                writer.writerow([repr(float(a)), repr(float(b)), repr(float(c)), repr(float(v))])
 
 
 def wirtinger_parts(g, hess):

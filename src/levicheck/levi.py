@@ -14,7 +14,6 @@ Both routes are computed and cross-checked wherever possible.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,7 +52,6 @@ __all__ = [
     "slice_graph",
     "slice_ratio_min",
     "green_identity_report",
-    "green_identity_residual",
     "GreenIdentityReport",
     "fit_positive_scale",
 ]
@@ -144,13 +142,6 @@ class Defining2:
 
     def data(self, z1: complex, z2: complex) -> WirtingerData:
         return self._data_fn(complex(z1), complex(z2))
-
-    def rho(self, z1: complex, z2: complex) -> float:
-        return self.data(z1, z2).rho
-
-    def gradient_norm(self, z1: complex, z2: complex) -> float:
-        d = self.data(z1, z2)
-        return 2.0 * math.sqrt(abs(d.rz1) ** 2 + abs(d.rz2) ** 2)
 
     # -- built-in symbolic domains ----------------------------------------
 
@@ -478,9 +469,6 @@ class LeviScan:
         out.update(self.counts())
         return out
 
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, separators=(",", ":"))
-
 
 def levi_scan(phi: ScalarField3, tol: float | None = None) -> LeviScan:
     """Sweep graph_levi over the interior; default near-zero tolerance is
@@ -588,7 +576,8 @@ def green_identity_report(u: DiscField, r: float, n_theta: int = 512) -> GreenId
 
         mean_{|zeta|=r} u = u(0) + (1/2pi) int_{D(0,r)} log(r/|zeta|) Delta u.
 
-    Raw (un-normalized) sides are also reported.
+    The raw sides are that identity times 2pi: lhs_raw = 2pi mean and
+    rhs_raw = 2pi u(0) + int_{D(0,r)} log(r/|zeta|) Delta u.
     """
     h = u.spacing
     if r < 4.0 * h:
@@ -612,12 +601,8 @@ def green_identity_report(u: DiscField, r: float, n_theta: int = 512) -> GreenId
         area_term=area_term,
         residual=residual,
         lhs_raw=2.0 * math.pi * mean,
-        rhs_raw=center + area_raw,
+        rhs_raw=2.0 * math.pi * center + area_raw,
     )
-
-
-def green_identity_residual(u: DiscField, r: float, n_theta: int = 512) -> float:
-    return green_identity_report(u, r, n_theta=n_theta).residual
 
 
 def fit_positive_scale(a, b) -> float:

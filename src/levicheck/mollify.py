@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +31,7 @@ from .fields import (
     stable_sum,
 )
 from .levi import Defining2, WirtingerData, delta_tau_fields, tau_fields
-from .staircase import StaircaseIterates, build_cantor, staircase_f
+from .staircase import build_cantor, fat_F
 
 
 class UnderResolvedKernelError(Exception):
@@ -511,79 +510,6 @@ def mollified_sign_certificate(
 # -- the staircase certificate case -----------------------------------------
 
 
-class _StaircaseCalculus:
-    """Exact rational antiderivatives of a piecewise-affine staircase iterate.
-
-    f is extended by 0 left of 0 and by 1 right of 1.  F1 = int_0^x f and
-    F2 = int_0^x F1 are accumulated per affine piece in Fraction arithmetic,
-    so grid samples and sliding averages of f carry no quadrature error.
-    """
-
-    def __init__(self, iterates: StaircaseIterates) -> None:
-        xs = list(iterates.xs)
-        ys = list(iterates.ys)
-        self.xs = xs
-        self.ys = ys
-        slopes: list[Fraction] = []
-        a1: list[Fraction] = [Fraction(0)]
-        a2: list[Fraction] = [Fraction(0)]
-        for k in range(len(xs) - 1):
-            dx = xs[k + 1] - xs[k]
-            m = (ys[k + 1] - ys[k]) / dx
-            y = ys[k]
-            slopes.append(m)
-            a2.append(a2[k] + a1[k] * dx + y * dx**2 / 2 + m * dx**3 / 6)
-            a1.append(a1[k] + y * dx + m * dx**2 / 2)
-        self.slopes = slopes
-        self._a1 = a1
-        self._a2 = a2
-
-    def _piece(self, x: Fraction) -> int:
-        return min(bisect_right(self.xs, x) - 1, len(self.slopes) - 1)
-
-    def f(self, x) -> Fraction:
-        x = Fraction(x)
-        if x <= 0:
-            return Fraction(0)
-        if x >= 1:
-            return Fraction(1)
-        k = self._piece(x)
-        return self.ys[k] + self.slopes[k] * (x - self.xs[k])
-
-    def F1(self, x) -> Fraction:
-        x = Fraction(x)
-        if x <= 0:
-            return Fraction(0)
-        if x >= 1:
-            return self._a1[-1] + (x - 1)
-        k = self._piece(x)
-        s = x - self.xs[k]
-        return self._a1[k] + self.ys[k] * s + self.slopes[k] * s**2 / 2
-
-    def F2(self, x) -> Fraction:
-        x = Fraction(x)
-        if x <= 0:
-            return Fraction(0)
-        if x >= 1:
-            t = x - 1
-            return self._a2[-1] + self._a1[-1] * t + t**2 / 2
-        k = self._piece(x)
-        s = x - self.xs[k]
-        return (
-            self._a2[k]
-            + self._a1[k] * s
-            + self.ys[k] * s**2 / 2
-            + self.slopes[k] * s**3 / 6
-        )
-
-    def f_box(self, x, half_width) -> Fraction:
-        """Average of f over [x - w, x + w]: what a centered first difference
-        of -F1 at spacing w reports as the derivative."""
-        x = Fraction(x)
-        w = Fraction(half_width)
-        return (self.F1(x + w) - self.F1(x - w)) / (2 * w)
-
-
 @dataclass(frozen=True)
 class _PiecewisePoly:
     """Polynomial pieces in local coordinates s = x - breaks[i]."""
@@ -703,14 +629,27 @@ def staircase_deficit_fields(
     if any(n < 9 for n in extents):
         raise ParameterError(f"extents {extents} too small for a certificate grid")
     n1, n2, n3 = extents
-    calc = _StaircaseCalculus(staircase_f(build_cantor(alphas)))
+    fat = fat_F(build_cantor(alphas))
+    f = fat.iterates.value_exact  # 0 left of 0, 1 right of 1
+
+    def F1(x: Fraction) -> Fraction:
+        # int_0^x f exactly: F = int_0^x (f - t) dt vanishes at 0 and 1
+        if x <= 0:
+            return Fraction(0)
+        if x >= 1:
+            return x - Fraction(1, 2)
+        return fat.value_exact(x) + x * x / 2
+
+    def f_box(x: Fraction, w: Fraction) -> Fraction:
+        # mean of f over [x - w, x + w]: the centered difference of F1
+        return (F1(x + w) - F1(x - w)) / (2 * w)
 
     gb = Fraction(g_base)
     ga = Fraction(g_amp)
     c = Fraction(scale)
     gstar = gb + ga
     x2 = [j * h for j in range(n2)]
-    ghat = [gb + ga * calc.f_box(x / lam, h / lam) for x in x2]
+    ghat = [gb + ga * f_box(x / lam, h / lam) for x in x2]
     deficit = [gstar**2 - gh**2 for gh in ghat]
 
     # discrete double sum: the centered second difference of g2sum returns
@@ -733,10 +672,10 @@ def staircase_deficit_fields(
     v_12 = float(c) * (road_12 + axis2[None, :])
     v_vals = np.repeat(v_12[:, :, None], n3, axis=2)
 
-    phi_1d = np.array([-(float(gb * x + ga * lam * calc.F1(x / lam))) for x in x2])
+    phi_1d = np.array([-(float(gb * x + ga * lam * F1(x / lam))) for x in x2])
     phi_vals = np.broadcast_to(phi_1d[None, :, None], extents).copy()
 
-    g_nodes = np.array([float(gb + ga * calc.f(x / lam)) for x in x2])
+    g_nodes = np.array([float(gb + ga * f(x / lam)) for x in x2])
     seminorm = 0.0
     for j in range(1, n2):
         gaps = np.abs(g_nodes[j:] - g_nodes[:-j])

@@ -12,7 +12,6 @@ concentrates on E.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,12 +23,10 @@ from .fields import DiscField, DomainError, ParameterError
 from .staircase import HartogsDomain
 
 __all__ = [
-    "AmbiguousCellError",
     "AtomicMeasure",
     "BoxCountRegression",
     "FrostmanCertificate",
     "GreenPotential",
-    "MassRecoveryProbe",
     "SquareCantor",
     "box_dimension",
     "build_square_cantor",
@@ -40,9 +37,7 @@ __all__ = [
     "graph_set_points",
     "green_kernel",
     "green_potential",
-    "laplacian_mass_recovery",
     "potential_field",
-    "rectangle_flux_mass",
     "zygmund_domain",
     "zygmund_seminorm",
 ]
@@ -51,10 +46,6 @@ __all__ = [
 # radius 1/2: 0.7 * sqrt(2)/2 = 0.49497 < 1/2
 _START_SIDE = 0.7
 _GENERATION_BUDGET = 10
-
-
-class AmbiguousCellError(Exception):
-    """An atom sits on a flux-cell boundary; shift the cell by h/2."""
 
 
 def contraction_ratio(alpha: float) -> float:
@@ -92,21 +83,6 @@ class SquareCantor:
         """(4^n, 2) array of square centers, construction order."""
         arr = np.asarray(self.squares, dtype=np.float64)
         return arr + 0.5 * self.side
-
-    def diameter(self) -> float:
-        c = self.centers()
-        lo = c.min(axis=0) - 0.5 * self.side
-        hi = c.max(axis=0) + 0.5 * self.side
-        return float(np.hypot(*(hi - lo)))
-
-    def to_json(self) -> str:
-        payload = {
-            "alpha": self.alpha,
-            "generation": self.generation,
-            "side": self.side,
-            "squares": [[x, y] for x, y in self.squares],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def build_square_cantor(alpha: float, n: int) -> SquareCantor:
@@ -176,24 +152,6 @@ class AtomicMeasure:
         hit = np.abs(self.locations - complex(center)) < float(r)
         return float(math.fsum(self.masses[hit]))
 
-    def box_mass(self, x0: float, y0: float, side: float) -> float:
-        """Mass of the open axis box (x0, x0+side) x (y0, y0+side)."""
-        w = self.locations
-        hit = (
-            (w.real > x0)
-            & (w.real < x0 + side)
-            & (w.imag > y0)
-            & (w.imag < y0 + side)
-        )
-        return float(math.fsum(self.masses[hit]))
-
-    def to_json(self) -> str:
-        payload = {
-            "generation": self.generation,
-            "atoms": [[w.real, w.imag, m] for w, m in self.atoms],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
 
 def frostman_measure(square_set: SquareCantor) -> AtomicMeasure:
     """Uniform mass split: mass 4^{-n} at the center of every square."""
@@ -217,15 +175,6 @@ class FrostmanCertificate:
     constant: float
     samples: int
     radii: tuple[float, ...]
-
-    def to_json(self) -> str:
-        payload = {
-            "alpha": self.alpha,
-            "n": self.generation,
-            "C": self.constant,
-            "samples": self.samples,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def frostman_certificate(
@@ -354,129 +303,6 @@ def potential_field(
 
 
 # -- flux recovery of the measure -------------------------------------------
-
-
-@dataclass(frozen=True)
-class MassRecoveryProbe:
-    """Flux recovery -(1/2pi) * contour integral of du/dn versus mu(cell)."""
-
-    recovered: float
-    expected: float
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.recovered - self.expected)
-
-    @property
-    def rel_error(self) -> float:
-        """Relative to the expected cell mass, or to the unit total mass
-        for empty cells."""
-        scale = self.expected if self.expected > 0.0 else 1.0
-        return self.abs_error / scale
-
-
-def _edge_flux(
-    potential: GreenPotential,
-    start: tuple[float, float],
-    axis: int,
-    length: float,
-    normal: tuple[float, float],
-    samples: int,
-    fd_step: float,
-) -> float:
-    """Midpoint-rule integral of du/dn along one axis-parallel edge."""
-    t = (np.arange(samples) + 0.5) * (length / samples)
-    if axis == 0:
-        gx = start[0] + t
-        gy = np.full_like(t, start[1])
-    else:
-        gx = np.full_like(t, start[0])
-        gy = start[1] + t
-    nx, ny = normal
-    up = potential.grid_values(gx + fd_step * nx, gy + fd_step * ny)
-    dn = potential.grid_values(gx - fd_step * nx, gy - fd_step * ny)
-    deriv = (up - dn) / (2.0 * fd_step)
-    return float(math.fsum(deriv) * (length / samples))
-
-
-def laplacian_mass_recovery(
-    potential: GreenPotential,
-    cell: tuple[float, float, float],
-    fd_step: float | None = None,
-    samples_per_edge: int = 256,
-) -> MassRecoveryProbe:
-    """Recover mu(cell) from the outward flux of grad u through the cell.
-
-    cell = (x0, y0, side), axis aligned.  The potential is harmonic off
-    the atoms, so the flux counts exactly the enclosed mass; quadrature
-    and finite differencing are the only error sources.  Atoms within a
-    quadrature step of the boundary make the enclosed count ill defined.
-    """
-    x0, y0, side = (float(v) for v in cell)
-    if side <= 0.0:
-        raise ParameterError("cell side must be positive")
-    far = max(
-        math.hypot(x, y)
-        for x in (x0, x0 + side)
-        for y in (y0, y0 + side)
-    )
-    if 1.0 - far < side:
-        raise ParameterError(
-            f"cell must stay one side length inside the circle (gap {1.0 - far:.3e})"
-        )
-    if fd_step is None:
-        fd_step = side / 64.0
-    if not 0.0 < fd_step <= side / 8.0:
-        raise ParameterError("fd step must be positive and at most side/8")
-
-    locs = potential.measure.locations
-    tol = max(fd_step, 1e-12)
-    near_x = (np.abs(locs.real - x0) < tol) | (np.abs(locs.real - (x0 + side)) < tol)
-    near_y = (np.abs(locs.imag - y0) < tol) | (np.abs(locs.imag - (y0 + side)) < tol)
-    in_x = (locs.real > x0 - tol) & (locs.real < x0 + side + tol)
-    in_y = (locs.imag > y0 - tol) & (locs.imag < y0 + side + tol)
-    if np.any((near_x & in_y) | (near_y & in_x)):
-        raise AmbiguousCellError(
-            "an atom sits on the cell boundary; shift the cell by half a step"
-        )
-
-    flux = (
-        _edge_flux(potential, (x0, y0), 0, side, (0.0, -1.0), samples_per_edge, fd_step)
-        + _edge_flux(potential, (x0, y0 + side), 0, side, (0.0, 1.0), samples_per_edge, fd_step)
-        + _edge_flux(potential, (x0, y0), 1, side, (-1.0, 0.0), samples_per_edge, fd_step)
-        + _edge_flux(potential, (x0 + side, y0), 1, side, (1.0, 0.0), samples_per_edge, fd_step)
-    )
-    recovered = -flux / (2.0 * math.pi)
-    expected = potential.measure.box_mass(x0, y0, side)
-    return MassRecoveryProbe(recovered=recovered, expected=expected)
-
-
-def rectangle_flux_mass(
-    potential: GreenPotential,
-    x0: float,
-    y0: float,
-    width: float,
-    height: float,
-    samples_x: int = 256,
-    samples_y: int = 256,
-    fd_step: float = 1e-3,
-) -> float:
-    """Recovered mass from the flux through an axis rectangle.
-
-    Midpoint-rule edge quadrature; with per-axis sample counts chosen
-    proportional to edge length, fluxes over a tiling of cells cancel
-    exactly on shared edges, making recovery additive over disjoint
-    cells.
-    """
-    if width <= 0.0 or height <= 0.0 or fd_step <= 0.0:
-        raise ParameterError("rectangle sides and fd step must be positive")
-    flux = (
-        _edge_flux(potential, (x0, y0), 0, width, (0.0, -1.0), samples_x, fd_step)
-        + _edge_flux(potential, (x0, y0 + height), 0, width, (0.0, 1.0), samples_x, fd_step)
-        + _edge_flux(potential, (x0, y0), 1, height, (-1.0, 0.0), samples_y, fd_step)
-        + _edge_flux(potential, (x0 + width, y0), 1, height, (1.0, 0.0), samples_y, fd_step)
-    )
-    return -flux / (2.0 * math.pi)
 
 
 def disc_mass_recovery(

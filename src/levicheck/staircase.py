@@ -130,12 +130,6 @@ class CantorSystem:
     def depth(self) -> int:
         return len(self.alphas)
 
-    def interval(self, n: int, i: int) -> tuple[Fraction, Fraction]:
-        return self.levels[n][i]
-
-    def gap(self, n: int, i: int) -> tuple[Fraction, Fraction]:
-        return self.gaps[n][i]
-
     def interval_length(self, n: int) -> Fraction:
         """Common length of every generation-n kept interval (exact)."""
         out = Fraction(1)
@@ -153,20 +147,6 @@ class CantorSystem:
     def kept_union(self, n: int | None = None) -> list[tuple[float, float]]:
         n = self.depth if n is None else n
         return [(float(a), float(b)) for a, b in self.levels[n]]
-
-    def to_json(self) -> str:
-        payload = {
-            "alphas": [_number_str(a) for a in self.alphas],
-            "levels": [
-                [[_number_str(a), _number_str(b)] for a, b in level]
-                for level in self.levels
-            ],
-            "gaps": [
-                [[_number_str(a), _number_str(b)] for a, b in level]
-                for level in self.gaps
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def build_cantor(alphas: Sequence, depth: int | None = None) -> CantorSystem:
@@ -342,17 +322,6 @@ class FatF:
                 if x0 < t < x1:
                     candidates.append(t)
         return max(abs(self.value_exact(t)) for t in candidates)
-
-    def to_json(self) -> str:
-        payload = {
-            "alphas": [_number_str(a) for a in self.system.alphas],
-            "depth": self.iterates.n,
-            "truncation_error": self.truncation_error,
-            "breakpoints": [_number_str(x) for x in self.xs],
-            "values": [_number_str(v) for v in self.values],
-            "slope": _number_str(self.iterates.slope),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def fat_F(system: CantorSystem, n: int | None = None) -> FatF:
@@ -751,20 +720,6 @@ class SubharmonicityScan:
             "growth": growth,
             "growth_below_threshold": bool(growth < threshold),
         }
-
-    def to_csv(self, path) -> None:
-        cap = self.domain.cap
-        xs = cap.axis()
-        rows = ["x,y,laplacian,violating,dist_horizontal,dist_euclidean"]
-        idx = np.argwhere(self.scanned)
-        for i, j in idx:
-            rows.append(
-                f"{xs[i]!r},{xs[j]!r},{self.laplacian[i, j]!r},"
-                f"{int(self.violating[i, j])},"
-                f"{self.dist_horizontal[i, j]!r},{self.dist_euclidean[i, j]!r}"
-            )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
 
 
 def _ball_laplacian_modulus_sup(center_radius: float, radius: float) -> float:

@@ -270,17 +270,20 @@ def test_08_green_identity_residuals():
 
 def test_09_report_determinism_across_threads(tmp_path):
     # Same config and seed: byte-identical report.json on rerun and across
-    # worker thread counts, for the Green identity, the 3-D stencil and FFT
-    # convolution scenarios, and the staircase cap's circle-mean checks.
+    # worker thread counts, for every standard run but slice-check (which
+    # test_cli covers), each with its default parameters.
     runs = [
         ({"scenario": "green-identity"}, (1, 4, 8, 8)),
         ({"scenario": "levi-check"}, (1, 4)),
         ({"scenario": "levi-check", "params": {"model": "g2"}, "expect_violation": True}, (1, 4)),
         ({"scenario": "mollify-sweep"}, (1, 4)),
+        ({"scenario": "staircase-build"}, (1, 4)),
+        ({"scenario": "hartogs-scan"}, (1, 4)),
         (
             {"scenario": "hartogs-scan", "params": {"cap": "staircase"}, "expect_violation": True},
             (1, 4),
         ),
+        ({"scenario": "cantor-potential"}, (1, 4)),
     ]
     for index, (scenario, thread_counts) in enumerate(runs):
         outdir = tmp_path / f"out{index}"

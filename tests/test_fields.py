@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -265,41 +264,7 @@ class TestConvergenceOrder:
             assert order >= 1.9
 
 
-class TestSubfieldAndInterpolation:
-    def test_subfield_preserves_coordinates(self):
-        g = centered_grid(0.1, 9)
-        f = ScalarField3.from_function(g, lambda a, b, c: a + 10 * b + 100 * c)
-        sub = f.subfield((1, 2, 0), (8, 9, 7))
-        assert sub.grid.extents == (7, 7, 7)
-        node = (2, 3, 4)
-        assert sub.values[node] == f.values[3, 5, 4]
-        assert sub.grid.node_coords(node) == pytest.approx(g.node_coords((3, 5, 4)), abs=1e-12)
-
-
 class TestSerialization:
-    def test_json_roundtrip_exact(self):
-        f = ScalarField3.from_function(
-            centered_grid(0.1, 5),
-            lambda a, b, c: np.sin(a) + b * c,
-            Regularity("c1alpha", alpha=0.4, constant=1.25),
-        )
-        g = ScalarField3.from_json(f.to_json())
-        assert g.grid == f.grid
-        assert g.regularity == f.regularity
-        assert np.array_equal(g.values, f.values)
-
-    def test_csv_contents(self, tmp_path):
-        f = ScalarField3.from_function(centered_grid(0.5, 5), lambda a, b, c: a + b + c)
-        path = tmp_path / "field.csv"
-        f.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "xi1,xi2,xi3,value"
-        assert len(lines) == 1 + 5 * 5 * 5
-        first = lines[1].split(",")
-        assert [float(x) for x in first] == [-1.0, -1.0, -1.0, -3.0]
-        last = lines[-1].split(",")
-        assert [float(x) for x in last] == [1.0, 1.0, 1.0, 3.0]
-
     def test_stable_sum_matches_fsum(self):
         rng = np.random.default_rng(7)
         vals = rng.standard_normal(1000) * 10.0**rng.integers(-8, 8, size=1000)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from levicheck.levi import (
     graph_levi,
     graph_levi_fields,
     green_identity_report,
-    green_identity_residual,
     levi_condition_2d,
     levi_scan,
     slice_graph,
@@ -214,7 +212,7 @@ class TestGraphLevi:
         )
         vals = graph_levi_fields(phi)
         finite = np.isfinite(vals)
-        assert finite[grid.interior()].all()
+        assert finite[1:-1, 1:-1, 1:-1].all()
         assert np.min(vals[finite]) > 0.0
         # closed form at the center node: (1 + y1^2)/8 + |z2|^2/16 = 1/8
         center = (6, 6, 6)
@@ -241,7 +239,7 @@ class TestGraphLevi:
         xi = grid.node_coords(node)
         point = (complex(0.7, xi[0]), complex(xi[1], xi[2]))
         assert levi_condition_2d(rho, point) == pytest.approx(graph_levi(phi, node), abs=1e-12)
-        assert rho.rho(*point) == pytest.approx(0.7 - phi.values[node], abs=1e-14)
+        assert rho.data(*point).rho == pytest.approx(0.7 - phi.values[node], abs=1e-14)
 
 
 class TestLeviScan:
@@ -276,7 +274,7 @@ class TestLeviScan:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "xi1,xi2,xi3,levi_value,classification"
         assert len(lines) == 1 + 3 * 3 * 3
-        summary = json.loads(scan.summary_json())
+        summary = scan.summary()
         assert set(summary) == {
             "min",
             "argmin",
@@ -349,7 +347,7 @@ class TestGreenIdentity:
     @pytest.mark.parametrize("name", ["harmonic", "r2", "r4"])
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
     def test_normalized_residual(self, disc_fields, name, r):
-        assert green_identity_residual(disc_fields[name], r) <= 1e-5
+        assert green_identity_report(disc_fields[name], r).residual <= 1e-5
 
     def test_r2_closed_form_sides(self, disc_fields):
         rep = green_identity_report(disc_fields["r2"], 1.0)
@@ -368,9 +366,10 @@ class TestGreenIdentity:
         u = DiscField.from_function(0.5, 1.0 / 128, lambda x, y: 2.5 + 0.0 * x)
         rep = green_identity_report(u, 0.25)
         assert rep.residual <= 1e-12
-        # raw sides differ by the 2*pi normalization the identity needs
+        # raw sides are both sides of the identity times 2*pi; the area
+        # integral of a constant vanishes, so both are 2*pi*u(0)
         assert rep.lhs_raw == pytest.approx(2.0 * math.pi * 2.5, abs=1e-9)
-        assert rep.rhs_raw == pytest.approx(2.5, abs=1e-9)
+        assert rep.rhs_raw == pytest.approx(2.0 * math.pi * 2.5, abs=1e-9)
 
     def test_radius_resolution_error(self):
         u = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x)

@@ -3,11 +3,13 @@ and the mollified-sign certificate sweep."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from helpers_poly import Poly3
 from levicheck.fields import Grid3, ParameterError, Regularity, ScalarField3, StencilError
@@ -28,6 +30,7 @@ from levicheck.mollify import (
     staircase_sweep_case,
     zero_sheet_distance,
 )
+from levicheck.staircase import build_cantor, staircase_f
 
 # frozen from an independent radial quadrature of exp(-1/(1-r^2)) over the
 # unit ball: normalization and single-axis second moment of the unit kernel
@@ -444,6 +447,25 @@ class TestStaircaseCase:
         assert np.max(np.abs(tau1[inner].imag)) == 0.0
         ghat_grid = np.broadcast_to(case.ghat_values[None, :, None], case.v.grid.shape)
         assert np.max(np.abs(tau1[inner].real - ghat_grid[inner] / 4.0)) <= 1e-13
+
+    @pytest.mark.parametrize("stretch", [Fraction(5, 4), Fraction(3, 4)])
+    def test_coefficients_match_quadrature_of_the_staircase(self, stretch):
+        # g = 1 + f(xi2 / L) and ghat its mean over [xi2 - h, xi2 + h], with f
+        # the staircase iterate, 0 left of 0 and 1 right of 1 (reached at L < 1)
+        h = 1.0 / 32.0
+        case = staircase_deficit_fields(spacing=h, stretch=stretch)
+        f = staircase_f(build_cantor(case.alphas))
+        lam = float(stretch)
+        x = case.v.grid.axis(1) / lam
+        assert np.max(np.abs(case.g_values - (1.0 + f(x)))) <= 1e-15
+        w = h / lam
+        knots = np.asarray(f.xs, dtype=float)
+        for xj, ghat in zip(x, case.ghat_values):
+            inside = knots[(knots > xj - w) & (knots < xj + w)]
+            mean = quad(f, xj - w, xj + w, points=inside, epsabs=1e-14, limit=200)[0] / (2 * w)
+            assert abs(ghat - (1.0 + mean)) <= 1e-13
+        if stretch < 1:
+            assert x[-1] - w > 1.0
 
     def test_deficit_profile_bounds(self, shipped_case):
         case = shipped_case

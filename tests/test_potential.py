@@ -7,7 +7,6 @@ constants are pinned from an independent run of the same deterministic
 pipeline and guarded here against drift.
 """
 
-import json
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from scipy.spatial import cKDTree
 
 from levicheck.fields import DiscField, DomainError, ParameterError
 from levicheck.potential import (
-    AmbiguousCellError,
     AtomicMeasure,
     box_dimension,
     build_square_cantor,
@@ -29,9 +27,7 @@ from levicheck.potential import (
     graph_set_points,
     green_kernel,
     green_potential,
-    laplacian_mass_recovery,
     potential_field,
-    rectangle_flux_mass,
     zygmund_domain,
     zygmund_seminorm,
 )
@@ -119,13 +115,6 @@ class TestSquareCantor:
         with pytest.raises(ParameterError, match="budget"):
             build_square_cantor(1.0, 11)
 
-    def test_json_round_trip(self):
-        sc = build_square_cantor(1.0, 2)
-        payload = json.loads(sc.to_json())
-        assert payload["generation"] == 2
-        assert len(payload["squares"]) == 16
-        assert payload["side"] == sc.side
-
 
 class TestAtomicMeasure:
     def test_total_mass_exactly_one(self, gen5):
@@ -141,11 +130,14 @@ class TestAtomicMeasure:
             parent = build_square_cantor(1.0, n)
             child = frostman_measure(build_square_cantor(1.0, n + 1))
             x, y = parent.squares[0]
-            assert child.box_mass(x, y, parent.side) == 4.0**-n
+            w = child.locations
+            inside = (w.real > x) & (w.real < x + parent.side) & (w.imag > y) & (w.imag < y + parent.side)
+            assert math.fsum(child.masses[inside]) == 4.0**-n
 
     def test_full_diameter_disc_carries_all_mass(self, gen5):
         square_set, measure, _ = gen5
-        r = square_set.diameter()
+        c = square_set.centers()
+        r = float(np.hypot(*(c.max(axis=0) - c.min(axis=0) + square_set.side)))
         assert measure.disc_mass(0.0, r) == 1.0
         assert measure.disc_mass(0.0, r) / r**1.0 <= r**-1.0
 
@@ -156,12 +148,6 @@ class TestAtomicMeasure:
             AtomicMeasure(generation=0, atoms=((0j, -1.0), (0.1 + 0j, 2.0)))
         with pytest.raises(ParameterError, match="mass"):
             AtomicMeasure(generation=1, atoms=((0j, 0.5), (0.1 + 0j, 0.6)))
-
-    def test_json_lists_atoms(self, gen5):
-        _, measure, _ = gen5
-        payload = json.loads(measure.to_json())
-        assert payload["generation"] == 5
-        assert len(payload["atoms"]) == 4**5
 
 
 class TestGreenKernel:
@@ -241,71 +227,6 @@ class TestMassRecovery:
         assert abs(recovered - 1.0) <= 0.02
         assert abs(recovered - 1.0) <= 1e-5
 
-    def test_empty_cell_recovers_zero(self, gen5):
-        _, _, potential = gen5
-        probe = laplacian_mass_recovery(potential, (0.61, 0.0, 0.05))
-        assert probe.expected == 0.0
-        assert abs(probe.recovered) <= 1e-3
-
-    def test_single_atom_cell_within_tolerance(self, gen5):
-        _, measure, potential = gen5
-        locs = measure.locations
-        pts = np.column_stack([locs.real, locs.imag])
-        gap = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
-        w = locs[0]
-        side = 0.8 * gap
-        probe = laplacian_mass_recovery(
-            potential, (w.real - side / 2, w.imag - side / 2, side)
-        )
-        assert probe.expected == 4.0**-5
-        assert probe.rel_error <= 0.05
-        assert probe.rel_error <= 1e-3
-
-    def test_top_cluster_cells_within_five_percent(self, gen5):
-        _, _, potential = gen5
-        pad = 0.01
-        side1 = 0.7 * 0.25
-        for cx in (-0.35, 0.35 - side1):
-            for cy in (-0.35, 0.35 - side1):
-                probe = laplacian_mass_recovery(
-                    potential, (cx - pad, cy - pad, side1 + 2 * pad)
-                )
-                assert probe.expected == 0.25
-                assert probe.rel_error <= 0.05
-
-    def test_atom_on_boundary_is_ambiguous_until_shifted(self, gen5):
-        _, measure, potential = gen5
-        w = measure.locations[0]
-        side = 1e-3
-        with pytest.raises(AmbiguousCellError, match="shift"):
-            laplacian_mass_recovery(
-                potential, (w.real - side, w.imag - side / 2, side)
-            )
-        probe = laplacian_mass_recovery(
-            potential, (w.real - side / 2, w.imag - side / 2, side)
-        )
-        assert probe.expected == 4.0**-5
-        assert probe.rel_error <= 0.05
-
-    def test_cell_preconditions(self, gen5):
-        _, _, potential = gen5
-        with pytest.raises(ParameterError, match="positive"):
-            laplacian_mass_recovery(potential, (0.0, 0.0, -0.1))
-        with pytest.raises(ParameterError, match="inside the circle"):
-            laplacian_mass_recovery(potential, (0.7, 0.0, 0.25))
-        with pytest.raises(ParameterError, match="fd step"):
-            laplacian_mass_recovery(potential, (0.0, 0.0, 0.1), fd_step=0.05)
-
-    def test_flux_additive_over_adjacent_cells(self, gen5):
-        _, _, potential = gen5
-        x0, y0, s = 0.01, 0.03, 0.11
-        left = laplacian_mass_recovery(potential, (x0, y0, s), fd_step=s / 64)
-        right = laplacian_mass_recovery(potential, (x0 + s, y0, s), fd_step=s / 64)
-        union = rectangle_flux_mass(
-            potential, x0, y0, 2 * s, s, samples_x=512, samples_y=256, fd_step=s / 64
-        )
-        assert abs(left.recovered + right.recovered - union) <= 1e-10
-
 
 class TestFrostmanCertificate:
     def test_constants_pinned_and_stable(self):
@@ -318,15 +239,6 @@ class TestFrostmanCertificate:
             consts[n] = cert.constant
         assert 0.5 <= consts[5] / consts[4] <= 2.0
         assert 0.5 <= consts[6] / consts[5] <= 2.0
-
-    def test_json_schema(self):
-        cert = frostman_certificate(
-            frostman_measure(build_square_cantor(1.0, 3)), 1.0
-        )
-        payload = json.loads(cert.to_json())
-        assert set(payload) == {"alpha", "n", "C", "samples"}
-        assert payload["n"] == 3
-        assert payload["C"] == cert.constant
 
     def test_alpha_guard(self, gen5):
         _, measure, _ = gen5

@@ -118,12 +118,6 @@ class TestBuildCantor:
         with pytest.raises(ParameterError):
             default_alphas(Fraction(3, 2), 2)
 
-    def test_json_shape(self, sys_half):
-        payload = json.loads(sys_half.to_json())
-        assert payload["alphas"][0] == "0.5"
-        assert [len(level) for level in payload["levels"]] == [2**n for n in range(7)]
-        assert payload["levels"][0][0] == ["0.0", "1.0"]
-
     @given(ratios=ratio_lists)
     @settings(max_examples=40, deadline=None)
     def test_level_counts_and_measure(self, ratios):
@@ -257,12 +251,6 @@ class TestFatF:
         assert float(fat_half(-0.2)) == 0.0
         assert float(fat_half(1.3)) == 0.0
         assert float(fat_half.derivative(-0.1)) == 0.0
-
-    def test_json_roundtrip_values(self, fat_half):
-        payload = json.loads(fat_half.to_json())
-        assert payload["depth"] == 6
-        assert len(payload["breakpoints"]) == len(payload["values"])
-        assert Fraction(payload["values"][0]) == 0
 
 
 class TestFindX0:
@@ -457,17 +445,6 @@ class TestSubharmonicityScan:
     def test_scan_radius_validation(self, dom99):
         with pytest.raises(ParameterError):
             subharmonicity_scan(dom99, scan_radius=1.5)
-
-    def test_csv_output(self, tmp_path):
-        dom = hartogs_staircase(alpha1=0.5, depth=4, spacing=1.0 / 64.0, n_offsets=20)
-        scan = subharmonicity_scan(dom)
-        path = tmp_path / "scan.csv"
-        scan.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "x,y,laplacian,violating,dist_horizontal,dist_euclidean"
-        assert len(lines) == scan.scanned_count() + 1
-        flags = sum(int(line.split(",")[3]) for line in lines[1:])
-        assert flags == scan.violating_count()
 
 
 class TestSuperharmonicMeanExcess:
