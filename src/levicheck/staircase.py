@@ -301,11 +301,6 @@ class FatF:
         vals = self._vals_float[idx] + 0.5 * ((fk - xk) + (fx - x)) * (x - xk)
         return np.where((x <= 0.0) | (x >= 1.0), 0.0, vals)
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        fx = np.interp(x, self._xs_float, self._ys_float)
-        return np.where((x <= 0.0) | (x >= 1.0), 0.0, fx - x)
-
     def sup_norm_exact(self) -> Fraction:
         """Exact sup of |F| over [0, 1] via breakpoints and interior vertices.
 

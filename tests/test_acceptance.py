@@ -270,8 +270,8 @@ def test_08_green_identity_residuals():
 
 def test_09_report_determinism_across_threads(tmp_path):
     # Same config and seed: byte-identical report.json on rerun and across
-    # worker thread counts, for every standard run but slice-check (which
-    # test_cli covers), each with its default parameters.
+    # worker thread counts, for all nine standard runs, each with its
+    # default parameters.
     runs = [
         ({"scenario": "green-identity"}, (1, 4, 8, 8)),
         ({"scenario": "levi-check"}, (1, 4)),
@@ -284,6 +284,7 @@ def test_09_report_determinism_across_threads(tmp_path):
             (1, 4),
         ),
         ({"scenario": "cantor-potential"}, (1, 4)),
+        ({"scenario": "slice-check"}, (1, 4)),
     ]
     for index, (scenario, thread_counts) in enumerate(runs):
         outdir = tmp_path / f"out{index}"

@@ -203,6 +203,22 @@ class TestWholeGridDerivatives:
         inner = f.hessian_fields()[:, :, 1:-1, 1:-1, 1:-1]
         assert np.max(np.abs(inner - exact[:, :, None, None, None])) <= 1e-8
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        degrees=st.sets(st.integers(0, 3), min_size=1).map(tuple),
+        extents=st.tuples(st.integers(5, 7), st.integers(5, 7), st.integers(5, 7)),
+        h=st.sampled_from([0.05, 0.1, 0.125, 0.3]),
+    )
+    def test_random_cubics_match_node_ops_bitwise(self, seed, degrees, extents, h):
+        poly = Poly3.random(np.random.default_rng(seed), degrees=degrees, cmax=4.0)
+        f = ScalarField3.from_function(Grid3((-0.3, -0.2, -0.4), h, extents), poly)
+        grad = f.gradient_fields()
+        hess = f.hessian_fields()
+        for node in itertools.product(*(range(1, n - 1) for n in extents)):
+            assert tuple(grad[(slice(None),) + node]) == f.fd_gradient(node)
+            assert np.array_equal(hess[(slice(None), slice(None)) + node], f.fd_hessian(node))
+
     def test_ring_is_nan(self):
         f = ScalarField3.from_function(centered_grid(0.1, 5), lambda a, b, c: a * b * c)
         grad = f.gradient_fields()

@@ -39,6 +39,30 @@ GRAPH_SLOPE_PIN = 1.9000366685595318
 GROWTH_CONSTANTS = {4: 1.1328125, 5: 1.13671875, 6: 1.138671875}
 
 
+def tuple_squares(alpha, n):
+    """The tuple-of-tuples corners SquareCantor held before it held an array."""
+    a = contraction_ratio(alpha)
+    side = 0.7
+    corners = np.array([[-0.5 * side, -0.5 * side]])
+    for _ in range(n):
+        child = side * a
+        offset = side - child
+        corners = np.concatenate(
+            [
+                corners,
+                corners + [offset, 0.0],
+                corners + [0.0, offset],
+                corners + [offset, offset],
+            ]
+        )
+        side = child
+    return tuple((float(x), float(y)) for x, y in corners)
+
+
+def box_count_oracle(pts, s):
+    return len({tuple(r) for r in np.floor(pts / s)})
+
+
 @pytest.fixture(scope="module")
 def gen5():
     square_set = build_square_cantor(1.0, 5)
@@ -115,6 +139,18 @@ class TestSquareCantor:
         with pytest.raises(ParameterError, match="budget"):
             build_square_cantor(1.0, 11)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 1.9])
+    def test_squares_are_read_only_array_of_tuple_corners(self, alpha):
+        for n in range(1, 7):
+            sc = build_square_cantor(alpha, n)
+            assert sc.squares.shape == (4**n, 2)
+            assert sc.squares.dtype == np.float64
+            assert not sc.squares.flags.writeable
+            ref = np.array(tuple_squares(alpha, n), dtype=np.float64)
+            assert np.array_equal(sc.squares.view(np.uint64), ref.view(np.uint64))
+        with pytest.raises(ValueError, match="read-only"):
+            sc.squares[0, 0] = 0.0
+
 
 class TestAtomicMeasure:
     def test_total_mass_exactly_one(self, gen5):
@@ -138,8 +174,9 @@ class TestAtomicMeasure:
         square_set, measure, _ = gen5
         c = square_set.centers()
         r = float(np.hypot(*(c.max(axis=0) - c.min(axis=0) + square_set.side)))
-        assert measure.disc_mass(0.0, r) == 1.0
-        assert measure.disc_mass(0.0, r) / r**1.0 <= r**-1.0
+        mass = math.fsum(measure.masses[np.abs(measure.locations) < r])
+        assert mass == 1.0
+        assert mass / r**1.0 <= r**-1.0
 
     def test_invalid_measures_rejected(self):
         with pytest.raises(ParameterError, match="atom"):
@@ -269,6 +306,41 @@ class TestBoxDimension:
             box_dimension(pts, [0.5, 0.25, 0.125, 0.0625, 0.0])
         with pytest.raises(ParameterError, match="nonempty"):
             box_dimension(np.zeros((0, 2)), [0.5, 0.25, 0.125, 0.0625, 0.03125])
+
+    @given(
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 300),
+        dup=st.integers(0, 60),
+        snap=st.booleans(),
+        scales=st.lists(
+            st.floats(1e-3, 1e2), min_size=5, max_size=7, unique_by=lambda x: round(math.log(x), 1)
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_set_oracle(self, d, seed, n, dup, snap, scales):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-3.0, 3.0, (n, d)) * rng.uniform(0.01, 1.0, d)
+        if snap:
+            # coordinates on the lattice of a drawn scale land on box edges
+            pts = np.round(pts / scales[0]) * scales[0]
+        pts = np.concatenate([pts, pts[rng.integers(0, n, dup)]])
+        reg = box_dimension(pts, scales)
+        assert reg.counts == tuple(box_count_oracle(pts, s) for s in scales)
+
+    @pytest.mark.parametrize("spread, fits", [(2**15 - 1, True), (2**15, False)])
+    def test_too_fine_for_point_spread(self, spread, fits):
+        # four columns pack 15 bits each: ids 0 .. 2^15 - 1 per column fit
+        pts = np.zeros((3, 4))
+        pts[1, 2] = -1.0
+        pts[2, 2] = spread - 1.0
+        scales = [1.0, 2.0, 4.0, 8.0, 16.0]
+        if fits:
+            reg = box_dimension(pts, scales)
+            assert reg.counts == tuple(box_count_oracle(pts, s) for s in scales)
+        else:
+            with pytest.raises(ParameterError, match="too fine for the point spread"):
+                box_dimension(pts, scales)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
