@@ -304,11 +304,20 @@ class DiscField:
         fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         pad_cells: int = 2,
     ) -> "DiscField":
+        """Sample fn on the square grid covering the disc of this radius.
+
+        fn gets sparse meshes, x of shape (m, 1) and y of shape (1, m), and
+        must broadcast: its result may have any shape that broadcasts to
+        (m, m), e.g. (m, 1) for lambda x, y: x.  Terms in one coordinate
+        then cost O(m) rather than O(m^2).  Non-finite values become NaN.
+        """
         half = int(math.ceil(radius / spacing)) + int(pad_cells)
         coords = spacing * np.arange(-half, half + 1)
-        gx, gy = np.meshgrid(coords, coords, indexing="ij")
+        gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)
         with np.errstate(all="ignore"):
-            vals = np.broadcast_to(np.asarray(fn(gx, gy), dtype=np.float64), gx.shape).copy()
+            vals = np.broadcast_to(
+                np.asarray(fn(gx, gy), dtype=np.float64), (len(coords), len(coords))
+            ).copy()
         vals[~np.isfinite(vals)] = np.nan
         return cls(radius, spacing, vals)
 

@@ -46,6 +46,9 @@ __all__ = [
 # radius 1/2: 0.7 * sqrt(2)/2 = 0.49497 < 1/2
 _START_SIDE = 0.7
 _GENERATION_BUDGET = 10
+# output nodes per row block of GreenPotential.grid_values: the block and
+# its three float64 work buffers take 1 MiB, within a typical L2 cache
+_BLOCK = 1 << 15
 
 
 def contraction_ratio(alpha: float) -> float:
@@ -262,18 +265,50 @@ class GreenPotential:
         return float(math.fsum(total))
 
     def grid_values(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; atom nodes come back +inf."""
-        out = np.zeros(np.broadcast(gx, gy).shape, dtype=np.float64)
-        for w, m in self.measure.atoms:
-            dx = gx - w.real
-            dy = gy - w.imag
-            num2 = dx * dx + dy * dy
-            rr = 1.0 - gx * w.real - gy * w.imag
-            ii = gx * w.imag - gy * w.real
-            den2 = rr * rr + ii * ii
-            with np.errstate(divide="ignore"):
-                out -= 0.5 * m * (np.log(num2) - np.log(den2))
-        return out
+        """Vectorized evaluation; atom nodes come back +inf.
+
+        gx and gy are float64 coordinates of any two broadcastable shapes;
+        sparse (m, 1) and (1, m) meshes make every one-coordinate term O(m)
+        per atom.  The sum walks the output's first axis in row blocks of
+        about _BLOCK nodes, so one block and its three work buffers stay in
+        cache while all atoms pass over it.  Each node takes the atoms in
+        order with the same floating-point operations whatever the block,
+        so the values do not depend on the blocking.
+        """
+        gx = np.asarray(gx, dtype=np.float64)
+        gy = np.asarray(gy, dtype=np.float64)
+        shape = np.broadcast_shapes(gx.shape, gy.shape)
+        full = shape or (1,)
+        # give both inputs the output's rank so each slices by output rows
+        gx = gx.reshape((1,) * (len(full) - gx.ndim) + gx.shape)
+        gy = gy.reshape((1,) * (len(full) - gy.ndim) + gy.shape)
+        out = np.zeros(full)
+        rows = max(1, _BLOCK // max(1, math.prod(full[1:])))
+        # contiguous buffers: numpy's SIMD log and its strided fallback can
+        # differ in the last bit
+        work = np.empty((3, min(rows, full[0])) + full[1:])
+        terms = [(w.real, w.imag, 0.5 * m) for w, m in self.measure.atoms]
+        with np.errstate(divide="ignore"):
+            for start in range(0, full[0], rows):
+                o = out[start : start + rows]
+                x = gx if gx.shape[0] == 1 else gx[start : start + rows]
+                y = gy if gy.shape[0] == 1 else gy[start : start + rows]
+                num2, rr, ii = work[:, : len(o)]
+                for wr, wi, half_m in terms:
+                    dx = x - wr
+                    dy = y - wi
+                    np.add(dx * dx, dy * dy, out=num2)
+                    np.subtract(1.0 - x * wr, y * wi, out=rr)
+                    np.subtract(x * wi, y * wr, out=ii)
+                    np.multiply(rr, rr, out=rr)
+                    np.multiply(ii, ii, out=ii)
+                    den2 = np.add(rr, ii, out=rr)
+                    np.log(num2, out=num2)
+                    np.log(den2, out=den2)
+                    term = np.subtract(num2, den2, out=num2)
+                    np.multiply(half_m, term, out=term)
+                    o -= term
+        return out.reshape(shape)
 
 
 def green_potential(measure: AtomicMeasure) -> GreenPotential:
@@ -344,6 +379,9 @@ def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
     cols = np.ascontiguousarray(pts.T)
     lo = cols.min(axis=1)
     hi = cols.max(axis=1)
+    # min and max propagate NaN, and an infinite point makes one of them infinite
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ParameterError("points must be finite")
     width = 63 // len(cols)
     cell = np.empty(pts.shape[0])
     ids = np.empty(pts.shape[0], dtype=np.uint64)

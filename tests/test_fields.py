@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_poly import Poly3
+from levicheck import potential, staircase
 from levicheck.fields import (
     DiscField,
     DomainError,
@@ -402,6 +403,72 @@ class TestDiscField:
         harm = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x - y * y)
         lap_h = harm.laplacian_field()
         assert np.max(np.abs(lap_h[np.isfinite(lap_h)])) <= 1e-9
+
+
+def full_mesh_values(radius, spacing, fn, pad_cells=2):
+    """Reference sampler: fn on full (m, m) ij meshes, which the sparse
+    meshes of DiscField.from_function must match bit for bit."""
+    half = int(math.ceil(radius / spacing)) + int(pad_cells)
+    coords = spacing * np.arange(-half, half + 1)
+    gx, gy = np.meshgrid(coords, coords, indexing="ij")
+    with np.errstate(all="ignore"):
+        vals = np.broadcast_to(np.asarray(fn(gx, gy), dtype=np.float64), gx.shape).copy()
+    vals[~np.isfinite(vals)] = np.nan
+    return vals
+
+
+def _cantor_potential_field():
+    measure = potential.frostman_measure(potential.build_square_cantor(1.0, 3))
+    pot = potential.green_potential(measure)
+    return potential.potential_field(pot, 1.0, 1.0 / 128.0)
+
+
+class TestFromFunctionSparseMeshes:
+    def test_one_axis_result_broadcasts_to_square(self):
+        g = DiscField.from_function(0.5, 1.0 / 32, lambda x, y: x)
+        assert g.values.shape == (g.half * 2 + 1,) * 2
+        assert np.array_equal(g.values, np.broadcast_to(g.axis()[:, None], g.values.shape))
+        g = DiscField.from_function(0.5, 1.0 / 32, lambda x, y: 2.5)
+        assert g.values.shape == (g.half * 2 + 1,) * 2 and (g.values == 2.5).all()
+
+    def test_fn_gets_sparse_ij_meshes(self):
+        seen = []
+
+        def fn(x, y):
+            seen.append((x, y))
+            return x + y
+
+        DiscField.from_function(0.5, 1.0 / 32, fn)
+        [(x, y)] = seen
+        n = 2 * (16 + 2) + 1
+        assert x.shape == (n, 1) and y.shape == (1, n)
+        assert np.array_equal(x.ravel(), y.ravel())
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: staircase.hartogs_ball_domain(1.0 / 128.0).cap,
+            lambda: staircase.hartogs_staircase(growth_target=1.0, spacing=1.0 / 128.0).cap,
+            lambda: potential.zygmund_domain(1.0, 3, spacing=1.0 / 128.0).cap,
+            _cantor_potential_field,
+        ],
+        ids=["ball", "staircase", "cantor", "potential_field"],
+    )
+    def test_shipped_fields_bitwise_equal_on_full_meshes(self, build, monkeypatch):
+        calls = []
+        sample = DiscField.from_function.__func__
+
+        def spy(cls, radius, spacing, fn, pad_cells=2):
+            calls.append((radius, spacing, fn, pad_cells))
+            return sample(cls, radius, spacing, fn, pad_cells)
+
+        monkeypatch.setattr(DiscField, "from_function", classmethod(spy))
+        field = build()
+        (args,) = calls
+        want = full_mesh_values(*args)
+        assert field.values.shape == want.shape
+        assert np.isnan(want).any() and np.isfinite(want).any()
+        assert np.array_equal(field.values.view(np.int64), want.view(np.int64))
 
 
 class TestCircleMean:

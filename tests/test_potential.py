@@ -8,6 +8,7 @@ pipeline and guarded here against drift.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from levicheck import potential as potential_module
 from levicheck.fields import DiscField, DomainError, ParameterError
 from levicheck.potential import (
     AtomicMeasure,
@@ -57,6 +59,22 @@ def tuple_squares(alpha, n):
         )
         side = child
     return tuple((float(x), float(y)) for x, y in corners)
+
+
+def direct_grid_values(potential, gx, gy):
+    """Reference sum, one whole-array pass per atom: the row-blocked
+    grid_values must match it bit for bit."""
+    out = np.zeros(np.broadcast(gx, gy).shape, dtype=np.float64)
+    for w, m in potential.measure.atoms:
+        dx = gx - w.real
+        dy = gy - w.imag
+        num2 = dx * dx + dy * dy
+        rr = 1.0 - gx * w.real - gy * w.imag
+        ii = gx * w.imag - gy * w.real
+        den2 = rr * rr + ii * ii
+        with np.errstate(divide="ignore"):
+            out -= 0.5 * m * (np.log(num2) - np.log(den2))
+    return out
 
 
 def box_count_oracle(pts, s):
@@ -257,6 +275,82 @@ class TestGreenPotential:
         assert np.nanmin(inside) >= -1e-12
 
 
+# atoms on the 1/64 lattice in |w| <= 1/2, so grid coordinates can hit them
+_LATTICE_ATOM = st.tuples(st.integers(-22, 22), st.integers(-22, 22)).filter(
+    lambda ij: ij[0] ** 2 + ij[1] ** 2 <= 32**2
+)
+# on the unit circle and on lattice nodes there
+_CIRCLE_COORDS = [-1.0, 0.0, 1.0]
+
+
+class TestGridValuesBlocked:
+    """The row-blocked kernel against the per-atom whole-array oracle, bit for bit."""
+
+    @given(
+        lattice=st.lists(_LATTICE_ATOM, min_size=1, max_size=12, unique=True),
+        weights=st.lists(st.floats(0.1, 1.0), min_size=12, max_size=12),
+        kind=st.sampled_from(["full", "sparse", "points"]),
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        block=st.sampled_from([7, 64, 1000, potential_module._BLOCK]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_direct_sum(self, lattice, weights, kind, rows, cols, block, seed):
+        rng = np.random.default_rng(seed)
+        w = np.array(weights[: len(lattice)])
+        w /= w.sum()
+        locs = [complex(i / 64.0, j / 64.0) for i, j in lattice]
+        pot = green_potential(AtomicMeasure(generation=0, atoms=tuple(zip(locs, w))))
+        hit = locs[0]
+        xs = np.concatenate([rng.uniform(-1.1, 1.1, rows), _CIRCLE_COORDS, [hit.real]])
+        ys = np.concatenate([rng.uniform(-1.1, 1.1, cols), _CIRCLE_COORDS, [hit.imag]])
+        rng.shuffle(xs)
+        rng.shuffle(ys)
+        if kind == "points":
+            gx, gy = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
+        else:
+            gx, gy = np.meshgrid(xs, ys, indexing="ij", sparse=kind == "sparse")
+        with mock.patch.object(potential_module, "_BLOCK", block):
+            got = pot.grid_values(gx, gy)
+        want = direct_grid_values(pot, gx, gy)
+        assert got.shape == want.shape == np.broadcast_shapes(gx.shape, gy.shape)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.any(got == np.inf)
+
+    def test_lengths_off_the_block(self):
+        # 1-D queries and a 517-wide grid whose lengths are no multiple of
+        # the real block (63 rows of 517 nodes), so the last block is partial
+        pot = green_potential(frostman_measure(build_square_cantor(1.0, 2)))
+        rng = np.random.default_rng(5)
+        n = 2 * potential_module._BLOCK + 123
+        px, py = rng.uniform(-1.0, 1.0, (2, n))
+        assert np.array_equal(
+            pot.grid_values(px, py).view(np.int64), direct_grid_values(pot, px, py).view(np.int64)
+        )
+        coords = (np.arange(517) - 258) / 256.0
+        gx, gy = np.meshgrid(coords[:150], coords, indexing="ij", sparse=True)
+        got = pot.grid_values(gx, gy)
+        assert got.shape == (150, 517)
+        assert np.array_equal(got.view(np.int64), direct_grid_values(pot, gx, gy).view(np.int64))
+
+    def test_atom_node_infinite_and_circle_nodes_positive_zero(self):
+        pot = green_potential(frostman_measure(build_square_cantor(1.0, 2)))
+        w = pot.measure.atoms[3][0]
+        gx = np.array([w.real, 1.0, 0.0, -1.0, 0.0])
+        gy = np.array([w.imag, 0.0, 1.0, 0.0, -1.0])
+        vals = pot.grid_values(gx, gy)
+        assert vals[0] == np.inf
+        assert np.array_equal(vals[1:], np.zeros(4))
+        assert not np.signbit(vals[1:]).any()
+
+    def test_scalar_inputs_give_zero_dim_array(self):
+        pot = green_potential(AtomicMeasure(generation=0, atoms=((0j, 1.0),)))
+        val = pot.grid_values(0.5, 0.0)
+        assert isinstance(val, np.ndarray) and val.shape == ()
+        assert val.view(np.int64) == direct_grid_values(pot, 0.5, 0.0).view(np.int64)
+
+
 class TestMassRecovery:
     def test_disc_radius_09_recovers_total_mass(self, gen5):
         _, _, potential = gen5
@@ -306,6 +400,12 @@ class TestBoxDimension:
             box_dimension(pts, [0.5, 0.25, 0.125, 0.0625, 0.0])
         with pytest.raises(ParameterError, match="nonempty"):
             box_dimension(np.zeros((0, 2)), [0.5, 0.25, 0.125, 0.0625, 0.03125])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.array([[0.1, 0.2], [0.5, bad], [0.9, 0.7]])
+        with pytest.raises(ParameterError, match="finite"):
+            box_dimension(pts, [2.0**-k for k in range(1, 6)])
 
     @given(
         d=st.integers(1, 4),
