@@ -9,7 +9,10 @@ runtime goes to a ``runtime.txt`` sidecar, never into the report.
 it yet.
 
 Exit codes: 0 all assertions pass, 1 an assertion failed (named on
-stderr), 2 usage or configuration error.
+stderr), 2 usage or configuration error.  When two computation routes of
+a run disagree (``ConsistencyError``), the report holds the single failed
+assertion ``dual_route_agreement_<check>`` with the disagreement and its
+scale, and the exit code is 1.
 
 Scenarios whose subject is a counterexample declare that in config via
 ``expect_violation: true``; pass semantics are never inverted implicitly.
@@ -39,6 +42,7 @@ from .fields import (
     StencilError,
 )
 from .levi import (
+    ConsistencyError,
     Defining2,
     graph_levi,
     green_identity_report,
@@ -599,7 +603,13 @@ def run_scenario(config: dict) -> tuple[dict, Path]:
     outdir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
-    assertions, tables = scenario.runner(params, expect_violation, outdir)
+    try:
+        assertions, tables = scenario.runner(params, expect_violation, outdir)
+    except ConsistencyError as exc:
+        # two routes disagreeing is a failed check of the run, not a crash
+        detail = {"worst": exc.worst, "scale": exc.scale}
+        assertions = [Assertion(f"dual_route_agreement_{exc.where}", False, detail)]
+        tables = {}
     elapsed = time.perf_counter() - start
 
     report = {

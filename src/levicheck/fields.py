@@ -211,44 +211,73 @@ class ScalarField3:
         lo = n1 * n2 + n2 + 1
         return lo, self.values.size - lo
 
-    def _shifted(self, steps: dict[int, int]) -> np.ndarray:
-        """Flat values at node + steps, for every node of the flat span."""
+    def _shifted(self, steps: dict[int, int], lo: int, hi: int) -> np.ndarray:
+        """Flat values at node + steps, for every flat node in [lo, hi)."""
         _, n1, n2 = self.grid.extents
         offset = sum((n1 * n2, n2, 1)[ax] * step for ax, step in steps.items())
-        lo, hi = self._flat_span()
         return self.values.reshape(-1)[lo + offset : hi + offset]
+
+    def stencil_planes(self, first: int, stop: int, grad=None, hess=None) -> None:
+        """Central differences over the xi1-planes [first, stop), written in place.
+
+        1 <= first < stop <= n0 - 1.  grad is a (3, L) array and hess maps
+        each wanted entry (a, b), a <= b, to an (L,) array, where
+        L = (stop - first) * n1 * n2 and entries run in C order over those
+        planes.  Every node from the grid's first interior node to its last
+        is written; ring nodes among them get wrapped neighbours, and the
+        n2 + 1 entries before the first interior node (first == 1) and after
+        the last (stop == n0 - 1) are left as they are.  Each entry takes
+        fd_gradient's and fd_hessian's operations in their order, so interior
+        values match the node-level stencils bit for bit, whatever the planes.
+        """
+        plane = self.grid.extents[1] * self.grid.extents[2]
+        span_lo, span_hi = self._flat_span()
+        lo, hi = max(first * plane, span_lo), min(stop * plane, span_hi)
+        rows = slice(lo - first * plane, hi - first * plane)
+        h = self.grid.spacing
+        if grad is not None:
+            inner = grad[:, rows]
+            for ax in range(3):
+                np.subtract(
+                    self._shifted({ax: 1}, lo, hi), self._shifted({ax: -1}, lo, hi), out=inner[ax]
+                )
+            inner /= 2.0 * h
+        if not hess:
+            return
+        hh = h * h
+        twice_centre = 2.0 * self._shifted({}, lo, hi)
+        for (a, b), out in hess.items():
+            entry = out[rows]
+            if a == b:
+                np.subtract(self._shifted({a: 1}, lo, hi), twice_centre, out=entry)
+                entry += self._shifted({a: -1}, lo, hi)
+                entry /= hh
+            else:
+                np.subtract(
+                    self._shifted({a: 1, b: 1}, lo, hi),
+                    self._shifted({a: 1, b: -1}, lo, hi),
+                    out=entry,
+                )
+                entry -= self._shifted({a: -1, b: 1}, lo, hi)
+                entry += self._shifted({a: -1, b: -1}, lo, hi)
+                entry /= 4.0 * hh
 
     def gradient_fields(self) -> np.ndarray:
         """Shape (3,) + extents; valid one cell in from every face, NaN on the ring."""
-        lo, hi = self._flat_span()
+        n0, n1, n2 = self.grid.extents
         g = np.empty((3,) + self.values.shape)
-        inner = g.reshape(3, -1)[:, lo:hi]
-        for ax in range(3):
-            np.subtract(self._shifted({ax: 1}), self._shifted({ax: -1}), out=inner[ax])
-        inner /= 2.0 * self.grid.spacing
+        self.stencil_planes(1, n0 - 1, grad=g.reshape(3, -1)[:, n1 * n2 : (n0 - 1) * n1 * n2])
         return self._nan_ring(g)
 
     def hessian_fields(self) -> np.ndarray:
         """Shape (3, 3) + extents; valid one cell in from every face, NaN on the ring."""
-        h = self.grid.spacing
-        hh = h * h
-        lo, hi = self._flat_span()
+        n0, n1, n2 = self.grid.extents
         out = np.empty((3, 3) + self.values.shape)
-        inner = out.reshape(3, 3, -1)[:, :, lo:hi]
-        twice_centre = 2.0 * self._shifted({})
-        # same operation order as fd_hessian, so interior values match it bit for bit
-        for a in range(3):
-            pure = inner[a, a]
-            np.subtract(self._shifted({a: 1}), twice_centre, out=pure)
-            pure += self._shifted({a: -1})
-            pure /= hh
-            for b in range(a + 1, 3):
-                mixed = inner[a, b]
-                np.subtract(self._shifted({a: 1, b: 1}), self._shifted({a: 1, b: -1}), out=mixed)
-                mixed -= self._shifted({a: -1, b: 1})
-                mixed += self._shifted({a: -1, b: -1})
-                mixed /= 4.0 * hh
-                inner[b, a] = mixed
+        inner = out.reshape(3, 3, -1)[:, :, n1 * n2 : (n0 - 1) * n1 * n2]
+        upper = [(a, b) for a in range(3) for b in range(a, 3)]
+        self.stencil_planes(1, n0 - 1, hess={(a, b): inner[a, b] for a, b in upper})
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            inner[b, a] = inner[a, b]
         return self._nan_ring(out)
 
     def wirtinger_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

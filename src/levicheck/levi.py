@@ -57,6 +57,14 @@ __all__ = [
 ]
 
 _DUAL_TOL = 1e-9
+# interior nodes per block of graph_levi_fields and of the certificate's
+# per-delta minimum, rounded down to whole xi1-planes (at least one): the
+# block's eight stencil rows and its complex work arrays stay a few MiB
+_BLOCK = 1 << 15
+# the Hessian entries the Levi quantity and Delta_tau read
+_LEVI_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2))
+# the interior nodes of a slab from _plane_blocks
+_INNER = (Ellipsis, slice(1, -1), slice(1, -1))
 
 
 def _abs2(z):
@@ -70,7 +78,18 @@ class DegeneratePointError(Exception):
 
 
 class ConsistencyError(Exception):
-    """Two mathematically equivalent computation routes disagree."""
+    """Two mathematically equivalent computation routes disagree.
+
+    where names the check; worst is the largest disagreement it saw and scale
+    the factor its 1e-9 tolerance multiplies (NaN where a check has no such
+    numbers).
+    """
+
+    def __init__(self, message: str, where: str, worst: float = math.nan, scale: float = math.nan):
+        super().__init__(message)
+        self.where = where
+        self.worst = float(worst)
+        self.scale = float(scale)
 
 
 @dataclass(frozen=True)
@@ -306,16 +325,49 @@ def tau_fields(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -0.5 * dz2, 0.5 * (1.0 + 1j * g[0])
 
 
+class _DualCheck:
+    """Agreement of two routes, accumulated block by block.
+
+    add(a, b) merges max|a| and max|a - b| over the entries where both are
+    finite; verify(where) then tests the merged worst against the global
+    scale 1 + max|a|.  Max is exact, so the verdict does not depend on the
+    blocking.  Testing each block against its own, smaller scale would be
+    stricter and could raise where the whole array passes.
+    """
+
+    def __init__(self) -> None:
+        self.peak = 0.0
+        self.worst = 0.0
+
+    def add(self, a, b) -> None:
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        peak = np.max(np.abs(a))
+        worst = np.max(np.abs(a - b))
+        if not (math.isfinite(peak) and math.isfinite(worst)):
+            finite = np.isfinite(a) & np.isfinite(b)
+            if not finite.any():
+                return
+            peak = np.max(np.abs(a[finite]))
+            worst = np.max(np.abs(a[finite] - b[finite]))
+        self.peak = max(self.peak, float(peak))
+        self.worst = max(self.worst, float(worst))
+
+    def verify(self, where: str) -> None:
+        scale = 1.0 + self.peak
+        if self.worst > _DUAL_TOL * scale:
+            raise ConsistencyError(
+                f"{where}: complex and T-form differ by {self.worst:.3e} (scale {scale:.3e})",
+                where=where,
+                worst=self.worst,
+                scale=scale,
+            )
+
+
 def _dual_check(complex_form, t_form, where: str) -> None:
-    a = np.asarray(complex_form, dtype=float)
-    b = np.asarray(t_form, dtype=float)
-    finite = np.isfinite(a) & np.isfinite(b)
-    if not finite.any():
-        return
-    scale = 1.0 + float(np.max(np.abs(a[finite])))
-    worst = float(np.max(np.abs(a[finite] - b[finite])))
-    if worst > _DUAL_TOL * scale:
-        raise ConsistencyError(f"{where}: complex and T-form differ by {worst:.3e} (scale {scale:.3e})")
+    check = _DualCheck()
+    check.add(complex_form, t_form)
+    check.verify(where)
 
 
 def delta_tau(v: ScalarField3, tau, node) -> float:
@@ -347,11 +399,12 @@ def delta_tau(v: ScalarField3, tau, node) -> float:
     return float(complex_form)
 
 
-def delta_tau_fields(hess: np.ndarray, tau1: np.ndarray, tau2: np.ndarray) -> np.ndarray:
-    """Vectorized Delta_tau v over the grid with the same dual-form check.
+def _delta_tau_forms(hess, tau1, tau2):
+    """Delta_tau v in its complex form and its real T-form, elementwise.
 
-    hess = v.hessian_fields(); tau1, tau2 broadcast against the grid shape;
-    returns NaN on the ring.
+    hess[a, b] are the xi-Hessian entries of v (only (0, 0), (1, 1), (2, 2),
+    (0, 1) and (0, 2) are read; a (3, 3, ...) array or a mapping keyed by
+    those pairs); tau1 and tau2 broadcast against them.
     """
     mix = 0.5 * (hess[0, 1] + 1j * hess[0, 2])
     lap = 0.25 * (hess[1, 1] + hess[2, 2])
@@ -367,8 +420,66 @@ def delta_tau_fields(hess: np.ndarray, tau1: np.ndarray, tau2: np.ndarray) -> np
         + np.imag(cross) * hess[0, 1]
         - np.real(cross) * hess[0, 2]
     )
+    return complex_form, t_form
+
+
+def delta_tau_fields(hess: np.ndarray, tau1: np.ndarray, tau2: np.ndarray) -> np.ndarray:
+    """Vectorized Delta_tau v over the grid with the same dual-form check.
+
+    hess = v.hessian_fields(); tau1, tau2 broadcast against the grid shape;
+    returns NaN on the ring.  The whole array is one block: the complex form
+    must agree with the T-form to 1e-9 * (1 + max|complex form|) over the
+    finite entries, else ConsistencyError.
+    """
+    complex_form, t_form = _delta_tau_forms(hess, tau1, tau2)
     _dual_check(complex_form, t_form, "delta_tau_fields")
     return complex_form
+
+
+def _plane_blocks(field: ScalarField3, gradient: bool):
+    """Yield (planes, g, hess) over slabs of interior xi1-planes of field.
+
+    Each slab holds about _BLOCK nodes and at least one plane; planes is its
+    xi1 slice, g its (3, planes, n1, n2) gradient (None unless gradient is
+    set) and hess maps each of _LEVI_ENTRIES to a (planes, n1, n2) array.
+    Only [..., 1:-1, 1:-1] are interior values; the ring entries of a slab
+    are finite but meaningless.  All slabs share one work buffer, so each
+    slab's arrays are valid until the next one is yielded.
+    """
+    n0, n1, n2 = field.grid.extents
+    plane = n1 * n2
+    step = max(1, _BLOCK // plane)
+    rows = 3 * gradient + len(_LEVI_ENTRIES)
+    # zeros: the entries the stencil leaves unwritten in the first slab stay
+    # finite, and in the last one they keep finite values of the slab before
+    work = np.zeros((rows, min(step, n0 - 2) * plane))
+    for first in range(1, n0 - 1, step):
+        stop = min(first + step, n0 - 1)
+        slab = work[:, : (stop - first) * plane]
+        grad = slab[:3] if gradient else None
+        field.stencil_planes(first, stop, grad, dict(zip(_LEVI_ENTRIES, slab[3 * gradient :])))
+        cube = slab.reshape(rows, stop - first, n1, n2)
+        g = cube[:3] if gradient else None
+        yield slice(first, stop), g, dict(zip(_LEVI_ENTRIES, cube[3 * gradient :]))
+
+
+def _min_neg_delta_tau(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray) -> float:
+    """min over the interior of -Delta_tau v, with Delta_tau's dual-form check.
+
+    The value and the check are those of
+    nanmin(-delta_tau_fields(v.hessian_fields(), tau1, tau2)), with tau1 and
+    tau2 of v's grid shape, but taken in slabs of whole xi1-planes
+    (_plane_blocks): each slab's minimum is exact, and the check tests the
+    largest disagreement over all slabs against the global scale.
+    """
+    check = _DualCheck()
+    low = np.nan
+    for planes, _, hess in _plane_blocks(v, gradient=False):
+        complex_form, t_form = _delta_tau_forms(hess, tau1[planes], tau2[planes])
+        check.add(complex_form[_INNER], t_form[_INNER])
+        low = np.fmin(low, np.fmin.reduce(-complex_form[_INNER], axis=None))
+    check.verify("delta_tau_fields")
+    return float(low)
 
 
 def graph_levi(phi: ScalarField3, node) -> float:
@@ -385,27 +496,47 @@ def graph_levi(phi: ScalarField3, node) -> float:
     via_operator = -delta_tau(phi, tau_of_phi(phi, node), node)
     if abs(direct - via_operator) > _DUAL_TOL * (1.0 + abs(direct)):
         raise ConsistencyError(
-            f"graph_levi: direct {direct!r} vs operator route {via_operator!r} at {node}"
+            f"graph_levi: direct {direct!r} vs operator route {via_operator!r} at {node}",
+            where="graph_levi",
+            worst=abs(direct - via_operator),
+            scale=1.0 + abs(direct),
         )
     return float(direct)
 
 
 def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
     """Vectorized graph-form Levi quantity (NaN ring), cross-checked against
-    the -Delta_{tau(phi)} route."""
-    g = phi.gradient_fields()
-    hess = phi.hessian_fields()
-    dz2, lap, mix = wirtinger_parts(g, hess)
-    phi_y1 = g[0]
-    direct = (
-        -0.25 * hess[0, 0] * _abs2(dz2)
-        + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
-        - 0.25 * (1.0 + phi_y1**2) * lap
-    )
-    tau1, tau2 = tau_fields(g)
-    via_operator = -delta_tau_fields(hess, tau1, tau2)
-    _dual_check(direct, via_operator, "graph_levi_fields")
-    return direct
+    the -Delta_{tau(phi)} route.
+
+    The grid is taken in slabs of whole interior xi1-planes of about _BLOCK
+    nodes (_plane_blocks), so beyond the output array the call allocates
+    only a few block-sized work arrays.  Each slab computes the gradient, the five Hessian entries
+    the quantity reads, the direct form, tau and both Delta_tau forms with
+    the whole-grid expressions in their order, so the values do not depend
+    on the blocking.  The two checks run after the last slab, in the
+    whole-grid order: Delta_tau's complex form against its T-form, then the
+    direct form against -Delta_tau.  Each tests the largest disagreement over
+    all slabs against the global scale 1 + max|a|, exactly as one
+    whole-grid check would; a per-slab scale would be stricter.
+    """
+    out = np.full(phi.values.shape, np.nan)
+    operator_check = _DualCheck()
+    levi_check = _DualCheck()
+    for planes, g, hess in _plane_blocks(phi, gradient=True):
+        dz2, lap, mix = wirtinger_parts(g, hess)
+        phi_y1 = g[0]
+        direct = (
+            -0.25 * hess[0, 0] * _abs2(dz2)
+            + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
+            - 0.25 * (1.0 + phi_y1**2) * lap
+        )
+        complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g))
+        operator_check.add(complex_form[_INNER], t_form[_INNER])
+        levi_check.add(direct[_INNER], -complex_form[_INNER])
+        out[planes, 1:-1, 1:-1] = direct[_INNER]
+    operator_check.verify("delta_tau_fields")
+    levi_check.verify("graph_levi_fields")
+    return out
 
 
 @dataclass
@@ -614,5 +745,5 @@ def fit_positive_scale(a, b) -> float:
         raise ValueError("cannot fit a scale against the zero vector")
     s = float(np.dot(a, b)) / denom
     if s <= 0.0:
-        raise ConsistencyError(f"fitted scale {s} is not positive")
+        raise ConsistencyError(f"fitted scale {s} is not positive", where="fit_positive_scale")
     return s

@@ -30,7 +30,7 @@ from .fields import (
     StencilError,
     stable_sum,
 )
-from .levi import Defining2, WirtingerData, delta_tau_fields, tau_fields
+from .levi import Defining2, WirtingerData, _min_neg_delta_tau, delta_tau_fields, tau_fields
 from .staircase import build_cantor, fat_F
 
 
@@ -483,8 +483,7 @@ def mollified_sign_certificate(
         mol = convolve3(v, d)
         m = mol.margin
         sel = tuple(slice(m, n - m) for n in v.grid.extents)
-        lap = delta_tau_fields(mol.field.hessian_fields(), tau1[sel], tau2[sel])
-        m_values.append(float(np.nanmin(-lap)))
+        m_values.append(_min_neg_delta_tau(mol.field, tau1[sel], tau2[sel]))
     m_arr = np.array(m_values)
 
     log_d = np.log(np.array(deltas))

@@ -1,6 +1,22 @@
-"""Trivariate polynomial test fields with exact derivatives."""
+"""Trivariate polynomial test fields with exact derivatives, and whole-grid
+derivative arrays filled node by node as an oracle for the stencils."""
+
+import itertools
 
 import numpy as np
+
+
+def node_derivatives(field):
+    """(gradient, Hessian) arrays of a ScalarField3 in the layout of
+    gradient_fields and hessian_fields, filled node by node from fd_gradient
+    and fd_hessian; NaN on the ring."""
+    shape = field.values.shape
+    grad = np.full((3,) + shape, np.nan)
+    hess = np.full((3, 3) + shape, np.nan)
+    for node in itertools.product(*(range(1, n - 1) for n in shape)):
+        grad[(slice(None),) + node] = field.fd_gradient(node)
+        hess[(slice(None), slice(None)) + node] = field.fd_hessian(node)
+    return grad, hess
 
 
 class Poly3:

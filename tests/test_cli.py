@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import levicheck.levi as levi_module
 from levicheck.cli import SCENARIOS, main, run_scenario
 
 ALL_SCENARIOS = sorted(SCENARIOS)
@@ -234,6 +235,38 @@ class TestRunReports:
         )
         assert report["passed"] is True
         assert (outdir / "report.json").exists()
+
+
+class TestDualRouteFailure:
+    @pytest.mark.parametrize(
+        "shift_complex, where",
+        [(False, "delta_tau_fields"), (True, "graph_levi_fields")],
+    )
+    def test_broken_route_is_a_failed_assertion(
+        self, tmp_path, capsys, monkeypatch, shift_complex, where
+    ):
+        # shifting only the T-form breaks Delta_tau's own check; shifting
+        # both of its forms passes that check and breaks the direct route's
+        original = levi_module._delta_tau_forms
+
+        def shifted(hess, tau1, tau2):
+            complex_form, t_form = original(hess, tau1, tau2)
+            if shift_complex:
+                complex_form = complex_form + 1e-3
+            return complex_form, t_form + 1e-3
+
+        monkeypatch.setattr(levi_module, "_delta_tau_forms", shifted)
+        cfg = write_config(tmp_path, "c.json", scenario="levi-check")
+        assert main(["run", "--config", str(cfg)]) == 1
+        name = f"dual_route_agreement_{where}"
+        assert f"assertion failed: {name}" in capsys.readouterr().err
+        report = read_report(tmp_path)
+        assert set(report) == REPORT_KEYS
+        assert report["passed"] is False
+        assert [a["name"] for a in report["assertions"]] == [name]
+        detail = report["assertions"][0]["detail"]
+        assert set(detail) == {"worst", "scale"}
+        assert detail["worst"] > 1e-9 * detail["scale"]
 
 
 class TestDeterminism:

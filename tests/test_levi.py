@@ -1,13 +1,26 @@
+import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_poly import Poly3
-from levicheck.fields import DiscField, DomainError, Grid3, ScalarField3, StencilError
+import levicheck.levi as levi_module
+from helpers_poly import Poly3, node_derivatives
+from levicheck.fields import (
+    DiscField,
+    DomainError,
+    Grid3,
+    ScalarField3,
+    StencilError,
+    wirtinger_parts,
+)
 from levicheck.levi import (
+    _abs2,
+    _dual_check,
     ConsistencyError,
     Defining2,
     DegeneratePointError,
@@ -31,6 +44,48 @@ from levicheck.levi import (
 def centered_grid(h, n):
     half = (n - 1) // 2
     return Grid3((-half * h, -half * h, -half * h), h, (n, n, n))
+
+
+def whole_grid_levi_fields(phi):
+    """graph_levi_fields as it was before the plane blocks, kept verbatim as
+    the bitwise oracle for the blocked version, except that its derivative
+    arrays come node by node from fd_gradient and fd_hessian (bitwise equal
+    to the whole-grid stencils, and independent of them)."""
+    g, hess = node_derivatives(phi)
+    dz2, lap, mix = wirtinger_parts(g, hess)
+    phi_y1 = g[0]
+    direct = (
+        -0.25 * hess[0, 0] * _abs2(dz2)
+        + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
+        - 0.25 * (1.0 + phi_y1**2) * lap
+    )
+    tau1, tau2 = tau_fields(g)
+    via_operator = -delta_tau_fields(hess, tau1, tau2)
+    _dual_check(direct, via_operator, "graph_levi_fields")
+    return direct
+
+
+def block_sizes(extents):
+    """_BLOCK values that cut the interior xi1-planes into slabs of one plane,
+    of two, of a count that does not divide them, and the shipped value."""
+    n0, n1, n2 = extents
+    plane = n1 * n2
+    ragged = next((k for k in range(3, n0 - 2) if (n0 - 2) % k), 2)
+    return {"one": 1, "two": 2 * plane, "ragged": ragged * plane, "shipped": levi_module._BLOCK}
+
+
+def shift_t_form(target, eps):
+    """_delta_tau_forms with eps added to the T-form of call number target."""
+    original = levi_module._delta_tau_forms
+    calls = itertools.count()
+
+    def forms(hess, tau1, tau2):
+        complex_form, t_form = original(hess, tau1, tau2)
+        if next(calls) == target:
+            t_form = t_form + eps
+        return complex_form, t_form
+
+    return forms
 
 
 class TestTangentPair:
@@ -240,6 +295,98 @@ class TestGraphLevi:
         point = (complex(0.7, xi[0]), complex(xi[1], xi[2]))
         assert levi_condition_2d(rho, point) == pytest.approx(graph_levi(phi, node), abs=1e-12)
         assert rho.data(*point).rho == pytest.approx(0.7 - phi.values[node], abs=1e-14)
+
+
+class TestPlaneBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        cap=st.booleans(),
+        extents=st.tuples(st.integers(5, 11), st.integers(5, 11), st.integers(5, 11)),
+        h=st.sampled_from([0.05, 0.1, 0.125]),
+        block=st.sampled_from(["one", "two", "ragged", "shipped"]),
+    )
+    def test_blocked_levi_fields_match_whole_grid_bitwise(self, seed, cap, extents, h, block):
+        if cap:
+            fn = lambda a, b, c: np.sqrt(4.0 - a * a - b * b - c * c)  # noqa: E731
+        else:
+            fn = Poly3.random(np.random.default_rng(seed), degrees=(1, 2, 3))
+        phi = ScalarField3.from_function(Grid3((-0.3, -0.2, -0.4), h, extents), fn)
+        want = whole_grid_levi_fields(phi)
+        with mock.patch.object(levi_module, "_BLOCK", block_sizes(extents)[block]):
+            got = graph_levi_fields(phi)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def graded_field():
+    """A field whose Levi values grow by about e^8 from the first interior
+    xi1-plane to the last, so the planes' scales differ widely."""
+    grid = Grid3((-1.0, -0.5, -0.5), 0.25, (9, 5, 5))
+    return ScalarField3.from_function(grid, lambda a, b, c: np.exp(4.0 * a) * (b * b + c * c))
+
+
+class TestDualCheckAcrossBlocks:
+    TOL = levi_module._DUAL_TOL
+
+    def scales(self, phi):
+        """The global scale 1 + max|complex form| and each interior plane's own."""
+        complex_form = delta_tau_fields(phi.hessian_fields(), *tau_fields(phi.gradient_fields()))
+        inner = np.abs(complex_form[1:-1, 1:-1, 1:-1])
+        return 1.0 + float(inner.max()), 1.0 + inner.max(axis=(1, 2))
+
+    def test_whole_array_check_raises_above_its_scale_only(self, monkeypatch):
+        phi = graded_field()
+        scale, _ = self.scales(phi)
+        hess, (tau1, tau2) = phi.hessian_fields(), tau_fields(phi.gradient_fields())
+        monkeypatch.setattr(levi_module, "_delta_tau_forms", shift_t_form(0, 0.5 * self.TOL * scale))
+        delta_tau_fields(hess, tau1, tau2)
+        monkeypatch.setattr(levi_module, "_delta_tau_forms", shift_t_form(0, 2.0 * self.TOL * scale))
+        with pytest.raises(ConsistencyError) as err:
+            delta_tau_fields(hess, tau1, tau2)
+        assert err.value.where == "delta_tau_fields"
+        assert err.value.scale == scale
+
+    def test_block_over_its_own_scale_but_under_the_global_one_passes(self, monkeypatch):
+        phi = graded_field()
+        scale, plane_scales = self.scales(phi)
+        quiet = int(np.argmin(plane_scales))
+        eps = self.TOL * math.sqrt(plane_scales[quiet] * scale)
+        assert self.TOL * plane_scales[quiet] < eps < self.TOL * scale
+        want = whole_grid_levi_fields(phi)
+        monkeypatch.setattr(levi_module, "_BLOCK", 1)
+        monkeypatch.setattr(levi_module, "_delta_tau_forms", shift_t_form(quiet, eps))
+        got = graph_levi_fields(phi)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("block", ["one", "two", "ragged", "shipped"])
+    def test_block_over_the_global_scale_raises_for_any_blocking(self, monkeypatch, block):
+        phi = graded_field()
+        scale, _ = self.scales(phi)
+        eps = 2.0 * self.TOL * scale
+        monkeypatch.setattr(levi_module, "_BLOCK", block_sizes(phi.grid.extents)[block])
+        blocks = len(list(levi_module._plane_blocks(phi, gradient=False)))
+        for target in range(blocks):
+            monkeypatch.setattr(levi_module, "_delta_tau_forms", shift_t_form(target, eps))
+            with pytest.raises(ConsistencyError) as err:
+                graph_levi_fields(phi)
+            assert err.value.where == "delta_tau_fields"
+            assert err.value.scale == scale
+            assert err.value.worst > self.TOL * scale
+
+
+class TestLeviScanMemory:
+    def test_peak_allocation_near_one_field(self):
+        grid = centered_grid(0.005, 97)
+        phi = ScalarField3.from_function(
+            grid, lambda a, b, c: np.sqrt(1.0 - a * a - b * b - c * c)
+        )
+        tracemalloc.start()
+        try:
+            levi_scan(phi, tol=1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * phi.values.nbytes
 
 
 class TestLeviScan:

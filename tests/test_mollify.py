@@ -4,6 +4,7 @@ and the mollified-sign certificate sweep."""
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from helpers_poly import Poly3
+import levicheck.levi as levi_module
+from helpers_poly import Poly3, node_derivatives
 from levicheck.fields import Grid3, ParameterError, Regularity, ScalarField3, StencilError
-from levicheck.levi import delta_tau_fields, tau_fields
+from levicheck.levi import ConsistencyError, delta_tau_fields, tau_fields
 from levicheck.mollify import (
     BumpKernel,
     HypothesisError,
@@ -528,6 +530,85 @@ class TestStaircaseCase:
     def test_case_rejects_tiny_grid(self):
         with pytest.raises(ParameterError):
             staircase_deficit_fields(spacing=1.0 / 4.0)
+
+
+def whole_grid_m_values(v, phi, deltas):
+    """The certificate's per-delta minima as computed before the plane
+    blocks, kept as the bitwise oracle for the blocked loop; the smoothed
+    Hessians come node by node from fd_hessian, independent of the stencils."""
+    tau1, tau2 = tau_fields(phi.gradient_fields())
+    m_values = []
+    for d in deltas:
+        mol = convolve3(v, d)
+        m = mol.margin
+        sel = tuple(slice(m, n - m) for n in v.grid.extents)
+        lap = delta_tau_fields(node_derivatives(mol.field)[1], tau1[sel], tau2[sel])
+        m_values.append(float(np.nanmin(-lap)))
+    return m_values
+
+
+@pytest.fixture(scope="module")
+def small_case():
+    """The staircase case at h = 1/32, a sweep from 4h down to 2h, and the
+    oracle's minima."""
+    h = 1.0 / 32.0
+    case = staircase_sweep_case(spacing=h)
+    deltas = default_delta_sweep(h, count=3, base_cells=4)
+    return case, deltas, whole_grid_m_values(case.v, case.phi, deltas)
+
+
+class TestBlockedSweepMinimum:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        # the smoothed grids have at most 27 x 13 nodes per xi1-plane
+        block=st.one_of(
+            st.just(1), st.integers(1, 3 * 27 * 13), st.just(levi_module._BLOCK)
+        )
+    )
+    def test_m_values_match_whole_grid_bitwise(self, small_case, block):
+        case, deltas, want = small_case
+        with mock.patch.object(levi_module, "_BLOCK", block):
+            rep = mollified_sign_certificate(
+                case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
+            )
+        assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        # the smoothed grids have 11 x 11 and 9 x 9 nodes per xi1-plane
+        block=st.one_of(st.just(1), st.integers(1, 4 * 11 * 11), st.just(levi_module._BLOCK)),
+    )
+    def test_m_values_of_random_cubics_match_whole_grid_bitwise(self, seed, block):
+        # on the staircase case the minima sit where tau's mixed coefficient
+        # vanishes; random cubics make them read the mixed Hessian entries too
+        rng = np.random.default_rng(seed)
+        grid = cube_grid(1.0 / 16.0, 17, origin=-0.5)
+        v = smooth_field(grid, Poly3.random(rng))
+        phi = smooth_field(grid, Poly3.random(rng))
+        deltas = (2.0 / 16.0, 3.0 / 16.0)
+        want = whole_grid_m_values(v, phi, deltas)
+        with mock.patch.object(levi_module, "_BLOCK", block):
+            rep = mollified_sign_certificate(
+                v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas, hypothesis_tol=math.inf
+            )
+        assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
+
+    def test_broken_route_raises_after_the_last_block(self, small_case, monkeypatch):
+        case, deltas, _ = small_case
+        original = levi_module._delta_tau_forms
+
+        def shifted(hess, tau1, tau2):
+            complex_form, t_form = original(hess, tau1, tau2)
+            return complex_form, t_form + 1e-3
+
+        monkeypatch.setattr(levi_module, "_BLOCK", 1)
+        monkeypatch.setattr(levi_module, "_delta_tau_forms", shifted)
+        with pytest.raises(ConsistencyError) as err:
+            mollified_sign_certificate(
+                case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
+            )
+        assert err.value.where == "delta_tau_fields"
 
 
 class TestRegularizedDefining:
