@@ -76,7 +76,7 @@ def run_case(label, epsilon, alpha, p, **kwargs):
     print(f"== {label} (declared alpha {case.holder_exponent:.2f}, "
           f"seminorm {case.holder_constant:.2f}, {dt:.1f}s)")
     print(f"   identity residual {res:.3e}   raw cert min {cert[finite].min():.3e}")
-    print(f"   hypothesis_min {rep.hypothesis_min:.3e}   w2p {rep.w2p_estimate:.3f}")
+    print(f"   hypothesis_min {rep.hypothesis_min:.3e}")
     for d, m, q in zip(rep.deltas, rep.m_values, pred):
         print(f"   delta {d:.6f}   m {m: .6e}   1d-pred {q: .6e}")
     print(f"   fitted slope {rep.fitted_slope:.4f}   pass(m >= -eps) {rep.passed}")

@@ -4,7 +4,7 @@ Subpackages / modules:
     fields     grids, scalar fields, finite differences, disc sampling
     levi       Levi forms, degenerate-elliptic operators, defining functions
     staircase  devil's-staircase constructions and Hartogs-type domains
-    mollify    mollification, regularized defining functions, certificates
+    mollify    mollification and mollified sign certificates
     potential  planar Cantor sets, Riesz/Green potentials, dimension probes
     cli        scenario runner
 """

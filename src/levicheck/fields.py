@@ -113,12 +113,6 @@ class Grid3:
             self.origin[2] + self.spacing * k,
         )
 
-    def nearest_node(self, point) -> tuple[int, int, int]:
-        idx = tuple(int(round((float(p) - o) / self.spacing)) for p, o in zip(point, self.origin))
-        if any(not 0 <= idx[k] < self.extents[k] for k in range(3)):
-            raise DomainError(f"point {tuple(point)} outside grid")
-        return idx
-
 
 @dataclass
 class ScalarField3:

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _DUAL_TOL = 1e-9
+# nondegeneracy floor on |grad rho| in levi_condition_2d
+_MIN_GRADIENT = 1e-8
 # interior nodes per block of graph_levi_fields and of the certificate's
 # per-delta minimum, rounded down to whole xi1-planes (at least one): the
 # block's eight stencil rows and its complex work arrays stay a few MiB
@@ -147,17 +149,11 @@ class WirtingerData:
 
 
 class Defining2:
-    """Defining function of a domain in C^2 with per-point Wirtinger data.
+    """Defining function of a domain in C^2 with per-point Wirtinger data,
+    backed by exact symbolic derivative callables."""
 
-    Backed either by symbolic derivative callables (exact) or by a gridded
-    graph function phi with finite-difference derivatives (evaluation snaps
-    to the nearest grid node).
-    """
-
-    def __init__(self, data_fn: Callable[[complex, complex], WirtingerData], name: str = "custom", min_gradient: float = 1e-8):
+    def __init__(self, data_fn: Callable[[complex, complex], WirtingerData]):
         self._data_fn = data_fn
-        self.name = name
-        self.min_gradient = float(min_gradient)
 
     def data(self, z1: complex, z2: complex) -> WirtingerData:
         return self._data_fn(complex(z1), complex(z2))
@@ -176,14 +172,14 @@ class Defining2:
                 rz1z2b=0.0,
             )
 
-        return cls(data, name="ball")
+        return cls(data)
 
     @classmethod
     def hyperplane(cls) -> "Defining2":
         def data(z1: complex, z2: complex) -> WirtingerData:
             return WirtingerData(rho=z1.real, rz1=0.5, rz2=0.0, rz1z1b=0.0, rz2z2b=0.0, rz1z2b=0.0)
 
-        return cls(data, name="hyperplane")
+        return cls(data)
 
     @classmethod
     def g2_model(cls) -> "Defining2":
@@ -198,7 +194,7 @@ class Defining2:
                 rz1z2b=0.0,
             )
 
-        return cls(data, name="g2_model")
+        return cls(data)
 
     @classmethod
     def hartogs_lifted(
@@ -206,7 +202,6 @@ class Defining2:
         phi_value: Callable[[complex], float],
         phi_dz: Callable[[complex], complex],
         phi_lap: Callable[[complex], float],
-        name: str = "hartogs_lifted",
     ) -> "Defining2":
         """rho(z1, z2) = log|z1| - phi(z2): the lift of a radius-1 Hartogs cap.
 
@@ -226,7 +221,7 @@ class Defining2:
                 rz1z2b=0.0,
             )
 
-        return cls(data, name=name)
+        return cls(data)
 
     @classmethod
     def hartogs_ball(cls) -> "Defining2":
@@ -246,7 +241,7 @@ class Defining2:
         def lap(z: complex) -> float:
             return -0.5 / (1.0 - abs(check(z)) ** 2) ** 2
 
-        return cls.hartogs_lifted(value, dz, lap, name="hartogs_ball")
+        return cls.hartogs_lifted(value, dz, lap)
 
     @classmethod
     def from_graph_partials(
@@ -254,7 +249,6 @@ class Defining2:
         value: Callable[[np.ndarray], float],
         grad: Callable[[np.ndarray], np.ndarray],
         hess: Callable[[np.ndarray], np.ndarray],
-        name: str = "graph_symbolic",
     ) -> "Defining2":
         """rho = x1 - phi with phi given by real partials over xi = (y1, Re z2, Im z2)."""
 
@@ -271,28 +265,7 @@ class Defining2:
                 rz1z2b=0.25j * (h[0, 1] + 1j * h[0, 2]),
             )
 
-        return cls(data, name=name)
-
-    @classmethod
-    def from_graph_field(cls, phi: ScalarField3, name: str = "graph_gridded") -> "Defining2":
-        """rho = x1 - phi with phi gridded; derivatives by central differences
-        at the node nearest to (Im z1, Re z2, Im z2)."""
-
-        def data(z1: complex, z2: complex) -> WirtingerData:
-            node = phi.grid.nearest_node((z1.imag, z2.real, z2.imag))
-            g = phi.fd_gradient(node)
-            hess = phi.fd_hessian(node)
-            dz2, lap, mix = wirtinger_parts(g, hess)
-            return WirtingerData(
-                rho=z1.real - float(phi.values[node]),
-                rz1=0.5 * (1.0 + 1j * g[0]),
-                rz2=-dz2,
-                rz1z1b=-0.25 * hess[0, 0],
-                rz2z2b=-lap,
-                rz1z2b=0.5j * mix,
-            )
-
-        return cls(data, name=name)
+        return cls(data)
 
 
 def levi_condition_2d(rho: Defining2, point) -> float:
@@ -301,7 +274,7 @@ def levi_condition_2d(rho: Defining2, point) -> float:
     z1, z2 = complex(point[0]), complex(point[1])
     d = rho.data(z1, z2)
     grad_norm = 2.0 * math.sqrt(float(_abs2(d.rz1) + _abs2(d.rz2)))
-    if grad_norm < rho.min_gradient:
+    if grad_norm < _MIN_GRADIENT:
         raise DegeneratePointError(f"|grad rho| = {grad_norm:.3e} at {point}")
     value = (
         d.rz1z1b * float(_abs2(d.rz2))
@@ -672,7 +645,11 @@ class GreenIdentityReport:
     rhs_raw: float
 
 
-def _log_weights(g: DiscField, r: float, subsample: int = 4) -> np.ndarray:
+# sub-samples per cell axis where _log_weights refines a cell
+_SUBSAMPLE = 4
+
+
+def _log_weights(g: DiscField, r: float) -> np.ndarray:
     """Per-node integration weights for int_{D(0,r)} log(r/|zeta|) dlambda.
 
     Midpoint rule on full cells; the origin cell uses the exact cell
@@ -689,8 +666,8 @@ def _log_weights(g: DiscField, r: float, subsample: int = 4) -> np.ndarray:
     w[origin] = h * h * (_unit_square_log_moment() + math.log(r / h))
     refine = inside & ((np.abs(s - r) <= 1.5 * h) | (s <= 6.5 * h))
     refine[origin] = False
-    a = h / subsample
-    offsets = (np.arange(subsample) + 0.5) * a - 0.5 * h
+    a = h / _SUBSAMPLE
+    offsets = (np.arange(_SUBSAMPLE) + 0.5) * a - 0.5 * h
     ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
     for i, j in zip(*np.nonzero(refine)):
         sx = gx[i, j] + ox
@@ -701,7 +678,7 @@ def _log_weights(g: DiscField, r: float, subsample: int = 4) -> np.ndarray:
     return w
 
 
-def green_identity_report(u: DiscField, r: float, n_theta: int = 512) -> GreenIdentityReport:
+def green_identity_report(u: DiscField, r: float) -> GreenIdentityReport:
     """Balance of the sub-mean-value identity at center 0, normalized so the
     constant function balances exactly:
 
@@ -713,7 +690,7 @@ def green_identity_report(u: DiscField, r: float, n_theta: int = 512) -> GreenId
     h = u.spacing
     if r < 4.0 * h:
         raise StencilError(f"r = {r} spans fewer than 4 cells (h = {h})")
-    mean = circle_mean(u, 0j, r, n_theta=n_theta)
+    mean = circle_mean(u, 0j, r)
     center = float(u.values[u.half, u.half])
     if not np.isfinite(center):
         raise DomainError("u undefined at the center")

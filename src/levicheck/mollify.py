@@ -1,5 +1,5 @@
-"""Radial mollifiers, shrinking-grid convolution, regularized graph domains,
-and the mollified-sign certificate for the Delta_tau operator.
+"""Radial mollifiers, shrinking-grid convolution, and the mollified-sign
+certificate for the Delta_tau operator.
 
 The certificate machinery answers one question: given fields v, phi on a
 common grid with -Delta_{tau(phi)} v >= 0 a.e., how negative can
@@ -30,7 +30,7 @@ from .fields import (
     StencilError,
     stable_sum,
 )
-from .levi import Defining2, WirtingerData, _min_neg_delta_tau, delta_tau_fields, tau_fields
+from .levi import _min_neg_delta_tau, delta_tau_fields, tau_fields
 from .staircase import build_cantor, fat_F
 
 
@@ -198,133 +198,6 @@ def convolve3(v: ScalarField3, delta: float) -> MollifiedField:
     return MollifiedField(base=v, delta=float(delta), kernel=kernel, field=smoothed)
 
 
-# -- regularized graph domains ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegularizedDomainParams:
-    """Parameters and output of one regularized graph domain x1 - phi*theta
-    + eps|z|^2 + eps.
-
-    rate_delta = epsilon^{1/(alpha - 3/p)} is the decay-rate budget for the
-    certificate sweep; the construction itself only needs delta <= epsilon,
-    so the rate bound is recorded, not enforced.
-    """
-
-    epsilon: float
-    delta: float
-    alpha: float
-    p: float
-    rate_delta: float
-    within_rate_bound: bool
-    margin_cells: int
-    reference: Defining2
-    smoothed: ScalarField3
-
-    @property
-    def defining(self) -> Defining2:
-        return self.reference
-
-
-def regularized_defining(
-    phi: ScalarField3,
-    epsilon: float,
-    delta: float,
-    alpha: float = 0.9,
-    p: float = 6.0,
-) -> RegularizedDomainParams:
-    """Smooth defining function x1 - (phi*theta_delta) + eps|z|^2 + eps.
-
-    The graph form makes convolution act on phi alone.  Containment of the
-    regularized sublevel set in {x1 - phi < 0} is checked on the grid: since
-    the new function is increasing in x1 wherever 1 + 2*eps*x1 > 0, it
-    suffices that it is nonnegative on the boundary sheet x1 = phi(xi).
-    """
-    epsilon = float(epsilon)
-    delta = float(delta)
-    if not epsilon > 0.0:
-        raise ParameterError("epsilon must be positive")
-    if delta < 0.0:
-        raise ParameterError("delta must be nonnegative")
-    if delta > epsilon:
-        raise ParameterError(f"delta {delta} exceeds the smallness budget epsilon {epsilon}")
-    if not (p > 3.0 and 3.0 / p < alpha < 1.0):
-        raise ParameterError("need p > 3 and alpha in (3/p, 1)")
-
-    if delta == 0.0:
-        tilde = phi
-        margin = 0
-        base_window = phi.values
-    else:
-        mol = convolve3(phi, delta)
-        tilde = mol.field
-        margin = mol.margin
-        base_window = mol.base_window()
-
-    height = float(np.max(np.abs(base_window)))
-    if 2.0 * epsilon * height >= 1.0:
-        raise ParameterError(
-            f"epsilon {epsilon} too large for graph heights up to {height}: "
-            "the regularized function is not monotone in x1 there"
-        )
-    x1m, x2m, x3m = tilde.grid.mesh()
-    boundary_sheet = (
-        base_window
-        - tilde.values
-        + epsilon * (base_window**2 + x1m**2 + x2m**2 + x3m**2)
-        + epsilon
-    )
-    if np.any(boundary_sheet < 0.0):
-        worst = float(np.min(boundary_sheet))
-        raise ParameterError(
-            f"containment violated on the grid (worst boundary value {worst:.3e}); "
-            "shrink delta or epsilon"
-        )
-
-    graph = Defining2.from_graph_field(tilde)
-
-    def data(z1: complex, z2: complex) -> WirtingerData:
-        d = graph.data(z1, z2)
-        return WirtingerData(
-            rho=d.rho + epsilon * (abs(z1) ** 2 + abs(z2) ** 2) + epsilon,
-            rz1=d.rz1 + epsilon * np.conjugate(z1),
-            rz2=d.rz2 + epsilon * np.conjugate(z2),
-            rz1z1b=d.rz1z1b + epsilon,
-            rz2z2b=d.rz2z2b + epsilon,
-            rz1z2b=d.rz1z2b,
-        )
-
-    exponent = 1.0 / (alpha - 3.0 / p)
-    rate_delta = epsilon**exponent
-    return RegularizedDomainParams(
-        epsilon=epsilon,
-        delta=delta,
-        alpha=alpha,
-        p=p,
-        rate_delta=rate_delta,
-        within_rate_bound=delta <= rate_delta,
-        margin_cells=margin,
-        reference=Defining2(data, name="regularized_graph"),
-        smoothed=tilde,
-    )
-
-
-def zero_sheet_distance(params: RegularizedDomainParams, phi: ScalarField3) -> float:
-    """sup over the shrunken grid of the x1-gap between the regularized zero
-    set and the graph x1 = phi(xi)."""
-    tilde = params.smoothed
-    eps = params.epsilon
-    x1m, x2m, x3m = tilde.grid.mesh()
-    c = -tilde.values + eps * (x1m**2 + x2m**2 + x3m**2) + eps
-    disc = 1.0 - 4.0 * eps * c
-    if np.any(disc <= 0.0):
-        raise ParameterError("regularized zero sheet left the graph chart")
-    sheet = (-1.0 + np.sqrt(disc)) / (2.0 * eps)
-    m = params.margin_cells
-    sel = tuple(slice(m, n - m) for n in phi.grid.extents)
-    return float(np.max(np.abs(sheet - phi.values[sel])))
-
-
 # -- the mollified-sign certificate -----------------------------------------
 
 _KINK_NORMALS = {
@@ -390,9 +263,7 @@ class CertificateReport:
     fitted_slope: float
     passed: bool
     rate_target: float
-    rate_delta: float
     hypothesis_min: float
-    w2p_estimate: float
 
     def to_json(self) -> str:
         payload = {
@@ -457,10 +328,8 @@ def mollified_sign_certificate(
         raise UnderResolvedKernelError(f"sweep contains deltas below 2h = {2.0 * h}")
 
     tau1, tau2 = tau_fields(phi.gradient_fields())
-    hess = v.hessian_fields()
-    raw = -delta_tau_fields(hess, tau1, tau2)
-    kinks = kink_plane_mask(v.grid, kink_planes)
-    valid = np.isfinite(raw) & ~kinks
+    raw = -delta_tau_fields(v.hessian_fields(), tau1, tau2)
+    valid = np.isfinite(raw) & ~kink_plane_mask(v.grid, kink_planes)
     if not valid.any():
         raise ParameterError("kink planes exclude every interior node")
     scale = 1.0 + float(np.max(np.abs(raw[valid])))
@@ -474,10 +343,6 @@ def mollified_sign_certificate(
             "away from declared kinks"
         )
 
-    frob = np.sqrt(np.sum(hess * hess, axis=(0, 1)))
-    finite = np.isfinite(frob) & ~kinks
-    w2p = float((h**3 * np.sum(frob[finite] ** p)) ** (1.0 / p))
-
     m_values = []
     for d in deltas:
         mol = convolve3(v, d)
@@ -490,7 +355,6 @@ def mollified_sign_certificate(
     log_m = np.log(np.maximum(-m_arr, _SLOPE_FLOOR))
     fitted = float(np.polyfit(log_d, log_m, 1)[0])
 
-    exponent = 1.0 / (alpha - 3.0 / p)
     return CertificateReport(
         epsilon=epsilon,
         alpha=alpha,
@@ -500,9 +364,7 @@ def mollified_sign_certificate(
         fitted_slope=fitted,
         passed=bool(np.all(m_arr >= -epsilon)),
         rate_target=alpha - 3.0 / p,
-        rate_delta=epsilon**exponent,
         hypothesis_min=hyp_min,
-        w2p_estimate=w2p,
     )
 
 

@@ -286,16 +286,6 @@ class TestGraphLevi:
         symbolic = levi_condition_2d(rho, (0.0, 0.0))
         assert abs(fd_value - symbolic) <= 1e-8
 
-    def test_gridded_defining_matches_graph_levi(self):
-        grid = centered_grid(0.05, 9)
-        phi = ScalarField3.from_function(grid, lambda a, b, c: 0.2 * a * b + 0.1 * (c**2) * a)
-        rho = Defining2.from_graph_field(phi)
-        node = (4, 3, 5)
-        xi = grid.node_coords(node)
-        point = (complex(0.7, xi[0]), complex(xi[1], xi[2]))
-        assert levi_condition_2d(rho, point) == pytest.approx(graph_levi(phi, node), abs=1e-12)
-        assert rho.data(*point).rho == pytest.approx(0.7 - phi.values[node], abs=1e-14)
-
 
 class TestPlaneBlocks:
     @settings(max_examples=60, deadline=None)

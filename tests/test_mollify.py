@@ -1,5 +1,5 @@
-"""Mollifier kernels, shrinking-grid convolution, regularized graph domains,
-and the mollified-sign certificate sweep."""
+"""Mollifier kernels, shrinking-grid convolution, and the mollified-sign
+certificate sweep."""
 
 import json
 import math
@@ -27,10 +27,8 @@ from levicheck.mollify import (
     kink_plane_mask,
     make_kernel,
     mollified_sign_certificate,
-    regularized_defining,
     staircase_deficit_fields,
     staircase_sweep_case,
-    zero_sheet_distance,
 )
 from levicheck.staircase import build_cantor, staircase_f
 
@@ -609,82 +607,3 @@ class TestBlockedSweepMinimum:
                 case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
             )
         assert err.value.where == "delta_tau_fields"
-
-
-class TestRegularizedDefining:
-    def test_budget_and_window_checks(self):
-        phi = smooth_field(cube_grid(1.0 / 64.0, 65), lambda a, b, c: 0.1 * b)
-        with pytest.raises(ParameterError):
-            regularized_defining(phi, epsilon=0.01, delta=0.02)
-        with pytest.raises(ParameterError):
-            regularized_defining(phi, epsilon=0.05, delta=0.01, p=2.0)
-        with pytest.raises(ParameterError):
-            regularized_defining(phi, epsilon=0.05, delta=0.01, alpha=0.3)
-        with pytest.raises(ParameterError):
-            regularized_defining(phi, epsilon=-0.1, delta=0.0)
-
-    def test_monotonicity_guard(self):
-        phi = smooth_field(cube_grid(1.0 / 16.0, 17), lambda a, b, c: 30.0 * b)
-        with pytest.raises(ParameterError, match="monotone"):
-            regularized_defining(phi, epsilon=0.5, delta=0.0)
-
-    def test_spec_scale_deltas_need_finer_grids(self):
-        # delta = 0.005 spans less than two cells at h = 1/128
-        phi = smooth_field(cube_grid(1.0 / 128.0, 129), lambda a, b, c: 0.1 * b)
-        with pytest.raises(UnderResolvedKernelError):
-            regularized_defining(phi, epsilon=0.05, delta=0.005)
-
-    def test_containment_violation_reported(self):
-        # a steep convex cone is lifted by smoothing faster than the eps
-        # padding can absorb
-        phi = smooth_field(
-            cube_grid(1.0 / 64.0, 65), lambda a, b, c: 10.0 * np.abs(b - 0.5)
-        )
-        with pytest.raises(ParameterError, match="containment"):
-            regularized_defining(phi, epsilon=0.05, delta=0.05)
-
-    def test_exact_path_closure_values(self):
-        grid = cube_grid(1.0 / 32.0, 33)
-        phi = smooth_field(grid, lambda a, b, c: 0.1 * b * b + 0.05 * a * c)
-        eps = 0.05
-        params = regularized_defining(phi, epsilon=eps, delta=0.0)
-        assert params.margin_cells == 0
-        assert params.smoothed is phi
-        assert params.defining.name == "regularized_graph"
-        # probe at the grid node xi = (0.5, 0.5, 0.5), x1 = 0.2
-        z1 = 0.2 + 0.5j
-        z2 = 0.5 + 0.5j
-        wd = params.reference.data(z1, z2)
-        expected_rho = (
-            0.2 - (0.1 * 0.25 + 0.05 * 0.25) + eps * (abs(z1) ** 2 + abs(z2) ** 2) + eps
-        )
-        assert wd.rho == pytest.approx(expected_rho, abs=1e-12)
-        assert wd.rz1 == pytest.approx(
-            0.5 * (1.0 + 1j * (0.05 * 0.5)) + eps * np.conjugate(z1), abs=1e-9
-        )
-        assert wd.rz1z1b == pytest.approx(eps, abs=1e-9)
-
-    def test_rate_bound_flag(self):
-        phi = smooth_field(cube_grid(1.0 / 128.0, 129), lambda a, b, c: 0.1 * b)
-        eps = 0.25
-        rate = eps ** (1.0 / (0.9 - 0.5))
-        near = regularized_defining(phi, epsilon=eps, delta=rate)
-        assert near.rate_delta == pytest.approx(rate)
-        assert near.within_rate_bound
-        wide = regularized_defining(phi, epsilon=eps, delta=2.0 * rate)
-        assert not wide.within_rate_bound
-
-    def test_zero_sheet_tracks_graph_through_sweep(self):
-        grid = cube_grid(1.0 / 128.0, 129, origin=-0.5)
-        phi = smooth_field(
-            grid, lambda a, b, c: 0.3 * np.sin(2.0 * a) * np.cos(b) + 0.1 * c
-        )
-        lip = 0.3 * 2.0 + 0.3 + 0.1
-        sups = []
-        for eps in (0.2, 0.16, 0.13):
-            params = regularized_defining(phi, epsilon=eps, delta=eps * eps)
-            d = zero_sheet_distance(params, phi)
-            bound = lip * eps * eps + eps * (1.0 + 0.4**2 + 0.75 + 0.7**2)
-            assert d <= bound
-            sups.append(d)
-        assert sups[0] > sups[1] > sups[2]
