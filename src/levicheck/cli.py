@@ -9,7 +9,12 @@ runtime goes to a ``runtime.txt`` sidecar, never into the report.
 it yet.
 
 Exit codes: 0 all assertions pass, 1 an assertion failed (named on
-stderr), 2 usage or configuration error.  When two computation routes of
+stderr), 2 usage or configuration error.  A parameter whose type differs
+from its default's (an int may stand for a float) is a usage error, and
+so is a library precondition error (``ParameterError``, ``DomainError``
+and the like) that a parameter value triggers.  Any other exception, such
+as a ``ValueError`` raised inside the numerics, is a bug and propagates
+with its traceback: it never exits 2.  When two computation routes of
 a run disagree (``ConsistencyError``), the report holds the single failed
 assertion ``dual_route_agreement_<check>`` with the disagreement and its
 scale, and the exit code is 1.
@@ -87,8 +92,6 @@ _CONFIG_ERRORS = (
     ConstructionError,
     HypothesisError,
     UnderResolvedKernelError,
-    ValueError,
-    TypeError,
 )
 
 
@@ -246,7 +249,7 @@ def _run_mollify_sweep(params: dict, expect_violation: bool, outdir: Path):
 
 
 def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
-    alpha1 = Fraction(str(params["alpha1"]))
+    alpha1 = _fraction(params["alpha1"])
     depth = int(params["depth"])
     n_offsets = int(params["n_offsets"])
     system = build_cantor(default_alphas(alpha1, depth))
@@ -295,7 +298,7 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
         domain = hartogs_ball_domain(spacing=spacing)
     elif cap == "staircase":
         domain = hartogs_staircase(
-            alpha1=Fraction(str(params["alpha1"])), spacing=spacing
+            alpha1=_fraction(params["alpha1"]), spacing=spacing
         )
     else:
         raise ParameterError(f"unknown hartogs-scan cap {cap!r} (ball | staircase)")
@@ -467,8 +470,10 @@ def _run_slice_check(params: dict, expect_violation: bool, outdir: Path):
     rows = []
     identity_ok = True
     lower_ok = True
-    for re_t, im_t in params["t_values"]:
-        t = complex(float(re_t), float(im_t))
+    for pair in params["t_values"]:
+        if len(pair) != 2:
+            raise ParameterError(f"t_values items are [re, im] pairs, got {pair!r}")
+        t = complex(float(pair[0]), float(pair[1]))
         ratio = slice_ratio_min(slice_graph(two_disc, t, grid))
         expected = 1.0 + abs(t) ** 2
         identity_ok = identity_ok and abs(ratio - expected) <= 1e-10
@@ -550,6 +555,24 @@ class UsageError(Exception):
     pass
 
 
+def _matches_default(value, default) -> bool:
+    """Whether a parameter value has the type of its default: an int may
+    stand for a float, and each item of a list must match the default's
+    first item."""
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_matches_default(v, default[0]) for v in value)
+    return type(value) is type(default)
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"{text!r} is not a fraction") from None
+
+
 def _parse_set(expr: str) -> tuple[str, object]:
     if "=" not in expr:
         raise UsageError(f"--set expects key=value, got {expr!r}")
@@ -596,10 +619,24 @@ def run_scenario(config: dict) -> tuple[dict, Path]:
         raise UsageError(
             f"unknown parameter(s) for {name}: {', '.join(sorted(unknown))}"
         )
+    for key, value in extra.items():
+        if not _matches_default(value, params[key]):
+            raise UsageError(
+                f"parameter {key!r} of {name} must have the type of its default "
+                f"{params[key]!r}, got {value!r}"
+            )
     params.update(extra)
-    seed = int(config.get("seed", 0))
-    expect_violation = bool(config.get("expect_violation", False))
-    outdir = Path(config.get("outdir", f"out/{name}"))
+    try:
+        seed = int(config.get("seed", 0))
+        outdir = Path(config.get("outdir", f"out/{name}"))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config field 'seed' or 'outdir' is malformed: {exc}") from None
+    expect_violation = config.get("expect_violation", False)
+    if not isinstance(expect_violation, bool):
+        # bool("false") is True: a loose flag would invert pass semantics
+        raise UsageError(
+            f"config field 'expect_violation' must be true or false, got {expect_violation!r}"
+        )
     outdir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()

@@ -34,11 +34,14 @@ class StencilError(Exception):
     """Finite-difference stencil does not fit inside the grid."""
 
 
-class DomainError(Exception):
-    """Evaluation requested outside the field's domain of definition."""
+class DomainError(ValueError):
+    """Evaluation requested outside the field's domain of definition.
+
+    A ValueError, as is ParameterError, so callers that catch ValueError for
+    bad input still do; the CLI catches only these subclasses."""
 
 
-class ParameterError(Exception):
+class ParameterError(ValueError):
     """Construction parameters violate a documented precondition."""
 
 
@@ -88,12 +91,12 @@ class Grid3:
         object.__setattr__(self, "extents", tuple(int(n) for n in self.extents))
         object.__setattr__(self, "spacing", float(self.spacing))
         if len(self.origin) != 3 or len(self.extents) != 3:
-            raise ValueError("origin and extents must have length 3")
+            raise ParameterError("origin and extents must have length 3")
         if not self.spacing > 0.0:
-            raise ValueError("spacing must be positive")
+            raise ParameterError("spacing must be positive")
         if any(n < 5 for n in self.extents):
             # width-2 central stencils must fit
-            raise ValueError("extents must be >= 5 on every axis")
+            raise ParameterError("extents must be >= 5 on every axis")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -127,7 +130,7 @@ class ScalarField3:
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid extents {self.grid.shape}")
         if not np.isfinite(vals).all():
-            raise ValueError("field values must be finite at every node")
+            raise DomainError("field values must be finite at every node")
         vals.flags.writeable = False
         self.values = vals
 
@@ -306,15 +309,15 @@ class DiscField:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius <= 1.0:
-            raise ValueError("radius must lie in (0, 1]")
+            raise ParameterError("radius must lie in (0, 1]")
         if not self.spacing > 0.0:
-            raise ValueError("spacing must be positive")
+            raise ParameterError("spacing must be positive")
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError("values must be a square 2-D array")
         n = vals.shape[0]
         if n < 5 or n % 2 == 0:
-            raise ValueError("side must be odd and >= 5 so the origin is a node")
+            raise ParameterError("side must be odd and >= 5 so the origin is a node")
         vals.flags.writeable = False
         self.values = vals
         self.half = n // 2
@@ -334,6 +337,8 @@ class DiscField:
         (m, m), e.g. (m, 1) for lambda x, y: x.  Terms in one coordinate
         then cost O(m) rather than O(m^2).  Non-finite values become NaN.
         """
+        if not spacing > 0.0:
+            raise ParameterError("spacing must be positive")
         half = int(math.ceil(radius / spacing)) + int(pad_cells)
         coords = spacing * np.arange(-half, half + 1)
         gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)
@@ -424,9 +429,9 @@ def circle_mean(g: DiscField, center, r: float, n_theta: int = 512) -> float:
     Uniform periodic sampling makes the trapezoid rule a plain average.
     """
     if n_theta < 256:
-        raise ValueError("n_theta must be >= 256")
+        raise ParameterError("n_theta must be >= 256")
     if not r > 0.0:
-        raise ValueError("circle radius must be positive")
+        raise ParameterError("circle radius must be positive")
     if isinstance(center, complex):
         cx, cy = center.real, center.imag
     else:

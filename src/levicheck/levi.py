@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from levicheck.fields import (
     DiscField,
@@ -436,22 +435,32 @@ def _plane_blocks(field: ScalarField3, gradient: bool):
         yield slice(first, stop), g, dict(zip(_LEVI_ENTRIES, cube[3 * gradient :]))
 
 
-def _min_neg_delta_tau(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray) -> float:
-    """min over the interior of -Delta_tau v, with Delta_tau's dual-form check.
+def _neg_delta_tau_slabs(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray):
+    """Yield (planes, raw) with raw = -Delta_tau v over the interior nodes of
+    each slab of whole xi1-planes of v (_plane_blocks), i.e.
+    -delta_tau_fields(v.hessian_fields(), tau1, tau2)[planes, 1:-1, 1:-1] for
+    tau1 and tau2 of v's grid shape, bit for bit.
 
-    The value and the check are those of
-    nanmin(-delta_tau_fields(v.hessian_fields(), tau1, tau2)), with tau1 and
-    tau2 of v's grid shape, but taken in slabs of whole xi1-planes
-    (_plane_blocks): each slab's minimum is exact, and the check tests the
-    largest disagreement over all slabs against the global scale.
+    Delta_tau's dual-form check runs after the last slab and tests the
+    largest disagreement over all slabs against the global scale, so it
+    raises only where the whole-grid check would, and only once the caller
+    has consumed every slab.
     """
     check = _DualCheck()
-    low = np.nan
     for planes, _, hess in _plane_blocks(v, gradient=False):
         complex_form, t_form = _delta_tau_forms(hess, tau1[planes], tau2[planes])
         check.add(complex_form[_INNER], t_form[_INNER])
-        low = np.fmin(low, np.fmin.reduce(-complex_form[_INNER], axis=None))
+        yield planes, -complex_form[_INNER]
     check.verify("delta_tau_fields")
+
+
+def _min_neg_delta_tau(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray) -> float:
+    """nanmin(-delta_tau_fields(v.hessian_fields(), tau1, tau2)) with its
+    dual-form check, taken slab by slab (_neg_delta_tau_slabs); each slab's
+    minimum is exact, so the value does not depend on the blocking."""
+    low = np.nan
+    for _, raw in _neg_delta_tau_slabs(v, tau1, tau2):
+        low = np.fmin(low, np.fmin.reduce(raw, axis=None))
     return float(low)
 
 
@@ -618,20 +627,18 @@ def slice_ratio_min(sliced: ScalarField3, r_min: float | None = None) -> float:
 # -- Green-formula identity on the disc -----------------------------------
 
 
+# still an lru_cache: callers reset it with the other lazy constants
 @lru_cache(maxsize=1)
 def _unit_square_log_moment() -> float:
     """integral of log(1/|zeta|) over the unit square centered at 0.
 
     By 8-fold symmetry this is 8 * int_0^{pi/4} R^2/2 (log(1/R) + 1/2) dtheta
-    with R = 1/(2 cos theta).
+    with R = 1/(2 cos theta).  The value is that integral as scipy's quad
+    returns it (epsabs = epsrel = 1e-13), frozen so that no run loads
+    scipy.integrate; the closed form 3/2 + ln(2)/2 - pi/4 rounds 1 ulp
+    higher.  Tests recompute both.
     """
-
-    def integrand(theta: float) -> float:
-        r = 1.0 / (2.0 * math.cos(theta))
-        return 0.5 * r * r * (math.log(1.0 / r) + 0.5)
-
-    val, _ = quad(integrand, 0.0, math.pi / 4.0, epsabs=1e-13, epsrel=1e-13)
-    return 8.0 * val
+    return 1.0611754268825242
 
 
 @dataclass(frozen=True)

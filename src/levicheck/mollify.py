@@ -19,8 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.integrate import quad
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .fields import (
     Grid3,
@@ -30,7 +29,7 @@ from .fields import (
     StencilError,
     stable_sum,
 )
-from .levi import _min_neg_delta_tau, delta_tau_fields, tau_fields
+from .levi import _min_neg_delta_tau, _neg_delta_tau_slabs, tau_fields
 from .staircase import build_cantor, fat_F
 
 
@@ -63,6 +62,9 @@ def kernel_profile_constants() -> tuple[float, float]:
     normalization * exp(-1/(1-r^2)) integrates to 1 over the unit ball of
     R^3; m2 is its second moment along any single axis.
     """
+    # imported here: no standard run needs it, and scipy.integrate is slow to load
+    from scipy.integrate import quad
+
     mass_raw, mass_err = quad(
         lambda r: 4.0 * math.pi * r * r * math.exp(-1.0 / (1.0 - r * r)),
         0.0,
@@ -177,9 +179,16 @@ class MollifiedField:
 def convolve3(v: ScalarField3, delta: float) -> MollifiedField:
     """Discrete convolution with theta_delta on the shrunken grid U^delta.
 
-    A valid-mode FFT transform, so no zero padding enters the sum.  Output
-    nodes keep a full kernel stencil inside the base grid and sit strictly
-    more than delta from its boundary faces.
+    Output nodes keep a full kernel stencil inside the base grid and sit
+    strictly more than delta from its boundary faces, so no zero padding
+    enters the sum.  With n nodes on an axis and a kernel k = 2R + 1 taps
+    wide, each axis is padded to next_fast_len(n + k - 1, True), the
+    length of the full linear convolution rounded up to a fast real-FFT
+    size, so the cyclic product of the two rfftn spectra is that linear
+    convolution.  The output is its core block [k : n - 1] on every axis,
+    n - 2(R + 1) nodes: the valid-mode block [k - 1 : n] less one node per
+    face.  The values are bitwise those of the valid-mode
+    fftconvolve(v, weights)[1:-1, 1:-1, 1:-1], which tests check.
     """
     kernel = make_kernel(delta, v.grid.spacing)
     margin = kernel.margin
@@ -187,8 +196,12 @@ def convolve3(v: ScalarField3, delta: float) -> MollifiedField:
         raise StencilError(
             f"kernel radius {delta} leaves no usable interior at extents {v.grid.extents}"
         )
-    out = fftconvolve(v.values, kernel.weights, mode="valid")
-    core = np.ascontiguousarray(out[1:-1, 1:-1, 1:-1])
+    k = kernel.weights.shape[0]
+    fshape = [next_fast_len(n + k - 1, True) for n in v.grid.extents]
+    spectrum = rfftn(v.values, fshape)
+    spectrum *= rfftn(kernel.weights, fshape)
+    full = irfftn(spectrum, fshape)
+    core = np.ascontiguousarray(full[tuple(slice(k, n - 1) for n in v.grid.extents)])
     sub = Grid3(
         tuple(o + v.grid.spacing * margin for o in v.grid.origin),
         v.grid.spacing,
@@ -281,6 +294,33 @@ class CertificateReport:
 _SLOPE_FLOOR = 1e-14
 
 
+def _hypothesis_extremes(v: ScalarField3, tau1, tau2, kinks: np.ndarray):
+    """(min, max|.|, argmin node) of raw = -Delta_tau v over the finite
+    interior nodes outside the kinks mask; node is None if there are none.
+
+    The values are those of raw = -delta_tau_fields(v.hessian_fields(),
+    tau1, tau2) over the whole grid, but raw is taken slab by slab
+    (levi._neg_delta_tau_slabs), so no whole-grid Hessian is built.  Min
+    and max are exact, so they merge across slabs bit for bit, and the
+    first slab to reach the minimum holds its first node in C order, the
+    node np.argmin picks on the whole grid.
+    """
+    low = math.inf
+    peak = 0.0
+    node = None
+    for planes, raw in _neg_delta_tau_slabs(v, tau1, tau2):
+        valid = np.isfinite(raw) & ~kinks[planes, 1:-1, 1:-1]
+        if not valid.any():
+            continue
+        peak = max(peak, float(np.max(np.abs(raw[valid]))))
+        slab_min = float(np.min(raw[valid]))
+        if slab_min < low:
+            low = slab_min
+            i, j, k = np.unravel_index(int(np.argmin(np.where(valid, raw, np.inf))), raw.shape)
+            node = (i + planes.start, j + 1, k + 1)
+    return low, peak, node
+
+
 def mollified_sign_certificate(
     v: ScalarField3,
     phi: ScalarField3,
@@ -328,16 +368,12 @@ def mollified_sign_certificate(
         raise UnderResolvedKernelError(f"sweep contains deltas below 2h = {2.0 * h}")
 
     tau1, tau2 = tau_fields(phi.gradient_fields())
-    raw = -delta_tau_fields(v.hessian_fields(), tau1, tau2)
-    valid = np.isfinite(raw) & ~kink_plane_mask(v.grid, kink_planes)
-    if not valid.any():
+    hyp_min, peak, node = _hypothesis_extremes(v, tau1, tau2, kink_plane_mask(v.grid, kink_planes))
+    if node is None:
         raise ParameterError("kink planes exclude every interior node")
-    scale = 1.0 + float(np.max(np.abs(raw[valid])))
+    scale = 1.0 + peak
     tol = (1e-9 * scale) if hypothesis_tol is None else float(hypothesis_tol)
-    hyp_min = float(np.min(raw[valid]))
     if hyp_min < -tol:
-        flat = np.where(valid, raw, np.inf)
-        node = np.unravel_index(int(np.argmin(flat)), flat.shape)
         raise HypothesisError(
             f"-Delta_tau v = {hyp_min:.6e} < -{tol:.1e} at node {node}, "
             "away from declared kinks"

@@ -1,5 +1,6 @@
 """Scenario runner: exit codes, report schema, overrides, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -93,6 +94,58 @@ class TestUsageErrors:
     def test_set_without_equals_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", scenario="slice-check")
         assert main(["run", "--config", str(cfg), "--set", "oops"]) == 2
+
+    @pytest.mark.parametrize(
+        "scenario, override",
+        [
+            ("slice-check", 'params.extent="7"'),
+            ("slice-check", "params.extent=7.0"),
+            ("slice-check", "params.spacing=true"),
+            ("slice-check", 'params.t_values=[[0.1, "a"]]'),
+            ("slice-check", "params.t_values=0.1"),
+            ("cantor-potential", "params.cert_generations=[4, 5.5]"),
+            ("staircase-build", "params.alpha1=0.9"),
+            ("slice-check", 'seed="x"'),
+            ("slice-check", 'expect_violation="false"'),
+            ("slice-check", "expect_violation=0"),
+        ],
+    )
+    def test_parameter_of_wrong_type_exits_2(self, tmp_path, capsys, scenario, override):
+        cfg = write_config(tmp_path, "c.json", scenario=scenario)
+        assert main(["run", "--config", str(cfg), "--set", override]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_int_stands_for_float(self, tmp_path):
+        report, _ = run_scenario(
+            {
+                "scenario": "slice-check",
+                "outdir": str(tmp_path / "out"),
+                "params": {"t_values": [[0, 0.05]]},
+            }
+        )
+        assert report["passed"] and report["parameters"]["t_values"] == [[0, 0.05]]
+
+    @pytest.mark.parametrize("override", ['params.alpha1="abc"', 'params.alpha1="1/0"'])
+    def test_malformed_fraction_exits_2(self, tmp_path, override):
+        cfg = write_config(tmp_path, "c.json", scenario="staircase-build")
+        assert main(["run", "--config", str(cfg), "--set", override]) == 2
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
+    @pytest.mark.parametrize(
+        "scenario, override, message",
+        [
+            # at spacing 0.1 the 17^3 grid reaches |xi| > 1, where the
+            # ball's graph is undefined
+            ("levi-check", "params.spacing=0.1", "finite"),
+            ("green-identity", "params.spacing=0", "spacing must be positive"),
+            ("slice-check", "params.t_values=[[0.1]]", "pairs"),
+        ],
+    )
+    def test_value_out_of_range_exits_2(self, tmp_path, capsys, scenario, override, message):
+        cfg = write_config(tmp_path, "c.json", scenario=scenario)
+        assert main(["run", "--config", str(cfg), "--set", override]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -267,6 +320,68 @@ class TestDualRouteFailure:
         detail = report["assertions"][0]["detail"]
         assert set(detail) == {"worst", "scale"}
         assert detail["worst"] > 1e-9 * detail["scale"]
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [ValueError, TypeError])
+    def test_error_inside_a_run_is_not_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        # an error raised by the numerics is a bug: it keeps its traceback
+        # instead of becoming "invalid configuration" with exit 2
+        def broken(params, expect_violation, outdir):
+            raise error("internal fault")
+
+        scenario = dataclasses.replace(SCENARIOS["slice-check"], runner=broken)
+        monkeypatch.setitem(SCENARIOS, "slice-check", scenario)
+        cfg = write_config(tmp_path, "c.json", scenario="slice-check")
+        with pytest.raises(error, match="internal fault"):
+            main(["run", "--config", str(cfg)])
+        assert "usage error" not in capsys.readouterr().err
+
+
+# imports every module a run needs, then runs green-identity and
+# mollify-sweep at the benchmark's tiny sizes; prints the loaded scipy modules
+IMPORT_GRAPH_CODE = """
+import json, sys
+import levicheck.cli
+from levicheck.cli import run_scenario
+loaded = {"import": sorted(m for m in sys.modules if m.startswith("scipy"))}
+for config in json.loads(sys.argv[1]):
+    report, _ = run_scenario(config)
+    assert report["passed"], config["scenario"]
+loaded["runs"] = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps(loaded))
+"""
+
+
+class TestImportGraph:
+    def test_runs_load_no_signal_stats_or_integrate(self, tmp_path):
+        configs = [
+            {
+                "scenario": "green-identity",
+                "params": {"spacing": 1.0 / 256.0},
+                "outdir": str(tmp_path / "green"),
+            },
+            {
+                "scenario": "mollify-sweep",
+                "params": {"count": 2},
+                "outdir": str(tmp_path / "mollify"),
+            },
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GRAPH_CODE, json.dumps(configs)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        for stage in ("import", "runs"):
+            assert "scipy.fft" in loaded[stage]
+            for heavy in ("scipy.signal", "scipy.stats", "scipy.integrate"):
+                assert not any(
+                    m == heavy or m.startswith(heavy + ".") for m in loaded[stage]
+                ), (stage, heavy)
 
 
 class TestDeterminism:

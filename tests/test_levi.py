@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import levicheck.levi as levi_module
 from helpers_poly import Poly3, node_derivatives
@@ -512,6 +513,25 @@ class TestGreenIdentity:
         u = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x)
         with pytest.raises(StencilError):
             green_identity_report(u, 3.0 / 64)
+
+
+class TestUnitSquareLogMoment:
+    def test_frozen_value_is_the_quadrature(self):
+        # the value the origin cell's weight used to get from quad, recomputed
+        # with its old integrand and tolerances
+        def integrand(theta):
+            r = 1.0 / (2.0 * math.cos(theta))
+            return 0.5 * r * r * (math.log(1.0 / r) + 0.5)
+
+        val, _ = quad(integrand, 0.0, math.pi / 4.0, epsabs=1e-13, epsrel=1e-13)
+        frozen = levi_module._unit_square_log_moment()
+        assert frozen.hex() == (8.0 * val).hex() == "0x1.0fa93159c77efp+0"
+
+    def test_frozen_value_near_closed_form(self):
+        # int over [-1/2, 1/2]^2 of log(1/|zeta|) = 3/2 + ln(2)/2 - pi/4
+        closed = 1.5 + 0.5 * math.log(2.0) - 0.25 * math.pi
+        frozen = levi_module._unit_square_log_moment()
+        assert abs(frozen - closed) <= 2.0 * math.ulp(closed)
 
 
 class TestFitPositiveScale:

@@ -3,6 +3,7 @@ certificate sweep."""
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
 import levicheck.levi as levi_module
+import levicheck.mollify as mollify_module
 from helpers_poly import Poly3, node_derivatives
 from levicheck.fields import Grid3, ParameterError, Regularity, ScalarField3, StencilError
 from levicheck.levi import ConsistencyError, delta_tau_fields, tau_fields
@@ -146,6 +149,17 @@ class TestConvolve3:
             ref = direct_convolve(v.values, mol.kernel.weights)[1:-1, 1:-1, 1:-1]
             assert ref.shape == mol.field.grid.shape
             assert np.max(np.abs(ref - mol.field.values)) <= 1e-12
+
+    def test_bitwise_equal_to_fftconvolve_on_shipped_sweep(self, shipped_case):
+        # the padding and core slice of the docstring: scipy.signal's
+        # valid-mode transform less one node per face, bit for bit
+        v = shipped_case.v
+        for delta in shipped_case.delta_sweep():
+            mol = convolve3(v, delta)
+            ref = fftconvolve(v.values, mol.kernel.weights, mode="valid")[1:-1, 1:-1, 1:-1]
+            assert mol.field.values.shape == ref.shape
+            got = mol.field.values.view(np.int64)
+            assert np.array_equal(got, np.ascontiguousarray(ref).view(np.int64)), delta
 
     def test_output_nodes_beyond_delta(self):
         h = 1.0 / 32.0
@@ -607,3 +621,106 @@ class TestBlockedSweepMinimum:
                 case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
             )
         assert err.value.where == "delta_tau_fields"
+
+
+def whole_grid_hypothesis(v, phi, kinks):
+    """The certificate's hypothesis check as computed before the slabs, kept
+    as the bitwise oracle: (min, max|.|, argmin node) of -Delta_tau v over
+    the whole grid's finite nodes off the kinks mask, or None if none."""
+    tau1, tau2 = tau_fields(phi.gradient_fields())
+    raw = -delta_tau_fields(v.hessian_fields(), tau1, tau2)
+    valid = np.isfinite(raw) & ~kinks
+    if not valid.any():
+        return None
+    flat = np.where(valid, raw, np.inf)
+    node = np.unravel_index(int(np.argmin(flat)), flat.shape)
+    return float(np.min(raw[valid])), float(np.max(np.abs(raw[valid]))), node
+
+
+def hypothesis_message(oracle):
+    """The HypothesisError message of the whole-grid check at its default
+    tolerance 1e-9 * (1 + max|.|)."""
+    low, peak, node = oracle
+    tol = 1e-9 * (1.0 + peak)
+    return f"-Delta_tau v = {low:.6e} < -{tol:.1e} at node {node}, away from declared kinks"
+
+
+def negated(field):
+    return ScalarField3(field.grid, -field.values, field.regularity)
+
+
+KINK_SPECS = sorted(mollify_module._KINK_NORMALS)
+
+
+class TestSlabbedHypothesisCheck:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        v_degrees=st.sampled_from([(2,), (2, 3), (3,)]),
+        phi_degrees=st.sampled_from([(1,), (2, 3)]),
+        # the grid has 9 x 11 nodes per xi1-plane
+        block=st.one_of(st.just(1), st.integers(1, 4 * 9 * 11), st.just(levi_module._BLOCK)),
+        planes=st.lists(
+            st.tuples(st.sampled_from(KINK_SPECS), st.floats(-0.6, 0.6)), max_size=3
+        ),
+    )
+    def test_extremes_match_whole_grid_bitwise(
+        self, seed, v_degrees, phi_degrees, block, planes
+    ):
+        # a quadratic v and a linear phi make -Delta_tau v constant up to
+        # rounding, so the argmin rule (first node in C order) meets ties
+        rng = np.random.default_rng(seed)
+        grid = Grid3((-0.5, -0.5, -0.625), 1.0 / 8.0, (10, 9, 11))
+        v = smooth_field(grid, Poly3.random(rng, v_degrees))
+        phi = smooth_field(grid, Poly3.random(rng, phi_degrees))
+        kinks = kink_plane_mask(grid, planes)
+        want = whole_grid_hypothesis(v, phi, kinks)
+        tau1, tau2 = tau_fields(phi.gradient_fields())
+        with mock.patch.object(levi_module, "_BLOCK", block):
+            low, peak, node = mollify_module._hypothesis_extremes(v, tau1, tau2, kinks)
+        if want is None:
+            assert node is None
+            return
+        assert (low.hex(), peak.hex()) == (want[0].hex(), want[1].hex())
+        assert node == want[2] and repr(node) == repr(want[2])
+
+    @pytest.mark.parametrize("block", [1, 3 * 33 * 19 + 5, levi_module._BLOCK])
+    @pytest.mark.parametrize("planes", [(), (("xi2", 0.5), ("xi1+xi2", 1.0))])
+    def test_certificate_reports_and_raises_as_before(self, small_case, block, planes):
+        case, deltas, _ = small_case
+        kinks = kink_plane_mask(case.v.grid, planes)
+        with mock.patch.object(levi_module, "_BLOCK", block):
+            rep = mollified_sign_certificate(
+                case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas,
+                kink_planes=planes,
+            )
+            with pytest.raises(HypothesisError) as err:
+                mollified_sign_certificate(
+                    negated(case.v), case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas,
+                    kink_planes=planes,
+                )
+        assert rep.hypothesis_min.hex() == whole_grid_hypothesis(case.v, case.phi, kinks)[0].hex()
+        want = whole_grid_hypothesis(negated(case.v), case.phi, kinks)
+        assert str(err.value) == hypothesis_message(want)
+
+    def test_kinks_covering_every_node_rejected(self):
+        v, phi = quadratic_case(n=9)
+        planes = [("xi1", 0.125 * k) for k in range(9)]
+        with pytest.raises(ParameterError, match="exclude every interior node"):
+            mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, kink_planes=planes)
+
+    def test_peak_memory_stays_below_one_field(self):
+        # the whole-grid check held nine Hessian arrays and complex
+        # temporaries, about 20 fields; the slabs hold a few MiB
+        grid = cube_grid(1.0 / 96.0, 97, origin=-0.5)
+        v = smooth_field(grid, lambda a, b, c: -(b * b + c * c) + a * b * c)
+        phi = smooth_field(grid, lambda a, b, c: -0.8 * b + 0.1 * b * b - 0.05 * c * c)
+        tau1, tau2 = tau_fields(phi.gradient_fields())
+        kinks = kink_plane_mask(grid, ())
+        tracemalloc.start()
+        try:
+            mollify_module._hypothesis_extremes(v, tau1, tau2, kinks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= v.values.nbytes

@@ -61,6 +61,7 @@ UNREACHED = {
     "cli._cmd_list.<locals>.<dictcomp>": "the `list --json` branch; tests/test_cli.py runs it",
     "cli._cmd_run.<locals>.<listcomp>": "names the failed assertions; runs only on exit 1",
     "fields.DiscField.inside": "the |z| < radius node mask that tests select disc nodes with",
+    "fields.ScalarField3.hessian_fields": "wrapped by levibench/tracing.py; the whole-grid oracle of tests",
     "fields.ScalarField3.wirtinger_fields": "wrapped by levibench/tracing.py; tests check it per node",
     "levi.ConsistencyError.__init__": "raised only when two routes disagree; tests force it",
     "levi.Defining2.ball": "closed-form domain, the exact Levi anchor of tests",
@@ -69,6 +70,7 @@ UNREACHED = {
     "levi.Defining2.hartogs_lifted": "the Hartogs lift behind hartogs_ball and its tests",
     "levi.Defining2.from_graph_partials": "the symbolic route of test_01's dual-route check",
     "levi.fit_positive_scale": "test_01 fits the graph/ambient Levi scale with it",
+    "levi.delta_tau_fields": "wrapped by levibench/tracing.py; the whole-grid oracle of tests",
     "mollify.BumpKernel.mass": "kernel moment; tests check the discretized kernel with it",
     "mollify.BumpKernel.axis_second_moment": "kernel moment; tests check the discretized kernel with it",
     "mollify.BumpKernel.continuum_second_moment": "kernel moment; tests check the discretized kernel with it",
