@@ -10,8 +10,9 @@ it yet.
 
 Exit codes: 0 all assertions pass, 1 an assertion failed (named on
 stderr), 2 usage or configuration error.  A parameter whose type differs
-from its default's (an int may stand for a float) is a usage error, and
-so is a library precondition error (``ParameterError``, ``DomainError``
+from its default's (an int may stand for a float), an empty list
+parameter and a seed that is not an integer are usage errors, and so is
+a library precondition error (``ParameterError``, ``DomainError``
 and the like) that a parameter value triggers.  Any other exception, such
 as a ``ValueError`` raised inside the numerics, is a bug and propagates
 with its traceback: it never exits 2.  When two computation routes of
@@ -350,6 +351,9 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
 
 
 def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
+    if len(params["cert_generations"]) < 2:
+        # growth_constant_stable compares consecutive generations
+        raise ParameterError("cert_generations needs at least two generations")
     alpha = float(params["alpha"])
     generation = int(params["generation"])
     square_set = build_square_cantor(alpha, generation)
@@ -625,12 +629,17 @@ def run_scenario(config: dict) -> tuple[dict, Path]:
                 f"parameter {key!r} of {name} must have the type of its default "
                 f"{params[key]!r}, got {value!r}"
             )
+        if isinstance(value, list) and not value:
+            # every check over an empty list passes vacuously
+            raise UsageError(f"parameter {key!r} of {name} must not be empty")
     params.update(extra)
+    seed = config.get("seed", 0)
+    if type(seed) is not int:
+        raise UsageError(f"config field 'seed' must be an integer, got {seed!r}")
     try:
-        seed = int(config.get("seed", 0))
         outdir = Path(config.get("outdir", f"out/{name}"))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config field 'seed' or 'outdir' is malformed: {exc}") from None
+    except TypeError as exc:
+        raise UsageError(f"config field 'outdir' is malformed: {exc}") from None
     expect_violation = config.get("expect_violation", False)
     if not isinstance(expect_violation, bool):
         # bool("false") is True: a loose flag would invert pass semantics

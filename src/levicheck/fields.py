@@ -106,7 +106,12 @@ class Grid3:
         return self.origin[k] + self.spacing * np.arange(self.extents[k])
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij"))
+        """Sparse ij meshes of shapes (n0, 1, 1), (1, n1, 1) and (1, 1, n2);
+        they broadcast to the grid shape, so terms in one coordinate cost
+        O(n) rather than a whole-grid array."""
+        return tuple(
+            np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij", sparse=True)
+        )
 
     def node_coords(self, node) -> tuple[float, float, float]:
         i, j, k = (int(n) for n in node)
@@ -141,6 +146,7 @@ class ScalarField3:
         fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
         regularity: Regularity | None = None,
     ) -> "ScalarField3":
+        """fn gets grid.mesh()'s sparse meshes; its result must broadcast to the grid shape."""
         x1, x2, x3 = grid.mesh()
         vals = np.broadcast_to(np.asarray(fn(x1, x2, x3), dtype=np.float64), grid.shape).copy()
         return cls(grid, vals, regularity if regularity is not None else Regularity())
@@ -187,95 +193,61 @@ class ScalarField3:
 
     # -- whole-grid finite differences ------------------------------------
 
-    def _nan_ring(self, arr: np.ndarray) -> np.ndarray:
-        for ax in range(3):
-            sl_lo = [slice(None)] * arr.ndim
-            sl_hi = [slice(None)] * arr.ndim
-            sl_lo[arr.ndim - 3 + ax] = 0
-            sl_hi[arr.ndim - 3 + ax] = self.grid.extents[ax] - 1
-            arr[tuple(sl_lo)] = np.nan
-            arr[tuple(sl_hi)] = np.nan
-        return arr
-
-    # Whole-grid stencils work on the flattened C-order values: a neighbour
-    # steps[ax] cells away along each axis sits a fixed flat offset away, so
-    # every stencil term is one contiguous slice.  The flat span [lo, hi) runs
-    # from the first interior node to the last; ring nodes inside it pick up
-    # wrapped neighbours and are overwritten with NaN afterwards.
-
-    def _flat_span(self) -> tuple[int, int]:
-        _, n1, n2 = self.grid.extents
-        lo = n1 * n2 + n2 + 1
-        return lo, self.values.size - lo
-
-    def _shifted(self, steps: dict[int, int], lo: int, hi: int) -> np.ndarray:
-        """Flat values at node + steps, for every flat node in [lo, hi)."""
-        _, n1, n2 = self.grid.extents
-        offset = sum((n1 * n2, n2, 1)[ax] * step for ax, step in steps.items())
-        return self.values.reshape(-1)[lo + offset : hi + offset]
-
     def stencil_planes(self, first: int, stop: int, grad=None, hess=None) -> None:
-        """Central differences over the xi1-planes [first, stop), written in place.
+        """Central differences at the interior nodes of the xi1-planes
+        [first, stop), written in place.
 
-        1 <= first < stop <= n0 - 1.  grad is a (3, L) array and hess maps
-        each wanted entry (a, b), a <= b, to an (L,) array, where
-        L = (stop - first) * n1 * n2 and entries run in C order over those
-        planes.  Every node from the grid's first interior node to its last
-        is written; ring nodes among them get wrapped neighbours, and the
-        n2 + 1 entries before the first interior node (first == 1) and after
-        the last (stop == n0 - 1) are left as they are.  Each entry takes
-        fd_gradient's and fd_hessian's operations in their order, so interior
-        values match the node-level stencils bit for bit, whatever the planes.
+        1 <= first < stop <= n0 - 1.  grad is a (3, P, n1 - 2, n2 - 2) array
+        and hess maps each wanted entry (a, b), a <= b, to a
+        (P, n1 - 2, n2 - 2) array, P = stop - first; entry [..., p, j, k]
+        belongs to node (first + p, j + 1, k + 1), and every entry is
+        written.  Each takes fd_gradient's and fd_hessian's operations in
+        their order, so the values match the node-level stencils bit for
+        bit, whatever the planes.
         """
-        plane = self.grid.extents[1] * self.grid.extents[2]
-        span_lo, span_hi = self._flat_span()
-        lo, hi = max(first * plane, span_lo), min(stop * plane, span_hi)
-        rows = slice(lo - first * plane, hi - first * plane)
+        _, n1, n2 = self.grid.extents
+
+        def shifted(steps: dict[int, int]) -> np.ndarray:
+            # the values at node + steps, as a view over the nodes written
+            s0, s1, s2 = (steps.get(ax, 0) for ax in range(3))
+            return self.values[first + s0 : stop + s0, 1 + s1 : n1 - 1 + s1, 1 + s2 : n2 - 1 + s2]
+
         h = self.grid.spacing
         if grad is not None:
-            inner = grad[:, rows]
             for ax in range(3):
-                np.subtract(
-                    self._shifted({ax: 1}, lo, hi), self._shifted({ax: -1}, lo, hi), out=inner[ax]
-                )
-            inner /= 2.0 * h
+                np.subtract(shifted({ax: 1}), shifted({ax: -1}), out=grad[ax])
+            grad /= 2.0 * h
         if not hess:
             return
         hh = h * h
-        twice_centre = 2.0 * self._shifted({}, lo, hi)
-        for (a, b), out in hess.items():
-            entry = out[rows]
+        twice_centre = 2.0 * shifted({})
+        for (a, b), entry in hess.items():
             if a == b:
-                np.subtract(self._shifted({a: 1}, lo, hi), twice_centre, out=entry)
-                entry += self._shifted({a: -1}, lo, hi)
+                np.subtract(shifted({a: 1}), twice_centre, out=entry)
+                entry += shifted({a: -1})
                 entry /= hh
             else:
-                np.subtract(
-                    self._shifted({a: 1, b: 1}, lo, hi),
-                    self._shifted({a: 1, b: -1}, lo, hi),
-                    out=entry,
-                )
-                entry -= self._shifted({a: -1, b: 1}, lo, hi)
-                entry += self._shifted({a: -1, b: -1}, lo, hi)
+                np.subtract(shifted({a: 1, b: 1}), shifted({a: 1, b: -1}), out=entry)
+                entry -= shifted({a: -1, b: 1})
+                entry += shifted({a: -1, b: -1})
                 entry /= 4.0 * hh
 
     def gradient_fields(self) -> np.ndarray:
         """Shape (3,) + extents; valid one cell in from every face, NaN on the ring."""
-        n0, n1, n2 = self.grid.extents
-        g = np.empty((3,) + self.values.shape)
-        self.stencil_planes(1, n0 - 1, grad=g.reshape(3, -1)[:, n1 * n2 : (n0 - 1) * n1 * n2])
-        return self._nan_ring(g)
+        g = np.full((3,) + self.values.shape, np.nan)
+        self.stencil_planes(1, self.grid.extents[0] - 1, grad=g[:, 1:-1, 1:-1, 1:-1])
+        return g
 
     def hessian_fields(self) -> np.ndarray:
         """Shape (3, 3) + extents; valid one cell in from every face, NaN on the ring."""
-        n0, n1, n2 = self.grid.extents
-        out = np.empty((3, 3) + self.values.shape)
-        inner = out.reshape(3, 3, -1)[:, :, n1 * n2 : (n0 - 1) * n1 * n2]
+        n0 = self.grid.extents[0]
+        out = np.full((3, 3) + self.values.shape, np.nan)
+        inner = out[:, :, 1:-1, 1:-1, 1:-1]
         upper = [(a, b) for a in range(3) for b in range(a, 3)]
         self.stencil_planes(1, n0 - 1, hess={(a, b): inner[a, b] for a, b in upper})
         for a, b in ((0, 1), (0, 2), (1, 2)):
             inner[b, a] = inner[a, b]
-        return self._nan_ring(out)
+        return out
 
     def wirtinger_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d/dz2, d2/dz2 dz2bar, d2/dy1 dz2bar) arrays over the grid."""

@@ -58,14 +58,12 @@ __all__ = [
 _DUAL_TOL = 1e-9
 # nondegeneracy floor on |grad rho| in levi_condition_2d
 _MIN_GRADIENT = 1e-8
-# interior nodes per block of graph_levi_fields and of the certificate's
+# grid nodes per slab of graph_levi_fields and of the certificate's
 # per-delta minimum, rounded down to whole xi1-planes (at least one): the
-# block's eight stencil rows and its complex work arrays stay a few MiB
+# slab's eight stencil rows and its complex work arrays stay a few MiB
 _BLOCK = 1 << 15
 # the Hessian entries the Levi quantity and Delta_tau read
 _LEVI_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2))
-# the interior nodes of a slab from _plane_blocks
-_INNER = (Ellipsis, slice(1, -1), slice(1, -1))
 
 
 def _abs2(z):
@@ -411,28 +409,23 @@ def delta_tau_fields(hess: np.ndarray, tau1: np.ndarray, tau2: np.ndarray) -> np
 def _plane_blocks(field: ScalarField3, gradient: bool):
     """Yield (planes, g, hess) over slabs of interior xi1-planes of field.
 
-    Each slab holds about _BLOCK nodes and at least one plane; planes is its
-    xi1 slice, g its (3, planes, n1, n2) gradient (None unless gradient is
-    set) and hess maps each of _LEVI_ENTRIES to a (planes, n1, n2) array.
-    Only [..., 1:-1, 1:-1] are interior values; the ring entries of a slab
-    are finite but meaningless.  All slabs share one work buffer, so each
-    slab's arrays are valid until the next one is yielded.
+    Each slab spans about _BLOCK grid nodes and at least one plane; planes is
+    its xi1 slice, g its gradient (None unless gradient is set) and hess maps
+    each of _LEVI_ENTRIES to its Hessian entry, all at the interior nodes of
+    those planes in stencil_planes' layout.  All slabs share one work buffer,
+    so each slab's arrays are valid until the next one is yielded.
     """
     n0, n1, n2 = field.grid.extents
-    plane = n1 * n2
-    step = max(1, _BLOCK // plane)
+    step = max(1, _BLOCK // (n1 * n2))
     rows = 3 * gradient + len(_LEVI_ENTRIES)
-    # zeros: the entries the stencil leaves unwritten in the first slab stay
-    # finite, and in the last one they keep finite values of the slab before
-    work = np.zeros((rows, min(step, n0 - 2) * plane))
+    work = np.empty((rows, min(step, n0 - 2), n1 - 2, n2 - 2))
     for first in range(1, n0 - 1, step):
         stop = min(first + step, n0 - 1)
-        slab = work[:, : (stop - first) * plane]
-        grad = slab[:3] if gradient else None
-        field.stencil_planes(first, stop, grad, dict(zip(_LEVI_ENTRIES, slab[3 * gradient :])))
-        cube = slab.reshape(rows, stop - first, n1, n2)
-        g = cube[:3] if gradient else None
-        yield slice(first, stop), g, dict(zip(_LEVI_ENTRIES, cube[3 * gradient :]))
+        slab = work[:, : stop - first]
+        g = slab[:3] if gradient else None
+        hess = dict(zip(_LEVI_ENTRIES, slab[3 * gradient :]))
+        field.stencil_planes(first, stop, g, hess)
+        yield slice(first, stop), g, hess
 
 
 def _neg_delta_tau_slabs(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray):
@@ -448,9 +441,10 @@ def _neg_delta_tau_slabs(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray):
     """
     check = _DualCheck()
     for planes, _, hess in _plane_blocks(v, gradient=False):
-        complex_form, t_form = _delta_tau_forms(hess, tau1[planes], tau2[planes])
-        check.add(complex_form[_INNER], t_form[_INNER])
-        yield planes, -complex_form[_INNER]
+        inner = np.s_[planes, 1:-1, 1:-1]
+        complex_form, t_form = _delta_tau_forms(hess, tau1[inner], tau2[inner])
+        check.add(complex_form, t_form)
+        yield planes, -complex_form
     check.verify("delta_tau_fields")
 
 
@@ -513,9 +507,9 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
             - 0.25 * (1.0 + phi_y1**2) * lap
         )
         complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g))
-        operator_check.add(complex_form[_INNER], t_form[_INNER])
-        levi_check.add(direct[_INNER], -complex_form[_INNER])
-        out[planes, 1:-1, 1:-1] = direct[_INNER]
+        operator_check.add(complex_form, t_form)
+        levi_check.add(direct, -complex_form)
+        out[planes, 1:-1, 1:-1] = direct
     operator_check.verify("delta_tau_fields")
     levi_check.verify("graph_levi_fields")
     return out
@@ -595,8 +589,9 @@ def levi_scan(phi: ScalarField3, tol: float | None = None) -> LeviScan:
 def slice_graph(phi_fn, t: complex, grid: Grid3) -> ScalarField3:
     """Sample phi^t(y1, z2) = phi(y1, z2, z2 * t) on a 3-D grid.
 
-    phi_fn takes (y1 array, complex z2 array, complex z3 array) and returns
-    real values; it must cover the sheared slice, else DomainError.
+    phi_fn takes broadcasting arrays (y1 of shape (n0, 1, 1), complex z2 and
+    z3 of shape (1, n1, n2)) and returns real values that broadcast to the
+    grid shape; it must cover the sheared slice, else DomainError.
     """
     x1, x2, x3 = grid.mesh()
     z2 = x2 + 1j * x3

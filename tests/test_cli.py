@@ -106,6 +106,8 @@ class TestUsageErrors:
             ("cantor-potential", "params.cert_generations=[4, 5.5]"),
             ("staircase-build", "params.alpha1=0.9"),
             ("slice-check", 'seed="x"'),
+            # int() would truncate it to 1
+            ("slice-check", "seed=1.5"),
             ("slice-check", 'expect_violation="false"'),
             ("slice-check", "expect_violation=0"),
         ],
@@ -146,6 +148,24 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, "c.json", scenario=scenario)
         assert main(["run", "--config", str(cfg), "--set", override]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, override, message",
+        [
+            # each passed every assertion over no items
+            ("slice-check", "params.t_values=[]", "'t_values' of slice-check must not be empty"),
+            ("green-identity", "params.radii=[]", "'radii' of green-identity must not be empty"),
+            # growth_constant_stable held over an empty ratio list
+            ("cantor-potential", "params.cert_generations=[4]", "at least two generations"),
+        ],
+    )
+    def test_list_too_short_for_its_check_exits_2(
+        self, tmp_path, capsys, scenario, override, message
+    ):
+        cfg = write_config(tmp_path, "c.json", scenario=scenario)
+        assert main(["run", "--config", str(cfg), "--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_poly import Poly3
-from levicheck import potential, staircase
+from levicheck import cli, potential, staircase
 from levicheck.fields import (
     DiscField,
     DomainError,
@@ -219,11 +219,44 @@ class TestWholeGridDerivatives:
             assert np.array_equal(hess[(slice(None), slice(None)) + node], f.fd_hessian(node))
 
     def test_ring_is_nan(self):
-        f = ScalarField3.from_function(centered_grid(0.1, 5), lambda a, b, c: a * b * c)
-        grad = f.gradient_fields()
-        assert np.isnan(grad[:, 0, :, :]).all()
-        assert np.isnan(grad[:, :, -1, :]).all()
-        assert np.isfinite(grad[:, 1:-1, 1:-1, 1:-1]).all()
+        grid = Grid3((-0.3, -0.2, -0.4), 0.1, (5, 6, 7))
+        f = ScalarField3.from_function(grid, lambda a, b, c: a * b * c + a * a)
+        for arr in (f.gradient_fields(), f.hessian_fields()):
+            lead = arr.ndim - 3
+            assert arr.shape[lead:] == grid.shape
+            for ax in range(3):
+                for face in (0, -1):
+                    index = [slice(None)] * arr.ndim
+                    index[lead + ax] = face
+                    assert np.isnan(arr[tuple(index)]).all(), (arr.ndim, ax, face)
+            assert np.isfinite(arr[..., 1:-1, 1:-1, 1:-1]).all()
+
+
+class TestStencilPlanes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        extents=st.tuples(st.integers(5, 8), st.integers(5, 8), st.integers(5, 8)),
+        h=st.sampled_from([0.05, 0.1, 0.125, 0.3]),
+        data=st.data(),
+    )
+    def test_interior_planes_match_node_ops_bitwise(self, seed, extents, h, data):
+        n0, n1, n2 = extents
+        first = data.draw(st.integers(1, n0 - 2), label="first")
+        stop = data.draw(st.integers(first + 1, n0 - 1), label="stop")
+        poly = Poly3.random(np.random.default_rng(seed), degrees=(1, 2, 3), cmax=4.0)
+        f = ScalarField3.from_function(Grid3((-0.3, -0.2, -0.4), h, extents), poly)
+        shape = (stop - first, n1 - 2, n2 - 2)
+        grad = np.full((3,) + shape, np.nan)
+        upper = [(a, b) for a in range(3) for b in range(a, 3)]
+        hess = {ab: np.full(shape, np.nan) for ab in upper}
+        f.stencil_planes(first, stop, grad, hess)
+        for p, j, k in itertools.product(*(range(n) for n in shape)):
+            node = (first + p, j + 1, k + 1)
+            assert [g.hex() for g in grad[:, p, j, k]] == [g.hex() for g in f.fd_gradient(node)]
+            want = f.fd_hessian(node)
+            for a, b in upper:
+                assert hess[a, b][p, j, k].hex() == want[a, b].hex(), (node, a, b)
 
 
 class TestComplexWirtinger:
@@ -467,6 +500,56 @@ class TestFromFunctionSparseMeshes:
         assert field.values.shape == want.shape
         assert np.isnan(want).any() and np.isfinite(want).any()
         assert np.array_equal(field.values.view(np.int64), want.view(np.int64))
+
+
+def full_grid_values(grid, fn):
+    """Reference sampler: fn on full ij meshes of the grid shape, which the
+    sparse meshes of ScalarField3.from_function must match bit for bit."""
+    x1, x2, x3 = np.meshgrid(grid.axis(0), grid.axis(1), grid.axis(2), indexing="ij")
+    return np.broadcast_to(np.asarray(fn(x1, x2, x3), dtype=np.float64), grid.shape).copy()
+
+
+class TestGridFromFunctionSparseMeshes:
+    def test_fn_gets_sparse_ij_meshes(self):
+        grid = Grid3((-0.3, -0.2, -0.4), 0.1, (5, 6, 7))
+        x1, x2, x3 = grid.mesh()
+        assert (x1.shape, x2.shape, x3.shape) == ((5, 1, 1), (1, 6, 1), (1, 1, 7))
+        for k, x in enumerate((x1, x2, x3)):
+            assert np.array_equal(x.ravel(), grid.axis(k))
+        f = ScalarField3.from_function(grid, lambda a, b, c: b)
+        assert np.array_equal(f.values, np.broadcast_to(x2, grid.shape))
+
+    @pytest.mark.parametrize("model", ["ball", "g2"])
+    def test_levi_check_fields_bitwise_equal_on_full_meshes(self, model, tmp_path, monkeypatch):
+        calls = []
+        sample = ScalarField3.from_function.__func__
+
+        def spy(cls, grid, fn, regularity=None):
+            field = sample(cls, grid, fn, regularity)
+            calls.append((grid, fn, field))
+            return field
+
+        monkeypatch.setattr(ScalarField3, "from_function", classmethod(spy))
+        config = {"scenario": "levi-check", "outdir": str(tmp_path), "params": {"model": model}}
+        if model == "g2":
+            config["expect_violation"] = True
+        report, _ = cli.run_scenario(config)
+        assert report["passed"] and calls
+        for grid, fn, field in calls:
+            want = full_grid_values(grid, fn)
+            assert np.array_equal(field.values.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        degrees=st.sets(st.integers(0, 3), min_size=1).map(tuple),
+        extents=st.tuples(st.integers(5, 9), st.integers(5, 9), st.integers(5, 9)),
+    )
+    def test_random_cubics_bitwise_equal_on_full_meshes(self, seed, degrees, extents):
+        poly = Poly3.random(np.random.default_rng(seed), degrees=degrees, cmax=4.0)
+        grid = Grid3((-0.3, -0.2, -0.4), 0.1, extents)
+        got = ScalarField3.from_function(grid, poly).values
+        assert np.array_equal(got.view(np.int64), full_grid_values(grid, poly).view(np.int64))
 
 
 class TestCircleMean:

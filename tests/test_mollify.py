@@ -288,17 +288,38 @@ class TestDeltaSweep:
             default_delta_sweep(1.0 / 64.0, base_cells=1)
 
 
+KINK_SPECS = sorted(mollify_module._KINK_NORMALS)
+
+
 class TestKinkMask:
     def test_diagonal_plane_mask(self):
         grid = cube_grid(1.0 / 8.0, 9)
         mask = kink_plane_mask(grid, [("xi1+xi2", 0.5)], width_cells=0.5)
         x1, x2, _ = grid.mesh()
-        assert np.array_equal(mask, np.abs(x1 + x2 - 0.5) <= 0.5 / 8.0)
+        want = np.broadcast_to(np.abs(x1 + x2 - 0.5) <= 0.5 / 8.0, grid.shape)
+        assert np.array_equal(mask, want)
 
     def test_unknown_plane_spec(self):
         grid = cube_grid(1.0 / 8.0, 9)
         with pytest.raises(ParameterError):
             kink_plane_mask(grid, [("xi1*xi2", 0.0)])
+
+    @pytest.mark.parametrize("spec", KINK_SPECS)
+    def test_shipped_grid_mask_stays_within_a_few_fields(self, shipped_case, spec):
+        # sparse meshes: the full-mesh mask held three coordinate arrays and
+        # a coordinate temporary, about 6.1 fields at its peak
+        grid = shipped_case.v.grid
+        tracemalloc.start()
+        try:
+            mask = kink_plane_mask(grid, [(spec, 0.5)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * shipped_case.v.values.nbytes
+        x1, x2, x3 = np.meshgrid(grid.axis(0), grid.axis(1), grid.axis(2), indexing="ij")
+        n1, n2, n3 = mollify_module._KINK_NORMALS[spec]
+        want = np.abs(n1 * x1 + n2 * x2 + n3 * x3 - 0.5) <= 2.5 * grid.spacing
+        assert mask.any() and np.array_equal(mask, want)
 
 
 def quadratic_case(h=1.0 / 32.0, n=41):
@@ -384,7 +405,9 @@ class TestCertificateBasics:
     def test_hidden_convex_kink_raises(self):
         grid = cube_grid(1.0 / 32.0, 41)
         x2 = grid.mesh()[1]
-        vals = -(x2 - 0.6) ** 2 - grid.mesh()[2] ** 2 + 0.5 * np.abs(x2 - 0.625)
+        vals = np.broadcast_to(
+            -(x2 - 0.6) ** 2 - grid.mesh()[2] ** 2 + 0.5 * np.abs(x2 - 0.625), grid.shape
+        )
         v = ScalarField3(grid, vals, Regularity("c11", constant=4.0))
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
         with pytest.raises(HypothesisError):
@@ -395,7 +418,9 @@ class TestCertificateBasics:
         # negative mass comes back at size ~1/delta once mollified
         grid = cube_grid(1.0 / 32.0, 41)
         x2 = grid.mesh()[1]
-        vals = -(x2 - 0.6) ** 2 - grid.mesh()[2] ** 2 + 0.5 * np.abs(x2 - 0.625)
+        vals = np.broadcast_to(
+            -(x2 - 0.6) ** 2 - grid.mesh()[2] ** 2 + 0.5 * np.abs(x2 - 0.625), grid.shape
+        )
         v = ScalarField3(grid, vals, Regularity("c11", constant=4.0))
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
         rep = mollified_sign_certificate(
@@ -647,9 +672,6 @@ def hypothesis_message(oracle):
 
 def negated(field):
     return ScalarField3(field.grid, -field.values, field.regularity)
-
-
-KINK_SPECS = sorted(mollify_module._KINK_NORMALS)
 
 
 class TestSlabbedHypothesisCheck:
