@@ -2,9 +2,16 @@
 
 For each candidate parameter set this script checks the node-level
 certificate identity, predicts the sweep minima through the collapsed
-one-dimensional kernel acting on the deficit profile, then runs the full
-3-D sweep and reports m(delta) and the fitted slope.  Constants frozen in
+one-dimensional kernel acting on the deficit profile, then runs the
+certificate's sweep and reports m(delta), the fitted slope and the route
+it took.  The staircase fields are constant along xi3, so the sweep
+convolves in 2-D (reduced axes [2]); a field that is not invariant along
+any axis would take the 3-D route.  Constants frozen in
 staircase_sweep_case were chosen from this output.
+
+Run from the repository root:
+
+    PYTHONPATH=src python scripts/calibrate_mollify_case.py [--full]
 """
 
 import argparse
@@ -13,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from levicheck.levi import delta_tau_fields, tau_fields
+from levicheck.levi import _neg_delta_tau_slabs, tau_fields
 from levicheck.mollify import (
     make_kernel,
     mollified_sign_certificate,
@@ -24,7 +31,9 @@ from levicheck.mollify import (
 def identity_residual(case):
     """Max deviation of -Delta_tau v from (c/16)(1+ghat^2)(1-P~) on interior nodes."""
     tau1, tau2 = tau_fields(case.phi.gradient_fields())
-    cert = -delta_tau_fields(case.v.hessian_fields(), tau1, tau2)
+    cert = np.full(case.v.grid.shape, np.nan)
+    for planes, raw in _neg_delta_tau_slabs(case.v, tau1, tau2):
+        cert[planes, 1:-1, 1:-1] = raw
     n1, n2, n3 = case.v.grid.extents
     h = case.v.grid.spacing
     road_dd = np.empty((n1, n2))
@@ -80,6 +89,7 @@ def run_case(label, epsilon, alpha, p, **kwargs):
     for d, m, q in zip(rep.deltas, rep.m_values, pred):
         print(f"   delta {d:.6f}   m {m: .6e}   1d-pred {q: .6e}")
     print(f"   fitted slope {rep.fitted_slope:.4f}   pass(m >= -eps) {rep.passed}")
+    print(f"   reduced axes {list(rep.reduced_axes)}")
     return rep
 
 

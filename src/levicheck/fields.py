@@ -124,14 +124,20 @@ class Grid3:
 
 @dataclass
 class ScalarField3:
-    """Real scalar samples on a Grid3; immutable after construction."""
+    """Real scalar samples on a Grid3; immutable after construction.
+
+    Writeable values are made C-contiguous and then frozen; values that are
+    already read-only, such as a broadcast view, are kept as they are.
+    """
 
     grid: Grid3
     values: np.ndarray
     regularity: Regularity = field(default_factory=Regularity)
 
     def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        vals = np.asarray(self.values, dtype=np.float64)
+        if vals.flags.writeable:
+            vals = np.ascontiguousarray(vals)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid extents {self.grid.shape}")
         if not np.isfinite(vals).all():

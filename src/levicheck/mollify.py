@@ -176,7 +176,7 @@ class MollifiedField:
         return float(np.max(np.abs(self.field.values - self.base_window())))
 
 
-def convolve3(v: ScalarField3, delta: float) -> MollifiedField:
+def convolve3(v: ScalarField3, delta: float, reduced_axes=()) -> MollifiedField:
     """Discrete convolution with theta_delta on the shrunken grid U^delta.
 
     Output nodes keep a full kernel stencil inside the base grid and sit
@@ -189,6 +189,13 @@ def convolve3(v: ScalarField3, delta: float) -> MollifiedField:
     n - 2(R + 1) nodes: the valid-mode block [k - 1 : n] less one node per
     face.  The values are bitwise those of the valid-mode
     fftconvolve(v, weights)[1:-1, 1:-1, 1:-1], which tests check.
+
+    reduced_axes (at most two) name axes along which v is constant; the
+    certificate finds them.  The same transform then runs on v's first
+    plane along those axes against the kernel summed over them, which is,
+    in exact arithmetic, the 3-D result on any one plane, and the core is
+    broadcast back along them as a read-only view of the full U^delta
+    shape.  With no reduced axes the values are those described above.
     """
     kernel = make_kernel(delta, v.grid.spacing)
     margin = kernel.margin
@@ -196,17 +203,21 @@ def convolve3(v: ScalarField3, delta: float) -> MollifiedField:
         raise StencilError(
             f"kernel radius {delta} leaves no usable interior at extents {v.grid.extents}"
         )
+    axes = tuple(reduced_axes)
+    kept = [n for ax, n in enumerate(v.grid.extents) if ax not in axes]
+    base = v.values[tuple(0 if ax in axes else slice(None) for ax in range(3))]
     k = kernel.weights.shape[0]
-    fshape = [next_fast_len(n + k - 1, True) for n in v.grid.extents]
-    spectrum = rfftn(v.values, fshape)
-    spectrum *= rfftn(kernel.weights, fshape)
+    fshape = [next_fast_len(n + k - 1, True) for n in kept]
+    spectrum = rfftn(base, fshape)
+    spectrum *= rfftn(kernel.weights.sum(axis=axes), fshape)
     full = irfftn(spectrum, fshape)
-    core = np.ascontiguousarray(full[tuple(slice(k, n - 1) for n in v.grid.extents)])
+    core = np.ascontiguousarray(full[tuple(slice(k, n - 1) for n in kept)])
     sub = Grid3(
         tuple(o + v.grid.spacing * margin for o in v.grid.origin),
         v.grid.spacing,
         tuple(n - 2 * margin for n in v.grid.extents),
     )
+    core = np.broadcast_to(np.expand_dims(core, axes), sub.shape)
     smoothed = ScalarField3(sub, core, Regularity("smooth"))
     return MollifiedField(base=v, delta=float(delta), kernel=kernel, field=smoothed)
 
@@ -227,21 +238,51 @@ def kink_plane_mask(grid: Grid3, kink_planes, width_cells: float = 2.5) -> np.nd
     """Boolean mask of nodes within width_cells*h of any declared kink plane.
 
     Planes are ("xi1"|"xi2"|"xi3"|"xi1+xi2"|"xi1+xi3"|"xi2+xi3", value) pairs,
-    meaning {coordinate combination == value}.
+    meaning {coordinate combination == value}.  Each plane's coordinate is
+    summed from the sparse meshes of the axes its normal involves only, so
+    it holds at most one grid plane's worth of nodes before it is ORed into
+    the mask; the zero terms it skips change no comparison.
     """
     mask = np.zeros(grid.shape, dtype=bool)
-    if not kink_planes:
-        return mask
-    x1m, x2m, x3m = grid.mesh()
+    mesh = grid.mesh()
     width = width_cells * grid.spacing
     for spec, value in kink_planes:
         try:
-            n1, n2, n3 = _KINK_NORMALS[spec]
+            normal = _KINK_NORMALS[spec]
         except KeyError:
             raise ParameterError(f"unknown kink plane spec {spec!r}") from None
-        coord = n1 * x1m + n2 * x2m + n3 * x3m
+        coord = 0.0
+        for n, x in zip(normal, mesh):
+            if n:
+                coord = coord + n * x
         mask |= np.abs(coord - float(value)) <= width
     return mask
+
+
+def _invariant_axes(v: ScalarField3, phi: ScalarField3, kink_planes) -> tuple[int, ...]:
+    """Axes along which v and phi both equal their first plane bit for bit
+    and which no declared kink plane involves; at most two, so a constant
+    field still keeps one axis to convolve along."""
+    # kink_plane_mask rejects an unknown spec before these axes are used
+    kinked = {
+        ax for spec, _ in kink_planes for ax, n in enumerate(_KINK_NORMALS.get(spec, ())) if n
+    }
+    axes = []
+    for ax in range(3):
+        first = tuple(slice(0, 1) if a == ax else slice(None) for a in range(3))
+        if ax not in kinked and all(
+            np.all(f.values.view(np.int64) == f.values[first].view(np.int64)) for f in (v, phi)
+        ):
+            axes.append(ax)
+    return tuple(axes[-2:])
+
+
+def _thin(field: ScalarField3, axes) -> ScalarField3:
+    """field on its first five planes along each of axes, the fewest a Grid3
+    takes; where field is constant along an axis its interior planes agree."""
+    sel = tuple(slice(0, 5) if ax in axes else slice(None) for ax in range(3))
+    grid = Grid3(field.grid.origin, field.grid.spacing, field.values[sel].shape)
+    return ScalarField3(grid, field.values[sel], field.regularity)
 
 
 def default_delta_sweep(spacing: float, count: int = 7, base_cells: int = 16) -> tuple[float, ...]:
@@ -266,6 +307,8 @@ class CertificateReport:
     m_values[k] = min over U^{delta_k} of -Delta_{tau(phi)}(v*theta_{delta_k});
     passed means every m_value is >= -epsilon.  fitted_slope is the log-log
     slope of max(-m, 1e-14) against delta, to be compared with alpha - 3/p.
+    reduced_axes are the axes the sweep convolved along in reduced form
+    (convolve3), empty where it took the full 3-D route.
     """
 
     epsilon: float
@@ -277,6 +320,7 @@ class CertificateReport:
     passed: bool
     rate_target: float
     hypothesis_min: float
+    reduced_axes: tuple[int, ...]
 
     def to_json(self) -> str:
         payload = {
@@ -287,6 +331,7 @@ class CertificateReport:
             "m_values": list(self.m_values),
             "fitted_slope": self.fitted_slope,
             "pass": self.passed,
+            "reduced_axes": list(self.reduced_axes),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -341,6 +386,15 @@ def mollified_sign_certificate(
     distributional mass that the pointwise check cannot see, but the sweep
     itself exposes them: their defect grows like -1/delta and fails the
     m >= -epsilon assertion.
+
+    The sweep runs in the fields' true dimension.  An axis along which v
+    and phi both equal their first plane bit for bit, and which no kink
+    plane involves, is reduced (at most two; see reduced_axes in the
+    report): the hypothesis check runs on the first five planes along it,
+    where -Delta_tau v repeats the same interior plane, and convolve3
+    convolves v's first plane with the kernel summed over it.  Each m(delta)
+    is then the minimum over five planes of that broadcast result.  Fields
+    with no such axis take the full 3-D route.
     """
     alpha = float(alpha)
     p = float(p)
@@ -367,8 +421,11 @@ def mollified_sign_certificate(
     if any(d < 2.0 * h for d in deltas):
         raise UnderResolvedKernelError(f"sweep contains deltas below 2h = {2.0 * h}")
 
-    tau1, tau2 = tau_fields(phi.gradient_fields())
-    hyp_min, peak, node = _hypothesis_extremes(v, tau1, tau2, kink_plane_mask(v.grid, kink_planes))
+    axes = _invariant_axes(v, phi, kink_planes)
+    v_thin = _thin(v, axes)
+    tau1, tau2 = tau_fields(_thin(phi, axes).gradient_fields())
+    kinks = kink_plane_mask(v_thin.grid, kink_planes)
+    hyp_min, peak, node = _hypothesis_extremes(v_thin, tau1, tau2, kinks)
     if node is None:
         raise ParameterError("kink planes exclude every interior node")
     scale = 1.0 + peak
@@ -381,10 +438,12 @@ def mollified_sign_certificate(
 
     m_values = []
     for d in deltas:
-        mol = convolve3(v, d)
+        mol = convolve3(v, d, axes)
         m = mol.margin
-        sel = tuple(slice(m, n - m) for n in v.grid.extents)
-        m_values.append(_min_neg_delta_tau(mol.field, tau1[sel], tau2[sel]))
+        sel = tuple(
+            slice(None) if ax in axes else slice(m, n - m) for ax, n in enumerate(v.grid.extents)
+        )
+        m_values.append(_min_neg_delta_tau(_thin(mol.field, axes), tau1[sel], tau2[sel]))
     m_arr = np.array(m_values)
 
     log_d = np.log(np.array(deltas))
@@ -401,6 +460,7 @@ def mollified_sign_certificate(
         passed=bool(np.all(m_arr >= -epsilon)),
         rate_target=alpha - 3.0 / p,
         hypothesis_min=hyp_min,
+        reduced_axes=axes,
     )
 
 

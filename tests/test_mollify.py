@@ -161,6 +161,34 @@ class TestConvolve3:
             got = mol.field.values.view(np.int64)
             assert np.array_equal(got, np.ascontiguousarray(ref).view(np.int64)), delta
 
+    def test_reduced_axis_is_the_marginal_convolution_broadcast(self, shipped_case):
+        # along xi3 the shipped v repeats one plane: the reduced route is
+        # the valid-mode 2-D transform of that plane against the kernel
+        # summed over xi3, bit for bit, broadcast back as a read-only view
+        v = shipped_case.v
+        for delta in shipped_case.delta_sweep():
+            mol = convolve3(v, delta, (2,))
+            full = convolve3(v, delta)
+            ref = fftconvolve(v.values[:, :, 0], mol.kernel.weights.sum(axis=2), mode="valid")
+            ref = np.ascontiguousarray(ref[1:-1, 1:-1])
+            vals = mol.field.values
+            assert mol.field.grid == full.field.grid and mol.base is v
+            assert mol.kernel.weights.shape == full.kernel.weights.shape
+            assert not vals.flags.writeable and vals.strides[2] == 0
+            assert np.array_equal(vals[:, :, 0].view(np.int64), ref.view(np.int64)), delta
+            assert np.max(np.abs(vals - full.field.values)) <= 1e-13
+
+    def test_two_reduced_axes_run_one_dimensional(self):
+        grid = Grid3((0.0, -0.5, 0.25), 1.0 / 32.0, (23, 29, 19))
+        v = smooth_field(grid, lambda a, b, c: np.sin(3.0 * b) + b**3 + 0.0 * (a + c))
+        for cells in (2, 4):
+            mol = convolve3(v, cells / 32.0, (0, 2))
+            full = convolve3(v, cells / 32.0)
+            ref = fftconvolve(v.values[0, :, 0], mol.kernel.weights.sum(axis=(0, 2)), "valid")
+            assert mol.field.values.shape == full.field.values.shape
+            assert np.array_equal(mol.field.values[2, :, 3], ref[1:-1])
+            assert np.max(np.abs(mol.field.values - full.field.values)) <= 1e-14
+
     def test_output_nodes_beyond_delta(self):
         h = 1.0 / 32.0
         v = smooth_field(cube_grid(h, 33), lambda a, b, c: a + b * c)
@@ -321,6 +349,63 @@ class TestKinkMask:
         want = np.abs(n1 * x1 + n2 * x2 + n3 * x3 - 0.5) <= 2.5 * grid.spacing
         assert mask.any() and np.array_equal(mask, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        planes=st.lists(
+            st.tuples(
+                st.sampled_from(KINK_SPECS),
+                # grid coordinates and values half a cell off them
+                st.integers(-40, 40).map(lambda k: k / 16.0) | st.floats(-2.0, 2.0),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        origin=st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.25])] * 3),
+        width_cells=st.sampled_from([0.5, 1.0, 2.5]),
+    )
+    def test_mask_equals_full_mesh_construction(self, planes, origin, width_cells):
+        # a skipped zero term n * x adds a signed zero, which moves no
+        # comparison, so the masks agree at every node
+        grid = Grid3(origin, 1.0 / 8.0, (9, 11, 7))
+        want = full_mesh_kink_mask(grid, planes, width_cells)
+        assert np.array_equal(kink_plane_mask(grid, planes, width_cells), want)
+
+    @pytest.mark.parametrize("spec", KINK_SPECS)
+    def test_shipped_mask_equals_full_mesh_construction(self, shipped_case, spec):
+        grid = shipped_case.v.grid
+        for value in (0.5, 0.25 + grid.spacing, 1.0):
+            want = full_mesh_kink_mask(grid, [(spec, value)])
+            assert np.array_equal(kink_plane_mask(grid, [(spec, value)]), want)
+
+    def test_shipped_grid_peak_stays_within_twice_the_mask(self, shipped_case):
+        # the full-mesh construction peaked at 29.0 MiB, 25x the mask; measured 1.2x
+        grid = shipped_case.v.grid
+        tracemalloc.start()
+        try:
+            mask = kink_plane_mask(grid, [("xi2", 0.5), ("xi1+xi2", 1.0)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * mask.nbytes
+
+
+def full_mesh_kink_mask(grid, kink_planes, width_cells: float = 2.5):
+    """kink_plane_mask as built before the axis vectors, kept verbatim as the
+    oracle: a whole-grid coordinate and its distance per plane."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    if not kink_planes:
+        return mask
+    x1m, x2m, x3m = grid.mesh()
+    width = width_cells * grid.spacing
+    for spec, value in kink_planes:
+        try:
+            n1, n2, n3 = mollify_module._KINK_NORMALS[spec]
+        except KeyError:
+            raise ParameterError(f"unknown kink plane spec {spec!r}") from None
+        coord = n1 * x1m + n2 * x2m + n3 * x3m
+        mask |= np.abs(coord - float(value)) <= width
+    return mask
+
 
 def quadratic_case(h=1.0 / 32.0, n=41):
     """v = -|z2|^2 with a polynomial phi; -Delta_tau v = |tau2|^2 = 1/4."""
@@ -365,8 +450,11 @@ class TestCertificateBasics:
             "m_values",
             "fitted_slope",
             "pass",
+            "reduced_axes",
         }
         assert payload["pass"] is True
+        # v = -(xi2^2 + xi3^2) and phi hold no xi1
+        assert payload["reduced_axes"] == [0]
         assert len(payload["deltas"]) == len(payload["m_values"]) == 7
         assert rep.to_json() == mollified_sign_certificate(
             v, phi, alpha=0.9, p=6.0, epsilon=1e-2
@@ -569,14 +657,16 @@ class TestStaircaseCase:
             staircase_deficit_fields(spacing=1.0 / 4.0)
 
 
-def whole_grid_m_values(v, phi, deltas):
+def whole_grid_m_values(v, phi, deltas, axes=()):
     """The certificate's per-delta minima as computed before the plane
     blocks, kept as the bitwise oracle for the blocked loop; the smoothed
-    Hessians come node by node from fd_hessian, independent of the stencils."""
+    Hessians come node by node from fd_hessian, independent of the stencils.
+    axes go to convolve3 as the certificate passes them (none: the 3-D
+    route); the minimum is taken over the whole of U^delta."""
     tau1, tau2 = tau_fields(phi.gradient_fields())
     m_values = []
     for d in deltas:
-        mol = convolve3(v, d)
+        mol = convolve3(v, d, axes)
         m = mol.margin
         sel = tuple(slice(m, n - m) for n in v.grid.extents)
         lap = delta_tau_fields(node_derivatives(mol.field)[1], tau1[sel], tau2[sel])
@@ -587,11 +677,11 @@ def whole_grid_m_values(v, phi, deltas):
 @pytest.fixture(scope="module")
 def small_case():
     """The staircase case at h = 1/32, a sweep from 4h down to 2h, and the
-    oracle's minima."""
+    oracle's minima on the certificate's route, reduced along xi3."""
     h = 1.0 / 32.0
     case = staircase_sweep_case(spacing=h)
     deltas = default_delta_sweep(h, count=3, base_cells=4)
-    return case, deltas, whole_grid_m_values(case.v, case.phi, deltas)
+    return case, deltas, whole_grid_m_values(case.v, case.phi, deltas, axes=(2,))
 
 
 class TestBlockedSweepMinimum:
@@ -746,3 +836,108 @@ class TestSlabbedHypothesisCheck:
         finally:
             tracemalloc.stop()
         assert peak <= v.values.nbytes
+
+
+def stencil_m_values(v, phi, deltas):
+    """whole_grid_m_values on the 3-D route with the whole-grid stencils
+    (hessian_fields) for its node-by-node loop, which would take about a
+    minute on the shipped grid; the two agree bit for bit (test_fields)."""
+    tau1, tau2 = tau_fields(phi.gradient_fields())
+    m_values = []
+    for d in deltas:
+        mol = convolve3(v, d)
+        m = mol.margin
+        sel = tuple(slice(m, n - m) for n in v.grid.extents)
+        lap = delta_tau_fields(mol.field.hessian_fields(), tau1[sel], tau2[sel])
+        m_values.append(float(np.nanmin(-lap)))
+    return m_values
+
+
+def one_ulp_up(field, node):
+    vals = field.values.copy()
+    vals[node] = np.nextafter(vals[node], np.inf)
+    return ScalarField3(field.grid, vals, field.regularity)
+
+
+class TestReducedSweep:
+    def test_shipped_case_within_1e_12_of_3d_route(self, shipped_case, shipped_report):
+        case, rep = shipped_case, shipped_report
+        assert rep.reduced_axes == (2,)
+        assert json.loads(rep.to_json())["reduced_axes"] == [2]
+        want = stencil_m_values(case.v, case.phi, rep.deltas)
+        # measured: at most 7.14e-13
+        assert max(abs(m - w) for m, w in zip(rep.m_values, want)) <= 1e-12
+
+    def test_shipped_hypothesis_check_equals_3d_check_bitwise(self, shipped_case, shipped_report):
+        case = shipped_case
+        tau1, tau2 = tau_fields(case.phi.gradient_fields())
+        kinks = kink_plane_mask(case.v.grid, ())
+        low, _, node = mollify_module._hypothesis_extremes(case.v, tau1, tau2, kinks)
+        assert shipped_report.hypothesis_min.hex() == low.hex()
+        assert node == (1, 113, 1)
+
+    def test_one_ulp_change_switches_reduction_off(self, small_case):
+        case, deltas, _ = small_case
+        v = one_ulp_up(case.v, (16, 16, 9))
+        rep = mollified_sign_certificate(
+            v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
+        )
+        assert rep.reduced_axes == ()
+        want = whole_grid_m_values(v, case.phi, deltas)
+        assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
+
+    @pytest.mark.parametrize("plane", [("xi3", 0.25), ("xi1+xi3", 0.5), ("xi2+xi3", 0.5)])
+    def test_kink_plane_involving_xi3_switches_reduction_off(self, small_case, plane):
+        case, deltas, _ = small_case
+        rep = mollified_sign_certificate(
+            case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas,
+            kink_planes=[plane],
+        )
+        assert rep.reduced_axes == ()
+        want = whole_grid_m_values(case.v, case.phi, deltas)
+        assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
+
+    def test_kink_planes_off_xi3_keep_the_reduction(self, small_case):
+        case, deltas, want = small_case
+        rep = mollified_sign_certificate(
+            case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas,
+            kink_planes=[("xi1", 0.5), ("xi1+xi2", 1.0)],
+        )
+        assert rep.reduced_axes == (2,)
+        assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_cubic_without_xi1_reduces_along_xi1(self, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid3((-0.5, -0.5, -0.375), 1.0 / 16.0, (15, 17, 13))
+
+        def no_xi1(degrees):
+            poly = Poly3.random(rng, degrees)
+            return Poly3({e: c for e, c in poly.terms.items() if e[0] == 0})
+
+        v = smooth_field(grid, no_xi1((2, 3)))
+        phi = smooth_field(grid, no_xi1((1, 2, 3)))
+        deltas = (2.0 / 16.0, 3.0 / 16.0)
+        rep = mollified_sign_certificate(
+            v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas, hypothesis_tol=math.inf
+        )
+        assert rep.reduced_axes == (0,)
+        on_route = whole_grid_m_values(v, phi, deltas, axes=(0,))
+        assert [m.hex() for m in rep.m_values] == [m.hex() for m in on_route]
+        three_d = whole_grid_m_values(v, phi, deltas)
+        # FFT rounding of the 3-D route, times 1/h^2 in the stencil; measured
+        # at most 2.7e-15 over seeds 0-39
+        assert max(abs(m - w) for m, w in zip(rep.m_values, three_d)) <= 1e-13
+        no_kinks = kink_plane_mask(grid, ())
+        assert rep.hypothesis_min.hex() == whole_grid_hypothesis(v, phi, no_kinks)[0].hex()
+
+    def test_constant_field_keeps_one_axis(self):
+        grid = Grid3((0.0, 0.0, 0.0), 1.0 / 16.0, (13, 15, 17))
+        v = smooth_field(grid, lambda a, b, c: np.full((1, 1, 1), 0.75))
+        phi = smooth_field(grid, lambda a, b, c: np.full((1, 1, 1), -0.25))
+        rep = mollified_sign_certificate(
+            v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=(2.0 / 16.0, 3.0 / 16.0)
+        )
+        assert rep.reduced_axes == (1, 2)
+        assert rep.passed and max(abs(m) for m in rep.m_values) <= 1e-10
