@@ -50,7 +50,7 @@ from .fields import (
 from .levi import (
     ConsistencyError,
     Defining2,
-    graph_levi,
+    graph_levi_fields,
     green_identity_report,
     levi_condition_2d,
     levi_scan,
@@ -185,7 +185,7 @@ def _run_levi_check(params: dict, expect_violation: bool, outdir: Path):
             symbolic = levi_condition_2d(Defining2.g2_model(), (0.0, 0.0))
             fd_grid = _centered_grid(1e-3, 7)
             fd_phi = ScalarField3.from_function(fd_grid, lambda a, b, c: b * b + c * c)
-            fd_value = graph_levi(fd_phi, (3, 3, 3))
+            fd_value = float(graph_levi_fields(fd_phi)[3, 3, 3])
             assertions.append(
                 Assertion(
                     "model_origin_value_quarter",

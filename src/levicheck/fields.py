@@ -113,14 +113,6 @@ class Grid3:
             np.meshgrid(self.axis(0), self.axis(1), self.axis(2), indexing="ij", sparse=True)
         )
 
-    def node_coords(self, node) -> tuple[float, float, float]:
-        i, j, k = (int(n) for n in node)
-        return (
-            self.origin[0] + self.spacing * i,
-            self.origin[1] + self.spacing * j,
-            self.origin[2] + self.spacing * k,
-        )
-
 
 @dataclass
 class ScalarField3:
@@ -288,8 +280,9 @@ class DiscField:
     def __post_init__(self) -> None:
         if not 0.0 < self.radius <= 1.0:
             raise ParameterError("radius must lie in (0, 1]")
-        if not self.spacing > 0.0:
-            raise ParameterError("spacing must be positive")
+        if not 0.0 < self.spacing < self.radius:
+            # at spacing >= radius the origin is the only node inside the disc
+            raise ParameterError(f"spacing must be positive and below the radius, got {self.spacing!r}")
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError("values must be a square 2-D array")
@@ -315,8 +308,8 @@ class DiscField:
         (m, m), e.g. (m, 1) for lambda x, y: x.  Terms in one coordinate
         then cost O(m) rather than O(m^2).  Non-finite values become NaN.
         """
-        if not spacing > 0.0:
-            raise ParameterError("spacing must be positive")
+        if not 0.0 < spacing < radius:
+            raise ParameterError(f"spacing must be positive and below the radius, got {spacing!r}")
         half = int(math.ceil(radius / spacing)) + int(pad_cells)
         coords = spacing * np.arange(-half, half + 1)
         gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)

@@ -36,15 +36,12 @@ __all__ = [
     "DegeneratePointError",
     "ConsistencyError",
     "TangentPair",
-    "LeviSample",
     "WirtingerData",
     "Defining2",
     "levi_condition_2d",
-    "tau_of_phi",
     "tau_fields",
     "delta_tau",
     "delta_tau_fields",
-    "graph_levi",
     "graph_levi_fields",
     "levi_scan",
     "LeviScan",
@@ -112,25 +109,6 @@ class TangentPair:
         t[0, 1] = t[1, 0] = cross.imag
         t[0, 2] = t[2, 0] = -cross.real
         return t
-
-
-@dataclass(frozen=True)
-class LeviSample:
-    node: tuple[int, int, int]
-    location: tuple[float, float, float]
-    levi_value: float
-    delta_tau_value: float
-    classification: str
-
-    def __post_init__(self) -> None:
-        if self.classification not in ("pseudoconvex_ok", "violating", "near_zero"):
-            raise ValueError(f"bad classification {self.classification!r}")
-
-
-def classify_value(levi_value: float, tol: float) -> str:
-    if abs(levi_value) <= tol:
-        return "near_zero"
-    return "pseudoconvex_ok" if levi_value > 0.0 else "violating"
 
 
 @dataclass(frozen=True)
@@ -281,16 +259,10 @@ def levi_condition_2d(rho: Defining2, point) -> float:
     return float(value)
 
 
-def tau_of_phi(phi: ScalarField3, node) -> TangentPair:
-    """tau(phi) = (-1/2 dphi/dz2, 1/2 (1 + i dphi/dy1)) at a node."""
-    g = phi.fd_gradient(node)
-    dz2 = 0.5 * (g[1] - 1j * g[2])
-    return TangentPair(-0.5 * dz2, 0.5 * (1.0 + 1j * g[0]))
-
-
-def tau_fields(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex tau(phi) component arrays over the whole grid (NaN ring), from
-    g = phi.gradient_fields()."""
+def tau_fields(g) -> tuple:
+    """tau(phi) = (-1/2 dphi/dz2, 1/2 (1 + i dphi/dy1)) from phi's gradient g:
+    complex arrays from g = phi.gradient_fields() (NaN ring) or a slab of it,
+    or complex numbers from one node's g = phi.fd_gradient(node)."""
     dz2 = 0.5 * (g[1] - 1j * g[2])
     return -0.5 * dz2, 0.5 * (1.0 + 1j * g[0])
 
@@ -458,28 +430,6 @@ def _min_neg_delta_tau(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray) -> f
     return float(low)
 
 
-def graph_levi(phi: ScalarField3, node) -> float:
-    """Graph-form Levi quantity at a node; equals -Delta_{tau(phi)} phi."""
-    g = phi.fd_gradient(node)
-    dz2, lap, mix = phi.complex_wirtinger(node)
-    hess00 = phi.fd_hessian(node)[0, 0]
-    phi_y1 = g[0]
-    direct = (
-        -0.25 * hess00 * float(_abs2(dz2))
-        + 0.5 * (1j * (1.0 - 1j * phi_y1) * dz2 * mix).real
-        - 0.25 * (1.0 + phi_y1**2) * lap
-    )
-    via_operator = -delta_tau(phi, tau_of_phi(phi, node), node)
-    if abs(direct - via_operator) > _DUAL_TOL * (1.0 + abs(direct)):
-        raise ConsistencyError(
-            f"graph_levi: direct {direct!r} vs operator route {via_operator!r} at {node}",
-            where="graph_levi",
-            worst=abs(direct - via_operator),
-            scale=1.0 + abs(direct),
-        )
-    return float(direct)
-
-
 def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
     """Vectorized graph-form Levi quantity (NaN ring), cross-checked against
     the -Delta_{tau(phi)} route.
@@ -537,49 +487,38 @@ class LeviScan:
             "pseudoconvex_ok": int(((finite > 0) & ~near).sum()),
         }
 
-    def min_sample(self) -> LeviSample:
-        vals = np.where(self.finite_mask, self.values, np.inf)
-        node = tuple(int(i) for i in np.unravel_index(np.argmin(vals), vals.shape))
-        value = float(self.values[node])
-        return LeviSample(
-            node=node,
-            location=self.phi.grid.node_coords(node),
-            levi_value=value,
-            delta_tau_value=-value,
-            classification=classify_value(value, self.tol),
-        )
-
-    def samples(self):
-        for node in zip(*np.nonzero(self.finite_mask)):
-            node = tuple(int(i) for i in node)
-            value = float(self.values[node])
-            yield LeviSample(
-                node=node,
-                location=self.phi.grid.node_coords(node),
-                levi_value=value,
-                delta_tau_value=-value,
-                classification=classify_value(value, self.tol),
-            )
+    def _coords(self, nodes) -> list:
+        """xi coordinates of nodes given as one index (array) per axis."""
+        return [self.phi.grid.axis(k)[idx].tolist() for k, idx in enumerate(nodes)]
 
     def to_csv(self, path) -> None:
+        """One row per finite node in C order: its xi coordinates, value and
+        class (near_zero if |value| <= tol, else by sign)."""
+        finite = self.values[self.finite_mask]
+        classes = np.where(
+            np.abs(finite) <= self.tol,
+            "near_zero",
+            np.where(finite > 0.0, "pseudoconvex_ok", "violating"),
+        )
+        rows = zip(*self._coords(np.nonzero(self.finite_mask)), finite.tolist(), classes.tolist())
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["xi1", "xi2", "xi3", "levi_value", "classification"])
-            for s in self.samples():
-                writer.writerow(
-                    [repr(s.location[0]), repr(s.location[1]), repr(s.location[2]), repr(s.levi_value), s.classification]
-                )
+            for x1, x2, x3, value, label in rows:
+                writer.writerow([repr(x1), repr(x2), repr(x3), repr(value), label])
 
     def summary(self) -> dict:
-        worst = self.min_sample()
-        out = {"min": worst.levi_value, "argmin": list(worst.location), "tol": self.tol}
+        vals = np.where(self.finite_mask, self.values, np.inf)
+        node = np.unravel_index(np.argmin(vals), vals.shape)
+        out = {"min": float(self.values[node]), "argmin": self._coords(node), "tol": self.tol}
         out.update(self.counts())
         return out
 
 
 def levi_scan(phi: ScalarField3, tol: float | None = None) -> LeviScan:
-    """Sweep graph_levi over the interior; default near-zero tolerance is
-    10 * h * (gradient Lipschitz constant of phi, else 1)."""
+    """graph_levi_fields of phi with its counts and exports; the default
+    near-zero tolerance is 10 * h * (gradient Lipschitz constant of phi,
+    else 1)."""
     if tol is None:
         const = phi.regularity.constant if phi.regularity.constant > 0 else 1.0
         tol = 10.0 * phi.grid.spacing * const

@@ -578,6 +578,8 @@ def staircase_deficit_fields(
     footprint of radius delta = 32h fits inside it along u, so the deficit
     response is the only contribution to m(delta) at every sweep point.
     """
+    if not 0.0 < spacing < math.inf:
+        raise ParameterError(f"spacing must be finite and positive, got {spacing!r}")
     h = Fraction(spacing)
     lam = Fraction(stretch)
     if lam <= 0:

@@ -5,6 +5,7 @@ deliberately avoided so every check reads as a single self-contained
 claim about the public API.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -22,10 +23,10 @@ from levicheck.levi import (
     Defining2,
     delta_tau,
     fit_positive_scale,
-    graph_levi,
+    graph_levi_fields,
     green_identity_report,
     levi_condition_2d,
-    tau_of_phi,
+    tau_fields,
 )
 from levicheck.mollify import mollified_sign_certificate, staircase_sweep_case
 from levicheck.potential import (
@@ -66,8 +67,8 @@ def test_01_levi_dual_route_on_1000_random_polynomials():
     for _ in range(1000):
         poly = Poly3.random(rng, degrees=(2, 3))
         phi = ScalarField3.from_function(grid, poly)
-        graph_vals.append(graph_levi(phi, node))
-        tau_vals.append(-delta_tau(phi, tau_of_phi(phi, node), node))
+        graph_vals.append(graph_levi_fields(phi)[node])
+        tau_vals.append(-delta_tau(phi, tau_fields(phi.fd_gradient(node)), node))
         rho = Defining2.from_graph_partials(poly.value, poly.grad, poly.hess)
         ambient_vals.append(levi_condition_2d(rho, (0.0, 0.0)))
     graph_vals = np.array(graph_vals)
@@ -90,7 +91,7 @@ def test_02_concave_quadric_anchor_minus_quarter():
     phi = ScalarField3.from_function(
         centered_grid(1e-3, 7), lambda a, b, c: b * b + c * c
     )
-    assert abs(graph_levi(phi, (3, 3, 3)) + 0.25) <= 1e-6
+    assert abs(graph_levi_fields(phi)[3, 3, 3] + 0.25) <= 1e-6
 
 
 def test_03_mollified_sign_sweep_with_decay_rate():
@@ -268,27 +269,85 @@ def test_08_green_identity_residuals():
             assert green_identity_report(field, r).residual <= 1e-5
 
 
+# sha256 of every file each standard run writes, runtime.txt aside,
+# recorded from the code that last changed an output; any byte that moves
+# in a report or a CSV export fails test_09 by name
+STANDARD_RUN_DIGESTS = {
+    "green-identity": {
+        "report.json": "19b19099ed4e872a487185dbe709bf6e81de3d630e3b87afb2a5560bb85e6c7e",
+        "residuals.csv": "e5c728fadae4c98bc80be62a1ce58ccd342711bf68a760f227df586a858b7f6a",
+    },
+    "levi-check-ball": {
+        "levi_nodes.csv": "7337249f316f4040d0de2282723be598eb8ec932ff89592281f539ab7ad42707",
+        "report.json": "8b2419b4a13addf7ce6121e5f7b5703028e9a46335b5c607b581e704c593d86f",
+    },
+    "levi-check-g2": {
+        "levi_nodes.csv": "dc642d9bd13e0d2cb402ac88119aed41007ba5ec71eaebe2232e05e6cc3f96b2",
+        "report.json": "a32ffd2059b871f44ee43537a16a02d78b867e72dd9a538c05714bf40fc26159",
+    },
+    "mollify-sweep": {
+        "report.json": "f8c184bf1d1028fd5f3ddcdc6d253c0f1095df9145af1b319529fb84ce0628d4",
+        "sweep.csv": "8e83404fe2fc54f30e2b74c958eb750681e3de26f1fa8521350b2011a86ab221",
+    },
+    "staircase-build": {
+        "intervals.csv": "267368b3c4f8220289ed400e90debb13801c4418e9bb4d92d54de265bb3265d2",
+        "report.json": "7dfe98997bba38bcb0b0969a9f1b93f39885fc313def0ab417d226d446402b8c",
+    },
+    "hartogs-scan-ball": {
+        "report.json": "eed42b5d6151214b3d98f78d8a42c4565aa9bf0723acf29c2af2b343645e4c64",
+        "violators.csv": "3759aa53312f97d797a01ecc1929c6c3ef501bbe92a6eb3d539cff0635e43139",
+    },
+    "hartogs-scan-staircase": {
+        "report.json": "c3d7ce6e25fae02336084a24289799a5cd2cfe5d7811cbf6b848efb4db76d1be",
+        "violators.csv": "698ff193064f832dc7b1b5a61ec0456b526f0a82bbb9bf9032f435ca5783741c",
+    },
+    "cantor-potential": {
+        "dimension.csv": "441d8da5d67d1460d987f3bf54f2ca2cdefb8f7fae0420601d7bc78bcedf13dd",
+        "growth.csv": "61075d8eb2289780b6020e30417d70b085f01cb202d7fa5fe17545dd0fda096d",
+        "report.json": "18a9c3f157b0264665d7777666a4ba0dabb52b2cb1371513c045d117730634f5",
+    },
+    "slice-check": {
+        "report.json": "a5bfc9b3f518417f73b647b5142612da87328370a31aede1abec097d8f54130b",
+        "slices.csv": "672b89f98d23ea38d05bd2bc4e80a7ff78ecafcfd2cfd5f638aaaa9964453c77",
+    },
+}
+
+
+def _outdir_digests(outdir):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(outdir.iterdir())
+        if path.name != "runtime.txt"
+    }
+
+
 def test_09_report_determinism_across_threads(tmp_path):
     # Same config and seed: byte-identical report.json on rerun and across
     # worker thread counts, for all nine standard runs, each with its
-    # default parameters.
+    # default parameters; every output file also matches its pinned digest.
     runs = [
-        ({"scenario": "green-identity"}, (1, 4, 8, 8)),
-        ({"scenario": "levi-check"}, (1, 4)),
-        ({"scenario": "levi-check", "params": {"model": "g2"}, "expect_violation": True}, (1, 4)),
-        ({"scenario": "mollify-sweep"}, (1, 4)),
-        ({"scenario": "staircase-build"}, (1, 4)),
-        ({"scenario": "hartogs-scan"}, (1, 4)),
+        ("green-identity", {"scenario": "green-identity"}, (1, 4, 8, 8)),
+        ("levi-check-ball", {"scenario": "levi-check"}, (1, 4)),
         (
+            "levi-check-g2",
+            {"scenario": "levi-check", "params": {"model": "g2"}, "expect_violation": True},
+            (1, 4),
+        ),
+        ("mollify-sweep", {"scenario": "mollify-sweep"}, (1, 4)),
+        ("staircase-build", {"scenario": "staircase-build"}, (1, 4)),
+        ("hartogs-scan-ball", {"scenario": "hartogs-scan"}, (1, 4)),
+        (
+            "hartogs-scan-staircase",
             {"scenario": "hartogs-scan", "params": {"cap": "staircase"}, "expect_violation": True},
             (1, 4),
         ),
-        ({"scenario": "cantor-potential"}, (1, 4)),
-        ({"scenario": "slice-check"}, (1, 4)),
+        ("cantor-potential", {"scenario": "cantor-potential"}, (1, 4)),
+        ("slice-check", {"scenario": "slice-check"}, (1, 4)),
     ]
-    for index, (scenario, thread_counts) in enumerate(runs):
-        outdir = tmp_path / f"out{index}"
-        config = tmp_path / f"config{index}.json"
+    digests = {}
+    for name, scenario, thread_counts in runs:
+        outdir = tmp_path / name
+        config = tmp_path / f"{name}.json"
         config.write_text(json.dumps({**scenario, "outdir": str(outdir), "seed": 0}))
         blobs = []
         for threads in thread_counts:
@@ -303,4 +362,6 @@ def test_09_report_determinism_across_threads(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr
             blobs.append((outdir / "report.json").read_bytes())
+            digests[name] = _outdir_digests(outdir)
+            assert digests[name] == STANDARD_RUN_DIGESTS.get(name), (name, threads)
         assert all(blob == blobs[0] for blob in blobs), scenario

@@ -150,6 +150,25 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "scenario, override",
+        [
+            # each raised from Fraction(spacing) with a traceback
+            ("mollify-sweep", "params.spacing=0"),
+            ("mollify-sweep", "params.spacing=NaN"),
+            ("mollify-sweep", "params.spacing=Infinity"),
+            # the first two passed over an empty scan, the third overflowed
+            ("hartogs-scan", "params.spacing=10"),
+            ("hartogs-scan", "params.spacing=Infinity"),
+            ("hartogs-scan", "params.spacing=1e300"),
+        ],
+    )
+    def test_spacing_out_of_range_exits_2(self, tmp_path, capsys, scenario, override):
+        cfg = write_config(tmp_path, "c.json", scenario=scenario)
+        assert main(["run", "--config", str(cfg), "--set", override]) == 2
+        assert "spacing must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "scenario, override, message",
         [
             # each passed every assertion over no items

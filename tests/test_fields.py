@@ -38,10 +38,6 @@ class TestGridInvariants:
         with pytest.raises(ValueError):
             Grid3((0, 0, 0), 0.1, extents)
 
-    def test_node_coords_roundtrip(self):
-        g = Grid3((-1.0, 0.5, 2.0), 0.25, (9, 7, 5))
-        assert g.node_coords((3, 2, 4)) == (-0.25, 1.0, 3.0)
-
     def test_regularity_validation(self):
         Regularity("c1alpha", alpha=0.4, constant=2.0)
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
+import csv
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -24,13 +26,13 @@ from levicheck.levi import (
     _dual_check,
     ConsistencyError,
     Defining2,
+    LeviScan,
     DegeneratePointError,
     GreenIdentityReport,
     TangentPair,
     delta_tau,
     delta_tau_fields,
     fit_positive_scale,
-    graph_levi,
     graph_levi_fields,
     green_identity_report,
     levi_condition_2d,
@@ -38,7 +40,6 @@ from levicheck.levi import (
     slice_graph,
     slice_ratio_min,
     tau_fields,
-    tau_of_phi,
 )
 
 
@@ -151,20 +152,20 @@ class TestLeviCondition2d:
 class TestTauOfPhi:
     def test_zero_field(self):
         phi = ScalarField3.from_function(centered_grid(0.125, 7), lambda a, b, c: 0.0 * a)
-        pair = tau_of_phi(phi, (3, 3, 3))
-        assert pair.tau1 == 0.0 and pair.tau2 == 0.5
+        tau1, tau2 = tau_fields(phi.fd_gradient((3, 3, 3)))
+        assert tau1 == 0.0 and tau2 == 0.5
 
     def test_linear_in_y1(self):
         phi = ScalarField3.from_function(centered_grid(0.125, 7), lambda a, b, c: a)
-        pair = tau_of_phi(phi, (3, 3, 3))
-        assert pair.tau1 == 0.0
-        assert pair.tau2 == 0.5 + 0.5j
+        tau1, tau2 = tau_fields(phi.fd_gradient((3, 3, 3)))
+        assert tau1 == 0.0
+        assert tau2 == 0.5 + 0.5j
 
     def test_linear_in_re_z2(self):
         phi = ScalarField3.from_function(centered_grid(0.125, 7), lambda a, b, c: b)
-        pair = tau_of_phi(phi, (3, 3, 3))
-        assert pair.tau1 == -0.25
-        assert pair.tau2 == 0.5
+        tau1, tau2 = tau_fields(phi.fd_gradient((3, 3, 3)))
+        assert tau1 == -0.25
+        assert tau2 == 0.5
 
     def test_re_tau2_always_half(self):
         phi = ScalarField3.from_function(
@@ -239,25 +240,26 @@ class TestDeltaTau:
 class TestGraphLevi:
     def test_z2_squared_negative_quarter(self):
         phi = ScalarField3.from_function(centered_grid(0.0625, 7), lambda a, b, c: b * b + c * c)
-        assert graph_levi(phi, (3, 3, 3)) == -0.25
+        assert graph_levi_fields(phi)[3, 3, 3] == -0.25
 
     def test_zero_field(self):
         phi = ScalarField3.from_function(centered_grid(0.0625, 7), lambda a, b, c: 0.0 * a)
-        assert graph_levi(phi, (3, 3, 3)) == 0.0
+        assert graph_levi_fields(phi)[3, 3, 3] == 0.0
 
     def test_minus_z2_squared_positive_quarter(self):
         phi = ScalarField3.from_function(
             centered_grid(0.0625, 7), lambda a, b, c: -(b * b) - c * c
         )
-        assert graph_levi(phi, (3, 3, 3)) == 0.25
+        assert graph_levi_fields(phi)[3, 3, 3] == 0.25
 
     def test_equals_minus_delta_tau(self):
         phi = ScalarField3.from_function(
             centered_grid(0.05, 9), lambda a, b, c: np.sin(a + b) * np.cos(c) * 0.3
         )
+        levi = graph_levi_fields(phi)
         for node in [(2, 3, 4), (4, 4, 4), (6, 2, 5)]:
-            lhs = graph_levi(phi, node)
-            rhs = -delta_tau(phi, tau_of_phi(phi, node), node)
+            lhs = levi[node]
+            rhs = -delta_tau(phi, tau_fields(phi.fd_gradient(node)), node)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_ball_cap_nonnegative_on_grid(self):
@@ -273,7 +275,6 @@ class TestGraphLevi:
         # closed form at the center node: (1 + y1^2)/8 + |z2|^2/16 = 1/8
         center = (6, 6, 6)
         assert vals[center] == pytest.approx(0.125, abs=1e-12)
-        assert graph_levi(phi, center) == pytest.approx(0.125, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -282,7 +283,7 @@ class TestGraphLevi:
         poly = Poly3.random(rng, degrees=(2, 3))
         h = 1e-4
         phi = ScalarField3.from_function(centered_grid(h, 7), poly)
-        fd_value = graph_levi(phi, (3, 3, 3))
+        fd_value = graph_levi_fields(phi)[3, 3, 3]
         rho = Defining2.from_graph_partials(poly.value, poly.grad, poly.hess)
         symbolic = levi_condition_2d(rho, (0.0, 0.0))
         assert abs(fd_value - symbolic) <= 1e-8
@@ -389,10 +390,7 @@ class TestLeviScan:
         assert counts["scanned"] == 5 * 5 * 5
         assert counts["violating"] == counts["scanned"]
         assert counts["pseudoconvex_ok"] == 0 and counts["near_zero"] == 0
-        worst = scan.min_sample()
-        assert worst.levi_value == pytest.approx(-0.25, abs=1e-12)
-        assert worst.delta_tau_value == -worst.levi_value
-        assert worst.classification == "violating"
+        assert scan.summary()["min"] == pytest.approx(-0.25, abs=1e-12)
 
     def test_default_tolerance_uses_regularity_constant(self):
         grid = centered_grid(0.1, 7)
@@ -423,6 +421,124 @@ class TestLeviScan:
             "pseudoconvex_ok",
         }
         assert summary["min"] == pytest.approx(-0.25 - 0.25 * (0.25**2) / 4, rel=0.5)
+
+
+# LeviScan's per-node export as it stood before the array version, kept
+# verbatim (with Grid3.node_coords inlined) as the oracle of
+# TestLeviScanAgainstPerNodeOracle.
+
+
+@dataclass(frozen=True)
+class LeviSample:
+    node: tuple[int, int, int]
+    location: tuple[float, float, float]
+    levi_value: float
+    delta_tau_value: float
+    classification: str
+
+    def __post_init__(self) -> None:
+        if self.classification not in ("pseudoconvex_ok", "violating", "near_zero"):
+            raise ValueError(f"bad classification {self.classification!r}")
+
+
+def classify_value(levi_value: float, tol: float) -> str:
+    if abs(levi_value) <= tol:
+        return "near_zero"
+    return "pseudoconvex_ok" if levi_value > 0.0 else "violating"
+
+
+def node_coords(grid, node) -> tuple[float, float, float]:
+    i, j, k = (int(n) for n in node)
+    return (
+        grid.origin[0] + grid.spacing * i,
+        grid.origin[1] + grid.spacing * j,
+        grid.origin[2] + grid.spacing * k,
+    )
+
+
+def oracle_min_sample(scan) -> LeviSample:
+    vals = np.where(scan.finite_mask, scan.values, np.inf)
+    node = tuple(int(i) for i in np.unravel_index(np.argmin(vals), vals.shape))
+    value = float(scan.values[node])
+    return LeviSample(
+        node=node,
+        location=node_coords(scan.phi.grid, node),
+        levi_value=value,
+        delta_tau_value=-value,
+        classification=classify_value(value, scan.tol),
+    )
+
+
+def oracle_samples(scan):
+    for node in zip(*np.nonzero(scan.finite_mask)):
+        node = tuple(int(i) for i in node)
+        value = float(scan.values[node])
+        yield LeviSample(
+            node=node,
+            location=node_coords(scan.phi.grid, node),
+            levi_value=value,
+            delta_tau_value=-value,
+            classification=classify_value(value, scan.tol),
+        )
+
+
+def oracle_to_csv(scan, path) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["xi1", "xi2", "xi3", "levi_value", "classification"])
+        for s in oracle_samples(scan):
+            writer.writerow(
+                [repr(s.location[0]), repr(s.location[1]), repr(s.location[2]), repr(s.levi_value), s.classification]
+            )
+
+
+def oracle_summary(scan) -> dict:
+    worst = oracle_min_sample(scan)
+    out = {"min": worst.levi_value, "argmin": list(worst.location), "tol": scan.tol}
+    out.update(scan.counts())
+    return out
+
+
+class TestLeviScanAgainstPerNodeOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        origin=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        spacing=st.floats(1e-3, 1.0),
+        extents=st.tuples(*[st.integers(5, 8)] * 3),
+        tol=st.sampled_from([0.0, 1e-9, 0.3, 1.0, 5.0]),
+        source=st.sampled_from(["levi", "noise", "blank"]),
+    )
+    def test_csv_bytes_and_summary_match(self, tmp_path_factory, seed, origin, spacing, extents, tol, source):
+        # "levi" scans a random cubic's graph_levi_fields, NaN ring and all;
+        # "noise" also plants exact zeros, -0.0, values at +-tol and
+        # non-finite interior nodes; "blank" has no finite node at all
+        rng = np.random.default_rng(seed)
+        grid = Grid3(origin, spacing, extents)
+        if source == "levi":
+            poly = Poly3.random(rng, degrees=(1, 2, 3), cmax=3.0)
+            values = graph_levi_fields(ScalarField3.from_function(grid, poly))
+        elif source == "noise":
+            values = rng.standard_normal(extents) * rng.choice([1e-9, 1.0, 10.0])
+            flat = values.reshape(-1)
+            picks = rng.choice(flat.size, size=8, replace=False)
+            planted = [0.0, -0.0, tol, -tol, np.nan, np.inf, -np.inf, 2.0 * tol + 1.0]
+            flat[picks] = planted
+        else:
+            values = np.full(extents, np.nan)
+        if source != "blank":
+            # one node of each class, so every example writes all three
+            values[1, 1, 1], values[1, 1, 2], values[1, 2, 1] = 0.0, tol + 1.0, -tol - 1.0
+        phi = ScalarField3(grid, np.zeros(extents))
+        scan = LeviScan(phi=phi, values=values, tol=tol)
+        out = tmp_path_factory.mktemp("scan")
+        scan.to_csv(out / "new.csv")
+        oracle_to_csv(scan, out / "old.csv")
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+        assert repr(scan.summary()) == repr(oracle_summary(scan))
+        if source != "blank":
+            labels = {row[-1] for row in csv.reader((out / "new.csv").read_text().splitlines()[1:])}
+            assert labels == {"near_zero", "violating", "pseudoconvex_ok"}
 
 
 class TestSliceGraph:
