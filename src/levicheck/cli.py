@@ -50,6 +50,7 @@ from .fields import (
 from .levi import (
     ConsistencyError,
     Defining2,
+    _log_weights,
     graph_levi_fields,
     green_identity_report,
     levi_condition_2d,
@@ -144,6 +145,24 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             )
 
 
+# the finest spacing each grid scenario accepts.  Far below 1e-4 the
+# levi-check and slice-check verdicts fail falsely (levi-check at 1e-9,
+# slice-check at 1e-300; both still hold at 1e-6); at 1/2048 each of
+# green-identity's disc arrays already takes 134 MB, and the side grows as 1/h
+_MIN_SPACING = {"levi-check": 1e-4, "slice-check": 1e-4, "green-identity": 1.0 / 2048.0}
+
+
+def _spacing(params: dict, scenario: str) -> float:
+    """params["spacing"], rejected before any work below the scenario's minimum."""
+    spacing = float(params["spacing"])
+    if not spacing >= _MIN_SPACING[scenario]:
+        raise ParameterError(
+            f"{scenario} spacing must be positive and at least "
+            f"{_MIN_SPACING[scenario]!r}, got {spacing!r}"
+        )
+    return spacing
+
+
 def _centered_grid(spacing: float, extent: int) -> Grid3:
     half = extent // 2
     origin = (-spacing * half,) * 3
@@ -155,7 +174,7 @@ def _centered_grid(spacing: float, extent: int) -> Grid3:
 
 def _run_levi_check(params: dict, expect_violation: bool, outdir: Path):
     model = params["model"]
-    spacing = float(params["spacing"])
+    spacing = _spacing(params, "levi-check")
     extent = int(params["extent"])
     grid = _centered_grid(spacing, extent)
     if model == "ball":
@@ -435,19 +454,22 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
 
 
 def _run_green_identity(params: dict, expect_violation: bool, outdir: Path):
-    spacing = float(params["spacing"])
+    spacing = _spacing(params, "green-identity")
     fields = {
         "re_zeta": DiscField.from_function(1.0, spacing, lambda x, y: x),
         "abs2": DiscField.from_function(1.0, spacing, lambda x, y: x * x + y * y),
         "abs4": DiscField.from_function(1.0, spacing, lambda x, y: (x * x + y * y) ** 2),
     }
     radii = [float(r) for r in params["radii"]]
+    # the fields share one grid, so each radius's weights serve all three
+    weights = {r: _log_weights(fields["re_zeta"], r) for r in radii}
     assertions = []
     rows = []
     for name, field in fields.items():
+        lap = field.laplacian_field()
         worst = 0.0
         for r in radii:
-            rep = green_identity_report(field, r)
+            rep = green_identity_report(field, r, weights[r], lap)
             worst = max(worst, rep.residual)
             rows.append((name, r, rep.residual, rep.circle_mean, rep.area_term))
         assertions.append(
@@ -466,7 +488,7 @@ def _run_green_identity(params: dict, expect_violation: bool, outdir: Path):
 
 
 def _run_slice_check(params: dict, expect_violation: bool, outdir: Path):
-    grid = _centered_grid(float(params["spacing"]), int(params["extent"]))
+    grid = _centered_grid(_spacing(params, "slice-check"), int(params["extent"]))
 
     def two_disc(y1, z2, z3):
         return np.abs(z2) ** 2 + np.abs(z3) ** 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -45,9 +46,22 @@ class ParameterError(ValueError):
     """Construction parameters violate a documented precondition."""
 
 
+# values per slice that stable_sum converts to Python floats at a time
+_FSUM_CHUNK = 1 << 14
+
+
 def stable_sum(values) -> float:
-    """Compensated sum over C-order traversal; thread-count independent."""
-    return math.fsum(np.asarray(values, dtype=np.float64).ravel(order="C").tolist())
+    """Compensated sum over C-order traversal; thread-count independent.
+
+    The values reach math.fsum as a stream, a slice of _FSUM_CHUNK at a
+    time, never as one list of them all; fsum sees the same sequence, so
+    the sum is still the correctly rounded one, bit for bit."""
+    flat = np.asarray(values, dtype=np.float64).ravel(order="C")
+    return math.fsum(
+        chain.from_iterable(
+            flat[i : i + _FSUM_CHUNK].tolist() for i in range(0, flat.size, _FSUM_CHUNK)
+        )
+    )
 
 
 _REG_TAGS = ("smooth", "c1alpha", "c11", "lipschitz")
@@ -324,8 +338,10 @@ class DiscField:
         return self.spacing * (np.arange(self.values.shape[0]) - self.half)
 
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sparse ij meshes of shapes (m, 1) and (1, m); they broadcast to
+        the square, as in Grid3.mesh()."""
         coords = self.axis()
-        return tuple(np.meshgrid(coords, coords, indexing="ij"))
+        return tuple(np.meshgrid(coords, coords, indexing="ij", sparse=True))
 
     @property
     def inside(self) -> np.ndarray:

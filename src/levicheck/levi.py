@@ -595,8 +595,21 @@ def _log_weights(g: DiscField, r: float) -> np.ndarray:
 
     Midpoint rule on full cells; the origin cell uses the exact cell
     integral; cells near the origin or the rim are refined by subsampling.
+    The weights depend only on g's grid and r, so they serve every field
+    on that grid.
+
+    A refined cell's weight is bit for bit the per-cell sum
+    np.sum(log(r / |s|)) over its in-disc sub-samples s, taken in their
+    4x4 C order.  All refined cells form one (cells, 16) array whose rows
+    are packed, in-disc sub-samples first and in that order; the rows with
+    k in-disc sub-samples are then summed in one np.sum over their first
+    k columns.  numpy's pairwise sum of k values depends only on k and on
+    the order of the values, so each weight keeps its bits.  Summing whole
+    rows with zeros at the out-of-disc places would not.
     """
     h = g.spacing
+    if r < 4.0 * h:
+        raise StencilError(f"r = {r} spans fewer than 4 cells (h = {h})")
     gx, gy = g.meshes()
     s = np.hypot(gx, gy)
     inside = s < r
@@ -609,17 +622,22 @@ def _log_weights(g: DiscField, r: float) -> np.ndarray:
     refine[origin] = False
     a = h / _SUBSAMPLE
     offsets = (np.arange(_SUBSAMPLE) + 0.5) * a - 0.5 * h
-    ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-    for i, j in zip(*np.nonzero(refine)):
-        sx = gx[i, j] + ox
-        sy = gy[i, j] + oy
-        ss = np.hypot(sx, sy)
-        sub_in = ss < r
-        w[i, j] = a * a * float(np.sum(np.log(r / ss[sub_in]))) if sub_in.any() else 0.0
+    ox, oy = (o.ravel() for o in np.meshgrid(offsets, offsets, indexing="ij"))
+    i, j = np.nonzero(refine)
+    ss = np.hypot(gx[i, 0][:, None] + ox, gy[0, j][:, None] + oy)
+    sub_in = ss < r
+    order = np.argsort(~sub_in, axis=1, kind="stable")
+    packed = np.take_along_axis(np.log(r / ss), order, axis=1)
+    counts = sub_in.sum(axis=1)
+    for k in np.unique(counts):
+        rows = counts == k
+        w[i[rows], j[rows]] = a * a * np.sum(packed[rows, :k], axis=1)
     return w
 
 
-def green_identity_report(u: DiscField, r: float) -> GreenIdentityReport:
+def green_identity_report(
+    u: DiscField, r: float, weights: np.ndarray, lap: np.ndarray
+) -> GreenIdentityReport:
     """Balance of the sub-mean-value identity at center 0, normalized so the
     constant function balances exactly:
 
@@ -627,16 +645,15 @@ def green_identity_report(u: DiscField, r: float) -> GreenIdentityReport:
 
     The raw sides are that identity times 2pi: lhs_raw = 2pi mean and
     rhs_raw = 2pi u(0) + int_{D(0,r)} log(r/|zeta|) Delta u.
+
+    weights is _log_weights on u's grid at this r, and lap is
+    u.laplacian_field(); a caller checking several fields or radii builds
+    each once.
     """
-    h = u.spacing
-    if r < 4.0 * h:
-        raise StencilError(f"r = {r} spans fewer than 4 cells (h = {h})")
     mean = circle_mean(u, 0j, r)
     center = float(u.values[u.half, u.half])
     if not np.isfinite(center):
         raise DomainError("u undefined at the center")
-    lap = u.laplacian_field()
-    weights = _log_weights(u, r)
     used = weights != 0.0
     if not np.isfinite(lap[used]).all():
         raise DomainError("Laplacian undefined somewhere in the disc of integration")

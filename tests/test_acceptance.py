@@ -21,6 +21,7 @@ from helpers_poly import Poly3
 from levicheck.fields import DiscField, Grid3, ScalarField3
 from levicheck.levi import (
     Defining2,
+    _log_weights,
     delta_tau,
     fit_positive_scale,
     graph_levi_fields,
@@ -264,9 +265,11 @@ def test_08_green_identity_residuals():
         DiscField.from_function(1.0, spacing, lambda x, y: x * x + y * y),
         DiscField.from_function(1.0, spacing, lambda x, y: (x * x + y * y) ** 2),
     ]
+    weights = {r: _log_weights(fields[0], r) for r in (0.25, 0.5, 1.0)}
     for field in fields:
+        lap = field.laplacian_field()
         for r in (0.25, 0.5, 1.0):
-            assert green_identity_report(field, r).residual <= 1e-5
+            assert green_identity_report(field, r, weights[r], lap).residual <= 1e-5
 
 
 # sha256 of every file each standard run writes, runtime.txt aside,

@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import levicheck.cli as cli_module
 import levicheck.levi as levi_module
 from levicheck.cli import SCENARIOS, main, run_scenario
+from levicheck.fields import DiscField
 
 ALL_SCENARIOS = sorted(SCENARIOS)
 REPORT_KEYS = {
@@ -160,6 +163,14 @@ class TestUsageErrors:
             ("hartogs-scan", "params.spacing=10"),
             ("hartogs-scan", "params.spacing=Infinity"),
             ("hartogs-scan", "params.spacing=1e300"),
+            # the first three failed a verdict that holds (exit 1 with
+            # all_nodes_pseudoconvex or slice_ratio_lower_bound), the fourth
+            # raised a numpy ValueError; the last would allocate 14.9 GiB
+            ("levi-check", "params.spacing=1e-300"),
+            ("levi-check", "params.spacing=1e-9"),
+            ("slice-check", "params.spacing=1e-300"),
+            ("green-identity", "params.spacing=1e-300"),
+            ("green-identity", "params.spacing=1e-9"),
         ],
     )
     def test_spacing_out_of_range_exits_2(self, tmp_path, capsys, scenario, override):
@@ -167,6 +178,45 @@ class TestUsageErrors:
         assert main(["run", "--config", str(cfg), "--set", override]) == 2
         assert "spacing must be" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("scenario", ["levi-check", "slice-check"])
+    def test_finest_accepted_spacing_passes(self, tmp_path, scenario):
+        cfg = write_config(tmp_path, "c.json", scenario=scenario)
+        assert main(["run", "--config", str(cfg), "--set", "params.spacing=1e-4"]) == 0
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("params.radii=[0.001]", "spans fewer than 4 cells"),
+            ("params.radii=[2.0]", "leaves the finite sample set"),
+        ],
+    )
+    def test_green_identity_radius_out_of_range_exits_2(
+        self, tmp_path, capsys, override, message
+    ):
+        cfg = write_config(tmp_path, "c.json", scenario="green-identity")
+        assert main(["run", "--config", str(cfg), "--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("radii, code", [("[0.25, 0.5]", 0), ("[0.25, 0.5, 1.0]", 2)])
+    def test_green_identity_checks_the_laplacian_in_each_disc(
+        self, tmp_path, capsys, monkeypatch, radii, code
+    ):
+        # a NaN Laplacian at |z| = 0.75 lies in the disc of r = 1 only
+        original = DiscField.laplacian_field
+
+        def with_hole(field):
+            lap = original(field)
+            lap[field.half + round(0.75 / field.spacing), field.half] = np.nan
+            return lap
+
+        monkeypatch.setattr(DiscField, "laplacian_field", with_hole)
+        cfg = write_config(tmp_path, "c.json", scenario="green-identity")
+        args = ["--set", "params.spacing=0.00390625", "--set", f"params.radii={radii}"]
+        assert main(["run", "--config", str(cfg), *args]) == code
+        if code == 2:
+            assert "Laplacian undefined somewhere in the disc" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "scenario, override, message",
@@ -320,6 +370,26 @@ class TestRunReports:
         rows = (tmp_path / "out" / "residuals.csv").read_text().splitlines()
         assert rows[0] == "field,r,residual,circle_mean,area_term"
         assert len(rows) == 1 + 3 * 3
+
+    def test_green_identity_builds_weights_per_radius_and_laplacians_per_field(
+        self, tmp_path, monkeypatch
+    ):
+        calls = {"weights": 0, "laplacian": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(cli_module, "_log_weights", counted("weights", cli_module._log_weights))
+        monkeypatch.setattr(
+            DiscField, "laplacian_field", counted("laplacian", DiscField.laplacian_field)
+        )
+        cfg = write_config(tmp_path, "c.json", scenario="green-identity")
+        assert main(["run", "--config", str(cfg), "--set", "params.spacing=0.00390625"]) == 0
+        assert calls == {"weights": 3, "laplacian": 3}
 
     def test_run_scenario_api_returns_report(self, tmp_path):
         report, outdir = run_scenario(

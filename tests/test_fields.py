@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers_poly import Poly3
 from levicheck import cli, potential, staircase
 from levicheck.fields import (
+    _FSUM_CHUNK,
     DiscField,
     DomainError,
     Grid3,
@@ -313,6 +314,25 @@ class TestSerialization:
         rng = np.random.default_rng(7)
         vals = rng.standard_normal(1000) * 10.0**rng.integers(-8, 8, size=1000)
         assert stable_sum(vals) == math.fsum(vals.tolist())
+
+    @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_streamed_sum_is_bitwise_fsum_across_chunk_edges(self, chunks, extra):
+        size = chunks * _FSUM_CHUNK + extra
+        rng = np.random.default_rng(size)
+        # magnitudes from 1e-8 to 1e8 with both signs, so the compensation matters
+        vals = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size=size)
+        got = np.float64(stable_sum(vals.reshape(-1, 1)))
+        want = np.float64(math.fsum(vals.tolist()))
+        assert got.view(np.int64) == want.view(np.int64)
+
+    def test_streamed_sum_keeps_the_opposite_infinities_error(self):
+        vals = np.zeros(3 * _FSUM_CHUNK + 7)
+        vals[5] = np.inf
+        vals[-1] = -np.inf
+        with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
+            math.fsum(vals.tolist())
+        with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
+            stable_sum(vals)
 
 
 def per_point_bilinear(g, x, y):

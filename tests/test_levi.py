@@ -22,8 +22,11 @@ from levicheck.fields import (
     wirtinger_parts,
 )
 from levicheck.levi import (
+    _SUBSAMPLE,
     _abs2,
     _dual_check,
+    _log_weights,
+    _unit_square_log_moment,
     ConsistencyError,
     Defining2,
     LeviScan,
@@ -597,14 +600,18 @@ def disc_fields():
     }
 
 
+def green_report(u, r):
+    return green_identity_report(u, r, _log_weights(u, r), u.laplacian_field())
+
+
 class TestGreenIdentity:
     @pytest.mark.parametrize("name", ["harmonic", "r2", "r4"])
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
     def test_normalized_residual(self, disc_fields, name, r):
-        assert green_identity_report(disc_fields[name], r).residual <= 1e-5
+        assert green_report(disc_fields[name], r).residual <= 1e-5
 
     def test_r2_closed_form_sides(self, disc_fields):
-        rep = green_identity_report(disc_fields["r2"], 1.0)
+        rep = green_report(disc_fields["r2"], 1.0)
         assert isinstance(rep, GreenIdentityReport)
         assert rep.circle_mean == pytest.approx(1.0, abs=1e-5)
         assert rep.area_term == pytest.approx(1.0, abs=1e-5)
@@ -612,13 +619,13 @@ class TestGreenIdentity:
 
     def test_r4_closed_form_sides(self, disc_fields):
         # mean of |z|^4 on |z| = r is r^4; the log-weighted area term matches
-        rep = green_identity_report(disc_fields["r4"], 0.5)
+        rep = green_report(disc_fields["r4"], 0.5)
         assert rep.circle_mean == pytest.approx(0.5**4, abs=1e-5)
         assert rep.area_term == pytest.approx(0.5**4, abs=1e-5)
 
     def test_constant_flags_convention(self):
         u = DiscField.from_function(0.5, 1.0 / 128, lambda x, y: 2.5 + 0.0 * x)
-        rep = green_identity_report(u, 0.25)
+        rep = green_report(u, 0.25)
         assert rep.residual <= 1e-12
         # raw sides are both sides of the identity times 2*pi; the area
         # integral of a constant vanishes, so both are 2*pi*u(0)
@@ -628,7 +635,56 @@ class TestGreenIdentity:
     def test_radius_resolution_error(self):
         u = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x)
         with pytest.raises(StencilError):
-            green_identity_report(u, 3.0 / 64)
+            _log_weights(u, 3.0 / 64)
+
+
+def log_weights_loop(g, r):
+    """_log_weights as it was before the grouped broadcast, kept verbatim as
+    its bitwise oracle, except that it takes full meshes, which the loop
+    indexes per node."""
+    h = g.spacing
+    gx, gy = np.broadcast_arrays(*g.meshes())
+    s = np.hypot(gx, gy)
+    inside = s < r
+    w = np.zeros_like(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w[inside] = h * h * np.log(r / s[inside])
+    origin = (g.half, g.half)
+    w[origin] = h * h * (_unit_square_log_moment() + math.log(r / h))
+    refine = inside & ((np.abs(s - r) <= 1.5 * h) | (s <= 6.5 * h))
+    refine[origin] = False
+    a = h / _SUBSAMPLE
+    offsets = (np.arange(_SUBSAMPLE) + 0.5) * a - 0.5 * h
+    ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
+    for i, j in zip(*np.nonzero(refine)):
+        sx = gx[i, j] + ox
+        sy = gy[i, j] + oy
+        ss = np.hypot(sx, sy)
+        sub_in = ss < r
+        w[i, j] = a * a * float(np.sum(np.log(r / ss[sub_in]))) if sub_in.any() else 0.0
+    return w
+
+
+class TestLogWeights:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cells=st.integers(min_value=16, max_value=512),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_bitwise_equal_to_the_per_cell_loop(self, cells, fraction):
+        h = 1.0 / cells
+        r = 4.0 * h + fraction * (1.0 - 4.0 * h)
+        half = int(math.ceil(1.0 / h)) + 2
+        g = DiscField(1.0, h, np.zeros((2 * half + 1, 2 * half + 1)))
+        fast = _log_weights(g, r)
+        assert np.array_equal(fast.view(np.int64), log_weights_loop(g, r).view(np.int64))
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
+    def test_bitwise_equal_at_the_shipped_spacing(self, r):
+        u = DiscField.from_function(1.0, 1.0 / 512, lambda x, y: x)
+        assert np.array_equal(
+            _log_weights(u, r).view(np.int64), log_weights_loop(u, r).view(np.int64)
+        )
 
 
 class TestUnitSquareLogMoment:

@@ -544,7 +544,7 @@ class TestZygmundDomain:
     def test_far_field_is_strictly_superharmonic(self, cantor_scan):
         domain, scan = cantor_scan
         locs = frostman_measure(build_square_cantor(1.0, 4)).locations
-        gx, gy = domain.cap.meshes()
+        gx, gy = np.broadcast_arrays(*domain.cap.meshes())
         dist = (
             cKDTree(np.column_stack([locs.real, locs.imag]))
             .query(np.column_stack([gx.ravel(), gy.ravel()]))[0]
