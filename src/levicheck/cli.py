@@ -269,10 +269,9 @@ def _run_mollify_sweep(params: dict, expect_violation: bool, outdir: Path):
 
 
 def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
-    alpha1 = _fraction(params["alpha1"])
     depth = int(params["depth"])
     n_offsets = int(params["n_offsets"])
-    system = build_cantor(default_alphas(alpha1, depth))
+    system = build_cantor(default_alphas(params["alpha1"], depth))
 
     identity_ok = True
     rows = []
@@ -286,7 +285,7 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
     _write_csv(outdir / "intervals.csv", ["n", "count", "length_exact", "length"], rows)
 
     certificate = find_x0(fat_F(system), n_offsets=n_offsets)
-    growth_expected = (1 / (1 - alpha1) - 1) / 2
+    growth_expected = (1 / (1 - system.alphas[0]) - 1) / 2
     assertions = [
         Assertion(
             "interval_length_identity",
@@ -317,9 +316,7 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     if cap == "ball":
         domain = hartogs_ball_domain(spacing=spacing)
     elif cap == "staircase":
-        domain = hartogs_staircase(
-            alpha1=_fraction(params["alpha1"]), spacing=spacing
-        )
+        domain = hartogs_staircase(alpha1=params["alpha1"], spacing=spacing)
     else:
         raise ParameterError(f"unknown hartogs-scan cap {cap!r} (ball | staircase)")
     scan = subharmonicity_scan(domain, scan_radius=float(params["scan_radius"]))
@@ -590,13 +587,6 @@ def _matches_default(value, default) -> bool:
     if isinstance(default, list):
         return isinstance(value, list) and all(_matches_default(v, default[0]) for v in value)
     return type(value) is type(default)
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParameterError(f"{text!r} is not a fraction") from None
 
 
 def _parse_set(expr: str) -> tuple[str, object]:

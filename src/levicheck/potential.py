@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .fields import DiscField, DomainError, ParameterError
-from .staircase import HartogsDomain
+from .staircase import HartogsDomain, _ball_cap_values
 
 __all__ = [
     "AtomicMeasure",
@@ -506,11 +506,7 @@ def zygmund_domain(
     pot = green_potential(measure)
 
     def cap_values(gx, gy):
-        r2 = gx * gx + gy * gy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            base = 0.5 * np.log1p(-r2)
-        base = np.where(r2 >= 1.0, np.nan, base)
-        return base - pot.grid_values(gx, gy)
+        return _ball_cap_values(gx, gy) - pot.grid_values(gx, gy)
 
     cap = DiscField.from_function(1.0, spacing, cap_values)
     params = {

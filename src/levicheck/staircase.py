@@ -27,9 +27,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +59,11 @@ __all__ = [
 ]
 
 
+# deepest Cantor generation built: generation n holds 2^n exact intervals,
+# and build_cantor + fat_F take about 2 s at depth 14, doubling per level
+_DEPTH_BUDGET = 14
+
+
 class ConstructionError(Exception):
     """A certified construction failed one of its verified inequalities."""
 
@@ -73,7 +78,10 @@ def _as_fraction(x) -> Fraction:
             raise ParameterError(f"non-finite parameter {x!r}")
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ParameterError(f"{x!r} is not a fraction") from None
     raise ParameterError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -107,8 +115,8 @@ def default_alphas(alpha1, count: int) -> tuple[Fraction, ...]:
     a1 = _as_fraction(alpha1)
     if not 0 < a1 < 1:
         raise ParameterError(f"alpha1 must lie in (0, 1), got {alpha1!r}")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= _DEPTH_BUDGET:
+        raise ParameterError(f"count must lie in [1, {_DEPTH_BUDGET}], got {count}")
     return tuple(a1 * Fraction(1, 4) ** (k - 1) for k in range(1, count + 1))
 
 
@@ -160,8 +168,8 @@ def build_cantor(alphas: Sequence, depth: int | None = None) -> CantorSystem:
     ratios = tuple(_as_fraction(a) for a in alphas)
     if depth is None:
         depth = len(ratios)
-    if depth < 1:
-        raise ParameterError(f"depth must be >= 1, got {depth}")
+    if not 1 <= depth <= _DEPTH_BUDGET:
+        raise ParameterError(f"depth must lie in [1, {_DEPTH_BUDGET}], got {depth}")
     if len(ratios) < depth:
         raise ParameterError(
             f"need at least {depth} gap ratios, got {len(ratios)}"
@@ -203,12 +211,14 @@ class StaircaseIterates:
     xs: tuple[Fraction, ...]
     ys: tuple[Fraction, ...]
     slope: Fraction
-    _xs_float: np.ndarray = field(repr=False, compare=False, default=None)
-    _ys_float: np.ndarray = field(repr=False, compare=False, default=None)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_xs_float", np.array([float(x) for x in self.xs]))
-        object.__setattr__(self, "_ys_float", np.array([float(y) for y in self.ys]))
+    @cached_property
+    def _xs_float(self) -> np.ndarray:
+        return np.array([float(x) for x in self.xs])
+
+    @cached_property
+    def _ys_float(self) -> np.ndarray:
+        return np.array([float(y) for y in self.ys])
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self._xs_float, self._ys_float)
@@ -249,42 +259,42 @@ def staircase_f(system: CantorSystem, n: int | None = None) -> StaircaseIterates
 class FatF:
     """F(x) = integral_0^x (f_N(t) - t) dt, piecewise quadratic and exact.
 
-    ``xs`` are the breakpoints of f_N; ``values`` the exact F there.  The
+    Stores only what it adds to ``iterates``: ``values``, the exact F at
+    the breakpoints ``xs`` of f_N, and ``truncation_error``.  Float views
+    of the breakpoints and values are built on the first float call.  The
     limit staircase differs from f_N by at most 2**-N in sup norm, so the
     corresponding limit potential differs from this F by at most
     ``truncation_error`` = 2**(1-N).
     """
 
     iterates: StaircaseIterates
-    xs: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     truncation_error: float
-    _xs_float: np.ndarray = field(repr=False, compare=False, default=None)
-    _ys_float: np.ndarray = field(repr=False, compare=False, default=None)
-    _vals_float: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_xs_float", np.array([float(x) for x in self.xs]))
-        object.__setattr__(
-            self, "_ys_float", np.array([float(y) for y in self.iterates.ys])
-        )
-        object.__setattr__(
-            self, "_vals_float", np.array([float(v) for v in self.values])
-        )
 
     @property
     def system(self) -> CantorSystem:
         return self.iterates.system
 
+    @property
+    def xs(self) -> tuple[Fraction, ...]:
+        return self.iterates.xs
+
+    @cached_property
+    def _vals_float(self) -> np.ndarray:
+        return np.array([float(v) for v in self.values])
+
+    def _piece(self, k: int, x: Fraction) -> Fraction:
+        """F at x on the breakpoint interval [xs[k], xs[k+1]]."""
+        xs, ys = self.iterates.xs, self.iterates.ys
+        x0, y0 = xs[k], ys[k]
+        fx = y0 + (ys[k + 1] - y0) * (x - x0) / (xs[k + 1] - x0)
+        return self.values[k] + ((y0 - x0) + (fx - x)) * (x - x0) / 2
+
     def value_exact(self, x) -> Fraction:
         x = _as_fraction(x)
         if x <= 0 or x >= 1:
             return Fraction(0)
-        k = bisect_right(self.xs, x) - 1
-        xk = self.xs[k]
-        fk = self.iterates.ys[k]
-        fx = self.iterates.value_exact(x)
-        return self.values[k] + ((fk - xk) + (fx - x)) * (x - xk) / 2
+        return self._piece(bisect_right(self.xs, x) - 1, x)
 
     def derivative_exact(self, x) -> Fraction:
         x = _as_fraction(x)
@@ -293,12 +303,12 @@ class FatF:
         return self.iterates.value_exact(x) - x
 
     def __call__(self, x):
+        it = self.iterates
         x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self._xs_float, x, side="right") - 1, 0, len(self.xs) - 2)
-        xk = self._xs_float[idx]
-        fk = self._ys_float[idx]
-        fx = np.interp(x, self._xs_float, self._ys_float)
-        vals = self._vals_float[idx] + 0.5 * ((fk - xk) + (fx - x)) * (x - xk)
+        idx = np.clip(np.searchsorted(it._xs_float, x, side="right") - 1, 0, len(it.xs) - 2)
+        xk = it._xs_float[idx]
+        fk = it._ys_float[idx]
+        vals = self._vals_float[idx] + 0.5 * ((fk - xk) + (it(x) - x)) * (x - xk)
         return np.where((x <= 0.0) | (x >= 1.0), 0.0, vals)
 
     def sup_norm_exact(self) -> Fraction:
@@ -307,16 +317,16 @@ class FatF:
         On each affine piece f(t) = y0 + m (t - x0) the integrand f - t has
         at most one zero, where the quadratic F has its vertex.
         """
-        candidates = list(self.xs)
-        for k in range(len(self.xs) - 1):
-            x0, x1 = self.xs[k], self.xs[k + 1]
-            y0, y1 = self.iterates.ys[k], self.iterates.ys[k + 1]
-            m = (y1 - y0) / (x1 - x0)
+        xs, ys = self.iterates.xs, self.iterates.ys
+        best = max(abs(v) for v in self.values)
+        for k in range(len(xs) - 1):
+            x0, x1 = xs[k], xs[k + 1]
+            m = (ys[k + 1] - ys[k]) / (x1 - x0)
             if m != 1:
-                t = (y0 - m * x0) / (1 - m)
+                t = (ys[k] - m * x0) / (1 - m)
                 if x0 < t < x1:
-                    candidates.append(t)
-        return max(abs(self.value_exact(t)) for t in candidates)
+                    best = max(best, abs(self._piece(k, t)))
+        return best
 
 
 def fat_F(system: CantorSystem, n: int | None = None) -> FatF:
@@ -330,12 +340,7 @@ def fat_F(system: CantorSystem, n: int | None = None) -> FatF:
         g1 = it.ys[k + 1] - x1
         acc += (g0 + g1) * (x1 - x0) / 2
         vals.append(acc)
-    return FatF(
-        iterates=it,
-        xs=it.xs,
-        values=tuple(vals),
-        truncation_error=2.0 ** (1 - it.n),
-    )
+    return FatF(iterates=it, values=tuple(vals), truncation_error=2.0 ** (1 - it.n))
 
 
 @dataclass(frozen=True)
@@ -402,17 +407,17 @@ def find_x0(fat: FatF, n_offsets: int = 1000) -> X0Certificate:
     slope1 = 1 / (1 - system.alphas[0])
     growth = (slope1 - 1) / 2
 
-    best_x = None
+    best_k = None
     best_g = None
-    for x, y in zip(it.xs, it.ys):
+    for k, (x, y) in enumerate(zip(it.xs, it.ys)):
         if a1 <= x <= b1:
             g = y - slope1 * x
             if best_g is None or g < best_g:
                 best_g = g
-                best_x = x
-    if best_x is None:
+                best_k = k
+    if best_k is None:
         raise ConstructionError("no staircase breakpoints inside the base interval")
-    x0 = best_x
+    x0 = it.xs[best_k]
 
     dist = min(x0 - a1, b1 - x0)
     delta0 = min(Fraction(1, 20), dist / 2)
@@ -430,14 +435,12 @@ def find_x0(fat: FatF, n_offsets: int = 1000) -> X0Certificate:
                 f"deviation {float(dev)!r} < {float(growth * s * s)!r}"
             )
 
+    # the stretches between consecutive generation-N kept intervals are
+    # exactly the removed gaps, so a gap ends at x0 just when x0 opens a
+    # kept interval other than the first: an even index past 0
     left_gap = None
-    for row in system.gaps:
-        for g in row:
-            if g[1] == x0:
-                left_gap = g
-                break
-        if left_gap is not None:
-            break
+    if best_k > 0 and best_k % 2 == 0:
+        left_gap = (it.xs[best_k - 1], x0)
 
     left_defect = None
     if x0 > 0:
@@ -524,11 +527,7 @@ def _ball_cap_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def hartogs_ball_domain(spacing: float = 1.0 / 512.0) -> HartogsDomain:
     """Unperturbed cap phi = (1/2) log(1 - |z|^2)."""
-
-    def phi(x, y):
-        return _ball_cap_values(np.asarray(x, float), np.asarray(y, float))
-
-    cap = DiscField.from_function(1.0, spacing, phi)
+    cap = DiscField.from_function(1.0, spacing, _ball_cap_values)
     return HartogsDomain(cap=cap, kind="ball", params={"spacing": spacing})
 
 
@@ -559,13 +558,9 @@ def hartogs_staircase(
         L = _as_fraction(growth_target)
         if L <= 0:
             raise ParameterError(f"growth target must be positive, got {growth_target!r}")
-        a1 = 2 * L / (2 * L + 1)
-    else:
-        a1 = _as_fraction(alpha1)
-        if not 0 < a1 < 1:
-            raise ParameterError(f"alpha1 must lie in (0, 1), got {alpha1!r}")
+        alpha1 = 2 * L / (2 * L + 1)
 
-    system = build_cantor(default_alphas(a1, depth))
+    system = build_cantor(default_alphas(alpha1, depth))
     fat = fat_F(system)
     cert = find_x0(fat, n_offsets=n_offsets)
 
@@ -583,7 +578,7 @@ def hartogs_staircase(
     cap = DiscField.from_function(1.0, spacing, phi)
     params = {
         "spacing": spacing,
-        "alpha1": float(a1),
+        "alpha1": float(system.alphas[0]),
         "depth": depth,
         "growth": float(cert.growth),
         "x0": float(cert.x0),
@@ -738,7 +733,7 @@ def subharmonicity_scan(
         )
     lap = cap.laplacian_field()
     xs = cap.axis()
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    gx, gy = cap.meshes()
     rr = np.hypot(gx, gy)
     scanned = np.isfinite(lap) & (rr <= scan_radius)
     lap_masked = np.where(scanned, lap, np.nan)

@@ -11,6 +11,7 @@ import pytest
 
 import levicheck.cli as cli_module
 import levicheck.levi as levi_module
+import levicheck.staircase as staircase_module
 from levicheck.cli import SCENARIOS, main, run_scenario
 from levicheck.fields import DiscField
 
@@ -131,10 +132,27 @@ class TestUsageErrors:
         )
         assert report["passed"] and report["parameters"]["t_values"] == [[0, 0.05]]
 
-    @pytest.mark.parametrize("override", ['params.alpha1="abc"', 'params.alpha1="1/0"'])
-    def test_malformed_fraction_exits_2(self, tmp_path, override):
-        cfg = write_config(tmp_path, "c.json", scenario="staircase-build")
+    @pytest.mark.parametrize(
+        "scenario, params, override",
+        [
+            pytest.param(scenario, params, override, id=prefix + override)
+            for scenario, params, prefix in [
+                ("staircase-build", {}, ""),
+                ("hartogs-scan", {"cap": "staircase"}, "hartogs-scan-"),
+            ]
+            for override in ['params.alpha1="abc"', 'params.alpha1="1/0"']
+        ],
+    )
+    def test_malformed_fraction_exits_2(self, tmp_path, scenario, params, override):
+        cfg = write_config(tmp_path, "c.json", scenario=scenario, params=params)
         assert main(["run", "--config", str(cfg), "--set", override]) == 2
+
+    def test_depth_over_budget_exits_2(self, tmp_path, capsys):
+        depth = staircase_module._DEPTH_BUDGET + 1
+        cfg = write_config(tmp_path, "c.json", scenario="staircase-build")
+        assert main(["run", "--config", str(cfg), "--set", f"params.depth={depth}"]) == 2
+        assert f"got {depth}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
     @pytest.mark.parametrize(

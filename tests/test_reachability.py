@@ -90,7 +90,6 @@ UNREACHED = {
     "potential.zygmund_seminorm": "ROADMAP item 3 records the cap's seminorm with it",
     "staircase.superharmonic_mean_excess": "ROADMAP item 3's second route for the Cantor cap",
     "staircase.CantorSystem.kept_measure": "tests check the exact Cantor length identities with it",
-    "staircase.StaircaseIterates.__call__": "float evaluation of f_n; tests match it to value_exact",
     "staircase.StaircaseIterates.sup_distance": "tests check that successive f_n converge",
 }
 

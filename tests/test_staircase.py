@@ -2,6 +2,9 @@
 
 import json
 import math
+import re
+from bisect import bisect_right
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,10 @@ from scipy.integrate import quad
 
 from levicheck.fields import ParameterError
 from levicheck.staircase import (
+    _DEPTH_BUDGET,
+    ConstructionError,
+    X0Certificate,
+    _as_fraction,
     build_cantor,
     bump_window,
     bump_window_second_derivative_sup,
@@ -33,6 +40,106 @@ ratio_lists = st.lists(
     min_size=1,
     max_size=5,
 )
+
+
+# -- oracles: FatF's exact lookups that bisect for every value and
+# find_x0's scan over every gap of every generation, kept verbatim (``self``
+# renamed ``fat``); the library must return exactly their values
+
+
+def value_exact_oracle(fat, x) -> Fraction:
+    x = _as_fraction(x)
+    if x <= 0 or x >= 1:
+        return Fraction(0)
+    k = bisect_right(fat.xs, x) - 1
+    xk = fat.xs[k]
+    fk = fat.iterates.ys[k]
+    fx = fat.iterates.value_exact(x)
+    return fat.values[k] + ((fk - xk) + (fx - x)) * (x - xk) / 2
+
+
+def sup_norm_exact_oracle(fat) -> Fraction:
+    candidates = list(fat.xs)
+    for k in range(len(fat.xs) - 1):
+        x0, x1 = fat.xs[k], fat.xs[k + 1]
+        y0, y1 = fat.iterates.ys[k], fat.iterates.ys[k + 1]
+        m = (y1 - y0) / (x1 - x0)
+        if m != 1:
+            t = (y0 - m * x0) / (1 - m)
+            if x0 < t < x1:
+                candidates.append(t)
+    return max(abs(value_exact_oracle(fat, t)) for t in candidates)
+
+
+def left_gap_oracle(system, x0):
+    left_gap = None
+    for row in system.gaps:
+        for g in row:
+            if g[1] == x0:
+                left_gap = g
+                break
+        if left_gap is not None:
+            break
+    return left_gap
+
+
+def find_x0_oracle(fat, n_offsets):
+    """find_x0 on the oracle value lookup and the scan over all gaps."""
+    system = fat.system
+    it = fat.iterates
+    a1, b1 = system.levels[1][0]
+    slope1 = 1 / (1 - system.alphas[0])
+    growth = (slope1 - 1) / 2
+
+    best_x = None
+    best_g = None
+    for x, y in zip(it.xs, it.ys):
+        if a1 <= x <= b1:
+            g = y - slope1 * x
+            if best_g is None or g < best_g:
+                best_g = g
+                best_x = x
+    x0 = best_x
+
+    dist = min(x0 - a1, b1 - x0)
+    delta0 = min(Fraction(1, 20), dist / 2)
+    if delta0 <= 0:
+        raise ConstructionError("base point sits on the interval boundary")
+
+    f_x0 = value_exact_oracle(fat, x0)
+    df_x0 = fat.derivative_exact(x0)
+    for k in range(1, n_offsets + 1):
+        s = delta0 * k / n_offsets
+        dev = value_exact_oracle(fat, x0 + s) - f_x0 - s * df_x0
+        if dev < growth * s * s:
+            raise ConstructionError(
+                f"quadratic growth fails at offset {float(s)!r}: "
+                f"deviation {float(dev)!r} < {float(growth * s * s)!r}"
+            )
+
+    left_gap = left_gap_oracle(system, x0)
+
+    left_defect = None
+    if x0 > 0:
+        reach = delta0 if left_gap is None else min(delta0, (left_gap[1] - left_gap[0]) / 2)
+        if reach > 0:
+            ratios = []
+            for k in range(1, 8):
+                s = -reach * k / 8
+                dev = value_exact_oracle(fat, x0 + s) - f_x0 - s * df_x0
+                ratios.append(dev / (s * s))
+            left_defect = min(ratios)
+
+    return X0Certificate(
+        fat=fat,
+        x0=x0,
+        growth=growth,
+        delta0=delta0,
+        g_min=best_g,
+        offsets_checked=n_offsets,
+        left_gap=left_gap,
+        left_defect=left_defect,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +224,23 @@ class TestBuildCantor:
             build_cantor([Fraction(1, 2)], depth=0)
         with pytest.raises(ParameterError):
             default_alphas(Fraction(3, 2), 2)
+
+    @pytest.mark.parametrize("text", ["abc", "1/0", ""])
+    def test_malformed_fraction_string(self, text):
+        with pytest.raises(ParameterError, match="is not a fraction"):
+            default_alphas(text, 3)
+        with pytest.raises(ParameterError, match="is not a fraction"):
+            build_cantor([text])
+
+    def test_depth_budget(self):
+        over = _DEPTH_BUDGET + 1
+        with pytest.raises(ParameterError, match=f"got {over}"):
+            build_cantor([Fraction(1, 2)] * over)
+        with pytest.raises(ParameterError, match=f"got {over}"):
+            build_cantor([Fraction(1, 2)] * over, depth=over)
+        with pytest.raises(ParameterError, match=f"got {over}"):
+            default_alphas(Fraction(1, 2), over)
+        assert build_cantor([Fraction(1, 2)] * over, depth=3).depth == 3
 
     @given(ratios=ratio_lists)
     @settings(max_examples=40, deadline=None)
@@ -245,6 +369,19 @@ class TestFatF:
         for n in (2, 4, 6):
             assert fat_F(sys_half, n).truncation_error == 2.0 ** (1 - n)
 
+    @given(ratios=ratio_lists, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracles(self, ratios, data):
+        system = build_cantor(ratios)
+        fat = fat_F(system, data.draw(st.integers(0, system.depth), label="n"))
+        points = data.draw(
+            st.lists(st.fractions(min_value=0, max_value=1, max_denominator=1 << 12), max_size=20),
+            label="points",
+        )
+        for x in [*points, *fat.xs]:
+            assert fat.value_exact(x) == value_exact_oracle(fat, x)
+        assert fat.sup_norm_exact() == sup_norm_exact_oracle(fat)
+
     def test_outside_support_zero(self, fat_half):
         assert float(fat_half(-0.2)) == 0.0
         assert float(fat_half(1.3)) == 0.0
@@ -270,6 +407,8 @@ class TestFindX0:
         assert cert.growth == alpha1 / (2 * (1 - alpha1))
         a1, b1 = fat.system.levels[1][0]
         assert a1 < cert.x0 < b1
+        assert cert.left_gap is not None
+        assert cert.left_gap == left_gap_oracle(fat.system, cert.x0)
 
     def test_growth_bound_float_spot_check(self, fat_half):
         cert = find_x0(fat_half, n_offsets=100)
@@ -303,6 +442,21 @@ class TestFindX0:
         for x in fn.xs:
             if a1 <= x <= b1:
                 assert fn.value_exact(x) - f_x0 >= slope1 * (x - cert.x0)
+
+    @given(ratios=ratio_lists, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle(self, ratios, data):
+        system = build_cantor(ratios)
+        fat = fat_F(system, data.draw(st.integers(0, system.depth), label="n"))
+        try:
+            expect = find_x0_oracle(fat, 40)
+        except ConstructionError as exc:
+            with pytest.raises(ConstructionError, match=re.escape(str(exc))):
+                find_x0(fat, n_offsets=40)
+            return
+        cert = find_x0(fat, n_offsets=40)
+        for f in fields(X0Certificate):
+            assert getattr(cert, f.name) == getattr(expect, f.name), f.name
 
     def test_offsets_validation(self, fat_half):
         with pytest.raises(ParameterError):
