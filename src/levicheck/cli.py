@@ -8,8 +8,12 @@ runtime goes to a ``runtime.txt`` sidecar, never into the report.
 ``seed`` is recorded in every report but reserved: no computation reads
 it yet.
 
+Each assertion is one comparison ``value op bound``; its report entry
+gives the value, op, bound and margin, and ``passed`` follows from them
+(see ``Assertion``).
+
 Exit codes: 0 all assertions pass, 1 an assertion failed (named on
-stderr), 2 usage or configuration error.  A parameter whose type differs
+stderr with its value and bound), 2 usage or configuration error.  A parameter whose type differs
 from its default's (an int may stand for a float), an empty list
 parameter and a seed that is not an integer are usage errors, and so is
 a library precondition error (``ParameterError``, ``DomainError``
@@ -17,7 +21,7 @@ and the like) that a parameter value triggers.  Any other exception, such
 as a ``ValueError`` raised inside the numerics, is a bug and propagates
 with its traceback: it never exits 2.  When two computation routes of
 a run disagree (``ConsistencyError``), the report holds the single failed
-assertion ``dual_route_agreement_<check>`` with the disagreement and its
+assertion ``dual_route_agreement_<check>``, worst disagreement <= 1e-9 *
 scale, and the exit code is 1.
 
 Scenarios whose subject is a counterexample declare that in config via
@@ -30,9 +34,10 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -48,6 +53,7 @@ from .fields import (
     StencilError,
 )
 from .levi import (
+    _DUAL_TOL,
     ConsistencyError,
     Defining2,
     _log_weights,
@@ -97,13 +103,43 @@ _CONFIG_ERRORS = (
 )
 
 
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class Assertion:
-    """One named check; the name matches a module invariant."""
+    """One named check ``value op bound``; the name matches a module invariant.
+
+    ``passed`` and ``margin`` follow from the three.  The margin is the
+    signed distance to failure in the value's units: zero at the bound,
+    negative or NaN past it.  ``context`` holds what the value came from.
+    """
 
     name: str
-    passed: bool
-    detail: dict
+    value: float
+    op: str
+    bound: float
+    context: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return bool(_OPS[self.op](self.value, self.bound))
+
+    @property
+    def margin(self):
+        return self.bound - self.value if "<" in self.op else self.value - self.bound
+
+    @property
+    def detail(self) -> dict:
+        numbers = {"value": self.value, "op": self.op, "bound": self.bound, "margin": self.margin}
+        return {**self.context, **numbers}
+
+
+def _reduce(reduce, values) -> float:
+    """np.min or np.max of values; NaN if any is NaN or there are none, so a
+    check with nothing to measure fails."""
+    values = np.asarray(values, dtype=float)
+    return float(reduce(values)) if values.size else math.nan
 
 
 @dataclass(frozen=True)
@@ -191,42 +227,28 @@ def _run_levi_check(params: dict, expect_violation: bool, outdir: Path):
     center = (extent // 2,) * 3
     center_value = float(scan.values[center])
 
-    assertions = []
     if expect_violation:
-        assertions.append(
-            Assertion(
-                "violating_nodes_present",
-                counts["violating"] > 0,
-                {"violating": counts["violating"]},
-            )
-        )
+        assertions = [Assertion("violating_nodes_present", counts["violating"], ">", 0)]
         if model == "g2":
             symbolic = levi_condition_2d(Defining2.g2_model(), (0.0, 0.0))
             fd_grid = _centered_grid(1e-3, 7)
             fd_phi = ScalarField3.from_function(fd_grid, lambda a, b, c: b * b + c * c)
             fd_value = float(graph_levi_fields(fd_phi)[3, 3, 3])
-            assertions.append(
-                Assertion(
-                    "model_origin_value_quarter",
-                    symbolic == -0.25 and abs(center_value + 0.25) <= 1e-9,
-                    {"symbolic": symbolic, "scan_center": center_value},
-                )
-            )
-            assertions.append(
-                Assertion(
-                    "dual_route_agreement",
-                    abs(fd_value - symbolic) <= 1e-6,
-                    {"fd_route": fd_value, "symbolic_route": symbolic},
-                )
-            )
+            # the symbolic route must give -1/4 exactly and the scan within
+            # 1e-9: the value is the larger excess over those two bounds
+            excess = float(np.maximum(abs(symbolic + 0.25), abs(center_value + 0.25) - 1e-9))
+            anchor = {"symbolic": symbolic, "scan_center": center_value, "scan_bound": 1e-9}
+            routes = {"fd_route": fd_value, "symbolic_route": symbolic}
+            assertions += [
+                Assertion("model_origin_value_quarter", excess, "<=", 0.0, anchor),
+                Assertion("dual_route_agreement", abs(fd_value - symbolic), "<=", 1e-6, routes),
+            ]
     else:
-        assertions.append(
-            Assertion(
-                "all_nodes_pseudoconvex",
-                counts["pseudoconvex_ok"] == counts["scanned"] and counts["scanned"] > 0,
-                dict(counts),
-            )
-        )
+        # a node within tol of zero is near_zero, not pseudoconvex; a tol
+        # <= 0 leaves only the sign
+        least = _reduce(np.min, scan.values[scan.finite_mask])
+        bound = scan.tol if scan.tol > 0 else 0.0
+        assertions = [Assertion("all_nodes_pseudoconvex", least, ">", bound, counts)]
     tables = {"scan": scan.summary(), "model": model}
     return assertions, tables
 
@@ -247,22 +269,12 @@ def _run_mollify_sweep(params: dict, expect_violation: bool, outdir: Path):
         ["delta", "m_delta"],
         zip(report.deltas, report.m_values),
     )
+    slope_gap = abs(report.fitted_slope - report.rate_target)
+    slope = {"fitted_slope": report.fitted_slope, "rate_target": report.rate_target}
     assertions = [
-        Assertion(
-            "mollified_sign_sweep",
-            min(report.m_values) >= -report.epsilon,
-            {"m_min": min(report.m_values), "epsilon": report.epsilon},
-        ),
-        Assertion(
-            "decay_slope_within_band",
-            abs(report.fitted_slope - report.rate_target) <= 0.2,
-            {"fitted_slope": report.fitted_slope, "rate_target": report.rate_target},
-        ),
-        Assertion(
-            "smoothing_hypothesis_sign",
-            report.hypothesis_min >= -1e-6,
-            {"hypothesis_min": report.hypothesis_min},
-        ),
+        Assertion("mollified_sign_sweep", float(np.min(report.m_values)), ">=", -report.epsilon),
+        Assertion("decay_slope_within_band", slope_gap, "<=", 0.2, slope),
+        Assertion("smoothing_hypothesis_sign", report.hypothesis_min, ">=", -1e-6),
     ]
     tables = {"certificate": json.loads(report.to_json())}
     return assertions, tables
@@ -273,35 +285,31 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
     n_offsets = int(params["n_offsets"])
     system = build_cantor(default_alphas(params["alpha1"], depth))
 
-    identity_ok = True
+    length_residual = Fraction(0)
     rows = []
     for n in range(1, depth + 1):
         length = system.interval_length(n)
         expected = Fraction(1, 2**n)
         for k in range(n):
             expected *= 1 - system.alphas[k]
-        identity_ok = identity_ok and length == expected
+        length_residual += abs(length - expected)
         rows.append((n, 2**n, str(length), float(length)))
     _write_csv(outdir / "intervals.csv", ["n", "count", "length_exact", "length"], rows)
 
     certificate = find_x0(fat_F(system), n_offsets=n_offsets)
     growth_expected = (1 / (1 - system.alphas[0]) - 1) / 2
+    growth_residual = abs(certificate.growth - growth_expected)
+    growth_residual += abs(certificate.offsets_checked - n_offsets)
+    growth = {
+        "L": float(certificate.growth),
+        "x0": float(certificate.x0),
+        "offsets_checked": certificate.offsets_checked,
+    }
+    generations = {"generations_checked": depth}
+    # exact identities: sums of exact rational residuals, bound 0
     assertions = [
-        Assertion(
-            "interval_length_identity",
-            identity_ok,
-            {"generations_checked": depth},
-        ),
-        Assertion(
-            "quadratic_growth_bound",
-            certificate.growth == growth_expected
-            and certificate.offsets_checked == n_offsets,
-            {
-                "L": float(certificate.growth),
-                "x0": float(certificate.x0),
-                "offsets_checked": certificate.offsets_checked,
-            },
-        ),
+        Assertion("interval_length_identity", length_residual, "<=", 0, generations),
+        Assertion("quadratic_growth_bound", growth_residual, "<=", 0, growth),
     ]
     tables = {
         "alphas": [str(a) for a in system.alphas],
@@ -313,6 +321,8 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
 def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     cap = params["cap"]
     spacing = float(params["spacing"])
+    # alpha1 is checked whatever the cap, so no report records a malformed one
+    default_alphas(params["alpha1"], 1)
     if cap == "ball":
         domain = hartogs_ball_domain(spacing=spacing)
     elif cap == "staircase":
@@ -338,31 +348,17 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     )
     n_viol = scan.violating_count()
 
-    assertions = []
     if expect_violation:
-        align = scan.violation_alignment()
-        far_max = scan.far_field_max()
-        assertions.append(
-            Assertion("violating_nodes_present", n_viol > 0, {"violating": n_viol})
-        )
-        assertions.append(
-            Assertion(
-                "violations_within_2h_of_base_kinks",
-                n_viol > 0 and align["within_2h"],
-                {"max_horizontal": align["max_horizontal"], "h": domain.spacing},
-            )
-        )
-        assertions.append(
-            Assertion(
-                "far_nodes_strictly_subharmonic",
-                far_max <= -0.5,
-                {"max_far_laplacian": far_max},
-            )
-        )
+        h = domain.spacing
+        reach = 2 * h + 1e-12
+        farthest = _reduce(np.max, scan.dist_horizontal[scan.violating])
+        assertions = [
+            Assertion("violating_nodes_present", n_viol, ">", 0),
+            Assertion("violations_within_2h_of_base_kinks", farthest, "<=", reach, {"h": h}),
+            Assertion("far_nodes_strictly_subharmonic", scan.far_field_max(), "<=", -0.5),
+        ]
     else:
-        assertions.append(
-            Assertion("no_violating_nodes", n_viol == 0, {"violating": n_viol})
-        )
+        assertions = [Assertion("no_violating_nodes", n_viol, "<=", 0)]
     return assertions, {"scan": scan.summary()}
 
 
@@ -409,36 +405,20 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
         + [("graph", s, c) for s, c in zip(graph.scales, graph.counts)],
     )
 
+    total = measure.total_mass()
+    mass_gap = abs(recovered - 1.0)
+    planar_gap = abs(planar.slope - alpha)
+    graph_gap = abs(graph.slope - (1.0 + alpha))
+    # 0.5 <= ratio <= 2 for every consecutive pair, as one band on |log2 ratio|
+    log_ratio = float(np.max([abs(math.log2(r)) for r in ratios]))
     assertions = [
-        Assertion(
-            "total_mass_exact", measure.total_mass() == 1.0, {"total": measure.total_mass()}
-        ),
-        Assertion(
-            "boundary_vanishing", boundary_max <= 1e-10, {"max_abs": boundary_max}
-        ),
-        Assertion(
-            "single_atom_anchor", anchor_err <= 1e-12, {"abs_error": anchor_err}
-        ),
-        Assertion(
-            "disc_mass_recovery",
-            abs(recovered - 1.0) <= 0.02,
-            {"recovered": recovered},
-        ),
-        Assertion(
-            "growth_constant_stable",
-            all(0.5 <= r <= 2.0 for r in ratios),
-            {"ratios": ratios},
-        ),
-        Assertion(
-            "planar_box_dimension",
-            abs(planar.slope - alpha) <= 0.1,
-            {"slope": planar.slope},
-        ),
-        Assertion(
-            "graph_box_dimension",
-            abs(graph.slope - (1.0 + alpha)) <= 0.15,
-            {"slope": graph.slope},
-        ),
+        Assertion("total_mass_exact", abs(total - 1.0), "<=", 0.0, {"total": total}),
+        Assertion("boundary_vanishing", boundary_max, "<=", 1e-10),
+        Assertion("single_atom_anchor", anchor_err, "<=", 1e-12),
+        Assertion("disc_mass_recovery", mass_gap, "<=", 0.02, {"recovered": recovered}),
+        Assertion("growth_constant_stable", log_ratio, "<=", 1.0, {"ratios": ratios}),
+        Assertion("planar_box_dimension", planar_gap, "<=", 0.1, {"slope": planar.slope}),
+        Assertion("graph_box_dimension", graph_gap, "<=", 0.15, {"slope": graph.slope}),
     ]
     tables = {
         "growth_constants": [
@@ -462,20 +442,12 @@ def _run_green_identity(params: dict, expect_violation: bool, outdir: Path):
     weights = {r: _log_weights(fields["re_zeta"], r) for r in radii}
     assertions = []
     rows = []
-    for name, field in fields.items():
-        lap = field.laplacian_field()
-        worst = 0.0
-        for r in radii:
-            rep = green_identity_report(field, r, weights[r], lap)
-            worst = max(worst, rep.residual)
-            rows.append((name, r, rep.residual, rep.circle_mean, rep.area_term))
-        assertions.append(
-            Assertion(
-                f"green_identity_{name}",
-                worst <= 1e-5,
-                {"max_residual": worst, "radii": radii},
-            )
-        )
+    for name, disc in fields.items():
+        lap = disc.laplacian_field()
+        reports = [green_identity_report(disc, r, weights[r], lap) for r in radii]
+        rows += [(name, r, g.residual, g.circle_mean, g.area_term) for r, g in zip(radii, reports)]
+        worst = float(np.max([g.residual for g in reports]))
+        assertions.append(Assertion(f"green_identity_{name}", worst, "<=", 1e-5, {"radii": radii}))
     _write_csv(
         outdir / "residuals.csv",
         ["field", "r", "residual", "circle_mean", "area_term"],
@@ -491,25 +463,20 @@ def _run_slice_check(params: dict, expect_violation: bool, outdir: Path):
         return np.abs(z2) ** 2 + np.abs(z3) ** 2
 
     rows = []
-    identity_ok = True
-    lower_ok = True
     for pair in params["t_values"]:
         if len(pair) != 2:
             raise ParameterError(f"t_values items are [re, im] pairs, got {pair!r}")
         t = complex(float(pair[0]), float(pair[1]))
         ratio = slice_ratio_min(slice_graph(two_disc, t, grid))
-        expected = 1.0 + abs(t) ** 2
-        identity_ok = identity_ok and abs(ratio - expected) <= 1e-10
-        lower_ok = lower_ok and ratio >= 1.0
-        rows.append((t.real, t.imag, ratio, expected))
+        rows.append((t.real, t.imag, ratio, 1.0 + abs(t) ** 2))
     _write_csv(
         outdir / "slices.csv", ["t_re", "t_im", "ratio_min", "expected"], rows
     )
+    _, _, ratios, expected = np.array(rows).T
+    context = {"t_count": len(rows)}
     assertions = [
-        Assertion(
-            "slice_ratio_identity", identity_ok, {"t_count": len(rows)}
-        ),
-        Assertion("slice_ratio_lower_bound", lower_ok, {"t_count": len(rows)}),
+        Assertion("slice_ratio_identity", np.max(np.abs(ratios - expected)), "<=", 1e-10, context),
+        Assertion("slice_ratio_lower_bound", np.min(ratios), ">=", 1.0, context),
     ]
     return assertions, {"slices": [list(r) for r in rows]}
 
@@ -665,8 +632,9 @@ def run_scenario(config: dict) -> tuple[dict, Path]:
         assertions, tables = scenario.runner(params, expect_violation, outdir)
     except ConsistencyError as exc:
         # two routes disagreeing is a failed check of the run, not a crash
-        detail = {"worst": exc.worst, "scale": exc.scale}
-        assertions = [Assertion(f"dual_route_agreement_{exc.where}", False, detail)]
+        check = f"dual_route_agreement_{exc.where}"
+        bound = _DUAL_TOL * exc.scale
+        assertions = [Assertion(check, exc.worst, "<=", bound, {"scale": exc.scale})]
         tables = {}
     elapsed = time.perf_counter() - start
 
@@ -701,9 +669,13 @@ def _cmd_run(args) -> int:
         print(f"usage error: invalid configuration: {exc}", file=sys.stderr)
         return 2
     if not report["passed"]:
-        failing = [a["name"] for a in report["assertions"] if not a["passed"]]
-        for name in failing:
-            print(f"assertion failed: {name}", file=sys.stderr)
+        for a in report["assertions"]:
+            if not a["passed"]:
+                d = a["detail"]
+                print(
+                    f"assertion failed: {a['name']} (value {d['value']} {d['op']} {d['bound']})",
+                    file=sys.stderr,
+                )
         return 1
     print(f"{report['scenario']}: {len(report['assertions'])} assertions passed "
           f"({outdir / 'report.json'})")

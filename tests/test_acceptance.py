@@ -277,40 +277,40 @@ def test_08_green_identity_residuals():
 # in a report or a CSV export fails test_09 by name
 STANDARD_RUN_DIGESTS = {
     "green-identity": {
-        "report.json": "19b19099ed4e872a487185dbe709bf6e81de3d630e3b87afb2a5560bb85e6c7e",
+        "report.json": "580cd29274bced478f4cf390a1f1715eefceffad2b41f2024d305959c6d8b0e1",
         "residuals.csv": "e5c728fadae4c98bc80be62a1ce58ccd342711bf68a760f227df586a858b7f6a",
     },
     "levi-check-ball": {
         "levi_nodes.csv": "7337249f316f4040d0de2282723be598eb8ec932ff89592281f539ab7ad42707",
-        "report.json": "8b2419b4a13addf7ce6121e5f7b5703028e9a46335b5c607b581e704c593d86f",
+        "report.json": "41082eb2df1dfa0a6f96d62c6c769829f17f374871f052c960dc3b34615980e2",
     },
     "levi-check-g2": {
         "levi_nodes.csv": "dc642d9bd13e0d2cb402ac88119aed41007ba5ec71eaebe2232e05e6cc3f96b2",
-        "report.json": "a32ffd2059b871f44ee43537a16a02d78b867e72dd9a538c05714bf40fc26159",
+        "report.json": "2d8e018a76c0777f176d437596a6a2e8ed10b3bde4754c5b47354487d4cd2717",
     },
     "mollify-sweep": {
-        "report.json": "f8c184bf1d1028fd5f3ddcdc6d253c0f1095df9145af1b319529fb84ce0628d4",
+        "report.json": "04d8a802bd7ed3c33d2f7d7e4891f75d033e2284fe3ed70213411882549b70d0",
         "sweep.csv": "8e83404fe2fc54f30e2b74c958eb750681e3de26f1fa8521350b2011a86ab221",
     },
     "staircase-build": {
         "intervals.csv": "267368b3c4f8220289ed400e90debb13801c4418e9bb4d92d54de265bb3265d2",
-        "report.json": "7dfe98997bba38bcb0b0969a9f1b93f39885fc313def0ab417d226d446402b8c",
+        "report.json": "4fb121f0234bf85422daaecc9227d5beb2c1e7296f730096405c9f3ca1b1d1f2",
     },
     "hartogs-scan-ball": {
-        "report.json": "eed42b5d6151214b3d98f78d8a42c4565aa9bf0723acf29c2af2b343645e4c64",
+        "report.json": "1b862fedec7a152eacae60e8ade295017aad334386485fa83884c5c4388471f4",
         "violators.csv": "3759aa53312f97d797a01ecc1929c6c3ef501bbe92a6eb3d539cff0635e43139",
     },
     "hartogs-scan-staircase": {
-        "report.json": "c3d7ce6e25fae02336084a24289799a5cd2cfe5d7811cbf6b848efb4db76d1be",
+        "report.json": "124636ac0d1f266bea92dd534883d60b309985ba537716030c1b82d74ae05671",
         "violators.csv": "698ff193064f832dc7b1b5a61ec0456b526f0a82bbb9bf9032f435ca5783741c",
     },
     "cantor-potential": {
         "dimension.csv": "441d8da5d67d1460d987f3bf54f2ca2cdefb8f7fae0420601d7bc78bcedf13dd",
         "growth.csv": "61075d8eb2289780b6020e30417d70b085f01cb202d7fa5fe17545dd0fda096d",
-        "report.json": "18a9c3f157b0264665d7777666a4ba0dabb52b2cb1371513c045d117730634f5",
+        "report.json": "36d301bac874f88a7b99156fe86d59163acfeca1766793ce922ce8b2584f1897",
     },
     "slice-check": {
-        "report.json": "a5bfc9b3f518417f73b647b5142612da87328370a31aede1abec097d8f54130b",
+        "report.json": "c8480d64cc63fcea8d5926115aa9f81a8f371c9f69ceefe9cce66e05af6542d2",
         "slices.csv": "672b89f98d23ea38d05bd2bc4e80a7ff78ecafcfd2cfd5f638aaaa9964453c77",
     },
 }

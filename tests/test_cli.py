@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ import pytest
 import levicheck.cli as cli_module
 import levicheck.levi as levi_module
 import levicheck.staircase as staircase_module
-from levicheck.cli import SCENARIOS, main, run_scenario
+from levicheck.cli import SCENARIOS, Assertion, main, run_scenario
 from levicheck.fields import DiscField
+from test_reachability import RUNS as SMOKE_RUNS
 
 ALL_SCENARIOS = sorted(SCENARIOS)
 REPORT_KEYS = {
@@ -38,6 +42,8 @@ def write_config(tmp_path, name, **fields):
 def read_report(tmp_path):
     return json.loads((tmp_path / "out" / "report.json").read_text())
 
+
+OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
 class TestListCommand:
     def test_plain_listing_names_every_scenario(self, capsys):
@@ -146,6 +152,16 @@ class TestUsageErrors:
     def test_malformed_fraction_exits_2(self, tmp_path, scenario, params, override):
         cfg = write_config(tmp_path, "c.json", scenario=scenario, params=params)
         assert main(["run", "--config", str(cfg), "--set", override]) == 2
+
+    @pytest.mark.parametrize("alpha1", ['"abc"', '"2"'])
+    def test_ball_cap_checks_alpha1(self, tmp_path, capsys, alpha1):
+        # the ball cap reads no alpha1, but a report must not record a bad one
+        cfg = write_config(
+            tmp_path, "c.json", scenario="hartogs-scan", params={"spacing": 1.0 / 64.0}
+        )
+        assert main(["run", "--config", str(cfg), "--set", f"params.alpha1={alpha1}"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_depth_over_budget_exits_2(self, tmp_path, capsys):
         depth = staircase_module._DEPTH_BUDGET + 1
@@ -328,7 +344,8 @@ class TestRunReports:
             tmp_path, "c.json", scenario="levi-check", expect_violation=True
         )
         assert main(["run", "--config", str(cfg)]) == 1
-        assert "assertion failed: violating_nodes_present" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "assertion failed: violating_nodes_present (value 0 > 0)" in err.splitlines()
 
     def test_staircase_build_reports_expected_growth(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", scenario="staircase-build")
@@ -373,7 +390,7 @@ class TestRunReports:
         ]
         rows = (tmp_path / "out" / "violators.csv").read_text().splitlines()
         assert rows[0] == "x,y,laplacian,dist_horizontal,dist_euclidean"
-        assert len(rows) == 1 + report["assertions"][0]["detail"]["violating"]
+        assert len(rows) == 1 + report["assertions"][0]["detail"]["value"]
 
     def test_green_identity_residual_columns(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", scenario="green-identity")
@@ -445,8 +462,148 @@ class TestDualRouteFailure:
         assert report["passed"] is False
         assert [a["name"] for a in report["assertions"]] == [name]
         detail = report["assertions"][0]["detail"]
-        assert set(detail) == {"worst", "scale"}
-        assert detail["worst"] > 1e-9 * detail["scale"]
+        assert set(detail) == {"value", "op", "bound", "margin", "scale"}
+        assert detail["op"] == "<=" and detail["bound"] == 1e-9 * detail["scale"]
+        assert detail["value"] > detail["bound"] and detail["margin"] < 0
+
+
+class TestAssertion:
+    @pytest.mark.parametrize(
+        "value, op, bound, passed, margin",
+        [
+            (1.0, "<=", 1.0, True, 0.0),
+            (1.0, "<", 1.0, False, 0.0),
+            (0.5, "<", 1.0, True, 0.5),
+            (2.0, ">=", 1.0, True, 1.0),
+            (0, ">", 0, False, 0),
+            (3.0, "<=", 1.0, False, -2.0),
+            (Fraction(1, 3), "<=", 0, False, Fraction(-1, 3)),
+        ],
+    )
+    def test_passed_and_margin_follow_from_value_op_bound(
+        self, value, op, bound, passed, margin
+    ):
+        check = Assertion("check", value, op, bound)
+        assert check.passed is passed
+        assert check.margin == margin
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_nan_value_fails(self, op):
+        check = Assertion("check", math.nan, op, 0.0)
+        assert check.passed is False and math.isnan(check.margin)
+
+    def test_detail_is_the_numbers_and_the_context(self):
+        detail = Assertion("check", 1.0, "<=", 2.0, {"count": 3}).detail
+        assert detail == {"count": 3, "value": 1.0, "op": "<=", "bound": 2.0, "margin": 1.0}
+
+
+def _number(x):
+    """A detail number as compared: exact rationals are written as strings."""
+    return Fraction(x) if isinstance(x, str) else x
+
+
+# the four runs whose declared polarity opposes their subject, at smoke
+# sizes, with the assertions each fails
+OPPOSITE_RUNS = [
+    (
+        "levi-check-ball-expecting-violation",
+        {"scenario": "levi-check", "expect_violation": True, "params": {"extent": 9}},
+        {"violating_nodes_present"},
+    ),
+    (
+        "levi-check-g2-expecting-none",
+        {"scenario": "levi-check", "params": {"model": "g2", "extent": 9}},
+        {"all_nodes_pseudoconvex"},
+    ),
+    (
+        "hartogs-scan-ball-expecting-violation",
+        {"scenario": "hartogs-scan", "expect_violation": True, "params": {"spacing": 1.0 / 64.0}},
+        {
+            "violating_nodes_present",
+            "violations_within_2h_of_base_kinks",
+            "far_nodes_strictly_subharmonic",
+        },
+    ),
+    (
+        "hartogs-scan-staircase-expecting-none",
+        {"scenario": "hartogs-scan", "params": {"cap": "staircase", "spacing": 1.0 / 128.0}},
+        {"no_violating_nodes"},
+    ),
+]
+CHECKED_RUNS = [(name, config, set()) for name, config in SMOKE_RUNS] + OPPOSITE_RUNS
+
+
+class TestReportedChecks:
+    @pytest.mark.parametrize(
+        "name, config, failing", CHECKED_RUNS, ids=[name for name, _, _ in CHECKED_RUNS]
+    )
+    def test_passed_and_margin_agree_with_value_op_bound(self, tmp_path, name, config, failing):
+        _, outdir = run_scenario(dict(config, outdir=str(tmp_path / name)))
+        report = json.loads((outdir / "report.json").read_text())
+        for check in report["assertions"]:
+            detail = check["detail"]
+            op = detail["op"]
+            value, bound, margin = (_number(detail[k]) for k in ("value", "bound", "margin"))
+            assert check["passed"] is OPS[op](value, bound), check["name"]
+            held = margin > 0 if op in ("<", ">") else margin >= 0
+            assert check["passed"] is held, check["name"]
+            distance = bound - value if op.startswith("<") else value - bound
+            assert margin == distance or (math.isnan(margin) and math.isnan(distance))
+        assert report["passed"] is all(check["passed"] for check in report["assertions"])
+        assert {a["name"] for a in report["assertions"] if not a["passed"]} == failing
+
+    def test_nan_green_residual_fails(self, tmp_path, monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN residual must not drop out of the check
+        original = cli_module.green_identity_report
+
+        def nan_at_half(field, r, *args):
+            report = original(field, r, *args)
+            return dataclasses.replace(report, residual=math.nan) if r == 0.5 else report
+
+        monkeypatch.setattr(cli_module, "green_identity_report", nan_at_half)
+        cfg = write_config(tmp_path, "c.json", scenario="green-identity")
+        assert main(["run", "--config", str(cfg), "--set", "params.spacing=0.00390625"]) == 1
+        by_name = {a["name"]: a for a in read_report(tmp_path)["assertions"]}
+        assert by_name["green_identity_re_zeta"]["passed"] is False
+        assert math.isnan(by_name["green_identity_re_zeta"]["detail"]["value"])
+
+    def test_nan_sweep_minimum_fails(self, tmp_path, monkeypatch):
+        # min() drops a NaN after the first item
+        original = cli_module.mollified_sign_certificate
+
+        def nan_second(*args, **kwargs):
+            report = original(*args, **kwargs)
+            m_values = (report.m_values[0], math.nan) + report.m_values[2:]
+            return dataclasses.replace(report, m_values=m_values)
+
+        monkeypatch.setattr(cli_module, "mollified_sign_certificate", nan_second)
+        cfg = write_config(tmp_path, "c.json", scenario="mollify-sweep")
+        assert main(["run", "--config", str(cfg), "--set", "params.count=2"]) == 1
+        by_name = {a["name"]: a for a in read_report(tmp_path)["assertions"]}
+        assert by_name["mollified_sign_sweep"]["passed"] is False
+
+    @pytest.mark.parametrize(
+        "ratio, passed",
+        [
+            (0.5, True),
+            (2.0, True),
+            (float(np.nextafter(0.5, 0.0)), False),
+            (float(np.nextafter(2.0, 3.0)), False),
+        ],
+    )
+    def test_growth_constant_band_edges(self, tmp_path, monkeypatch, ratio, passed):
+        constants = iter([1.0, ratio])
+        original = cli_module.frostman_certificate
+
+        def fixed_constant(measure, alpha):
+            return dataclasses.replace(original(measure, alpha), constant=next(constants))
+
+        monkeypatch.setattr(cli_module, "frostman_certificate", fixed_constant)
+        (config,) = [c for name, c in SMOKE_RUNS if name == "cantor-potential"]
+        report, _ = run_scenario(dict(config, outdir=str(tmp_path / "out")))
+        (growth,) = [a for a in report["assertions"] if a["name"] == "growth_constant_stable"]
+        assert growth["detail"]["ratios"] == [ratio]
+        assert growth["passed"] is passed
 
 
 class TestInternalErrors:

@@ -59,7 +59,6 @@ RUNS = [
 # qualified name -> why the library keeps it although no standard run enters it
 UNREACHED = {
     "cli._cmd_list.<locals>.<dictcomp>": "the `list --json` branch; tests/test_cli.py runs it",
-    "cli._cmd_run.<locals>.<listcomp>": "names the failed assertions; runs only on exit 1",
     "fields.DiscField.inside": "the |z| < radius node mask that tests select disc nodes with",
     "fields.ScalarField3._require_interior": "node-level reference: bounds-checks fd_gradient and fd_hessian",
     "fields.ScalarField3.fd_gradient": "node-level reference of tests; wrapped by levibench/tracing.py",
