@@ -12,17 +12,17 @@ Each assertion is one comparison ``value op bound``; its report entry
 gives the value, op, bound and margin, and ``passed`` follows from them
 (see ``Assertion``).
 
-Exit codes: 0 all assertions pass, 1 an assertion failed (named on
-stderr with its value and bound), 2 usage or configuration error.  A parameter whose type differs
-from its default's (an int may stand for a float), an empty list
-parameter and a seed that is not an integer are usage errors, and so is
-a library precondition error (``ParameterError``, ``DomainError``
-and the like) that a parameter value triggers.  Any other exception, such
-as a ``ValueError`` raised inside the numerics, is a bug and propagates
-with its traceback: it never exits 2.  When two computation routes of
-a run disagree (``ConsistencyError``), the report holds the single failed
-assertion ``dual_route_agreement_<check>``, worst disagreement <= 1e-9 *
-scale, and the exit code is 1.
+Exit codes: 0 all assertions pass, 1 an assertion failed (named on stderr
+with its value and bound), 2 usage or configuration error.  A parameter of
+another type than its default's (an int may stand for a float) or outside
+its scenario's ``ranges`` (``tol >= 0`` for levi-check, say) and a
+non-integer seed are usage errors, and so is a library precondition error
+(``ParameterError``, ``DomainError`` and the like) that a parameter value
+triggers.  Any other exception, such as a ``ValueError`` raised inside the
+numerics, is a bug and propagates with its traceback: it never exits 2.
+When two computation routes of a run disagree (``ConsistencyError``), the
+report holds the single failed assertion ``dual_route_agreement_<check>``,
+worst disagreement <= 1e-9 * scale, and the exit code is 1.
 
 Scenarios whose subject is a counterexample declare that in config via
 ``expect_violation: true``; pass semantics are never inverted implicitly.
@@ -82,6 +82,7 @@ from .potential import (
 )
 from .staircase import (
     ConstructionError,
+    _as_fraction,
     build_cantor,
     default_alphas,
     fat_F,
@@ -147,6 +148,7 @@ class Scenario:
     name: str
     description: str
     defaults: dict
+    ranges: dict[str, tuple[tuple[str, float], ...]]
     runner: Callable[[dict, bool, Path], tuple[list[Assertion], dict]]
 
 
@@ -181,24 +183,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             )
 
 
-# the finest spacing each grid scenario accepts.  Far below 1e-4 the
-# levi-check and slice-check verdicts fail falsely (levi-check at 1e-9,
-# slice-check at 1e-300; both still hold at 1e-6); at 1/2048 each of
-# green-identity's disc arrays already takes 134 MB, and the side grows as 1/h
-_MIN_SPACING = {"levi-check": 1e-4, "slice-check": 1e-4, "green-identity": 1.0 / 2048.0}
-
-
-def _spacing(params: dict, scenario: str) -> float:
-    """params["spacing"], rejected before any work below the scenario's minimum."""
-    spacing = float(params["spacing"])
-    if not spacing >= _MIN_SPACING[scenario]:
-        raise ParameterError(
-            f"{scenario} spacing must be positive and at least "
-            f"{_MIN_SPACING[scenario]!r}, got {spacing!r}"
-        )
-    return spacing
-
-
 def _centered_grid(spacing: float, extent: int) -> Grid3:
     half = extent // 2
     origin = (-spacing * half,) * 3
@@ -210,7 +194,7 @@ def _centered_grid(spacing: float, extent: int) -> Grid3:
 
 def _run_levi_check(params: dict, expect_violation: bool, outdir: Path):
     model = params["model"]
-    spacing = _spacing(params, "levi-check")
+    spacing = float(params["spacing"])
     extent = int(params["extent"])
     grid = _centered_grid(spacing, extent)
     if model == "ball":
@@ -244,11 +228,9 @@ def _run_levi_check(params: dict, expect_violation: bool, outdir: Path):
                 Assertion("dual_route_agreement", abs(fd_value - symbolic), "<=", 1e-6, routes),
             ]
     else:
-        # a node within tol of zero is near_zero, not pseudoconvex; a tol
-        # <= 0 leaves only the sign
+        # a node within tol of zero is near_zero, not pseudoconvex
         least = _reduce(np.min, scan.values[scan.finite_mask])
-        bound = scan.tol if scan.tol > 0 else 0.0
-        assertions = [Assertion("all_nodes_pseudoconvex", least, ">", bound, counts)]
+        assertions = [Assertion("all_nodes_pseudoconvex", least, ">", scan.tol, counts)]
     tables = {"scan": scan.summary(), "model": model}
     return assertions, tables
 
@@ -321,8 +303,6 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
 def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     cap = params["cap"]
     spacing = float(params["spacing"])
-    # alpha1 is checked whatever the cap, so no report records a malformed one
-    default_alphas(params["alpha1"], 1)
     if cap == "ball":
         domain = hartogs_ball_domain(spacing=spacing)
     elif cap == "staircase":
@@ -349,8 +329,7 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     n_viol = scan.violating_count()
 
     if expect_violation:
-        h = domain.spacing
-        reach = 2 * h + 1e-12
+        h, reach = domain.spacing, scan.reach_2h
         farthest = _reduce(np.max, scan.dist_horizontal[scan.violating])
         assertions = [
             Assertion("violating_nodes_present", n_viol, ">", 0),
@@ -363,9 +342,6 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
 
 
 def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
-    if len(params["cert_generations"]) < 2:
-        # growth_constant_stable compares consecutive generations
-        raise ParameterError("cert_generations needs at least two generations")
     alpha = float(params["alpha"])
     generation = int(params["generation"])
     square_set = build_square_cantor(alpha, generation)
@@ -431,7 +407,7 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
 
 
 def _run_green_identity(params: dict, expect_violation: bool, outdir: Path):
-    spacing = _spacing(params, "green-identity")
+    spacing = float(params["spacing"])
     fields = {
         "re_zeta": DiscField.from_function(1.0, spacing, lambda x, y: x),
         "abs2": DiscField.from_function(1.0, spacing, lambda x, y: x * x + y * y),
@@ -457,7 +433,7 @@ def _run_green_identity(params: dict, expect_violation: bool, outdir: Path):
 
 
 def _run_slice_check(params: dict, expect_violation: bool, outdir: Path):
-    grid = _centered_grid(_spacing(params, "slice-check"), int(params["extent"]))
+    grid = _centered_grid(float(params["spacing"]), int(params["extent"]))
 
     def two_disc(y1, z2, z3):
         return np.abs(z2) ** 2 + np.abs(z3) ** 2
@@ -486,24 +462,31 @@ SCENARIOS = {
         "levi-check",
         "Levi sign scan of a graph model (ball or the concave quadric)",
         {"model": "ball", "spacing": 0.025, "extent": 17, "tol": 1e-8},
+        {
+            "spacing": ((">=", 1e-4),),  # far finer, the verdict fails falsely (at 1e-9)
+            "tol": ((">=", 0),),  # the pseudoconvexity bound: below 0 it passes concave nodes
+        },
         _run_levi_check,
     ),
     "mollify-sweep": Scenario(
         "mollify-sweep",
         "Mollified sign certificate sweep on the shipped staircase case",
         {"spacing": 1.0 / 128.0, "alpha": 0.9, "p": 6.0, "epsilon": 1e-2, "count": 7},
+        {},  # each limit (epsilon > 0, ...) is a library precondition, not restated here
         _run_mollify_sweep,
     ),
     "staircase-build": Scenario(
         "staircase-build",
         "Exact Cantor staircase identities and the quadratic growth point",
         {"alpha1": "9/10", "depth": 12, "n_offsets": 1000},
+        {},  # default_alphas checks alpha1 and the depth budget before any work
         _run_staircase_build,
     ),
     "hartogs-scan": Scenario(
         "hartogs-scan",
         "Subharmonicity scan of a Hartogs cap (ball or staircase)",
         {"cap": "ball", "alpha1": "99/100", "spacing": 1.0 / 512.0, "scan_radius": 0.96},
+        {"alpha1": ((">", 0), ("<", 1))},  # checked whatever the cap: no report records a bad one
         _run_hartogs_scan,
     ),
     "cantor-potential": Scenario(
@@ -517,21 +500,26 @@ SCENARIOS = {
             "graph_generation": 5,
             "graph_angles": 1024,
         },
+        {"cert_generations": ((">=", 2),)},  # growth_constant_stable compares consecutive ones
         _run_cantor_potential,
     ),
     "green-identity": Scenario(
         "green-identity",
         "Normalized Green identity residuals on reference disc fields",
         {"spacing": 1.0 / 512.0, "radii": [0.25, 0.5, 1.0]},
+        {
+            "spacing": ((">=", 1.0 / 2048.0),),  # at 1/2048 each disc array takes 134 MB
+            "radii": ((">=", 1),),  # every check over no radius passes vacuously
+        },
         _run_green_identity,
     ),
     "slice-check": Scenario(
         "slice-check",
         "Slice-map ratio checks for the two-disc model",
+        {"spacing": 0.1, "extent": 7, "t_values": [[0.1, 0.0], [0.0, 0.05], [0.08, -0.06]]},
         {
-            "spacing": 0.1,
-            "extent": 7,
-            "t_values": [[0.1, 0.0], [0.0, 0.05], [0.08, -0.06]],
+            "spacing": ((">=", 1e-4),),  # far finer, the verdict fails falsely (at 1e-300)
+            "t_values": ((">=", 1),),  # every check over no slice passes vacuously
         },
         _run_slice_check,
     ),
@@ -586,6 +574,21 @@ def _load_config(path: str, overrides: list[str]) -> dict:
     return config
 
 
+def _check_ranges(spec: Scenario, params: dict) -> None:
+    """Raise ParameterError unless each parameter (a list: its length) passes its ranges."""
+    for key, comparisons in spec.ranges.items():
+        value = params[key]
+        if isinstance(value, list):
+            key, value = f"len({key})", len(value)
+        try:
+            number = _as_fraction(value)
+        except ParameterError:  # NaN, infinite or not a fraction: fails every comparison
+            number = math.nan
+        for op, bound in comparisons:
+            if not _OPS[op](number, bound):
+                raise ParameterError(f"{key} must be {op} {bound!r} for {spec.name}, got {value!r}")
+
+
 def run_scenario(config: dict) -> tuple[dict, Path]:
     """Execute one scenario config; returns (report dict, outdir)."""
     name = config.get("scenario")
@@ -608,10 +611,8 @@ def run_scenario(config: dict) -> tuple[dict, Path]:
                 f"parameter {key!r} of {name} must have the type of its default "
                 f"{params[key]!r}, got {value!r}"
             )
-        if isinstance(value, list) and not value:
-            # every check over an empty list passes vacuously
-            raise UsageError(f"parameter {key!r} of {name} must not be empty")
     params.update(extra)
+    _check_ranges(scenario, params)
     seed = config.get("seed", 0)
     if type(seed) is not int:
         raise UsageError(f"config field 'seed' must be an integer, got {seed!r}")

@@ -652,23 +652,21 @@ class SubharmonicityScan:
         vals = self.laplacian[mask]
         return float(np.max(vals)) if vals.size else float("nan")
 
+    @property
+    def reach_2h(self) -> float:
+        """The horizontal distance 2h the violations must lie within, plus float slack."""
+        return 2.0 * self.domain.spacing + 1e-12
+
     def violation_alignment(self) -> dict:
-        """Distance statistics of the violating set relative to the segment."""
-        if not np.any(self.violating):
-            return {
-                "count": 0,
-                "max_horizontal": 0.0,
-                "max_euclidean": 0.0,
-                "within_2h": True,
-            }
+        """Distance statistics of the violating set relative to the segment
+        (maxima 0.0 when no node violates)."""
         dh = self.dist_horizontal[self.violating]
         de = self.dist_euclidean[self.violating]
-        h = self.domain.spacing
         return {
-            "count": int(np.count_nonzero(self.violating)),
-            "max_horizontal": float(np.max(dh)),
-            "max_euclidean": float(np.max(de)),
-            "within_2h": bool(np.max(dh) <= 2.0 * h + 1e-12),
+            "count": int(dh.size),
+            "max_horizontal": float(np.max(dh, initial=0.0)),
+            "max_euclidean": float(np.max(de, initial=0.0)),
+            "within_2h": bool(np.max(dh, initial=0.0) <= self.reach_2h),
         }
 
     def summary(self) -> dict:

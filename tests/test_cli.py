@@ -177,14 +177,40 @@ class TestUsageErrors:
             # at spacing 0.1 the 17^3 grid reaches |xi| > 1, where the
             # ball's graph is undefined
             ("levi-check", "params.spacing=0.1", "finite"),
-            ("green-identity", "params.spacing=0", "spacing must be positive"),
+            ("green-identity", "params.spacing=0", "spacing must be >= 0.00048828125"),
             ("slice-check", "params.t_values=[[0.1]]", "pairs"),
+            # one value just past each scenario's limit, from its ranges
+            ("levi-check", "params.spacing=9.9e-5", "spacing must be >= 0.0001 for levi-check"),
+            ("levi-check", "params.tol=-1.0", "tol must be >= 0 for levi-check, got -1.0"),
+            ("levi-check", "params.tol=NaN", "tol must be >= 0 for levi-check, got nan"),
+            (
+                "green-identity",
+                "params.spacing=0.00048828124",
+                "spacing must be >= 0.00048828125 for green-identity, got 0.00048828124",
+            ),
+            ("slice-check", "params.spacing=9.9e-5", "spacing must be >= 0.0001 for slice-check"),
+            ("hartogs-scan", 'params.alpha1="1"', "alpha1 must be < 1 for hartogs-scan, got '1'"),
+            (
+                "cantor-potential",
+                "params.cert_generations=[4]",
+                "len(cert_generations) must be >= 2 for cantor-potential, got 1",
+            ),
+            # or from a library precondition
+            ("mollify-sweep", "params.epsilon=0", "epsilon must be positive"),
+            ("staircase-build", "params.depth=15", "got 15"),
         ],
     )
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, scenario, override, message):
         cfg = write_config(tmp_path, "c.json", scenario=scenario)
         assert main(["run", "--config", str(cfg), "--set", override]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+    def test_ranges_cover_defaults(self, scenario):
+        spec = SCENARIOS[scenario]
+        assert set(spec.ranges) <= set(spec.defaults)
+        cli_module._check_ranges(spec, spec.defaults)
 
     @pytest.mark.parametrize(
         "scenario, override",
@@ -256,10 +282,10 @@ class TestUsageErrors:
         "scenario, override, message",
         [
             # each passed every assertion over no items
-            ("slice-check", "params.t_values=[]", "'t_values' of slice-check must not be empty"),
-            ("green-identity", "params.radii=[]", "'radii' of green-identity must not be empty"),
+            ("slice-check", "params.t_values=[]", "len(t_values) must be >= 1 for slice-check"),
+            ("green-identity", "params.radii=[]", "len(radii) must be >= 1 for green-identity"),
             # growth_constant_stable held over an empty ratio list
-            ("cantor-potential", "params.cert_generations=[4]", "at least two generations"),
+            ("cantor-potential", "params.cert_generations=[4]", "len(cert_generations) must"),
         ],
     )
     def test_list_too_short_for_its_check_exits_2(
