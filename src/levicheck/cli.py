@@ -72,13 +72,13 @@ from .mollify import (
 )
 from .potential import (
     AtomicMeasure,
+    GreenPotential,
     box_dimension,
     build_square_cantor,
     disc_mass_recovery,
     frostman_certificate,
     frostman_measure,
     graph_set_points,
-    green_potential,
 )
 from .staircase import (
     ConstructionError,
@@ -343,35 +343,34 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
 
 def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
     alpha = float(params["alpha"])
-    generation = int(params["generation"])
-    square_set = build_square_cantor(alpha, generation)
+    # every square set first: a bad generation exits 2 before any work
+    square_set = build_square_cantor(alpha, int(params["generation"]))
+    cert_sets = [build_square_cantor(alpha, int(n)) for n in params["cert_generations"]]
+    dim_set = build_square_cantor(alpha, int(params["dim_generation"]))
+    graph_sc = build_square_cantor(alpha, int(params["graph_generation"]))
     measure = frostman_measure(square_set)
-    potential = green_potential(measure)
+    potential = GreenPotential(measure)
 
     theta = 2.0 * math.pi * np.arange(512) / 512
     boundary_max = float(
         np.abs(potential.grid_values(np.cos(theta), np.sin(theta))).max()
     )
-    single = green_potential(AtomicMeasure(generation=0, atoms=((0j, 1.0),)))
+    single = GreenPotential(AtomicMeasure(generation=0, locations=[0j], masses=[1.0]))
     anchor_err = abs(single(0.5 + 0j) - math.log(2.0))
     recovered = disc_mass_recovery(potential, radius=0.9)
 
     constants = []
-    for n in params["cert_generations"]:
-        cert = frostman_certificate(
-            frostman_measure(build_square_cantor(alpha, int(n))), alpha
-        )
-        constants.append((int(n), cert.constant, cert.samples))
+    for cert_set in cert_sets:
+        cert = frostman_certificate(frostman_measure(cert_set), alpha)
+        constants.append((cert_set.generation, cert.constant, cert.samples))
     _write_csv(outdir / "growth.csv", ["n", "C", "samples"], constants)
     ratios = [b[1] / a[1] for a, b in zip(constants, constants[1:])]
 
-    dim_set = build_square_cantor(alpha, int(params["dim_generation"]))
     a = dim_set.ratio
     planar = box_dimension(
         dim_set.centers(), [0.7 * a**k for k in range(1, 7)]
     )
-    graph_sc = build_square_cantor(alpha, int(params["graph_generation"]))
-    graph_pot = green_potential(frostman_measure(graph_sc))
+    graph_pot = GreenPotential(frostman_measure(graph_sc))
     graph_pts = graph_set_points(graph_sc, graph_pot, n_angles=int(params["graph_angles"]))
     graph = box_dimension(graph_pts, [2.0**-k for k in range(3, 9)])
     _write_csv(
@@ -479,14 +478,18 @@ SCENARIOS = {
         "staircase-build",
         "Exact Cantor staircase identities and the quadratic growth point",
         {"alpha1": "9/10", "depth": 12, "n_offsets": 1000},
-        {},  # default_alphas checks alpha1 and the depth budget before any work
+        # default_alphas checks alpha1 and the depth budget before any work
+        {"n_offsets": ((">=", 1),)},  # find_x0 checks it only after the fat_F work
         _run_staircase_build,
     ),
     "hartogs-scan": Scenario(
         "hartogs-scan",
         "Subharmonicity scan of a Hartogs cap (ball or staircase)",
         {"cap": "ball", "alpha1": "99/100", "spacing": 1.0 / 512.0, "scan_radius": 0.96},
-        {"alpha1": ((">", 0), ("<", 1))},  # checked whatever the cap: no report records a bad one
+        {
+            "alpha1": ((">", 0), ("<", 1)),  # checked whatever the cap: no report records a bad one
+            "scan_radius": ((">", 0), ("<", 1)),  # the scan rejects it only after the cap build
+        },
         _run_hartogs_scan,
     ),
     "cantor-potential": Scenario(
@@ -500,7 +503,10 @@ SCENARIOS = {
             "graph_generation": 5,
             "graph_angles": 1024,
         },
-        {"cert_generations": ((">=", 2),)},  # growth_constant_stable compares consecutive ones
+        {
+            "cert_generations": ((">=", 2),),  # growth_constant_stable compares consecutive ones
+            "graph_angles": ((">=", 1),),  # below 1, graph_set_points fails after the potentials
+        },
         _run_cantor_potential,
     ),
     "green-identity": Scenario(

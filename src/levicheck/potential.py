@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -35,8 +34,6 @@ __all__ = [
     "frostman_certificate",
     "frostman_measure",
     "graph_set_points",
-    "green_kernel",
-    "green_potential",
     "potential_field",
     "zygmund_domain",
     "zygmund_seminorm",
@@ -116,43 +113,53 @@ def build_square_cantor(alpha: float, n: int) -> SquareCantor:
     return SquareCantor(alpha=float(alpha), generation=n, side=side, squares=corners)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Uniform self-similar measure at stage n: one atom per square.
+    """Probability measure with mass masses[j] at locations[j].
 
-    Each atom carries mass 4^{-n} (a power of two, so the total is exactly
-    1.0 in floating point); locations are the square centers.
+    Both are read-only 1-D arrays of equal length, complex128 and float64.
+    Every location lies in the open unit disc, where the Green kernel is
+    finite off the diagonal, every mass lies in (0, 1], and the masses sum
+    to 1 within 1e-12.  The Cantor stage n carries one atom of mass 4^{-n}
+    (a power of two, so the total is exactly 1.0) per square center.
     """
 
     generation: int
-    atoms: tuple[tuple[complex, float], ...]
+    locations: np.ndarray
+    masses: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ParameterError("measure needs at least one atom")
-        if any(m <= 0.0 for _, m in self.atoms):
-            raise ParameterError("atom masses must be positive")
-        if abs(self.total_mass() - 1.0) > 1e-12:
+        locations = np.array(self.locations, dtype=np.complex128)
+        masses = np.array(self.masses, dtype=np.float64)
+        if locations.ndim != 1 or locations.shape != masses.shape or not masses.size:
+            raise ParameterError("measure needs at least one atom, as equal-length 1-D arrays")
+        # NaN fails every comparison, so each check below rejects it
+        if not np.all(np.abs(locations) < 1.0):
+            raise ParameterError("atom locations must be finite and inside the open unit disc")
+        # masses at most 1 keep the fsum below overflow
+        if not np.all((masses > 0.0) & (masses <= 1.0)):
+            raise ParameterError("atom masses must lie in (0, 1]")
+        for name, array in (("locations", locations), ("masses", masses)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        if not abs(self.total_mass() - 1.0) <= 1e-12:
             raise ParameterError(f"total mass {self.total_mass()} is not 1")
 
+    @property
+    def atoms(self) -> np.ndarray:
+        """The locations: levibench/tracing.py counts atoms with len(measure.atoms)."""
+        return self.locations
+
     def total_mass(self) -> float:
-        return float(math.fsum(m for _, m in self.atoms))
-
-    @cached_property
-    def locations(self) -> np.ndarray:
-        return np.array([w for w, _ in self.atoms], dtype=np.complex128)
-
-    @cached_property
-    def masses(self) -> np.ndarray:
-        return np.array([m for _, m in self.atoms], dtype=np.float64)
+        return math.fsum(self.masses.tolist())
 
 
 def frostman_measure(square_set: SquareCantor) -> AtomicMeasure:
     """Uniform mass split: mass 4^{-n} at the center of every square."""
-    mass = 4.0 ** (-square_set.generation)
     centers = square_set.centers()
-    atoms = tuple((complex(x, y), mass) for x, y in centers)
-    return AtomicMeasure(generation=square_set.generation, atoms=atoms)
+    masses = np.full(len(centers), 4.0 ** (-square_set.generation))
+    locations = centers[:, 0] + 1j * centers[:, 1]
+    return AtomicMeasure(generation=square_set.generation, locations=locations, masses=masses)
 
 
 @dataclass(frozen=True)
@@ -227,20 +234,6 @@ def frostman_certificate(
 # -- Green potentials --------------------------------------------------------
 
 
-def green_kernel(z: complex, w: complex) -> float:
-    """-log|(z - w)/(1 - z conj(w))|: symmetric in (z, w), nonnegative on
-    the open disc, zero when either argument reaches the circle."""
-    z = complex(z)
-    w = complex(w)
-    num = abs(z - w)
-    den = abs(1.0 - z * np.conjugate(w))
-    if den == 0.0:
-        raise DomainError(f"kernel pole at z = {z}, w = {w}")
-    if num == 0.0:
-        return math.inf
-    return -math.log(num / den)
-
-
 @dataclass(frozen=True)
 class GreenPotential:
     """u(z) = sum_j m_j * (-log|(z - w_j)/(1 - z conj(w_j))|).
@@ -253,16 +246,11 @@ class GreenPotential:
     measure: AtomicMeasure
 
     def __call__(self, z: complex) -> float:
+        """u(z) on the closed disc, as a 0-d grid_values call."""
         z = complex(z)
         if abs(z) > 1.0 + 1e-12:
             raise DomainError(f"potential evaluated outside the closed disc: {z}")
-        total = []
-        for w, m in self.measure.atoms:
-            term = green_kernel(z, w)
-            if math.isinf(term):
-                return math.inf
-            total.append(m * term)
-        return float(math.fsum(total))
+        return float(self.grid_values(z.real, z.imag))
 
     def grid_values(self, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; atom nodes come back +inf.
@@ -287,7 +275,8 @@ class GreenPotential:
         # contiguous buffers: numpy's SIMD log and its strided fallback can
         # differ in the last bit
         work = np.empty((3, min(rows, full[0])) + full[1:])
-        terms = [(w.real, w.imag, 0.5 * m) for w, m in self.measure.atoms]
+        w = self.measure.locations
+        terms = list(zip(w.real.tolist(), w.imag.tolist(), (0.5 * self.measure.masses).tolist()))
         with np.errstate(divide="ignore"):
             for start in range(0, full[0], rows):
                 o = out[start : start + rows]
@@ -309,10 +298,6 @@ class GreenPotential:
                     np.multiply(half_m, term, out=term)
                     o -= term
         return out.reshape(shape)
-
-
-def green_potential(measure: AtomicMeasure) -> GreenPotential:
-    return GreenPotential(measure=measure)
 
 
 def potential_field(
@@ -503,7 +488,7 @@ def zygmund_domain(
     """
     square_set = build_square_cantor(alpha, n)
     measure = frostman_measure(square_set)
-    pot = green_potential(measure)
+    pot = GreenPotential(measure)
 
     def cap_values(gx, gy):
         return _ball_cap_values(gx, gy) - pot.grid_values(gx, gy)
@@ -513,6 +498,6 @@ def zygmund_domain(
         "alpha": float(alpha),
         "generation": int(n),
         "spacing": float(spacing),
-        "atoms": len(measure.atoms),
+        "atoms": measure.locations.size,
     }
     return HartogsDomain(cap=cap, kind="cantor", params=params)

@@ -4,8 +4,10 @@ The construction proceeds in four stages, each with an exact rational
 backbone so the structural identities can be asserted without floating
 point slack:
 
-  * ``build_cantor`` produces the nested interval system ``I[n][i]`` with
-    centered removed gaps ``J[n][i]`` of relative size ``alpha_{n+1}``.
+  * ``build_cantor`` produces the nested kept intervals: generation n+1
+    removes from each generation-n interval its centered open gap of
+    relative size ``alpha_{n+1}``.  Only the endpoint row of the deepest
+    generation N is stored; ``level(n)`` slices generation n out of it.
   * ``staircase_f`` produces the piecewise affine iterate ``f_n`` that
     climbs from 0 to 1 on the kept intervals and is constant on gaps.
   * ``fat_F`` integrates ``f_N - t`` into a piecewise quadratic ``F`` with
@@ -122,21 +124,26 @@ def default_alphas(alpha1, count: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class CantorSystem:
-    """Nested kept intervals I[n][i] and removed gaps J[n][i].
+    """The nested kept intervals, stored as their deepest generation.
 
-    ``levels[n]`` holds the 2**n kept intervals of generation ``n`` as
-    (left, right) Fraction pairs in increasing order; ``gaps[n]`` holds the
-    2**n open middle intervals removed from generation ``n`` to produce
-    generation ``n+1``.  Index ``i`` is 0-based.
+    ``xs`` holds the 2**(N+1) endpoints of the generation-N kept intervals
+    in increasing order, left and right alternating, with N = ``depth``.
+    A generation-n interval's outer ends are those of its outermost
+    generation-N descendants, so ``level(n)`` slices every coarser
+    generation out of this one row.
     """
 
     alphas: tuple[Fraction, ...]
-    levels: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-    gaps: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
+    xs: tuple[Fraction, ...]
 
     @property
     def depth(self) -> int:
         return len(self.alphas)
+
+    def level(self, n: int) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The 2**n kept intervals of generation n as (left, right) pairs."""
+        s = 2 ** (self.depth - n)
+        return tuple(zip(self.xs[:: 2 * s], self.xs[2 * s - 1 :: 2 * s]))
 
     def interval_length(self, n: int) -> Fraction:
         """Common length of every generation-n kept interval (exact)."""
@@ -154,7 +161,7 @@ class CantorSystem:
 
     def kept_union(self, n: int | None = None) -> list[tuple[float, float]]:
         n = self.depth if n is None else n
-        return [(float(a), float(b)) for a, b in self.levels[n]]
+        return [(float(a), float(b)) for a, b in self.level(n)]
 
 
 def build_cantor(alphas: Sequence, depth: int | None = None) -> CantorSystem:
@@ -179,31 +186,25 @@ def build_cantor(alphas: Sequence, depth: int | None = None) -> CantorSystem:
         if not 0 < a < 1:
             raise ParameterError(f"gap ratios must lie in (0, 1), got {a}")
 
-    levels: list[tuple[tuple[Fraction, Fraction], ...]] = [((Fraction(0), Fraction(1)),)]
-    gaps: list[tuple[tuple[Fraction, Fraction], ...]] = []
-    for n in range(depth):
-        a_n = ratios[n]
-        gap_row: list[tuple[Fraction, Fraction]] = []
-        next_row: list[tuple[Fraction, Fraction]] = []
-        for left, right in levels[n]:
+    xs: tuple[Fraction, ...] = (Fraction(0), Fraction(1))
+    for a_n in ratios:
+        row: list[Fraction] = []
+        for left, right in zip(xs[::2], xs[1::2]):
             center = (left + right) / 2
             half = a_n * (right - left) / 2
-            g = (center - half, center + half)
-            gap_row.append(g)
-            next_row.append((left, g[0]))
-            next_row.append((g[1], right))
-        gaps.append(tuple(gap_row))
-        levels.append(tuple(next_row))
-    return CantorSystem(alphas=ratios, levels=tuple(levels), gaps=tuple(gaps))
+            row += (left, center - half, center + half, right)
+        xs = tuple(row)
+    return CantorSystem(alphas=ratios, xs=xs)
 
 
 @dataclass(frozen=True)
 class StaircaseIterates:
     """Piecewise affine f_n with f_n(0) = 0, f_n(1) = 1.
 
-    On kept interval I[n][i] the graph rises linearly from i * 2**-n to
-    (i+1) * 2**-n with common slope ``slope``; between kept intervals it is
-    constant.  ``xs``/``ys`` are the exact breakpoints in increasing x.
+    On kept interval ``system.level(n)[i]`` the graph rises linearly from
+    i * 2**-n to (i+1) * 2**-n with common slope ``slope``; between kept
+    intervals it is constant.  ``xs``/``ys`` are the exact breakpoints in
+    increasing x.
     """
 
     system: CantorSystem
@@ -248,7 +249,7 @@ def staircase_f(system: CantorSystem, n: int | None = None) -> StaircaseIterates
     xs: list[Fraction] = []
     ys: list[Fraction] = []
     step = Fraction(1, 2**n)
-    for i, (a, b) in enumerate(system.levels[n]):
+    for i, (a, b) in enumerate(system.level(n)):
         xs.extend((a, b))
         ys.extend((i * step, (i + 1) * step))
     slope = step / system.interval_length(n)
@@ -403,7 +404,7 @@ def find_x0(fat: FatF, n_offsets: int = 1000) -> X0Certificate:
         raise ParameterError(f"n_offsets must be >= 1, got {n_offsets}")
     system = fat.system
     it = fat.iterates
-    a1, b1 = system.levels[1][0]
+    a1, b1 = system.level(1)[0]
     slope1 = 1 / (1 - system.alphas[0])
     growth = (slope1 - 1) / 2
 

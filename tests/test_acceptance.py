@@ -32,13 +32,13 @@ from levicheck.levi import (
 from levicheck.mollify import mollified_sign_certificate, staircase_sweep_case
 from levicheck.potential import (
     AtomicMeasure,
+    GreenPotential,
     box_dimension,
     build_square_cantor,
     disc_mass_recovery,
     frostman_certificate,
     frostman_measure,
     graph_set_points,
-    green_potential,
 )
 from levicheck.staircase import (
     build_cantor,
@@ -137,7 +137,9 @@ def test_04_staircase_exact_identities_and_growth():
     assert fat.value_exact(0) == 0 and fat.value_exact(1) == 0
     h = 2.0**-12
     for level in (0, 1, 2):
-        ga, gb = (float(t) for t in system.gaps[level][0])
+        # a generation's first gap lies between the next generation's first two intervals
+        left, right = system.level(level + 1)[:2]
+        ga, gb = float(left[1]), float(right[0])
         t = 0.5 * (ga + gb)
         second = (fat(t + h) - 2.0 * fat(t) + fat(t - h)) / (h * h)
         assert second == pytest.approx(-1.0, abs=1e-4)
@@ -176,13 +178,13 @@ def test_06_green_potential_anchors():
     # and 5% per occupied generation-5 cell.
     square_set = build_square_cantor(1.0, 5)
     measure = frostman_measure(square_set)
-    potential = green_potential(measure)
+    potential = GreenPotential(measure)
 
     theta = 2.0 * math.pi * (np.arange(512) + 0.5) / 512
     boundary = potential.grid_values(np.cos(theta), np.sin(theta))
     assert np.max(np.abs(boundary)) <= 1e-10
 
-    single = green_potential(AtomicMeasure(generation=0, atoms=((0j, 1.0),)))
+    single = GreenPotential(AtomicMeasure(generation=0, locations=[0j], masses=[1.0]))
     assert abs(single(0.5 + 0j) - math.log(2.0)) <= 1e-12
 
     assert abs(disc_mass_recovery(potential, radius=0.9) - 1.0) <= 0.02
@@ -248,7 +250,7 @@ def test_07_frostman_growth_and_box_dimensions():
     )
     assert abs(planar.slope - 1.0) <= 0.1
 
-    graph_pot = green_potential(frostman_measure(build_square_cantor(1.0, 5)))
+    graph_pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 5)))
     graph_pts = graph_set_points(
         build_square_cantor(1.0, 6), graph_pot, n_angles=2048
     )

@@ -195,9 +195,39 @@ class TestUsageErrors:
                 "params.cert_generations=[4]",
                 "len(cert_generations) must be >= 2 for cantor-potential, got 1",
             ),
-            # or from a library precondition
+            # graph_angles 0 exited 2 only after the potentials were built,
+            # and -3 crashed in numpy
+            (
+                "cantor-potential",
+                "params.graph_angles=0",
+                "graph_angles must be >= 1 for cantor-potential, got 0",
+            ),
+            (
+                "cantor-potential",
+                "params.graph_angles=-3",
+                "graph_angles must be >= 1 for cantor-potential, got -3",
+            ),
+            # find_x0 rejected it only after the fat_F work
+            (
+                "staircase-build",
+                "params.n_offsets=0",
+                "n_offsets must be >= 1 for staircase-build, got 0",
+            ),
+            # the scan rejected 1.5 only after the cap was built
+            ("hartogs-scan", "params.scan_radius=0", "scan_radius must be > 0 for hartogs-scan"),
+            (
+                "hartogs-scan",
+                "params.scan_radius=1.5",
+                "scan_radius must be < 1 for hartogs-scan, got 1.5",
+            ),
+            # or from a library precondition; cantor-potential builds every
+            # square set before any work, so growth.csv is never left behind
             ("mollify-sweep", "params.epsilon=0", "epsilon must be positive"),
             ("staircase-build", "params.depth=15", "got 15"),
+            ("cantor-potential", "params.generation=0", "generation must be >= 1, got 0"),
+            ("cantor-potential", "params.cert_generations=[4, 11]", "generation 11 exceeds"),
+            ("cantor-potential", "params.dim_generation=11", "generation 11 exceeds"),
+            ("cantor-potential", "params.graph_generation=0", "generation must be >= 1, got 0"),
         ],
     )
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, scenario, override, message):
@@ -205,6 +235,7 @@ class TestUsageErrors:
         assert main(["run", "--config", str(cfg), "--set", override]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
     def test_ranges_cover_defaults(self, scenario):

@@ -466,7 +466,7 @@ def full_mesh_values(radius, spacing, fn, pad_cells=2):
 
 def _cantor_potential_field():
     measure = potential.frostman_measure(potential.build_square_cantor(1.0, 3))
-    pot = potential.green_potential(measure)
+    pot = potential.GreenPotential(measure)
     return potential.potential_field(pot, 1.0, 1.0 / 128.0)
 
 

@@ -20,6 +20,7 @@ from levicheck import potential as potential_module
 from levicheck.fields import DiscField, DomainError, ParameterError
 from levicheck.potential import (
     AtomicMeasure,
+    GreenPotential,
     box_dimension,
     build_square_cantor,
     contraction_ratio,
@@ -27,8 +28,6 @@ from levicheck.potential import (
     frostman_certificate,
     frostman_measure,
     graph_set_points,
-    green_kernel,
-    green_potential,
     potential_field,
     zygmund_domain,
     zygmund_seminorm,
@@ -65,7 +64,7 @@ def direct_grid_values(potential, gx, gy):
     """Reference sum, one whole-array pass per atom: the row-blocked
     grid_values must match it bit for bit."""
     out = np.zeros(np.broadcast(gx, gy).shape, dtype=np.float64)
-    for w, m in potential.measure.atoms:
+    for w, m in zip(potential.measure.locations, potential.measure.masses):
         dx = gx - w.real
         dy = gy - w.imag
         num2 = dx * dx + dy * dy
@@ -85,13 +84,13 @@ def box_count_oracle(pts, s):
 def gen5():
     square_set = build_square_cantor(1.0, 5)
     measure = frostman_measure(square_set)
-    return square_set, measure, green_potential(measure)
+    return square_set, measure, GreenPotential(measure)
 
 
 @pytest.fixture(scope="module")
 def gen4_field():
     measure = frostman_measure(build_square_cantor(1.0, 4))
-    return potential_field(green_potential(measure), 1.0, 1.0 / 512.0)
+    return potential_field(GreenPotential(measure), 1.0, 1.0 / 512.0)
 
 
 @pytest.fixture(scope="module")
@@ -196,23 +195,120 @@ class TestAtomicMeasure:
         assert mass == 1.0
         assert mass / r**1.0 <= r**-1.0
 
-    def test_invalid_measures_rejected(self):
-        with pytest.raises(ParameterError, match="atom"):
-            AtomicMeasure(generation=0, atoms=())
-        with pytest.raises(ParameterError, match="positive"):
-            AtomicMeasure(generation=0, atoms=((0j, -1.0), (0.1 + 0j, 2.0)))
-        with pytest.raises(ParameterError, match="mass"):
-            AtomicMeasure(generation=1, atoms=((0j, 0.5), (0.1 + 0j, 0.6)))
+    @pytest.mark.parametrize(
+        "locations, masses, match",
+        [
+            ([], [], "at least one atom"),
+            ([0j, 0.1], [0.5], "at least one atom"),
+            ([[0j]], [[1.0]], "at least one atom"),
+            ([0j, 0.1], [-1.0, 2.0], "masses must lie in"),
+            ([0j, 0.1], [math.nan, 1.0], "masses must lie in"),
+            ([0j, 0.1], [0.5, math.inf], "masses must lie in"),
+            ([0j, 0.1], [1e308, 1e308], "masses must lie in"),
+            ([complex(math.nan, 0.0)], [1.0], "open unit disc"),
+            ([complex(math.inf, 0.0)], [1.0], "open unit disc"),
+            ([1.5], [1.0], "open unit disc"),
+            ([1.0j], [1.0], "open unit disc"),
+            ([0j, 0.1], [0.5, 0.6], "total mass"),
+            ([0j, 0.1], [0.5, 0.4], "total mass"),
+        ],
+    )
+    def test_invalid_measures_rejected(self, locations, masses, match):
+        with pytest.raises(ParameterError, match=match):
+            AtomicMeasure(generation=0, locations=locations, masses=masses)
+
+    def test_arrays_read_only_copies(self, gen5):
+        _, measure, _ = gen5
+        assert measure.locations.dtype == np.complex128 and measure.masses.dtype == np.float64
+        for array in (measure.locations, measure.masses):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            measure.masses[0] = 1.0
+        masses = np.array([0.25, 0.75])
+        AtomicMeasure(generation=0, locations=[0j, 0.5], masses=masses)
+        assert masses.flags.writeable
+
+
+# -- oracle: the scalar Green kernel and the per-atom fsum loop that
+# GreenPotential.__call__ ran before it became a 0-d grid_values call, kept
+# verbatim (the loop reads the two arrays where it read (w, m) pairs)
+
+
+def green_kernel(z: complex, w: complex) -> float:
+    """-log|(z - w)/(1 - z conj(w))|: symmetric in (z, w), nonnegative on
+    the open disc, zero when either argument reaches the circle."""
+    z = complex(z)
+    w = complex(w)
+    num = abs(z - w)
+    den = abs(1.0 - z * np.conjugate(w))
+    if den == 0.0:
+        raise DomainError(f"kernel pole at z = {z}, w = {w}")
+    if num == 0.0:
+        return math.inf
+    return -math.log(num / den)
+
+
+def scalar_potential(measure, z: complex) -> float:
+    z = complex(z)
+    if abs(z) > 1.0 + 1e-12:
+        raise DomainError(f"potential evaluated outside the closed disc: {z}")
+    total = []
+    for w, m in zip(measure.locations.tolist(), measure.masses.tolist()):
+        term = green_kernel(z, w)
+        if math.isinf(term):
+            return math.inf
+        total.append(m * term)
+    return float(math.fsum(total))
+
+
+def single_atom(w):
+    return GreenPotential(AtomicMeasure(generation=0, locations=[w], masses=[1.0]))
+
+
+class TestScalarKernelOracle:
+    """grid_values and __call__, the one kernel, against the scalar kernel."""
+
+    @pytest.mark.parametrize("which", ["cantor", "random"])
+    def test_agree_at_seeded_points(self, which):
+        rng = np.random.default_rng(11)
+        if which == "cantor":
+            measure = frostman_measure(build_square_cantor(1.3, 3))
+        else:
+            locs = 0.9 * np.sqrt(rng.random(40)) * np.exp(2j * math.pi * rng.random(40))
+            weights = rng.uniform(0.1, 1.0, 40)
+            measure = AtomicMeasure(generation=0, locations=locs, masses=weights / weights.sum())
+        pot = GreenPotential(measure)
+        radius = np.sqrt(rng.random(300))
+        z = radius * np.exp(2j * math.pi * rng.random(300))
+        want = np.array([scalar_potential(measure, w) for w in z])
+        grid = pot.grid_values(z.real, z.imag)
+        called = np.array([pot(w) for w in z])
+        bound = 1e-12 * (1.0 + np.abs(want))
+        assert np.all(np.abs(grid - want) <= bound)
+        assert np.all(np.abs(called - want) <= bound)
+
+    def test_infinite_at_an_atom(self):
+        measure = frostman_measure(build_square_cantor(1.0, 3))
+        pot = GreenPotential(measure)
+        w = measure.locations[5]
+        assert scalar_potential(measure, w) == math.inf
+        assert pot(w) == math.inf
+        assert pot.grid_values(w.real, w.imag) == np.inf
+
+    def test_scalar_call_is_python_float(self):
+        assert type(single_atom(0j)(0.5)) is float
 
 
 class TestGreenKernel:
+    """Kernel properties, read through single-atom potentials."""
+
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             rz, tz, rw, tw = rng.random(4)
             z = 0.95 * rz * np.exp(2j * math.pi * tz)
             w = 0.95 * rw * np.exp(2j * math.pi * tw)
-            assert abs(green_kernel(z, w) - green_kernel(w, z)) <= 1e-12
+            assert abs(single_atom(w)(z) - single_atom(z)(w)) <= 1e-12
 
     @given(
         st.floats(0.0, 0.9),
@@ -225,19 +321,21 @@ class TestGreenKernel:
         z = rz * np.exp(2j * math.pi * tz)
         w = rw * np.exp(2j * math.pi * tw)
         if abs(z - w) > 0:
-            assert green_kernel(z, w) >= -1e-12
+            assert single_atom(w)(z) >= -1e-12
 
     def test_atom_hit_is_flagged_infinite(self):
-        assert math.isinf(green_kernel(0.3 + 0.1j, 0.3 + 0.1j))
+        assert math.isinf(single_atom(0.3 + 0.1j)(0.3 + 0.1j))
 
     def test_pole_outside_disc_raises(self):
-        with pytest.raises(DomainError, match="pole"):
-            green_kernel(2.0 + 0j, 0.5 + 0j)
+        # the pole of an atom at w sits at 1/conj(w), outside the closed disc
+        with pytest.raises(DomainError, match="disc"):
+            single_atom(0.5 + 0j)(2.0 + 0j)
 
 
 class TestGreenPotential:
     def test_single_atom_closed_form(self):
-        u = green_potential(AtomicMeasure(generation=0, atoms=((0j, 1.0),)))
+        u = single_atom(0j)
+        assert u(0.5 + 0j) == 0.6931471805599453
         assert abs(u(0.5 + 0j) - math.log(2.0)) <= 1e-12
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -247,7 +345,7 @@ class TestGreenPotential:
 
     def test_atom_hit_returns_flagged_infinity(self, gen5):
         _, measure, potential = gen5
-        assert math.isinf(potential(measure.atoms[7][0]))
+        assert math.isinf(potential(measure.locations[7]))
 
     def test_outside_disc_rejected(self, gen5):
         _, _, potential = gen5
@@ -262,7 +360,8 @@ class TestGreenPotential:
 
     def test_value_at_origin_matches_direct_sum(self, gen5):
         _, measure, potential = gen5
-        oracle = -math.fsum(m * math.log(abs(w)) for w, m in measure.atoms)
+        atoms = zip(measure.locations.tolist(), measure.masses.tolist())
+        oracle = -math.fsum(m * math.log(abs(w)) for w, m in atoms)
         val = potential(0j)
         assert val > 0.0
         assert abs(val - oracle) <= 1e-12
@@ -301,7 +400,7 @@ class TestGridValuesBlocked:
         w = np.array(weights[: len(lattice)])
         w /= w.sum()
         locs = [complex(i / 64.0, j / 64.0) for i, j in lattice]
-        pot = green_potential(AtomicMeasure(generation=0, atoms=tuple(zip(locs, w))))
+        pot = GreenPotential(AtomicMeasure(generation=0, locations=locs, masses=w))
         hit = locs[0]
         xs = np.concatenate([rng.uniform(-1.1, 1.1, rows), _CIRCLE_COORDS, [hit.real]])
         ys = np.concatenate([rng.uniform(-1.1, 1.1, cols), _CIRCLE_COORDS, [hit.imag]])
@@ -321,7 +420,7 @@ class TestGridValuesBlocked:
     def test_lengths_off_the_block(self):
         # 1-D queries and a 517-wide grid whose lengths are no multiple of
         # the real block (63 rows of 517 nodes), so the last block is partial
-        pot = green_potential(frostman_measure(build_square_cantor(1.0, 2)))
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 2)))
         rng = np.random.default_rng(5)
         n = 2 * potential_module._BLOCK + 123
         px, py = rng.uniform(-1.0, 1.0, (2, n))
@@ -335,8 +434,8 @@ class TestGridValuesBlocked:
         assert np.array_equal(got.view(np.int64), direct_grid_values(pot, gx, gy).view(np.int64))
 
     def test_atom_node_infinite_and_circle_nodes_positive_zero(self):
-        pot = green_potential(frostman_measure(build_square_cantor(1.0, 2)))
-        w = pot.measure.atoms[3][0]
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 2)))
+        w = pot.measure.locations[3]
         gx = np.array([w.real, 1.0, 0.0, -1.0, 0.0])
         gy = np.array([w.imag, 0.0, 1.0, 0.0, -1.0])
         vals = pot.grid_values(gx, gy)
@@ -345,7 +444,7 @@ class TestGridValuesBlocked:
         assert not np.signbit(vals[1:]).any()
 
     def test_scalar_inputs_give_zero_dim_array(self):
-        pot = green_potential(AtomicMeasure(generation=0, atoms=((0j, 1.0),)))
+        pot = single_atom(0j)
         val = pot.grid_values(0.5, 0.0)
         assert isinstance(val, np.ndarray) and val.shape == ()
         assert val.view(np.int64) == direct_grid_values(pot, 0.5, 0.0).view(np.int64)
@@ -511,7 +610,7 @@ class TestZygmundDomain:
         assert domain.kind == "cantor"
         assert domain.params["generation"] == 4
         assert domain.params["atoms"] == 256
-        pot = green_potential(frostman_measure(build_square_cantor(1.0, 4)))
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 4)))
         xs = domain.cap.axis()
         i, j = 300, 350
         ref = 0.5 * math.log(1.0 - (xs[i] ** 2 + xs[j] ** 2)) - pot(

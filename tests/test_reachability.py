@@ -84,6 +84,9 @@ UNREACHED = {
     "mollify.kernel_profile_constants": "the continuum moment; the benchmark set-up and tests call it",
     "mollify.MollifiedField.base_window": "tests compare v * theta_delta with v over U^delta",
     "mollify.MollifiedField.sup_distance_to_base": "tests bound |v * theta_delta - v| with it",
+    "potential.AtomicMeasure.atoms": (
+        "levibench/tracing.py reads len(.atoms); item 2 moves it to locations.size"
+    ),
     "potential.potential_field": "ROADMAP item 3 brings it under hartogs-scan cap=cantor",
     "potential.zygmund_domain": "ROADMAP item 3; the benchmark's cantor_cap job calls it",
     "potential.zygmund_seminorm": "ROADMAP item 3 records the cap's seminorm with it",

@@ -42,6 +42,50 @@ ratio_lists = st.lists(
 )
 
 
+def gap_row(system, n):
+    """The 2**n open gaps removed from generation n: each lies between the
+    two generation-(n+1) intervals its parent splits into."""
+    kids = system.level(n + 1)
+    return tuple((kids[2 * i][1], kids[2 * i + 1][0]) for i in range(2**n))
+
+
+# -- oracle: build_cantor as it kept every generation's intervals and gaps,
+# verbatim but for its return value; level(n) and gap_row must equal them
+
+
+def build_cantor_levels_oracle(alphas, depth=None):
+    ratios = tuple(_as_fraction(a) for a in alphas)
+    if depth is None:
+        depth = len(ratios)
+    if not 1 <= depth <= _DEPTH_BUDGET:
+        raise ParameterError(f"depth must lie in [1, {_DEPTH_BUDGET}], got {depth}")
+    if len(ratios) < depth:
+        raise ParameterError(
+            f"need at least {depth} gap ratios, got {len(ratios)}"
+        )
+    ratios = ratios[:depth]
+    for a in ratios:
+        if not 0 < a < 1:
+            raise ParameterError(f"gap ratios must lie in (0, 1), got {a}")
+
+    levels: list[tuple[tuple[Fraction, Fraction], ...]] = [((Fraction(0), Fraction(1)),)]
+    gaps: list[tuple[tuple[Fraction, Fraction], ...]] = []
+    for n in range(depth):
+        a_n = ratios[n]
+        gap_row: list[tuple[Fraction, Fraction]] = []
+        next_row: list[tuple[Fraction, Fraction]] = []
+        for left, right in levels[n]:
+            center = (left + right) / 2
+            half = a_n * (right - left) / 2
+            g = (center - half, center + half)
+            gap_row.append(g)
+            next_row.append((left, g[0]))
+            next_row.append((g[1], right))
+        gaps.append(tuple(gap_row))
+        levels.append(tuple(next_row))
+    return ratios, tuple(levels), tuple(gaps)
+
+
 # -- oracles: FatF's exact lookups that bisect for every value and
 # find_x0's scan over every gap of every generation, kept verbatim (``self``
 # renamed ``fat``); the library must return exactly their values
@@ -73,7 +117,7 @@ def sup_norm_exact_oracle(fat) -> Fraction:
 
 def left_gap_oracle(system, x0):
     left_gap = None
-    for row in system.gaps:
+    for row in (gap_row(system, n) for n in range(system.depth)):
         for g in row:
             if g[1] == x0:
                 left_gap = g
@@ -87,7 +131,7 @@ def find_x0_oracle(fat, n_offsets):
     """find_x0 on the oracle value lookup and the scan over all gaps."""
     system = fat.system
     it = fat.iterates
-    a1, b1 = system.levels[1][0]
+    a1, b1 = system.level(1)[0]
     slope1 = 1 / (1 - system.alphas[0])
     growth = (slope1 - 1) / 2
 
@@ -176,24 +220,41 @@ class TestBuildCantor:
     def test_interval_length_identity(self, sys_half):
         for n in range(sys_half.depth + 1):
             expect = Fraction(1, 2**n) * sys_half.kept_measure(n)
-            for a, b in sys_half.levels[n]:
+            for a, b in sys_half.level(n):
                 assert b - a == expect
 
     def test_gaps_centered_with_exact_ratio(self, sys_half):
         for n in range(sys_half.depth):
-            for i, (a, b) in enumerate(sys_half.levels[n]):
-                ga, gb = sys_half.gaps[n][i]
+            for i, (a, b) in enumerate(sys_half.level(n)):
+                ga, gb = gap_row(sys_half, n)[i]
                 assert ga + gb == a + b
                 assert gb - ga == sys_half.alphas[n] * (b - a)
 
     def test_children_partition_parent_minus_gap(self, sys_half):
         for n in range(sys_half.depth):
-            for i, (a, b) in enumerate(sys_half.levels[n]):
-                ga, gb = sys_half.gaps[n][i]
-                left = sys_half.levels[n + 1][2 * i]
-                right = sys_half.levels[n + 1][2 * i + 1]
+            for i, (a, b) in enumerate(sys_half.level(n)):
+                ga, gb = gap_row(sys_half, n)[i]
+                left = sys_half.level(n + 1)[2 * i]
+                right = sys_half.level(n + 1)[2 * i + 1]
                 assert left == (a, ga)
                 assert right == (gb, b)
+
+    @given(
+        a1=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda a: 0 < a < 1),
+        depth=st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_row_matches_all_levels_oracle(self, a1, depth):
+        alphas = default_alphas(a1, depth)
+        system = build_cantor(alphas)
+        ratios, levels, gaps = build_cantor_levels_oracle(alphas)
+        assert system.alphas == ratios
+        assert system.xs == tuple(x for pair in levels[depth] for x in pair)
+        for n in range(depth + 1):
+            assert system.level(n) == levels[n]
+            assert all(type(x) is Fraction for pair in system.level(n) for x in pair)
+        for n in range(depth):
+            assert gap_row(system, n) == gaps[n]
 
     def test_quarter_schedule_measure_value(self):
         sys_q = build_cantor(default_alphas(Fraction(1, 4), 8))
@@ -247,8 +308,8 @@ class TestBuildCantor:
     def test_level_counts_and_measure(self, ratios):
         system = build_cantor(ratios)
         n = system.depth
-        assert len(system.levels[n]) == 2**n
-        total = sum(b - a for a, b in system.levels[n])
+        assert len(system.level(n)) == 2**n
+        total = sum(b - a for a, b in system.level(n))
         expect = Fraction(1)
         for a in ratios:
             expect *= 1 - a
@@ -271,7 +332,7 @@ class TestStaircaseIterates:
     def test_breakpoint_values(self, sys_half):
         n = 4
         fn = staircase_f(sys_half, n)
-        for i, (a, b) in enumerate(sys_half.levels[n]):
+        for i, (a, b) in enumerate(sys_half.level(n)):
             assert fn.value_exact(a) == Fraction(i, 2**n)
             assert fn.value_exact(b) == Fraction(i + 1, 2**n)
 
@@ -327,7 +388,7 @@ class TestFatF:
         system = fat_half.system
         h = Fraction(1, 4096)
         for n in (0, 1, 2):
-            ga, gb = system.gaps[n][0]
+            ga, gb = gap_row(system, n)[0]
             t = (ga + gb) / 2
             if t - h <= ga or t + h >= gb:
                 continue
@@ -405,7 +466,7 @@ class TestFindX0:
         cert = find_x0(fat, n_offsets=1000)
         assert cert.offsets_checked == 1000
         assert cert.growth == alpha1 / (2 * (1 - alpha1))
-        a1, b1 = fat.system.levels[1][0]
+        a1, b1 = fat.system.level(1)[0]
         assert a1 < cert.x0 < b1
         assert cert.left_gap is not None
         assert cert.left_gap == left_gap_oracle(fat.system, cert.x0)
@@ -437,7 +498,7 @@ class TestFindX0:
         cert = find_x0(fat_half, n_offsets=10)
         fn = fat_half.iterates
         slope1 = 1 / (1 - fat_half.system.alphas[0])
-        a1, b1 = fat_half.system.levels[1][0]
+        a1, b1 = fat_half.system.level(1)[0]
         f_x0 = fn.value_exact(cert.x0)
         for x in fn.xs:
             if a1 <= x <= b1:
