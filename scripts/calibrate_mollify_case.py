@@ -1,31 +1,28 @@
 """Calibration harness for the staircase certificate case.
 
-For each candidate parameter set this script checks the node-level
+This script builds the frozen case at one spacing, checks the node-level
 certificate identity, predicts the sweep minima through the collapsed
 one-dimensional kernel acting on the deficit profile, then runs the
 certificate's sweep and reports m(delta), the fitted slope and the route
 it took.  The staircase fields are constant along xi3, so the sweep
 convolves in 2-D (reduced axes [2]); a field that is not invariant along
-any axis would take the 3-D route.  Constants frozen in
-staircase_sweep_case were chosen from this output.
+any axis would take the 3-D route.  The constants frozen in
+levicheck.mollify (_SPANS, _ALPHAS, _STRETCH, _SCALE, _PLATEAU, _HOLDER)
+were chosen from this output over a grid of candidate schedules, stretches
+and scales.
 
 Run from the repository root:
 
-    PYTHONPATH=src python scripts/calibrate_mollify_case.py [--full]
+    PYTHONPATH=src python scripts/calibrate_mollify_case.py [--spacing H]
 """
 
 import argparse
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from levicheck.levi import _neg_delta_tau_slabs, tau_fields
-from levicheck.mollify import (
-    make_kernel,
-    mollified_sign_certificate,
-    staircase_deficit_fields,
-)
+from levicheck.mollify import make_kernel, mollified_sign_certificate, staircase_sweep_case
 
 
 def identity_residual(case):
@@ -71,10 +68,10 @@ def predict_sweep(case, deltas):
     return out
 
 
-def run_case(label, epsilon, alpha, p, **kwargs):
+def run_case(spacing, epsilon, alpha, p):
     t0 = time.time()
-    case = staircase_deficit_fields(**kwargs)
-    deltas = case.delta_sweep()
+    case = staircase_sweep_case(spacing)
+    deltas = case.delta_sweep(7)
     res, cert = identity_residual(case)
     finite = np.isfinite(cert)
     pred = predict_sweep(case, deltas)
@@ -82,7 +79,7 @@ def run_case(label, epsilon, alpha, p, **kwargs):
         case.v, case.phi, alpha=alpha, p=p, epsilon=epsilon, deltas=deltas
     )
     dt = time.time() - t0
-    print(f"== {label} (declared alpha {case.holder_exponent:.2f}, "
+    print(f"== frozen case at spacing {spacing!r} (declared alpha {case.holder_exponent:.2f}, "
           f"seminorm {case.holder_constant:.2f}, {dt:.1f}s)")
     print(f"   identity residual {res:.3e}   raw cert min {cert[finite].min():.3e}")
     print(f"   hypothesis_min {rep.hypothesis_min:.3e}")
@@ -99,23 +96,8 @@ def main():
     ap.add_argument("--epsilon", type=float, default=1e-2)
     ap.add_argument("--alpha", type=float, default=0.9)
     ap.add_argument("--p", type=float, default=6.0)
-    ap.add_argument("--full", action="store_true", help="scan the candidate grid")
     args = ap.parse_args()
-
-    base = dict(spacing=args.spacing)
-    run_case("frozen defaults", args.epsilon, args.alpha, args.p, **base)
-    if args.full:
-        F = Fraction
-        for alphas, stretch, name in [
-            ((F(1, 5), F(7, 10), F(7, 10)), F(1), "schedule 0.2/0.7/0.7 unstretched"),
-            ((F(1, 5), F(7, 10), F(3, 4)), F(1), "schedule 0.2/0.7/0.75"),
-            ((F(3, 20), F(3, 4), F(3, 4)), F(1), "schedule 0.15/0.75/0.75"),
-        ]:
-            for scale in (0.125, 0.25):
-                run_case(
-                    f"{name} scale {scale}", args.epsilon, args.alpha, args.p,
-                    alphas=alphas, stretch=stretch, scale=scale, **base,
-                )
+    run_case(args.spacing, args.epsilon, args.alpha, args.p)
 
 
 if __name__ == "__main__":

@@ -357,7 +357,7 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
     )
     single = GreenPotential(AtomicMeasure(generation=0, locations=[0j], masses=[1.0]))
     anchor_err = abs(single(0.5 + 0j) - math.log(2.0))
-    recovered = disc_mass_recovery(potential, radius=0.9)
+    recovered = disc_mass_recovery(potential)
 
     constants = []
     for cert_set in cert_sets:
@@ -471,7 +471,17 @@ SCENARIOS = {
         "mollify-sweep",
         "Mollified sign certificate sweep on the shipped staircase case",
         {"spacing": 1.0 / 128.0, "alpha": 0.9, "p": 6.0, "epsilon": 1e-2, "count": 7},
-        {},  # each limit (epsilon > 0, ...) is a library precondition, not restated here
+        # the case is built first, so the certificate's own limits are
+        # restated here; only the coupled alpha > 3/p is left to it
+        {
+            # a float field holds (1/h + 1)^2 (0.5625/h + 1) doubles: 608 MB at
+            # 1/512, where the peak RSS (247 MB at 1/256) scales to about 1.4 GB
+            "spacing": ((">=", 1.0 / 512.0),),
+            "alpha": (("<", 1),),  # a gradient Holder exponent, above 3/p by the certificate
+            "p": ((">", 3),),  # the rate alpha - 3/p needs p above the dimension 3
+            "epsilon": ((">", 0),),  # a slack: the sweep passes when every m(delta) >= -epsilon
+            "count": ((">=", 2),),  # the decay slope is fitted through the deltas
+        },
         _run_mollify_sweep,
     ),
     "staircase-build": Scenario(

@@ -48,6 +48,8 @@ class ParameterError(ValueError):
 
 # values per slice that stable_sum converts to Python floats at a time
 _FSUM_CHUNK = 1 << 14
+# nodes DiscField.from_function samples beyond the disc's rim on each side
+_PAD_CELLS = 2
 
 
 def stable_sum(values) -> float:
@@ -153,22 +155,20 @@ class ScalarField3:
 
     @classmethod
     def from_function(
-        cls,
-        grid: Grid3,
-        fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-        regularity: Regularity | None = None,
+        cls, grid: Grid3, fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     ) -> "ScalarField3":
-        """fn gets grid.mesh()'s sparse meshes; its result must broadcast to the grid shape."""
+        """A smooth field: fn gets grid.mesh()'s sparse meshes, and its result
+        must broadcast to the grid shape."""
         x1, x2, x3 = grid.mesh()
         vals = np.broadcast_to(np.asarray(fn(x1, x2, x3), dtype=np.float64), grid.shape).copy()
-        return cls(grid, vals, regularity if regularity is not None else Regularity())
+        return cls(grid, vals)
 
     # -- node-level finite differences ------------------------------------
 
-    def _require_interior(self, node, margin: int = 1) -> tuple[int, int, int]:
+    def _require_interior(self, node) -> tuple[int, int, int]:
         i, j, k = (int(n) for n in node)
-        if not all(margin <= n <= e - 1 - margin for n, e in zip((i, j, k), self.grid.extents)):
-            raise StencilError(f"node {(i, j, k)} within {margin} cell(s) of the boundary")
+        if not all(1 <= n <= e - 2 for n, e in zip((i, j, k), self.grid.extents)):
+            raise StencilError(f"node {(i, j, k)} on the boundary")
         return i, j, k
 
     def fd_gradient(self, node) -> tuple[float, float, float]:
@@ -313,9 +313,9 @@ class DiscField:
         radius: float,
         spacing: float,
         fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        pad_cells: int = 2,
     ) -> "DiscField":
-        """Sample fn on the square grid covering the disc of this radius.
+        """Sample fn on the square grid covering the disc of this radius, with
+        _PAD_CELLS nodes beyond the rim on every side.
 
         fn gets sparse meshes, x of shape (m, 1) and y of shape (1, m), and
         must broadcast: its result may have any shape that broadcasts to
@@ -324,7 +324,7 @@ class DiscField:
         """
         if not 0.0 < spacing < radius:
             raise ParameterError(f"spacing must be positive and below the radius, got {spacing!r}")
-        half = int(math.ceil(radius / spacing)) + int(pad_cells)
+        half = int(math.ceil(radius / spacing)) + _PAD_CELLS
         coords = spacing * np.arange(-half, half + 1)
         gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)
         with np.errstate(all="ignore"):

@@ -515,13 +515,9 @@ class LeviScan:
         return out
 
 
-def levi_scan(phi: ScalarField3, tol: float | None = None) -> LeviScan:
-    """graph_levi_fields of phi with its counts and exports; the default
-    near-zero tolerance is 10 * h * (gradient Lipschitz constant of phi,
-    else 1)."""
-    if tol is None:
-        const = phi.regularity.constant if phi.regularity.constant > 0 else 1.0
-        tol = 10.0 * phi.grid.spacing * const
+def levi_scan(phi: ScalarField3, tol: float) -> LeviScan:
+    """graph_levi_fields of phi with its counts and exports; a node with
+    |value| <= tol is near_zero."""
     return LeviScan(phi=phi, values=graph_levi_fields(phi), tol=float(tol))
 
 
@@ -542,12 +538,11 @@ def slice_graph(phi_fn, t: complex, grid: Grid3) -> ScalarField3:
     return ScalarField3(grid, vals.copy())
 
 
-def slice_ratio_min(sliced: ScalarField3, r_min: float | None = None) -> float:
-    """min of phi^t(0, z2) / |z2|^2 over grid nodes with |z2| >= r_min,
+def slice_ratio_min(sliced: ScalarField3) -> float:
+    """min of phi^t(0, z2) / |z2|^2 over grid nodes with |z2| >= r_min = 2h,
     taken on the xi1-plane nearest 0."""
     grid = sliced.grid
-    if r_min is None:
-        r_min = 2.0 * grid.spacing
+    r_min = 2.0 * grid.spacing
     plane = int(np.argmin(np.abs(grid.axis(0))))
     x2, x3 = np.meshgrid(grid.axis(1), grid.axis(2), indexing="ij")
     rr = x2**2 + x3**2

@@ -285,21 +285,6 @@ def _thin(field: ScalarField3, axes) -> ScalarField3:
     return ScalarField3(grid, field.values[sel], field.regularity)
 
 
-def default_delta_sweep(spacing: float, count: int = 7, base_cells: int = 16) -> tuple[float, ...]:
-    """Half-dyadic sweep delta_k = base_cells*h * 2^{-k/2}; the default seven
-    points run from 16h down to exactly 2h.
-
-    Seven full-octave steps would span a factor 64, which cannot fit between
-    the 2h resolution floor and the domain size on any shipped grid, so the
-    sweep halves delta every second step instead."""
-    if count < 2:
-        raise ParameterError("sweep needs at least 2 points")
-    if base_cells < 2:
-        raise ParameterError("sweep must start at or above 2h")
-    base = float(base_cells) * float(spacing)
-    return tuple(base * 2.0 ** (-0.5 * k) for k in range(count))
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     """Result of one mollified-sign sweep.
@@ -372,7 +357,7 @@ def mollified_sign_certificate(
     alpha: float,
     p: float,
     epsilon: float,
-    deltas=None,
+    deltas,
     kink_planes=(),
     hypothesis_tol: float | None = None,
 ) -> CertificateReport:
@@ -415,8 +400,6 @@ def mollified_sign_certificate(
         )
 
     h = v.grid.spacing
-    if deltas is None:
-        deltas = default_delta_sweep(h)
     deltas = tuple(float(d) for d in deltas)
     if any(d < 2.0 * h for d in deltas):
         raise UnderResolvedKernelError(f"sweep contains deltas below 2h = {2.0 * h}")
@@ -497,11 +480,10 @@ class _PiecewisePoly:
         return _PiecewisePoly(self.breaks, tuple(polys))
 
 
-def _plateau_profile(a0: float, a1: float, b1: float, b0: float) -> tuple[_PiecewisePoly, _PiecewisePoly]:
-    """C^3 plateau P: 0 outside (a0, b0), 1 on [a1, b1], septic smoothstep
-    shoulders; returned with its double antiderivative."""
-    if not 0.0 <= a0 < a1 < b1 < b0:
-        raise ParameterError("plateau breakpoints must increase")
+def _plateau_road() -> _PiecewisePoly:
+    """Double antiderivative of the C^3 plateau P: 0 outside (a0, b0), 1 on
+    [a1, b1], septic smoothstep shoulders, (a0, a1, b1, b0) = _PLATEAU."""
+    a0, a1, b1, b0 = _PLATEAU
     step = Polynomial([0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0])
     rise = step(Polynomial([0.0, 1.0 / (a1 - a0)]))
     fall = step(Polynomial([1.0, -1.0 / (b0 - b1)]))
@@ -509,18 +491,30 @@ def _plateau_profile(a0: float, a1: float, b1: float, b0: float) -> tuple[_Piece
         (0.0, a0, a1, b1, b0, 64.0),
         (Polynomial([0.0]), rise, Polynomial([1.0]), fall, Polynomial([0.0])),
     )
-    return profile, profile.double_antiderivative()
+    return profile.double_antiderivative()
+
+
+# the frozen case (scripts/calibrate_mollify_case.py): grid spans, Cantor gap
+# ratios, the stretch L along xi2, v's amplitude c, the plateau (a0, a1, b1,
+# b0) along u = xi1 + xi2 and phi's declared gradient Holder exponent
+_SPANS = (1.0, 1.0, 0.5625)
+_ALPHAS = (Fraction(1, 5), Fraction(7, 10), Fraction(7, 10))
+_STRETCH = Fraction(5, 4)
+_SCALE = Fraction(1, 4)
+_PLATEAU = (0.25, 0.50, 1.50, 1.75)
+_HOLDER = 0.9
 
 
 @dataclass(frozen=True)
 class StaircaseCase:
-    """One staircase certificate case: the fields plus construction data.
+    """The staircase certificate case: the fields plus construction data.
 
     deficit[j] = g_sup^2 - ghat(xi2_j)^2 where ghat is the 2h box average of
-    the coefficient g = g_base + g_amp * f(xi2/stretch); road_top is the
-    u = xi1 + xi2 interval where the plateau equals 1 and the certificate is
-    tight.  holder_exponent is the gradient Holder exponent declared on phi
-    and holder_constant the matching seminorm measured over all grid pairs.
+    the coefficient g = 1 + f(xi2/L), f the staircase of the gap ratios
+    ``alphas`` and L = 5/4; road_top is the u = xi1 + xi2 interval where the
+    plateau equals 1 and the certificate is tight.  holder_exponent is the
+    gradient Holder exponent declared on phi and holder_constant the
+    matching seminorm measured over all grid pairs.
     """
 
     v: ScalarField3
@@ -532,44 +526,42 @@ class StaircaseCase:
     scale: float
     road_top: tuple[float, float]
     alphas: tuple[Fraction, ...]
-    stretch: float
     holder_exponent: float
     holder_constant: float
 
-    def delta_sweep(self, count: int = 7) -> tuple[float, ...]:
-        """The sweep this case is sized for: 32h down to 4h, half-dyadic."""
-        return default_delta_sweep(self.v.grid.spacing, count=count, base_cells=32)
+    def delta_sweep(self, count: int) -> tuple[float, ...]:
+        """count half-dyadic points delta_k = 32h * 2^{-k/2}; seven run from
+        32h down to exactly 4h.
+
+        Seven full-octave steps would span a factor 64, which cannot fit
+        between the 2h resolution floor and the domain size on any shipped
+        grid, so the sweep halves delta every second step instead."""
+        if count < 2:
+            raise ParameterError("sweep needs at least 2 points")
+        base = 32.0 * self.v.grid.spacing
+        return tuple(base * 2.0 ** (-0.5 * k) for k in range(count))
 
 
-def staircase_deficit_fields(
-    spacing: float = 1.0 / 128.0,
-    spans: tuple[float, float, float] = (1.0, 1.0, 0.5625),
-    alphas: tuple = (Fraction(1, 5), Fraction(7, 10), Fraction(7, 10)),
-    stretch: Fraction = Fraction(5, 4),
-    g_base: float = 1.0,
-    g_amp: float = 1.0,
-    scale: float = 0.25,
-    plateau: tuple[float, float, float, float] = (0.25, 0.50, 1.50, 1.75),
-    holder: float = 0.9,
-) -> StaircaseCase:
-    """Staircase-built test pair (v, phi) with an exact discrete certificate.
+def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
+    """Staircase-built pair (v, phi) with an exact discrete certificate,
+    shipped for the (alpha, p) = (0.9, 6) sweep.
 
-    phi(xi) = -(g_base xi2 + g_amp L F1(xi2/L)) with F1 = int_0^x f and
-    L = stretch, so the coefficient pair is tau1 = g/4, tau2 = 1/2 with
-    g = g_base + g_amp f(xi2/L); the centered first difference of phi
-    reproduces exactly the 2h box average ghat of g.  v stacks a smooth
-    plateau road along u = xi1 + xi2 against the discrete double sum of the
-    deficit g_sup^2 - ghat^2 and the closing lift -(1 + g_sup^2) xi2^2 / 2,
-    which makes the interior identity
+    phi(xi) = -(xi2 + L F1(xi2/L)) with F1 = int_0^x f and L = _STRETCH, so
+    the coefficient pair is tau1 = g/4, tau2 = 1/2 with g = 1 + f(xi2/L);
+    the centered first difference of phi reproduces exactly the 2h box
+    average ghat of g.  v stacks a smooth plateau road along u = xi1 + xi2
+    against the discrete double sum of the deficit g_sup^2 - ghat^2 and the
+    closing lift -(1 + g_sup^2) xi2^2 / 2, which makes the interior identity
 
-        -Delta_tau v = (scale/16)(1 + ghat^2)(1 - P~(xi1 + xi2)) >= 0
+        -Delta_tau v = (c/16)(1 + ghat^2)(1 - P~(xi1 + xi2)) >= 0
 
-    hold at every node to rounding accuracy (P~ the discretized plateau),
-    with equality on the slab P = 1.  Mollification then feels only the
-    sliding average of the deficit, so m(delta) = -(scale/16) max (theta_delta
-    * deficit - deficit) is a pure response of the staircase cascade.
+    hold at every node to rounding accuracy (P~ the discretized plateau, c
+    = _SCALE), with equality on the slab P = 1.  Mollification then feels
+    only the sliding average of the deficit, so m(delta) = -(c/16) max
+    (theta_delta * deficit - deficit) is a pure response of the staircase
+    cascade.
 
-    The shipped gap schedule opens with a wide first gap, which keeps the
+    The gap schedule _ALPHAS opens with a wide first gap, which keeps the
     whole top of the 32h-to-4h sweep inside the first kept interval, and
     continues with near-constant ratios whose cascade scales sit inside the
     sweep window; the stretch aligns those scales so the fitted log-log
@@ -581,34 +573,29 @@ def staircase_deficit_fields(
     if not 0.0 < spacing < math.inf:
         raise ParameterError(f"spacing must be finite and positive, got {spacing!r}")
     h = Fraction(spacing)
-    lam = Fraction(stretch)
-    if lam <= 0:
-        raise ParameterError(f"stretch must be positive, got {stretch!r}")
-    extents = tuple(int(round(Fraction(s) / h)) + 1 for s in spans)
+    lam = _STRETCH
+    extents = tuple(int(round(Fraction(s) / h)) + 1 for s in _SPANS)
     if any(n < 9 for n in extents):
         raise ParameterError(f"extents {extents} too small for a certificate grid")
     n1, n2, n3 = extents
-    fat = fat_F(build_cantor(alphas))
-    f = fat.iterates.value_exact  # 0 left of 0, 1 right of 1
+    fat = fat_F(build_cantor(_ALPHAS))
+    f = fat.iterates.value_exact  # 0 left of 0
 
     def F1(x: Fraction) -> Fraction:
-        # int_0^x f exactly: F = int_0^x (f - t) dt vanishes at 0 and 1
+        # int_0^x f exactly: F = int_0^x (f - t) dt; every argument stays
+        # below (1 + 1.5h) / L < 1, since the extents check caps h at 0.075
         if x <= 0:
             return Fraction(0)
-        if x >= 1:
-            return x - Fraction(1, 2)
         return fat.value_exact(x) + x * x / 2
 
     def f_box(x: Fraction, w: Fraction) -> Fraction:
         # mean of f over [x - w, x + w]: the centered difference of F1
         return (F1(x + w) - F1(x - w)) / (2 * w)
 
-    gb = Fraction(g_base)
-    ga = Fraction(g_amp)
-    c = Fraction(scale)
-    gstar = gb + ga
+    c = _SCALE
+    gstar = Fraction(2)
     x2 = [j * h for j in range(n2)]
-    ghat = [gb + ga * f_box(x / lam, h / lam) for x in x2]
+    ghat = [1 + f_box(x / lam, h / lam) for x in x2]
     deficit = [gstar**2 - gh**2 for gh in ghat]
 
     # discrete double sum: the centered second difference of g2sum returns
@@ -617,7 +604,7 @@ def staircase_deficit_fields(
     for j in range(1, n2 - 1):
         g2sum.append(2 * g2sum[j] - g2sum[j - 1] + h**2 * deficit[j])
 
-    _, road2 = _plateau_profile(*plateau)
+    road2 = _plateau_road()
     u_nodes = float(h) * np.arange(n1 + n2 - 1)
     road_u = road2(u_nodes)
     idx = np.add.outer(np.arange(n1), np.arange(n2))
@@ -631,18 +618,18 @@ def staircase_deficit_fields(
     v_12 = float(c) * (road_12 + axis2[None, :])
     v_vals = np.repeat(v_12[:, :, None], n3, axis=2)
 
-    phi_1d = np.array([-(float(gb * x + ga * lam * F1(x / lam))) for x in x2])
+    phi_1d = np.array([-(float(x + lam * F1(x / lam))) for x in x2])
     phi_vals = np.broadcast_to(phi_1d[None, :, None], extents).copy()
 
-    g_nodes = np.array([float(gb + ga * f(x / lam)) for x in x2])
+    g_nodes = np.array([float(1 + f(x / lam)) for x in x2])
     seminorm = 0.0
     for j in range(1, n2):
         gaps = np.abs(g_nodes[j:] - g_nodes[:-j])
-        seminorm = max(seminorm, float(gaps.max()) / (float(j * h) ** holder))
+        seminorm = max(seminorm, float(gaps.max()) / (float(j * h) ** _HOLDER))
 
     grid = Grid3((0.0, 0.0, 0.0), float(h), extents)
     v = ScalarField3(grid, v_vals, Regularity("c11", constant=float(c) * (1.0 + float(gstar) ** 2)))
-    phi = ScalarField3(grid, phi_vals, Regularity("c1alpha", alpha=holder, constant=seminorm))
+    phi = ScalarField3(grid, phi_vals, Regularity("c1alpha", alpha=_HOLDER, constant=seminorm))
     return StaircaseCase(
         v=v,
         phi=phi,
@@ -651,14 +638,8 @@ def staircase_deficit_fields(
         deficit=np.array([float(d) for d in deficit]),
         g_sup=float(gstar),
         scale=float(c),
-        road_top=(plateau[1], plateau[2]),
-        alphas=tuple(Fraction(a) for a in alphas),
-        stretch=float(lam),
-        holder_exponent=holder,
+        road_top=(_PLATEAU[1], _PLATEAU[2]),
+        alphas=_ALPHAS,
+        holder_exponent=_HOLDER,
         holder_constant=seminorm,
     )
-
-
-def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
-    """The frozen staircase case shipped for the (alpha, p) = (0.9, 6) sweep."""
-    return staircase_deficit_fields(spacing=spacing)

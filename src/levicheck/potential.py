@@ -46,6 +46,9 @@ _GENERATION_BUDGET = 10
 # output nodes per row block of GreenPotential.grid_values: the block and
 # its three float64 work buffers take 1 MiB, within a typical L2 cache
 _BLOCK = 1 << 15
+# frostman_certificate checks every center of up to this many atoms, else a
+# stride sample
+_MAX_CENTERS = 4096
 
 
 def contraction_ratio(alpha: float) -> float:
@@ -178,14 +181,10 @@ class FrostmanCertificate:
     radii: tuple[float, ...]
 
 
-def frostman_certificate(
-    measure: AtomicMeasure,
-    alpha: float,
-    max_centers: int = 4096,
-) -> FrostmanCertificate:
+def frostman_certificate(measure: AtomicMeasure, alpha: float) -> FrostmanCertificate:
     """Certify the growth bound over dyadic radii and sampled centers.
 
-    Checks every center when there are at most max_centers atoms, else a
+    Checks every center when there are at most _MAX_CENTERS atoms, else a
     deterministic stride sample.  Radii run down to the atom resolution:
     the smallest dyadic radius still covering at least one nearest
     neighbor gap.
@@ -195,7 +194,7 @@ def frostman_certificate(
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
     locs = measure.locations
     n_atoms = len(locs)
-    stride = max(1, n_atoms // max_centers)
+    stride = max(1, n_atoms // _MAX_CENTERS)
     centers = locs[::stride]
 
     pts = np.column_stack([locs.real, locs.imag])
@@ -316,15 +315,10 @@ def potential_field(
 # -- flux recovery of the measure -------------------------------------------
 
 
-def disc_mass_recovery(
-    potential: GreenPotential,
-    radius: float = 0.9,
-    n_samples: int = 2048,
-    fd_step: float = 1e-3,
-) -> float:
-    """Recovered total mass from the radial flux through |z| = radius."""
-    if not 0.0 < radius < 1.0:
-        raise ParameterError(f"flux radius must lie in (0, 1), got {radius}")
+def disc_mass_recovery(potential: GreenPotential) -> float:
+    """Recovered total mass from the radial flux through |z| = 0.9: a central
+    difference of step 1e-3 across the circle at 2048 midpoint angles."""
+    radius, n_samples, fd_step = 0.9, 2048, 1e-3
     theta = 2.0 * math.pi * (np.arange(n_samples) + 0.5) / n_samples
     cx, cy = np.cos(theta), np.sin(theta)
     up = potential.grid_values((radius + fd_step) * cx, (radius + fd_step) * cy)
@@ -398,7 +392,7 @@ def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
 
 def graph_set_points(
     square_set: SquareCantor,
-    potential: GreenPotential | None = None,
+    potential: GreenPotential,
     n_angles: int = 256,
 ) -> np.ndarray:
     """Sample the boundary graph {(z, w): z in E, |w| = exp(phi(z))} in R^4.
@@ -413,10 +407,7 @@ def graph_set_points(
     corners = np.asarray(square_set.squares, dtype=np.float64)
     zx = corners[:, 0]
     zy = corners[:, 1]
-    if potential is None:
-        u = np.zeros(len(corners))
-    else:
-        u = potential.grid_values(zx, zy)
+    u = potential.grid_values(zx, zy)
     phi = 0.5 * np.log1p(-(zx**2 + zy**2)) - u
     r = np.exp(phi)
     theta = 2.0 * math.pi * np.arange(n_angles) / n_angles

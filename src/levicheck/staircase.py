@@ -64,6 +64,13 @@ __all__ = [
 # deepest Cantor generation built: generation n holds 2^n exact intervals,
 # and build_cantor + fat_F take about 2 s at depth 14, doubling per level
 _DEPTH_BUDGET = 14
+# the staircase cap's Cantor depth and the offsets its growth point is
+# certified at
+_CAP_DEPTH = 10
+_CAP_OFFSETS = 1000
+# horizontal distance from the kept columns beyond which the staircase cap
+# must be strictly superharmonic
+_FAR_FIELD = 0.1
 
 
 class ConstructionError(Exception):
@@ -112,14 +119,14 @@ def _number_str(fr: Fraction) -> str:
     return repr(float(fr))
 
 
-def default_alphas(alpha1, count: int) -> tuple[Fraction, ...]:
-    """Geometric gap-ratio schedule alpha_k = alpha1 * 4**(1-k)."""
+def default_alphas(alpha1, depth: int) -> tuple[Fraction, ...]:
+    """Geometric gap-ratio schedule alpha_k = alpha1 * 4**(1-k), k <= depth."""
     a1 = _as_fraction(alpha1)
     if not 0 < a1 < 1:
         raise ParameterError(f"alpha1 must lie in (0, 1), got {alpha1!r}")
-    if not 1 <= count <= _DEPTH_BUDGET:
-        raise ParameterError(f"count must lie in [1, {_DEPTH_BUDGET}], got {count}")
-    return tuple(a1 * Fraction(1, 4) ** (k - 1) for k in range(1, count + 1))
+    if not 1 <= depth <= _DEPTH_BUDGET:
+        raise ParameterError(f"depth must lie in [1, {_DEPTH_BUDGET}], got {depth}")
+    return tuple(a1 * Fraction(1, 4) ** (k - 1) for k in range(1, depth + 1))
 
 
 @dataclass(frozen=True)
@@ -159,29 +166,22 @@ class CantorSystem:
             out *= 1 - self.alphas[k]
         return out
 
-    def kept_union(self, n: int | None = None) -> list[tuple[float, float]]:
-        n = self.depth if n is None else n
-        return [(float(a), float(b)) for a, b in self.level(n)]
+    def kept_union(self) -> list[tuple[float, float]]:
+        """The generation-N kept intervals as float pairs."""
+        return [(float(a), float(b)) for a, b in self.level(self.depth)]
 
 
-def build_cantor(alphas: Sequence, depth: int | None = None) -> CantorSystem:
+def build_cantor(alphas: Sequence) -> CantorSystem:
     """Build the nested interval system from gap ratios ``alphas``.
 
     Generation 0 is the single interval [0, 1].  To pass from generation n
     to n+1, each kept interval loses its centered open middle of relative
-    length ``alphas[n]``.  Every ratio must lie in (0, 1); the kept
-    measure is then exactly prod(1 - alpha_k) > 0 at every finite depth.
+    length ``alphas[n]``, so the depth is ``len(alphas)``.  Every ratio must
+    lie in (0, 1); the kept measure is then exactly prod(1 - alpha_k) > 0.
     """
     ratios = tuple(_as_fraction(a) for a in alphas)
-    if depth is None:
-        depth = len(ratios)
-    if not 1 <= depth <= _DEPTH_BUDGET:
-        raise ParameterError(f"depth must lie in [1, {_DEPTH_BUDGET}], got {depth}")
-    if len(ratios) < depth:
-        raise ParameterError(
-            f"need at least {depth} gap ratios, got {len(ratios)}"
-        )
-    ratios = ratios[:depth]
+    if not 1 <= len(ratios) <= _DEPTH_BUDGET:
+        raise ParameterError(f"depth must lie in [1, {_DEPTH_BUDGET}], got {len(ratios)}")
     for a in ratios:
         if not 0 < a < 1:
             raise ParameterError(f"gap ratios must lie in (0, 1), got {a}")
@@ -220,6 +220,11 @@ class StaircaseIterates:
     @cached_property
     def _ys_float(self) -> np.ndarray:
         return np.array([float(y) for y in self.ys])
+
+    @cached_property
+    def excess(self) -> tuple[Fraction, ...]:
+        """f_n(x) - x at each breakpoint x, exact: the slope of F there."""
+        return tuple(y - x for x, y in zip(self.xs, self.ys))
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self._xs_float, self._ys_float)
@@ -315,31 +320,29 @@ class FatF:
     def sup_norm_exact(self) -> Fraction:
         """Exact sup of |F| over [0, 1] via breakpoints and interior vertices.
 
-        On each affine piece f(t) = y0 + m (t - x0) the integrand f - t has
-        at most one zero, where the quadratic F has its vertex.
+        The integrand g = f_N - t is affine on each piece [x0, x1], so the
+        quadratic F has a vertex strictly inside it exactly when g changes
+        sign strictly between its end values g0 and g1; the vertex is the
+        zero t = (x0 g1 - x1 g0) / (g1 - g0).
         """
-        xs, ys = self.iterates.xs, self.iterates.ys
+        xs, g = self.xs, self.iterates.excess
         best = max(abs(v) for v in self.values)
         for k in range(len(xs) - 1):
-            x0, x1 = xs[k], xs[k + 1]
-            m = (ys[k + 1] - ys[k]) / (x1 - x0)
-            if m != 1:
-                t = (ys[k] - m * x0) / (1 - m)
-                if x0 < t < x1:
-                    best = max(best, abs(self._piece(k, t)))
+            g0, g1 = g[k], g[k + 1]
+            if g0 < 0 < g1 or g1 < 0 < g0:
+                t = (xs[k] * g1 - xs[k + 1] * g0) / (g1 - g0)
+                best = max(best, abs(self._piece(k, t)))
         return best
 
 
 def fat_F(system: CantorSystem, n: int | None = None) -> FatF:
     """Exact piecewise quadratic antiderivative of f_n - t."""
     it = staircase_f(system, n)
+    g = it.excess
     vals: list[Fraction] = [Fraction(0)]
     acc = Fraction(0)
-    for k in range(len(it.xs) - 1):
-        x0, x1 = it.xs[k], it.xs[k + 1]
-        g0 = it.ys[k] - x0
-        g1 = it.ys[k + 1] - x1
-        acc += (g0 + g1) * (x1 - x0) / 2
+    for k in range(len(g) - 1):
+        acc += (g[k] + g[k + 1]) * (it.xs[k + 1] - it.xs[k]) / 2
         vals.append(acc)
     return FatF(iterates=it, values=tuple(vals), truncation_error=2.0 ** (1 - it.n))
 
@@ -532,19 +535,12 @@ def hartogs_ball_domain(spacing: float = 1.0 / 512.0) -> HartogsDomain:
     return HartogsDomain(cap=cap, kind="ball", params={"spacing": spacing})
 
 
-def hartogs_staircase(
-    growth_target=None,
-    alpha1=None,
-    depth: int = 10,
-    spacing: float = 1.0 / 512.0,
-    n_offsets: int = 1000,
-) -> HartogsDomain:
+def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
     """Cap phi = (1/2) log(1-|z|^2) + c1 F(x - 1/2) window(4 y).
 
-    Exactly one of ``growth_target`` / ``alpha1`` selects the first gap
-    ratio: given a target L, alpha1 = 2L / (2L + 1) makes the certified
-    growth constant equal L.  Subsequent ratios follow the geometric
-    schedule alpha1 * 4**(1-k).
+    F is built on the geometric gap-ratio schedule alpha1 * 4**(1-k) to
+    depth _CAP_DEPTH, and find_x0 certifies its growth point at _CAP_OFFSETS
+    offsets; the certified growth constant is alpha1 / (2 (1 - alpha1)).
 
     The amplitude c1 = 1 / (8 * sup|F| * sup|window''|) caps the y-window
     contribution 16 c1 F(x - 1/2) window''(4 y) at 2 in absolute value.
@@ -553,17 +549,9 @@ def hartogs_staircase(
     cap stays strictly superharmonic wherever the staircase term is flat;
     Laplacian sign changes can only happen over the kept columns.
     """
-    if (growth_target is None) == (alpha1 is None):
-        raise ParameterError("pass exactly one of growth_target or alpha1")
-    if alpha1 is None:
-        L = _as_fraction(growth_target)
-        if L <= 0:
-            raise ParameterError(f"growth target must be positive, got {growth_target!r}")
-        alpha1 = 2 * L / (2 * L + 1)
-
-    system = build_cantor(default_alphas(alpha1, depth))
+    system = build_cantor(default_alphas(alpha1, _CAP_DEPTH))
     fat = fat_F(system)
-    cert = find_x0(fat, n_offsets=n_offsets)
+    cert = find_x0(fat, n_offsets=_CAP_OFFSETS)
 
     f_sup = float(fat.sup_norm_exact())
     w2_sup = bump_window_second_derivative_sup()
@@ -580,7 +568,7 @@ def hartogs_staircase(
     params = {
         "spacing": spacing,
         "alpha1": float(system.alphas[0]),
-        "depth": depth,
+        "depth": _CAP_DEPTH,
         "growth": float(cert.growth),
         "x0": float(cert.x0),
         "z0_real": float(cert.x0 + Fraction(1, 2)),
@@ -647,9 +635,9 @@ class SubharmonicityScan:
         vals = self.laplacian[self.scanned]
         return float(np.max(vals)) if vals.size else float("nan")
 
-    def far_field_max(self, min_distance: float = 0.1) -> float:
-        """Max Laplacian over scanned nodes at horizontal distance > min_distance."""
-        mask = self.scanned & (self.dist_horizontal > min_distance)
+    def far_field_max(self) -> float:
+        """Max Laplacian over scanned nodes at horizontal distance > _FAR_FIELD."""
+        mask = self.scanned & (self.dist_horizontal > _FAR_FIELD)
         vals = self.laplacian[mask]
         return float(np.max(vals)) if vals.size else float("nan")
 

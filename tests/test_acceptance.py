@@ -168,7 +168,7 @@ def test_05_hartogs_cap_scan_contrast():
     align = stair.violation_alignment()
     assert align["within_2h"]
     assert align["max_horizontal"] <= 2.0 * spacing + 1e-12
-    assert stair.far_field_max(min_distance=0.1) <= -0.5
+    assert stair.far_field_max() <= -0.5
     assert elapsed <= 120.0
 
 
@@ -187,7 +187,7 @@ def test_06_green_potential_anchors():
     single = GreenPotential(AtomicMeasure(generation=0, locations=[0j], masses=[1.0]))
     assert abs(single(0.5 + 0j) - math.log(2.0)) <= 1e-12
 
-    assert abs(disc_mass_recovery(potential, radius=0.9) - 1.0) <= 0.02
+    assert abs(disc_mass_recovery(potential) - 1.0) <= 0.02
 
     # Midpoint flux through each occupied cell boundary, all cells in
     # one vectorized pass; every cell holds exactly its centered atom.

@@ -220,10 +220,20 @@ class TestUsageErrors:
                 "params.scan_radius=1.5",
                 "scan_radius must be < 1 for hartogs-scan, got 1.5",
             ),
+            # the certificate rejected these only after the case build
+            ("mollify-sweep", "params.epsilon=0", "epsilon must be > 0 for mollify-sweep, got 0"),
+            ("mollify-sweep", "params.p=0", "p must be > 3 for mollify-sweep, got 0"),
+            ("mollify-sweep", "params.alpha=5", "alpha must be < 1 for mollify-sweep, got 5"),
+            ("mollify-sweep", "params.count=0", "count must be >= 2 for mollify-sweep, got 0"),
+            # each float field would hold 4.5 GB
+            (
+                "mollify-sweep",
+                "params.spacing=1e-3",
+                "spacing must be >= 0.001953125 for mollify-sweep, got 0.001",
+            ),
             # or from a library precondition; cantor-potential builds every
             # square set before any work, so growth.csv is never left behind
-            ("mollify-sweep", "params.epsilon=0", "epsilon must be positive"),
-            ("staircase-build", "params.depth=15", "got 15"),
+            ("staircase-build", "params.depth=15", "depth must lie in [1, 14], got 15"),
             ("cantor-potential", "params.generation=0", "generation must be >= 1, got 0"),
             ("cantor-potential", "params.cert_generations=[4, 11]", "generation 11 exceeds"),
             ("cantor-potential", "params.dim_generation=11", "generation 11 exceeds"),

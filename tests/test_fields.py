@@ -134,17 +134,11 @@ class TestFdHessian:
         # on the kink 2/h = 16, one node off 0, half-cell offsets straddle
         # the kink and give 1/h = 8 (at 3h/2 the stencil sees an affine piece).
         h = 0.125
-        on = ScalarField3.from_function(
-            centered_grid(h, 9),
-            lambda a, b, c: np.abs(a),
-            Regularity("c11", constant=1.0),
-        )
+        on = ScalarField3.from_function(centered_grid(h, 9), lambda a, b, c: np.abs(a))
         assert on.fd_hessian((4, 4, 4))[0, 0] == 16.0
         assert on.fd_hessian((5, 4, 4))[0, 0] == 0.0
         off = ScalarField3.from_function(
-            Grid3((-4.5 * h, -4 * h, -4 * h), h, (9, 9, 9)),
-            lambda a, b, c: np.abs(a),
-            Regularity("c11", constant=1.0),
+            Grid3((-4.5 * h, -4 * h, -4 * h), h, (9, 9, 9)), lambda a, b, c: np.abs(a)
         )
         # nodes sit at half-integer multiples of h; xi1 = +-h/2 at indices 4, 5
         assert off.fd_hessian((4, 4, 4))[0, 0] == 8.0
@@ -452,10 +446,11 @@ class TestDiscField:
         assert np.max(np.abs(lap_h[np.isfinite(lap_h)])) <= 1e-9
 
 
-def full_mesh_values(radius, spacing, fn, pad_cells=2):
-    """Reference sampler: fn on full (m, m) ij meshes, which the sparse
-    meshes of DiscField.from_function must match bit for bit."""
-    half = int(math.ceil(radius / spacing)) + int(pad_cells)
+def full_mesh_values(radius, spacing, fn):
+    """Reference sampler: fn on full (m, m) ij meshes, two nodes past the
+    rim, which the sparse meshes of DiscField.from_function must match bit
+    for bit."""
+    half = int(math.ceil(radius / spacing)) + 2
     coords = spacing * np.arange(-half, half + 1)
     gx, gy = np.meshgrid(coords, coords, indexing="ij")
     with np.errstate(all="ignore"):
@@ -495,7 +490,7 @@ class TestFromFunctionSparseMeshes:
         "build",
         [
             lambda: staircase.hartogs_ball_domain(1.0 / 128.0).cap,
-            lambda: staircase.hartogs_staircase(growth_target=1.0, spacing=1.0 / 128.0).cap,
+            lambda: staircase.hartogs_staircase(alpha1="2/3", spacing=1.0 / 128.0).cap,
             lambda: potential.zygmund_domain(1.0, 3, spacing=1.0 / 128.0).cap,
             _cantor_potential_field,
         ],
@@ -505,9 +500,9 @@ class TestFromFunctionSparseMeshes:
         calls = []
         sample = DiscField.from_function.__func__
 
-        def spy(cls, radius, spacing, fn, pad_cells=2):
-            calls.append((radius, spacing, fn, pad_cells))
-            return sample(cls, radius, spacing, fn, pad_cells)
+        def spy(cls, radius, spacing, fn):
+            calls.append((radius, spacing, fn))
+            return sample(cls, radius, spacing, fn)
 
         monkeypatch.setattr(DiscField, "from_function", classmethod(spy))
         field = build()
@@ -540,8 +535,8 @@ class TestGridFromFunctionSparseMeshes:
         calls = []
         sample = ScalarField3.from_function.__func__
 
-        def spy(cls, grid, fn, regularity=None):
-            field = sample(cls, grid, fn, regularity)
+        def spy(cls, grid, fn):
+            field = sample(cls, grid, fn)
             calls.append((grid, fn, field))
             return field
 

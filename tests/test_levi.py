@@ -395,15 +395,6 @@ class TestLeviScan:
         assert counts["pseudoconvex_ok"] == 0 and counts["near_zero"] == 0
         assert scan.summary()["min"] == pytest.approx(-0.25, abs=1e-12)
 
-    def test_default_tolerance_uses_regularity_constant(self):
-        grid = centered_grid(0.1, 7)
-        phi = ScalarField3.from_function(
-            grid, lambda a, b, c: 0.0 * a, regularity=None
-        )
-        scan = levi_scan(phi)
-        assert scan.tol == pytest.approx(10.0 * 0.1 * 1.0)
-        assert scan.counts()["near_zero"] == scan.counts()["scanned"]
-
     def test_csv_and_summary(self, tmp_path):
         grid = centered_grid(0.25, 5)
         phi = ScalarField3.from_function(grid, lambda a, b, c: b * b + c * c)

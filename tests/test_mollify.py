@@ -1,10 +1,12 @@
 """Mollifier kernels, shrinking-grid convolution, and the mollified-sign
 certificate sweep."""
 
+import importlib.util
 import json
 import math
+import sys
 import tracemalloc
-from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,12 +27,10 @@ from levicheck.mollify import (
     UnderResolvedKernelError,
     bump_profile,
     convolve3,
-    default_delta_sweep,
     kernel_profile_constants,
     kink_plane_mask,
     make_kernel,
     mollified_sign_certificate,
-    staircase_deficit_fields,
     staircase_sweep_case,
 )
 from levicheck.staircase import build_cantor, staircase_f
@@ -46,7 +46,11 @@ def cube_grid(h, n, origin=0.0):
 
 
 def smooth_field(grid, fn):
-    return ScalarField3.from_function(grid, fn, Regularity("smooth"))
+    return ScalarField3.from_function(grid, fn)
+
+
+# seven half-dyadic deltas from 16h down to 2h on the h = 1/32 grids below
+SWEEP = tuple(0.5 * 2.0 ** (-0.5 * k) for k in range(7))
 
 
 def direct_convolve(values, weights):
@@ -154,7 +158,7 @@ class TestConvolve3:
         # the padding and core slice of the docstring: scipy.signal's
         # valid-mode transform less one node per face, bit for bit
         v = shipped_case.v
-        for delta in shipped_case.delta_sweep():
+        for delta in shipped_case.delta_sweep(7):
             mol = convolve3(v, delta)
             ref = fftconvolve(v.values, mol.kernel.weights, mode="valid")[1:-1, 1:-1, 1:-1]
             assert mol.field.values.shape == ref.shape
@@ -166,7 +170,7 @@ class TestConvolve3:
         # the valid-mode 2-D transform of that plane against the kernel
         # summed over xi3, bit for bit, broadcast back as a read-only view
         v = shipped_case.v
-        for delta in shipped_case.delta_sweep():
+        for delta in shipped_case.delta_sweep(7):
             mol = convolve3(v, delta, (2,))
             full = convolve3(v, delta)
             ref = fftconvolve(v.values[:, :, 0], mol.kernel.weights.sum(axis=2), mode="valid")
@@ -295,25 +299,17 @@ class TestConvolve3:
 
 
 class TestDeltaSweep:
-    def test_default_runs_16h_to_2h(self):
+    def test_wide_base_runs_32h_to_4h(self, shipped_case):
         h = 1.0 / 128.0
-        sweep = default_delta_sweep(h)
+        sweep = shipped_case.delta_sweep(7)
         assert len(sweep) == 7
-        assert sweep[0] == pytest.approx(16.0 * h)
-        assert sweep[-1] == pytest.approx(2.0 * h)
+        assert sweep[0] == 32.0 * h
+        assert sweep[-1] == pytest.approx(4.0 * h)
         assert all(a > b for a, b in zip(sweep, sweep[1:]))
 
-    def test_wide_base_runs_32h_to_4h(self):
-        h = 1.0 / 128.0
-        sweep = default_delta_sweep(h, base_cells=32)
-        assert sweep[0] == pytest.approx(32.0 * h)
-        assert sweep[-1] == pytest.approx(4.0 * h)
-
-    def test_rejects_degenerate_requests(self):
+    def test_rejects_degenerate_requests(self, shipped_case):
         with pytest.raises(ParameterError):
-            default_delta_sweep(1.0 / 64.0, count=1)
-        with pytest.raises(ParameterError):
-            default_delta_sweep(1.0 / 64.0, base_cells=1)
+            shipped_case.delta_sweep(1)
 
 
 KINK_SPECS = sorted(mollify_module._KINK_NORMALS)
@@ -418,7 +414,7 @@ def quadratic_case(h=1.0 / 32.0, n=41):
 class TestCertificateBasics:
     def test_quarter_floor_for_pure_z2_square(self):
         v, phi = quadratic_case()
-        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2)
+        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
         assert rep.passed
         for m in rep.m_values:
             assert m == pytest.approx(0.25, abs=1e-10)
@@ -432,7 +428,7 @@ class TestCertificateBasics:
         raw = -delta_tau_fields(v.hessian_fields(), tau1, tau2)
         raw_min = float(np.nanmin(raw))
         assert raw_min > 0.0
-        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2)
+        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
         assert rep.passed
         gaps = [abs(m - raw_min) for m in rep.m_values]
         assert gaps[-1] <= 5e-3
@@ -440,7 +436,7 @@ class TestCertificateBasics:
 
     def test_report_json_schema(self):
         v, phi = quadratic_case()
-        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2)
+        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
         payload = json.loads(rep.to_json())
         assert set(payload) == {
             "epsilon",
@@ -457,31 +453,31 @@ class TestCertificateBasics:
         assert payload["reduced_axes"] == [0]
         assert len(payload["deltas"]) == len(payload["m_values"]) == 7
         assert rep.to_json() == mollified_sign_certificate(
-            v, phi, alpha=0.9, p=6.0, epsilon=1e-2
+            v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP
         ).to_json()
 
     def test_parameter_preconditions(self):
         v, phi = quadratic_case()
         with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, phi, alpha=0.9, p=2.0, epsilon=1e-2)
+            mollified_sign_certificate(v, phi, alpha=0.9, p=2.0, epsilon=1e-2, deltas=SWEEP)
         with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, phi, alpha=0.4, p=6.0, epsilon=1e-2)
+            mollified_sign_certificate(v, phi, alpha=0.4, p=6.0, epsilon=1e-2, deltas=SWEEP)
         with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=-1.0)
+            mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=-1.0, deltas=SWEEP)
         small = smooth_field(cube_grid(1.0 / 16.0, 17), lambda a, b, c: a)
         with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, small, alpha=0.9, p=6.0, epsilon=1e-2)
+            mollified_sign_certificate(v, small, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
 
     def test_phi_tag_gate(self):
         v, phi = quadratic_case()
         lip = ScalarField3(phi.grid, phi.values, Regularity("lipschitz"))
         with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, lip, alpha=0.9, p=6.0, epsilon=1e-2)
+            mollified_sign_certificate(v, lip, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
         low = ScalarField3(
             phi.grid, phi.values, Regularity("c1alpha", alpha=0.4, constant=1.0)
         )
         with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, low, alpha=0.9, p=6.0, epsilon=1e-2)
+            mollified_sign_certificate(v, low, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
 
     def test_sweep_rejects_under_resolved_deltas(self):
         v, phi = quadratic_case()
@@ -499,7 +495,7 @@ class TestCertificateBasics:
         v = ScalarField3(grid, vals, Regularity("c11", constant=4.0))
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
         with pytest.raises(HypothesisError):
-            mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2)
+            mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
 
     def test_declared_kink_defect_grows_through_sweep(self):
         # declaring the kink lets construction pass, but its distributional
@@ -512,7 +508,7 @@ class TestCertificateBasics:
         v = ScalarField3(grid, vals, Regularity("c11", constant=4.0))
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
         rep = mollified_sign_certificate(
-            v, phi, alpha=0.9, p=6.0, epsilon=1e-2, kink_planes=[("xi2", 0.625)]
+            v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP, kink_planes=[("xi2", 0.625)]
         )
         assert not rep.passed
         # wide kernels dilute the spike below the +1/4 smooth floor; the
@@ -531,7 +527,7 @@ def shipped_case():
 def shipped_report(shipped_case):
     case = shipped_case
     return mollified_sign_certificate(
-        case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=case.delta_sweep()
+        case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=case.delta_sweep(7)
     )
 
 
@@ -575,14 +571,13 @@ class TestStaircaseCase:
         ghat_grid = np.broadcast_to(case.ghat_values[None, :, None], case.v.grid.shape)
         assert np.max(np.abs(tau1[inner].real - ghat_grid[inner] / 4.0)) <= 1e-13
 
-    @pytest.mark.parametrize("stretch", [Fraction(5, 4), Fraction(3, 4)])
-    def test_coefficients_match_quadrature_of_the_staircase(self, stretch):
+    def test_coefficients_match_quadrature_of_the_staircase(self):
         # g = 1 + f(xi2 / L) and ghat its mean over [xi2 - h, xi2 + h], with f
-        # the staircase iterate, 0 left of 0 and 1 right of 1 (reached at L < 1)
+        # the staircase iterate, 0 left of 0
         h = 1.0 / 32.0
-        case = staircase_deficit_fields(spacing=h, stretch=stretch)
+        case = staircase_sweep_case(spacing=h)
         f = staircase_f(build_cantor(case.alphas))
-        lam = float(stretch)
+        lam = float(mollify_module._STRETCH)
         x = case.v.grid.axis(1) / lam
         assert np.max(np.abs(case.g_values - (1.0 + f(x)))) <= 1e-15
         w = h / lam
@@ -591,8 +586,8 @@ class TestStaircaseCase:
             inside = knots[(knots > xj - w) & (knots < xj + w)]
             mean = quad(f, xj - w, xj + w, points=inside, epsabs=1e-14, limit=200)[0] / (2 * w)
             assert abs(ghat - (1.0 + mean)) <= 1e-13
-        if stretch < 1:
-            assert x[-1] - w > 1.0
+        # every box stays left of 1, where the case's F1 needs no branch
+        assert x[-1] + w < 1.0
 
     def test_deficit_profile_bounds(self, shipped_case):
         case = shipped_case
@@ -648,13 +643,13 @@ class TestStaircaseCase:
     def test_report_is_deterministic(self, shipped_case, shipped_report):
         case = shipped_case
         again = mollified_sign_certificate(
-            case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=case.delta_sweep()
+            case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=case.delta_sweep(7)
         )
         assert again.to_json() == shipped_report.to_json()
 
     def test_case_rejects_tiny_grid(self):
         with pytest.raises(ParameterError):
-            staircase_deficit_fields(spacing=1.0 / 4.0)
+            staircase_sweep_case(spacing=1.0 / 4.0)
 
 
 def whole_grid_m_values(v, phi, deltas, axes=()):
@@ -680,7 +675,7 @@ def small_case():
     oracle's minima on the certificate's route, reduced along xi3."""
     h = 1.0 / 32.0
     case = staircase_sweep_case(spacing=h)
-    deltas = default_delta_sweep(h, count=3, base_cells=4)
+    deltas = (4.0 * h, 4.0 * h * 2.0**-0.5, 2.0 * h)
     return case, deltas, whole_grid_m_values(case.v, case.phi, deltas, axes=(2,))
 
 
@@ -819,7 +814,9 @@ class TestSlabbedHypothesisCheck:
         v, phi = quadratic_case(n=9)
         planes = [("xi1", 0.125 * k) for k in range(9)]
         with pytest.raises(ParameterError, match="exclude every interior node"):
-            mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, kink_planes=planes)
+            mollified_sign_certificate(
+                v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP, kink_planes=planes
+            )
 
     def test_peak_memory_stays_below_one_field(self):
         # the whole-grid check held nine Hessian arrays and complex
@@ -941,3 +938,17 @@ class TestReducedSweep:
         )
         assert rep.reduced_axes == (1, 2)
         assert rep.passed and max(abs(m) for m in rep.m_values) <= 1e-10
+
+
+def test_calibration_script_runs_the_frozen_case(monkeypatch, capsys):
+    # scripts/ is no package: load the script from its path, run its main()
+    # at the default spacing and read what it prints
+    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_mollify_case.py"
+    spec = importlib.util.spec_from_file_location("calibrate_mollify_case", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    script.main()
+    lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+    assert len([line for line in lines if line.startswith("delta ")]) == 7
+    assert "fitted slope 0.4884   pass(m >= -eps) True" in lines

@@ -453,7 +453,7 @@ class TestGridValuesBlocked:
 class TestMassRecovery:
     def test_disc_radius_09_recovers_total_mass(self, gen5):
         _, _, potential = gen5
-        recovered = disc_mass_recovery(potential, 0.9)
+        recovered = disc_mass_recovery(potential)
         assert abs(recovered - 1.0) <= 0.02
         assert abs(recovered - 1.0) <= 1e-5
 

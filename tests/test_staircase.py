@@ -17,6 +17,7 @@ from levicheck.fields import ParameterError
 from levicheck.staircase import (
     _DEPTH_BUDGET,
     ConstructionError,
+    FatF,
     X0Certificate,
     _as_fraction,
     build_cantor,
@@ -198,7 +199,7 @@ def fat_half(sys_half):
 
 @pytest.fixture(scope="module")
 def dom99():
-    return hartogs_staircase(alpha1=0.99, depth=10, spacing=1.0 / 256.0, n_offsets=200)
+    return hartogs_staircase(alpha1=0.99, spacing=1.0 / 256.0)
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +209,7 @@ def scan99(dom99):
 
 @pytest.fixture(scope="module")
 def dom50():
-    return hartogs_staircase(alpha1=0.5, depth=10, spacing=1.0 / 256.0, n_offsets=200)
+    return hartogs_staircase(alpha1=0.5, spacing=1.0 / 256.0)
 
 
 @pytest.fixture(scope="module")
@@ -279,10 +280,8 @@ class TestBuildCantor:
             build_cantor([Fraction(0)])
         with pytest.raises(ParameterError):
             build_cantor([Fraction(1)])
-        with pytest.raises(ParameterError):
-            build_cantor([Fraction(1, 2)], depth=2)
-        with pytest.raises(ParameterError):
-            build_cantor([Fraction(1, 2)], depth=0)
+        with pytest.raises(ParameterError, match=re.escape("depth must lie in [1, 14], got 0")):
+            build_cantor([])
         with pytest.raises(ParameterError):
             default_alphas(Fraction(3, 2), 2)
 
@@ -297,11 +296,9 @@ class TestBuildCantor:
         over = _DEPTH_BUDGET + 1
         with pytest.raises(ParameterError, match=f"got {over}"):
             build_cantor([Fraction(1, 2)] * over)
-        with pytest.raises(ParameterError, match=f"got {over}"):
-            build_cantor([Fraction(1, 2)] * over, depth=over)
-        with pytest.raises(ParameterError, match=f"got {over}"):
+        message = re.escape(f"depth must lie in [1, {_DEPTH_BUDGET}], got {over}")
+        with pytest.raises(ParameterError, match=message):
             default_alphas(Fraction(1, 2), over)
-        assert build_cantor([Fraction(1, 2)] * over, depth=3).depth == 3
 
     @given(ratios=ratio_lists)
     @settings(max_examples=40, deadline=None)
@@ -443,6 +440,32 @@ class TestFatF:
             assert fat.value_exact(x) == value_exact_oracle(fat, x)
         assert fat.sup_norm_exact() == sup_norm_exact_oracle(fat)
 
+    @pytest.mark.parametrize(
+        "alpha1, depth", [(Fraction(1, 2), 6), (Fraction(9, 10), 8)], ids=["half-6", "tenths-8"]
+    )
+    def test_sup_norm_evaluates_only_interior_vertices(self, alpha1, depth, monkeypatch):
+        # F has a vertex strictly inside a piece exactly where the slope
+        # algebra puts the zero of f_N - t there; the zeros at x = 0 and x = 1
+        # sit on breakpoints, whose values F already holds
+        fat = fat_F(build_cantor(default_alphas(alpha1, depth)))
+        want = []
+        for k in range(len(fat.xs) - 1):
+            x0, x1 = fat.xs[k], fat.xs[k + 1]
+            y0, y1 = fat.iterates.ys[k], fat.iterates.ys[k + 1]
+            m = (y1 - y0) / (x1 - x0)
+            if m != 1 and x0 < (y0 - m * x0) / (1 - m) < x1:
+                want.append((k, (y0 - m * x0) / (1 - m)))
+        seen = []
+        piece = FatF._piece
+
+        def spy(self, k, x):
+            seen.append((k, x))
+            return piece(self, k, x)
+
+        monkeypatch.setattr(FatF, "_piece", spy)
+        assert fat.sup_norm_exact() == sup_norm_exact_oracle(fat)
+        assert seen == want and want
+
     def test_outside_support_zero(self, fat_half):
         assert float(fat_half(-0.2)) == 0.0
         assert float(fat_half(1.3)) == 0.0
@@ -580,18 +603,10 @@ class TestHartogsDomain:
             1.0, rel=1e-12
         )
         assert p["window_ring_bound"] == pytest.approx(2.0, rel=1e-12)
-        assert dom99.certificate.offsets_checked == 200
-
-    def test_growth_target_route(self):
-        dom = hartogs_staircase(growth_target=Fraction(1, 2), depth=3, spacing=1.0 / 64.0, n_offsets=20)
-        assert dom.params["alpha1"] == 0.5
-        assert dom.params["growth"] == 0.5
+        assert p["depth"] == 10
+        assert dom99.certificate.offsets_checked == 1000
 
     def test_argument_validation(self):
-        with pytest.raises(ParameterError):
-            hartogs_staircase()
-        with pytest.raises(ParameterError):
-            hartogs_staircase(growth_target=1, alpha1=0.5)
         with pytest.raises(ParameterError):
             hartogs_staircase(alpha1=1.5)
 
