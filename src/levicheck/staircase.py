@@ -20,8 +20,13 @@ on the unit disc perturbed along a horizontal segment, and
 ``subharmonicity_scan`` classifies where the discrete Laplacian of that
 cap goes positive.
 
-All interval endpoints, breakpoints, and certified bounds are
-``fractions.Fraction`` values; float views are provided for numerics.
+All interval endpoints and breakpoints are integer numerators over one
+common denominator D, the staircase values integers over 2**N and the
+values of F integers over 2 D^2 2**N, so no step pays a gcd.  Fractions
+are made only at the boundary: ``value_exact``/``derivative_exact``,
+``sup_norm_exact``, ``interval_length`` and the certificate fields.
+Float views divide the integers (``int / int`` is correctly rounded, so
+each float equals that of the corresponding Fraction).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,8 +67,10 @@ __all__ = [
 ]
 
 
-# deepest Cantor generation built: generation n holds 2^n exact intervals,
-# and build_cantor + fat_F take about 2 s at depth 14, doubling per level
+# deepest Cantor generation built: generation n holds 2^n intervals, and
+# build_cantor + fat_F + find_x0 (1000 offsets) + sup_norm_exact take about
+# 0.010, 0.014, 0.022, 0.037 and 0.069 s at depths 10 to 14 (alpha1 = 9/10,
+# best of 5, 2-core Xeon, Python 3.11.7), doubling per level from depth 12
 _DEPTH_BUDGET = 14
 # the staircase cap's Cantor depth and the offsets its growth point is
 # certified at
@@ -134,21 +142,24 @@ class CantorSystem:
     """The nested kept intervals, stored as their deepest generation.
 
     ``xs`` holds the 2**(N+1) endpoints of the generation-N kept intervals
-    in increasing order, left and right alternating, with N = ``depth``.
-    A generation-n interval's outer ends are those of its outermost
+    in increasing order, left and right alternating, with N = ``depth``,
+    each as an integer numerator over the common ``denominator`` D.  A
+    generation-n interval's outer ends are those of its outermost
     generation-N descendants, so ``level(n)`` slices every coarser
     generation out of this one row.
     """
 
     alphas: tuple[Fraction, ...]
-    xs: tuple[Fraction, ...]
+    denominator: int
+    xs: tuple[int, ...]
 
     @property
     def depth(self) -> int:
         return len(self.alphas)
 
-    def level(self, n: int) -> tuple[tuple[Fraction, Fraction], ...]:
-        """The 2**n kept intervals of generation n as (left, right) pairs."""
+    def level(self, n: int) -> tuple[tuple[int, int], ...]:
+        """The 2**n kept intervals of generation n as (left, right) pairs of
+        numerators over ``denominator``."""
         s = 2 ** (self.depth - n)
         return tuple(zip(self.xs[:: 2 * s], self.xs[2 * s - 1 :: 2 * s]))
 
@@ -168,7 +179,16 @@ class CantorSystem:
 
     def kept_union(self) -> list[tuple[float, float]]:
         """The generation-N kept intervals as float pairs."""
-        return [(float(a), float(b)) for a, b in self.level(self.depth)]
+        d = self.denominator
+        return [(a / d, b / d) for a, b in self.level(self.depth)]
+
+    def _locate(self, p: int, q: int) -> int:
+        """Index k of the breakpoint piece [xs[k], xs[k+1]) holding p/q, q > 0.
+
+        An integer numerator x satisfies x / D <= p / q exactly when
+        x <= floor(p D / q), so one integer bisection finds the piece.
+        """
+        return bisect_right(self.xs, p * self.denominator // q) - 1
 
 
 def build_cantor(alphas: Sequence) -> CantorSystem:
@@ -186,95 +206,120 @@ def build_cantor(alphas: Sequence) -> CantorSystem:
         if not 0 < a < 1:
             raise ParameterError(f"gap ratios must lie in (0, 1), got {a}")
 
-    xs: tuple[Fraction, ...] = (Fraction(0), Fraction(1))
-    for a_n in ratios:
-        row: list[Fraction] = []
-        for left, right in zip(xs[::2], xs[1::2]):
-            center = (left + right) / 2
-            half = a_n * (right - left) / 2
-            row += (left, center - half, center + half, right)
-        xs = tuple(row)
-    return CantorSystem(alphas=ratios, xs=xs)
+    # L_k = prod_{j<=k} (1 - alpha_j) / 2, the generation-k interval length,
+    # as a numerator over the least common denominator D of all of them
+    lengths = [Fraction(1)]
+    for a in ratios:
+        lengths.append(lengths[-1] * (1 - a) / 2)
+    d = math.lcm(*(length.denominator for length in lengths))
+    ell = [length.numerator * (d // length.denominator) for length in lengths]
+    # a generation-(k-1) interval's right child starts L_{k-1} - L_k after
+    # its left child, so every left end is a sum of these shifts; doubling
+    # the row once per generation, deepest first, keeps it increasing
+    xs = [0, ell[-1]]
+    for k in range(len(ratios), 0, -1):
+        shift = ell[k - 1] - ell[k]
+        xs += [x + shift for x in xs]
+    return CantorSystem(alphas=ratios, denominator=d, xs=tuple(xs))
 
 
 @dataclass(frozen=True)
 class StaircaseIterates:
-    """Piecewise affine f_n with f_n(0) = 0, f_n(1) = 1.
+    """Piecewise affine f_N with f_N(0) = 0, f_N(1) = 1, N = ``system.depth``.
 
-    On kept interval ``system.level(n)[i]`` the graph rises linearly from
-    i * 2**-n to (i+1) * 2**-n with common slope ``slope``; between kept
-    intervals it is constant.  ``xs``/``ys`` are the exact breakpoints in
-    increasing x.
+    On kept interval ``system.level(N)[i]`` the graph rises linearly from
+    i * 2**-N to (i+1) * 2**-N; between kept intervals it is constant.  Its
+    breakpoints are ``system.xs`` (numerators over D), and ``ys`` holds f_N
+    there as numerators over 2**N.
     """
 
     system: CantorSystem
-    n: int
-    xs: tuple[Fraction, ...]
-    ys: tuple[Fraction, ...]
-    slope: Fraction
+
+    @property
+    def xs(self) -> tuple[int, ...]:
+        return self.system.xs
+
+    @cached_property
+    def ys(self) -> tuple[int, ...]:
+        return tuple((k + 1) // 2 for k in range(len(self.xs)))
 
     @cached_property
     def _xs_float(self) -> np.ndarray:
-        return np.array([float(x) for x in self.xs])
+        d = self.system.denominator
+        return np.array([x / d for x in self.xs])
 
     @cached_property
     def _ys_float(self) -> np.ndarray:
-        return np.array([float(y) for y in self.ys])
+        return np.array(self.ys) / 2.0**self.system.depth
 
     @cached_property
-    def excess(self) -> tuple[Fraction, ...]:
-        """f_n(x) - x at each breakpoint x, exact: the slope of F there."""
-        return tuple(y - x for x, y in zip(self.xs, self.ys))
+    def excess(self) -> tuple[int, ...]:
+        """f_N(x) - x at each breakpoint x, the slope of F there, as
+        numerators over D 2**N."""
+        d, n = self.system.denominator, self.system.depth
+        return tuple(y * d - (x << n) for x, y in zip(self.xs, self.ys))
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self._xs_float, self._ys_float)
 
+    def _scaled(self, k: int, p: int, q: int) -> int:
+        """f_N(p/q) times q l 2**N, for p/q on breakpoint piece k.
+
+        l = xs[1] is the common numerator of the kept intervals' length,
+        over which f_N rises by 2**-N; on the gaps (odd k) it is flat.
+        """
+        out = self.ys[k] * q * self.xs[1]
+        if k % 2 == 0:
+            out += p * self.system.denominator - self.xs[k] * q
+        return out
+
     def value_exact(self, x) -> Fraction:
         x = _as_fraction(x)
-        if x <= self.xs[0]:
-            return self.ys[0]
-        if x >= self.xs[-1]:
-            return self.ys[-1]
-        k = bisect_right(self.xs, x) - 1
-        x0, x1 = self.xs[k], self.xs[k + 1]
-        y0, y1 = self.ys[k], self.ys[k + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        if x <= 0:
+            return Fraction(0)
+        if x >= 1:
+            return Fraction(1)
+        p, q = x.numerator, x.denominator
+        k = self.system._locate(p, q)
+        return Fraction(self._scaled(k, p, q), (q * self.xs[1]) << self.system.depth)
 
     def sup_distance(self, other: "StaircaseIterates") -> Fraction:
-        """Exact sup norm of f_n - f_m (both piecewise affine)."""
-        knots = sorted(set(self.xs) | set(other.xs))
-        return max(abs(self.value_exact(t) - other.value_exact(t)) for t in knots)
+        """Exact sup norm of f_N - f_M (both piecewise affine).
+
+        The knots of both, over the common denominator q, suffice; at them
+        each iterate's values are integers over its own q l 2**N.
+        """
+        q = math.lcm(self.system.denominator, other.system.denominator)
+        knots = {x * (q // it.system.denominator) for it in (self, other) for x in it.xs}
+        mine, theirs = ((q * it.xs[1]) << it.system.depth for it in (self, other))
+
+        def at(it, p):
+            return it._scaled(it.system._locate(p, q), p, q)
+
+        best = max(abs(at(self, p) * theirs - at(other, p) * mine) for p in knots)
+        return Fraction(best, mine * theirs)
 
 
-def staircase_f(system: CantorSystem, n: int | None = None) -> StaircaseIterates:
-    """Staircase iterate f_n for the given interval system."""
-    n = system.depth if n is None else n
-    if not 0 <= n <= system.depth:
-        raise ParameterError(f"iterate order must lie in [0, {system.depth}], got {n}")
-    xs: list[Fraction] = []
-    ys: list[Fraction] = []
-    step = Fraction(1, 2**n)
-    for i, (a, b) in enumerate(system.level(n)):
-        xs.extend((a, b))
-        ys.extend((i * step, (i + 1) * step))
-    slope = step / system.interval_length(n)
-    return StaircaseIterates(system=system, n=n, xs=tuple(xs), ys=tuple(ys), slope=slope)
+def staircase_f(system: CantorSystem) -> StaircaseIterates:
+    """Staircase iterate f_N for the given interval system, N = its depth."""
+    return StaircaseIterates(system=system)
 
 
 @dataclass(frozen=True)
 class FatF:
     """F(x) = integral_0^x (f_N(t) - t) dt, piecewise quadratic and exact.
 
-    Stores only what it adds to ``iterates``: ``values``, the exact F at
-    the breakpoints ``xs`` of f_N, and ``truncation_error``.  Float views
-    of the breakpoints and values are built on the first float call.  The
-    limit staircase differs from f_N by at most 2**-N in sup norm, so the
-    corresponding limit potential differs from this F by at most
-    ``truncation_error`` = 2**(1-N).
+    Stores only what it adds to ``iterates``: ``values``, F at the
+    breakpoints ``xs`` of f_N as integer numerators over ``denominator``
+    = 2 D^2 2**N, and ``truncation_error``.  Float views of the breakpoints
+    and values are built on the first float call.  The limit staircase
+    differs from f_N by at most 2**-N in sup norm, so the corresponding
+    limit potential differs from this F by at most ``truncation_error`` =
+    2**(1-N).
     """
 
     iterates: StaircaseIterates
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
     truncation_error: float
 
     @property
@@ -282,25 +327,43 @@ class FatF:
         return self.iterates.system
 
     @property
-    def xs(self) -> tuple[Fraction, ...]:
+    def xs(self) -> tuple[int, ...]:
         return self.iterates.xs
+
+    @property
+    def denominator(self) -> int:
+        """2 D^2 2**N: each trapezoid sum multiplies an excess over D 2**N
+        by a step over D and halves the product."""
+        d = self.system.denominator
+        return (2 * d * d) << self.system.depth
 
     @cached_property
     def _vals_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
+        den = self.denominator
+        return np.array([v / den for v in self.values])
 
-    def _piece(self, k: int, x: Fraction) -> Fraction:
-        """F at x on the breakpoint interval [xs[k], xs[k+1]]."""
-        xs, ys = self.iterates.xs, self.iterates.ys
-        x0, y0 = xs[k], ys[k]
-        fx = y0 + (ys[k + 1] - y0) * (x - x0) / (xs[k + 1] - x0)
-        return self.values[k] + ((y0 - x0) + (fx - x)) * (x - x0) / 2
+    def _piece(self, k: int, p: int, q: int) -> int:
+        """F(p/q) times ``denominator`` q^2 l, for p/q on breakpoint piece k.
+
+        With u = p/q - xs[k], F(p/q) = F(xs[k]) + g_k u + (f_N' - 1) u^2 / 2,
+        where g_k is the excess at xs[k] and f_N' = D / (2**N l) on a kept
+        interval (even k), 0 on a gap; l = xs[1] as in ``_scaled``.
+        """
+        d, ell = self.system.denominator, self.xs[1]
+        u = p * d - self.xs[k] * q  # u over D q
+        g = self.iterates.excess[k]
+        out = ell * (self.values[k] * q * q + (2 * g * q - (u << self.system.depth)) * u)
+        if k % 2 == 0:
+            out += d * u * u
+        return out
 
     def value_exact(self, x) -> Fraction:
         x = _as_fraction(x)
         if x <= 0 or x >= 1:
             return Fraction(0)
-        return self._piece(bisect_right(self.xs, x) - 1, x)
+        p, q = x.numerator, x.denominator
+        k = self.system._locate(p, q)
+        return Fraction(self._piece(k, p, q), self.denominator * q * q * self.xs[1])
 
     def derivative_exact(self, x) -> Fraction:
         x = _as_fraction(x)
@@ -323,28 +386,31 @@ class FatF:
         The integrand g = f_N - t is affine on each piece [x0, x1], so the
         quadratic F has a vertex strictly inside it exactly when g changes
         sign strictly between its end values g0 and g1; the vertex is the
-        zero t = (x0 g1 - x1 g0) / (g1 - g0).
+        zero t = (x0 g1 - x1 g0) / (g1 - g0).  The breakpoint values share
+        one denominator; a vertex's value is compared by cross-multiplying.
         """
         xs, g = self.xs, self.iterates.excess
-        best = max(abs(v) for v in self.values)
+        d, ell = self.system.denominator, xs[1]
+        best, best_den = max(abs(v) for v in self.values), self.denominator
         for k in range(len(xs) - 1):
             g0, g1 = g[k], g[k + 1]
             if g0 < 0 < g1 or g1 < 0 < g0:
-                t = (xs[k] * g1 - xs[k + 1] * g0) / (g1 - g0)
-                best = max(best, abs(self._piece(k, t)))
-        return best
+                q = d * (g1 - g0)
+                value = abs(self._piece(k, xs[k] * g1 - xs[k + 1] * g0, q))
+                den = self.denominator * q * q * ell
+                if value * best_den > best * den:
+                    best, best_den = value, den
+        return Fraction(best, best_den)
 
 
-def fat_F(system: CantorSystem, n: int | None = None) -> FatF:
-    """Exact piecewise quadratic antiderivative of f_n - t."""
-    it = staircase_f(system, n)
-    g = it.excess
-    vals: list[Fraction] = [Fraction(0)]
-    acc = Fraction(0)
-    for k in range(len(g) - 1):
-        acc += (g[k] + g[k + 1]) * (it.xs[k + 1] - it.xs[k]) / 2
-        vals.append(acc)
-    return FatF(iterates=it, values=tuple(vals), truncation_error=2.0 ** (1 - it.n))
+def fat_F(system: CantorSystem) -> FatF:
+    """Exact piecewise quadratic antiderivative of f_N - t, N = system.depth."""
+    it = staircase_f(system)
+    g, xs = it.excess, it.xs
+    # trapezoid sums over 2 D^2 2**N (see FatF.denominator), accumulated
+    steps = ((g[k] + g[k + 1]) * (xs[k + 1] - xs[k]) for k in range(len(xs) - 1))
+    vals = tuple(accumulate(steps, initial=0))
+    return FatF(iterates=it, values=vals, truncation_error=2.0 ** (1 - system.depth))
 
 
 @dataclass(frozen=True)
@@ -372,7 +438,7 @@ class X0Certificate:
     g_min: Fraction
     offsets_checked: int
     left_gap: tuple[Fraction, Fraction] | None
-    left_defect: Fraction | None
+    left_defect: Fraction
 
     def to_json(self) -> str:
         payload = {
@@ -384,14 +450,12 @@ class X0Certificate:
             "left_gap": None
             if self.left_gap is None
             else [_number_str(self.left_gap[0]), _number_str(self.left_gap[1])],
-            "left_defect": None
-            if self.left_defect is None
-            else _number_str(self.left_defect),
+            "left_defect": _number_str(self.left_defect),
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def find_x0(fat: FatF, n_offsets: int = 1000) -> X0Certificate:
+def find_x0(fat: FatF, n_offsets: int) -> X0Certificate:
     """Locate and exactly certify the quadratic growth base point of F.
 
     Scans the breakpoints of f_N inside the first generation-1 kept
@@ -407,33 +471,37 @@ def find_x0(fat: FatF, n_offsets: int = 1000) -> X0Certificate:
         raise ParameterError(f"n_offsets must be >= 1, got {n_offsets}")
     system = fat.system
     it = fat.iterates
+    xs, d, n = system.xs, system.denominator, system.depth
     a1, b1 = system.level(1)[0]
     slope1 = 1 / (1 - system.alphas[0])
     growth = (slope1 - 1) / 2
 
-    best_k = None
-    best_g = None
-    for k, (x, y) in enumerate(zip(it.xs, it.ys)):
-        if a1 <= x <= b1:
-            g = y - slope1 * x
-            if best_g is None or g < best_g:
-                best_g = g
-                best_k = k
-    if best_k is None:
-        raise ConstructionError("no staircase breakpoints inside the base interval")
-    x0 = it.xs[best_k]
+    # g at breakpoint k as a numerator over slope1's denominator times D 2**N;
+    # the first generation-1 interval holds the first half of the row
+    c, e = slope1.numerator, slope1.denominator
+    g = [it.ys[k] * e * d - ((c * xs[k]) << n) for k in range(len(xs) // 2)]
+    best_k = min(range(len(g)), key=g.__getitem__)
+    x0 = Fraction(xs[best_k], d)
 
-    dist = min(x0 - a1, b1 - x0)
-    delta0 = min(Fraction(1, 20), dist / 2)
+    delta0 = min(Fraction(1, 20), Fraction(min(xs[best_k] - a1, b1 - xs[best_k]), 2 * d))
     if delta0 <= 0:
         raise ConstructionError("base point sits on the interval boundary")
 
-    f_x0 = fat.value_exact(x0)
-    df_x0 = fat.derivative_exact(x0)
-    for k in range(1, n_offsets + 1):
-        s = delta0 * k / n_offsets
-        dev = fat.value_exact(x0 + s) - f_x0 - s * df_x0
-        if dev < growth * s * s:
+    # the offsets s_j = delta0 j / n_offsets put every x0 + s_j over one
+    # q = D B n_offsets, delta0 = A / B, so that F there, F(x0) and
+    # s_j F'(x0) are integers over fat.denominator q^2 l (l = xs[1]), and
+    # growth s_j^2 is too once multiplied by the growth's denominator
+    step, scale = delta0.numerator * d, delta0.denominator * n_offsets
+    q = d * scale
+    f0 = fat.values[best_k] * q * q * xs[1]
+    df0 = 2 * d * q * xs[1] * it.excess[best_k]
+    bound = fat.denominator * xs[1] * growth.numerator
+    for j in range(1, n_offsets + 1):
+        s = step * j  # s_j = s / q
+        p = xs[best_k] * scale + s
+        dev = fat._piece(system._locate(p, q), p, q) - f0 - s * df0
+        if dev * growth.denominator < bound * s * s:
+            s, dev = Fraction(s, q), Fraction(dev, fat.denominator * q * q * xs[1])
             raise ConstructionError(
                 f"quadratic growth fails at offset {float(s)!r}: "
                 f"deviation {float(dev)!r} < {float(growth * s * s)!r}"
@@ -441,31 +509,30 @@ def find_x0(fat: FatF, n_offsets: int = 1000) -> X0Certificate:
 
     # the stretches between consecutive generation-N kept intervals are
     # exactly the removed gaps, so a gap ends at x0 just when x0 opens a
-    # kept interval other than the first: an even index past 0
+    # kept interval other than the first: an even index past 0 (best_k > 0,
+    # since delta0 > 0)
     left_gap = None
-    if best_k > 0 and best_k % 2 == 0:
-        left_gap = (it.xs[best_k - 1], x0)
+    if best_k % 2 == 0:
+        left_gap = (Fraction(xs[best_k - 1], d), x0)
 
-    left_defect = None
-    if x0 > 0:
-        reach = delta0 if left_gap is None else min(delta0, (left_gap[1] - left_gap[0]) / 2)
-        if reach > 0:
-            ratios = []
-            for k in range(1, 8):
-                s = -reach * k / 8
-                dev = fat.value_exact(x0 + s) - f_x0 - s * df_x0
-                ratios.append(dev / (s * s))
-            left_defect = min(ratios)
+    f_x0 = fat.value_exact(x0)
+    df_x0 = fat.derivative_exact(x0)
+    reach = delta0 if left_gap is None else min(delta0, (left_gap[1] - left_gap[0]) / 2)
+    ratios = []
+    for k in range(1, 8):
+        s = -reach * k / 8
+        dev = fat.value_exact(x0 + s) - f_x0 - s * df_x0
+        ratios.append(dev / (s * s))
 
     return X0Certificate(
         fat=fat,
         x0=x0,
         growth=growth,
         delta0=delta0,
-        g_min=best_g,
+        g_min=Fraction(g[best_k], (e * d) << n),
         offsets_checked=n_offsets,
         left_gap=left_gap,
-        left_defect=left_defect,
+        left_defect=min(ratios),
     )
 
 

@@ -139,7 +139,7 @@ def test_04_staircase_exact_identities_and_growth():
     for level in (0, 1, 2):
         # a generation's first gap lies between the next generation's first two intervals
         left, right = system.level(level + 1)[:2]
-        ga, gb = float(left[1]), float(right[0])
+        ga, gb = left[1] / system.denominator, right[0] / system.denominator
         t = 0.5 * (ga + gb)
         second = (fat(t + h) - 2.0 * fat(t) + fat(t - h)) / (h * h)
         assert second == pytest.approx(-1.0, abs=1e-4)

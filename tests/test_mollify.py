@@ -581,7 +581,7 @@ class TestStaircaseCase:
         x = case.v.grid.axis(1) / lam
         assert np.max(np.abs(case.g_values - (1.0 + f(x)))) <= 1e-15
         w = h / lam
-        knots = np.asarray(f.xs, dtype=float)
+        knots = np.array([x / f.system.denominator for x in f.xs])
         for xj, ghat in zip(x, case.ghat_values):
             inside = knots[(knots > xj - w) & (knots < xj + w)]
             mean = quad(f, xj - w, xj + w, points=inside, epsabs=1e-14, limit=200)[0] / (2 * w)

@@ -4,12 +4,12 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -50,6 +50,11 @@ def gap_row(system, n):
     return tuple((kids[2 * i][1], kids[2 * i + 1][0]) for i in range(2**n))
 
 
+def exact(system, x):
+    """A breakpoint numerator of ``system`` as the Fraction it stands for."""
+    return Fraction(x, system.denominator)
+
+
 # -- oracle: build_cantor as it kept every generation's intervals and gaps,
 # verbatim but for its return value; level(n) and gap_row must equal them
 
@@ -87,39 +92,122 @@ def build_cantor_levels_oracle(alphas, depth=None):
     return ratios, tuple(levels), tuple(gaps)
 
 
+# -- oracle: the Fraction construction of the breakpoint row, f_N and F,
+# verbatim from build_cantor, staircase_f and fat_F before they moved to
+# integer numerators; the library's rows must equal them as Fractions
+
+
+@dataclass(frozen=True)
+class Rows:
+    """Breakpoints ``xs``, f_N values ``ys`` and F values ``values`` as
+    Fractions: the rows the verbatim oracles below read."""
+
+    alphas: tuple[Fraction, ...]
+    xs: tuple[Fraction, ...]
+    ys: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
+
+    @classmethod
+    def of(cls, fat):
+        """The library's rows, each integer over its denominator."""
+        d, scale = fat.system.denominator, 2**fat.system.depth
+        return cls(
+            alphas=fat.system.alphas,
+            xs=tuple(Fraction(x, d) for x in fat.xs),
+            ys=tuple(Fraction(y, scale) for y in fat.iterates.ys),
+            values=tuple(Fraction(v, fat.denominator) for v in fat.values),
+        )
+
+    @classmethod
+    def construct(cls, alphas):
+        """The rows built in Fraction arithmetic."""
+        ratios = tuple(_as_fraction(a) for a in alphas)
+        xs = cantor_row_oracle(ratios)
+        ys = iterate_row_oracle(xs, len(ratios))
+        return cls(alphas=ratios, xs=xs, ys=ys, values=fat_values_oracle(xs, ys))
+
+    def level(self, n):
+        s = 2 ** (len(self.alphas) - n)
+        return tuple(zip(self.xs[:: 2 * s], self.xs[2 * s - 1 :: 2 * s]))
+
+
+def cantor_row_oracle(ratios):
+    xs: tuple[Fraction, ...] = (Fraction(0), Fraction(1))
+    for a_n in ratios:
+        row: list[Fraction] = []
+        for left, right in zip(xs[::2], xs[1::2]):
+            center = (left + right) / 2
+            half = a_n * (right - left) / 2
+            row += (left, center - half, center + half, right)
+        xs = tuple(row)
+    return xs
+
+
+def iterate_row_oracle(xs, n):
+    ys: list[Fraction] = []
+    step = Fraction(1, 2**n)
+    for i in range(2**n):
+        ys.extend((i * step, (i + 1) * step))
+    return tuple(ys)
+
+
+def fat_values_oracle(xs, ys):
+    g = tuple(y - x for x, y in zip(xs, ys))
+    vals: list[Fraction] = [Fraction(0)]
+    acc = Fraction(0)
+    for k in range(len(g) - 1):
+        acc += (g[k] + g[k + 1]) * (xs[k + 1] - xs[k]) / 2
+        vals.append(acc)
+    return tuple(vals)
+
+
+def iterate_value_oracle(rows, x) -> Fraction:
+    x = _as_fraction(x)
+    if x <= rows.xs[0]:
+        return rows.ys[0]
+    if x >= rows.xs[-1]:
+        return rows.ys[-1]
+    k = bisect_right(rows.xs, x) - 1
+    x0, x1 = rows.xs[k], rows.xs[k + 1]
+    y0, y1 = rows.ys[k], rows.ys[k + 1]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
 # -- oracles: FatF's exact lookups that bisect for every value and
-# find_x0's scan over every gap of every generation, kept verbatim (``self``
-# renamed ``fat``); the library must return exactly their values
+# find_x0's scan over every gap of every generation, kept verbatim but
+# reading Fraction rows (``self`` renamed ``rows``); the library must
+# return exactly their values
 
 
-def value_exact_oracle(fat, x) -> Fraction:
+def value_exact_oracle(rows, x) -> Fraction:
     x = _as_fraction(x)
     if x <= 0 or x >= 1:
         return Fraction(0)
-    k = bisect_right(fat.xs, x) - 1
-    xk = fat.xs[k]
-    fk = fat.iterates.ys[k]
-    fx = fat.iterates.value_exact(x)
-    return fat.values[k] + ((fk - xk) + (fx - x)) * (x - xk) / 2
+    k = bisect_right(rows.xs, x) - 1
+    xk = rows.xs[k]
+    fk = rows.ys[k]
+    fx = iterate_value_oracle(rows, x)
+    return rows.values[k] + ((fk - xk) + (fx - x)) * (x - xk) / 2
 
 
-def sup_norm_exact_oracle(fat) -> Fraction:
-    candidates = list(fat.xs)
-    for k in range(len(fat.xs) - 1):
-        x0, x1 = fat.xs[k], fat.xs[k + 1]
-        y0, y1 = fat.iterates.ys[k], fat.iterates.ys[k + 1]
+def sup_norm_exact_oracle(rows) -> Fraction:
+    candidates = list(rows.xs)
+    for k in range(len(rows.xs) - 1):
+        x0, x1 = rows.xs[k], rows.xs[k + 1]
+        y0, y1 = rows.ys[k], rows.ys[k + 1]
         m = (y1 - y0) / (x1 - x0)
         if m != 1:
             t = (y0 - m * x0) / (1 - m)
             if x0 < t < x1:
                 candidates.append(t)
-    return max(abs(value_exact_oracle(fat, t)) for t in candidates)
+    return max(abs(value_exact_oracle(rows, t)) for t in candidates)
 
 
-def left_gap_oracle(system, x0):
+def left_gap_oracle(rows, x0):
     left_gap = None
-    for row in (gap_row(system, n) for n in range(system.depth)):
-        for g in row:
+    for n in range(len(rows.alphas)):
+        kids = rows.level(n + 1)
+        for g in ((kids[2 * i][1], kids[2 * i + 1][0]) for i in range(2**n)):
             if g[1] == x0:
                 left_gap = g
                 break
@@ -128,17 +216,15 @@ def left_gap_oracle(system, x0):
     return left_gap
 
 
-def find_x0_oracle(fat, n_offsets):
+def find_x0_oracle(fat, rows, n_offsets):
     """find_x0 on the oracle value lookup and the scan over all gaps."""
-    system = fat.system
-    it = fat.iterates
-    a1, b1 = system.level(1)[0]
-    slope1 = 1 / (1 - system.alphas[0])
+    a1, b1 = rows.level(1)[0]
+    slope1 = 1 / (1 - rows.alphas[0])
     growth = (slope1 - 1) / 2
 
     best_x = None
     best_g = None
-    for x, y in zip(it.xs, it.ys):
+    for x, y in zip(rows.xs, rows.ys):
         if a1 <= x <= b1:
             g = y - slope1 * x
             if best_g is None or g < best_g:
@@ -151,18 +237,18 @@ def find_x0_oracle(fat, n_offsets):
     if delta0 <= 0:
         raise ConstructionError("base point sits on the interval boundary")
 
-    f_x0 = value_exact_oracle(fat, x0)
-    df_x0 = fat.derivative_exact(x0)
+    f_x0 = value_exact_oracle(rows, x0)
+    df_x0 = iterate_value_oracle(rows, x0) - x0
     for k in range(1, n_offsets + 1):
         s = delta0 * k / n_offsets
-        dev = value_exact_oracle(fat, x0 + s) - f_x0 - s * df_x0
+        dev = value_exact_oracle(rows, x0 + s) - f_x0 - s * df_x0
         if dev < growth * s * s:
             raise ConstructionError(
                 f"quadratic growth fails at offset {float(s)!r}: "
                 f"deviation {float(dev)!r} < {float(growth * s * s)!r}"
             )
 
-    left_gap = left_gap_oracle(system, x0)
+    left_gap = left_gap_oracle(rows, x0)
 
     left_defect = None
     if x0 > 0:
@@ -171,7 +257,7 @@ def find_x0_oracle(fat, n_offsets):
             ratios = []
             for k in range(1, 8):
                 s = -reach * k / 8
-                dev = value_exact_oracle(fat, x0 + s) - f_x0 - s * df_x0
+                dev = value_exact_oracle(rows, x0 + s) - f_x0 - s * df_x0
                 ratios.append(dev / (s * s))
             left_defect = min(ratios)
 
@@ -185,6 +271,24 @@ def find_x0_oracle(fat, n_offsets):
         left_gap=left_gap,
         left_defect=left_defect,
     )
+
+
+def assert_matches_fraction_construction(alphas, n_offsets):
+    """Every breakpoint, f_N and F value, the sup of |F| and every
+    certificate field equal those of the Fraction construction."""
+    fat = fat_F(build_cantor(alphas))
+    rows = Rows.construct(alphas)
+    assert Rows.of(fat) == rows
+    assert fat.sup_norm_exact() == sup_norm_exact_oracle(rows)
+    try:
+        expect = find_x0_oracle(fat, rows, n_offsets)
+    except ConstructionError as exc:
+        with pytest.raises(ConstructionError, match=re.escape(str(exc))):
+            find_x0(fat, n_offsets=n_offsets)
+        return
+    cert = find_x0(fat, n_offsets=n_offsets)
+    for f in fields(X0Certificate):
+        assert getattr(cert, f.name) == getattr(expect, f.name), f.name
 
 
 @pytest.fixture(scope="module")
@@ -217,12 +321,17 @@ def scan50(dom50):
     return subharmonicity_scan(dom50)
 
 
+def iterate(system, n):
+    """f_n of ``system``: the iterate of its depth-n truncation."""
+    return staircase_f(build_cantor(system.alphas[:n]))
+
+
 class TestBuildCantor:
     def test_interval_length_identity(self, sys_half):
         for n in range(sys_half.depth + 1):
             expect = Fraction(1, 2**n) * sys_half.kept_measure(n)
             for a, b in sys_half.level(n):
-                assert b - a == expect
+                assert exact(sys_half, b - a) == expect
 
     def test_gaps_centered_with_exact_ratio(self, sys_half):
         for n in range(sys_half.depth):
@@ -250,12 +359,17 @@ class TestBuildCantor:
         system = build_cantor(alphas)
         ratios, levels, gaps = build_cantor_levels_oracle(alphas)
         assert system.alphas == ratios
-        assert system.xs == tuple(x for pair in levels[depth] for x in pair)
+        assert all(type(x) is int for x in system.xs)
+        as_fractions = tuple(exact(system, x) for x in system.xs)
+        assert as_fractions == tuple(x for pair in levels[depth] for x in pair)
+
+        def pairs(row):
+            return tuple((exact(system, a), exact(system, b)) for a, b in row)
+
         for n in range(depth + 1):
-            assert system.level(n) == levels[n]
-            assert all(type(x) is Fraction for pair in system.level(n) for x in pair)
+            assert pairs(system.level(n)) == levels[n]
         for n in range(depth):
-            assert gap_row(system, n) == gaps[n]
+            assert pairs(gap_row(system, n)) == gaps[n]
 
     def test_quarter_schedule_measure_value(self):
         sys_q = build_cantor(default_alphas(Fraction(1, 4), 8))
@@ -310,47 +424,47 @@ class TestBuildCantor:
         expect = Fraction(1)
         for a in ratios:
             expect *= 1 - a
-        assert total == expect
+        assert exact(system, total) == expect
+        # generation m of the depth-n system is the depth-m system's row
+        for m in range(1, n):
+            coarse = build_cantor(ratios[:m])
+            assert [exact(system, x) for pair in system.level(m) for x in pair] == [
+                exact(coarse, x) for x in coarse.xs
+            ]
 
 
 class TestStaircaseIterates:
-    def test_order_zero_is_identity(self, sys_half):
-        f0 = staircase_f(sys_half, 0)
-        assert f0.xs == (Fraction(0), Fraction(1))
-        assert f0.ys == (Fraction(0), Fraction(1))
-        assert f0.slope == 1
-
     def test_first_iterate_half_on_gap(self, sys_half):
-        f1 = staircase_f(sys_half, 1)
+        f1 = iterate(sys_half, 1)
         for t in (Fraction(1, 4), Fraction(1, 2), Fraction(5, 8), Fraction(3, 4)):
             assert f1.value_exact(t) == Fraction(1, 2)
-        assert f1.slope == 2
+        assert f1.value_exact(Fraction(1, 8)) == Fraction(1, 4)
 
     def test_breakpoint_values(self, sys_half):
         n = 4
-        fn = staircase_f(sys_half, n)
-        for i, (a, b) in enumerate(sys_half.level(n)):
-            assert fn.value_exact(a) == Fraction(i, 2**n)
-            assert fn.value_exact(b) == Fraction(i + 1, 2**n)
+        fn = iterate(sys_half, n)
+        for i, (a, b) in enumerate(fn.system.level(n)):
+            assert fn.value_exact(exact(fn.system, a)) == Fraction(i, 2**n)
+            assert fn.value_exact(exact(fn.system, b)) == Fraction(i + 1, 2**n)
 
     def test_slope_inverse_measure(self, sys_half):
-        for n in range(sys_half.depth + 1):
-            fn = staircase_f(sys_half, n)
-            assert fn.slope * sys_half.kept_measure(n) == 1
+        for n in range(1, sys_half.depth + 1):
+            fn = iterate(sys_half, n)
+            a, b = (exact(fn.system, x) for x in fn.system.level(n)[-1])
+            slope = (fn.value_exact(b) - fn.value_exact(a)) / (b - a)
+            assert slope * sys_half.kept_measure(n) == 1
 
     def test_successive_sup_distance(self, sys_half):
-        for n in range(sys_half.depth):
-            fn = staircase_f(sys_half, n)
-            fn1 = staircase_f(sys_half, n + 1)
-            assert fn.sup_distance(fn1) <= Fraction(1, 2**n)
+        for n in range(1, sys_half.depth):
+            assert iterate(sys_half, n).sup_distance(iterate(sys_half, n + 1)) <= Fraction(1, 2**n)
 
     def test_symmetry(self, sys_half):
-        fn = staircase_f(sys_half, 5)
+        fn = iterate(sys_half, 5)
         for t in (Fraction(1, 7), Fraction(9, 64), Fraction(2, 5)):
             assert fn.value_exact(1 - t) == 1 - fn.value_exact(t)
 
     def test_float_matches_exact(self, sys_half):
-        fn = staircase_f(sys_half, 6)
+        fn = staircase_f(sys_half)
         rng = np.random.default_rng(7)
         for t in rng.uniform(0.0, 1.0, size=40):
             fr = Fraction(float(t))
@@ -362,7 +476,7 @@ class TestStaircaseIterates:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotone(self, sys_half, t, s):
-        fn = staircase_f(sys_half, 4)
+        fn = iterate(sys_half, 4)
         lo, hi = min(t, s), max(t, s)
         assert fn.value_exact(lo) <= fn.value_exact(hi)
 
@@ -385,7 +499,7 @@ class TestFatF:
         system = fat_half.system
         h = Fraction(1, 4096)
         for n in (0, 1, 2):
-            ga, gb = gap_row(system, n)[0]
+            ga, gb = (exact(system, x) for x in gap_row(system, n)[0])
             t = (ga + gb) / 2
             if t - h <= ga or t + h >= gb:
                 continue
@@ -404,7 +518,7 @@ class TestFatF:
 
     def test_matches_quadrature_of_integrand(self, fat_half):
         fn = fat_half.iterates
-        knots = [float(t) for t in fn.xs]
+        knots = [float(exact(fat_half.system, t)) for t in fn.xs]
         for x in (0.1, 0.33, 0.5, 0.8):
             inner = [t for t in knots if 0.0 < t < x]
             ref, err = quad(lambda t: float(fn(t)) - t, 0.0, x, points=inner, limit=400)
@@ -425,20 +539,21 @@ class TestFatF:
 
     def test_truncation_error(self, sys_half):
         for n in (2, 4, 6):
-            assert fat_F(sys_half, n).truncation_error == 2.0 ** (1 - n)
+            assert fat_F(build_cantor(sys_half.alphas[:n])).truncation_error == 2.0 ** (1 - n)
 
     @given(ratios=ratio_lists, data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_oracles(self, ratios, data):
-        system = build_cantor(ratios)
-        fat = fat_F(system, data.draw(st.integers(0, system.depth), label="n"))
+        fat = fat_F(build_cantor(ratios))
+        rows = Rows.of(fat)
         points = data.draw(
             st.lists(st.fractions(min_value=0, max_value=1, max_denominator=1 << 12), max_size=20),
             label="points",
         )
-        for x in [*points, *fat.xs]:
-            assert fat.value_exact(x) == value_exact_oracle(fat, x)
-        assert fat.sup_norm_exact() == sup_norm_exact_oracle(fat)
+        for x in [*points, *rows.xs]:
+            assert fat.value_exact(x) == value_exact_oracle(rows, x)
+            assert fat.iterates.value_exact(x) == iterate_value_oracle(rows, x)
+        assert fat.sup_norm_exact() == sup_norm_exact_oracle(rows)
 
     @pytest.mark.parametrize(
         "alpha1, depth", [(Fraction(1, 2), 6), (Fraction(9, 10), 8)], ids=["half-6", "tenths-8"]
@@ -448,22 +563,23 @@ class TestFatF:
         # algebra puts the zero of f_N - t there; the zeros at x = 0 and x = 1
         # sit on breakpoints, whose values F already holds
         fat = fat_F(build_cantor(default_alphas(alpha1, depth)))
+        rows = Rows.of(fat)
         want = []
-        for k in range(len(fat.xs) - 1):
-            x0, x1 = fat.xs[k], fat.xs[k + 1]
-            y0, y1 = fat.iterates.ys[k], fat.iterates.ys[k + 1]
+        for k in range(len(rows.xs) - 1):
+            x0, x1 = rows.xs[k], rows.xs[k + 1]
+            y0, y1 = rows.ys[k], rows.ys[k + 1]
             m = (y1 - y0) / (x1 - x0)
             if m != 1 and x0 < (y0 - m * x0) / (1 - m) < x1:
                 want.append((k, (y0 - m * x0) / (1 - m)))
         seen = []
         piece = FatF._piece
 
-        def spy(self, k, x):
-            seen.append((k, x))
-            return piece(self, k, x)
+        def spy(self, k, p, q):
+            seen.append((k, Fraction(p, q)))
+            return piece(self, k, p, q)
 
         monkeypatch.setattr(FatF, "_piece", spy)
-        assert fat.sup_norm_exact() == sup_norm_exact_oracle(fat)
+        assert fat.sup_norm_exact() == sup_norm_exact_oracle(rows)
         assert seen == want and want
 
     def test_outside_support_zero(self, fat_half):
@@ -472,10 +588,32 @@ class TestFatF:
         assert fat_half.derivative_exact(-0.1) == 0
 
 
+class TestFractionConstruction:
+    """The integer rows against the Fraction construction they replace."""
+
+    @given(
+        a1=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(lambda a: 0 < a < 1),
+        depth=st.integers(1, 12),
+    )
+    @settings(max_examples=12, deadline=None)
+    @example(a1=Fraction(9, 10), depth=12)
+    def test_geometric_schedules_to_depth_12(self, a1, depth):
+        assert_matches_fraction_construction(default_alphas(a1, depth), n_offsets=40)
+
+    @given(ratios=ratio_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_arbitrary_schedules(self, ratios):
+        assert_matches_fraction_construction(ratios, n_offsets=40)
+
+    def test_cap_schedule_at_thousand_offsets(self):
+        # the staircase cap's own certificate, at the offsets it is run with
+        assert_matches_fraction_construction(default_alphas(Fraction(99, 100), 10), 1000)
+
+
 class TestFindX0:
     def test_exact_two_level_example(self):
         fat = fat_F(build_cantor(HALF_EIGHTH))
-        cert = find_x0(fat)
+        cert = find_x0(fat, n_offsets=1000)
         assert cert.x0 == Fraction(9, 64)
         assert cert.growth == Fraction(1, 2)
         assert cert.delta0 == Fraction(1, 20)
@@ -490,9 +628,9 @@ class TestFindX0:
         assert cert.offsets_checked == 1000
         assert cert.growth == alpha1 / (2 * (1 - alpha1))
         a1, b1 = fat.system.level(1)[0]
-        assert a1 < cert.x0 < b1
+        assert exact(fat.system, a1) < cert.x0 < exact(fat.system, b1)
         assert cert.left_gap is not None
-        assert cert.left_gap == left_gap_oracle(fat.system, cert.x0)
+        assert cert.left_gap == left_gap_oracle(Rows.of(fat), cert.x0)
 
     def test_growth_bound_float_spot_check(self, fat_half):
         cert = find_x0(fat_half, n_offsets=100)
@@ -525,15 +663,16 @@ class TestFindX0:
         f_x0 = fn.value_exact(cert.x0)
         for x in fn.xs:
             if a1 <= x <= b1:
+                x = exact(fat_half.system, x)
                 assert fn.value_exact(x) - f_x0 >= slope1 * (x - cert.x0)
 
     @given(ratios=ratio_lists, data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, ratios, data):
-        system = build_cantor(ratios)
-        fat = fat_F(system, data.draw(st.integers(0, system.depth), label="n"))
+        n = data.draw(st.integers(1, len(ratios)), label="n")
+        fat = fat_F(build_cantor(ratios[:n]))
         try:
-            expect = find_x0_oracle(fat, 40)
+            expect = find_x0_oracle(fat, Rows.of(fat), 40)
         except ConstructionError as exc:
             with pytest.raises(ConstructionError, match=re.escape(str(exc))):
                 find_x0(fat, n_offsets=40)
