@@ -275,6 +275,10 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
         for k in range(n):
             expected *= 1 - system.alphas[k]
         length_residual += abs(length - expected)
+        # the built row: every generation-n pair spans L_n D numerators
+        p, q = length.numerator * system.denominator, length.denominator
+        miss = sum(abs((right - left) * q - p) for left, right in system.level(n))
+        length_residual += Fraction(miss, q * system.denominator)
         rows.append((n, 2**n, str(length), float(length)))
     _write_csv(outdir / "intervals.csv", ["n", "count", "length_exact", "length"], rows)
 

@@ -12,7 +12,9 @@ concentrates on E.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +45,9 @@ __all__ = [
 # radius 1/2: 0.7 * sqrt(2)/2 = 0.49497 < 1/2
 _START_SIDE = 0.7
 _GENERATION_BUDGET = 10
-# output nodes per row block of GreenPotential.grid_values: the block and
-# its three float64 work buffers take 1 MiB, within a typical L2 cache
-_BLOCK = 1 << 15
+# node-atom pairs per tile of GreenPotential.grid_values (its three float64
+# work buffers take 1.5 MiB, within a 2 MiB L2 cache), points per chunk of box_dimension
+_BLOCK = 1 << 16
 # frostman_certificate checks every center of up to this many atoms, else a
 # stride sample
 _MAX_CENTERS = 4096
@@ -233,6 +235,11 @@ def frostman_certificate(measure: AtomicMeasure, alpha: float) -> FrostmanCertif
 # -- Green potentials --------------------------------------------------------
 
 
+def _workers() -> int:
+    """The CPUs this process may run on: GreenPotential.grid_values' threads."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class GreenPotential:
     """u(z) = sum_j m_j * (-log|(z - w_j)/(1 - z conj(w_j))|).
@@ -256,11 +263,11 @@ class GreenPotential:
 
         gx and gy are float64 coordinates of any two broadcastable shapes;
         sparse (m, 1) and (1, m) meshes make every one-coordinate term O(m)
-        per atom.  The sum walks the output's first axis in row blocks of
-        about _BLOCK nodes, so one block and its three work buffers stay in
-        cache while all atoms pass over it.  Each node takes the atoms in
-        order with the same floating-point operations whatever the block,
-        so the values do not depend on the blocking.
+        per atom.  The sum runs in cache-sized tiles of about _BLOCK
+        node-atom pairs, an atom chunk by a block of output rows, with the
+        row blocks shared over one thread per usable CPU (_workers).  Each
+        node takes the atoms in order with the same floating-point
+        operations, so the values depend neither on tiling nor threads.
         """
         gx = np.asarray(gx, dtype=np.float64)
         gy = np.asarray(gy, dtype=np.float64)
@@ -270,24 +277,39 @@ class GreenPotential:
         gx = gx.reshape((1,) * (len(full) - gx.ndim) + gx.shape)
         gy = gy.reshape((1,) * (len(full) - gy.ndim) + gy.shape)
         out = np.zeros(full)
-        rows = max(1, _BLOCK // max(1, math.prod(full[1:])))
-        # contiguous buffers: numpy's SIMD log and its strided fallback can
-        # differ in the last bit
-        work = np.empty((3, min(rows, full[0])) + full[1:])
+        width = max(1, math.prod(full[1:]))
+        workers = _workers()
+        # at most a 1/workers share of the rows, so a 1-D query splits too
+        rows = max(1, min(_BLOCK // width, -(-full[0] // workers)))
+        starts = range(0, full[0], rows)
+        threads = max(1, min(workers, len(starts)))
         w = self.measure.locations
-        terms = list(zip(w.real.tolist(), w.imag.tolist(), (0.5 * self.measure.masses).tolist()))
-        with np.errstate(divide="ignore"):
-            for start in range(0, full[0], rows):
+        chunk = max(1, min(w.size, _BLOCK // (rows * width)))
+        # rows x, y and m/2 with the atoms along a leading broadcast axis
+        atoms = np.stack([w.real, w.imag, 0.5 * self.measure.masses])
+        atoms = atoms.reshape(atoms.shape + (1,) * len(full))
+        # a buffer per thread, allocated here: tiles cut from its front are
+        # contiguous for numpy's SIMD log (its strided loop can differ)
+        work = [np.empty((3 * chunk + 1) * rows * width) for _ in range(threads)]
+
+        @np.errstate(divide="ignore")  # per thread: errstate is context-local
+        def tiles(k: int) -> None:
+            for start in starts[k::threads]:
                 o = out[start : start + rows]
                 x = gx if gx.shape[0] == 1 else gx[start : start + rows]
                 y = gy if gy.shape[0] == 1 else gy[start : start + rows]
-                num2, rr, ii = work[:, : len(o)]
-                for wr, wi, half_m in terms:
-                    dx = x - wr
-                    dy = y - wi
+                for first in range(0, w.size, chunk):
+                    ar, ai, half_m = atoms[:, first : first + chunk]
+                    c = len(ar)
+                    buf = work[k][: (3 * c + 1) * o.size].reshape((3 * c + 1,) + o.shape)
+                    # o, then the chunk's terms; then two term buffers
+                    stack, rr, ii = buf[: c + 1], buf[c + 1 : 2 * c + 1], buf[2 * c + 1 :]
+                    num2 = stack[1:]
+                    dx = x - ar
+                    dy = y - ai
                     np.add(dx * dx, dy * dy, out=num2)
-                    np.subtract(1.0 - x * wr, y * wi, out=rr)
-                    np.subtract(x * wi, y * wr, out=ii)
+                    np.subtract(1.0 - x * ar, y * ai, out=rr)
+                    np.subtract(x * ai, y * ar, out=ii)
                     np.multiply(rr, rr, out=rr)
                     np.multiply(ii, ii, out=ii)
                     den2 = np.add(rr, ii, out=rr)
@@ -295,7 +317,18 @@ class GreenPotential:
                     np.log(den2, out=den2)
                     term = np.subtract(num2, den2, out=num2)
                     np.multiply(half_m, term, out=term)
-                    o -= term
+                    # ((o - t_1) - t_2) - ..., atom after atom; np.sum would pair them
+                    if c == 1:  # the same sum, without the copy into stack
+                        o -= term[0]
+                    else:
+                        stack[0] = o
+                        np.subtract.reduce(stack, axis=0, out=o)
+
+        # the caller takes the first share of the blocks, pool threads the rest
+        with concurrent.futures.ThreadPoolExecutor(max(1, threads - 1)) as pool:
+            rest = pool.map(tiles, range(1, threads))
+            tiles(0)
+            list(rest)
         return out.reshape(shape)
 
 
@@ -355,15 +388,12 @@ def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
         raise ParameterError("dimension regression needs at least 5 scales")
     if any(s <= 0.0 for s in scales):
         raise ParameterError("scales must be positive")
-    cols = np.ascontiguousarray(pts.T)
-    lo = cols.min(axis=1)
-    hi = cols.max(axis=1)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
     # min and max propagate NaN, and an infinite point makes one of them infinite
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ParameterError("points must be finite")
-    width = 63 // len(cols)
-    cell = np.empty(pts.shape[0])
-    ids = np.empty(pts.shape[0], dtype=np.uint64)
+    width = 63 // pts.shape[1]
     key = np.empty(pts.shape[0], dtype=np.uint64)
     counts = []
     for s in scales:
@@ -373,14 +403,16 @@ def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
         base = np.floor(lo / s)
         if np.any(np.floor(hi / s) - base >= 2.0**width):
             raise ParameterError(f"scale {s} too fine for the point spread")
-        key.fill(0)
-        for col, b in zip(cols, base):
-            np.divide(col, s, out=cell)
-            np.floor(cell, out=cell)
-            cell -= b
-            np.copyto(ids, cell, casting="unsafe")
-            key <<= width
-            key |= ids
+        # keys in chunks of _BLOCK points, read column by column from pts
+        for start in range(0, pts.shape[0], _BLOCK):
+            k = key[start : start + _BLOCK]
+            k.fill(0)
+            for col, b in zip(pts[start : start + _BLOCK].T, base):
+                cell = col / s
+                np.floor(cell, out=cell)
+                cell -= b
+                k <<= width
+                k |= cell.astype(np.uint64)
         # sort and count runs: numpy's unique hashes integer keys, several times slower
         key.sort()
         counts.append(1 + int(np.count_nonzero(key[1:] != key[:-1])))

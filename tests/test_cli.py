@@ -427,6 +427,25 @@ class TestRunReports:
         assert rows[0] == "n,count,length_exact,length"
         assert len(rows) == 1 + 12
 
+    def test_staircase_build_checks_the_built_row(self, tmp_path, capsys, monkeypatch):
+        # the shifts applied shallowest-first: every generation-N interval
+        # keeps its length, but the coarser pairs of the row do not
+        def shallowest_first(alphas):
+            system = staircase_module.build_cantor(alphas)
+            spans = [system.interval_length(k) * system.denominator for k in range(len(alphas) + 1)]
+            xs = [0, int(spans[-1])]
+            for k in range(1, len(alphas) + 1):
+                xs += [x + int(spans[k - 1] - spans[k]) for x in xs]
+            return dataclasses.replace(system, xs=tuple(xs))
+
+        monkeypatch.setattr(cli_module, "build_cantor", shallowest_first)
+        cfg = write_config(tmp_path, "c.json", scenario="staircase-build")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "assertion failed: interval_length_identity" in capsys.readouterr().err
+        by_name = {a["name"]: a for a in read_report(tmp_path)["assertions"]}
+        assert by_name["interval_length_identity"]["passed"] is False
+        assert Fraction(by_name["interval_length_identity"]["detail"]["value"]) > 0
+
     def test_hartogs_ball_no_violations(self, tmp_path):
         cfg = write_config(
             tmp_path,

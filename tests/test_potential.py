@@ -7,7 +7,11 @@ constants are pinned from an independent run of the same deterministic
 pipeline and guarded here against drift.
 """
 
+import concurrent.futures
 import math
+import os
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,6 +24,7 @@ from levicheck import potential as potential_module
 from levicheck.fields import DiscField, DomainError, ParameterError
 from levicheck.potential import (
     AtomicMeasure,
+    BoxCountRegression,
     GreenPotential,
     box_dimension,
     build_square_cantor,
@@ -382,8 +387,22 @@ _LATTICE_ATOM = st.tuples(st.integers(-22, 22), st.integers(-22, 22)).filter(
 _CIRCLE_COORDS = [-1.0, 0.0, 1.0]
 
 
+def with_workers(count):
+    """Patch the thread count grid_values reads from the CPU affinity."""
+    return mock.patch.object(potential_module, "_workers", lambda: count)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_WORKERS = [1, 2, 3, 5]
+
+
 class TestGridValuesBlocked:
-    """The row-blocked kernel against the per-atom whole-array oracle, bit for bit."""
+    """The tiled, threaded kernel against the per-atom whole-array oracle,
+    bit for bit, whatever the tile size and the thread count."""
 
     @given(
         lattice=st.lists(_LATTICE_ATOM, min_size=1, max_size=12, unique=True),
@@ -392,10 +411,13 @@ class TestGridValuesBlocked:
         rows=st.integers(1, 40),
         cols=st.integers(1, 40),
         block=st.sampled_from([7, 64, 1000, potential_module._BLOCK]),
+        workers=st.sampled_from(_WORKERS),
         seed=st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=120, deadline=None)
-    def test_bitwise_equal_to_direct_sum(self, lattice, weights, kind, rows, cols, block, seed):
+    def test_bitwise_equal_to_direct_sum(
+        self, lattice, weights, kind, rows, cols, block, workers, seed
+    ):
         rng = np.random.default_rng(seed)
         w = np.array(weights[: len(lattice)])
         w /= w.sum()
@@ -410,28 +432,75 @@ class TestGridValuesBlocked:
             gx, gy = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
         else:
             gx, gy = np.meshgrid(xs, ys, indexing="ij", sparse=kind == "sparse")
-        with mock.patch.object(potential_module, "_BLOCK", block):
+        with mock.patch.object(potential_module, "_BLOCK", block), with_workers(workers):
             got = pot.grid_values(gx, gy)
-        want = direct_grid_values(pot, gx, gy)
-        assert got.shape == want.shape == np.broadcast_shapes(gx.shape, gy.shape)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert_bitwise(got, direct_grid_values(pot, gx, gy))
+        assert got.shape == np.broadcast_shapes(gx.shape, gy.shape)
         assert np.any(got == np.inf)
 
-    def test_lengths_off_the_block(self):
+    @pytest.mark.parametrize("workers", _WORKERS)
+    @pytest.mark.parametrize("block", [20, 60])
+    def test_partial_atom_chunks(self, workers, block):
+        # 13 atoms against 10 points: for 1, 2, 3 and 5 threads a chunk holds
+        # 2, 4, 5 and 10 atoms at 20 pairs per tile, and 6, 12, 13 and 13 at
+        # 60, so the last chunk is partial unless one chunk takes them all
+        rng = np.random.default_rng(block + workers)
+        locs = rng.uniform(-0.3, 0.3, 13) + 1j * rng.uniform(-0.3, 0.3, 13)
+        pot = GreenPotential(AtomicMeasure(0, locs, np.full(13, 1.0 / 13)))
+        px, py = rng.uniform(-0.9, 0.9, (2, 10))
+        gx, gy = np.meshgrid(px, py[:3], indexing="ij", sparse=True)
+        with mock.patch.object(potential_module, "_BLOCK", block), with_workers(workers):
+            points = pot.grid_values(px, py)
+            mesh = pot.grid_values(gx, gy)
+        assert_bitwise(points, direct_grid_values(pot, px, py))
+        assert_bitwise(mesh, direct_grid_values(pot, gx, gy))
+
+    @pytest.mark.parametrize("workers", _WORKERS)
+    def test_more_threads_than_row_blocks(self, workers):
+        # two output rows give at most two row blocks whatever the count
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 2)))
+        gx, gy = np.meshgrid([0.1, -0.6], np.linspace(-0.9, 0.9, 7), indexing="ij")
+        with with_workers(workers), mock.patch.object(
+            concurrent.futures, "ThreadPoolExecutor", wraps=concurrent.futures.ThreadPoolExecutor
+        ) as pool:
+            got = pot.grid_values(gx, gy)
+        assert_bitwise(got, direct_grid_values(pot, gx, gy))
+        # the caller runs one of the two shares
+        assert pool.call_args_list == [mock.call(1)]
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_threads_keep_their_own_buffers(self, workers):
+        # 300 rows give five blocks, so up to five threads, more than the
+        # cores of a small box; a short switch interval interleaves them at
+        # every few bytecodes, so a buffer two threads shared would mix tiles
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 3)))
+        coords = np.linspace(-0.95, 0.95, 300)
+        gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with with_workers(workers):
+                got = pot.grid_values(gx, gy)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_bitwise(got, direct_grid_values(pot, gx, gy))
+
+    @pytest.mark.parametrize("workers", _WORKERS)
+    def test_lengths_off_the_block(self, workers):
         # 1-D queries and a 517-wide grid whose lengths are no multiple of
-        # the real block (63 rows of 517 nodes), so the last block is partial
+        # the real block (126 rows of 517 nodes), so the last block is partial
         pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 2)))
         rng = np.random.default_rng(5)
         n = 2 * potential_module._BLOCK + 123
         px, py = rng.uniform(-1.0, 1.0, (2, n))
-        assert np.array_equal(
-            pot.grid_values(px, py).view(np.int64), direct_grid_values(pot, px, py).view(np.int64)
-        )
         coords = (np.arange(517) - 258) / 256.0
         gx, gy = np.meshgrid(coords[:150], coords, indexing="ij", sparse=True)
-        got = pot.grid_values(gx, gy)
-        assert got.shape == (150, 517)
-        assert np.array_equal(got.view(np.int64), direct_grid_values(pot, gx, gy).view(np.int64))
+        with with_workers(workers):
+            points = pot.grid_values(px, py)
+            grid = pot.grid_values(gx, gy)
+        assert_bitwise(points, direct_grid_values(pot, px, py))
+        assert grid.shape == (150, 517)
+        assert_bitwise(grid, direct_grid_values(pot, gx, gy))
 
     def test_atom_node_infinite_and_circle_nodes_positive_zero(self):
         pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 2)))
@@ -443,11 +512,21 @@ class TestGridValuesBlocked:
         assert np.array_equal(vals[1:], np.zeros(4))
         assert not np.signbit(vals[1:]).any()
 
-    def test_scalar_inputs_give_zero_dim_array(self):
-        pot = single_atom(0j)
-        val = pot.grid_values(0.5, 0.0)
+    @pytest.mark.parametrize("workers", _WORKERS)
+    def test_scalar_inputs_give_zero_dim_array(self, workers):
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 3)))
+        with with_workers(workers):
+            val = pot.grid_values(0.5, 0.0)
+            empty = pot.grid_values(np.zeros((0, 3)), 0.0)
         assert isinstance(val, np.ndarray) and val.shape == ()
-        assert val.view(np.int64) == direct_grid_values(pot, 0.5, 0.0).view(np.int64)
+        assert_bitwise(val, direct_grid_values(pot, 0.5, 0.0))
+        assert empty.shape == (0, 3)
+
+    def test_worker_count_is_the_cpu_affinity(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert potential_module._workers() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert potential_module._workers() == (os.cpu_count() or 1)
 
 
 class TestMassRecovery:
@@ -474,6 +553,60 @@ class TestFrostmanCertificate:
         _, measure, _ = gen5
         with pytest.raises(ParameterError, match="alpha"):
             frostman_certificate(measure, 2.5)
+
+
+# -- oracle: box_dimension as it was before it built its keys in point
+# chunks, kept verbatim (whole transposed columns, full-length temporaries)
+
+
+def box_dimension_oracle(points: np.ndarray, scales) -> BoxCountRegression:
+    """Count occupied axis boxes per scale and regress the dimension.
+
+    points is (N, d); each scale partitions space into a grid of closed-
+    open boxes anchored at the pointwise minimum corner, so dyadic scale
+    chains nest against the set rather than against an arbitrary origin.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ParameterError("points must be a nonempty (N, d) array")
+    scales = tuple(float(s) for s in scales)
+    if len(scales) < 5:
+        raise ParameterError("dimension regression needs at least 5 scales")
+    if any(s <= 0.0 for s in scales):
+        raise ParameterError("scales must be positive")
+    cols = np.ascontiguousarray(pts.T)
+    lo = cols.min(axis=1)
+    hi = cols.max(axis=1)
+    # min and max propagate NaN, and an infinite point makes one of them infinite
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ParameterError("points must be finite")
+    width = 63 // len(cols)
+    cell = np.empty(pts.shape[0])
+    ids = np.empty(pts.shape[0], dtype=np.uint64)
+    key = np.empty(pts.shape[0], dtype=np.uint64)
+    counts = []
+    for s in scales:
+        # floor(x / s) is monotone in x, so floor(lo / s) is the smallest
+        # cell id per column; offsetting by it is a bijection on cells, so
+        # the occupied-box count is unchanged and keys pack into one word
+        base = np.floor(lo / s)
+        if np.any(np.floor(hi / s) - base >= 2.0**width):
+            raise ParameterError(f"scale {s} too fine for the point spread")
+        key.fill(0)
+        for col, b in zip(cols, base):
+            np.divide(col, s, out=cell)
+            np.floor(cell, out=cell)
+            cell -= b
+            np.copyto(ids, cell, casting="unsafe")
+            key <<= width
+            key |= ids
+        # sort and count runs: numpy's unique hashes integer keys, several times slower
+        key.sort()
+        counts.append(1 + int(np.count_nonzero(key[1:] != key[:-1])))
+    slope = float(
+        np.polyfit(np.log(1.0 / np.array(scales)), np.log(np.array(counts)), 1)[0]
+    )
+    return BoxCountRegression(scales=scales, counts=tuple(counts), slope=slope)
 
 
 class TestBoxDimension:
@@ -526,6 +659,46 @@ class TestBoxDimension:
         pts = np.concatenate([pts, pts[rng.integers(0, n, dup)]])
         reg = box_dimension(pts, scales)
         assert reg.counts == tuple(box_count_oracle(pts, s) for s in scales)
+
+    @given(
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 300),
+        snap=st.booleans(),
+        chunk=st.sampled_from(["1", "7", "non-divisor"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_point_chunks_match_the_whole_array_oracle(self, d, seed, n, snap, chunk):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-3.0, 3.0, (n, d)) * rng.uniform(0.01, 1.0, d)
+        scales = [2.0 ** rng.uniform(-9.0, 1.0) for _ in range(6)]
+        if snap:
+            pts = np.round(pts / scales[0]) * scales[0]
+        pts = np.concatenate([pts, pts[rng.integers(0, n, n // 3)]])
+        # n // 2 + 1 divides no length of at least 3
+        size = {"1": 1, "7": 7, "non-divisor": len(pts) // 2 + 1}[chunk]
+        with mock.patch.object(potential_module, "_BLOCK", size):
+            reg = box_dimension(pts, scales)
+        want = box_dimension_oracle(pts, scales)
+        assert reg.counts == want.counts
+        assert reg.slope.hex() == want.slope.hex()
+
+    def test_graph_cloud_in_bounded_memory(self, gen5):
+        # 1,048,576 x 4 points (32 MiB), built before tracing starts
+        square_set, _, potential = gen5
+        pts = graph_set_points(square_set, potential, n_angles=1024)
+        scales = [2.0**-k for k in range(3, 9)]
+        tracemalloc.start()
+        try:
+            reg = box_dimension(pts, scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8 MiB keys, one column chunk, its integer copy and the run
+        # mask; the whole-array build held a transposed copy of the cloud
+        # and full-length temporaries too, 57 MB in all
+        assert peak <= 12 * 2**20
+        assert reg == box_dimension_oracle(pts, scales)
 
     @pytest.mark.parametrize("spread, fits", [(2**15 - 1, True), (2**15, False)])
     def test_too_fine_for_point_spread(self, spread, fits):
