@@ -50,6 +50,8 @@ class ParameterError(ValueError):
 _FSUM_CHUNK = 1 << 14
 # nodes DiscField.from_function samples beyond the disc's rim on each side
 _PAD_CELLS = 2
+# equally spaced angles circle_mean samples on a circle
+_N_THETA = 512
 
 
 def stable_sum(values) -> float:
@@ -71,16 +73,14 @@ _REG_TAGS = ("smooth", "c1alpha", "c11", "lipschitz")
 
 @dataclass(frozen=True)
 class Regularity:
-    """Smoothness class of a field plus a constant estimate.
+    """Smoothness class of a field.
 
     tag: smooth | c1alpha | c11 | lipschitz
     alpha: Holder exponent of the gradient, required iff tag == "c1alpha"
-    constant: seminorm bound for the weakest declared derivative
     """
 
     tag: str = "smooth"
     alpha: float | None = None
-    constant: float = 0.0
 
     def __post_init__(self) -> None:
         if self.tag not in _REG_TAGS:
@@ -90,8 +90,6 @@ class Regularity:
                 raise ValueError("c1alpha requires alpha in (0, 1)")
         elif self.alpha is not None:
             raise ValueError("alpha is only meaningful for tag 'c1alpha'")
-        if not self.constant >= 0.0:
-            raise ValueError("regularity constant must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -136,6 +134,9 @@ class ScalarField3:
 
     Writeable values are made C-contiguous and then frozen; values that are
     already read-only, such as a broadcast view, are kept as they are.
+    Every finite difference, at one node (fd_gradient, fd_hessian) or over
+    whole xi1-planes (stencil_planes and the *_fields arrays), is one call
+    of _central_differences.
     """
 
     grid: Grid3
@@ -163,47 +164,32 @@ class ScalarField3:
         vals = np.broadcast_to(np.asarray(fn(x1, x2, x3), dtype=np.float64), grid.shape).copy()
         return cls(grid, vals)
 
-    # -- node-level finite differences ------------------------------------
+    # -- finite differences ---------------------------------------------------
 
-    def _require_interior(self, node) -> tuple[int, int, int]:
+    def _require_interior(self, node) -> np.ndarray:
+        """The 3x3x3 block of values around node; StencilError unless node
+        is interior."""
         i, j, k = (int(n) for n in node)
         if not all(1 <= n <= e - 2 for n, e in zip((i, j, k), self.grid.extents)):
             raise StencilError(f"node {(i, j, k)} on the boundary")
-        return i, j, k
+        return self.values[i - 1 : i + 2, j - 1 : j + 2, k - 1 : k + 2]
 
     def fd_gradient(self, node) -> tuple[float, float, float]:
-        i, j, k = self._require_interior(node)
-        v, h = self.values, self.grid.spacing
-        return (
-            float(v[i + 1, j, k] - v[i - 1, j, k]) / (2.0 * h),
-            float(v[i, j + 1, k] - v[i, j - 1, k]) / (2.0 * h),
-            float(v[i, j, k + 1] - v[i, j, k - 1]) / (2.0 * h),
-        )
+        grad = np.empty((3, 1, 1, 1))
+        _central_differences(self._require_interior(node), self.grid.spacing, grad=grad)
+        return tuple(grad.ravel().tolist())
 
     def fd_hessian(self, node) -> np.ndarray:
-        i, j, k = self._require_interior(node)
-        v, h = self.values, self.grid.spacing
-        hh = h * h
-        out = np.empty((3, 3))
-        out[0, 0] = (v[i + 1, j, k] - 2.0 * v[i, j, k] + v[i - 1, j, k]) / hh
-        out[1, 1] = (v[i, j + 1, k] - 2.0 * v[i, j, k] + v[i, j - 1, k]) / hh
-        out[2, 2] = (v[i, j, k + 1] - 2.0 * v[i, j, k] + v[i, j, k - 1]) / hh
-        out[0, 1] = out[1, 0] = (
-            v[i + 1, j + 1, k] - v[i + 1, j - 1, k] - v[i - 1, j + 1, k] + v[i - 1, j - 1, k]
-        ) / (4.0 * hh)
-        out[0, 2] = out[2, 0] = (
-            v[i + 1, j, k + 1] - v[i + 1, j, k - 1] - v[i - 1, j, k + 1] + v[i - 1, j, k - 1]
-        ) / (4.0 * hh)
-        out[1, 2] = out[2, 1] = (
-            v[i, j + 1, k + 1] - v[i, j + 1, k - 1] - v[i, j - 1, k + 1] + v[i, j - 1, k - 1]
-        ) / (4.0 * hh)
-        return out
+        out = np.empty((3, 3, 1, 1, 1))
+        upper = {(a, b): out[a, b] for a in range(3) for b in range(a, 3)}
+        _central_differences(self._require_interior(node), self.grid.spacing, hess=upper)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            out[b, a] = out[a, b]
+        return out.reshape(3, 3)
 
     def complex_wirtinger(self, node) -> tuple[complex, float, complex]:
         """(d/dz2, d2/dz2 dz2bar, d2/dy1 dz2bar) at a node, z2 = xi2 + i*xi3."""
         return wirtinger_parts(self.fd_gradient(node), self.fd_hessian(node))
-
-    # -- whole-grid finite differences ------------------------------------
 
     def stencil_planes(self, first: int, stop: int, grad=None, hess=None) -> None:
         """Central differences at the interior nodes of the xi1-planes
@@ -213,36 +199,11 @@ class ScalarField3:
         and hess maps each wanted entry (a, b), a <= b, to a
         (P, n1 - 2, n2 - 2) array, P = stop - first; entry [..., p, j, k]
         belongs to node (first + p, j + 1, k + 1), and every entry is
-        written.  Each takes fd_gradient's and fd_hessian's operations in
-        their order, so the values match the node-level stencils bit for
-        bit, whatever the planes.
+        written.  fd_gradient and fd_hessian run the same stencil on the
+        block around one node, so the values match theirs bit for bit,
+        whatever the planes.
         """
-        _, n1, n2 = self.grid.extents
-
-        def shifted(steps: dict[int, int]) -> np.ndarray:
-            # the values at node + steps, as a view over the nodes written
-            s0, s1, s2 = (steps.get(ax, 0) for ax in range(3))
-            return self.values[first + s0 : stop + s0, 1 + s1 : n1 - 1 + s1, 1 + s2 : n2 - 1 + s2]
-
-        h = self.grid.spacing
-        if grad is not None:
-            for ax in range(3):
-                np.subtract(shifted({ax: 1}), shifted({ax: -1}), out=grad[ax])
-            grad /= 2.0 * h
-        if not hess:
-            return
-        hh = h * h
-        twice_centre = 2.0 * shifted({})
-        for (a, b), entry in hess.items():
-            if a == b:
-                np.subtract(shifted({a: 1}), twice_centre, out=entry)
-                entry += shifted({a: -1})
-                entry /= hh
-            else:
-                np.subtract(shifted({a: 1, b: 1}), shifted({a: 1, b: -1}), out=entry)
-                entry -= shifted({a: -1, b: 1})
-                entry += shifted({a: -1, b: -1})
-                entry /= 4.0 * hh
+        _central_differences(self.values[first - 1 : stop + 1], self.grid.spacing, grad, hess)
 
     def gradient_fields(self) -> np.ndarray:
         """Shape (3,) + extents; valid one cell in from every face, NaN on the ring."""
@@ -264,6 +225,42 @@ class ScalarField3:
     def wirtinger_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(d/dz2, d2/dz2 dz2bar, d2/dy1 dz2bar) arrays over the grid."""
         return wirtinger_parts(self.gradient_fields(), self.hessian_fields())
+
+
+def _central_differences(block: np.ndarray, h: float, grad=None, hess=None) -> None:
+    """Central differences of spacing h at the interior nodes of a 3-D block
+    of values, written in place.
+
+    grad is a (3,) + interior-shape array and hess maps each wanted entry
+    (a, b), a <= b, to an interior-shape array.  Each stencil term is a
+    view of the block shifted by one node, and each entry takes its terms
+    in one fixed order, so a node's values do not depend on the block.
+    """
+    n0, n1, n2 = block.shape
+
+    def shifted(steps: dict[int, int]) -> np.ndarray:
+        # the values at node + steps, as a view over the interior nodes
+        s0, s1, s2 = (steps.get(ax, 0) for ax in range(3))
+        return block[1 + s0 : n0 - 1 + s0, 1 + s1 : n1 - 1 + s1, 1 + s2 : n2 - 1 + s2]
+
+    if grad is not None:
+        for ax in range(3):
+            np.subtract(shifted({ax: 1}), shifted({ax: -1}), out=grad[ax])
+        grad /= 2.0 * h
+    if not hess:
+        return
+    hh = h * h
+    twice_centre = 2.0 * shifted({})
+    for (a, b), entry in hess.items():
+        if a == b:
+            np.subtract(shifted({a: 1}), twice_centre, out=entry)
+            entry += shifted({a: -1})
+            entry /= hh
+        else:
+            np.subtract(shifted({a: 1, b: 1}), shifted({a: 1, b: -1}), out=entry)
+            entry -= shifted({a: -1, b: 1})
+            entry += shifted({a: -1, b: -1})
+            entry /= 4.0 * hh
 
 
 def wirtinger_parts(g, hess):
@@ -410,23 +407,22 @@ class DiscField:
         return lap
 
 
-def circle_mean(g: DiscField, center, r: float, n_theta: int = 512) -> float:
-    """Mean of g over the circle |z - center| = r (trapezoid rule in angle).
+def circle_mean(g: DiscField, center, r: float) -> float:
+    """Mean of g over the circle |z - center| = r (trapezoid rule in angle,
+    _N_THETA angles).
 
     Uniform periodic sampling makes the trapezoid rule a plain average.
     """
-    if n_theta < 256:
-        raise ParameterError("n_theta must be >= 256")
     if not r > 0.0:
         raise ParameterError("circle radius must be positive")
     if isinstance(center, complex):
         cx, cy = center.real, center.imag
     else:
         cx, cy = float(center[0]), float(center[1])
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
     xs = cx + r * np.cos(theta)
     ys = cy + r * np.sin(theta)
     samples = g.sample(xs, ys)
     if np.isnan(samples).any():
         raise DomainError(f"circle |z - ({cx}, {cy})| = {r} leaves the finite sample set")
-    return math.fsum(samples.tolist()) / n_theta
+    return math.fsum(samples.tolist()) / _N_THETA

@@ -35,7 +35,6 @@ from levicheck.fields import (
 __all__ = [
     "DegeneratePointError",
     "ConsistencyError",
-    "TangentPair",
     "WirtingerData",
     "Defining2",
     "levi_condition_2d",
@@ -49,7 +48,6 @@ __all__ = [
     "slice_ratio_min",
     "green_identity_report",
     "GreenIdentityReport",
-    "fit_positive_scale",
 ]
 
 _DUAL_TOL = 1e-9
@@ -89,29 +87,6 @@ class ConsistencyError(Exception):
 
 
 @dataclass(frozen=True)
-class TangentPair:
-    """Coefficient pair of the degenerate operator Delta_tau."""
-
-    tau1: complex
-    tau2: complex
-
-    def __post_init__(self) -> None:
-        for c in (complex(self.tau1), complex(self.tau2)):
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("tau components must be finite")
-
-    def t_matrix(self) -> np.ndarray:
-        """Real symmetric coefficient table T_jk of the xi-coordinate form."""
-        cross = np.conjugate(self.tau1) * self.tau2
-        t = np.zeros((3, 3))
-        t[0, 0] = float(_abs2(self.tau1))
-        t[1, 1] = t[2, 2] = 0.25 * float(_abs2(self.tau2))
-        t[0, 1] = t[1, 0] = cross.imag
-        t[0, 2] = t[2, 0] = -cross.real
-        return t
-
-
-@dataclass(frozen=True)
 class WirtingerData:
     """Pointwise first/second Wirtinger derivatives of a real function of (z1, z2)."""
 
@@ -146,13 +121,6 @@ class Defining2:
                 rz2z2b=1.0,
                 rz1z2b=0.0,
             )
-
-        return cls(data)
-
-    @classmethod
-    def hyperplane(cls) -> "Defining2":
-        def data(z1: complex, z2: complex) -> WirtingerData:
-            return WirtingerData(rho=z1.real, rz1=0.5, rz2=0.0, rz1z1b=0.0, rz2z2b=0.0, rz1z2b=0.0)
 
         return cls(data)
 
@@ -306,41 +274,6 @@ class _DualCheck:
             )
 
 
-def _dual_check(complex_form, t_form, where: str) -> None:
-    check = _DualCheck()
-    check.add(complex_form, t_form)
-    check.verify(where)
-
-
-def delta_tau(v: ScalarField3, tau, node) -> float:
-    """Delta_tau v at a node, computed via both the complex form and the
-    real T_jk form; the two must agree to 1e-9 (relative)."""
-    if isinstance(tau, TangentPair):
-        pair = tau
-    elif callable(tau):
-        pair = tau(node)
-    else:
-        pair = TangentPair(complex(tau[0]), complex(tau[1]))
-    hess = v.fd_hessian(node)
-    mix = 0.5 * (hess[0, 1] + 1j * hess[0, 2])
-    lap = 0.25 * (hess[1, 1] + hess[2, 2])
-    complex_form = (
-        float(_abs2(pair.tau1)) * hess[0, 0]
-        + 2.0 * (1j * pair.tau1 * np.conjugate(pair.tau2) * mix).real
-        + float(_abs2(pair.tau2)) * lap
-    )
-    t = pair.t_matrix()
-    t_form = (
-        t[0, 0] * hess[0, 0]
-        + t[1, 1] * hess[1, 1]
-        + t[2, 2] * hess[2, 2]
-        + t[0, 1] * hess[0, 1]
-        + t[0, 2] * hess[0, 2]
-    )
-    _dual_check(complex_form, t_form, "delta_tau")
-    return float(complex_form)
-
-
 def _delta_tau_forms(hess, tau1, tau2):
     """Delta_tau v in its complex form and its real T-form, elementwise.
 
@@ -366,16 +299,26 @@ def _delta_tau_forms(hess, tau1, tau2):
 
 
 def delta_tau_fields(hess: np.ndarray, tau1: np.ndarray, tau2: np.ndarray) -> np.ndarray:
-    """Vectorized Delta_tau v over the grid with the same dual-form check.
+    """Delta_tau v from its Hessian entries, checked against the T-form.
 
-    hess = v.hessian_fields(); tau1, tau2 broadcast against the grid shape;
-    returns NaN on the ring.  The whole array is one block: the complex form
-    must agree with the T-form to 1e-9 * (1 + max|complex form|) over the
-    finite entries, else ConsistencyError.
+    hess = v.hessian_fields() (NaN on the ring, returned NaN there) or one
+    node's v.fd_hessian(node); tau1, tau2 broadcast against it.  The whole
+    array is one block: the complex form must agree with the T-form to
+    1e-9 * (1 + max|complex form|) over the finite entries, else
+    ConsistencyError.
     """
     complex_form, t_form = _delta_tau_forms(hess, tau1, tau2)
-    _dual_check(complex_form, t_form, "delta_tau_fields")
+    check = _DualCheck()
+    check.add(complex_form, t_form)
+    check.verify("delta_tau_fields")
     return complex_form
+
+
+def delta_tau(v: ScalarField3, tau, node) -> float:
+    """Delta_tau v at a node, tau = (tau1, tau2): delta_tau_fields on the
+    node's fd_hessian, with the same dual-form check."""
+    tau1, tau2 = tau
+    return float(delta_tau_fields(v.fd_hessian(node), tau1, tau2))
 
 
 def _plane_blocks(field: ScalarField3, gradient: bool):
@@ -665,15 +608,3 @@ def green_identity_report(
         rhs_raw=2.0 * math.pi * center + area_raw,
     )
 
-
-def fit_positive_scale(a, b) -> float:
-    """Least-squares positive scalar s minimizing ||a - s b||_2."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    denom = float(np.dot(b, b))
-    if denom == 0.0:
-        raise ValueError("cannot fit a scale against the zero vector")
-    s = float(np.dot(a, b)) / denom
-    if s <= 0.0:
-        raise ConsistencyError(f"fitted scale {s} is not positive", where="fit_positive_scale")
-    return s

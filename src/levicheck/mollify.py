@@ -27,7 +27,6 @@ from .fields import (
     Regularity,
     ScalarField3,
     StencilError,
-    stable_sum,
 )
 from .levi import _min_neg_delta_tau, _neg_delta_tau_slabs, tau_fields
 from .staircase import build_cantor, fat_F
@@ -93,8 +92,9 @@ class BumpKernel:
 
     weights has shape (2R+1,)*3 with R = floor(delta/spacing); the tap at
     offset (a,b,c) multiplies the field value spacing*(a,b,c) away.  The
-    discrete mass is exactly 1 by construction; the discrete axis second
-    moment tracks the continuum value delta^2 * m2 to O((spacing/delta)^2).
+    weights sum to 1 up to rounding, and their axis second moment tracks
+    the continuum value delta^2 * m2 (kernel_profile_constants) to
+    O((spacing/delta)^2); tests check both.
     """
 
     delta: float
@@ -114,18 +114,6 @@ class BumpKernel:
     def margin(self) -> int:
         """Cells to drop per face so every kept node is > delta from the edge."""
         return self.cell_radius + 1
-
-    def mass(self) -> float:
-        return stable_sum(self.weights)
-
-    def axis_second_moment(self) -> float:
-        """Discrete second moment along one axis, same on all axes by symmetry."""
-        r = self.cell_radius
-        d = self.spacing * np.arange(-r, r + 1)
-        return stable_sum(self.weights * (d[:, None, None] ** 2))
-
-    def continuum_second_moment(self) -> float:
-        return self.delta**2 * kernel_profile_constants()[1]
 
 
 def make_kernel(delta: float, spacing: float) -> BumpKernel:
@@ -165,15 +153,6 @@ class MollifiedField:
     @property
     def margin(self) -> int:
         return self.kernel.margin
-
-    def base_window(self) -> np.ndarray:
-        """The base samples over the same index box as `field`."""
-        m = self.margin
-        sel = tuple(slice(m, n - m) for n in self.base.grid.extents)
-        return self.base.values[sel]
-
-    def sup_distance_to_base(self) -> float:
-        return float(np.max(np.abs(self.field.values - self.base_window())))
 
 
 def convolve3(v: ScalarField3, delta: float, reduced_axes=()) -> MollifiedField:
@@ -513,8 +492,9 @@ class StaircaseCase:
     the coefficient g = 1 + f(xi2/L), f the staircase of the gap ratios
     ``alphas`` and L = 5/4; road_top is the u = xi1 + xi2 interval where the
     plateau equals 1 and the certificate is tight.  holder_exponent is the
-    gradient Holder exponent declared on phi and holder_constant the
-    matching seminorm measured over all grid pairs.
+    gradient Holder exponent declared on phi (its Regularity carries no
+    constant) and holder_constant the matching seminorm of g measured over
+    all grid pairs, which scripts/calibrate_mollify_case.py prints.
     """
 
     v: ScalarField3
@@ -530,16 +510,17 @@ class StaircaseCase:
     holder_constant: float
 
     def delta_sweep(self, count: int) -> tuple[float, ...]:
-        """count half-dyadic points delta_k = 32h * 2^{-k/2}; seven run from
-        32h down to exactly 4h.
+        """count half-dyadic points delta_k = 2^{-2 - k/2}; seven run from
+        1/4 down to 1/32, which is 32h down to 4h at the default h = 1/128.
 
-        Seven full-octave steps would span a factor 64, which cannot fit
-        between the 2h resolution floor and the domain size on any shipped
-        grid, so the sweep halves delta every second step instead."""
+        The window is fixed rather than tied to h: m(delta) is not one
+        power law, so a window that moved with h would fit a steeper part
+        of the curve on every finer grid.  Seven full-octave steps would
+        span a factor 64, more than fits between the 2h resolution floor
+        and the domain size, so the sweep halves delta every second step."""
         if count < 2:
             raise ParameterError("sweep needs at least 2 points")
-        base = 32.0 * self.v.grid.spacing
-        return tuple(base * 2.0 ** (-0.5 * k) for k in range(count))
+        return tuple(0.25 * 2.0 ** (-0.5 * k) for k in range(count))
 
 
 def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
@@ -562,12 +543,12 @@ def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
     cascade.
 
     The gap schedule _ALPHAS opens with a wide first gap, which keeps the
-    whole top of the 32h-to-4h sweep inside the first kept interval, and
+    whole top of the 1/4-to-1/32 sweep inside the first kept interval, and
     continues with near-constant ratios whose cascade scales sit inside the
     sweep window; the stretch aligns those scales so the fitted log-log
     decay of the sweep lands near alpha - 3/p = 0.4 for the declared
     (alpha, p) = (0.9, 6).  The plateau slab is wide enough that a kernel
-    footprint of radius delta = 32h fits inside it along u, so the deficit
+    footprint of radius delta = 1/4 fits inside it along u, so the deficit
     response is the only contribution to m(delta) at every sweep point.
     """
     if not 0.0 < spacing < math.inf:
@@ -628,8 +609,8 @@ def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
         seminorm = max(seminorm, float(gaps.max()) / (float(j * h) ** _HOLDER))
 
     grid = Grid3((0.0, 0.0, 0.0), float(h), extents)
-    v = ScalarField3(grid, v_vals, Regularity("c11", constant=float(c) * (1.0 + float(gstar) ** 2)))
-    phi = ScalarField3(grid, phi_vals, Regularity("c1alpha", alpha=_HOLDER, constant=seminorm))
+    v = ScalarField3(grid, v_vals, Regularity("c11"))
+    phi = ScalarField3(grid, phi_vals, Regularity("c1alpha", alpha=_HOLDER))
     return StaircaseCase(
         v=v,
         phi=phi,

@@ -849,7 +849,7 @@ def _segment_mean_checks(
 
 
 def superharmonic_mean_excess(
-    domain: HartogsDomain, center: complex, radii: Iterable[float], n_theta: int = 512
+    domain: HartogsDomain, center: complex, radii: Iterable[float]
 ) -> dict:
     """Circle-mean minus center value of the cap at the given radii.
 
@@ -859,6 +859,6 @@ def superharmonic_mean_excess(
     """
     out = {}
     for r in radii:
-        mean = circle_mean(domain.cap, center, float(r), n_theta=n_theta)
+        mean = circle_mean(domain.cap, center, float(r))
         out[repr(float(r))] = float(mean - domain.cap.value(center))
     return out

@@ -17,13 +17,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers_poly import Poly3
+from helpers_poly import Poly3, fit_positive_scale
 from levicheck.fields import DiscField, Grid3, ScalarField3
 from levicheck.levi import (
     Defining2,
     _log_weights,
     delta_tau,
-    fit_positive_scale,
     graph_levi_fields,
     green_identity_report,
     levi_condition_2d,
@@ -370,3 +369,23 @@ def test_09_report_determinism_across_threads(tmp_path):
             digests[name] = _outdir_digests(outdir)
             assert digests[name] == STANDARD_RUN_DIGESTS.get(name), (name, threads)
         assert all(blob == blobs[0] for blob in blobs), scenario
+
+    # the BLAS variables leave the Green-kernel pool alone: it takes one
+    # worker per CPU this process may use.  A cantor-potential child pinned
+    # to one CPU (the affinity call acts on the child only) runs it with one
+    if hasattr(os, "sched_setaffinity"):
+        cpu = min(os.sched_getaffinity(0))
+
+        def pin():
+            os.sched_setaffinity(0, {cpu})
+
+        probe = "from levicheck.potential import _workers; print(_workers())"
+        child = [sys.executable, "-c", probe]
+        proc = subprocess.run(child, preexec_fn=pin, capture_output=True, text=True)
+        assert proc.stdout.strip() == "1", proc.stderr
+        outdir = tmp_path / "cantor-potential"
+        command = [sys.executable, "-m", "levicheck", "run"]
+        command += ["--config", str(tmp_path / "cantor-potential.json")]
+        proc = subprocess.run(command, preexec_fn=pin, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert _outdir_digests(outdir) == STANDARD_RUN_DIGESTS["cantor-potential"]

@@ -285,6 +285,30 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, "c.json", scenario=scenario)
         assert main(["run", "--config", str(cfg), "--set", "params.spacing=1e-4"]) == 0
 
+    # the coarsest accepted spacing, and one finer than the default; the
+    # sweep window is fixed at 1/4 to 1/32, so neither moves it
+    @pytest.mark.parametrize("spacing", ["0.01", "0.00390625"])
+    def test_mollify_sweep_passes_at_accepted_spacings(self, tmp_path, spacing):
+        cfg = write_config(tmp_path, "c.json", scenario="mollify-sweep")
+        assert main(["run", "--config", str(cfg), "--set", f"params.spacing={spacing}"]) == 0
+        certificate = read_report(tmp_path)["tables"]["certificate"]
+        assert certificate["deltas"] == [0.25 * 2.0 ** (-0.5 * k) for k in range(7)]
+
+    # at 1/64 the first kernel (delta = 1/4) left no usable interior: a
+    # StencilError after the case build
+    @pytest.mark.parametrize("spacing", ["0.010000000000000002", "0.015625", "0.03125"])
+    def test_mollify_sweep_spacing_above_limit_exits_2_before_the_case(
+        self, tmp_path, capsys, monkeypatch, spacing
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("staircase_sweep_case ran")
+
+        monkeypatch.setattr(cli_module, "staircase_sweep_case", never)
+        cfg = write_config(tmp_path, "c.json", scenario="mollify-sweep")
+        assert main(["run", "--config", str(cfg), "--set", f"params.spacing={spacing}"]) == 2
+        assert "spacing must be <= 0.01 for mollify-sweep" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize(
         "override, message",
         [

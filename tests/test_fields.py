@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_poly import Poly3
+from helpers_poly import Poly3, node_gradient, node_hessian
 from levicheck import cli, potential, staircase
 from levicheck.fields import (
     _FSUM_CHUNK,
@@ -40,7 +40,7 @@ class TestGridInvariants:
             Grid3((0, 0, 0), 0.1, extents)
 
     def test_regularity_validation(self):
-        Regularity("c1alpha", alpha=0.4, constant=2.0)
+        Regularity("c1alpha", alpha=0.4)
         with pytest.raises(ValueError):
             Regularity("c1alpha", alpha=None)
         with pytest.raises(ValueError):
@@ -49,8 +49,6 @@ class TestGridInvariants:
             Regularity("smooth", alpha=0.5)
         with pytest.raises(ValueError):
             Regularity("bogus")
-        with pytest.raises(ValueError):
-            Regularity("c11", constant=-1.0)
 
     def test_field_rejects_nonfinite_values(self):
         g = centered_grid(0.1, 5)
@@ -181,8 +179,8 @@ class TestWholeGridDerivatives:
         grad = f.gradient_fields()
         hess = f.hessian_fields()
         for node in itertools.product(range(1, 6), repeat=3):
-            assert tuple(grad[(slice(None),) + node]) == f.fd_gradient(node)
-            assert np.array_equal(hess[(slice(None), slice(None)) + node], f.fd_hessian(node))
+            assert tuple(grad[(slice(None),) + node]) == node_gradient(f, node)
+            assert np.array_equal(hess[(slice(None), slice(None)) + node], node_hessian(f, node))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -206,8 +204,8 @@ class TestWholeGridDerivatives:
         grad = f.gradient_fields()
         hess = f.hessian_fields()
         for node in itertools.product(*(range(1, n - 1) for n in extents)):
-            assert tuple(grad[(slice(None),) + node]) == f.fd_gradient(node)
-            assert np.array_equal(hess[(slice(None), slice(None)) + node], f.fd_hessian(node))
+            assert tuple(grad[(slice(None),) + node]) == node_gradient(f, node)
+            assert np.array_equal(hess[(slice(None), slice(None)) + node], node_hessian(f, node))
 
     def test_ring_is_nan(self):
         grid = Grid3((-0.3, -0.2, -0.4), 0.1, (5, 6, 7))
@@ -244,10 +242,27 @@ class TestStencilPlanes:
         f.stencil_planes(first, stop, grad, hess)
         for p, j, k in itertools.product(*(range(n) for n in shape)):
             node = (first + p, j + 1, k + 1)
-            assert [g.hex() for g in grad[:, p, j, k]] == [g.hex() for g in f.fd_gradient(node)]
-            want = f.fd_hessian(node)
+            assert [g.hex() for g in grad[:, p, j, k]] == [g.hex() for g in node_gradient(f, node)]
+            want = node_hessian(f, node)
             for a, b in upper:
                 assert hess[a, b][p, j, k].hex() == want[a, b].hex(), (node, a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        extents=st.tuples(st.integers(5, 7), st.integers(5, 7), st.integers(5, 7)),
+        h=st.sampled_from([1e-4, 0.05, 0.1, 0.125, 0.3]),
+    )
+    def test_node_ops_match_term_by_term_stencil_bitwise(self, seed, extents, h):
+        poly = Poly3.random(np.random.default_rng(seed), degrees=(1, 2, 3), cmax=4.0)
+        f = ScalarField3.from_function(Grid3((-0.3, -0.2, -0.4), h, extents), poly)
+        for node in itertools.product(*(range(1, n - 1) for n in extents)):
+            got, want = f.fd_gradient(node), node_gradient(f, node)
+            assert all(type(g) is float for g in got)
+            assert [g.hex() for g in got] == [g.hex() for g in want], node
+            got, want = f.fd_hessian(node), node_hessian(f, node)
+            assert got.shape == (3, 3)
+            assert [g.hex() for g in got.ravel()] == [g.hex() for g in want.ravel()], node
 
 
 class TestComplexWirtinger:

@@ -19,7 +19,14 @@ from scipy.signal import fftconvolve
 import levicheck.levi as levi_module
 import levicheck.mollify as mollify_module
 from helpers_poly import Poly3, node_derivatives
-from levicheck.fields import Grid3, ParameterError, Regularity, ScalarField3, StencilError
+from levicheck.fields import (
+    Grid3,
+    ParameterError,
+    Regularity,
+    ScalarField3,
+    StencilError,
+    stable_sum,
+)
 from levicheck.levi import ConsistencyError, delta_tau_fields, tau_fields
 from levicheck.mollify import (
     BumpKernel,
@@ -51,6 +58,33 @@ def smooth_field(grid, fn):
 
 # seven half-dyadic deltas from 16h down to 2h on the h = 1/32 grids below
 SWEEP = tuple(0.5 * 2.0 ** (-0.5 * k) for k in range(7))
+
+
+def kernel_mass(ker):
+    return stable_sum(ker.weights)
+
+
+def axis_second_moment(ker):
+    """Discrete second moment of a BumpKernel along one axis, the same on
+    all axes by symmetry."""
+    r = ker.cell_radius
+    d = ker.spacing * np.arange(-r, r + 1)
+    return stable_sum(ker.weights * (d[:, None, None] ** 2))
+
+
+def continuum_second_moment(ker):
+    return ker.delta**2 * kernel_profile_constants()[1]
+
+
+def base_window(mol):
+    """The base samples of a MollifiedField over the index box of its field."""
+    m = mol.margin
+    sel = tuple(slice(m, n - m) for n in mol.base.grid.extents)
+    return mol.base.values[sel]
+
+
+def sup_distance_to_base(mol):
+    return float(np.max(np.abs(mol.field.values - base_window(mol))))
 
 
 def direct_convolve(values, weights):
@@ -89,13 +123,11 @@ class TestKernelProfile:
 
     def test_discrete_mass_is_one(self):
         ker = make_kernel(0.1, 1.0 / 128.0)
-        assert ker.mass() == pytest.approx(1.0, abs=1e-13)
+        assert kernel_mass(ker) == pytest.approx(1.0, abs=1e-13)
 
     def test_discrete_moment_tracks_continuum(self):
         ker = make_kernel(0.1, 1.0 / 128.0)  # R = 12
-        assert ker.axis_second_moment() == pytest.approx(
-            ker.continuum_second_moment(), rel=1e-3
-        )
+        assert axis_second_moment(ker) == pytest.approx(continuum_second_moment(ker), rel=1e-3)
 
     def test_under_resolved_and_bad_parameters(self):
         with pytest.raises(UnderResolvedKernelError):
@@ -124,22 +156,22 @@ class TestConvolve3:
     def test_constant_fixed_point(self):
         v = smooth_field(cube_grid(1.0 / 32.0, 25), lambda a, b, c: 0.0 * a + 0.7)
         mol = convolve3(v, 3.0 / 32.0)
-        assert mol.sup_distance_to_base() <= 1e-13
+        assert sup_distance_to_base(mol) <= 1e-13
 
     def test_affine_fixed_point(self):
         v = smooth_field(
             cube_grid(1.0 / 32.0, 25), lambda a, b, c: 0.3 * a - 1.2 * b + 0.5 * c
         )
         mol = convolve3(v, 3.0 / 32.0)
-        assert mol.sup_distance_to_base() <= 1e-12
+        assert sup_distance_to_base(mol) <= 1e-12
 
     def test_quadratic_shift_is_discrete_axis_moment(self):
         # (xi1 + s)^2 averaged over the symmetric kernel adds exactly the
         # discrete second moment, independently of the node
         v = smooth_field(cube_grid(1.0 / 32.0, 25), lambda a, b, c: a * a)
         mol = convolve3(v, 4.0 / 32.0)
-        shift = mol.field.values - mol.base_window()
-        assert np.max(np.abs(shift - mol.kernel.axis_second_moment())) <= 1e-13
+        shift = mol.field.values - base_window(mol)
+        assert np.max(np.abs(shift - axis_second_moment(mol.kernel))) <= 1e-13
 
     def test_direct_and_fft_agree(self):
         v = smooth_field(
@@ -220,7 +252,7 @@ class TestConvolve3:
             lambda a, b, c: a * a + b**4 + np.cosh(c),
         )
         mol = convolve3(v, 3.0 / 24.0)
-        assert np.min(mol.field.values - mol.base_window()) >= -1e-12
+        assert np.min(mol.field.values - base_window(mol)) >= -1e-12
 
     @given(
         a=st.floats(min_value=0.1, max_value=2.0),
@@ -234,7 +266,7 @@ class TestConvolve3:
             lambda x, y, z: a * x * x + b * y * y + (a + b) * z**4,
         )
         mol = convolve3(v, cells / 16.0)
-        assert np.min(mol.field.values - mol.base_window()) >= -1e-11
+        assert np.min(mol.field.values - base_window(mol)) >= -1e-11
 
     def test_sup_distance_bounded_by_lipschitz_radius(self):
         grid = cube_grid(1.0 / 32.0, 33)
@@ -242,7 +274,7 @@ class TestConvolve3:
         delta = 4.0 / 32.0
         mol = convolve3(v, delta)
         lip = 2.0 + 0.5 * math.sqrt(2.0)  # sup |grad| over the cube
-        assert mol.sup_distance_to_base() <= lip * delta
+        assert sup_distance_to_base(mol) <= lip * delta
 
     def test_mass_preserved_over_sub_box(self):
         grid = cube_grid(1.0 / 40.0, 41)
@@ -255,7 +287,7 @@ class TestConvolve3:
         measure = 11.0**3 * h**3
         gap = abs(
             float(np.sum(mol.field.values[box])) * h**3
-            - float(np.sum(mol.base_window()[box])) * h**3
+            - float(np.sum(base_window(mol)[box])) * h**3
         )
         assert gap <= lip * delta * measure
 
@@ -306,6 +338,8 @@ class TestDeltaSweep:
         assert sweep[0] == 32.0 * h
         assert sweep[-1] == pytest.approx(4.0 * h)
         assert all(a > b for a, b in zip(sweep, sweep[1:]))
+        # the window is 1/4 down to 1/32 whatever h, not 32h down to 4h
+        assert staircase_sweep_case(spacing=1.0 / 100.0).delta_sweep(7) == sweep
 
     def test_rejects_degenerate_requests(self, shipped_case):
         with pytest.raises(ParameterError):
@@ -474,7 +508,7 @@ class TestCertificateBasics:
         with pytest.raises(ParameterError):
             mollified_sign_certificate(v, lip, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
         low = ScalarField3(
-            phi.grid, phi.values, Regularity("c1alpha", alpha=0.4, constant=1.0)
+            phi.grid, phi.values, Regularity("c1alpha", alpha=0.4)
         )
         with pytest.raises(ParameterError):
             mollified_sign_certificate(v, low, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
@@ -492,7 +526,7 @@ class TestCertificateBasics:
         vals = np.broadcast_to(
             -(x2 - 0.6) ** 2 - grid.mesh()[2] ** 2 + 0.5 * np.abs(x2 - 0.625), grid.shape
         )
-        v = ScalarField3(grid, vals, Regularity("c11", constant=4.0))
+        v = ScalarField3(grid, vals, Regularity("c11"))
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
         with pytest.raises(HypothesisError):
             mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
@@ -505,7 +539,7 @@ class TestCertificateBasics:
         vals = np.broadcast_to(
             -(x2 - 0.6) ** 2 - grid.mesh()[2] ** 2 + 0.5 * np.abs(x2 - 0.625), grid.shape
         )
-        v = ScalarField3(grid, vals, Regularity("c11", constant=4.0))
+        v = ScalarField3(grid, vals, Regularity("c11"))
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
         rep = mollified_sign_certificate(
             v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP, kink_planes=[("xi2", 0.625)]
@@ -600,6 +634,7 @@ class TestStaircaseCase:
     def test_declared_gradient_holder_class_is_honest(self, shipped_case):
         case = shipped_case
         reg = case.phi.regularity
+        assert case.holder_exponent == reg.alpha
         assert reg.tag == "c1alpha"
         assert reg.alpha == 0.9
         h = case.v.grid.spacing
@@ -608,7 +643,8 @@ class TestStaircaseCase:
             if lag >= len(g):
                 continue
             gaps = np.abs(g[lag:] - g[:-lag])
-            assert float(gaps.max()) <= reg.constant * (lag * h) ** reg.alpha * (1.0 + 1e-12)
+            bound = case.holder_constant * (lag * h) ** reg.alpha
+            assert float(gaps.max()) <= bound * (1.0 + 1e-12)
 
     def test_sweep_matches_slab_restricted_1d_oracle(self, shipped_case, shipped_report):
         case, rep = shipped_case, shipped_report
@@ -655,7 +691,8 @@ class TestStaircaseCase:
 def whole_grid_m_values(v, phi, deltas, axes=()):
     """The certificate's per-delta minima as computed before the plane
     blocks, kept as the bitwise oracle for the blocked loop; the smoothed
-    Hessians come node by node from fd_hessian, independent of the stencils.
+    Hessians come node by node from the term-by-term stencil of
+    helpers_poly, independent of the library's.
     axes go to convolve3 as the certificate passes them (none: the 3-D
     route); the minimum is taken over the whole of U^delta."""
     tau1, tau2 = tau_fields(phi.gradient_fields())

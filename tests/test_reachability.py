@@ -60,30 +60,20 @@ RUNS = [
 UNREACHED = {
     "cli._cmd_list.<locals>.<dictcomp>": "the `list --json` branch; tests/test_cli.py runs it",
     "fields.DiscField.inside": "the |z| < radius node mask that tests select disc nodes with",
-    "fields.ScalarField3._require_interior": "node-level reference: bounds-checks fd_gradient and fd_hessian",
-    "fields.ScalarField3.fd_gradient": "node-level reference of tests; wrapped by levibench/tracing.py",
-    "fields.ScalarField3.fd_hessian": "node-level reference of tests; wrapped by levibench/tracing.py",
-    "fields.ScalarField3.complex_wirtinger": "wrapped by levibench/tracing.py; tests check it per node",
+    "fields.ScalarField3._require_interior": "the node block of fd_gradient and fd_hessian",
+    "fields.ScalarField3.fd_gradient": "levibench/tracing.py wraps it; the one stencil at a node",
+    "fields.ScalarField3.fd_hessian": "levibench/tracing.py wraps it; the one stencil at a node",
+    "fields.ScalarField3.complex_wirtinger": "levibench/tracing.py wraps it; the node stencil's parts",
     "fields.ScalarField3.hessian_fields": "wrapped by levibench/tracing.py; the whole-grid oracle of tests",
     "fields.ScalarField3.wirtinger_fields": "wrapped by levibench/tracing.py; tests check it per node",
     "levi.ConsistencyError.__init__": "raised only when two routes disagree; tests force it",
     "levi.Defining2.ball": "closed-form domain, the exact Levi anchor of tests",
-    "levi.Defining2.hyperplane": "closed-form domain, the exact Levi anchor of tests",
     "levi.Defining2.hartogs_ball": "closed-form domain, the exact Levi anchor of tests",
     "levi.Defining2.hartogs_lifted": "the Hartogs lift behind hartogs_ball and its tests",
     "levi.Defining2.from_graph_partials": "the symbolic route of test_01's dual-route check",
-    "levi.fit_positive_scale": "test_01 fits the graph/ambient Levi scale with it",
-    "levi.TangentPair.__post_init__": "called only by delta_tau, the node-level reference",
-    "levi.TangentPair.t_matrix": "called only by delta_tau, the node-level reference",
-    "levi._dual_check": "called only by delta_tau and delta_tau_fields, the references",
-    "levi.delta_tau": "wrapped by levibench/tracing.py; the node-level oracle of tests",
-    "levi.delta_tau_fields": "wrapped by levibench/tracing.py; the whole-grid oracle of tests",
-    "mollify.BumpKernel.mass": "kernel moment; tests check the discretized kernel with it",
-    "mollify.BumpKernel.axis_second_moment": "kernel moment; tests check the discretized kernel with it",
-    "mollify.BumpKernel.continuum_second_moment": "kernel moment; tests check the discretized kernel with it",
-    "mollify.kernel_profile_constants": "the continuum moment; the benchmark set-up and tests call it",
-    "mollify.MollifiedField.base_window": "tests compare v * theta_delta with v over U^delta",
-    "mollify.MollifiedField.sup_distance_to_base": "tests bound |v * theta_delta - v| with it",
+    "levi.delta_tau": "levibench/tracing.py wraps it; delta_tau_fields at one node",
+    "levi.delta_tau_fields": "levibench/tracing.py wraps it; the one Delta_tau form, one block",
+    "mollify.kernel_profile_constants": "the benchmark's fill_lazy_caches calls it; tests' oracle",
     "potential.AtomicMeasure.atoms": (
         "levibench/tracing.py reads len(.atoms); item 2 moves it to locations.size"
     ),
