@@ -479,7 +479,7 @@ SCENARIOS = {
         # restated here; only the coupled alpha > 3/p is left to it
         {
             # a float field holds (1/h + 1)^2 (0.5625/h + 1) doubles: 608 MB at
-            # 1/512, where the peak RSS (247 MB at 1/256) scales to about 1.4 GB.
+            # 1/512, where one run peaked at 1.75 GB RSS (247 MB at 1/256).
             # Coarser than 1/100, the sweep's first kernel (delta = 1/4) leaves
             # no usable interior (1/80, 1/88) or the fitted slope leaves its
             # band (at most spacings tried from 1/84.5 to 1/99.5)

@@ -11,7 +11,9 @@ results are bit-reproducible regardless of thread count.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable
@@ -66,6 +68,30 @@ def stable_sum(values) -> float:
             flat[i : i + _FSUM_CHUNK].tolist() for i in range(0, flat.size, _FSUM_CHUNK)
         )
     )
+
+
+def _workers() -> int:
+    """The CPUs this process may run on: the threads _run_shares deals
+    grid_values' row blocks and graph_levi_fields' slabs to.  Both give
+    values bitwise independent of the count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_shares(blocks, workers: int, state: Callable, run: Callable) -> list:
+    """Call run(state(), blocks[k::n]) for each share k of n = min(workers,
+    len(blocks)) shares (at least one); return the states in share order.
+    The caller runs share 0 and pool threads the rest; one share runs inline."""
+    shares = max(1, min(workers, len(blocks)))
+    states = [state() for _ in range(shares)]
+    parts = [blocks[k::shares] for k in range(shares)]
+    if shares == 1:
+        run(states[0], parts[0])
+        return states
+    with concurrent.futures.ThreadPoolExecutor(shares - 1) as pool:
+        rest = pool.map(run, states[1:], parts[1:])
+        run(states[0], parts[0])
+        list(rest)
+    return states
 
 
 _REG_TAGS = ("smooth", "c1alpha", "c11", "lipschitz")

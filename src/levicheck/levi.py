@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from levicheck import fields
 from levicheck.fields import (
     DiscField,
     DomainError,
@@ -239,10 +240,11 @@ class _DualCheck:
     """Agreement of two routes, accumulated block by block.
 
     add(a, b) merges max|a| and max|a - b| over the entries where both are
-    finite; verify(where) then tests the merged worst against the global
-    scale 1 + max|a|.  Max is exact, so the verdict does not depend on the
-    blocking.  Testing each block against its own, smaller scale would be
-    stricter and could raise where the whole array passes.
+    finite, merge(other) another check's maxima; verify(where) then tests
+    the merged worst against the global scale 1 + max|a|.  Max is exact, so
+    the verdict depends neither on the blocking nor on the merge order.
+    Testing each block against its own, smaller scale would be stricter and
+    could raise where the whole array passes.
     """
 
     def __init__(self) -> None:
@@ -262,6 +264,10 @@ class _DualCheck:
             worst = np.max(np.abs(a[finite] - b[finite]))
         self.peak = max(self.peak, float(peak))
         self.worst = max(self.worst, float(worst))
+
+    def merge(self, other: "_DualCheck") -> None:
+        self.peak = max(self.peak, other.peak)
+        self.worst = max(self.worst, other.worst)
 
     def verify(self, where: str) -> None:
         scale = 1.0 + self.peak
@@ -321,21 +327,28 @@ def delta_tau(v: ScalarField3, tau, node) -> float:
     return float(delta_tau_fields(v.fd_hessian(node), tau1, tau2))
 
 
-def _plane_blocks(field: ScalarField3, gradient: bool):
-    """Yield (planes, g, hess) over slabs of interior xi1-planes of field.
-
-    Each slab spans about _BLOCK grid nodes and at least one plane; planes is
-    its xi1 slice, g its gradient (None unless gradient is set) and hess maps
-    each of _LEVI_ENTRIES to its Hessian entry, all at the interior nodes of
-    those planes in stencil_planes' layout.  All slabs share one work buffer,
-    so each slab's arrays are valid until the next one is yielded.
-    """
+def _slabs(field: ScalarField3, gradient: bool):
+    """The first xi1-plane of each slab of about _BLOCK interior nodes (at
+    least one plane), and a factory of _plane_blocks buffers fitting any."""
     n0, n1, n2 = field.grid.extents
     step = max(1, _BLOCK // (n1 * n2))
     rows = 3 * gradient + len(_LEVI_ENTRIES)
-    work = np.empty((rows, min(step, n0 - 2), n1 - 2, n2 - 2))
-    for first in range(1, n0 - 1, step):
-        stop = min(first + step, n0 - 1)
+    return range(1, n0 - 1, step), lambda: np.empty((rows, min(step, n0 - 2), n1 - 2, n2 - 2))
+
+
+def _plane_blocks(field: ScalarField3, firsts, work: np.ndarray):
+    """Yield (planes, g, hess) over the slabs of field that start at firsts.
+
+    planes is the slab's xi1 slice, g its gradient (None unless work, from
+    _slabs, has gradient rows) and hess maps each of _LEVI_ENTRIES to its
+    Hessian entry, all at the interior nodes of those planes in
+    stencil_planes' layout.  All are views of work, valid until the next
+    slab is yielded.
+    """
+    stop_max = field.grid.extents[0] - 1
+    gradient = len(work) > len(_LEVI_ENTRIES)
+    for first in firsts:
+        stop = min(first + work.shape[1], stop_max)
         slab = work[:, : stop - first]
         g = slab[:3] if gradient else None
         hess = dict(zip(_LEVI_ENTRIES, slab[3 * gradient :]))
@@ -345,7 +358,7 @@ def _plane_blocks(field: ScalarField3, gradient: bool):
 
 def _neg_delta_tau_slabs(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray):
     """Yield (planes, raw) with raw = -Delta_tau v over the interior nodes of
-    each slab of whole xi1-planes of v (_plane_blocks), i.e.
+    each slab of whole xi1-planes of v (_slabs), in order, i.e.
     -delta_tau_fields(v.hessian_fields(), tau1, tau2)[planes, 1:-1, 1:-1] for
     tau1 and tau2 of v's grid shape, bit for bit.
 
@@ -355,7 +368,8 @@ def _neg_delta_tau_slabs(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray):
     has consumed every slab.
     """
     check = _DualCheck()
-    for planes, _, hess in _plane_blocks(v, gradient=False):
+    firsts, work = _slabs(v, gradient=False)
+    for planes, _, hess in _plane_blocks(v, firsts, work()):
         inner = np.s_[planes, 1:-1, 1:-1]
         complex_form, t_form = _delta_tau_forms(hess, tau1[inner], tau2[inner])
         check.add(complex_form, t_form)
@@ -378,31 +392,41 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
     the -Delta_{tau(phi)} route.
 
     The grid is taken in slabs of whole interior xi1-planes of about _BLOCK
-    nodes (_plane_blocks), so beyond the output array the call allocates
-    only a few block-sized work arrays.  Each slab computes the gradient, the five Hessian entries
-    the quantity reads, the direct form, tau and both Delta_tau forms with
-    the whole-grid expressions in their order, so the values do not depend
-    on the blocking.  The two checks run after the last slab, in the
-    whole-grid order: Delta_tau's complex form against its T-form, then the
-    direct form against -Delta_tau.  Each tests the largest disagreement over
-    all slabs against the global scale 1 + max|a|, exactly as one
-    whole-grid check would; a per-slab scale would be stricter.
+    nodes (_slabs), dealt over one thread per usable CPU
+    (fields._run_shares), so beyond the output array the call allocates one
+    set of block-sized work arrays per thread.  Each slab computes the gradient, the five Hessian
+    entries the quantity reads, the direct form, tau and both Delta_tau
+    forms with the whole-grid expressions in their order, so the values
+    depend neither on the blocking nor on the thread count.  The two checks
+    run after the last slab, in the whole-grid order: Delta_tau's complex
+    form against its T-form, then the direct form against -Delta_tau.  Each
+    tests the largest disagreement over all slabs, merged over the threads
+    by max, against the global scale 1 + max|a|, exactly as one whole-grid
+    check would; a per-slab scale would be stricter.
     """
     out = np.full(phi.values.shape, np.nan)
-    operator_check = _DualCheck()
-    levi_check = _DualCheck()
-    for planes, g, hess in _plane_blocks(phi, gradient=True):
-        dz2, lap, mix = wirtinger_parts(g, hess)
-        phi_y1 = g[0]
-        direct = (
-            -0.25 * hess[0, 0] * _abs2(dz2)
-            + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
-            - 0.25 * (1.0 + phi_y1**2) * lap
-        )
-        complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g))
-        operator_check.add(complex_form, t_form)
-        levi_check.add(direct, -complex_form)
-        out[planes, 1:-1, 1:-1] = direct
+    firsts, work = _slabs(phi, gradient=True)
+
+    def slabs(state, share: range) -> None:
+        buffer, operator_check, levi_check = state
+        for planes, g, hess in _plane_blocks(phi, share, buffer):
+            dz2, lap, mix = wirtinger_parts(g, hess)
+            phi_y1 = g[0]
+            direct = (
+                -0.25 * hess[0, 0] * _abs2(dz2)
+                + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
+                - 0.25 * (1.0 + phi_y1**2) * lap
+            )
+            complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g))
+            operator_check.add(complex_form, t_form)
+            levi_check.add(direct, -complex_form)
+            out[planes, 1:-1, 1:-1] = direct
+
+    state = lambda: (work(), _DualCheck(), _DualCheck())  # noqa: E731
+    operator_check, levi_check = _DualCheck(), _DualCheck()
+    for _, operator_part, levi_part in fields._run_shares(firsts, fields._workers(), state, slabs):
+        operator_check.merge(operator_part)
+        levi_check.merge(levi_part)
     operator_check.verify("delta_tau_fields")
     levi_check.verify("graph_levi_fields")
     return out

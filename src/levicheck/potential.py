@@ -12,14 +12,13 @@ concentrates on E.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import fields
 from .fields import DiscField, DomainError, ParameterError
 from .staircase import HartogsDomain, _ball_cap_values
 
@@ -235,11 +234,6 @@ def frostman_certificate(measure: AtomicMeasure, alpha: float) -> FrostmanCertif
 # -- Green potentials --------------------------------------------------------
 
 
-def _workers() -> int:
-    """The CPUs this process may run on: GreenPotential.grid_values' threads."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class GreenPotential:
     """u(z) = sum_j m_j * (-log|(z - w_j)/(1 - z conj(w_j))|).
@@ -265,8 +259,8 @@ class GreenPotential:
         sparse (m, 1) and (1, m) meshes make every one-coordinate term O(m)
         per atom.  The sum runs in cache-sized tiles of about _BLOCK
         node-atom pairs, an atom chunk by a block of output rows, with the
-        row blocks shared over one thread per usable CPU (_workers).  Each
-        node takes the atoms in order with the same floating-point
+        row blocks shared over one thread per usable CPU (fields._run_shares).
+        Each node takes the atoms in order with the same floating-point
         operations, so the values depend neither on tiling nor threads.
         """
         gx = np.asarray(gx, dtype=np.float64)
@@ -278,30 +272,26 @@ class GreenPotential:
         gy = gy.reshape((1,) * (len(full) - gy.ndim) + gy.shape)
         out = np.zeros(full)
         width = max(1, math.prod(full[1:]))
-        workers = _workers()
+        workers = fields._workers()
         # at most a 1/workers share of the rows, so a 1-D query splits too
         rows = max(1, min(_BLOCK // width, -(-full[0] // workers)))
         starts = range(0, full[0], rows)
-        threads = max(1, min(workers, len(starts)))
         w = self.measure.locations
         chunk = max(1, min(w.size, _BLOCK // (rows * width)))
         # rows x, y and m/2 with the atoms along a leading broadcast axis
         atoms = np.stack([w.real, w.imag, 0.5 * self.measure.masses])
         atoms = atoms.reshape(atoms.shape + (1,) * len(full))
-        # a buffer per thread, allocated here: tiles cut from its front are
-        # contiguous for numpy's SIMD log (its strided loop can differ)
-        work = [np.empty((3 * chunk + 1) * rows * width) for _ in range(threads)]
 
         @np.errstate(divide="ignore")  # per thread: errstate is context-local
-        def tiles(k: int) -> None:
-            for start in starts[k::threads]:
+        def tiles(work: np.ndarray, share: range) -> None:
+            for start in share:
                 o = out[start : start + rows]
                 x = gx if gx.shape[0] == 1 else gx[start : start + rows]
                 y = gy if gy.shape[0] == 1 else gy[start : start + rows]
                 for first in range(0, w.size, chunk):
                     ar, ai, half_m = atoms[:, first : first + chunk]
                     c = len(ar)
-                    buf = work[k][: (3 * c + 1) * o.size].reshape((3 * c + 1,) + o.shape)
+                    buf = work[: (3 * c + 1) * o.size].reshape((3 * c + 1,) + o.shape)
                     # o, then the chunk's terms; then two term buffers
                     stack, rr, ii = buf[: c + 1], buf[c + 1 : 2 * c + 1], buf[2 * c + 1 :]
                     num2 = stack[1:]
@@ -324,11 +314,9 @@ class GreenPotential:
                         stack[0] = o
                         np.subtract.reduce(stack, axis=0, out=o)
 
-        # the caller takes the first share of the blocks, pool threads the rest
-        with concurrent.futures.ThreadPoolExecutor(max(1, threads - 1)) as pool:
-            rest = pool.map(tiles, range(1, threads))
-            tiles(0)
-            list(rest)
+        # a buffer per share, allocated up front: tiles cut from its front
+        # are contiguous for numpy's SIMD log (its strided loop can differ)
+        fields._run_shares(starts, workers, lambda: np.empty((3 * chunk + 1) * rows * width), tiles)
         return out.reshape(shape)
 
 

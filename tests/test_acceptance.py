@@ -370,22 +370,23 @@ def test_09_report_determinism_across_threads(tmp_path):
             assert digests[name] == STANDARD_RUN_DIGESTS.get(name), (name, threads)
         assert all(blob == blobs[0] for blob in blobs), scenario
 
-    # the BLAS variables leave the Green-kernel pool alone: it takes one
-    # worker per CPU this process may use.  A cantor-potential child pinned
-    # to one CPU (the affinity call acts on the child only) runs it with one
+    # the BLAS variables leave the block passes' pool alone: it takes one
+    # worker per CPU this process may use.  A cantor-potential child (the
+    # Green-kernel tiles) and a levi-check child (the Levi slabs), each pinned
+    # to one CPU (the affinity call acts on the child only), run it with one
     if hasattr(os, "sched_setaffinity"):
         cpu = min(os.sched_getaffinity(0))
 
         def pin():
             os.sched_setaffinity(0, {cpu})
 
-        probe = "from levicheck.potential import _workers; print(_workers())"
+        probe = "from levicheck.fields import _workers; print(_workers())"
         child = [sys.executable, "-c", probe]
         proc = subprocess.run(child, preexec_fn=pin, capture_output=True, text=True)
         assert proc.stdout.strip() == "1", proc.stderr
-        outdir = tmp_path / "cantor-potential"
-        command = [sys.executable, "-m", "levicheck", "run"]
-        command += ["--config", str(tmp_path / "cantor-potential.json")]
-        proc = subprocess.run(command, preexec_fn=pin, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert _outdir_digests(outdir) == STANDARD_RUN_DIGESTS["cantor-potential"]
+        for name in ("cantor-potential", "levi-check-ball"):
+            command = [sys.executable, "-m", "levicheck", "run"]
+            command += ["--config", str(tmp_path / f"{name}.json")]
+            proc = subprocess.run(command, preexec_fn=pin, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert _outdir_digests(tmp_path / name) == STANDARD_RUN_DIGESTS[name], name

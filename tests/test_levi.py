@@ -1,6 +1,7 @@
 import csv
-import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
@@ -20,6 +21,7 @@ from helpers_poly import (
     node_hessian,
     t_matrix,
 )
+from test_potential import with_workers
 from levicheck.fields import (
     DiscField,
     DomainError,
@@ -86,18 +88,31 @@ def block_sizes(extents):
     return {"one": 1, "two": 2 * plane, "ragged": ragged * plane, "shipped": levi_module._BLOCK}
 
 
-def shift_t_form(target, eps):
-    """_delta_tau_forms with eps added to the T-form of call number target."""
-    original = levi_module._delta_tau_forms
-    calls = itertools.count()
+# the unpatched slab generator and dual forms, for shift_t_form to wrap
+_PLANE_BLOCKS, _DELTA_TAU_FORMS = levi_module._plane_blocks, levi_module._delta_tau_forms
+
+
+def shift_t_form(monkeypatch, plane, eps):
+    """Patch _delta_tau_forms to add eps to the T-form of each call that
+    covers xi1-plane `plane`: the call of the slab that _plane_blocks last
+    yielded on the calling thread (whichever thread runs that slab), or, with
+    no slab yielded, the whole-grid call, which covers every plane."""
+    current = threading.local()
+
+    def plane_blocks(field, firsts, work):
+        for planes, g, hess in _PLANE_BLOCKS(field, firsts, work):
+            current.planes = range(planes.start, planes.stop)
+            yield planes, g, hess
+        del current.planes
 
     def forms(hess, tau1, tau2):
-        complex_form, t_form = original(hess, tau1, tau2)
-        if next(calls) == target:
+        complex_form, t_form = _DELTA_TAU_FORMS(hess, tau1, tau2)
+        if plane in getattr(current, "planes", [plane]):
             t_form = t_form + eps
         return complex_form, t_form
 
-    return forms
+    monkeypatch.setattr(levi_module, "_plane_blocks", plane_blocks)
+    monkeypatch.setattr(levi_module, "_delta_tau_forms", forms)
 
 
 class TestTMatrix:
@@ -287,15 +302,18 @@ class TestGraphLevi:
 
 
 class TestPlaneBlocks:
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("block", ["one", "two", "ragged", "shipped"])
+    @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
         cap=st.booleans(),
         extents=st.tuples(st.integers(5, 11), st.integers(5, 11), st.integers(5, 11)),
         h=st.sampled_from([0.05, 0.1, 0.125]),
-        block=st.sampled_from(["one", "two", "ragged", "shipped"]),
     )
-    def test_blocked_levi_fields_match_whole_grid_bitwise(self, seed, cap, extents, h, block):
+    def test_blocked_levi_fields_match_whole_grid_bitwise(
+        self, block, workers, seed, cap, extents, h
+    ):
         if cap:
             fn = lambda a, b, c: np.sqrt(4.0 - a * a - b * b - c * c)  # noqa: E731
         else:
@@ -303,7 +321,25 @@ class TestPlaneBlocks:
         phi = ScalarField3.from_function(Grid3((-0.3, -0.2, -0.4), h, extents), fn)
         want = whole_grid_levi_fields(phi)
         with mock.patch.object(levi_module, "_BLOCK", block_sizes(extents)[block]):
-            got = graph_levi_fields(phi)
+            with with_workers(workers):
+                got = graph_levi_fields(phi)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_threads_keep_their_own_buffers(self, workers):
+        # 29 one-plane slabs over up to five threads, more than the cores of a
+        # small box; a short switch interval interleaves them at every few
+        # bytecodes, so a work buffer two threads shared would mix slabs
+        grid = Grid3((-0.4, -0.3, -0.35), 0.025, (31, 23, 27))
+        phi = ScalarField3.from_function(grid, Poly3.random(np.random.default_rng(7), (1, 2, 3)))
+        want = whole_grid_levi_fields(phi)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(levi_module, "_BLOCK", 1), with_workers(workers):
+                got = graph_levi_fields(phi)
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -314,22 +350,28 @@ def graded_field():
     return ScalarField3.from_function(grid, lambda a, b, c: np.exp(4.0 * a) * (b * b + c * c))
 
 
+def dual_scales(phi):
+    """The global scale 1 + max|complex form| and each interior plane's own."""
+    complex_form = delta_tau_fields(phi.hessian_fields(), *tau_fields(phi.gradient_fields()))
+    inner = np.abs(complex_form[1:-1, 1:-1, 1:-1])
+    return 1.0 + float(inner.max()), 1.0 + inner.max(axis=(1, 2))
+
+
 class TestDualCheckAcrossBlocks:
     TOL = levi_module._DUAL_TOL
 
-    def scales(self, phi):
-        """The global scale 1 + max|complex form| and each interior plane's own."""
-        complex_form = delta_tau_fields(phi.hessian_fields(), *tau_fields(phi.gradient_fields()))
-        inner = np.abs(complex_form[1:-1, 1:-1, 1:-1])
-        return 1.0 + float(inner.max()), 1.0 + inner.max(axis=(1, 2))
+    @pytest.fixture(autouse=True, params=[1, 2])
+    def workers(self, request):
+        with with_workers(request.param):
+            yield request.param
 
     def test_whole_array_check_raises_above_its_scale_only(self, monkeypatch):
         phi = graded_field()
-        scale, _ = self.scales(phi)
+        scale, _ = dual_scales(phi)
         hess, (tau1, tau2) = phi.hessian_fields(), tau_fields(phi.gradient_fields())
-        monkeypatch.setattr(levi_module, "_delta_tau_forms", shift_t_form(0, 0.5 * self.TOL * scale))
+        shift_t_form(monkeypatch, 1, 0.5 * self.TOL * scale)
         delta_tau_fields(hess, tau1, tau2)
-        monkeypatch.setattr(levi_module, "_delta_tau_forms", shift_t_form(0, 2.0 * self.TOL * scale))
+        shift_t_form(monkeypatch, 1, 2.0 * self.TOL * scale)
         with pytest.raises(ConsistencyError) as err:
             delta_tau_fields(hess, tau1, tau2)
         assert err.value.where == "delta_tau_fields"
@@ -337,30 +379,48 @@ class TestDualCheckAcrossBlocks:
 
     def test_block_over_its_own_scale_but_under_the_global_one_passes(self, monkeypatch):
         phi = graded_field()
-        scale, plane_scales = self.scales(phi)
+        scale, plane_scales = dual_scales(phi)
         quiet = int(np.argmin(plane_scales))
         eps = self.TOL * math.sqrt(plane_scales[quiet] * scale)
         assert self.TOL * plane_scales[quiet] < eps < self.TOL * scale
         want = whole_grid_levi_fields(phi)
         monkeypatch.setattr(levi_module, "_BLOCK", 1)
-        monkeypatch.setattr(levi_module, "_delta_tau_forms", shift_t_form(quiet, eps))
+        # interior plane quiet is xi1-plane quiet + 1, a slab of its own
+        shift_t_form(monkeypatch, quiet + 1, eps)
         got = graph_levi_fields(phi)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("block", ["one", "two", "ragged", "shipped"])
     def test_block_over_the_global_scale_raises_for_any_blocking(self, monkeypatch, block):
         phi = graded_field()
-        scale, _ = self.scales(phi)
+        scale, _ = dual_scales(phi)
         eps = 2.0 * self.TOL * scale
         monkeypatch.setattr(levi_module, "_BLOCK", block_sizes(phi.grid.extents)[block])
-        blocks = len(list(levi_module._plane_blocks(phi, gradient=False)))
-        for target in range(blocks):
-            monkeypatch.setattr(levi_module, "_delta_tau_forms", shift_t_form(target, eps))
+        firsts, _ = levi_module._slabs(phi, gradient=False)
+        for first in firsts:
+            shift_t_form(monkeypatch, first, eps)
             with pytest.raises(ConsistencyError) as err:
                 graph_levi_fields(phi)
             assert err.value.where == "delta_tau_fields"
             assert err.value.scale == scale
             assert err.value.worst > self.TOL * scale
+
+
+def test_consistency_error_detail_does_not_depend_on_the_workers(monkeypatch):
+    # one plane per slab; at two workers xi1-plane 2 is the second thread's
+    # first slab, so its over-scale T-form reaches the verdict only through
+    # the merge of the threads' checks
+    phi = graded_field()
+    scale, _ = dual_scales(phi)
+    monkeypatch.setattr(levi_module, "_BLOCK", 1)
+    shift_t_form(monkeypatch, 2, 2.0 * levi_module._DUAL_TOL * scale)
+    details = []
+    for workers in (1, 2):
+        with with_workers(workers), pytest.raises(ConsistencyError) as err:
+            graph_levi_fields(phi)
+        details.append((err.value.where, err.value.worst, err.value.scale))
+    assert details[0] == details[1]
+    assert details[0][0] == "delta_tau_fields" and details[0][2] == scale
 
 
 class TestLeviScanMemory:
