@@ -1,7 +1,9 @@
 """Calibration harness for the staircase certificate case.
 
 This script builds the frozen case at one spacing, checks the node-level
-certificate identity, predicts the sweep minima through the collapsed
+certificate identity on -Delta_tau v (taken slab by slab through
+levi._slab_pass, the pass and thread pool the certificate runs on, with
+its dual-form check), predicts the sweep minima through the collapsed
 one-dimensional kernel acting on the deficit profile, then runs the
 certificate's sweep and reports m(delta), the fitted slope and the route
 it took.  The staircase fields are constant along xi3, so the sweep
@@ -21,16 +23,26 @@ import time
 
 import numpy as np
 
-from levicheck.levi import _neg_delta_tau_slabs, tau_fields
+from levicheck.levi import _delta_tau_forms, _DualCheck, _slab_pass, tau_fields
 from levicheck.mollify import make_kernel, mollified_sign_certificate, staircase_sweep_case
 
 
 def identity_residual(case):
-    """Max deviation of -Delta_tau v from (c/16)(1+ghat^2)(1-P~) on interior nodes."""
+    """Max deviation of -Delta_tau v from (c/16)(1+ghat^2)(1-P~) on interior
+    nodes; each slab writes its -Delta_tau v into cert, no whole-grid Hessian."""
     tau1, tau2 = tau_fields(case.phi.gradient_fields())
     cert = np.full(case.v.grid.shape, np.nan)
-    for planes, raw in _neg_delta_tau_slabs(case.v, tau1, tau2):
-        cert[planes, 1:-1, 1:-1] = raw
+
+    def visit(check, planes, _, hess):
+        inner = np.s_[planes, 1:-1, 1:-1]
+        complex_form, t_form = _delta_tau_forms(hess, tau1[inner], tau2[inner])
+        check.add(complex_form, t_form)
+        cert[inner] = -complex_form
+
+    check = _DualCheck()
+    for part in _slab_pass(case.v, False, _DualCheck, visit):
+        check.merge(part)
+    check.verify("delta_tau_fields")
     n1, n2, n3 = case.v.grid.extents
     h = case.v.grid.spacing
     road_dd = np.empty((n1, n2))

@@ -54,9 +54,8 @@ __all__ = [
 _DUAL_TOL = 1e-9
 # nondegeneracy floor on |grad rho| in levi_condition_2d
 _MIN_GRADIENT = 1e-8
-# grid nodes per slab of graph_levi_fields and of the certificate's
-# per-delta minimum, rounded down to whole xi1-planes (at least one): the
-# slab's eight stencil rows and its complex work arrays stay a few MiB
+# grid nodes per slab of _slab_pass, rounded down to whole xi1-planes (at least
+# one): the slab's eight stencil rows and its complex work arrays stay a few MiB
 _BLOCK = 1 << 15
 # the Hessian entries the Levi quantity and Delta_tau read
 _LEVI_ENTRIES = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2))
@@ -327,104 +326,109 @@ def delta_tau(v: ScalarField3, tau, node) -> float:
     return float(delta_tau_fields(v.fd_hessian(node), tau1, tau2))
 
 
-def _slabs(field: ScalarField3, gradient: bool):
-    """The first xi1-plane of each slab of about _BLOCK interior nodes (at
-    least one plane), and a factory of _plane_blocks buffers fitting any."""
+def _slab_pass(field: ScalarField3, gradient: bool, state: Callable, visit: Callable) -> list:
+    """Call visit(state, planes, g, hess) on every slab of whole interior
+    xi1-planes of field, about _BLOCK nodes each (at least one plane); return
+    the states in share order.
+
+    The slabs are dealt over fields._run_shares, one state() and one work
+    buffer per share.  planes is the slab's xi1 slice, g its gradient (None
+    unless gradient) and hess maps each of _LEVI_ENTRIES to its Hessian
+    entry, all at the interior nodes of those planes in stencil_planes'
+    layout, as views of the share's buffer, valid until visit returns.
+    """
     n0, n1, n2 = field.grid.extents
     step = max(1, _BLOCK // (n1 * n2))
     rows = 3 * gradient + len(_LEVI_ENTRIES)
-    return range(1, n0 - 1, step), lambda: np.empty((rows, min(step, n0 - 2), n1 - 2, n2 - 2))
+
+    def run(share_state, firsts: range) -> None:
+        work = np.empty((rows, min(step, n0 - 2), n1 - 2, n2 - 2))
+        for first in firsts:
+            stop = min(first + step, n0 - 1)
+            slab = work[:, : stop - first]
+            g = slab[:3] if gradient else None
+            hess = dict(zip(_LEVI_ENTRIES, slab[3 * gradient :]))
+            field.stencil_planes(first, stop, g, hess)
+            visit(share_state, slice(first, stop), g, hess)
+
+    return fields._run_shares(range(1, n0 - 1, step), fields._workers(), state, run)
 
 
-def _plane_blocks(field: ScalarField3, firsts, work: np.ndarray):
-    """Yield (planes, g, hess) over the slabs of field that start at firsts.
+def _neg_delta_tau_extremes(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray, skip=None):
+    """(min, max|.|, argmin node) of raw = -Delta_tau v over the finite
+    interior nodes of v outside the skip mask; (NaN, NaN, None) if there are
+    none.
 
-    planes is the slab's xi1 slice, g its gradient (None unless work, from
-    _slabs, has gradient rows) and hess maps each of _LEVI_ENTRIES to its
-    Hessian entry, all at the interior nodes of those planes in
-    stencil_planes' layout.  All are views of work, valid until the next
-    slab is yielded.
+    The values are those of raw = -delta_tau_fields(v.hessian_fields(),
+    tau1, tau2) over the whole grid (tau1, tau2 and skip of v's grid
+    shape), but raw is taken slab by slab (_slab_pass), so no whole-grid
+    Hessian is built.  Each slab records its (min, first argmin node in C
+    order, max|.|); min over those tuples is the whole-grid minimum and the
+    node np.argmin picks there, and max is exact, so neither the blocking
+    nor the thread count moves a bit.  Delta_tau's dual-form check merges
+    over the shares by max and runs once, after the last slab.
     """
-    stop_max = field.grid.extents[0] - 1
-    gradient = len(work) > len(_LEVI_ENTRIES)
-    for first in firsts:
-        stop = min(first + work.shape[1], stop_max)
-        slab = work[:, : stop - first]
-        g = slab[:3] if gradient else None
-        hess = dict(zip(_LEVI_ENTRIES, slab[3 * gradient :]))
-        field.stencil_planes(first, stop, g, hess)
-        yield slice(first, stop), g, hess
 
-
-def _neg_delta_tau_slabs(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray):
-    """Yield (planes, raw) with raw = -Delta_tau v over the interior nodes of
-    each slab of whole xi1-planes of v (_slabs), in order, i.e.
-    -delta_tau_fields(v.hessian_fields(), tau1, tau2)[planes, 1:-1, 1:-1] for
-    tau1 and tau2 of v's grid shape, bit for bit.
-
-    Delta_tau's dual-form check runs after the last slab and tests the
-    largest disagreement over all slabs against the global scale, so it
-    raises only where the whole-grid check would, and only once the caller
-    has consumed every slab.
-    """
-    check = _DualCheck()
-    firsts, work = _slabs(v, gradient=False)
-    for planes, _, hess in _plane_blocks(v, firsts, work()):
+    def visit(state, planes: slice, _, hess) -> None:
+        slabs, check = state
         inner = np.s_[planes, 1:-1, 1:-1]
         complex_form, t_form = _delta_tau_forms(hess, tau1[inner], tau2[inner])
         check.add(complex_form, t_form)
-        yield planes, -complex_form
+        raw = -complex_form
+        valid = np.isfinite(raw)
+        if skip is not None:
+            valid &= ~skip[inner]
+        if valid.any():
+            i, j, k = np.unravel_index(int(np.argmin(np.where(valid, raw, np.inf))), raw.shape)
+            peak = float(np.max(np.abs(raw[valid])))
+            slabs.append((float(np.min(raw[valid])), (i + planes.start, j + 1, k + 1), peak))
+
+    found, check = [], _DualCheck()
+    for part, part_check in _slab_pass(v, False, lambda: ([], _DualCheck()), visit):
+        found += part
+        check.merge(part_check)
     check.verify("delta_tau_fields")
-
-
-def _min_neg_delta_tau(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray) -> float:
-    """nanmin(-delta_tau_fields(v.hessian_fields(), tau1, tau2)) with its
-    dual-form check, taken slab by slab (_neg_delta_tau_slabs); each slab's
-    minimum is exact, so the value does not depend on the blocking."""
-    low = np.nan
-    for _, raw in _neg_delta_tau_slabs(v, tau1, tau2):
-        low = np.fmin(low, np.fmin.reduce(raw, axis=None))
-    return float(low)
+    low, node, _ = min(found, default=(math.nan, None, math.nan))
+    return low, max((peak for *_, peak in found), default=math.nan), node
 
 
 def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
     """Vectorized graph-form Levi quantity (NaN ring), cross-checked against
     the -Delta_{tau(phi)} route.
 
-    The grid is taken in slabs of whole interior xi1-planes of about _BLOCK
-    nodes (_slabs), dealt over one thread per usable CPU
-    (fields._run_shares), so beyond the output array the call allocates one
-    set of block-sized work arrays per thread.  Each slab computes the gradient, the five Hessian
-    entries the quantity reads, the direct form, tau and both Delta_tau
-    forms with the whole-grid expressions in their order, so the values
-    depend neither on the blocking nor on the thread count.  The two checks
-    run after the last slab, in the whole-grid order: Delta_tau's complex
-    form against its T-form, then the direct form against -Delta_tau.  Each
-    tests the largest disagreement over all slabs, merged over the threads
-    by max, against the global scale 1 + max|a|, exactly as one whole-grid
-    check would; a per-slab scale would be stricter.
+    The grid goes through _slab_pass, the one slab pass of every Delta_tau
+    consumer: slabs of whole interior xi1-planes of about _BLOCK nodes, dealt
+    over one thread per usable CPU, so beyond the output array the call
+    allocates one set of block-sized work arrays per thread.  Each slab
+    computes the gradient, the five Hessian entries the quantity reads, the
+    direct form, tau and both Delta_tau forms with the whole-grid
+    expressions in their order, so the values depend neither on the
+    blocking nor on the thread count.  The two checks run after the last
+    slab, in the whole-grid order: Delta_tau's complex form against its
+    T-form, then the direct form against -Delta_tau.  Each tests the
+    largest disagreement over all slabs, merged over the threads by max,
+    against the global scale 1 + max|a|, exactly as one whole-grid check
+    would; a per-slab scale would be stricter.
     """
     out = np.full(phi.values.shape, np.nan)
-    firsts, work = _slabs(phi, gradient=True)
 
-    def slabs(state, share: range) -> None:
-        buffer, operator_check, levi_check = state
-        for planes, g, hess in _plane_blocks(phi, share, buffer):
-            dz2, lap, mix = wirtinger_parts(g, hess)
-            phi_y1 = g[0]
-            direct = (
-                -0.25 * hess[0, 0] * _abs2(dz2)
-                + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
-                - 0.25 * (1.0 + phi_y1**2) * lap
-            )
-            complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g))
-            operator_check.add(complex_form, t_form)
-            levi_check.add(direct, -complex_form)
-            out[planes, 1:-1, 1:-1] = direct
+    def visit(state, planes: slice, g, hess) -> None:
+        operator_check, levi_check = state
+        dz2, lap, mix = wirtinger_parts(g, hess)
+        phi_y1 = g[0]
+        direct = (
+            -0.25 * hess[0, 0] * _abs2(dz2)
+            + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
+            - 0.25 * (1.0 + phi_y1**2) * lap
+        )
+        complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g))
+        operator_check.add(complex_form, t_form)
+        levi_check.add(direct, -complex_form)
+        out[planes, 1:-1, 1:-1] = direct
 
-    state = lambda: (work(), _DualCheck(), _DualCheck())  # noqa: E731
+    parts = _slab_pass(phi, True, lambda: (_DualCheck(), _DualCheck()), visit)
     operator_check, levi_check = _DualCheck(), _DualCheck()
-    for _, operator_part, levi_part in fields._run_shares(firsts, fields._workers(), state, slabs):
+    for operator_part, levi_part in parts:
         operator_check.merge(operator_part)
         levi_check.merge(levi_part)
     operator_check.verify("delta_tau_fields")

@@ -28,7 +28,7 @@ from .fields import (
     ScalarField3,
     StencilError,
 )
-from .levi import _min_neg_delta_tau, _neg_delta_tau_slabs, tau_fields
+from .levi import _neg_delta_tau_extremes, tau_fields
 from .staircase import build_cantor, fat_F
 
 
@@ -303,33 +303,6 @@ class CertificateReport:
 _SLOPE_FLOOR = 1e-14
 
 
-def _hypothesis_extremes(v: ScalarField3, tau1, tau2, kinks: np.ndarray):
-    """(min, max|.|, argmin node) of raw = -Delta_tau v over the finite
-    interior nodes outside the kinks mask; node is None if there are none.
-
-    The values are those of raw = -delta_tau_fields(v.hessian_fields(),
-    tau1, tau2) over the whole grid, but raw is taken slab by slab
-    (levi._neg_delta_tau_slabs), so no whole-grid Hessian is built.  Min
-    and max are exact, so they merge across slabs bit for bit, and the
-    first slab to reach the minimum holds its first node in C order, the
-    node np.argmin picks on the whole grid.
-    """
-    low = math.inf
-    peak = 0.0
-    node = None
-    for planes, raw in _neg_delta_tau_slabs(v, tau1, tau2):
-        valid = np.isfinite(raw) & ~kinks[planes, 1:-1, 1:-1]
-        if not valid.any():
-            continue
-        peak = max(peak, float(np.max(np.abs(raw[valid]))))
-        slab_min = float(np.min(raw[valid]))
-        if slab_min < low:
-            low = slab_min
-            i, j, k = np.unravel_index(int(np.argmin(np.where(valid, raw, np.inf))), raw.shape)
-            node = (i + planes.start, j + 1, k + 1)
-    return low, peak, node
-
-
 def mollified_sign_certificate(
     v: ScalarField3,
     phi: ScalarField3,
@@ -387,7 +360,7 @@ def mollified_sign_certificate(
     v_thin = _thin(v, axes)
     tau1, tau2 = tau_fields(_thin(phi, axes).gradient_fields())
     kinks = kink_plane_mask(v_thin.grid, kink_planes)
-    hyp_min, peak, node = _hypothesis_extremes(v_thin, tau1, tau2, kinks)
+    hyp_min, peak, node = _neg_delta_tau_extremes(v_thin, tau1, tau2, kinks)
     if node is None:
         raise ParameterError("kink planes exclude every interior node")
     scale = 1.0 + peak
@@ -405,7 +378,7 @@ def mollified_sign_certificate(
         sel = tuple(
             slice(None) if ax in axes else slice(m, n - m) for ax, n in enumerate(v.grid.extents)
         )
-        m_values.append(_min_neg_delta_tau(_thin(mol.field, axes), tau1[sel], tau2[sel]))
+        m_values.append(_neg_delta_tau_extremes(_thin(mol.field, axes), tau1[sel], tau2[sel])[0])
     m_arr = np.array(m_values)
 
     log_d = np.log(np.array(deltas))

@@ -188,11 +188,13 @@ def frostman_certificate(measure: AtomicMeasure, alpha: float) -> FrostmanCertif
     Checks every center when there are at most _MAX_CENTERS atoms, else a
     deterministic stride sample.  Radii run down to the atom resolution:
     the smallest dyadic radius still covering at least one nearest
-    neighbor gap.
+    neighbor gap.  mu(D(z, r)) is taken as count x mass: equal masses only.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    if np.any(measure.masses != measure.masses[0]):
+        raise ParameterError("frostman_certificate needs equal atom masses")
     locs = measure.locations
     n_atoms = len(locs)
     stride = max(1, n_atoms // _MAX_CENTERS)

@@ -372,8 +372,9 @@ def test_09_report_determinism_across_threads(tmp_path):
 
     # the BLAS variables leave the block passes' pool alone: it takes one
     # worker per CPU this process may use.  A cantor-potential child (the
-    # Green-kernel tiles) and a levi-check child (the Levi slabs), each pinned
-    # to one CPU (the affinity call acts on the child only), run it with one
+    # Green-kernel tiles), a levi-check child (the Levi slabs) and a
+    # mollify-sweep child (the certificate's Delta_tau slabs), each pinned to
+    # one CPU (the affinity call acts on the child only), run it with one
     if hasattr(os, "sched_setaffinity"):
         cpu = min(os.sched_getaffinity(0))
 
@@ -384,7 +385,7 @@ def test_09_report_determinism_across_threads(tmp_path):
         child = [sys.executable, "-c", probe]
         proc = subprocess.run(child, preexec_fn=pin, capture_output=True, text=True)
         assert proc.stdout.strip() == "1", proc.stderr
-        for name in ("cantor-potential", "levi-check-ball"):
+        for name in ("cantor-potential", "levi-check-ball", "mollify-sweep"):
             command = [sys.executable, "-m", "levicheck", "run"]
             command += ["--config", str(tmp_path / f"{name}.json")]
             proc = subprocess.run(command, preexec_fn=pin, capture_output=True, text=True)

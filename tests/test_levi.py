@@ -88,22 +88,20 @@ def block_sizes(extents):
     return {"one": 1, "two": 2 * plane, "ragged": ragged * plane, "shipped": levi_module._BLOCK}
 
 
-# the unpatched slab generator and dual forms, for shift_t_form to wrap
-_PLANE_BLOCKS, _DELTA_TAU_FORMS = levi_module._plane_blocks, levi_module._delta_tau_forms
+# the unpatched stencil and dual forms, for shift_t_form to wrap
+_STENCIL_PLANES, _DELTA_TAU_FORMS = ScalarField3.stencil_planes, levi_module._delta_tau_forms
 
 
 def shift_t_form(monkeypatch, plane, eps):
     """Patch _delta_tau_forms to add eps to the T-form of each call that
-    covers xi1-plane `plane`: the call of the slab that _plane_blocks last
-    yielded on the calling thread (whichever thread runs that slab), or, with
-    no slab yielded, the whole-grid call, which covers every plane."""
+    covers xi1-plane `plane`: the planes ScalarField3.stencil_planes last
+    wrote on the calling thread (whichever thread runs that slab), or, with
+    no stencil run on that thread, every plane."""
     current = threading.local()
 
-    def plane_blocks(field, firsts, work):
-        for planes, g, hess in _PLANE_BLOCKS(field, firsts, work):
-            current.planes = range(planes.start, planes.stop)
-            yield planes, g, hess
-        del current.planes
+    def stencil_planes(field, first, stop, grad=None, hess=None):
+        current.planes = range(first, stop)
+        _STENCIL_PLANES(field, first, stop, grad, hess)
 
     def forms(hess, tau1, tau2):
         complex_form, t_form = _DELTA_TAU_FORMS(hess, tau1, tau2)
@@ -111,7 +109,7 @@ def shift_t_form(monkeypatch, plane, eps):
             t_form = t_form + eps
         return complex_form, t_form
 
-    monkeypatch.setattr(levi_module, "_plane_blocks", plane_blocks)
+    monkeypatch.setattr(ScalarField3, "stencil_planes", stencil_planes)
     monkeypatch.setattr(levi_module, "_delta_tau_forms", forms)
 
 
@@ -396,9 +394,9 @@ class TestDualCheckAcrossBlocks:
         scale, _ = dual_scales(phi)
         eps = 2.0 * self.TOL * scale
         monkeypatch.setattr(levi_module, "_BLOCK", block_sizes(phi.grid.extents)[block])
-        firsts, _ = levi_module._slabs(phi, gradient=False)
-        for first in firsts:
-            shift_t_form(monkeypatch, first, eps)
+        # every interior plane, so every slab of the blocking holds a shifted one
+        for plane in range(1, phi.grid.extents[0] - 1):
+            shift_t_form(monkeypatch, plane, eps)
             with pytest.raises(ConsistencyError) as err:
                 graph_levi_fields(phi)
             assert err.value.where == "delta_tau_fields"

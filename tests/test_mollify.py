@@ -41,6 +41,8 @@ from levicheck.mollify import (
     staircase_sweep_case,
 )
 from levicheck.staircase import build_cantor, staircase_f
+from test_levi import shift_t_form
+from test_potential import _WORKERS, with_workers
 
 # frozen from an independent radial quadrature of exp(-1/(1-r^2)) over the
 # unit ball: normalization and single-axis second moment of the unit kernel
@@ -717,6 +719,7 @@ def small_case():
 
 
 class TestBlockedSweepMinimum:
+    @pytest.mark.parametrize("workers", _WORKERS)
     @settings(max_examples=30, deadline=None)
     @given(
         # the smoothed grids have at most 27 x 13 nodes per xi1-plane
@@ -724,21 +727,22 @@ class TestBlockedSweepMinimum:
             st.just(1), st.integers(1, 3 * 27 * 13), st.just(levi_module._BLOCK)
         )
     )
-    def test_m_values_match_whole_grid_bitwise(self, small_case, block):
+    def test_m_values_match_whole_grid_bitwise(self, small_case, workers, block):
         case, deltas, want = small_case
-        with mock.patch.object(levi_module, "_BLOCK", block):
+        with mock.patch.object(levi_module, "_BLOCK", block), with_workers(workers):
             rep = mollified_sign_certificate(
                 case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
             )
         assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
 
+    @pytest.mark.parametrize("workers", _WORKERS)
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
         # the smoothed grids have 11 x 11 and 9 x 9 nodes per xi1-plane
         block=st.one_of(st.just(1), st.integers(1, 4 * 11 * 11), st.just(levi_module._BLOCK)),
     )
-    def test_m_values_of_random_cubics_match_whole_grid_bitwise(self, seed, block):
+    def test_m_values_of_random_cubics_match_whole_grid_bitwise(self, workers, seed, block):
         # on the staircase case the minima sit where tau's mixed coefficient
         # vanishes; random cubics make them read the mixed Hessian entries too
         rng = np.random.default_rng(seed)
@@ -747,7 +751,7 @@ class TestBlockedSweepMinimum:
         phi = smooth_field(grid, Poly3.random(rng))
         deltas = (2.0 / 16.0, 3.0 / 16.0)
         want = whole_grid_m_values(v, phi, deltas)
-        with mock.patch.object(levi_module, "_BLOCK", block):
+        with mock.patch.object(levi_module, "_BLOCK", block), with_workers(workers):
             rep = mollified_sign_certificate(
                 v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas, hypothesis_tol=math.inf
             )
@@ -768,6 +772,25 @@ class TestBlockedSweepMinimum:
                 case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
             )
         assert err.value.where == "delta_tau_fields"
+
+    def test_consistency_error_detail_does_not_depend_on_the_workers(
+        self, small_case, monkeypatch
+    ):
+        # one plane per slab; at two workers xi1-plane 2 is the second
+        # share's first slab, so its shifted T-form reaches the hypothesis
+        # pass's verdict only through the merge of the shares' checks
+        case, deltas, _ = small_case
+        monkeypatch.setattr(levi_module, "_BLOCK", 1)
+        shift_t_form(monkeypatch, 2, 1e-3)
+        details = []
+        for workers in (1, 2):
+            with with_workers(workers), pytest.raises(ConsistencyError) as err:
+                mollified_sign_certificate(
+                    case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
+                )
+            details.append((err.value.where, err.value.worst, err.value.scale))
+        assert details[0] == details[1]
+        assert details[0][0] == "delta_tau_fields" and details[0][1] > 1e-9 * details[0][2]
 
 
 def whole_grid_hypothesis(v, phi, kinks):
@@ -797,6 +820,7 @@ def negated(field):
 
 
 class TestSlabbedHypothesisCheck:
+    @pytest.mark.parametrize("workers", _WORKERS)
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -809,7 +833,7 @@ class TestSlabbedHypothesisCheck:
         ),
     )
     def test_extremes_match_whole_grid_bitwise(
-        self, seed, v_degrees, phi_degrees, block, planes
+        self, workers, seed, v_degrees, phi_degrees, block, planes
     ):
         # a quadratic v and a linear phi make -Delta_tau v constant up to
         # rounding, so the argmin rule (first node in C order) meets ties
@@ -820,20 +844,21 @@ class TestSlabbedHypothesisCheck:
         kinks = kink_plane_mask(grid, planes)
         want = whole_grid_hypothesis(v, phi, kinks)
         tau1, tau2 = tau_fields(phi.gradient_fields())
-        with mock.patch.object(levi_module, "_BLOCK", block):
-            low, peak, node = mollify_module._hypothesis_extremes(v, tau1, tau2, kinks)
+        with mock.patch.object(levi_module, "_BLOCK", block), with_workers(workers):
+            low, peak, node = levi_module._neg_delta_tau_extremes(v, tau1, tau2, kinks)
         if want is None:
-            assert node is None
+            assert node is None and math.isnan(low)
             return
         assert (low.hex(), peak.hex()) == (want[0].hex(), want[1].hex())
         assert node == want[2] and repr(node) == repr(want[2])
 
+    @pytest.mark.parametrize("workers", _WORKERS)
     @pytest.mark.parametrize("block", [1, 3 * 33 * 19 + 5, levi_module._BLOCK])
     @pytest.mark.parametrize("planes", [(), (("xi2", 0.5), ("xi1+xi2", 1.0))])
-    def test_certificate_reports_and_raises_as_before(self, small_case, block, planes):
+    def test_certificate_reports_and_raises_as_before(self, small_case, block, planes, workers):
         case, deltas, _ = small_case
         kinks = kink_plane_mask(case.v.grid, planes)
-        with mock.patch.object(levi_module, "_BLOCK", block):
+        with mock.patch.object(levi_module, "_BLOCK", block), with_workers(workers):
             rep = mollified_sign_certificate(
                 case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas,
                 kink_planes=planes,
@@ -846,6 +871,36 @@ class TestSlabbedHypothesisCheck:
         assert rep.hypothesis_min.hex() == whole_grid_hypothesis(case.v, case.phi, kinks)[0].hex()
         want = whole_grid_hypothesis(negated(case.v), case.phi, kinks)
         assert str(err.value) == hypothesis_message(want)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_threads_keep_their_own_buffers(self, workers):
+        # 27 one-plane slabs over up to five threads, more than the cores of
+        # a small box; a short switch interval interleaves them at every few
+        # bytecodes, so a work buffer two shares held in common would mix
+        # slabs, in the pass's extremes or in any slab a visit copies out
+        rng = np.random.default_rng(7)
+        grid = Grid3((-0.5, -0.5, -0.625), 1.0 / 16.0, (29, 17, 21))
+        v = smooth_field(grid, Poly3.random(rng, (2, 3)))
+        phi = smooth_field(grid, Poly3.random(rng, (1, 2, 3)))
+        tau1, tau2 = tau_fields(phi.gradient_fields())
+        want_raw = -delta_tau_fields(v.hessian_fields(), tau1, tau2)
+        want = whole_grid_hypothesis(v, phi, kink_plane_mask(grid, ()))
+        raw = np.full(grid.shape, np.nan)
+
+        def copy_out(_, planes, g, hess):
+            inner = np.s_[planes, 1:-1, 1:-1]
+            raw[inner] = -levi_module._delta_tau_forms(hess, tau1[inner], tau2[inner])[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with mock.patch.object(levi_module, "_BLOCK", 1), with_workers(workers):
+                low, peak, node = levi_module._neg_delta_tau_extremes(v, tau1, tau2)
+                levi_module._slab_pass(v, False, lambda: None, copy_out)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (low.hex(), peak.hex(), node) == (want[0].hex(), want[1].hex(), want[2])
+        assert np.array_equal(raw, want_raw, equal_nan=True)
 
     def test_kinks_covering_every_node_rejected(self):
         v, phi = quadratic_case(n=9)
@@ -865,7 +920,7 @@ class TestSlabbedHypothesisCheck:
         kinks = kink_plane_mask(grid, ())
         tracemalloc.start()
         try:
-            mollify_module._hypothesis_extremes(v, tau1, tau2, kinks)
+            levi_module._neg_delta_tau_extremes(v, tau1, tau2, kinks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -906,7 +961,7 @@ class TestReducedSweep:
         case = shipped_case
         tau1, tau2 = tau_fields(case.phi.gradient_fields())
         kinks = kink_plane_mask(case.v.grid, ())
-        low, _, node = mollify_module._hypothesis_extremes(case.v, tau1, tau2, kinks)
+        low, _, node = levi_module._neg_delta_tau_extremes(case.v, tau1, tau2, kinks)
         assert shipped_report.hypothesis_min.hex() == low.hex()
         assert node == (1, 113, 1)
 

@@ -555,6 +555,15 @@ class TestFrostmanCertificate:
         with pytest.raises(ParameterError, match="alpha"):
             frostman_certificate(measure, 2.5)
 
+    def test_unequal_masses_rejected(self):
+        # mu(D) taken as count x masses[0] read 10.92 on these ten atoms,
+        # where the true ball masses over the same centres and radii give 3.72
+        locations = frostman_measure(build_square_cantor(1.0, 2)).locations[:10]
+        masses = np.array([0.91] + [0.01] * 9)
+        measure = AtomicMeasure(generation=2, locations=locations, masses=masses)
+        with pytest.raises(ParameterError, match="equal atom masses"):
+            frostman_certificate(measure, 1.0)
+
 
 # -- oracle: box_dimension as it was before it built its keys in point
 # chunks, kept verbatim (whole transposed columns, full-length temporaries)
