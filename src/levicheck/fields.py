@@ -71,9 +71,9 @@ def stable_sum(values) -> float:
 
 
 def _workers() -> int:
-    """The CPUs this process may run on: the threads _run_shares deals
-    grid_values' row blocks and levi._slab_pass's slabs (every Delta_tau
-    pass) to.  All give values bitwise independent of the count."""
+    """The CPUs this process may run on: the threads _run_shares deals row
+    blocks, slabs and radii to (grid_values, levi._slab_pass for every
+    Delta_tau pass, frostman_certificate), all bitwise independent of it."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -81,7 +81,7 @@ def _run_shares(blocks, workers: int, state: Callable, run: Callable) -> list:
     """Call run(state(), blocks[k::n]) for each share k of n = min(workers,
     len(blocks)) shares (at least one); return the states in share order.
     The caller runs share 0 and pool threads the rest; one share runs inline.
-    The one thread-pool dispatch: grid_values and levi._slab_pass use it."""
+    The one thread-pool dispatch: grid_values, _slab_pass, frostman_certificate."""
     shares = max(1, min(workers, len(blocks)))
     states = [state() for _ in range(shares)]
     parts = [blocks[k::shares] for k in range(shares)]

@@ -26,6 +26,7 @@ from levicheck.fields import DiscField, DomainError, ParameterError
 from levicheck.potential import (
     AtomicMeasure,
     BoxCountRegression,
+    FrostmanCertificate,
     GreenPotential,
     box_dimension,
     build_square_cantor,
@@ -538,6 +539,107 @@ class TestMassRecovery:
         assert abs(recovered - 1.0) <= 1e-5
 
 
+# -- oracle: frostman_certificate as it was before its radii went over the
+# worker pool, kept verbatim (one query_ball_point call per radius, in order)
+
+
+def frostman_certificate_oracle(measure: AtomicMeasure, alpha: float) -> FrostmanCertificate:
+    """Certify the growth bound over dyadic radii and sampled centers.
+
+    Checks every center when there are at most _MAX_CENTERS atoms, else a
+    deterministic stride sample.  Radii run down to the atom resolution:
+    the smallest dyadic radius still covering at least one nearest
+    neighbor gap.  mu(D(z, r)) is taken as count x mass: equal masses only.
+    """
+    alpha = float(alpha)
+    if not 0.0 < alpha < 2.0:
+        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    if np.any(measure.masses != measure.masses[0]):
+        raise ParameterError("frostman_certificate needs equal atom masses")
+    locs = measure.locations
+    n_atoms = len(locs)
+    stride = max(1, n_atoms // potential_module._MAX_CENTERS)
+    centers = locs[::stride]
+
+    pts = np.column_stack([locs.real, locs.imag])
+    tree = cKDTree(pts)
+    if n_atoms > 1:
+        gaps, _ = tree.query(pts, k=2)
+        resolution = float(gaps[:, 1].min())
+    else:
+        resolution = 1e-6
+    radii = []
+    r = 0.5
+    while r >= resolution:
+        radii.append(r)
+        r *= 0.5
+    if len(radii) < 2:
+        raise ParameterError("measure too coarse for a dyadic radius sweep")
+
+    qry = np.column_stack([centers.real, centers.imag])
+    best = 0.0
+    mass = measure.masses[0]
+    for r in radii:
+        counts = tree.query_ball_point(qry, r, return_length=True)
+        # query_ball_point counts the closed disc, at least the open-disc
+        # count behind mu(D(z, r)), so the constant errs on the conservative side
+        ratio = counts.max() * mass / r**alpha
+        best = max(best, float(ratio))
+    return FrostmanCertificate(
+        alpha=alpha,
+        generation=measure.generation,
+        constant=best,
+        samples=len(centers) * len(radii),
+        radii=tuple(radii),
+    )
+
+
+def assert_same_certificate(got, want):
+    assert got == want and got.constant.hex() == want.constant.hex()
+
+
+class TestFrostmanPool:
+    """The radii dealt over the worker pool against the serial radius loop,
+    bit for bit, whatever the thread count."""
+
+    @pytest.mark.parametrize("generation", range(1, 8))
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3])
+    def test_equal_to_the_serial_loop(self, alpha, generation):
+        # generation 7 holds 16,384 atoms, above _MAX_CENTERS: a stride sample
+        measure = frostman_measure(build_square_cantor(alpha, generation))
+        try:
+            want = frostman_certificate_oracle(measure, alpha)
+        except ParameterError as err:
+            # one corner gap wider than r = 1/4 leaves a single radius
+            for workers in _WORKERS:
+                with with_workers(workers), pytest.raises(ParameterError) as got:
+                    frostman_certificate(measure, alpha)
+                assert str(got.value) == str(err)
+            return
+        for workers in _WORKERS:
+            with with_workers(workers):
+                assert_same_certificate(frostman_certificate(measure, alpha), want)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_threads_interleaved(self, workers):
+        # a short switch interval interleaves the shares at every few
+        # bytecodes, so a peak written to another share's radius would show
+        measure = frostman_measure(build_square_cantor(1.0, 6))
+        want = frostman_certificate_oracle(measure, 1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with with_workers(workers), mock.patch.object(
+                concurrent.futures, "ThreadPoolExecutor", wraps=concurrent.futures.ThreadPoolExecutor
+            ) as pool:
+                got = frostman_certificate(measure, 1.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_certificate(got, want)
+        # one pool, of workers - 1 threads beside the caller: no second pool inside
+        assert pool.call_args_list == [mock.call(workers - 1)]
+
+
 class TestFrostmanCertificate:
     def test_constants_pinned_and_stable(self):
         consts = {}
@@ -710,19 +812,82 @@ class TestBoxDimension:
         assert peak <= 12 * 2**20
         assert reg == box_dimension_oracle(pts, scales)
 
-    @pytest.mark.parametrize("spread, fits", [(2**15 - 1, True), (2**15, False)])
-    def test_too_fine_for_point_spread(self, spread, fits):
+    @pytest.mark.parametrize(
+        "spread, scales, too_fine",
+        [
+            pytest.param(2**15 - 1, [1.0, 2.0, 4.0, 8.0, 16.0], None, id="32767-True"),
+            pytest.param(2**15, [1.0, 2.0, 4.0, 8.0, 16.0], 1.0, id="32768-False"),
+            # 1 and 2 are both too fine; the first in the caller's order is named
+            pytest.param(2**16, [2.0, 1.0, 4.0, 8.0, 16.0], 2.0, id="65536-coarser-first"),
+        ],
+    )
+    def test_too_fine_for_point_spread(self, spread, scales, too_fine):
         # four columns pack 15 bits each: ids 0 .. 2^15 - 1 per column fit
         pts = np.zeros((3, 4))
         pts[1, 2] = -1.0
         pts[2, 2] = spread - 1.0
-        scales = [1.0, 2.0, 4.0, 8.0, 16.0]
-        if fits:
+        if too_fine is None:
             reg = box_dimension(pts, scales)
             assert reg.counts == tuple(box_count_oracle(pts, s) for s in scales)
         else:
-            with pytest.raises(ParameterError, match="too fine for the point spread"):
-                box_dimension(pts, scales)
+            for count in (box_dimension, box_dimension_oracle):
+                with pytest.raises(ParameterError, match=f"scale {too_fine} too fine for"):
+                    count(pts, scales)
+
+    @given(
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 300),
+        snap=st.booleans(),
+        finest=st.floats(2.0**-9, 0.5),
+        # at least two distinct chain scales, so the regression has rank 2
+        steps=st.lists(st.integers(0, 4), min_size=2, max_size=6).filter(lambda k: any(k[1:])),
+        others=st.lists(st.floats(2.0**-9, 4.0), max_size=3),
+        chunk=st.sampled_from([1, 7, potential_module._BLOCK]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dyadic_chain_matches_the_oracle(
+        self, d, seed, n, snap, finest, steps, others, chunk
+    ):
+        # a dyadic chain (step 0 repeats a scale) mixed with arbitrary scales,
+        # in random caller order; the chain's cells come from finer ones
+        rng = np.random.default_rng(seed)
+        chain = [math.ldexp(finest, int(k)) for k in np.cumsum(steps)]
+        scales = chain + others + [chain[-1]]
+        scales += [math.ldexp(finest, 5 + k) for k in range(max(0, 5 - len(scales)))]
+        rng.shuffle(scales)
+        pts = rng.uniform(-3.0, 3.0, (n, d)) * rng.uniform(0.01, 1.0, d)
+        if snap:
+            # coordinates on the finest lattice land on the edges of every chain box
+            pts = np.round(pts / finest) * finest
+        pts = np.concatenate([pts, pts[rng.integers(0, n, n // 3)]])
+        with mock.patch.object(potential_module, "_BLOCK", chunk):
+            reg = box_dimension(pts, scales)
+        want = box_dimension_oracle(pts, scales)
+        assert reg.scales == want.scales
+        assert reg.counts == want.counts
+        assert reg.slope.hex() == want.slope.hex()
+
+    @pytest.mark.parametrize(
+        "pts, counts",
+        [
+            # -5e-324 / 2 rounds to -0.0, in cell 0 at scale 2 with the point
+            # at 0, while -5e-324 / 1 stays below 0, in cell -1 at scale 1
+            ([[-5e-324], [0.0]], (2, 1, 1, 1, 1)),
+            ([[-5e-324, 1.0], [0.0, 0.5], [0.3, -2.0]], (3, 2, 2, 2, 2)),
+            # cell ids past 2^53 round in float64, so shifting the rounded ids
+            # of scale 1 gave (3, 3, 3, 3, 3) and (4, 4, 4, 3, 3) here
+            ([[-1.0], [2.0**54], [2.0**54 + 4.0]], (3, 3, 3, 2, 2)),
+            ([[-1.0], [2.0**54], [2.0**54 + 4.0], [2.0**54 + 8.0]], (4, 3, 4, 3, 2)),
+        ],
+    )
+    def test_chain_edges_build_from_the_points(self, pts, counts):
+        pts = np.array(pts)
+        scales = [1.0, 2.0, 4.0, 8.0, 16.0]
+        reg = box_dimension(pts, scales)
+        want = box_dimension_oracle(pts, scales)
+        assert reg.counts == want.counts == counts
+        assert reg.slope.hex() == want.slope.hex()
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
