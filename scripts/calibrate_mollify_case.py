@@ -2,16 +2,16 @@
 
 This script builds the frozen case at one spacing, checks the node-level
 certificate identity on -Delta_tau v (taken slab by slab through
-levi._slab_pass, the pass and thread pool the certificate runs on, with
-its dual-form check), predicts the sweep minima through the collapsed
-one-dimensional kernel acting on the deficit profile, then runs the
-certificate's sweep and reports m(delta), the fitted slope and the route
-it took.  The staircase fields are constant along xi3, so the sweep
-convolves in 2-D (reduced axes [2]); a field that is not invariant along
-any axis would take the 3-D route.  The constants frozen in
-levicheck.mollify (_SPANS, _ALPHAS, _STRETCH, _SCALE, _PLATEAU, _HOLDER)
-were chosen from this output over a grid of candidate schedules, stretches
-and scales.
+levi._slab_pass, the pass and thread pool the certificate runs on, each
+slab returning its dual-form gap to levi._verify), predicts the sweep
+minima through the collapsed one-dimensional kernel acting on the deficit
+profile, then runs the certificate's sweep and reports m(delta), the
+fitted slope and the route it took.  The staircase fields are constant
+along xi3, so the sweep convolves in 2-D (reduced axes [2]); a field that
+is not invariant along any axis would take the 3-D route.  The constants
+frozen in levicheck.mollify (_SPANS, _ALPHAS, _STRETCH, _SCALE, _PLATEAU,
+_HOLDER) were chosen from this output over a grid of candidate schedules,
+stretches and scales.
 
 Run from the repository root:
 
@@ -23,26 +23,24 @@ import time
 
 import numpy as np
 
-from levicheck.levi import _delta_tau_forms, _DualCheck, _slab_pass, tau_fields
+from levicheck.levi import _delta_tau_forms, _dual_gap, _slab_pass, _verify, tau_fields
 from levicheck.mollify import make_kernel, mollified_sign_certificate, staircase_sweep_case
 
 
 def identity_residual(case):
     """Max deviation of -Delta_tau v from (c/16)(1+ghat^2)(1-P~) on interior
-    nodes; each slab writes its -Delta_tau v into cert, no whole-grid Hessian."""
+    nodes; each slab writes its -Delta_tau v into cert, no whole-grid Hessian,
+    and returns its dual-form gap, which _verify checks over all slabs."""
     tau1, tau2 = tau_fields(case.phi.gradient_fields())
     cert = np.full(case.v.grid.shape, np.nan)
 
-    def visit(check, planes, _, hess):
+    def visit(planes, _, hess):
         inner = np.s_[planes, 1:-1, 1:-1]
         complex_form, t_form = _delta_tau_forms(hess, tau1[inner], tau2[inner])
-        check.add(complex_form, t_form)
         cert[inner] = -complex_form
+        return _dual_gap(complex_form, t_form)
 
-    check = _DualCheck()
-    for part in _slab_pass(case.v, False, _DualCheck, visit):
-        check.merge(part)
-    check.verify("delta_tau_fields")
+    _verify("delta_tau_fields", _slab_pass(case.v, False, visit))
     n1, n2, n3 = case.v.grid.extents
     h = case.v.grid.spacing
     road_dd = np.empty((n1, n2))

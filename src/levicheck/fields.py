@@ -71,28 +71,35 @@ def stable_sum(values) -> float:
 
 
 def _workers() -> int:
-    """The CPUs this process may run on: the threads _run_shares deals row
+    """The CPUs this process may run on: the threads _run_blocks deals row
     blocks, slabs and radii to (grid_values, levi._slab_pass for every
     Delta_tau pass, frostman_certificate), all bitwise independent of it."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_shares(blocks, workers: int, state: Callable, run: Callable) -> list:
-    """Call run(state(), blocks[k::n]) for each share k of n = min(workers,
-    len(blocks)) shares (at least one); return the states in share order.
-    The caller runs share 0 and pool threads the rest; one share runs inline.
-    The one thread-pool dispatch: grid_values, _slab_pass, frostman_certificate."""
-    shares = max(1, min(workers, len(blocks)))
-    states = [state() for _ in range(shares)]
-    parts = [blocks[k::shares] for k in range(shares)]
+def _run_blocks(blocks, buffer: Callable, visit: Callable) -> list:
+    """[visit(buf, block) for block in blocks], in block order at any thread
+    count: the blocks are dealt round-robin over min(_workers(), len(blocks))
+    threads (at least one), each with its own buf = buffer(); the caller runs
+    share 0 and pool threads the rest, and one share runs inline.  The one
+    thread-pool dispatch: grid_values, levi._slab_pass, frostman_certificate."""
+    shares = max(1, min(_workers(), len(blocks)))
+    # made here: made on pool threads, they left ~1.5 MB more peak RSS in grid_values runs
+    bufs = [buffer() for _ in range(shares)]
+    out = [None] * len(blocks)
+
+    def run(k: int) -> None:
+        for i in range(k, len(blocks), shares):
+            out[i] = visit(bufs[k], blocks[i])
+
     if shares == 1:
-        run(states[0], parts[0])
-        return states
+        run(0)
+        return out
     with concurrent.futures.ThreadPoolExecutor(shares - 1) as pool:
-        rest = pool.map(run, states[1:], parts[1:])
-        run(states[0], parts[0])
+        rest = pool.map(run, range(1, shares))
+        run(0)
         list(rest)
-    return states
+    return out
 
 
 _REG_TAGS = ("smooth", "c1alpha", "c11", "lipschitz")

@@ -235,48 +235,38 @@ def tau_fields(g) -> tuple:
     return -0.5 * dz2, 0.5 * (1.0 + 1j * g[0])
 
 
-class _DualCheck:
-    """Agreement of two routes, accumulated block by block.
+def _dual_gap(a, b) -> tuple[float, float]:
+    """(max|a|, max|a - b|) over the entries where a and b are both finite,
+    (0, 0) if there are none (empty arrays too): one block's part of a _verify."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    peak = np.max(np.abs(a), initial=0.0)
+    worst = np.max(np.abs(a - b), initial=0.0)
+    if not (math.isfinite(peak) and math.isfinite(worst)):
+        finite = np.isfinite(a) & np.isfinite(b)
+        if not finite.any():
+            return 0.0, 0.0
+        peak = np.max(np.abs(a[finite]))
+        worst = np.max(np.abs(a[finite] - b[finite]))
+    return float(peak), float(worst)
 
-    add(a, b) merges max|a| and max|a - b| over the entries where both are
-    finite, merge(other) another check's maxima; verify(where) then tests
-    the merged worst against the global scale 1 + max|a|.  Max is exact, so
-    the verdict depends neither on the blocking nor on the merge order.
-    Testing each block against its own, smaller scale would be stricter and
-    could raise where the whole array passes.
+
+def _verify(where: str, gaps) -> None:
+    """Agreement of two routes over blocks: the largest worst of the blocks'
+    _dual_gaps against the global scale 1 + max peak, else ConsistencyError.
+    Max is exact, so the verdict does not depend on the blocking.  Testing
+    each block against its own, smaller scale would be stricter and could
+    raise where the whole array passes.
     """
-
-    def __init__(self) -> None:
-        self.peak = 0.0
-        self.worst = 0.0
-
-    def add(self, a, b) -> None:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        peak = np.max(np.abs(a))
-        worst = np.max(np.abs(a - b))
-        if not (math.isfinite(peak) and math.isfinite(worst)):
-            finite = np.isfinite(a) & np.isfinite(b)
-            if not finite.any():
-                return
-            peak = np.max(np.abs(a[finite]))
-            worst = np.max(np.abs(a[finite] - b[finite]))
-        self.peak = max(self.peak, float(peak))
-        self.worst = max(self.worst, float(worst))
-
-    def merge(self, other: "_DualCheck") -> None:
-        self.peak = max(self.peak, other.peak)
-        self.worst = max(self.worst, other.worst)
-
-    def verify(self, where: str) -> None:
-        scale = 1.0 + self.peak
-        if self.worst > _DUAL_TOL * scale:
-            raise ConsistencyError(
-                f"{where}: complex and T-form differ by {self.worst:.3e} (scale {scale:.3e})",
-                where=where,
-                worst=self.worst,
-                scale=scale,
-            )
+    worst = max((w for _, w in gaps), default=0.0)
+    scale = 1.0 + max((p for p, _ in gaps), default=0.0)
+    if worst > _DUAL_TOL * scale:
+        raise ConsistencyError(
+            f"{where}: complex and T-form differ by {worst:.3e} (scale {scale:.3e})",
+            where=where,
+            worst=worst,
+            scale=scale,
+        )
 
 
 def _delta_tau_forms(hess, tau1, tau2):
@@ -313,9 +303,7 @@ def delta_tau_fields(hess: np.ndarray, tau1: np.ndarray, tau2: np.ndarray) -> np
     ConsistencyError.
     """
     complex_form, t_form = _delta_tau_forms(hess, tau1, tau2)
-    check = _DualCheck()
-    check.add(complex_form, t_form)
-    check.verify("delta_tau_fields")
+    _verify("delta_tau_fields", [_dual_gap(complex_form, t_form)])
     return complex_form
 
 
@@ -326,32 +314,29 @@ def delta_tau(v: ScalarField3, tau, node) -> float:
     return float(delta_tau_fields(v.fd_hessian(node), tau1, tau2))
 
 
-def _slab_pass(field: ScalarField3, gradient: bool, state: Callable, visit: Callable) -> list:
-    """Call visit(state, planes, g, hess) on every slab of whole interior
-    xi1-planes of field, about _BLOCK nodes each (at least one plane); return
-    the states in share order.
+def _slab_pass(field: ScalarField3, gradient: bool, visit: Callable) -> list:
+    """visit(planes, g, hess) for every slab of whole interior xi1-planes of
+    field, about _BLOCK nodes each (at least one plane), in slab order.
 
-    The slabs are dealt over fields._run_shares, one state() and one work
-    buffer per share.  planes is the slab's xi1 slice, g its gradient (None
-    unless gradient) and hess maps each of _LEVI_ENTRIES to its Hessian
-    entry, all at the interior nodes of those planes in stencil_planes'
-    layout, as views of the share's buffer, valid until visit returns.
+    The slabs go over fields._run_blocks, one work buffer per thread.
+    planes is the slab's xi1 slice, g its gradient (None unless gradient)
+    and hess maps each of _LEVI_ENTRIES to its Hessian entry, all at the
+    interior nodes of those planes in stencil_planes' layout, as views of
+    the thread's buffer, valid until visit returns.
     """
     n0, n1, n2 = field.grid.extents
     step = max(1, _BLOCK // (n1 * n2))
-    rows = 3 * gradient + len(_LEVI_ENTRIES)
+    shape = (3 * gradient + len(_LEVI_ENTRIES), min(step, n0 - 2), n1 - 2, n2 - 2)
 
-    def run(share_state, firsts: range) -> None:
-        work = np.empty((rows, min(step, n0 - 2), n1 - 2, n2 - 2))
-        for first in firsts:
-            stop = min(first + step, n0 - 1)
-            slab = work[:, : stop - first]
-            g = slab[:3] if gradient else None
-            hess = dict(zip(_LEVI_ENTRIES, slab[3 * gradient :]))
-            field.stencil_planes(first, stop, g, hess)
-            visit(share_state, slice(first, stop), g, hess)
+    def run(work: np.ndarray, first: int):
+        stop = min(first + step, n0 - 1)
+        slab = work[:, : stop - first]
+        g = slab[:3] if gradient else None
+        hess = dict(zip(_LEVI_ENTRIES, slab[3 * gradient :]))
+        field.stencil_planes(first, stop, g, hess)
+        return visit(slice(first, stop), g, hess)
 
-    return fields._run_shares(range(1, n0 - 1, step), fields._workers(), state, run)
+    return fields._run_blocks(range(1, n0 - 1, step), lambda: np.empty(shape), run)
 
 
 def _neg_delta_tau_extremes(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray, skip=None):
@@ -362,32 +347,31 @@ def _neg_delta_tau_extremes(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray,
     The values are those of raw = -delta_tau_fields(v.hessian_fields(),
     tau1, tau2) over the whole grid (tau1, tau2 and skip of v's grid
     shape), but raw is taken slab by slab (_slab_pass), so no whole-grid
-    Hessian is built.  Each slab records its (min, first argmin node in C
-    order, max|.|); min over those tuples is the whole-grid minimum and the
-    node np.argmin picks there, and max is exact, so neither the blocking
-    nor the thread count moves a bit.  Delta_tau's dual-form check merges
-    over the shares by max and runs once, after the last slab.
+    Hessian is built.  Each slab returns its dual-form gap and its (min,
+    first argmin node in C order, max|.|), or None with no valid node; the
+    slabs come back in slab order, min over those tuples is the whole-grid
+    minimum and the node np.argmin picks there, and max is exact, so
+    neither the blocking nor the thread count moves a bit.  Delta_tau's
+    dual-form check runs once, over every slab's gap.
     """
 
-    def visit(state, planes: slice, _, hess) -> None:
-        slabs, check = state
+    def visit(planes: slice, _, hess):
         inner = np.s_[planes, 1:-1, 1:-1]
         complex_form, t_form = _delta_tau_forms(hess, tau1[inner], tau2[inner])
-        check.add(complex_form, t_form)
+        gap = _dual_gap(complex_form, t_form)
         raw = -complex_form
         valid = np.isfinite(raw)
         if skip is not None:
             valid &= ~skip[inner]
-        if valid.any():
-            i, j, k = np.unravel_index(int(np.argmin(np.where(valid, raw, np.inf))), raw.shape)
-            peak = float(np.max(np.abs(raw[valid])))
-            slabs.append((float(np.min(raw[valid])), (i + planes.start, j + 1, k + 1), peak))
+        if not valid.any():
+            return gap, None
+        i, j, k = np.unravel_index(int(np.argmin(np.where(valid, raw, np.inf))), raw.shape)
+        low = float(np.min(raw[valid]))
+        return gap, (low, (i + planes.start, j + 1, k + 1), float(np.max(np.abs(raw[valid]))))
 
-    found, check = [], _DualCheck()
-    for part, part_check in _slab_pass(v, False, lambda: ([], _DualCheck()), visit):
-        found += part
-        check.merge(part_check)
-    check.verify("delta_tau_fields")
+    gaps, slabs = zip(*_slab_pass(v, False, visit))
+    _verify("delta_tau_fields", gaps)
+    found = [slab for slab in slabs if slab is not None]
     low, node, _ = min(found, default=(math.nan, None, math.nan))
     return low, max((peak for *_, peak in found), default=math.nan), node
 
@@ -403,17 +387,16 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
     computes the gradient, the five Hessian entries the quantity reads, the
     direct form, tau and both Delta_tau forms with the whole-grid
     expressions in their order, so the values depend neither on the
-    blocking nor on the thread count.  The two checks run after the last
-    slab, in the whole-grid order: Delta_tau's complex form against its
-    T-form, then the direct form against -Delta_tau.  Each tests the
-    largest disagreement over all slabs, merged over the threads by max,
-    against the global scale 1 + max|a|, exactly as one whole-grid check
-    would; a per-slab scale would be stricter.
+    blocking nor on the thread count.  Each slab returns its two _dual_gaps,
+    in slab order, and the two checks run after the last slab, in the
+    whole-grid order: Delta_tau's complex form against its T-form, then the
+    direct form against -Delta_tau.  Each tests the largest disagreement
+    over all slabs against the global scale 1 + max|a|, exactly as one
+    whole-grid check would; a per-slab scale would be stricter.
     """
     out = np.full(phi.values.shape, np.nan)
 
-    def visit(state, planes: slice, g, hess) -> None:
-        operator_check, levi_check = state
+    def visit(planes: slice, g, hess):
         dz2, lap, mix = wirtinger_parts(g, hess)
         phi_y1 = g[0]
         direct = (
@@ -422,17 +405,12 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
             - 0.25 * (1.0 + phi_y1**2) * lap
         )
         complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g))
-        operator_check.add(complex_form, t_form)
-        levi_check.add(direct, -complex_form)
         out[planes, 1:-1, 1:-1] = direct
+        return _dual_gap(complex_form, t_form), _dual_gap(direct, -complex_form)
 
-    parts = _slab_pass(phi, True, lambda: (_DualCheck(), _DualCheck()), visit)
-    operator_check, levi_check = _DualCheck(), _DualCheck()
-    for operator_part, levi_part in parts:
-        operator_check.merge(operator_part)
-        levi_check.merge(levi_part)
-    operator_check.verify("delta_tau_fields")
-    levi_check.verify("graph_levi_fields")
+    operator_gaps, levi_gaps = zip(*_slab_pass(phi, True, visit))
+    _verify("delta_tau_fields", operator_gaps)
+    _verify("graph_levi_fields", levi_gaps)
     return out
 
 

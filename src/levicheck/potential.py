@@ -216,16 +216,14 @@ def frostman_certificate(measure: AtomicMeasure, alpha: float) -> FrostmanCertif
         raise ParameterError("measure too coarse for a dyadic radius sweep")
 
     qry = np.column_stack([centers.real, centers.imag])
-    peaks = [0] * len(radii)
 
-    def count(_, share: range) -> None:
-        for k in share:
-            # query_ball_point counts the closed disc, at least the open-disc
-            # count behind mu(D(z, r)), so the constant errs on the conservative side
-            peaks[k] = tree.query_ball_point(qry, radii[k], return_length=True).max()
+    def count(_, r: float):
+        # query_ball_point counts the closed disc, at least the open-disc
+        # count behind mu(D(z, r)), so the constant errs on the conservative side
+        return tree.query_ball_point(qry, r, return_length=True).max()
 
     # the radii over the one pool; the integer peaks fold in radius order
-    fields._run_shares(range(len(radii)), fields._workers(), lambda: None, count)
+    peaks = fields._run_blocks(radii, lambda: None, count)
     best = 0.0
     mass = measure.masses[0]
     for r, peak in zip(radii, peaks):
@@ -267,7 +265,7 @@ class GreenPotential:
         sparse (m, 1) and (1, m) meshes make every one-coordinate term O(m)
         per atom.  The sum runs in cache-sized tiles of about _BLOCK
         node-atom pairs, an atom chunk by a block of output rows, with the
-        row blocks shared over one thread per usable CPU (fields._run_shares).
+        row blocks dealt over one thread per usable CPU (fields._run_blocks).
         Each node takes the atoms in order with the same floating-point
         operations, so the values depend neither on tiling nor threads.
         """
@@ -280,9 +278,8 @@ class GreenPotential:
         gy = gy.reshape((1,) * (len(full) - gy.ndim) + gy.shape)
         out = np.zeros(full)
         width = max(1, math.prod(full[1:]))
-        workers = fields._workers()
         # at most a 1/workers share of the rows, so a 1-D query splits too
-        rows = max(1, min(_BLOCK // width, -(-full[0] // workers)))
+        rows = max(1, min(_BLOCK // width, -(-full[0] // fields._workers())))
         starts = range(0, full[0], rows)
         w = self.measure.locations
         chunk = max(1, min(w.size, _BLOCK // (rows * width)))
@@ -291,40 +288,39 @@ class GreenPotential:
         atoms = atoms.reshape(atoms.shape + (1,) * len(full))
 
         @np.errstate(divide="ignore")  # per thread: errstate is context-local
-        def tiles(work: np.ndarray, share: range) -> None:
-            for start in share:
-                o = out[start : start + rows]
-                x = gx if gx.shape[0] == 1 else gx[start : start + rows]
-                y = gy if gy.shape[0] == 1 else gy[start : start + rows]
-                for first in range(0, w.size, chunk):
-                    ar, ai, half_m = atoms[:, first : first + chunk]
-                    c = len(ar)
-                    buf = work[: (3 * c + 1) * o.size].reshape((3 * c + 1,) + o.shape)
-                    # o, then the chunk's terms; then two term buffers
-                    stack, rr, ii = buf[: c + 1], buf[c + 1 : 2 * c + 1], buf[2 * c + 1 :]
-                    num2 = stack[1:]
-                    dx = x - ar
-                    dy = y - ai
-                    np.add(dx * dx, dy * dy, out=num2)
-                    np.subtract(1.0 - x * ar, y * ai, out=rr)
-                    np.subtract(x * ai, y * ar, out=ii)
-                    np.multiply(rr, rr, out=rr)
-                    np.multiply(ii, ii, out=ii)
-                    den2 = np.add(rr, ii, out=rr)
-                    np.log(num2, out=num2)
-                    np.log(den2, out=den2)
-                    term = np.subtract(num2, den2, out=num2)
-                    np.multiply(half_m, term, out=term)
-                    # ((o - t_1) - t_2) - ..., atom after atom; np.sum would pair them
-                    if c == 1:  # the same sum, without the copy into stack
-                        o -= term[0]
-                    else:
-                        stack[0] = o
-                        np.subtract.reduce(stack, axis=0, out=o)
+        def tile(work: np.ndarray, start: int) -> None:
+            o = out[start : start + rows]
+            x = gx if gx.shape[0] == 1 else gx[start : start + rows]
+            y = gy if gy.shape[0] == 1 else gy[start : start + rows]
+            for first in range(0, w.size, chunk):
+                ar, ai, half_m = atoms[:, first : first + chunk]
+                c = len(ar)
+                buf = work[: (3 * c + 1) * o.size].reshape((3 * c + 1,) + o.shape)
+                # o, then the chunk's terms; then two term buffers
+                stack, rr, ii = buf[: c + 1], buf[c + 1 : 2 * c + 1], buf[2 * c + 1 :]
+                num2 = stack[1:]
+                dx = x - ar
+                dy = y - ai
+                np.add(dx * dx, dy * dy, out=num2)
+                np.subtract(1.0 - x * ar, y * ai, out=rr)
+                np.subtract(x * ai, y * ar, out=ii)
+                np.multiply(rr, rr, out=rr)
+                np.multiply(ii, ii, out=ii)
+                den2 = np.add(rr, ii, out=rr)
+                np.log(num2, out=num2)
+                np.log(den2, out=den2)
+                term = np.subtract(num2, den2, out=num2)
+                np.multiply(half_m, term, out=term)
+                # ((o - t_1) - t_2) - ..., atom after atom; np.sum would pair them
+                if c == 1:  # the same sum, without the copy into stack
+                    o -= term[0]
+                else:
+                    stack[0] = o
+                    np.subtract.reduce(stack, axis=0, out=o)
 
-        # a buffer per share, allocated up front: tiles cut from its front
-        # are contiguous for numpy's SIMD log (its strided loop can differ)
-        fields._run_shares(starts, workers, lambda: np.empty((3 * chunk + 1) * rows * width), tiles)
+        # a buffer per thread: tiles cut from its front are contiguous for
+        # numpy's SIMD log (its strided loop can differ)
+        fields._run_blocks(starts, lambda: np.empty((3 * chunk + 1) * rows * width), tile)
         return out.reshape(shape)
 
 
@@ -379,9 +375,10 @@ def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
     Scales are counted finest first.  Where s_c = s_f * 2^j exactly for the
     last scale s_f counted, s_c's cells are s_f's shifted right by j: x /
     (s_f 2^j) equals (x / s_f) / 2^j in binary floating point, and
-    floor(floor(y) / 2^j) = floor(y / 2^j).  Other scales, and the edges
-    where this fails (s_f cell ids past 2^52, which float64 may round; an x
-    < 0 that x / s_c underflows to -0.0), are built from the points.
+    floor(floor(y) / 2^j) = floor(y / 2^j).  Other scales, and every scale
+    of a call with an x < 0 that x / s_c underflows to -0.0, are built from
+    the points.  A scale with a cell id of 2^52 or more, which float64 may
+    round, is rejected.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -404,7 +401,7 @@ def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
     t = max(scales) * 2.0**-1022
     blocks = (pts[k : k + _BLOCK] for k in range(0, len(pts), _BLOCK))
     tiny = any(np.any((b < 0.0) & (b > -t)) for b in blocks)
-    bases, exact = [], []
+    bases = []
     for s in scales:
         # floor(x / s) is monotone in x, so floor(lo / s) is the smallest
         # cell id per column; offsetting by it is a bijection on cells, so
@@ -412,15 +409,17 @@ def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
         base, top = np.floor(lo / s), np.floor(hi / s)
         if np.any(top - base >= 2.0**width):
             raise ParameterError(f"scale {s} too fine for the point spread")
+        # below 2^52 every float64 cell id x / s, and every offset id, is exact
+        if np.any(np.maximum(-base, top) >= 2.0**52):
+            raise ParameterError(f"scale {s} too fine for the point coordinates")
         bases.append(base)
-        exact.append(not tiny and np.all(np.maximum(-base, top) < 2.0**52))
     key = np.empty(pts.shape[0], dtype=np.uint64)
     counts = [0] * len(scales)
     fine = None
     for i in sorted(range(len(scales)), key=scales.__getitem__):
         s, base = scales[i], bases[i]
         j = 0 if fine is None else math.frexp(s)[1] - math.frexp(scales[fine])[1]
-        derive = fine is not None and exact[fine] and math.ldexp(scales[fine], j) == s
+        derive = fine is not None and not tiny and math.ldexp(scales[fine], j) == s
         if not derive:
             n = len(pts)
         # keys in chunks of _BLOCK: from the distinct keys of s_f, or from pts

@@ -1,5 +1,9 @@
+import concurrent.futures
 import itertools
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers_poly import Poly3, node_gradient, node_hessian
-from levicheck import cli, potential, staircase
+from levicheck import cli, fields, potential, staircase
+from test_potential import with_workers
 from levicheck.fields import (
     _FSUM_CHUNK,
     DiscField,
@@ -25,6 +30,57 @@ def centered_grid(h, n):
     # symmetric cube grid with a node at the origin; n must be odd
     half = (n - 1) // 2
     return Grid3((-half * h, -half * h, -half * h), h, (n, n, n))
+
+
+class TestRunBlocks:
+    """fields._run_blocks: one result per block, in block order, and one
+    buffer per share that no other thread touches, at any worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 7, 29])
+    def test_results_in_block_order_with_a_buffer_per_share(self, workers, n_blocks):
+        blocks = [f"block {i}" for i in range(n_blocks)]
+        shares = max(1, min(workers, n_blocks))
+        made = []
+        lock = threading.Lock()
+
+        def buffer():
+            buf = {"threads": set(), "blocks": [], "busy": False}
+            with lock:
+                made.append(buf)
+            return buf
+
+        def visit(buf, block):
+            assert not buf["busy"], "two threads hold one buffer"
+            buf["busy"] = True
+            buf["threads"].add(threading.get_ident())
+            buf["blocks"].append(block)
+            sum(range(2000))  # long enough for the other threads to run
+            buf["busy"] = False
+            return block.upper()
+
+        # a short switch interval interleaves the threads at every few
+        # bytecodes, so a result stored at its share's place rather than its
+        # block's, or a buffer two threads shared, would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with with_workers(workers), mock.patch.object(
+                concurrent.futures, "ThreadPoolExecutor", wraps=concurrent.futures.ThreadPoolExecutor
+            ) as pool:
+                got = fields._run_blocks(blocks, buffer, visit)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [block.upper() for block in blocks]
+        # one buffer per share, each used by one thread for its round-robin share
+        assert len(made) == shares
+        assert all(len(buf["threads"]) <= 1 for buf in made)
+        shares_seen = sorted(buf["blocks"] for buf in made)
+        assert shares_seen == sorted(blocks[k::shares] for k in range(shares))
+        # the caller runs share 0; one share starts no pool
+        first = next(buf for buf in made if buf["blocks"][:1] == blocks[:1])
+        assert first["threads"] <= {threading.get_ident()}
+        assert pool.call_args_list == ([mock.call(shares - 1)] if shares > 1 else [])
 
 
 class TestGridInvariants:

@@ -33,9 +33,10 @@ from levicheck.fields import (
 from levicheck.levi import (
     _SUBSAMPLE,
     _abs2,
-    _DualCheck,
+    _dual_gap,
     _log_weights,
     _unit_square_log_moment,
+    _verify,
     ConsistencyError,
     Defining2,
     LeviScan,
@@ -56,6 +57,56 @@ from levicheck.levi import (
 def centered_grid(h, n):
     half = (n - 1) // 2
     return Grid3((-half * h, -half * h, -half * h), h, (n, n, n))
+
+
+# -- oracle: the dual-route check as it was before the pooled passes returned
+# one result per block, kept verbatim (accumulate per block, merge by max)
+
+_DUAL_TOL = levi_module._DUAL_TOL
+
+
+class _DualCheck:
+    """Agreement of two routes, accumulated block by block.
+
+    add(a, b) merges max|a| and max|a - b| over the entries where both are
+    finite, merge(other) another check's maxima; verify(where) then tests
+    the merged worst against the global scale 1 + max|a|.  Max is exact, so
+    the verdict depends neither on the blocking nor on the merge order.
+    Testing each block against its own, smaller scale would be stricter and
+    could raise where the whole array passes.
+    """
+
+    def __init__(self) -> None:
+        self.peak = 0.0
+        self.worst = 0.0
+
+    def add(self, a, b) -> None:
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        peak = np.max(np.abs(a))
+        worst = np.max(np.abs(a - b))
+        if not (math.isfinite(peak) and math.isfinite(worst)):
+            finite = np.isfinite(a) & np.isfinite(b)
+            if not finite.any():
+                return
+            peak = np.max(np.abs(a[finite]))
+            worst = np.max(np.abs(a[finite] - b[finite]))
+        self.peak = max(self.peak, float(peak))
+        self.worst = max(self.worst, float(worst))
+
+    def merge(self, other: "_DualCheck") -> None:
+        self.peak = max(self.peak, other.peak)
+        self.worst = max(self.worst, other.worst)
+
+    def verify(self, where: str) -> None:
+        scale = 1.0 + self.peak
+        if self.worst > _DUAL_TOL * scale:
+            raise ConsistencyError(
+                f"{where}: complex and T-form differ by {self.worst:.3e} (scale {scale:.3e})",
+                where=where,
+                worst=self.worst,
+                scale=scale,
+            )
 
 
 def whole_grid_levi_fields(phi):
@@ -407,7 +458,7 @@ class TestDualCheckAcrossBlocks:
 def test_consistency_error_detail_does_not_depend_on_the_workers(monkeypatch):
     # one plane per slab; at two workers xi1-plane 2 is the second thread's
     # first slab, so its over-scale T-form reaches the verdict only through
-    # the merge of the threads' checks
+    # that thread's gap in the block-ordered results
     phi = graded_field()
     scale, _ = dual_scales(phi)
     monkeypatch.setattr(levi_module, "_BLOCK", 1)
@@ -419,6 +470,61 @@ def test_consistency_error_detail_does_not_depend_on_the_workers(monkeypatch):
         details.append((err.value.where, err.value.worst, err.value.scale))
     assert details[0] == details[1]
     assert details[0][0] == "delta_tau_fields" and details[0][2] == scale
+
+
+# entries of the arrays the dual-gap test splits into blocks: finite values
+# of many magnitudes, values whose difference overflows, and non-finite ones
+_GAP_ENTRY = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+)
+# b - a per entry over 1 + |a|, around the 1e-9 tolerance
+_GAP_SHIFT = st.sampled_from([0.0, 1e-12, -4e-10, 9e-10, -1.1e-9, 3e-9, -1e-6, math.nan, math.inf])
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def blocked_pairs(draw):
+    """(a, b) pairs, one per block; a block is empty, all non-finite in a, or mixed."""
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["empty", "non-finite", "mixed"]), max_size=6)):
+        n = 0 if kind == "empty" else draw(st.integers(1, 5))
+        entry = _NON_FINITE if kind == "non-finite" else _GAP_ENTRY
+        a = np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=float)
+        shift = np.array(draw(st.lists(_GAP_SHIFT, min_size=n, max_size=n)), dtype=float)
+        with np.errstate(all="ignore"):
+            blocks.append((a, a + shift * (1.0 + np.abs(a))))
+    return blocks
+
+
+def consistency_outcome(check):
+    """None if check() passes, else its ConsistencyError's detail and message."""
+    try:
+        check()
+    except ConsistencyError as err:
+        return err.where, err.worst, err.scale, str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(blocks=blocked_pairs(), where=st.sampled_from(["delta_tau_fields", "graph_levi_fields"]))
+def test_verify_over_gaps_agrees_with_the_accumulating_check(blocks, where):
+    # _verify over the blocks' _dual_gaps raises exactly where the check it
+    # replaced raises, with the same where, worst and scale
+
+    def oracle():
+        check = _DualCheck()
+        for a, b in blocks:
+            part = _DualCheck()
+            if a.size:  # an empty block adds nothing (np.max has no identity)
+                part.add(a, b)
+            check.merge(part)
+        check.verify(where)
+
+    with np.errstate(all="ignore"):
+        want = consistency_outcome(oracle)
+        got = consistency_outcome(lambda: _verify(where, [_dual_gap(a, b) for a, b in blocks]))
+    assert got == want
 
 
 class TestLeviScanMemory:

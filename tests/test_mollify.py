@@ -887,7 +887,7 @@ class TestSlabbedHypothesisCheck:
         want = whole_grid_hypothesis(v, phi, kink_plane_mask(grid, ()))
         raw = np.full(grid.shape, np.nan)
 
-        def copy_out(_, planes, g, hess):
+        def copy_out(planes, g, hess):
             inner = np.s_[planes, 1:-1, 1:-1]
             raw[inner] = -levi_module._delta_tau_forms(hess, tau1[inner], tau2[inner])[0]
 
@@ -896,7 +896,7 @@ class TestSlabbedHypothesisCheck:
         try:
             with mock.patch.object(levi_module, "_BLOCK", 1), with_workers(workers):
                 low, peak, node = levi_module._neg_delta_tau_extremes(v, tau1, tau2)
-                levi_module._slab_pass(v, False, lambda: None, copy_out)
+                levi_module._slab_pass(v, False, copy_out)
         finally:
             sys.setswitchinterval(interval)
         assert (low.hex(), peak.hex(), node) == (want[0].hex(), want[1].hex(), want[2])

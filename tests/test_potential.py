@@ -671,6 +671,10 @@ class TestFrostmanCertificate:
 # chunks, kept verbatim (whole transposed columns, full-length temporaries)
 
 
+# what box_dimension raises for the points -1 and 2^54 (+ 4, + 8) at scales 1 to 16
+_IDS_TOO_LARGE = ParameterError("scale 1.0 too fine for the point coordinates")
+
+
 def box_dimension_oracle(points: np.ndarray, scales) -> BoxCountRegression:
     """Count occupied axis boxes per scale and regress the dimension.
 
@@ -875,15 +879,21 @@ class TestBoxDimension:
             # at 0, while -5e-324 / 1 stays below 0, in cell -1 at scale 1
             ([[-5e-324], [0.0]], (2, 1, 1, 1, 1)),
             ([[-5e-324, 1.0], [0.0, 0.5], [0.3, -2.0]], (3, 2, 2, 2, 2)),
-            # cell ids past 2^53 round in float64, so shifting the rounded ids
-            # of scale 1 gave (3, 3, 3, 3, 3) and (4, 4, 4, 3, 3) here
-            ([[-1.0], [2.0**54], [2.0**54 + 4.0]], (3, 3, 3, 2, 2)),
-            ([[-1.0], [2.0**54], [2.0**54 + 4.0], [2.0**54 + 8.0]], (4, 3, 4, 3, 2)),
+            # cell ids past 2^53 round in float64: counted from the rounded
+            # ids, scale 1 gave (3, 3, 3, 2, 2) and the non-monotone
+            # (4, 3, 4, 3, 2) here, so a scale with ids of 2^52 or more is
+            # rejected, the first in the caller's order named
+            ([[-1.0], [2.0**54], [2.0**54 + 4.0]], _IDS_TOO_LARGE),
+            ([[-1.0], [2.0**54], [2.0**54 + 4.0], [2.0**54 + 8.0]], _IDS_TOO_LARGE),
         ],
     )
     def test_chain_edges_build_from_the_points(self, pts, counts):
         pts = np.array(pts)
         scales = [1.0, 2.0, 4.0, 8.0, 16.0]
+        if isinstance(counts, ParameterError):
+            with pytest.raises(ParameterError, match=str(counts)):
+                box_dimension(pts, scales)
+            return
         reg = box_dimension(pts, scales)
         want = box_dimension_oracle(pts, scales)
         assert reg.counts == want.counts == counts
