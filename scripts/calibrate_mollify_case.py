@@ -10,12 +10,14 @@ fitted slope and the route it took.  The staircase fields are constant
 along xi3, so the sweep convolves in 2-D (reduced axes [2]); a field that
 is not invariant along any axis would take the 3-D route.  The constants
 frozen in levicheck.mollify (_SPANS, _ALPHAS, _STRETCH, _SCALE, _PLATEAU,
-_HOLDER) were chosen from this output over a grid of candidate schedules,
-stretches and scales.
+_HOLDER, _RATE_P) were chosen from this output over a grid of candidate
+schedules, stretches and scales.  The sweep is fitted against the case's own
+exponents: alpha is the gradient Holder exponent phi declares (_HOLDER) and
+p is _RATE_P.
 
 Run from the repository root:
 
-    PYTHONPATH=src python scripts/calibrate_mollify_case.py [--spacing H]
+    PYTHONPATH=src python scripts/calibrate_mollify_case.py [--spacing H] [--epsilon EPS]
 """
 
 import argparse
@@ -78,18 +80,19 @@ def predict_sweep(case, deltas):
     return out
 
 
-def run_case(spacing, epsilon, alpha, p):
+def run_case(spacing, epsilon):
     t0 = time.time()
     case = staircase_sweep_case(spacing)
     deltas = case.delta_sweep(7)
     res, cert = identity_residual(case)
     finite = np.isfinite(cert)
     pred = predict_sweep(case, deltas)
+    alpha = case.phi.regularity.alpha
     rep = mollified_sign_certificate(
-        case.v, case.phi, alpha=alpha, p=p, epsilon=epsilon, deltas=deltas
+        case.v, case.phi, alpha=alpha, p=case.p, epsilon=epsilon, deltas=deltas
     )
     dt = time.time() - t0
-    print(f"== frozen case at spacing {spacing!r} (declared alpha {case.holder_exponent:.2f}, "
+    print(f"== frozen case at spacing {spacing!r} (declared alpha {alpha:.2f}, p {case.p:g}, "
           f"seminorm {case.holder_constant:.2f}, {dt:.1f}s)")
     print(f"   identity residual {res:.3e}   raw cert min {cert[finite].min():.3e}")
     print(f"   hypothesis_min {rep.hypothesis_min:.3e}")
@@ -104,10 +107,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--spacing", type=float, default=1.0 / 128.0)
     ap.add_argument("--epsilon", type=float, default=1e-2)
-    ap.add_argument("--alpha", type=float, default=0.9)
-    ap.add_argument("--p", type=float, default=6.0)
     args = ap.parse_args()
-    run_case(args.spacing, args.epsilon, args.alpha, args.p)
+    run_case(args.spacing, args.epsilon)
 
 
 if __name__ == "__main__":

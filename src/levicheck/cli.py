@@ -241,8 +241,8 @@ def _run_mollify_sweep(params: dict, expect_violation: bool, outdir: Path):
     report = mollified_sign_certificate(
         case.v,
         case.phi,
-        alpha=float(params["alpha"]),
-        p=float(params["p"]),
+        alpha=case.phi.regularity.alpha,
+        p=case.p,
         epsilon=float(params["epsilon"]),
         deltas=deltas,
     )
@@ -474,18 +474,16 @@ SCENARIOS = {
     "mollify-sweep": Scenario(
         "mollify-sweep",
         "Mollified sign certificate sweep on the shipped staircase case",
-        {"spacing": 1.0 / 128.0, "alpha": 0.9, "p": 6.0, "epsilon": 1e-2, "count": 7},
+        {"spacing": 1.0 / 128.0, "epsilon": 1e-2, "count": 7},
         # the case is built first, so the certificate's own limits are
-        # restated here; only the coupled alpha > 3/p is left to it
+        # restated here; its exponents alpha and p are the case's own
         {
-            # a float field holds (1/h + 1)^2 (0.5625/h + 1) doubles: 608 MB at
-            # 1/512, where one run peaked at 1.75 GB RSS (247 MB at 1/256).
-            # Coarser than 1/100, the sweep's first kernel (delta = 1/4) leaves
-            # no usable interior (1/80, 1/88) or the fitted slope leaves its
-            # band (at most spacings tried from 1/84.5 to 1/99.5)
+            # v and phi are broadcast views, so the first kernel (delta = 1/4)
+            # binds: (2 floor(delta/h) + 1)^3 taps, 257^3 and 129.5 MB per array
+            # at 1/512, where make_kernel alone peaks at 476 MB traced.  Coarser
+            # than 1/100, it leaves no usable interior (1/80, 1/88) or the fitted
+            # slope leaves its band (at most spacings tried from 1/84.5 to 1/99.5)
             "spacing": ((">=", 1.0 / 512.0), ("<=", 1.0 / 100.0)),
-            "alpha": (("<", 1),),  # a gradient Holder exponent, above 3/p by the certificate
-            "p": ((">", 3),),  # the rate alpha - 3/p needs p above the dimension 3
             "epsilon": ((">", 0),),  # a slack: the sweep passes when every m(delta) >= -epsilon
             "count": ((">=", 2),),  # the decay slope is fitted through the deltas
         },

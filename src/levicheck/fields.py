@@ -183,7 +183,8 @@ class ScalarField3:
             vals = np.ascontiguousarray(vals)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid extents {self.grid.shape}")
-        if not np.isfinite(vals).all():
+        # a stride-0 axis repeats one plane of memory: its first plane holds every value
+        if not np.isfinite(vals[tuple(slice(None) if s else slice(1) for s in vals.strides)]).all():
             raise DomainError("field values must be finite at every node")
         vals.flags.writeable = False
         self.values = vals

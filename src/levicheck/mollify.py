@@ -241,17 +241,16 @@ def kink_plane_mask(grid: Grid3, kink_planes, width_cells: float = 2.5) -> np.nd
 def _invariant_axes(v: ScalarField3, phi: ScalarField3, kink_planes) -> tuple[int, ...]:
     """Axes along which v and phi both equal their first plane bit for bit
     and which no declared kink plane involves; at most two, so a constant
-    field still keeps one axis to convolve along."""
+    field still keeps one axis to convolve along; stride-0 axes skip the compare."""
     # kink_plane_mask rejects an unknown spec before these axes are used
     kinked = {
         ax for spec, _ in kink_planes for ax, n in enumerate(_KINK_NORMALS.get(spec, ())) if n
     }
     axes = []
     for ax in range(3):
-        first = tuple(slice(0, 1) if a == ax else slice(None) for a in range(3))
-        if ax not in kinked and all(
-            np.all(f.values.view(np.int64) == f.values[first].view(np.int64)) for f in (v, phi)
-        ):
+        stacks = [np.moveaxis(f.values.view(np.int64), ax, 0) for f in (v, phi)]
+        same = (np.array_equal(q, b[0]) for b in stacks if b.strides[0] for q in b[1:])
+        if ax not in kinked and all(same):
             axes.append(ax)
     return tuple(axes[-2:])
 
@@ -316,8 +315,8 @@ def mollified_sign_certificate(
     """Sweep m(delta) = min over U^delta of -Delta_{tau(phi)}(v*theta_delta).
 
     Preconditions: p > 3, alpha in (3/p, 1), v and phi share one grid, and
-    phi's declared regularity certifies a gradient Holder class inside the
-    valid exponent range.  The raw hypothesis -Delta_{tau(phi)} v >= 0 is
+    phi's declared regularity certifies a gradient Holder class of exponent
+    at least alpha.  The raw hypothesis -Delta_{tau(phi)} v >= 0 is
     checked by finite differences away from declared kink planes; failure
     raises HypothesisError.  Convex kinks hidden in v would carry negative
     distributional mass that the pointwise check cannot see, but the sweep
@@ -346,9 +345,9 @@ def mollified_sign_certificate(
         raise ParameterError("v and phi must share one grid")
     if phi.regularity.tag == "lipschitz":
         raise ParameterError("phi must declare a gradient class: smooth, c11 or c1alpha")
-    if phi.regularity.tag == "c1alpha" and not phi.regularity.alpha > 3.0 / p:
+    if phi.regularity.tag == "c1alpha" and phi.regularity.alpha < alpha:
         raise ParameterError(
-            f"phi gradient Holder exponent {phi.regularity.alpha} not above 3/p = {3.0 / p}"
+            f"phi gradient Holder exponent {phi.regularity.alpha} below alpha = {alpha}"
         )
 
     h = v.grid.spacing
@@ -448,13 +447,14 @@ def _plateau_road() -> _PiecewisePoly:
 
 # the frozen case (scripts/calibrate_mollify_case.py): grid spans, Cantor gap
 # ratios, the stretch L along xi2, v's amplitude c, the plateau (a0, a1, b1,
-# b0) along u = xi1 + xi2 and phi's declared gradient Holder exponent
+# b0) along u = xi1 + xi2, phi's declared alpha and p of the rate alpha - 3/p
 _SPANS = (1.0, 1.0, 0.5625)
 _ALPHAS = (Fraction(1, 5), Fraction(7, 10), Fraction(7, 10))
 _STRETCH = Fraction(5, 4)
 _SCALE = Fraction(1, 4)
 _PLATEAU = (0.25, 0.50, 1.50, 1.75)
 _HOLDER = 0.9
+_RATE_P = 6.0
 
 
 @dataclass(frozen=True)
@@ -464,10 +464,10 @@ class StaircaseCase:
     deficit[j] = g_sup^2 - ghat(xi2_j)^2 where ghat is the 2h box average of
     the coefficient g = 1 + f(xi2/L), f the staircase of the gap ratios
     ``alphas`` and L = 5/4; road_top is the u = xi1 + xi2 interval where the
-    plateau equals 1 and the certificate is tight.  holder_exponent is the
-    gradient Holder exponent declared on phi (its Regularity carries no
-    constant) and holder_constant the matching seminorm of g measured over
-    all grid pairs, which scripts/calibrate_mollify_case.py prints.
+    plateau equals 1 and the certificate is tight.  holder_constant is g's
+    seminorm over all grid pairs for phi's declared gradient Holder exponent
+    (a Regularity carries no constant) and p the other exponent of the rate
+    alpha - 3/p.  v and phi are read-only broadcast views along xi3.
     """
 
     v: ScalarField3
@@ -479,8 +479,8 @@ class StaircaseCase:
     scale: float
     road_top: tuple[float, float]
     alphas: tuple[Fraction, ...]
-    holder_exponent: float
     holder_constant: float
+    p: float
 
     def delta_sweep(self, count: int) -> tuple[float, ...]:
         """count half-dyadic points delta_k = 2^{-2 - k/2}; seven run from
@@ -531,7 +531,7 @@ def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
     extents = tuple(int(round(Fraction(s) / h)) + 1 for s in _SPANS)
     if any(n < 9 for n in extents):
         raise ParameterError(f"extents {extents} too small for a certificate grid")
-    n1, n2, n3 = extents
+    n1, n2, _ = extents
     fat = fat_F(build_cantor(_ALPHAS))
     f = fat.iterates.value_exact  # 0 left of 0
 
@@ -570,10 +570,10 @@ def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
         - 0.5 * (1.0 + float(gstar) ** 2) * x2f**2
     )
     v_12 = float(c) * (road_12 + axis2[None, :])
-    v_vals = np.repeat(v_12[:, :, None], n3, axis=2)
+    v_vals = np.broadcast_to(v_12[:, :, None], extents)
 
     phi_1d = np.array([-(float(x + lam * F1(x / lam))) for x in x2])
-    phi_vals = np.broadcast_to(phi_1d[None, :, None], extents).copy()
+    phi_vals = np.broadcast_to(phi_1d[None, :, None], extents)
 
     g_nodes = np.array([float(1 + f(x / lam)) for x in x2])
     seminorm = 0.0
@@ -594,6 +594,6 @@ def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
         scale=float(c),
         road_top=(_PLATEAU[1], _PLATEAU[2]),
         alphas=_ALPHAS,
-        holder_exponent=_HOLDER,
         holder_constant=seminorm,
+        p=_RATE_P,
     )

@@ -290,7 +290,7 @@ STANDARD_RUN_DIGESTS = {
         "report.json": "2d8e018a76c0777f176d437596a6a2e8ed10b3bde4754c5b47354487d4cd2717",
     },
     "mollify-sweep": {
-        "report.json": "04d8a802bd7ed3c33d2f7d7e4891f75d033e2284fe3ed70213411882549b70d0",
+        "report.json": "756168ecc90ac0b499307b6d2fc4d9d75749b5792980420d72a99016996a9167",
         "sweep.csv": "8e83404fe2fc54f30e2b74c958eb750681e3de26f1fa8521350b2011a86ab221",
     },
     "staircase-build": {

@@ -45,6 +45,17 @@ def read_report(tmp_path):
 
 OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
+# runs one config; prints whether it passed and its own peak RSS (RUSAGE_SELF:
+# the test process's RUSAGE_CHILDREN takes the peak of every child it reaped)
+FINEST_SWEEP_CODE = """
+import json, resource, sys
+from levicheck.cli import run_scenario
+report, _ = run_scenario(json.loads(sys.argv[1]))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"passed": report["passed"], "maxrss_kb": peak}))
+"""
+
+
 class TestListCommand:
     def test_plain_listing_names_every_scenario(self, capsys):
         assert main(["list"]) == 0
@@ -61,6 +72,8 @@ class TestListCommand:
             assert set(entry) == {"description", "defaults"}
             assert entry["description"]
         assert payload["mollify-sweep"]["defaults"]["epsilon"] == 1e-2
+        # the sweep's exponents are its case's own, not knobs
+        assert set(payload["mollify-sweep"]["defaults"]) == {"spacing", "epsilon", "count"}
         assert payload["staircase-build"]["defaults"]["alpha1"] == "9/10"
 
 
@@ -90,6 +103,16 @@ class TestUsageErrors:
         code = main(["run", "--config", str(cfg), "--set", "params.bogus=1"])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    # alpha and p are the shipped case's exponents: phi's declared Holder
+    # exponent and the case's p, never a scenario parameter
+    @pytest.mark.parametrize("override", ["params.alpha=0.9", "params.alpha=5", "params.p=0"])
+    def test_mollify_sweep_exponents_are_unknown_parameters(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, "c.json", scenario="mollify-sweep")
+        assert main(["run", "--config", str(cfg), "--set", override]) == 2
+        name = override.split(".")[1].split("=")[0]
+        assert f"unknown parameter(s) for mollify-sweep: {name}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_invalid_parameter_value_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", scenario="slice-check")
@@ -222,10 +245,8 @@ class TestUsageErrors:
             ),
             # the certificate rejected these only after the case build
             ("mollify-sweep", "params.epsilon=0", "epsilon must be > 0 for mollify-sweep, got 0"),
-            ("mollify-sweep", "params.p=0", "p must be > 3 for mollify-sweep, got 0"),
-            ("mollify-sweep", "params.alpha=5", "alpha must be < 1 for mollify-sweep, got 5"),
             ("mollify-sweep", "params.count=0", "count must be >= 2 for mollify-sweep, got 0"),
-            # each float field would hold 4.5 GB
+            # the first kernel (delta = 1/4) would hold 501^3 taps, 1.0 GB per array
             (
                 "mollify-sweep",
                 "params.spacing=1e-3",
@@ -293,6 +314,26 @@ class TestUsageErrors:
         assert main(["run", "--config", str(cfg), "--set", f"params.spacing={spacing}"]) == 0
         certificate = read_report(tmp_path)["tables"]["certificate"]
         assert certificate["deltas"] == [0.25 * 2.0 ** (-0.5 * k) for k in range(7)]
+
+    # the finest accepted spacing, run in a child so that its ru_maxrss is the
+    # run's own: 589 MB measured, 1,747 MB when v and phi were full 3-D
+    # arrays; most of it is the first kernel's 257^3 taps
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kB on Linux")
+    def test_mollify_sweep_at_finest_accepted_spacing_peaks_under_700_mb(self, tmp_path):
+        config = {
+            "scenario": "mollify-sweep",
+            "params": {"spacing": 1.0 / 512.0},
+            "outdir": str(tmp_path / "out"),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", FINEST_SWEEP_CODE, json.dumps(config)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["passed"]
+        assert result["maxrss_kb"] <= 700 * 1024
 
     # at 1/64 the first kernel (delta = 1/4) left no usable interior: a
     # StencilError after the case build

@@ -113,6 +113,20 @@ class TestGridInvariants:
         with pytest.raises(ValueError):
             ScalarField3(g, vals)
 
+    # the check reads one plane along each stride-0 axis, which holds every
+    # value of the view; a non-finite one there still raises, a view is kept
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_broadcast_view_with_nonfinite_value_raises(self, bad):
+        g = Grid3((0.0, 0.0, 0.0), 0.1, (5, 6, 7))
+        plane, line = np.zeros((5, 6, 1)), np.zeros((1, 6, 1))
+        for base, node in ((plane, (4, 5, 0)), (plane, (0, 0, 0)), (line, (0, 3, 0))):
+            kept = ScalarField3(g, np.broadcast_to(base, g.shape))
+            assert np.shares_memory(kept.values, base)
+            base[node] = bad
+            with pytest.raises(DomainError):
+                ScalarField3(g, np.broadcast_to(base, g.shape))
+            base[node] = 0.0
+
     def test_field_values_immutable(self):
         f = ScalarField3.from_function(centered_grid(0.1, 5), lambda a, b, c: a + b + c)
         with pytest.raises(ValueError):

@@ -514,6 +514,12 @@ class TestCertificateBasics:
         )
         with pytest.raises(ParameterError):
             mollified_sign_certificate(v, low, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
+        # the sweep may not claim a sharper exponent than phi declares
+        declared = ScalarField3(phi.grid, phi.values, Regularity("c1alpha", alpha=0.9))
+        with pytest.raises(ParameterError, match="below alpha"):
+            mollified_sign_certificate(v, declared, alpha=0.95, p=6.0, epsilon=1e-2, deltas=SWEEP)
+        rep = mollified_sign_certificate(v, declared, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
+        assert rep.rate_target == 0.9 - 0.5
 
     def test_sweep_rejects_under_resolved_deltas(self):
         v, phi = quadratic_case()
@@ -633,10 +639,18 @@ class TestStaircaseCase:
         assert np.all(case.ghat_values >= 1.0 - 1e-12)
         assert np.all(case.ghat_values <= case.g_sup + 1e-12)
 
+    def test_fields_are_read_only_broadcast_views(self, shipped_case):
+        # v holds its (xi1, xi2) data once and phi its xi2 profile once: no
+        # full 3-D array of either
+        v, phi = shipped_case.v.values, shipped_case.phi.values
+        assert not v.flags.writeable and not phi.flags.writeable
+        assert v.strides[2] == 0 and 0 not in v.strides[:2]
+        assert phi.strides[0] == phi.strides[2] == 0 and phi.strides[1] != 0
+
     def test_declared_gradient_holder_class_is_honest(self, shipped_case):
         case = shipped_case
         reg = case.phi.regularity
-        assert case.holder_exponent == reg.alpha
+        assert case.p == 6.0
         assert reg.tag == "c1alpha"
         assert reg.alpha == 0.9
         h = case.v.grid.spacing
@@ -946,6 +960,92 @@ def one_ulp_up(field, node):
     vals = field.values.copy()
     vals[node] = np.nextafter(vals[node], np.inf)
     return ScalarField3(field.grid, vals, field.regularity)
+
+
+def contiguous(field):
+    return ScalarField3(field.grid, np.ascontiguousarray(field.values), field.regularity)
+
+
+def plane_view(field, axis):
+    """field as a read-only view of its first plane along axis (stride 0)."""
+    first = np.take(field.values, [0], axis=axis)
+    return ScalarField3(field.grid, np.broadcast_to(first, field.grid.shape), field.regularity)
+
+
+def whole_grid_invariant_axes(v, phi, kinked=()):
+    """_invariant_axes as computed before the stride shortcut, kept as the
+    oracle: every plane compared with the first in one whole-grid pass."""
+    axes = [
+        ax
+        for ax in range(3)
+        if ax not in kinked
+        and all(
+            np.all(f.values.view(np.int64) == np.take(f.values, [0], axis=ax).view(np.int64))
+            for f in (v, phi)
+        )
+    ]
+    return tuple(axes[-2:])
+
+
+class TestInvariantAxes:
+    def test_shipped_views_agree_with_contiguous_copies(self, shipped_case):
+        v, phi = shipped_case.v, shipped_case.phi
+        assert mollify_module._invariant_axes(v, phi, ()) == (2,)
+        assert mollify_module._invariant_axes(contiguous(v), contiguous(phi), ()) == (2,)
+
+    @pytest.mark.parametrize(
+        "kinks, want", [((), (0,)), ((("xi1", 0.5),), ()), ((("xi2+xi3", 0.5),), (0,))]
+    )
+    def test_quadratic_case_views_agree_with_contiguous_copies(self, kinks, want):
+        v, phi = quadratic_case()
+        views = plane_view(v, 0), plane_view(phi, 0)
+        assert mollify_module._invariant_axes(*views, kinks) == want
+        assert mollify_module._invariant_axes(v, phi, kinks) == want
+
+    def test_negative_zero_plane_is_not_invariant(self):
+        grid = Grid3((0.0, 0.0, 0.0), 1.0 / 16.0, (5, 6, 7))
+        zero = ScalarField3(grid, np.zeros(grid.shape))
+        vals = np.zeros(grid.shape)
+        vals[:, :, 3] = -0.0
+        signed = ScalarField3(grid, vals)
+        assert mollify_module._invariant_axes(zero, zero, ()) == (1, 2)
+        assert mollify_module._invariant_axes(signed, zero, ()) == (0, 1)
+        assert mollify_module._invariant_axes(zero, plane_view(signed, 0), ()) == (0, 1)
+
+    # each axis of each field is free, repeated as a stride-0 view, repeated
+    # in memory, or repeated but for one plane that differs in one node by a
+    # sign of zero or one ulp; values come from {0, -0, 0.5, 1}
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        modes=st.lists(
+            st.sampled_from(["free", "view", "copy", "differ"]), min_size=6, max_size=6
+        ),
+        kinked=st.sets(st.integers(0, 2), max_size=1),
+    )
+    def test_stride_shortcut_matches_bit_compare(self, seed, modes, kinked):
+        rng = np.random.default_rng(seed)
+        grid = Grid3((0.0, 0.0, 0.0), 1.0 / 16.0, (5, 6, 7))
+        fields = []
+        for axis_modes in (modes[:3], modes[3:]):
+            shape = [1 if m != "free" else n for m, n in zip(axis_modes, grid.shape)]
+            vals = rng.choice([0.0, -0.0, 0.5, 1.0], size=shape)
+            for ax, m in enumerate(axis_modes):
+                if m in ("copy", "differ"):
+                    vals = np.repeat(vals, grid.shape[ax], axis=ax)
+            for ax, m in enumerate(axis_modes):
+                if m == "differ":
+                    node = tuple(
+                        int(rng.integers(1, n)) if a == ax else int(rng.integers(0, s))
+                        for a, (n, s) in enumerate(zip(grid.shape, vals.shape))
+                    )
+                    x = vals[node]
+                    vals[node] = -x if x == 0.0 else np.nextafter(x, np.inf)
+            fields.append(ScalarField3(grid, np.broadcast_to(vals, grid.shape)))
+        kinks = [(("xi1", "xi2", "xi3")[ax], 0.5) for ax in kinked]
+        got = mollify_module._invariant_axes(*fields, kinks)
+        assert got == mollify_module._invariant_axes(*map(contiguous, fields), kinks)
+        assert got == whole_grid_invariant_axes(*fields, kinked)
 
 
 class TestReducedSweep:
