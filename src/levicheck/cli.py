@@ -367,7 +367,6 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
     for cert_set in cert_sets:
         cert = frostman_certificate(frostman_measure(cert_set), alpha)
         constants.append((cert_set.generation, cert.constant, cert.samples))
-    _write_csv(outdir / "growth.csv", ["n", "C", "samples"], constants)
     ratios = [b[1] / a[1] for a, b in zip(constants, constants[1:])]
 
     a = dim_set.ratio
@@ -377,6 +376,8 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
     graph_pot = GreenPotential(frostman_measure(graph_sc))
     graph_pts = graph_set_points(graph_sc, graph_pot, n_angles=int(params["graph_angles"]))
     graph = box_dimension(graph_pts, [2.0**-k for k in range(3, 9)])
+    # no CSV before both regressions: a scale too fine for the points exits 2 with none
+    _write_csv(outdir / "growth.csv", ["n", "C", "samples"], constants)
     _write_csv(
         outdir / "dimension.csv",
         ["set", "scale", "count"],

@@ -26,6 +26,7 @@ from levicheck.fields import (
     DiscField,
     DomainError,
     Grid3,
+    ParameterError,
     ScalarField3,
     StencilError,
     circle_mean,
@@ -269,26 +270,27 @@ def _verify(where: str, gaps) -> None:
         )
 
 
-def _delta_tau_forms(hess, tau1, tau2):
+def _delta_tau_forms(hess, tau1, tau2, mix=None, lap=None):
     """Delta_tau v in its complex form and its real T-form, elementwise.
 
     hess[a, b] are the xi-Hessian entries of v (only (0, 0), (1, 1), (2, 2),
     (0, 1) and (0, 2) are read; a (3, 3, ...) array or a mapping keyed by
-    those pairs); tau1 and tau2 broadcast against them.
+    those pairs); tau1 and tau2 broadcast against them.  mix and lap are
+    hess's d2/dy1 dz2bar and d2/dz2 dz2bar (wirtinger_parts), built here
+    unless passed.  Terms both forms read are built once, and each form keeps
+    its expression order, so its bits; the cross term comes after the complex
+    form, so that it and mix are never alive together.
     """
-    mix = 0.5 * (hess[0, 1] + 1j * hess[0, 2])
-    lap = 0.25 * (hess[1, 1] + hess[2, 2])
+    weight = _abs2(tau1) * hess[0, 0]
+    norm2 = _abs2(tau2)
+    trace = hess[1, 1] + hess[2, 2]
+    if mix is None:
+        mix, lap = 0.5 * (hess[0, 1] + 1j * hess[0, 2]), 0.25 * trace
+    complex_form = weight + 2.0 * np.real(1j * tau1 * np.conjugate(tau2) * mix) + norm2 * lap
+    del mix, lap
     cross = np.conjugate(tau1) * tau2
-    complex_form = (
-        _abs2(tau1) * hess[0, 0]
-        + 2.0 * np.real(1j * tau1 * np.conjugate(tau2) * mix)
-        + _abs2(tau2) * lap
-    )
     t_form = (
-        _abs2(tau1) * hess[0, 0]
-        + 0.25 * _abs2(tau2) * (hess[1, 1] + hess[2, 2])
-        + np.imag(cross) * hess[0, 1]
-        - np.real(cross) * hess[0, 2]
+        weight + 0.25 * norm2 * trace + np.imag(cross) * hess[0, 1] - np.real(cross) * hess[0, 2]
     )
     return complex_form, t_form
 
@@ -387,12 +389,14 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
     computes the gradient, the five Hessian entries the quantity reads, the
     direct form, tau and both Delta_tau forms with the whole-grid
     expressions in their order, so the values depend neither on the
-    blocking nor on the thread count.  Each slab returns its two _dual_gaps,
-    in slab order, and the two checks run after the last slab, in the
-    whole-grid order: Delta_tau's complex form against its T-form, then the
-    direct form against -Delta_tau.  Each tests the largest disagreement
-    over all slabs against the global scale 1 + max|a|, exactly as one
-    whole-grid check would; a per-slab scale would be stricter.
+    blocking nor on the thread count.  wirtinger_parts' mix and lap feed
+    both routes; tau_fields builds its own dz2, as -2 tau1 misses dz2's
+    bits where a part is subnormal or infinite.  Each slab returns its two
+    _dual_gaps, in slab order, and the two checks run after the last slab,
+    in the whole-grid order: Delta_tau's complex form against its T-form,
+    then the direct form against -Delta_tau.  Each tests the largest
+    disagreement over all slabs against the global scale 1 + max|a|, exactly
+    as one whole-grid check would; a per-slab scale would be stricter.
     """
     out = np.full(phi.values.shape, np.nan)
 
@@ -404,7 +408,8 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
             + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
             - 0.25 * (1.0 + phi_y1**2) * lap
         )
-        complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g))
+        del dz2
+        complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g), mix, lap)
         out[planes, 1:-1, 1:-1] = direct
         return _dual_gap(complex_form, t_form), _dual_gap(direct, -complex_form)
 
@@ -422,19 +427,28 @@ class LeviScan:
     values: np.ndarray
     tol: float
 
+    def __post_init__(self) -> None:
+        if not self.tol >= 0.0:
+            raise ParameterError(f"tol must be >= 0, got {self.tol!r}")
+
     @property
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
 
     def counts(self) -> dict:
-        finite = self.values[self.finite_mask]
-        near = np.abs(finite) <= self.tol
-        return {
-            "scanned": int(finite.size),
-            "near_zero": int(near.sum()),
-            "violating": int(((finite < 0) & ~near).sum()),
-            "pseudoconvex_ok": int(((finite > 0) & ~near).sum()),
-        }
+        """Nodes per class, counted per xi1-plane on fields._run_blocks (exact
+        integer sums, no temporary beyond a plane): a finite value v is
+        near_zero if |v| <= tol, else violating (v < -tol) or pseudoconvex_ok."""
+
+        def count(_, plane):
+            v, tol = self.values[plane], self.tol
+            finite = np.isfinite(v)
+            masks = finite, finite & (v < -tol), finite & (v > tol)
+            return np.array([np.count_nonzero(mask) for mask in masks])
+
+        planes = fields._run_blocks(range(len(self.values)), lambda: None, count)
+        n, bad, ok = map(int, sum(planes))
+        return {"scanned": n, "near_zero": n - bad - ok, "violating": bad, "pseudoconvex_ok": ok}
 
     def _coords(self, nodes) -> list:
         """xi coordinates of nodes given as one index (array) per axis."""
@@ -466,7 +480,7 @@ class LeviScan:
 
 def levi_scan(phi: ScalarField3, tol: float) -> LeviScan:
     """graph_levi_fields of phi with its counts and exports; a node with
-    |value| <= tol is near_zero."""
+    |value| <= tol is near_zero.  ParameterError unless tol >= 0."""
     return LeviScan(phi=phi, values=graph_levi_fields(phi), tol=float(tol))
 
 

@@ -259,6 +259,8 @@ class TestUsageErrors:
             ("cantor-potential", "params.cert_generations=[4, 11]", "generation 11 exceeds"),
             ("cantor-potential", "params.dim_generation=11", "generation 11 exceeds"),
             ("cantor-potential", "params.graph_generation=0", "generation must be >= 1, got 0"),
+            # box_dimension raised it after growth.csv was written
+            ("cantor-potential", "params.alpha=0.3", "too fine for the point spread"),
         ],
     )
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, scenario, override, message):
@@ -597,8 +599,8 @@ class TestDualRouteFailure:
         # both of its forms passes that check and breaks the direct route's
         original = levi_module._delta_tau_forms
 
-        def shifted(hess, tau1, tau2):
-            complex_form, t_form = original(hess, tau1, tau2)
+        def shifted(hess, tau1, tau2, *parts):
+            complex_form, t_form = original(hess, tau1, tau2, *parts)
             if shift_complex:
                 complex_form = complex_form + 1e-3
             return complex_form, t_form + 1e-3

@@ -26,6 +26,7 @@ from levicheck.fields import (
     DiscField,
     DomainError,
     Grid3,
+    ParameterError,
     ScalarField3,
     StencilError,
     wirtinger_parts,
@@ -154,8 +155,8 @@ def shift_t_form(monkeypatch, plane, eps):
         current.planes = range(first, stop)
         _STENCIL_PLANES(field, first, stop, grad, hess)
 
-    def forms(hess, tau1, tau2):
-        complex_form, t_form = _DELTA_TAU_FORMS(hess, tau1, tau2)
+    def forms(hess, tau1, tau2, *parts):
+        complex_form, t_form = _DELTA_TAU_FORMS(hess, tau1, tau2, *parts)
         if plane in getattr(current, "planes", [plane]):
             t_form = t_form + eps
         return complex_form, t_form
@@ -527,6 +528,89 @@ def test_verify_over_gaps_agrees_with_the_accumulating_check(blocks, where):
     assert got == want
 
 
+# _delta_tau_forms as it stood before its two forms shared their terms,
+# kept verbatim as the bitwise oracle of the shared version
+
+
+def oracle_delta_tau_forms(hess, tau1, tau2):
+    mix = 0.5 * (hess[0, 1] + 1j * hess[0, 2])
+    lap = 0.25 * (hess[1, 1] + hess[2, 2])
+    cross = np.conjugate(tau1) * tau2
+    complex_form = (
+        _abs2(tau1) * hess[0, 0]
+        + 2.0 * np.real(1j * tau1 * np.conjugate(tau2) * mix)
+        + _abs2(tau2) * lap
+    )
+    t_form = (
+        _abs2(tau1) * hess[0, 0]
+        + 0.25 * _abs2(tau2) * (hess[1, 1] + hess[2, 2])
+        + np.imag(cross) * hess[0, 1]
+        - np.real(cross) * hess[0, 2]
+    )
+    return complex_form, t_form
+
+
+# the forms' inputs: moderate values, any double, the special values, and
+# magnitudes whose squares and products overflow or fall subnormal, where
+# a regrouped or rescaled product would round differently
+_FORM_ENTRY = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585e-308]),
+    st.sampled_from([1.5e154, -1e154, 3e-162, -1e-160, 1e300, -1e-300, 3.0, -0.75]),
+)
+
+
+@st.composite
+def form_inputs(draw):
+    """(hess, tau1, tau2): a mapping or a (3, 3, n) array of Hessian
+    entries, and tau arrays of n entries or complex scalars."""
+    n = draw(st.integers(1, 12))
+
+    def column(size=n):
+        return np.array(draw(st.lists(_FORM_ENTRY, min_size=size, max_size=size)), dtype=float)
+
+    entries = {pair: column() for pair in levi_module._LEVI_ENTRIES}
+    if draw(st.booleans()):
+        hess = np.full((3, 3, n), np.nan)
+        for (a, b), entry in entries.items():
+            hess[a, b] = entry
+    else:
+        hess = entries
+
+    def complex_column(size):
+        z = np.empty(size, dtype=complex)
+        z.real, z.imag = column(size), column(size)
+        return z
+
+    size = draw(st.sampled_from([n, 1]))
+    tau1, tau2 = complex_column(size), complex_column(size)
+    if size == 1 and draw(st.booleans()):
+        tau1, tau2 = complex(tau1[0]), complex(tau2[0])
+    return hess, tau1, tau2
+
+
+class TestDeltaTauFormsKeepTheirBits:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=form_inputs())
+    def test_shared_terms_match_the_oracle_bitwise(self, inputs):
+        # every ConsistencyError worst and scale, and every gap, is read
+        # from these two arrays; the graph Levi slab passes wirtinger_parts'
+        # mix and lap, the other callers none
+        hess, tau1, tau2 = inputs
+        with np.errstate(all="ignore"):
+            want = oracle_delta_tau_forms(hess, tau1, tau2)
+            _, lap, mix = wirtinger_parts(np.zeros((3, 1)), hess)
+            for got in (
+                levi_module._delta_tau_forms(hess, tau1, tau2),
+                levi_module._delta_tau_forms(hess, tau1, tau2, mix, lap),
+            ):
+                for g, w in zip(got, want):
+                    g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+                    assert g.shape == w.shape
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
 class TestLeviScanMemory:
     def test_peak_allocation_near_one_field(self):
         grid = centered_grid(0.005, 97)
@@ -541,8 +625,36 @@ class TestLeviScanMemory:
             tracemalloc.stop()
         assert peak <= 3 * phi.values.nbytes
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_peak_stays_below_an_eighth_of_the_values(self, workers):
+        # the whole-grid counts copied the finite values and built three
+        # whole-grid masks, about twice the values' bytes
+        grid = centered_grid(0.01, 97)
+        values = np.random.default_rng(3).standard_normal(grid.shape)
+        values[0], values[:, 0], values[5, 5, 5] = np.nan, np.inf, -np.inf
+        scan = LeviScan(phi=ScalarField3(grid, np.zeros(grid.shape)), values=values, tol=0.5)
+        with with_workers(workers):
+            tracemalloc.start()
+            try:
+                counts = scan.counts()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert counts == oracle_counts(scan)
+        assert peak <= values.nbytes / 8
+
 
 class TestLeviScan:
+    @pytest.mark.parametrize("tol", [-1.0, -5e-324, -math.inf, math.nan])
+    def test_tol_below_zero_or_nan_is_rejected(self, tol):
+        # the levi-check range already required tol >= 0; the library
+        # classified the nodes against any tol
+        phi = ScalarField3.from_function(centered_grid(0.1, 7), lambda a, b, c: b * b + c * c)
+        with pytest.raises(ParameterError, match="tol must be >= 0"):
+            levi_scan(phi, tol=tol)
+        with pytest.raises(ParameterError, match="tol must be >= 0"):
+            LeviScan(phi=phi, values=phi.values, tol=tol)
+
     def test_scan_of_z2_squared(self):
         grid = centered_grid(0.1, 7)
         phi = ScalarField3.from_function(grid, lambda a, b, c: b * b + c * c)
@@ -644,10 +756,22 @@ def oracle_to_csv(scan, path) -> None:
             )
 
 
+def oracle_counts(scan) -> dict:
+    # LeviScan.counts as it stood before the per-plane pool pass
+    finite = scan.values[scan.finite_mask]
+    near = np.abs(finite) <= scan.tol
+    return {
+        "scanned": int(finite.size),
+        "near_zero": int(near.sum()),
+        "violating": int(((finite < 0) & ~near).sum()),
+        "pseudoconvex_ok": int(((finite > 0) & ~near).sum()),
+    }
+
+
 def oracle_summary(scan) -> dict:
     worst = oracle_min_sample(scan)
     out = {"min": worst.levi_value, "argmin": list(worst.location), "tol": scan.tol}
-    out.update(scan.counts())
+    out.update(oracle_counts(scan))
     return out
 
 
@@ -658,39 +782,46 @@ class TestLeviScanAgainstPerNodeOracle:
         origin=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
         spacing=st.floats(1e-3, 1.0),
         extents=st.tuples(*[st.integers(5, 8)] * 3),
-        tol=st.sampled_from([0.0, 1e-9, 0.3, 1.0, 5.0]),
+        tol=st.sampled_from([0.0, -0.0, 1e-9, 0.3, 1.0, 5.0, math.inf]),
         source=st.sampled_from(["levi", "noise", "blank"]),
+        workers=st.sampled_from([1, 2, 3]),
     )
-    def test_csv_bytes_and_summary_match(self, tmp_path_factory, seed, origin, spacing, extents, tol, source):
+    def test_csv_bytes_and_summary_match(
+        self, tmp_path_factory, seed, origin, spacing, extents, tol, source, workers
+    ):
         # "levi" scans a random cubic's graph_levi_fields, NaN ring and all;
         # "noise" also plants exact zeros, -0.0, values at +-tol and
         # non-finite interior nodes; "blank" has no finite node at all
-        rng = np.random.default_rng(seed)
-        grid = Grid3(origin, spacing, extents)
-        if source == "levi":
-            poly = Poly3.random(rng, degrees=(1, 2, 3), cmax=3.0)
-            values = graph_levi_fields(ScalarField3.from_function(grid, poly))
-        elif source == "noise":
-            values = rng.standard_normal(extents) * rng.choice([1e-9, 1.0, 10.0])
-            flat = values.reshape(-1)
-            picks = rng.choice(flat.size, size=8, replace=False)
-            planted = [0.0, -0.0, tol, -tol, np.nan, np.inf, -np.inf, 2.0 * tol + 1.0]
-            flat[picks] = planted
-        else:
-            values = np.full(extents, np.nan)
-        if source != "blank":
-            # one node of each class, so every example writes all three
-            values[1, 1, 1], values[1, 1, 2], values[1, 2, 1] = 0.0, tol + 1.0, -tol - 1.0
-        phi = ScalarField3(grid, np.zeros(extents))
-        scan = LeviScan(phi=phi, values=values, tol=tol)
-        out = tmp_path_factory.mktemp("scan")
-        scan.to_csv(out / "new.csv")
-        oracle_to_csv(scan, out / "old.csv")
-        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
-        assert repr(scan.summary()) == repr(oracle_summary(scan))
-        if source != "blank":
-            labels = {row[-1] for row in csv.reader((out / "new.csv").read_text().splitlines()[1:])}
-            assert labels == {"near_zero", "violating", "pseudoconvex_ok"}
+        with with_workers(workers):
+            rng = np.random.default_rng(seed)
+            grid = Grid3(origin, spacing, extents)
+            if source == "levi":
+                poly = Poly3.random(rng, degrees=(1, 2, 3), cmax=3.0)
+                values = graph_levi_fields(ScalarField3.from_function(grid, poly))
+            elif source == "noise":
+                values = rng.standard_normal(extents) * rng.choice([1e-9, 1.0, 10.0])
+                flat = values.reshape(-1)
+                picks = rng.choice(flat.size, size=8, replace=False)
+                planted = [0.0, -0.0, tol, -tol, np.nan, np.inf, -np.inf, 2.0 * tol + 1.0]
+                flat[picks] = planted
+            else:
+                values = np.full(extents, np.nan)
+            if source != "blank":
+                # one node of each class, so every example writes all three
+                values[1, 1, 1], values[1, 1, 2], values[1, 2, 1] = 0.0, tol + 1.0, -tol - 1.0
+            phi = ScalarField3(grid, np.zeros(extents))
+            scan = LeviScan(phi=phi, values=values, tol=tol)
+            out = tmp_path_factory.mktemp("scan")
+            scan.to_csv(out / "new.csv")
+            oracle_to_csv(scan, out / "old.csv")
+            assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+            assert scan.counts() == oracle_counts(scan)
+            assert repr(scan.summary()) == repr(oracle_summary(scan))
+            # at tol = inf every finite node is near_zero, and tol + 1 is not finite
+            if source != "blank" and math.isfinite(tol):
+                rows = csv.reader((out / "new.csv").read_text().splitlines()[1:])
+                labels = {row[-1] for row in rows}
+                assert labels == {"near_zero", "violating", "pseudoconvex_ok"}
 
 
 class TestSliceGraph:

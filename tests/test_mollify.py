@@ -775,8 +775,8 @@ class TestBlockedSweepMinimum:
         case, deltas, _ = small_case
         original = levi_module._delta_tau_forms
 
-        def shifted(hess, tau1, tau2):
-            complex_form, t_form = original(hess, tau1, tau2)
+        def shifted(hess, tau1, tau2, *parts):
+            complex_form, t_form = original(hess, tau1, tau2, *parts)
             return complex_form, t_form + 1e-3
 
         monkeypatch.setattr(levi_module, "_BLOCK", 1)
