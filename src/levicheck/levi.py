@@ -419,6 +419,12 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
     return out
 
 
+def _check_tol(tol: float) -> float:
+    if not tol >= 0.0:
+        raise ParameterError(f"tol must be >= 0, got {tol!r}")
+    return tol
+
+
 @dataclass
 class LeviScan:
     """Grid sweep of the graph-form Levi quantity with classifications."""
@@ -428,8 +434,7 @@ class LeviScan:
     tol: float
 
     def __post_init__(self) -> None:
-        if not self.tol >= 0.0:
-            raise ParameterError(f"tol must be >= 0, got {self.tol!r}")
+        _check_tol(self.tol)
 
     @property
     def finite_mask(self) -> np.ndarray:
@@ -480,8 +485,9 @@ class LeviScan:
 
 def levi_scan(phi: ScalarField3, tol: float) -> LeviScan:
     """graph_levi_fields of phi with its counts and exports; a node with
-    |value| <= tol is near_zero.  ParameterError unless tol >= 0."""
-    return LeviScan(phi=phi, values=graph_levi_fields(phi), tol=float(tol))
+    |value| <= tol is near_zero.  ParameterError unless tol >= 0, before the scan."""
+    tol = _check_tol(float(tol))
+    return LeviScan(phi=phi, values=graph_levi_fields(phi), tol=tol)
 
 
 def slice_graph(phi_fn, t: complex, grid: Grid3) -> ScalarField3:

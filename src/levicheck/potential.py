@@ -44,9 +44,10 @@ __all__ = [
 # radius 1/2: 0.7 * sqrt(2)/2 = 0.49497 < 1/2
 _START_SIDE = 0.7
 _GENERATION_BUDGET = 10
-# node-atom pairs per tile of GreenPotential.grid_values (its three float64
-# work buffers take 1.5 MiB, within a 2 MiB L2 cache), points per chunk of box_dimension
+# node-atom pairs per tile of GreenPotential.grid_values (its float64 work
+# buffer takes at most 2 MiB, one core's L2 cache), points per chunk of box_dimension
 _BLOCK = 1 << 16
+_TAIL = 1e-17  # bound on the dropped tail of grid_values' image series
 # frostman_certificate checks every center of up to this many atoms, else a
 # stride sample
 _MAX_CENTERS = 4096
@@ -263,11 +264,13 @@ class GreenPotential:
 
         gx and gy are float64 coordinates of any two broadcastable shapes;
         sparse (m, 1) and (1, m) meshes make every one-coordinate term O(m)
-        per atom.  The sum runs in cache-sized tiles of about _BLOCK
-        node-atom pairs, an atom chunk by a block of output rows, with the
-        row blocks dealt over one thread per usable CPU (fields._run_blocks).
-        Each node takes the atoms in order with the same floating-point
-        operations, so the values depend neither on tiling nor threads.
+        per atom.  u = -Re sum_{k<=K} C_k z^k (moments C_k = sum_j m_j
+        conj(w_j)^k / k, by Horner) minus (m_j/2) log|z - w_j|^2 over the atoms
+        in order; K is the least order with tail bound rho^(K+1) / ((K+1)(1 -
+        rho)) < _TAIL, rho = max|z| max|w_j| over the nodes, DomainError unless
+        rho < 1.  Tiles of about _BLOCK node-atom pairs, an atom chunk by a row
+        block, run on one thread per usable CPU (fields._run_blocks); a node's
+        operations are the same whatever the tiling, threads or mesh layout.
         """
         gx = np.asarray(gx, dtype=np.float64)
         gy = np.asarray(gy, dtype=np.float64)
@@ -277,11 +280,21 @@ class GreenPotential:
         gx = gx.reshape((1,) * (len(full) - gx.ndim) + gx.shape)
         gy = gy.reshape((1,) * (len(full) - gy.ndim) + gy.shape)
         out = np.zeros(full)
+        a, b = gx * gx, gy * gy  # to max |z|^2 over the nodes, with no grid-sized array
+        a = a.max(tuple(d for d in range(a.ndim) if b.shape[d] == 1), keepdims=True, initial=0.0)
+        b = b.max(tuple(d for d in range(b.ndim) if a.shape[d] == 1), keepdims=True, initial=0.0)
+        w = self.measure.locations
+        rho = math.sqrt((a + b).max(initial=0.0)) * float(np.abs(w).max())
+        if not rho < 1.0:
+            raise DomainError(f"image series needs max|z| max|w| < 1, got {rho}")
+        coef, power = [], self.measure.masses
+        while rho ** (len(coef) + 1) >= _TAIL * (len(coef) + 1) * (1.0 - rho):
+            power = power * np.conj(w)
+            coef.append(power.sum() / (len(coef) + 1))
         width = max(1, math.prod(full[1:]))
         # at most a 1/workers share of the rows, so a 1-D query splits too
         rows = max(1, min(_BLOCK // width, -(-full[0] // fields._workers())))
         starts = range(0, full[0], rows)
-        w = self.measure.locations
         chunk = max(1, min(w.size, _BLOCK // (rows * width)))
         # rows x, y and m/2 with the atoms along a leading broadcast axis
         atoms = np.stack([w.real, w.imag, 0.5 * self.measure.masses])
@@ -292,24 +305,30 @@ class GreenPotential:
             o = out[start : start + rows]
             x = gx if gx.shape[0] == 1 else gx[start : start + rows]
             y = gy if gy.shape[0] == 1 else gy[start : start + rows]
+            n = o.size
+            if coef:
+                # z and the Horner sum s as complex tiles; one node runs twice, as
+                # numpy's one-element in-place product skips its fused multiply-add
+                zs = work[: 4 * n].view(np.complex128) if n > 1 else np.empty(4, np.complex128)
+                z, s = zs.reshape(2, -1)
+                z[:n].reshape(o.shape).real[...] = x
+                z[:n].reshape(o.shape).imag[...] = y
+                z[n:] = z[0]
+                np.multiply(z, coef[-1], out=s)
+                for c_k in coef[-2::-1]:
+                    s += c_k
+                    s *= z
+                np.negative(s.real[:n].reshape(o.shape), out=o)
             for first in range(0, w.size, chunk):
                 ar, ai, half_m = atoms[:, first : first + chunk]
                 c = len(ar)
-                buf = work[: (3 * c + 1) * o.size].reshape((3 * c + 1,) + o.shape)
-                # o, then the chunk's terms; then two term buffers
-                stack, rr, ii = buf[: c + 1], buf[c + 1 : 2 * c + 1], buf[2 * c + 1 :]
-                num2 = stack[1:]
+                # o, then the chunk's terms
+                stack = work[: (c + 1) * n].reshape((c + 1,) + o.shape)
+                term = stack[1:]
                 dx = x - ar
                 dy = y - ai
-                np.add(dx * dx, dy * dy, out=num2)
-                np.subtract(1.0 - x * ar, y * ai, out=rr)
-                np.subtract(x * ai, y * ar, out=ii)
-                np.multiply(rr, rr, out=rr)
-                np.multiply(ii, ii, out=ii)
-                den2 = np.add(rr, ii, out=rr)
-                np.log(num2, out=num2)
-                np.log(den2, out=den2)
-                term = np.subtract(num2, den2, out=num2)
+                np.add(dx * dx, dy * dy, out=term)
+                np.log(term, out=term)
                 np.multiply(half_m, term, out=term)
                 # ((o - t_1) - t_2) - ..., atom after atom; np.sum would pair them
                 if c == 1:  # the same sum, without the copy into stack
@@ -320,7 +339,7 @@ class GreenPotential:
 
         # a buffer per thread: tiles cut from its front are contiguous for
         # numpy's SIMD log (its strided loop can differ)
-        fields._run_blocks(starts, lambda: np.empty((3 * chunk + 1) * rows * width), tile)
+        fields._run_blocks(starts, lambda: np.empty(max(chunk + 1, 4) * rows * width), tile)
         return out.reshape(shape)
 
 

@@ -655,6 +655,13 @@ class TestLeviScan:
         with pytest.raises(ParameterError, match="tol must be >= 0"):
             LeviScan(phi=phi, values=phi.values, tol=tol)
 
+    def test_bad_tol_is_rejected_before_the_scan(self):
+        phi = ScalarField3.from_function(centered_grid(0.1, 7), lambda a, b, c: b * b + c * c)
+        with mock.patch.object(levi_module, "graph_levi_fields") as fields:
+            with pytest.raises(ParameterError, match="tol must be >= 0, got -1.0"):
+                levi_scan(phi, tol=-1.0)
+        fields.assert_not_called()
+
     def test_scan_of_z2_squared(self):
         grid = centered_grid(0.1, 7)
         phi = ScalarField3.from_function(grid, lambda a, b, c: b * b + c * c)
