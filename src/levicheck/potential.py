@@ -47,7 +47,7 @@ _GENERATION_BUDGET = 10
 # node-atom pairs per tile of GreenPotential.grid_values (its float64 work
 # buffer takes at most 2 MiB, one core's L2 cache), points per chunk of box_dimension
 _BLOCK = 1 << 16
-_TAIL = 1e-17  # bound on the dropped tail of grid_values' image series
+_TAIL = 1e-17  # bound on the dropped tail of each of grid_values' series
 # frostman_certificate checks every center of up to this many atoms, else a
 # stride sample
 _MAX_CENTERS = 4096
@@ -206,6 +206,9 @@ def frostman_certificate(measure: AtomicMeasure, alpha: float) -> FrostmanCertif
     if n_atoms > 1:
         gaps, _ = tree.query(pts, k=2)
         resolution = float(gaps[:, 1].min())
+        # a zero gap would halve r down to 0.0 and never leave the loop below
+        if not resolution > 0.0:
+            raise ParameterError("frostman_certificate needs distinct atom locations")
     else:
         resolution = 1e-6
     radii = []
@@ -264,13 +267,23 @@ class GreenPotential:
 
         gx and gy are float64 coordinates of any two broadcastable shapes;
         sparse (m, 1) and (1, m) meshes make every one-coordinate term O(m)
-        per atom.  u = -Re sum_{k<=K} C_k z^k (moments C_k = sum_j m_j
-        conj(w_j)^k / k, by Horner) minus (m_j/2) log|z - w_j|^2 over the atoms
-        in order; K is the least order with tail bound rho^(K+1) / ((K+1)(1 -
-        rho)) < _TAIL, rho = max|z| max|w_j| over the nodes, DomainError unless
-        rho < 1.  Tiles of about _BLOCK node-atom pairs, an atom chunk by a row
-        block, run on one thread per usable CPU (fields._run_blocks); a node's
-        operations are the same whatever the tiling, threads or mesh layout.
+        per atom.  With moments C_k = sum_j m_j conj(w_j)^k / k, the image
+        half sum_j m_j log|1 - z conj(w_j)| is -Re sum_{k<=K} C_k z^k and, for
+        |z| > max|w_j|, the free-space half is -M log|z| + Re sum_{k<=K}
+        conj(C_k) z^-k (M the total mass); K is the least order with tail
+        bound rho^(K+1) / ((K+1)(1 - rho)) < _TAIL, counted only up to the
+        atom count N.  DomainError unless max|z| max|w_j| < 1 over the nodes.
+
+        Far route, when min|z| > max|w_j| and K < N for rho = max(max|w_j| /
+        min|z|, max|z| max|w_j|): both series by Horner on the calling
+        thread, no atom loop.  Otherwise tiles of about _BLOCK node-atom
+        pairs, an atom chunk by a row block, on one thread per usable CPU
+        (fields._run_blocks): the image series for rho = max|z| max|w_j| (or,
+        when its K reaches N, the image term atom by atom), then minus
+        (m_j/2) log|z - w_j|^2 over the atoms in order.  A node's operations
+        are the same whatever the tiling, threads or mesh layout, but K and
+        the route come from the whole query: a node's last bits depend on the
+        other nodes asked with it (within the tail bound and rounding).
         """
         gx = np.asarray(gx, dtype=np.float64)
         gy = np.asarray(gy, dtype=np.float64)
@@ -279,18 +292,22 @@ class GreenPotential:
         # give both inputs the output's rank so each slices by output rows
         gx = gx.reshape((1,) * (len(full) - gx.ndim) + gx.shape)
         gy = gy.reshape((1,) * (len(full) - gy.ndim) + gy.shape)
-        out = np.zeros(full)
-        a, b = gx * gx, gy * gy  # to max |z|^2 over the nodes, with no grid-sized array
-        a = a.max(tuple(d for d in range(a.ndim) if b.shape[d] == 1), keepdims=True, initial=0.0)
-        b = b.max(tuple(d for d in range(b.ndim) if a.shape[d] == 1), keepdims=True, initial=0.0)
+        # max and min |z|^2 over the nodes, with no grid-sized array
+        a, b = gx * gx, gy * gy
+        hi, lo = _reduce_sum(a, b, np.max, 0.0), _reduce_sum(a, b, np.min, np.inf)
         w = self.measure.locations
-        rho = math.sqrt((a + b).max(initial=0.0)) * float(np.abs(w).max())
+        w_max = float(np.abs(w).max())
+        rho = math.sqrt(hi) * w_max
         if not rho < 1.0:
             raise DomainError(f"image series needs max|z| max|w| < 1, got {rho}")
-        coef, power = [], self.measure.masses
-        while rho ** (len(coef) + 1) >= _TAIL * (len(coef) + 1) * (1.0 - rho):
-            power = power * np.conj(w)
-            coef.append(power.sum() / (len(coef) + 1))
+        if math.sqrt(lo) > w_max:
+            order = _order(max(w_max / math.sqrt(lo), rho), w.size)
+            if order < w.size:
+                return self._laurent(gx, gy, self._moments(order)).reshape(shape)
+        out = np.zeros(full)
+        order = _order(rho, w.size)
+        # None: the series would take N or more terms, so each atom adds its image term
+        coef = self._moments(order) if order < w.size else None
         width = max(1, math.prod(full[1:]))
         # at most a 1/workers share of the rows, so a 1-D query splits too
         rows = max(1, min(_BLOCK // width, -(-full[0] // fields._workers())))
@@ -329,6 +346,10 @@ class GreenPotential:
                 dy = y - ai
                 np.add(dx * dx, dy * dy, out=term)
                 np.log(term, out=term)
+                if coef is None:
+                    rr = 1.0 - x * ar - y * ai
+                    ii = x * ai - y * ar
+                    term -= np.log(rr * rr + ii * ii)
                 np.multiply(half_m, term, out=term)
                 # ((o - t_1) - t_2) - ..., atom after atom; np.sum would pair them
                 if c == 1:  # the same sum, without the copy into stack
@@ -341,6 +362,49 @@ class GreenPotential:
         # numpy's SIMD log (its strided loop can differ)
         fields._run_blocks(starts, lambda: np.empty(max(chunk + 1, 4) * rows * width), tile)
         return out.reshape(shape)
+
+    def _moments(self, order: int) -> list:
+        """C_1, ..., C_order, C_k = sum_j m_j conj(w_j)^k / k."""
+        coef, power, conj = [], self.measure.masses, np.conj(self.measure.locations)
+        for k in range(1, order + 1):
+            power = power * conj
+            coef.append(power.sum() / k)
+        return coef
+
+    def _laurent(self, gx: np.ndarray, gy: np.ndarray, coef: list) -> np.ndarray:
+        """u off the atoms' disc: -M log|z| + Re sum_k (conj(C_k) z^-k - C_k z^k)."""
+        r2 = gx * gx + gy * gy
+        out = np.log(r2)
+        out *= -0.5 * self.measure.total_mass()
+        if coef:
+            z = np.empty(r2.shape, np.complex128)
+            z.real[...] = gx
+            z.imag[...] = gy
+            inv = 1.0 / z
+            s = coef[-1] * z
+            t = np.conj(coef[-1]) * inv
+            for c_k in coef[-2::-1]:
+                s += c_k
+                s *= z
+                t += np.conj(c_k)
+                t *= inv
+            t -= s
+            out += t.real
+        return out
+
+
+def _reduce_sum(a: np.ndarray, b: np.ndarray, reduce, initial: float) -> float:
+    """reduce(a + b) for a and b of one rank, each reduced first along the
+    axes where the other has length 1, so a sparse mesh makes no grid."""
+    a = reduce(a, tuple(d for d in range(a.ndim) if b.shape[d] == 1), keepdims=True, initial=initial)
+    b = reduce(b, tuple(d for d in range(b.ndim) if a.shape[d] == 1), keepdims=True, initial=initial)
+    return float(reduce(a + b, initial=initial))
+
+
+def _order(rho: float, n: int) -> int:
+    """Least K < n with rho^(K+1) / ((K+1)(1 - rho)) < _TAIL, else n: at most
+    n steps, where an uncapped count takes about 1/(1 - rho)."""
+    return next((k for k in range(n) if rho ** (k + 1) < _TAIL * (k + 1) * (1.0 - rho)), n)
 
 
 def potential_field(

@@ -308,7 +308,7 @@ STANDARD_RUN_DIGESTS = {
     "cantor-potential": {
         "dimension.csv": "441d8da5d67d1460d987f3bf54f2ca2cdefb8f7fae0420601d7bc78bcedf13dd",
         "growth.csv": "61075d8eb2289780b6020e30417d70b085f01cb202d7fa5fe17545dd0fda096d",
-        "report.json": "a6ace12ddff36a589e0f29eed4f6fff1e681007755f577cc47f4dd56fde90aba",
+        "report.json": "0910a5eeafc1c84cf35efadda3bd7c45df0a0e315d8342fcae3b5c43750f7085",
     },
     "slice-check": {
         "report.json": "c8480d64cc63fcea8d5926115aa9f81a8f371c9f69ceefe9cce66e05af6542d2",

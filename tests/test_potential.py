@@ -8,9 +8,12 @@ pipeline and guarded here against drift.
 """
 
 import concurrent.futures
+import contextlib
+import itertools
 import math
 import os
 import re
+import signal
 import sys
 import tracemalloc
 from unittest import mock
@@ -417,6 +420,38 @@ def with_workers(count):
     return mock.patch.object(fields_module, "_workers", lambda: count)
 
 
+def counting_blocks():
+    """Count the block passes: a query that takes the tiles makes one."""
+    return mock.patch.object(fields_module, "_run_blocks", wraps=fields_module._run_blocks)
+
+
+def takes_far_route(pot, gx, gy):
+    """The far-route rule grid_values documents, from the nodes and atoms."""
+    r2 = np.asarray(gx * gx + gy * gy)
+    w_max = float(np.abs(pot.measure.locations).max())
+    if not math.sqrt(r2.min()) > w_max:
+        return False
+    rho = max(w_max / math.sqrt(r2.min()), math.sqrt(r2.max()) * w_max)
+    tail = potential_module._TAIL
+    return any(rho ** (k + 1) < tail * (k + 1) * (1.0 - rho) for k in range(len(pot.measure.locations)))
+
+
+@contextlib.contextmanager
+def within_seconds(seconds):
+    """Raise TimeoutError in the body after seconds, so a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def assert_bitwise(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -426,14 +461,16 @@ _WORKERS = [1, 2, 3, 5]
 
 
 class TestGridValuesBlocked:
-    """The tiled, threaded kernel: bit for bit the same whatever the tile
-    size, the thread count and the mesh layout, and within ORACLE_BOUND of
-    the per-atom whole-array oracle."""
+    """The kernel's two routes. Tiles, threaded: bit for bit the same
+    whatever the tile size, the thread count and the mesh layout. The
+    series alone, for nodes far from the atoms: no tiles. Both within
+    ORACLE_BOUND of the per-atom whole-array oracle."""
 
     @given(
         lattice=st.lists(_LATTICE_ATOM, min_size=1, max_size=12, unique=True),
         weights=st.lists(st.floats(0.1, 1.0), min_size=12, max_size=12),
-        kind=st.sampled_from(["full", "sparse", "points"]),
+        kind=st.sampled_from(["full", "sparse", "points", "far"]),
+        padding=st.sampled_from([0, 150]),
         rows=st.integers(1, 40),
         cols=st.integers(1, 40),
         block=st.sampled_from([7, 64, 1000, potential_module._BLOCK]),
@@ -442,28 +479,41 @@ class TestGridValuesBlocked:
     )
     @settings(max_examples=120, deadline=None)
     def test_bitwise_independent_of_tiles_threads_and_mesh(
-        self, lattice, weights, kind, rows, cols, block, workers, seed
+        self, lattice, weights, kind, padding, rows, cols, block, workers, seed
     ):
         rng = np.random.default_rng(seed)
-        w = np.array(weights[: len(lattice)])
-        w /= w.sum()
+        # 150 more atoms take N past the image series' K (at most 142 here,
+        # where max|z| max|w| <= 0.78), so the tiles sum the series; 12 atoms
+        # or fewer add each atom's image term instead
         locs = [complex(i / 64.0, j / 64.0) for i, j in lattice]
+        locs += list(0.3 * np.sqrt(rng.random(padding)) * np.exp(2j * math.pi * rng.random(padding)))
+        w = np.concatenate([weights[: len(lattice)], rng.uniform(0.1, 1.0, padding)])
+        w /= w.sum()
         pot = GreenPotential(AtomicMeasure(generation=0, locations=locs, masses=w))
         hit = locs[0]
         xs = np.concatenate([rng.uniform(-1.1, 1.1, rows), _CIRCLE_COORDS, [hit.real]])
         ys = np.concatenate([rng.uniform(-1.1, 1.1, cols), _CIRCLE_COORDS, [hit.imag]])
         rng.shuffle(xs)
         rng.shuffle(ys)
-        if kind == "points":
+        if kind == "far":
+            # rows x cols nodes in 0.95 <= |z| <= 1, one on the circle: outside
+            # every atom, and the series when N > K (K is 55 at |w| = 1/2)
+            radius = rng.uniform(0.95, 1.0, (rows, cols))
+            radius[0, 0] = 1.0
+            theta = rng.uniform(0.0, 2.0 * math.pi, (rows, cols))
+            gx, gy = radius * np.cos(theta), radius * np.sin(theta)
+        elif kind == "points":
             gx, gy = (a.ravel() for a in np.meshgrid(xs, ys, indexing="ij"))
         else:
             gx, gy = np.meshgrid(xs, ys, indexing="ij", sparse=kind == "sparse")
         with mock.patch.object(potential_module, "_BLOCK", block), with_workers(workers):
-            got = pot.grid_values(gx, gy)
+            with counting_blocks() as blocks:
+                got = pot.grid_values(gx, gy)
+        assert blocks.called != takes_far_route(pot, gx, gy)
         assert_bitwise(got, one_thread_points(pot, gx, gy))
         assert_near_oracle(got, pot, gx, gy)
         assert got.shape == np.broadcast_shapes(gx.shape, gy.shape)
-        assert np.any(got == np.inf)
+        assert np.any(got == np.inf) == (kind != "far")
 
     @pytest.mark.parametrize("workers", _WORKERS)
     @pytest.mark.parametrize("block", [20, 60])
@@ -503,9 +553,11 @@ class TestGridValuesBlocked:
     def test_threads_keep_their_own_buffers(self, workers):
         # 300 rows give five blocks, so up to five threads, more than the
         # cores of a small box; a short switch interval interleaves them at
-        # every few bytecodes, so a buffer two threads shared would mix tiles
+        # every few bytecodes, so a buffer two threads shared would mix tiles.
+        # Nodes within |z| <= 0.85 keep the image series' K (40) below the 64
+        # atoms, so the series' complex tiles share the buffers too
         pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 3)))
-        coords = np.linspace(-0.95, 0.95, 300)
+        coords = np.linspace(-0.6, 0.6, 300)
         gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -536,7 +588,8 @@ class TestGridValuesBlocked:
         assert_near_oracle(grid, pot, gx, gy)
 
     def test_atom_node_infinite_and_circle_nodes_near_zero(self):
-        pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 2)))
+        # 64 atoms against the image series' 49 terms: the tiles sum the series
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 3)))
         w = pot.measure.locations[3]
         gx = np.array([w.real, 1.0, 0.0, -1.0, 0.0])
         gy = np.array([w.imag, 0.0, 1.0, 0.0, -1.0])
@@ -547,12 +600,13 @@ class TestGridValuesBlocked:
         assert np.all(np.abs(vals[1:]) <= ORACLE_BOUND)
 
     def test_image_series_at_rho_nine_tenths(self):
-        # atoms out to |w| = 0.9 against nodes on the circle: rho = 0.9 takes
-        # the series to a few hundred terms
+        # atoms out to |w| = 0.9 against nodes on and inside the circle: rho =
+        # 0.9 takes the series to 338 terms, fewer than the 400 atoms, so the
+        # circle takes the far route and the inside nodes the tiles' series
         rng = np.random.default_rng(9)
-        locs = 0.9 * np.sqrt(rng.random(40)) * np.exp(2j * math.pi * rng.random(40))
+        locs = 0.9 * np.sqrt(rng.random(400)) * np.exp(2j * math.pi * rng.random(400))
         locs[0] = 0.9j
-        weights = rng.uniform(0.1, 1.0, 40)
+        weights = rng.uniform(0.1, 1.0, 400)
         pot = GreenPotential(AtomicMeasure(0, locs, weights / weights.sum()))
         theta = 2.0 * math.pi * np.arange(1000) / 1000
         circle = pot.grid_values(np.cos(theta), np.sin(theta))
@@ -599,8 +653,9 @@ class TestGridValuesBlocked:
         # at one pair a tile every tile holds one node, as in a 0-d call.
         # Generic coordinates: the image series' complex products round
         # differently with and without a fused multiply-add, and over 400
-        # nodes that reaches the last bit of a few values of u
-        pot = GreenPotential(frostman_measure(build_square_cantor(1.3, 3)))
+        # nodes that reaches the last bit of a few values of u. The series
+        # takes 75 terms, fewer than the 256 atoms
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.3, 4)))
         rng = np.random.default_rng(17)
         px, py = rng.uniform(-0.9, 0.9, (2, 400))
         with with_workers(1):
@@ -613,14 +668,88 @@ class TestGridValuesBlocked:
     def test_scalar_inputs_give_zero_dim_array(self, workers):
         pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 3)))
         with with_workers(workers):
-            val = pot.grid_values(0.5, 0.0)
+            # the same node in a 9-node query of the same max|z|, so the same
+            # K; both on the tiles (|z| = 0.5 is too near the atoms for the
+            # far route), so the same operations
+            with counting_blocks() as blocks:
+                val = pot.grid_values(0.5, 0.0)
+                row = pot.grid_values(np.linspace(0.5, -0.5, 9), 0.0)
             empty = pot.grid_values(np.zeros((0, 3)), 0.0)
-            # the same node in a 9-node query of the same max|z|, so the same K
-            row = pot.grid_values(np.linspace(0.5, -0.5, 9), 0.0)
+        assert blocks.call_count == 2
         assert isinstance(val, np.ndarray) and val.shape == ()
         assert_bitwise(val, row[0])
         assert_near_oracle(val, pot, 0.5, 0.0)
         assert empty.shape == (0, 3)
+
+    def test_far_queries_run_no_tiles(self):
+        # the flux and boundary circles of a generation-4 measure (max|w| =
+        # 0.49) take the series on the calling thread; a cap grid holds the
+        # origin, so it takes the tiles
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 4)))
+        theta = 2.0 * math.pi * (np.arange(2048) + 0.5) / 2048
+        cx, cy = np.cos(theta), np.sin(theta)
+        coords = (np.arange(129) - 64) / 64.0
+        gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)
+        with counting_blocks() as blocks:
+            flux = [pot.grid_values(r * cx, r * cy) for r in (0.899, 0.901)]
+            circle = pot.grid_values(cx, cy)
+            blocks.assert_not_called()
+            cap = pot.grid_values(gx, gy)
+            blocks.assert_called_once()
+        for r, vals in zip((0.899, 0.901), flux):
+            assert_near_oracle(vals, pot, r * cx, r * cy)
+        assert np.all(np.abs(circle) <= ORACLE_BOUND)
+        assert_near_oracle(cap, pot, gx, gy)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_far_route_needs_fewer_terms_than_atoms(self, extra):
+        # one atom at |w| = 0.3 and the rest at 0.2, nodes at |z| = 0.6: rho =
+        # max(0.3 / 0.6, 0.6 * 0.3) needs K terms (51), so K atoms take the
+        # tiles and K + 1 the series
+        theta = 2.0 * math.pi * np.arange(64) / 64
+        gx, gy = 0.6 * np.cos(theta), 0.6 * np.sin(theta)
+        r2 = gx * gx + gy * gy
+        rho = max(0.3 / math.sqrt(r2.min()), math.sqrt(r2.max()) * 0.3)
+        tail = potential_module._TAIL
+        k = next(k for k in itertools.count() if rho ** (k + 1) < tail * (k + 1) * (1.0 - rho))
+        n = k + extra
+        ring = 0.2 * np.exp(2j * math.pi * np.arange(n - 1) / (n - 1))
+        pot = GreenPotential(AtomicMeasure(0, np.concatenate([[0.3], ring]), np.full(n, 1.0 / n)))
+        with counting_blocks() as blocks:
+            got = pot.grid_values(gx, gy)
+        assert blocks.called == (extra == 0)
+        assert_near_oracle(got, pot, gx, gy)
+
+    def test_order_is_counted_only_up_to_the_atom_count(self):
+        # an atom at 0.99999 and a node on the circle: max|z| max|w| =
+        # 0.99999 would take millions of terms, so the one atom adds its
+        # image term directly, and the count stops at N
+        pot = single_atom(0.99999)
+        gx = np.array([1.0, 0.5, -0.3, 0.99999 - 1e-3])
+        with within_seconds(1.0):
+            assert abs(pot(1.0)) <= ORACLE_BOUND
+            vals = pot.grid_values(gx, 0.0)
+        assert_near_oracle(vals, pot, gx, 0.0)
+        assert potential_module._order(1.0 - 2.0**-53, 7) == 7
+        assert potential_module._order(0.5, 7) == 7
+        assert potential_module._order(0.5, 100) == 51
+
+    def test_node_alone_and_in_a_mixed_query_agree(self):
+        # alone, the circle |z| = 0.95 lies outside the atoms and takes the
+        # series; beside the origin it takes the tiles, with another K and
+        # another route, so the last bits may differ
+        pot = GreenPotential(frostman_measure(build_square_cantor(1.3, 4)))
+        theta = 2.0 * math.pi * np.arange(100) / 100
+        cx, cy = 0.95 * np.cos(theta), 0.95 * np.sin(theta)
+        with counting_blocks() as blocks:
+            alone = pot.grid_values(cx, cy)
+            blocks.assert_not_called()
+            mixed = pot.grid_values(np.append(cx, 0.0), np.append(cy, 0.0))[:-1]
+            blocks.assert_called_once()
+        assert np.all(np.abs(alone - mixed) <= ORACLE_BOUND * (1.0 + np.abs(mixed)))
+        for i in (0, 37):
+            node = pot.grid_values(cx[i], cy[i])
+            assert abs(node - mixed[i]) <= ORACLE_BOUND * (1.0 + abs(mixed[i]))
 
     def test_worker_count_is_the_cpu_affinity(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -754,6 +883,14 @@ class TestFrostmanCertificate:
         _, measure, _ = gen5
         with pytest.raises(ParameterError, match="alpha"):
             frostman_certificate(measure, 2.5)
+
+    def test_coincident_atoms_rejected_before_any_count(self):
+        # a nearest-neighbour gap of 0 once halved the radius down to 0.0 forever
+        measure = AtomicMeasure(0, [0.1, 0.1, -0.2j, 0.3], [0.25] * 4)
+        with mock.patch.object(fields_module, "_run_blocks") as blocks, within_seconds(1.0):
+            with pytest.raises(ParameterError, match="distinct atom locations"):
+                frostman_certificate(measure, 1.0)
+        blocks.assert_not_called()
 
     def test_unequal_masses_rejected(self):
         # mu(D) taken as count x masses[0] read 10.92 on these ten atoms,
