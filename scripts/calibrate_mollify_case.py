@@ -5,10 +5,11 @@ certificate identity on -Delta_tau v (taken slab by slab through
 levi._slab_pass, the pass and thread pool the certificate runs on, each
 slab returning its dual-form gap to levi._verify), predicts the sweep
 minima through the collapsed one-dimensional kernel acting on the deficit
-profile, then runs the certificate's sweep and reports m(delta), the
-fitted slope and the route it took.  The staircase fields are constant
-along xi3, so the sweep convolves in 2-D (reduced axes [2]); a field that
-is not invariant along any axis would take the 3-D route.  The constants
+profile, then runs the certificate's sweep and reports its hypothesis
+minimum, m(delta), the fitted slope and the route it took.  The staircase
+fields are constant along xi3, so the sweep convolves in 2-D (reduced axes
+[2]); a field that is not invariant along any axis would take the 3-D
+route.  The constants
 frozen in levicheck.mollify (_SPANS, _ALPHAS, _STRETCH, _SCALE, _PLATEAU,
 _HOLDER, _RATE_P) were chosen from this output over a grid of candidate
 schedules, stretches and scales.  The sweep is fitted against the case's own
@@ -93,7 +94,7 @@ def run_case(spacing, epsilon):
     )
     dt = time.time() - t0
     print(f"== frozen case at spacing {spacing!r} (declared alpha {alpha:.2f}, p {case.p:g}, "
-          f"seminorm {case.holder_constant:.2f}, {dt:.1f}s)")
+          f"{dt:.1f}s)")
     print(f"   identity residual {res:.3e}   raw cert min {cert[finite].min():.3e}")
     print(f"   hypothesis_min {rep.hypothesis_min:.3e}")
     for d, m, q in zip(rep.deltas, rep.m_values, pred):

@@ -341,14 +341,13 @@ def _slab_pass(field: ScalarField3, gradient: bool, visit: Callable) -> list:
     return fields._run_blocks(range(1, n0 - 1, step), lambda: np.empty(shape), run)
 
 
-def _neg_delta_tau_extremes(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray, skip=None):
+def _neg_delta_tau_extremes(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray):
     """(min, max|.|, argmin node) of raw = -Delta_tau v over the finite
-    interior nodes of v outside the skip mask; (NaN, NaN, None) if there are
-    none.
+    interior nodes of v; (NaN, NaN, None) if there are none.
 
     The values are those of raw = -delta_tau_fields(v.hessian_fields(),
-    tau1, tau2) over the whole grid (tau1, tau2 and skip of v's grid
-    shape), but raw is taken slab by slab (_slab_pass), so no whole-grid
+    tau1, tau2) over the whole grid (tau1 and tau2 of v's grid shape), but
+    raw is taken slab by slab (_slab_pass), so no whole-grid
     Hessian is built.  Each slab returns its dual-form gap and its (min,
     first argmin node in C order, max|.|), or None with no valid node; the
     slabs come back in slab order, min over those tuples is the whole-grid
@@ -363,8 +362,6 @@ def _neg_delta_tau_extremes(v: ScalarField3, tau1: np.ndarray, tau2: np.ndarray,
         gap = _dual_gap(complex_form, t_form)
         raw = -complex_form
         valid = np.isfinite(raw)
-        if skip is not None:
-            valid &= ~skip[inner]
         if not valid.any():
             return gap, None
         i, j, k = np.unravel_index(int(np.argmin(np.where(valid, raw, np.inf))), raw.shape)

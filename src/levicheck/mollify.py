@@ -37,7 +37,7 @@ class UnderResolvedKernelError(Exception):
 
 
 class HypothesisError(Exception):
-    """An input field fails a sign hypothesis away from its declared kinks."""
+    """-Delta_tau v falls below the rounding tolerance at an interior node."""
 
 
 # -- kernel -----------------------------------------------------------------
@@ -203,54 +203,14 @@ def convolve3(v: ScalarField3, delta: float, reduced_axes=()) -> MollifiedField:
 
 # -- the mollified-sign certificate -----------------------------------------
 
-_KINK_NORMALS = {
-    "xi1": (1.0, 0.0, 0.0),
-    "xi2": (0.0, 1.0, 0.0),
-    "xi3": (0.0, 0.0, 1.0),
-    "xi1+xi2": (1.0, 1.0, 0.0),
-    "xi1+xi3": (1.0, 0.0, 1.0),
-    "xi2+xi3": (0.0, 1.0, 1.0),
-}
-
-
-def kink_plane_mask(grid: Grid3, kink_planes, width_cells: float = 2.5) -> np.ndarray:
-    """Boolean mask of nodes within width_cells*h of any declared kink plane.
-
-    Planes are ("xi1"|"xi2"|"xi3"|"xi1+xi2"|"xi1+xi3"|"xi2+xi3", value) pairs,
-    meaning {coordinate combination == value}.  Each plane's coordinate is
-    summed from the sparse meshes of the axes its normal involves only, so
-    it holds at most one grid plane's worth of nodes before it is ORed into
-    the mask; the zero terms it skips change no comparison.
-    """
-    mask = np.zeros(grid.shape, dtype=bool)
-    mesh = grid.mesh()
-    width = width_cells * grid.spacing
-    for spec, value in kink_planes:
-        try:
-            normal = _KINK_NORMALS[spec]
-        except KeyError:
-            raise ParameterError(f"unknown kink plane spec {spec!r}") from None
-        coord = 0.0
-        for n, x in zip(normal, mesh):
-            if n:
-                coord = coord + n * x
-        mask |= np.abs(coord - float(value)) <= width
-    return mask
-
-
-def _invariant_axes(v: ScalarField3, phi: ScalarField3, kink_planes) -> tuple[int, ...]:
-    """Axes along which v and phi both equal their first plane bit for bit
-    and which no declared kink plane involves; at most two, so a constant
-    field still keeps one axis to convolve along; stride-0 axes skip the compare."""
-    # kink_plane_mask rejects an unknown spec before these axes are used
-    kinked = {
-        ax for spec, _ in kink_planes for ax, n in enumerate(_KINK_NORMALS.get(spec, ())) if n
-    }
+def _invariant_axes(v: ScalarField3, phi: ScalarField3) -> tuple[int, ...]:
+    """Axes along which v and phi both equal their first plane bit for bit;
+    at most two, so a constant field still keeps one axis to convolve
+    along; stride-0 axes skip the compare."""
     axes = []
     for ax in range(3):
         stacks = [np.moveaxis(f.values.view(np.int64), ax, 0) for f in (v, phi)]
-        same = (np.array_equal(q, b[0]) for b in stacks if b.strides[0] for q in b[1:])
-        if ax not in kinked and all(same):
+        if all(np.array_equal(q, b[0]) for b in stacks if b.strides[0] for q in b[1:]):
             axes.append(ax)
     return tuple(axes[-2:])
 
@@ -300,6 +260,8 @@ class CertificateReport:
 
 
 _SLOPE_FLOOR = 1e-14
+# the hypothesis check forgives -Delta_tau v down to -_HYPOTHESIS_RTOL * (1 + max|.|)
+_HYPOTHESIS_RTOL = 1e-9
 
 
 def mollified_sign_certificate(
@@ -309,38 +271,39 @@ def mollified_sign_certificate(
     p: float,
     epsilon: float,
     deltas,
-    kink_planes=(),
-    hypothesis_tol: float | None = None,
 ) -> CertificateReport:
     """Sweep m(delta) = min over U^delta of -Delta_{tau(phi)}(v*theta_delta).
 
-    Preconditions: p > 3, alpha in (3/p, 1), v and phi share one grid, and
-    phi's declared regularity certifies a gradient Holder class of exponent
-    at least alpha.  The raw hypothesis -Delta_{tau(phi)} v >= 0 is
-    checked by finite differences away from declared kink planes; failure
-    raises HypothesisError.  Convex kinks hidden in v would carry negative
-    distributional mass that the pointwise check cannot see, but the sweep
-    itself exposes them: their defect grows like -1/delta and fails the
-    m >= -epsilon assertion.
+    Preconditions: p > 3, alpha in (3/p, 1), at least two distinct finite
+    deltas, v and phi share one grid, and phi's declared regularity
+    certifies a gradient Holder class of exponent at least alpha.  The raw
+    hypothesis -Delta_{tau(phi)} v >= 0 is checked by finite differences at
+    every interior node; failure raises HypothesisError.  Convex kinks
+    hidden in v would carry negative distributional mass that the pointwise
+    check cannot see, but the sweep itself exposes them: their defect grows
+    like -1/delta and fails the m >= -epsilon assertion.
 
     The sweep runs in the fields' true dimension.  An axis along which v
-    and phi both equal their first plane bit for bit, and which no kink
-    plane involves, is reduced (at most two; see reduced_axes in the
-    report): the hypothesis check runs on the first five planes along it,
-    where -Delta_tau v repeats the same interior plane, and convolve3
-    convolves v's first plane with the kernel summed over it.  Each m(delta)
-    is then the minimum over five planes of that broadcast result.  Fields
-    with no such axis take the full 3-D route.
+    and phi both equal their first plane bit for bit is reduced (at most
+    two; see reduced_axes in the report): the hypothesis check runs on the
+    first five planes along it, where -Delta_tau v repeats the same
+    interior plane, and convolve3 convolves v's first plane with the kernel
+    summed over it.  Each m(delta) is then the minimum over five planes of
+    that broadcast result.  Fields with no such axis take the full 3-D
+    route.
     """
     alpha = float(alpha)
     p = float(p)
     epsilon = float(epsilon)
+    deltas = tuple(float(d) for d in deltas)
     if not p > 3.0:
         raise ParameterError(f"p must exceed 3, got {p}")
     if not 3.0 / p < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (3/p, 1) = ({3.0 / p}, 1), got {alpha}")
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
+    if not all(map(math.isfinite, deltas)) or len(set(deltas)) < 2:
+        raise ParameterError(f"the slope fit needs two distinct finite deltas, got {deltas}")
     if v.grid != phi.grid:
         raise ParameterError("v and phi must share one grid")
     if phi.regularity.tag == "lipschitz":
@@ -351,24 +314,17 @@ def mollified_sign_certificate(
         )
 
     h = v.grid.spacing
-    deltas = tuple(float(d) for d in deltas)
     if any(d < 2.0 * h for d in deltas):
         raise UnderResolvedKernelError(f"sweep contains deltas below 2h = {2.0 * h}")
 
-    axes = _invariant_axes(v, phi, kink_planes)
-    v_thin = _thin(v, axes)
+    axes = _invariant_axes(v, phi)
     tau1, tau2 = tau_fields(_thin(phi, axes).gradient_fields())
-    kinks = kink_plane_mask(v_thin.grid, kink_planes)
-    hyp_min, peak, node = _neg_delta_tau_extremes(v_thin, tau1, tau2, kinks)
+    hyp_min, peak, node = _neg_delta_tau_extremes(_thin(v, axes), tau1, tau2)
     if node is None:
-        raise ParameterError("kink planes exclude every interior node")
-    scale = 1.0 + peak
-    tol = (1e-9 * scale) if hypothesis_tol is None else float(hypothesis_tol)
+        raise ParameterError("no interior node has a finite -Delta_tau v")
+    tol = _HYPOTHESIS_RTOL * (1.0 + peak)
     if hyp_min < -tol:
-        raise HypothesisError(
-            f"-Delta_tau v = {hyp_min:.6e} < -{tol:.1e} at node {node}, "
-            "away from declared kinks"
-        )
+        raise HypothesisError(f"-Delta_tau v = {hyp_min:.6e} < -{tol:.1e} at node {node}")
 
     m_values = []
     for d in deltas:
@@ -461,25 +417,20 @@ _RATE_P = 6.0
 class StaircaseCase:
     """The staircase certificate case: the fields plus construction data.
 
-    deficit[j] = g_sup^2 - ghat(xi2_j)^2 where ghat is the 2h box average of
-    the coefficient g = 1 + f(xi2/L), f the staircase of the gap ratios
-    ``alphas`` and L = 5/4; road_top is the u = xi1 + xi2 interval where the
-    plateau equals 1 and the certificate is tight.  holder_constant is g's
-    seminorm over all grid pairs for phi's declared gradient Holder exponent
-    (a Regularity carries no constant) and p the other exponent of the rate
-    alpha - 3/p.  v and phi are read-only broadcast views along xi3.
+    deficit[j] = 4 - ghat(xi2_j)^2 where ghat is the 2h box average of the
+    coefficient g = 1 + f(xi2/L), f the staircase of the gap ratios _ALPHAS,
+    L = 5/4 and 4 = sup g^2; road_top is the u = xi1 + xi2 interval where
+    the plateau equals 1 and the certificate is tight, and p the other
+    exponent of the rate alpha - 3/p.  v and phi are read-only broadcast
+    views along xi3.
     """
 
     v: ScalarField3
     phi: ScalarField3
-    g_values: np.ndarray
     ghat_values: np.ndarray
     deficit: np.ndarray
-    g_sup: float
     scale: float
     road_top: tuple[float, float]
-    alphas: tuple[Fraction, ...]
-    holder_constant: float
     p: float
 
     def delta_sweep(self, count: int) -> tuple[float, ...]:
@@ -504,8 +455,8 @@ def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
     the coefficient pair is tau1 = g/4, tau2 = 1/2 with g = 1 + f(xi2/L);
     the centered first difference of phi reproduces exactly the 2h box
     average ghat of g.  v stacks a smooth plateau road along u = xi1 + xi2
-    against the discrete double sum of the deficit g_sup^2 - ghat^2 and the
-    closing lift -(1 + g_sup^2) xi2^2 / 2, which makes the interior identity
+    against the discrete double sum of the deficit 4 - ghat^2 and the
+    closing lift -(1 + 4) xi2^2 / 2, which makes the interior identity
 
         -Delta_tau v = (c/16)(1 + ghat^2)(1 - P~(xi1 + xi2)) >= 0
 
@@ -533,7 +484,6 @@ def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
         raise ParameterError(f"extents {extents} too small for a certificate grid")
     n1, n2, _ = extents
     fat = fat_F(build_cantor(_ALPHAS))
-    f = fat.iterates.value_exact  # 0 left of 0
 
     def F1(x: Fraction) -> Fraction:
         # int_0^x f exactly: F = int_0^x (f - t) dt; every argument stays
@@ -575,25 +525,15 @@ def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
     phi_1d = np.array([-(float(x + lam * F1(x / lam))) for x in x2])
     phi_vals = np.broadcast_to(phi_1d[None, :, None], extents)
 
-    g_nodes = np.array([float(1 + f(x / lam)) for x in x2])
-    seminorm = 0.0
-    for j in range(1, n2):
-        gaps = np.abs(g_nodes[j:] - g_nodes[:-j])
-        seminorm = max(seminorm, float(gaps.max()) / (float(j * h) ** _HOLDER))
-
     grid = Grid3((0.0, 0.0, 0.0), float(h), extents)
     v = ScalarField3(grid, v_vals, Regularity("c11"))
     phi = ScalarField3(grid, phi_vals, Regularity("c1alpha", alpha=_HOLDER))
     return StaircaseCase(
         v=v,
         phi=phi,
-        g_values=g_nodes,
         ghat_values=np.array([float(g) for g in ghat]),
         deficit=np.array([float(d) for d in deficit]),
-        g_sup=float(gstar),
         scale=float(c),
         road_top=(_PLATEAU[1], _PLATEAU[2]),
-        alphas=_ALPHAS,
-        holder_constant=seminorm,
         p=_RATE_P,
     )
