@@ -355,6 +355,14 @@ def quadratic_case(h=1.0 / 32.0, n=41):
     return v, phi
 
 
+# the six kink planes n . xi = const with n summing one or two axes
+KINK_NORMALS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+
+
+def kink_id(normal):
+    return "+".join(f"xi{ax + 1}" for ax, c in enumerate(normal) if c)
+
+
 class TestCertificateBasics:
     def test_quarter_floor_for_pure_z2_square(self):
         v, phi = quadratic_case()
@@ -437,7 +445,9 @@ class TestCertificateBasics:
             )
 
     @pytest.mark.parametrize(
-        "deltas", [(), (0.25,), (0.25, 0.25), (0.125, math.inf)], ids=repr
+        "deltas",
+        [(), (0.25,), (0.25, 0.25), (0.125, math.inf), (math.nan, 0.25), (0.25, -math.inf)],
+        ids=repr,
     )
     def test_sweep_it_cannot_fit_rejected_before_any_work(self, shipped_case, deltas):
         # once a polyfit of one distinct point, or an overflow in make_kernel
@@ -460,6 +470,41 @@ class TestCertificateBasics:
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
         with pytest.raises(HypothesisError):
             mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
+
+    @pytest.mark.parametrize("normal", KINK_NORMALS, ids=kink_id)
+    def test_hidden_convex_kink_raises_in_any_plane(self, normal):
+        # v = -|z2|^2 (-Delta_tau v = 1/4) plus a convex kink on a plane
+        # n . xi = const between nodes: whatever the plane, the nodes beside
+        # it see a positive second difference of order 1/h that the check
+        # must refuse, with nothing declared to excuse it
+        v, phi = quadratic_case()
+        grid = v.grid
+        across = sum(c * x for c, x in zip(normal, grid.mesh()))
+        kink = 0.5 * np.abs(across - 19.75 * grid.spacing * sum(normal))
+        kinked = ScalarField3(grid, v.values + kink, Regularity("c11"))
+        with pytest.raises(HypothesisError):
+            mollified_sign_certificate(
+                kinked, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP
+            )
+
+    @pytest.mark.parametrize("q, raises", [(-0.9e-9, False), (-1.1e-9, True)])
+    def test_hypothesis_tolerance_edge(self, q, raises):
+        # v = -4q |z2|^2 makes -Delta_tau v = q at every node, so peak = |q|
+        # and the check forgives q down to -1e-9 (1 + |q|), about -1e-9
+        v, phi = quadratic_case()
+        scaled = ScalarField3(v.grid, 4.0 * q * v.values, v.regularity)
+        low, peak, _ = whole_grid_hypothesis(scaled, phi)
+        assert low == pytest.approx(q, rel=1e-6) and peak == pytest.approx(-q, rel=1e-6)
+        if raises:
+            with pytest.raises(HypothesisError):
+                mollified_sign_certificate(
+                    scaled, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP
+                )
+        else:
+            rep = mollified_sign_certificate(
+                scaled, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP
+            )
+            assert rep.passed and rep.hypothesis_min.hex() == low.hex()
 
 # g's Holder seminorm for the declared exponent 0.9 on the shipped grid:
 # measured 6.84 at h = 1/128 and again at 1/256
@@ -768,16 +813,23 @@ class TestSlabbedHypothesisCheck:
 
     @pytest.mark.parametrize("workers", _WORKERS)
     @pytest.mark.parametrize("block", [1, 3 * 33 * 19 + 5, levi_module._BLOCK])
-    def test_certificate_reports_and_raises_as_before(self, small_case, block, workers):
+    @pytest.mark.parametrize("layout", ["views", "contiguous"])
+    def test_certificate_reports_and_raises_as_before(self, small_case, layout, block, workers):
+        # the case's stride-0 views and contiguous copies of the same values
+        # take the same reduced route and give the same bits
         case, deltas, _ = small_case
+        v, phi = case.v, case.phi
+        if layout == "contiguous":
+            v, phi = contiguous(v), contiguous(phi)
         with mock.patch.object(levi_module, "_BLOCK", block), with_workers(workers):
             rep = mollified_sign_certificate(
-                case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
+                v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
             )
             with pytest.raises(HypothesisError) as err:
                 mollified_sign_certificate(
-                    negated(case.v), case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
+                    negated(v), phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
                 )
+        assert rep.reduced_axes == (2,)
         assert rep.hypothesis_min.hex() == whole_grid_hypothesis(case.v, case.phi)[0].hex()
         want = whole_grid_hypothesis(negated(case.v), case.phi)
         assert str(err.value) == hypothesis_message(want)
@@ -892,11 +944,15 @@ class TestInvariantAxes:
         assert mollify_module._invariant_axes(v, phi) == (2,)
         assert mollify_module._invariant_axes(contiguous(v), contiguous(phi)) == (2,)
 
-    def test_quadratic_case_views_agree_with_contiguous_copies(self):
+    @pytest.mark.parametrize("axis, want", [(0, (0,)), (1, (0, 1)), (2, (0, 2))])
+    def test_quadratic_case_views_agree_with_contiguous_copies(self, axis, want):
+        # the case holds no xi1; a view of its first plane along axis makes
+        # both fields repeat along that axis too
         v, phi = quadratic_case()
-        views = plane_view(v, 0), plane_view(phi, 0)
-        assert mollify_module._invariant_axes(*views) == (0,)
         assert mollify_module._invariant_axes(v, phi) == (0,)
+        views = plane_view(v, axis), plane_view(phi, axis)
+        assert mollify_module._invariant_axes(*views) == want
+        assert mollify_module._invariant_axes(*map(contiguous, views)) == want
 
     def test_negative_zero_plane_is_not_invariant(self):
         grid = Grid3((0.0, 0.0, 0.0), 1.0 / 16.0, (5, 6, 7))
@@ -958,14 +1014,18 @@ class TestReducedSweep:
         assert shipped_report.hypothesis_min.hex() == low.hex()
         assert node == (1, 113, 1)
 
-    def test_one_ulp_change_switches_reduction_off(self, small_case):
+    @pytest.mark.parametrize("node", [(16, 16, 9), (0, 0, 0), (32, 32, 18)])
+    @pytest.mark.parametrize("changed", ["v", "phi"])
+    def test_one_ulp_change_switches_reduction_off(self, small_case, changed, node):
         case, deltas, _ = small_case
-        v = one_ulp_up(case.v, (16, 16, 9))
-        rep = mollified_sign_certificate(
-            v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
-        )
+        v, phi = case.v, case.phi
+        if changed == "v":
+            v = one_ulp_up(v, node)
+        else:
+            phi = one_ulp_up(phi, node)
+        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas)
         assert rep.reduced_axes == ()
-        want = whole_grid_m_values(v, case.phi, deltas)
+        want = whole_grid_m_values(v, phi, deltas)
         assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
 
     @settings(max_examples=10, deadline=None)
@@ -991,6 +1051,28 @@ class TestReducedSweep:
         three_d = whole_grid_m_values(v, phi, deltas)
         # FFT rounding of the 3-D route, times 1/h^2 in the stencil; measured
         # at most 2.7e-15 over seeds 0-39
+        assert max(abs(m - w) for m, w in zip(rep.m_values, three_d)) <= 1e-13
+        assert rep.hypothesis_min.hex() == whole_grid_hypothesis(v, phi)[0].hex()
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_fields_of_one_coordinate_reduce_along_the_other_two(self, axis):
+        grid = Grid3((-0.5, -0.375, -0.25), 1.0 / 16.0, (15, 17, 13))
+
+        def along(fn):
+            return lambda *xs: fn(xs[axis])
+
+        v = smooth_field(grid, along(lambda x: -((x - 0.1) ** 2) + 0.3 * x**3))
+        phi = smooth_field(grid, along(lambda x: -0.5 * x + 0.2 * x**2))
+        deltas = (2.0 / 16.0, 3.0 / 16.0)
+        others = tuple(ax for ax in range(3) if ax != axis)
+        with mock.patch.object(mollify_module, "_HYPOTHESIS_RTOL", math.inf):
+            rep = mollified_sign_certificate(
+                v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
+            )
+        assert rep.reduced_axes == others
+        on_route = whole_grid_m_values(v, phi, deltas, axes=others)
+        assert [m.hex() for m in rep.m_values] == [m.hex() for m in on_route]
+        three_d = whole_grid_m_values(v, phi, deltas)
         assert max(abs(m - w) for m, w in zip(rep.m_values, three_d)) <= 1e-13
         assert rep.hypothesis_min.hex() == whole_grid_hypothesis(v, phi)[0].hex()
 
