@@ -314,27 +314,17 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     else:
         raise ParameterError(f"unknown hartogs-scan cap {cap!r} (ball | staircase)")
     scan = subharmonicity_scan(domain, scan_radius=float(params["scan_radius"]))
-    xs = domain.cap.axis()
-    viol = np.argwhere(scan.violating)
+    violators = scan.violators()
     _write_csv(
         outdir / "violators.csv",
         ["x", "y", "laplacian", "dist_horizontal", "dist_euclidean"],
-        (
-            (
-                float(xs[i]),
-                float(xs[j]),
-                float(scan.laplacian[i, j]),
-                float(scan.dist_horizontal[i, j]),
-                float(scan.dist_euclidean[i, j]),
-            )
-            for i, j in viol
-        ),
+        zip(*(column.tolist() for column in violators)),
     )
     n_viol = scan.violating_count()
 
     if expect_violation:
         h, reach = domain.spacing, scan.reach_2h
-        farthest = _reduce(np.max, scan.dist_horizontal[scan.violating])
+        farthest = _reduce(np.max, violators[3])  # the horizontal distances
         assertions = [
             Assertion("violating_nodes_present", n_viol, ">", 0),
             Assertion("violations_within_2h_of_base_kinks", farthest, "<=", reach, {"h": h}),

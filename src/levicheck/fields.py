@@ -313,8 +313,8 @@ class DiscField:
 
     Values live on the full square (side = 2*half+1 nodes, node [half, half]
     at the origin); NaN marks nodes where the generator is undefined.  The
-    authoritative domain is the node set with |z| < radius (`inside`); the
-    finite pattern may extend past the rim (polynomials) or stop short of it
+    authoritative domain is the node set with |z| < radius; the finite
+    pattern may extend past the rim (polynomials) or stop short of it
     (log-type caps).  Interpolation needs all four cell corners finite.
     """
 
@@ -375,15 +375,6 @@ class DiscField:
         coords = self.axis()
         return tuple(np.meshgrid(coords, coords, indexing="ij", sparse=True))
 
-    @property
-    def inside(self) -> np.ndarray:
-        gx, gy = self.meshes()
-        return np.hypot(gx, gy) < self.radius
-
-    def node_coords(self, node) -> tuple[float, float]:
-        i, j = (int(n) for n in node)
-        return (self.spacing * (i - self.half), self.spacing * (j - self.half))
-
     def _cell(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower cell index along one axis (points within 1e-9 cell of the
         first or last node snap into the square) and whether it exists."""
@@ -442,22 +433,22 @@ class DiscField:
         return lap
 
 
-def circle_mean(g: DiscField, center, r: float) -> float:
-    """Mean of g over the circle |z - center| = r (trapezoid rule in angle,
-    _N_THETA angles).
+def circle_mean(g: DiscField, centers, r: float):
+    """Means of g over the circles |z - c| = r (trapezoid rule in angle,
+    _N_THETA angles) for complex centres c of any shape; a float for one.
 
-    Uniform periodic sampling makes the trapezoid rule a plain average.
+    One DiscField.sample call samples every circle, and each mean is the
+    fsum of its own samples: the same bits as for that circle alone.
     """
     if not r > 0.0:
         raise ParameterError("circle radius must be positive")
-    if isinstance(center, complex):
-        cx, cy = center.real, center.imag
-    else:
-        cx, cy = float(center[0]), float(center[1])
+    c = np.asarray(centers, dtype=np.complex128)
     theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
-    xs = cx + r * np.cos(theta)
-    ys = cy + r * np.sin(theta)
-    samples = g.sample(xs, ys)
-    if np.isnan(samples).any():
-        raise DomainError(f"circle |z - ({cx}, {cy})| = {r} leaves the finite sample set")
-    return math.fsum(samples.tolist()) / _N_THETA
+    xs = c.real[..., None] + r * np.cos(theta)
+    samples = g.sample(xs, c.imag[..., None] + r * np.sin(theta))
+    off = np.isnan(samples).any(axis=-1)
+    if off.any():
+        bad = c[off].flat[0]
+        raise DomainError(f"circle |z - ({bad.real}, {bad.imag})| = {r} leaves the finite sample set")
+    means = [math.fsum(row) / _N_THETA for row in samples.reshape(-1, _N_THETA).tolist()]
+    return means[0] if c.ndim == 0 else np.reshape(means, c.shape)

@@ -241,8 +241,10 @@ def _dual_gap(a, b) -> tuple[float, float]:
     (0, 0) if there are none (empty arrays too): one block's part of a _verify."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    peak = np.max(np.abs(a), initial=0.0)
-    worst = np.max(np.abs(a - b), initial=0.0)
+    # inf - inf is NaN: the masked pass below handles it, so no warning
+    with np.errstate(invalid="ignore"):
+        peak = np.max(np.abs(a), initial=0.0)
+        worst = np.max(np.abs(a - b), initial=0.0)
     if not (math.isfinite(peak) and math.isfinite(worst)):
         finite = np.isfinite(a) & np.isfinite(b)
         if not finite.any():

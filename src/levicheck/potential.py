@@ -324,18 +324,11 @@ class GreenPotential:
             y = gy if gy.shape[0] == 1 else gy[start : start + rows]
             n = o.size
             if coef:
-                # z and the Horner sum s as complex tiles; one node runs twice, as
-                # numpy's one-element in-place product skips its fused multiply-add
-                zs = work[: 4 * n].view(np.complex128) if n > 1 else np.empty(4, np.complex128)
-                z, s = zs.reshape(2, -1)
-                z[:n].reshape(o.shape).real[...] = x
-                z[:n].reshape(o.shape).imag[...] = y
-                z[n:] = z[0]
-                np.multiply(z, coef[-1], out=s)
-                for c_k in coef[-2::-1]:
-                    s += c_k
-                    s *= z
-                np.negative(s.real[:n].reshape(o.shape), out=o)
+                # z and the Horner sum as complex tiles cut from work
+                z, s = work[: 4 * n].view(np.complex128).reshape(2, n)
+                z.reshape(o.shape).real[...] = x
+                z.reshape(o.shape).imag[...] = y
+                np.negative(_horner(z, coef, s).real.reshape(o.shape), out=o)
             for first in range(0, w.size, chunk):
                 ar, ai, half_m = atoms[:, first : first + chunk]
                 c = len(ar)
@@ -380,17 +373,28 @@ class GreenPotential:
             z = np.empty(r2.shape, np.complex128)
             z.real[...] = gx
             z.imag[...] = gy
-            inv = 1.0 / z
-            s = coef[-1] * z
-            t = np.conj(coef[-1]) * inv
-            for c_k in coef[-2::-1]:
-                s += c_k
-                s *= z
-                t += np.conj(c_k)
-                t *= inv
-            t -= s
+            t = _horner(1.0 / z, np.conj(coef))
+            t -= _horner(z, coef)
             out += t.real
         return out
+
+
+def _horner(z: np.ndarray, coef, s: np.ndarray | None = None) -> np.ndarray:
+    """sum_k coef[k-1] z^k, k = 1..len(coef), by Horner at each entry of a
+    complex array z, into s when given (of z's shape).
+
+    A lone node runs twice: numpy's one-element in-place product skips its
+    fused multiply-add, so it would get other bits than among other nodes.
+    """
+    if z.size == 1:
+        return _horner(np.repeat(z, 2), coef)[:1].reshape(z.shape)
+    if s is None:
+        s = np.empty_like(z)
+    np.multiply(z, coef[-1], out=s)
+    for c_k in coef[-2::-1]:
+        s += c_k
+        s *= z
+    return s
 
 
 def _reduce_sum(a: np.ndarray, b: np.ndarray, reduce, initial: float) -> float:

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from levicheck.fields import DiscField, ParameterError, circle_mean
+from levicheck.fields import DiscField, DomainError, ParameterError, circle_mean
 
 __all__ = [
     "CantorSystem",
@@ -566,9 +566,12 @@ class HartogsDomain:
     """Radially symmetric log cap on the unit disc, optionally perturbed.
 
     ``cap`` holds phi on a regular grid over the disc (NaN outside);
-    ``kind`` is "ball" for the unperturbed cap or "staircase" for the cap
-    plus c1 * F(x - 1/2) * window(4 y); ``params`` freezes every constant
-    used so reports are reproducible.
+    ``kind`` is "ball" for the unperturbed cap, "staircase" for the cap
+    plus c1 * F(x - 1/2) * window(4 y), or "cantor" for the cap minus a
+    Green potential (potential.zygmund_domain).  ``params`` records the
+    constants of the construction; of them only the staircase's z0_real,
+    c1 and growth reach a report, through
+    SubharmonicityScan._threshold_report.
     """
 
     cap: DiscField
@@ -673,24 +676,30 @@ def interval_distance(points: np.ndarray, intervals: Sequence[tuple[float, float
 class SubharmonicityScan:
     """Discrete Laplacian classification of a Hartogs cap.
 
-    ``laplacian`` is the 5-point Laplacian field (NaN where undefined or
-    outside the scan radius), ``violating`` marks nodes with positive
-    Laplacian, and the distance arrays measure proximity of each node to
-    the perturbed segment {y = 0, x - 1/2 in kept union} (NaN for the
-    unperturbed cap).  Horizontal distance ignores y because the window
-    keeps the perturbation fully active on a band of fixed height, so
-    violations can sit far from y = 0 in the Euclidean metric while still
-    lying over the kept columns.
+    ``laplacian`` is the 5-point Laplacian field, NaN off the scanned
+    nodes (where it is undefined or outside the scan radius); the scanned
+    nodes are its finite ones and the violating nodes its positive ones.
+    ``dist_x`` holds, per grid column x, the horizontal distance to the
+    perturbed segment {y = 0, x - 1/2 in kept union}, all NaN when the cap
+    has no segment (the ball and the Cantor cap).  Horizontal distance
+    ignores y because the window keeps the perturbation fully active on a
+    band of fixed height, so violations can sit far from y = 0 in the
+    Euclidean metric while still lying over the kept columns.
     """
 
     domain: HartogsDomain
     scan_radius: float
     laplacian: np.ndarray
-    scanned: np.ndarray
-    violating: np.ndarray
-    dist_horizontal: np.ndarray
-    dist_euclidean: np.ndarray
+    dist_x: np.ndarray
     mean_checks: dict | None = None
+
+    @property
+    def scanned(self) -> np.ndarray:
+        return np.isfinite(self.laplacian)
+
+    @property
+    def violating(self) -> np.ndarray:
+        return self.laplacian > 0.0
 
     def violating_count(self) -> int:
         return int(np.count_nonzero(self.violating))
@@ -698,14 +707,21 @@ class SubharmonicityScan:
     def scanned_count(self) -> int:
         return int(np.count_nonzero(self.scanned))
 
+    def violators(self) -> tuple[np.ndarray, ...]:
+        """(x, y, laplacian, horizontal distance, Euclidean distance) at the
+        violating nodes, in C order."""
+        i, j = np.nonzero(self.violating)
+        xs = self.domain.cap.axis()
+        dh = self.dist_x[i]
+        return xs[i], xs[j], self.laplacian[i, j], dh, np.hypot(dh, xs[j])
+
     def max_laplacian(self) -> float:
         vals = self.laplacian[self.scanned]
         return float(np.max(vals)) if vals.size else float("nan")
 
     def far_field_max(self) -> float:
         """Max Laplacian over scanned nodes at horizontal distance > _FAR_FIELD."""
-        mask = self.scanned & (self.dist_horizontal > _FAR_FIELD)
-        vals = self.laplacian[mask]
+        vals = self.laplacian[self.scanned & (self.dist_x[:, None] > _FAR_FIELD)]
         return float(np.max(vals)) if vals.size else float("nan")
 
     @property
@@ -716,8 +732,7 @@ class SubharmonicityScan:
     def violation_alignment(self) -> dict:
         """Distance statistics of the violating set relative to the segment
         (maxima 0.0 when no node violates)."""
-        dh = self.dist_horizontal[self.violating]
-        de = self.dist_euclidean[self.violating]
+        _, _, _, dh, de = self.violators()
         return {
             "count": int(dh.size),
             "max_horizontal": float(np.max(dh, initial=0.0)),
@@ -786,39 +801,15 @@ def subharmonicity_scan(
             f"scan radius must lie in (0, {cap.radius}), got {scan_radius!r}"
         )
     lap = cap.laplacian_field()
-    xs = cap.axis()
-    gx, gy = cap.meshes()
-    rr = np.hypot(gx, gy)
-    scanned = np.isfinite(lap) & (rr <= scan_radius)
-    lap_masked = np.where(scanned, lap, np.nan)
-    violating = scanned & (lap_masked > 0.0)
-
-    mean_checks = None
+    lap[~np.isfinite(lap) | (np.hypot(*cap.meshes()) > scan_radius)] = np.nan
+    scan = SubharmonicityScan(domain, scan_radius, lap, np.full(lap.shape[0], np.nan))
     if domain.kind == "staircase":
-        cols = domain.segment_intervals()
-        dx = interval_distance(xs, cols)
-        dist_h = np.broadcast_to(dx[:, None], lap.shape).copy()
-        dist_e = np.hypot(dist_h, gy)
-        mean_checks = _segment_mean_checks(domain, scanned, dist_h, gy)
-    else:
-        dist_h = np.full(lap.shape, np.nan)
-        dist_e = np.full(lap.shape, np.nan)
-
-    return SubharmonicityScan(
-        domain=domain,
-        scan_radius=scan_radius,
-        laplacian=lap_masked,
-        scanned=scanned,
-        violating=violating,
-        dist_horizontal=np.where(scanned, dist_h, np.nan),
-        dist_euclidean=np.where(scanned, dist_e, np.nan),
-        mean_checks=mean_checks,
-    )
+        scan.dist_x = interval_distance(cap.axis(), domain.segment_intervals())
+        scan.mean_checks = _segment_mean_checks(scan)
+    return scan
 
 
-def _segment_mean_checks(
-    domain: HartogsDomain, scanned: np.ndarray, dist_h: np.ndarray, gy: np.ndarray
-) -> dict:
+def _segment_mean_checks(scan: SubharmonicityScan) -> dict:
     """Circle-mean excess at the nodes straddling the perturbed segment.
 
     The tested nodes sit within 2h horizontally of the kept columns and
@@ -829,22 +820,21 @@ def _segment_mean_checks(
     drift (about c3 r^2) overtakes the kink excess even for steep caps,
     so larger circles would test the wrong regime.
     """
-    cap = domain.cap
+    cap = scan.domain.cap
     h = cap.spacing
     radius = min(max(4.0 * h, 0.004), 0.0085)
-    sel = scanned & (dist_h <= 2.0 * h) & (np.abs(gy) <= 2.5 * h)
-    excesses = []
-    for i, j in np.argwhere(sel):
-        center = cap.node_coords((i, j))
-        excesses.append(circle_mean(cap, center, radius) - cap.value(center))
-    if not excesses:
-        return {"radius": radius, "nodes": 0, "positive": 0, "max_excess": float("nan")}
-    arr = np.array(excesses)
+    xs = cap.axis()
+    near = (scan.dist_x[:, None] <= 2.0 * h) & (np.abs(xs) <= 2.5 * h)
+    i, j = np.nonzero(scan.scanned & near)
+    centre = cap.sample(xs[i], xs[j])
+    if np.isnan(centre).any():
+        raise DomainError("a segment node lies outside the finite sample set")
+    excess = circle_mean(cap, xs[i] + 1j * xs[j], radius) - centre
     return {
         "radius": radius,
-        "nodes": int(arr.size),
-        "positive": int(np.count_nonzero(arr > 0.0)),
-        "max_excess": float(np.max(arr)),
+        "nodes": int(excess.size),
+        "positive": int(np.count_nonzero(excess > 0.0)),
+        "max_excess": float(np.max(excess)) if excess.size else math.nan,
     }
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_disc import disc_inside, disc_node_coords
 from helpers_poly import Poly3, node_gradient, node_hessian
 from levicheck import cli, fields, potential, staircase
 from test_potential import with_workers
@@ -498,9 +499,9 @@ class TestDiscField:
     def test_inside_mask_and_node_values(self):
         g = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x + y * y)
         assert g.values[g.half, g.half] == 0.0
-        x0, y0 = g.node_coords((g.half + 3, g.half - 2))
+        x0, y0 = disc_node_coords(g, (g.half + 3, g.half - 2))
         assert g.values[g.half + 3, g.half - 2] == x0 * x0 + y0 * y0
-        count = int(g.inside.sum())
+        count = int(disc_inside(g).sum())
         # lattice-point count inside |z| < 1/2 tracks area / h^2 with an
         # error bounded by a perimeter term
         expected = math.pi * 0.25 / g.spacing**2
@@ -648,6 +649,19 @@ class TestGridFromFunctionSparseMeshes:
         assert np.array_equal(got.view(np.int64), full_grid_values(grid, poly).view(np.int64))
 
 
+def one_circle_mean(g, center, r):
+    """circle_mean as it sampled one circle per call, verbatim for a complex
+    centre: the bitwise oracle of the array form."""
+    cx, cy = center.real, center.imag
+    theta = 2.0 * math.pi * np.arange(fields._N_THETA) / fields._N_THETA
+    xs = cx + r * np.cos(theta)
+    ys = cy + r * np.sin(theta)
+    samples = g.sample(xs, ys)
+    if np.isnan(samples).any():
+        raise DomainError(f"circle |z - ({cx}, {cy})| = {r} leaves the finite sample set")
+    return math.fsum(samples.tolist()) / fields._N_THETA
+
+
 class TestCircleMean:
     def test_constant_exact(self):
         g = DiscField.from_function(0.5, 1.0 / 32, lambda x, y: 2.5 + 0.0 * x)
@@ -678,3 +692,23 @@ class TestCircleMean:
         c = complex(0.1, -0.05)
         expected = c.real**2 - c.imag**2
         assert circle_mean(g, c, 0.2) == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("spacing", [1.0 / 128, 1.0 / 300])
+    def test_array_of_centres_matches_one_call_per_centre(self, spacing):
+        # each mean is its own circle's fsum: bit for bit the scalar call,
+        # whatever the other centres and the shape they come in
+        g = DiscField.from_function(
+            1.0, spacing, lambda x, y: 0.5 * np.log1p(-(x * x + y * y)) + np.sin(7.0 * x) * y
+        )
+        rng = np.random.default_rng(7)
+        for r in rng.uniform(0.004, 0.05, 4).tolist():
+            rho = rng.uniform(0.0, 0.9, (3, 5))
+            centres = rho * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (3, 5)))
+            got = circle_mean(g, centres, r)
+            assert got.shape == (3, 5)
+            want = [one_circle_mean(g, c, r) for c in centres.ravel().tolist()]
+            assert [float(m).hex() for m in got.ravel()] == [m.hex() for m in want]
+            one = [circle_mean(g, c, r) for c in centres.ravel().tolist()]
+            assert [m.hex() for m in one] == [m.hex() for m in want]
+        with pytest.raises(DomainError, match="leaves the finite sample set"):
+            circle_mean(g, np.append(centres.ravel(), 0.98 + 0.0j), 0.03)

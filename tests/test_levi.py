@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from unittest import mock
 
@@ -526,6 +527,24 @@ def test_verify_over_gaps_agrees_with_the_accumulating_check(blocks, where):
         want = consistency_outcome(oracle)
         got = consistency_outcome(lambda: _verify(where, [_dual_gap(a, b) for a, b in blocks]))
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        ([math.inf, 1.0], [math.inf, 1.0], (1.0, 0.0)),
+        ([math.inf, -2.0, 1.0], [-math.inf, -1.5, 1.0], (2.0, 0.5)),
+        ([math.nan, 3.0], [1.0, math.nan], (0.0, 0.0)),
+        ([1.0, -4.0], [1.5, -4.0], (4.0, 0.5)),
+        ([], [], (0.0, 0.0)),
+    ],
+)
+def test_dual_gap_is_silent_on_non_finite_entries(a, b, want):
+    # inf - inf in the whole-block pass leaks no RuntimeWarning, and the
+    # maxima are still those over the entries where both are finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _dual_gap(a, b) == want
 
 
 # _delta_tau_forms as it stood before its two forms shared their terms,

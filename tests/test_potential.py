@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from helpers_disc import disc_inside
 from levicheck import fields as fields_module
 from levicheck import potential as potential_module
 from levicheck.fields import DiscField, DomainError, ParameterError
@@ -381,7 +382,7 @@ class TestGreenPotential:
     def test_nonnegative_on_grid(self, gen5):
         _, _, potential = gen5
         field = potential_field(potential, 1.0, 1.0 / 128.0)
-        inside = field.values[field.inside]
+        inside = field.values[disc_inside(field)]
         assert np.nanmin(inside) >= -1e-12
 
 
@@ -750,6 +751,24 @@ class TestGridValuesBlocked:
         for i in (0, 37):
             node = pot.grid_values(cx[i], cy[i])
             assert abs(node - mixed[i]) <= ORACLE_BOUND * (1.0 + abs(mixed[i]))
+
+    @pytest.mark.parametrize("alpha, generation", [(1.0, 3), (1.3, 3), (1.0, 4)])
+    def test_lone_node_gets_the_bits_it_gets_asked_twice(self, alpha, generation):
+        # a node asked twice in one call has the same min and max |z|, so the
+        # same route and K: alone, its Horner sums must not take another loop
+        pot = GreenPotential(frostman_measure(build_square_cantor(alpha, generation)))
+        w_max = float(np.abs(pot.measure.locations).max())
+        rng = np.random.default_rng(generation)
+        r = rng.uniform(1.05 * w_max, 0.999, 300)
+        theta = rng.uniform(0.0, 2.0 * math.pi, 300)
+        far = 0
+        for x, y in zip((r * np.cos(theta)).tolist(), (r * np.sin(theta)).tolist()):
+            far += takes_far_route(pot, x, y)
+            alone = pot.grid_values(np.array([x]), np.array([y]))
+            twice = pot.grid_values(np.array([x, x]), np.array([y, y]))
+            assert_bitwise(alone, twice[:1])
+            assert_bitwise(np.array([pot(complex(x, y))]), twice[:1])
+        assert far >= 50
 
     def test_worker_count_is_the_cpu_affinity(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):

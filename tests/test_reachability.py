@@ -59,7 +59,7 @@ RUNS = [
 # qualified name -> why the library keeps it although no standard run enters it
 UNREACHED = {
     "cli._cmd_list.<locals>.<dictcomp>": "the `list --json` branch; tests/test_cli.py runs it",
-    "fields.DiscField.inside": "the |z| < radius node mask that tests select disc nodes with",
+    "fields.DiscField.value": "levibench/tracing.py wraps it (fields.disc_sample)",
     "fields.ScalarField3._require_interior": "the node block of fd_gradient and fd_hessian",
     "fields.ScalarField3.fd_gradient": "levibench/tracing.py wraps it; the one stencil at a node",
     "fields.ScalarField3.fd_hessian": "levibench/tracing.py wraps it; the one stencil at a node",

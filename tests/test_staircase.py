@@ -13,9 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from levicheck.fields import ParameterError
+from helpers_disc import disc_node_coords
+from levicheck.fields import ParameterError, circle_mean
+from levicheck.potential import zygmund_domain
 from levicheck.staircase import (
     _DEPTH_BUDGET,
+    _FAR_FIELD,
     ConstructionError,
     FatF,
     X0Certificate,
@@ -812,6 +815,110 @@ class TestSubharmonicityScan:
     def test_scan_radius_validation(self, dom99):
         with pytest.raises(ParameterError):
             subharmonicity_scan(dom99, scan_radius=1.5)
+
+
+# -- oracle: subharmonicity_scan as it stored whole-grid masks and distance
+# copies and tested the segment nodes one circle_mean call at a time,
+# verbatim but for its return value; violators(), far_field_max(),
+# violation_alignment() and mean_checks must equal what it reported
+
+
+def whole_grid_scan(domain, scan_radius=0.96):
+    cap = domain.cap
+    lap = cap.laplacian_field()
+    xs = cap.axis()
+    gx, gy = cap.meshes()
+    rr = np.hypot(gx, gy)
+    scanned = np.isfinite(lap) & (rr <= scan_radius)
+    lap_masked = np.where(scanned, lap, np.nan)
+    violating = scanned & (lap_masked > 0.0)
+
+    mean_checks = None
+    if domain.kind == "staircase":
+        cols = domain.segment_intervals()
+        dx = interval_distance(xs, cols)
+        dist_h = np.broadcast_to(dx[:, None], lap.shape).copy()
+        dist_e = np.hypot(dist_h, gy)
+        mean_checks = whole_grid_mean_checks(domain, scanned, dist_h, gy)
+    else:
+        dist_h = np.full(lap.shape, np.nan)
+        dist_e = np.full(lap.shape, np.nan)
+    dist_horizontal = np.where(scanned, dist_h, np.nan)
+    dist_euclidean = np.where(scanned, dist_e, np.nan)
+
+    viol = np.argwhere(violating)
+    violators = [
+        [float(xs[i]) for i, _ in viol],
+        [float(xs[j]) for _, j in viol],
+        [float(lap_masked[i, j]) for i, j in viol],
+        [float(dist_horizontal[i, j]) for i, j in viol],
+        [float(dist_euclidean[i, j]) for i, j in viol],
+    ]
+    far = lap_masked[scanned & (dist_horizontal > _FAR_FIELD)]
+    dh = dist_horizontal[violating]
+    de = dist_euclidean[violating]
+    reach = 2.0 * domain.spacing + 1e-12
+    return {
+        "scanned_count": int(np.count_nonzero(scanned)),
+        "violators": violators,
+        "far_field_max": float(np.max(far)) if far.size else float("nan"),
+        "alignment": {
+            "count": int(dh.size),
+            "max_horizontal": float(np.max(dh, initial=0.0)),
+            "max_euclidean": float(np.max(de, initial=0.0)),
+            "within_2h": bool(np.max(dh, initial=0.0) <= reach),
+        },
+        "mean_checks": mean_checks,
+    }
+
+
+def whole_grid_mean_checks(domain, scanned, dist_h, gy):
+    cap = domain.cap
+    h = cap.spacing
+    radius = min(max(4.0 * h, 0.004), 0.0085)
+    sel = scanned & (dist_h <= 2.0 * h) & (np.abs(gy) <= 2.5 * h)
+    excesses = []
+    for i, j in np.argwhere(sel):
+        center = complex(*disc_node_coords(cap, (i, j)))
+        excesses.append(circle_mean(cap, center, radius) - cap.value(center))
+    if not excesses:
+        return {"radius": radius, "nodes": 0, "positive": 0, "max_excess": float("nan")}
+    arr = np.array(excesses)
+    return {
+        "radius": radius,
+        "nodes": int(arr.size),
+        "positive": int(np.count_nonzero(arr > 0.0)),
+        "max_excess": float(np.max(arr)),
+    }
+
+
+# name -> (domain, scan radius); at radius 0.3 no node of the segment is scanned
+SCAN_DOMAINS = {
+    "ball": (lambda: hartogs_ball_domain(spacing=1.0 / 128.0), 0.96),
+    "staircase-128": (lambda: hartogs_staircase(alpha1=0.99, spacing=1.0 / 128.0), 0.96),
+    "staircase-300": (lambda: hartogs_staircase(alpha1=0.99, spacing=1.0 / 300.0), 0.96),
+    "staircase-64-inner": (lambda: hartogs_staircase(alpha1=0.99, spacing=1.0 / 64.0), 0.3),
+    "cantor": (lambda: zygmund_domain(1.0, 2, 1.0 / 64.0), 0.96),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_DOMAINS))
+def test_column_distances_report_what_whole_grid_copies_did(name):
+    build, scan_radius = SCAN_DOMAINS[name]
+    domain = build()
+    scan = subharmonicity_scan(domain, scan_radius)
+    want = whole_grid_scan(domain, scan_radius)
+    got = {
+        "scanned_count": scan.scanned_count(),
+        "violators": [column.tolist() for column in scan.violators()],
+        "far_field_max": scan.far_field_max(),
+        "alignment": scan.violation_alignment(),
+        "mean_checks": scan.mean_checks,
+    }
+    # repr keeps every bit of a float and reads NaN as equal to NaN
+    assert repr(got) == repr(want)
+    assert (scan.violating_count() > 0) == (name in ("staircase-128", "staircase-300", "cantor"))
+    assert (scan.mean_checks is not None) == name.startswith("staircase")
 
 
 class TestSuperharmonicMeanExcess:
