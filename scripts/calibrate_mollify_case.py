@@ -88,7 +88,7 @@ def run_case(spacing, epsilon):
     res, cert = identity_residual(case)
     finite = np.isfinite(cert)
     pred = predict_sweep(case, deltas)
-    alpha = case.phi.regularity.alpha
+    alpha = case.alpha
     rep = mollified_sign_certificate(
         case.v, case.phi, alpha=alpha, p=case.p, epsilon=epsilon, deltas=deltas
     )

@@ -13,7 +13,6 @@ from levicheck.fields import (
     DiscField,
     DomainError,
     Grid3,
-    Regularity,
     ScalarField3,
     StencilError,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "DiscField",
     "DomainError",
     "Grid3",
-    "Regularity",
     "ScalarField3",
     "StencilError",
 ]

@@ -15,11 +15,13 @@ gives the value, op, bound and margin, and ``passed`` follows from them
 Exit codes: 0 all assertions pass, 1 an assertion failed (named on stderr
 with its value and bound), 2 usage or configuration error.  A parameter of
 another type than its default's (an int may stand for a float) or outside
-its scenario's ``ranges`` (``tol >= 0`` for levi-check, say) and a
-non-integer seed are usage errors, and so is a library precondition error
-(``ParameterError``, ``DomainError`` and the like) that a parameter value
-triggers.  Any other exception, such as a ``ValueError`` raised inside the
-numerics, is a bug and propagates with its traceback: it never exits 2.
+its scenario's ``ranges`` (``tol >= 0`` for levi-check, say), a
+non-integer seed and an ``outdir`` that cannot be created (one that
+passes through a file, say) are usage errors, and so is a library
+precondition error (``ParameterError``, ``DomainError`` and the like)
+that a parameter value triggers.  Any other exception, such as a
+``ValueError`` raised inside the numerics, is a bug and propagates with
+its traceback: it never exits 2.
 When two computation routes of a run disagree (``ConsistencyError``), the
 report holds the single failed assertion ``dual_route_agreement_<check>``,
 worst disagreement <= 1e-9 * scale, and the exit code is 1.
@@ -241,7 +243,7 @@ def _run_mollify_sweep(params: dict, expect_violation: bool, outdir: Path):
     report = mollified_sign_certificate(
         case.v,
         case.phi,
-        alpha=case.phi.regularity.alpha,
+        alpha=case.alpha,
         p=case.p,
         epsilon=float(params["epsilon"]),
         deltas=deltas,
@@ -349,7 +351,7 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
     boundary_max = float(
         np.abs(potential.grid_values(np.cos(theta), np.sin(theta))).max()
     )
-    single = GreenPotential(AtomicMeasure(generation=0, locations=[0j], masses=[1.0]))
+    single = GreenPotential(AtomicMeasure(locations=[0j], masses=[1.0]))
     anchor_err = abs(single(0.5 + 0j) - math.log(2.0))
     recovered = disc_mass_recovery(potential)
 
@@ -638,7 +640,10 @@ def run_scenario(config: dict) -> tuple[dict, Path]:
         raise UsageError(
             f"config field 'expect_violation' must be true or false, got {expect_violation!r}"
         )
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create outdir {str(outdir)!r}: {exc}") from None
 
     start = time.perf_counter()
     try:

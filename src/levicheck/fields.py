@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "StencilError",
     "DomainError",
-    "Regularity",
     "Grid3",
     "ScalarField3",
     "DiscField",
@@ -102,30 +101,6 @@ def _run_blocks(blocks, buffer: Callable, visit: Callable) -> list:
     return out
 
 
-_REG_TAGS = ("smooth", "c1alpha", "c11", "lipschitz")
-
-
-@dataclass(frozen=True)
-class Regularity:
-    """Smoothness class of a field.
-
-    tag: smooth | c1alpha | c11 | lipschitz
-    alpha: Holder exponent of the gradient, required iff tag == "c1alpha"
-    """
-
-    tag: str = "smooth"
-    alpha: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.tag not in _REG_TAGS:
-            raise ValueError(f"unknown regularity tag {self.tag!r}")
-        if self.tag == "c1alpha":
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise ValueError("c1alpha requires alpha in (0, 1)")
-        elif self.alpha is not None:
-            raise ValueError("alpha is only meaningful for tag 'c1alpha'")
-
-
 @dataclass(frozen=True)
 class Grid3:
     """Uniform axis-aligned grid in (xi1, xi2, xi3), equal spacing on all axes."""
@@ -164,7 +139,9 @@ class Grid3:
 
 @dataclass
 class ScalarField3:
-    """Real scalar samples on a Grid3; immutable after construction.
+    """Real scalar samples on a Grid3; immutable after construction.  No
+    smoothness class is stored: a certificate takes its exponents as
+    arguments (mollified_sign_certificate's alpha and p).
 
     Writeable values are made C-contiguous and then frozen; values that are
     already read-only, such as a broadcast view, are kept as they are.
@@ -175,7 +152,6 @@ class ScalarField3:
 
     grid: Grid3
     values: np.ndarray
-    regularity: Regularity = field(default_factory=Regularity)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)

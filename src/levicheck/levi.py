@@ -91,7 +91,6 @@ class ConsistencyError(Exception):
 class WirtingerData:
     """Pointwise first/second Wirtinger derivatives of a real function of (z1, z2)."""
 
-    rho: float
     rz1: complex
     rz2: complex
     rz1z1b: float
@@ -115,7 +114,6 @@ class Defining2:
     def ball(cls) -> "Defining2":
         def data(z1: complex, z2: complex) -> WirtingerData:
             return WirtingerData(
-                rho=float(_abs2(z1) + _abs2(z2)) - 1.0,
                 rz1=np.conjugate(z1),
                 rz2=np.conjugate(z2),
                 rz1z1b=1.0,
@@ -130,7 +128,6 @@ class Defining2:
         # Re z1 - |z2|^2: the model hypersurface with a strictly concave side
         def data(z1: complex, z2: complex) -> WirtingerData:
             return WirtingerData(
-                rho=z1.real - float(_abs2(z2)),
                 rz1=0.5,
                 rz2=-np.conjugate(z2),
                 rz1z1b=0.0,
@@ -143,21 +140,20 @@ class Defining2:
     @classmethod
     def hartogs_lifted(
         cls,
-        phi_value: Callable[[complex], float],
         phi_dz: Callable[[complex], complex],
         phi_lap: Callable[[complex], float],
     ) -> "Defining2":
         """rho(z1, z2) = log|z1| - phi(z2): the lift of a radius-1 Hartogs cap.
 
-        phi_dz is d(phi)/dz and phi_lap is d^2(phi)/dz dzbar at z = z2.
-        Degenerate at z1 = 0.
+        The Levi condition needs only phi's derivatives, so phi itself is
+        not passed: phi_dz is d(phi)/dz and phi_lap is d^2(phi)/dz dzbar at
+        z = z2.  Degenerate at z1 = 0.
         """
 
         def data(z1: complex, z2: complex) -> WirtingerData:
             if z1 == 0:
                 raise DegeneratePointError("log|z1| lift undefined at z1 = 0")
             return WirtingerData(
-                rho=math.log(abs(z1)) - phi_value(z2),
                 rz1=1.0 / (2.0 * z1),
                 rz2=-complex(phi_dz(z2)),
                 rz1z1b=0.0,
@@ -176,32 +172,28 @@ class Defining2:
                 raise DomainError(f"|z2| = {abs(z)} outside the Hartogs base disc")
             return z
 
-        def value(z: complex) -> float:
-            return 0.5 * math.log(1.0 - abs(check(z)) ** 2)
-
         def dz(z: complex) -> complex:
             return -z.conjugate() / (2.0 * (1.0 - abs(check(z)) ** 2))
 
         def lap(z: complex) -> float:
             return -0.5 / (1.0 - abs(check(z)) ** 2) ** 2
 
-        return cls.hartogs_lifted(value, dz, lap)
+        return cls.hartogs_lifted(dz, lap)
 
     @classmethod
     def from_graph_partials(
         cls,
-        value: Callable[[np.ndarray], float],
         grad: Callable[[np.ndarray], np.ndarray],
         hess: Callable[[np.ndarray], np.ndarray],
     ) -> "Defining2":
-        """rho = x1 - phi with phi given by real partials over xi = (y1, Re z2, Im z2)."""
+        """rho = x1 - phi with phi given by its real gradient and Hessian over
+        xi = (y1, Re z2, Im z2); the Levi condition needs no value of phi."""
 
         def data(z1: complex, z2: complex) -> WirtingerData:
             xi = np.array([z1.imag, z2.real, z2.imag])
             g = np.asarray(grad(xi), dtype=float)
             h = np.asarray(hess(xi), dtype=float)
             return WirtingerData(
-                rho=z1.real - float(value(xi)),
                 rz1=0.5 * (1.0 + 1j * g[0]),
                 rz2=-0.5 * (g[1] - 1j * g[2]),
                 rz1z1b=-0.25 * h[0, 0],
@@ -540,13 +532,9 @@ def _unit_square_log_moment() -> float:
 
 @dataclass(frozen=True)
 class GreenIdentityReport:
-    r: float
     circle_mean: float
-    center_value: float
     area_term: float
     residual: float
-    lhs_raw: float
-    rhs_raw: float
 
 
 # sub-samples per cell axis where _log_weights refines a cell
@@ -606,8 +594,8 @@ def green_identity_report(
 
         mean_{|zeta|=r} u = u(0) + (1/2pi) int_{D(0,r)} log(r/|zeta|) Delta u.
 
-    The raw sides are that identity times 2pi: lhs_raw = 2pi mean and
-    rhs_raw = 2pi u(0) + int_{D(0,r)} log(r/|zeta|) Delta u.
+    The report holds the circle mean, the area term (the second summand on
+    the right) and residual = |mean - u(0) - area term|.
 
     weights is _log_weights on u's grid at this r, and lap is
     u.laplacian_field(); a caller checking several fields or radii builds
@@ -620,16 +608,8 @@ def green_identity_report(
     used = weights != 0.0
     if not np.isfinite(lap[used]).all():
         raise DomainError("Laplacian undefined somewhere in the disc of integration")
-    area_raw = stable_sum((weights * lap)[used])
-    area_term = area_raw / (2.0 * math.pi)
-    residual = abs(mean - center - area_term)
+    area_term = stable_sum((weights * lap)[used]) / (2.0 * math.pi)
     return GreenIdentityReport(
-        r=float(r),
-        circle_mean=mean,
-        center_value=center,
-        area_term=area_term,
-        residual=residual,
-        lhs_raw=2.0 * math.pi * mean,
-        rhs_raw=2.0 * math.pi * center + area_raw,
+        circle_mean=mean, area_term=area_term, residual=abs(mean - center - area_term)
     )
 

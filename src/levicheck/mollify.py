@@ -24,7 +24,6 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 from .fields import (
     Grid3,
     ParameterError,
-    Regularity,
     ScalarField3,
     StencilError,
 )
@@ -146,7 +145,6 @@ class MollifiedField:
     """v * theta_delta restricted to U^delta = nodes > delta from the boundary."""
 
     base: ScalarField3
-    delta: float
     kernel: BumpKernel
     field: ScalarField3
 
@@ -197,8 +195,7 @@ def convolve3(v: ScalarField3, delta: float, reduced_axes=()) -> MollifiedField:
         tuple(n - 2 * margin for n in v.grid.extents),
     )
     core = np.broadcast_to(np.expand_dims(core, axes), sub.shape)
-    smoothed = ScalarField3(sub, core, Regularity("smooth"))
-    return MollifiedField(base=v, delta=float(delta), kernel=kernel, field=smoothed)
+    return MollifiedField(base=v, kernel=kernel, field=ScalarField3(sub, core))
 
 
 # -- the mollified-sign certificate -----------------------------------------
@@ -220,7 +217,7 @@ def _thin(field: ScalarField3, axes) -> ScalarField3:
     takes; where field is constant along an axis its interior planes agree."""
     sel = tuple(slice(0, 5) if ax in axes else slice(None) for ax in range(3))
     grid = Grid3(field.grid.origin, field.grid.spacing, field.values[sel].shape)
-    return ScalarField3(grid, field.values[sel], field.regularity)
+    return ScalarField3(grid, field.values[sel])
 
 
 @dataclass(frozen=True)
@@ -275,8 +272,9 @@ def mollified_sign_certificate(
     """Sweep m(delta) = min over U^delta of -Delta_{tau(phi)}(v*theta_delta).
 
     Preconditions: p > 3, alpha in (3/p, 1), at least two distinct finite
-    deltas, v and phi share one grid, and phi's declared regularity
-    certifies a gradient Holder class of exponent at least alpha.  The raw
+    deltas, and v and phi share one grid.  alpha is the caller's claim
+    about phi's gradient Holder class; it is not checked against phi, and
+    it enters the report only as the rate target alpha - 3/p.  The raw
     hypothesis -Delta_{tau(phi)} v >= 0 is checked by finite differences at
     every interior node; failure raises HypothesisError.  Convex kinks
     hidden in v would carry negative distributional mass that the pointwise
@@ -306,12 +304,6 @@ def mollified_sign_certificate(
         raise ParameterError(f"the slope fit needs two distinct finite deltas, got {deltas}")
     if v.grid != phi.grid:
         raise ParameterError("v and phi must share one grid")
-    if phi.regularity.tag == "lipschitz":
-        raise ParameterError("phi must declare a gradient class: smooth, c11 or c1alpha")
-    if phi.regularity.tag == "c1alpha" and phi.regularity.alpha < alpha:
-        raise ParameterError(
-            f"phi gradient Holder exponent {phi.regularity.alpha} below alpha = {alpha}"
-        )
 
     h = v.grid.spacing
     if any(d < 2.0 * h for d in deltas):
@@ -403,7 +395,8 @@ def _plateau_road() -> _PiecewisePoly:
 
 # the frozen case (scripts/calibrate_mollify_case.py): grid spans, Cantor gap
 # ratios, the stretch L along xi2, v's amplitude c, the plateau (a0, a1, b1,
-# b0) along u = xi1 + xi2, phi's declared alpha and p of the rate alpha - 3/p
+# b0) along u = xi1 + xi2, and the exponents alpha (phi's gradient Holder
+# class, StaircaseCase.alpha) and p of the rate alpha - 3/p
 _SPANS = (1.0, 1.0, 0.5625)
 _ALPHAS = (Fraction(1, 5), Fraction(7, 10), Fraction(7, 10))
 _STRETCH = Fraction(5, 4)
@@ -420,9 +413,10 @@ class StaircaseCase:
     deficit[j] = 4 - ghat(xi2_j)^2 where ghat is the 2h box average of the
     coefficient g = 1 + f(xi2/L), f the staircase of the gap ratios _ALPHAS,
     L = 5/4 and 4 = sup g^2; road_top is the u = xi1 + xi2 interval where
-    the plateau equals 1 and the certificate is tight, and p the other
-    exponent of the rate alpha - 3/p.  v and phi are read-only broadcast
-    views along xi3.
+    the plateau equals 1 and the certificate is tight, and alpha (phi's
+    gradient Holder exponent, _HOLDER) and p the exponents of the rate
+    alpha - 3/p the sweep is fitted against.  v and phi are read-only
+    broadcast views along xi3.
     """
 
     v: ScalarField3
@@ -431,6 +425,7 @@ class StaircaseCase:
     deficit: np.ndarray
     scale: float
     road_top: tuple[float, float]
+    alpha: float
     p: float
 
     def delta_sweep(self, count: int) -> tuple[float, ...]:
@@ -526,14 +521,13 @@ def staircase_sweep_case(spacing: float = 1.0 / 128.0) -> StaircaseCase:
     phi_vals = np.broadcast_to(phi_1d[None, :, None], extents)
 
     grid = Grid3((0.0, 0.0, 0.0), float(h), extents)
-    v = ScalarField3(grid, v_vals, Regularity("c11"))
-    phi = ScalarField3(grid, phi_vals, Regularity("c1alpha", alpha=_HOLDER))
     return StaircaseCase(
-        v=v,
-        phi=phi,
+        v=ScalarField3(grid, v_vals),
+        phi=ScalarField3(grid, phi_vals),
         ghat_values=np.array([float(g) for g in ghat]),
         deficit=np.array([float(d) for d in deficit]),
         scale=float(c),
         road_top=(_PLATEAU[1], _PLATEAU[2]),
+        alpha=_HOLDER,
         p=_RATE_P,
     )

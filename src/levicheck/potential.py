@@ -129,7 +129,6 @@ class AtomicMeasure:
     (a power of two, so the total is exactly 1.0) per square center.
     """
 
-    generation: int
     locations: np.ndarray
     masses: np.ndarray
 
@@ -164,7 +163,7 @@ def frostman_measure(square_set: SquareCantor) -> AtomicMeasure:
     centers = square_set.centers()
     masses = np.full(len(centers), 4.0 ** (-square_set.generation))
     locations = centers[:, 0] + 1j * centers[:, 1]
-    return AtomicMeasure(generation=square_set.generation, locations=locations, masses=masses)
+    return AtomicMeasure(locations=locations, masses=masses)
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,6 @@ class FrostmanCertificate:
     degenerates to single atoms and the ratio is no longer meaningful.
     """
 
-    alpha: float
-    generation: int
     constant: float
     samples: int
     radii: tuple[float, ...]
@@ -233,11 +230,7 @@ def frostman_certificate(measure: AtomicMeasure, alpha: float) -> FrostmanCertif
     for r, peak in zip(radii, peaks):
         best = max(best, float(peak * mass / r**alpha))
     return FrostmanCertificate(
-        alpha=alpha,
-        generation=measure.generation,
-        constant=best,
-        samples=len(centers) * len(radii),
-        radii=tuple(radii),
+        constant=best, samples=len(centers) * len(radii), radii=tuple(radii)
     )
 
 
@@ -628,18 +621,9 @@ def zygmund_domain(
     cells the singular part of -Delta u = +mu wins, so a Laplacian scan
     flags nodes only near the Cantor squares.
     """
-    square_set = build_square_cantor(alpha, n)
-    measure = frostman_measure(square_set)
-    pot = GreenPotential(measure)
+    pot = GreenPotential(frostman_measure(build_square_cantor(alpha, n)))
 
     def cap_values(gx, gy):
         return _ball_cap_values(gx, gy) - pot.grid_values(gx, gy)
 
-    cap = DiscField.from_function(1.0, spacing, cap_values)
-    params = {
-        "alpha": float(alpha),
-        "generation": int(n),
-        "spacing": float(spacing),
-        "atoms": measure.locations.size,
-    }
-    return HartogsDomain(cap=cap, kind="cantor", params=params)
+    return HartogsDomain(cap=DiscField.from_function(1.0, spacing, cap_values), kind="cantor")

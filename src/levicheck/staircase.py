@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -431,7 +431,6 @@ class X0Certificate:
     of deviation / s^2 over sampled s < 0.
     """
 
-    fat: FatF
     x0: Fraction
     growth: Fraction
     delta0: Fraction
@@ -525,7 +524,6 @@ def find_x0(fat: FatF, n_offsets: int) -> X0Certificate:
         ratios.append(dev / (s * s))
 
     return X0Certificate(
-        fat=fat,
         x0=x0,
         growth=growth,
         delta0=delta0,
@@ -568,27 +566,20 @@ class HartogsDomain:
     ``cap`` holds phi on a regular grid over the disc (NaN outside);
     ``kind`` is "ball" for the unperturbed cap, "staircase" for the cap
     plus c1 * F(x - 1/2) * window(4 y), or "cantor" for the cap minus a
-    Green potential (potential.zygmund_domain).  ``params`` records the
-    constants of the construction; of them only the staircase's z0_real,
-    c1 and growth reach a report, through
-    SubharmonicityScan._threshold_report.
+    Green potential (potential.zygmund_domain).  The staircase alone sets
+    the other two: ``params`` holds z0_real, c1 and growth, the constants
+    SubharmonicityScan._threshold_report reads, and ``columns`` the
+    perturbation's support columns, F's kept intervals shifted by +1/2.
     """
 
     cap: DiscField
     kind: str
-    params: dict
-    fat: FatF | None = None
-    certificate: X0Certificate | None = None
+    params: dict = field(default_factory=dict)
+    columns: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def spacing(self) -> float:
         return self.cap.spacing
-
-    def segment_intervals(self) -> list[tuple[float, float]] | None:
-        """Perturbation support columns: kept intervals shifted by +1/2."""
-        if self.fat is None:
-            return None
-        return [(a + 0.5, b + 0.5) for a, b in self.fat.system.kept_union()]
 
 
 def _ball_cap_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -601,8 +592,7 @@ def _ball_cap_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def hartogs_ball_domain(spacing: float = 1.0 / 512.0) -> HartogsDomain:
     """Unperturbed cap phi = (1/2) log(1 - |z|^2)."""
-    cap = DiscField.from_function(1.0, spacing, _ball_cap_values)
-    return HartogsDomain(cap=cap, kind="ball", params={"spacing": spacing})
+    return HartogsDomain(cap=DiscField.from_function(1.0, spacing, _ball_cap_values), kind="ball")
 
 
 def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
@@ -626,7 +616,6 @@ def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
     f_sup = float(fat.sup_norm_exact())
     w2_sup = bump_window_second_derivative_sup()
     c1 = 1.0 / (8.0 * f_sup * w2_sup)
-    c1_literal = 1.0 / (16.0 * w2_sup)
 
     def phi(x, y):
         x = np.asarray(x, float)
@@ -634,22 +623,13 @@ def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
         base = _ball_cap_values(x, y)
         return base + c1 * fat(x - 0.5) * bump_window(4.0 * y)
 
-    cap = DiscField.from_function(1.0, spacing, phi)
-    params = {
-        "spacing": spacing,
-        "alpha1": float(system.alphas[0]),
-        "depth": _CAP_DEPTH,
-        "growth": float(cert.growth),
-        "x0": float(cert.x0),
-        "z0_real": float(cert.x0 + Fraction(1, 2)),
-        "z0_imag": 0.0,
-        "c1": c1,
-        "c1_literal_over_f_sup": c1_literal,
-        "f_sup": f_sup,
-        "window_second_sup": w2_sup,
-        "window_ring_bound": 16.0 * c1 * f_sup * w2_sup,
-    }
-    return HartogsDomain(cap=cap, kind="staircase", params=params, fat=fat, certificate=cert)
+    params = {"z0_real": float(cert.x0 + Fraction(1, 2)), "c1": c1, "growth": float(cert.growth)}
+    return HartogsDomain(
+        cap=DiscField.from_function(1.0, spacing, phi),
+        kind="staircase",
+        params=params,
+        columns=[(a + 0.5, b + 0.5) for a, b in system.kept_union()],
+    )
 
 
 def interval_distance(points: np.ndarray, intervals: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -804,7 +784,7 @@ def subharmonicity_scan(
     lap[~np.isfinite(lap) | (np.hypot(*cap.meshes()) > scan_radius)] = np.nan
     scan = SubharmonicityScan(domain, scan_radius, lap, np.full(lap.shape[0], np.nan))
     if domain.kind == "staircase":
-        scan.dist_x = interval_distance(cap.axis(), domain.segment_intervals())
+        scan.dist_x = interval_distance(cap.axis(), domain.columns)
         scan.mean_checks = _segment_mean_checks(scan)
     return scan
 

@@ -69,7 +69,7 @@ def test_01_levi_dual_route_on_1000_random_polynomials():
         phi = ScalarField3.from_function(grid, poly)
         graph_vals.append(graph_levi_fields(phi)[node])
         tau_vals.append(-delta_tau(phi, tau_fields(phi.fd_gradient(node)), node))
-        rho = Defining2.from_graph_partials(poly.value, poly.grad, poly.hess)
+        rho = Defining2.from_graph_partials(poly.grad, poly.hess)
         ambient_vals.append(levi_condition_2d(rho, (0.0, 0.0)))
     graph_vals = np.array(graph_vals)
     tau_vals = np.array(tau_vals)
@@ -183,7 +183,7 @@ def test_06_green_potential_anchors():
     boundary = potential.grid_values(np.cos(theta), np.sin(theta))
     assert np.max(np.abs(boundary)) <= 1e-10
 
-    single = GreenPotential(AtomicMeasure(generation=0, locations=[0j], masses=[1.0]))
+    single = GreenPotential(AtomicMeasure(locations=[0j], masses=[1.0]))
     assert abs(single(0.5 + 0j) - math.log(2.0)) <= 1e-12
 
     assert abs(disc_mass_recovery(potential) - 1.0) <= 0.02

@@ -104,8 +104,8 @@ class TestUsageErrors:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
-    # alpha and p are the shipped case's exponents: phi's declared Holder
-    # exponent and the case's p, never a scenario parameter
+    # alpha and p are the shipped case's exponents (StaircaseCase.alpha and
+    # .p), never a scenario parameter
     @pytest.mark.parametrize("override", ["params.alpha=0.9", "params.alpha=5", "params.p=0"])
     def test_mollify_sweep_exponents_are_unknown_parameters(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, "c.json", scenario="mollify-sweep")
@@ -192,6 +192,17 @@ class TestUsageErrors:
         assert main(["run", "--config", str(cfg), "--set", f"params.depth={depth}"]) == 2
         assert f"got {depth}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "through-a-file"])
+    def test_unusable_outdir_exits_2(self, tmp_path, capsys, below):
+        # once a NotADirectoryError traceback and exit 1, the code of a failed assertion
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        outdir = blocker / below if below else blocker
+        cfg = write_config(tmp_path, "c.json", scenario="slice-check", outdir=str(outdir))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "cannot create outdir" in capsys.readouterr().err
+        assert blocker.read_text() == "" and not list(tmp_path.rglob("report.json"))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
     @pytest.mark.parametrize(

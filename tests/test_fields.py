@@ -19,7 +19,6 @@ from levicheck.fields import (
     DiscField,
     DomainError,
     Grid3,
-    Regularity,
     ScalarField3,
     StencilError,
     circle_mean,
@@ -95,17 +94,6 @@ class TestGridInvariants:
     def test_rejects_small_extents(self, extents):
         with pytest.raises(ValueError):
             Grid3((0, 0, 0), 0.1, extents)
-
-    def test_regularity_validation(self):
-        Regularity("c1alpha", alpha=0.4)
-        with pytest.raises(ValueError):
-            Regularity("c1alpha", alpha=None)
-        with pytest.raises(ValueError):
-            Regularity("c1alpha", alpha=1.5)
-        with pytest.raises(ValueError):
-            Regularity("smooth", alpha=0.5)
-        with pytest.raises(ValueError):
-            Regularity("bogus")
 
     def test_field_rejects_nonfinite_values(self):
         g = centered_grid(0.1, 5)

@@ -347,7 +347,7 @@ class TestGraphLevi:
         h = 1e-4
         phi = ScalarField3.from_function(centered_grid(h, 7), poly)
         fd_value = graph_levi_fields(phi)[3, 3, 3]
-        rho = Defining2.from_graph_partials(poly.value, poly.grad, poly.hess)
+        rho = Defining2.from_graph_partials(poly.grad, poly.hess)
         symbolic = levi_condition_2d(rho, (0.0, 0.0))
         assert abs(fd_value - symbolic) <= 1e-8
 
@@ -921,7 +921,8 @@ class TestGreenIdentity:
         assert isinstance(rep, GreenIdentityReport)
         assert rep.circle_mean == pytest.approx(1.0, abs=1e-5)
         assert rep.area_term == pytest.approx(1.0, abs=1e-5)
-        assert rep.center_value == 0.0
+        # u(0) = 0, so the residual is the gap between the two sides alone
+        assert rep.residual == abs(rep.circle_mean - rep.area_term)
 
     def test_r4_closed_form_sides(self, disc_fields):
         # mean of |z|^4 on |z| = r is r^4; the log-weighted area term matches
@@ -933,10 +934,10 @@ class TestGreenIdentity:
         u = DiscField.from_function(0.5, 1.0 / 128, lambda x, y: 2.5 + 0.0 * x)
         rep = green_report(u, 0.25)
         assert rep.residual <= 1e-12
-        # raw sides are both sides of the identity times 2*pi; the area
-        # integral of a constant vanishes, so both are 2*pi*u(0)
-        assert rep.lhs_raw == pytest.approx(2.0 * math.pi * 2.5, abs=1e-9)
-        assert rep.rhs_raw == pytest.approx(2.0 * math.pi * 2.5, abs=1e-9)
+        # the 5-point Laplacian of a constant is exactly 0, so the area term
+        # vanishes and the circle mean alone balances u(0)
+        assert rep.area_term == 0.0
+        assert rep.circle_mean == pytest.approx(2.5, abs=1e-12)
 
     def test_radius_resolution_error(self):
         u = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x)

@@ -22,7 +22,6 @@ from helpers_poly import Poly3, node_derivatives
 from levicheck.fields import (
     Grid3,
     ParameterError,
-    Regularity,
     ScalarField3,
     StencilError,
     stable_sum,
@@ -316,7 +315,7 @@ class TestConvolve3:
         tau2 = np.full(grid.shape, 0.5 + 0.0j)
         raw = delta_tau_fields(v.hessian_fields(), tau1, tau2)
         inner_grid = Grid3(tuple(o + h for o in grid.origin), h, (n - 2, n - 2, n - 2))
-        raw_field = ScalarField3(inner_grid, raw[1:-1, 1:-1, 1:-1], Regularity("smooth"))
+        raw_field = ScalarField3(inner_grid, raw[1:-1, 1:-1, 1:-1])
 
         delta = cells * h
         lhs_full = convolve3(v, delta)
@@ -420,23 +419,6 @@ class TestCertificateBasics:
         with pytest.raises(ParameterError):
             mollified_sign_certificate(v, small, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
 
-    def test_phi_tag_gate(self):
-        v, phi = quadratic_case()
-        lip = ScalarField3(phi.grid, phi.values, Regularity("lipschitz"))
-        with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, lip, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
-        low = ScalarField3(
-            phi.grid, phi.values, Regularity("c1alpha", alpha=0.4)
-        )
-        with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, low, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
-        # the sweep may not claim a sharper exponent than phi declares
-        declared = ScalarField3(phi.grid, phi.values, Regularity("c1alpha", alpha=0.9))
-        with pytest.raises(ParameterError, match="below alpha"):
-            mollified_sign_certificate(v, declared, alpha=0.95, p=6.0, epsilon=1e-2, deltas=SWEEP)
-        rep = mollified_sign_certificate(v, declared, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
-        assert rep.rate_target == 0.9 - 0.5
-
     def test_sweep_rejects_under_resolved_deltas(self):
         v, phi = quadratic_case()
         with pytest.raises(UnderResolvedKernelError):
@@ -466,7 +448,7 @@ class TestCertificateBasics:
         vals = np.broadcast_to(
             -(x2 - 0.6) ** 2 - grid.mesh()[2] ** 2 + 0.5 * np.abs(x2 - 0.625), grid.shape
         )
-        v = ScalarField3(grid, vals, Regularity("c11"))
+        v = ScalarField3(grid, vals)
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
         with pytest.raises(HypothesisError):
             mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
@@ -481,7 +463,7 @@ class TestCertificateBasics:
         grid = v.grid
         across = sum(c * x for c, x in zip(normal, grid.mesh()))
         kink = 0.5 * np.abs(across - 19.75 * grid.spacing * sum(normal))
-        kinked = ScalarField3(grid, v.values + kink, Regularity("c11"))
+        kinked = ScalarField3(grid, v.values + kink)
         with pytest.raises(HypothesisError):
             mollified_sign_certificate(
                 kinked, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP
@@ -492,7 +474,7 @@ class TestCertificateBasics:
         # v = -4q |z2|^2 makes -Delta_tau v = q at every node, so peak = |q|
         # and the check forgives q down to -1e-9 (1 + |q|), about -1e-9
         v, phi = quadratic_case()
-        scaled = ScalarField3(v.grid, 4.0 * q * v.values, v.regularity)
+        scaled = ScalarField3(v.grid, 4.0 * q * v.values)
         low, peak, _ = whole_grid_hypothesis(scaled, phi)
         assert low == pytest.approx(q, rel=1e-6) and peak == pytest.approx(-q, rel=1e-6)
         if raises:
@@ -599,17 +581,15 @@ class TestStaircaseCase:
 
     def test_declared_gradient_holder_class_is_honest(self, shipped_case):
         case = shipped_case
-        reg = case.phi.regularity
         assert case.p == 6.0
-        assert reg.tag == "c1alpha"
-        assert reg.alpha == 0.9
+        assert case.alpha == 0.9
         # g = 1 + f(xi2 / L) on the grid's xi2 nodes; its seminorm for the
         # declared exponent over all node pairs, the constant 1 cancelling
         f = staircase_f(build_cantor(mollify_module._ALPHAS))
         x2 = case.v.grid.axis(1)
         gx = f(x2 / float(mollify_module._STRETCH))
         seminorm = max(
-            float(np.max(np.abs(gx[lag:] - gx[:-lag]))) / (x2[lag] - x2[0]) ** reg.alpha
+            float(np.max(np.abs(gx[lag:] - gx[:-lag]))) / (x2[lag] - x2[0]) ** case.alpha
             for lag in range(1, len(gx))
         )
         assert seminorm <= HOLDER_SEMINORM_BOUND
@@ -784,7 +764,7 @@ def hypothesis_message(oracle):
 
 
 def negated(field):
-    return ScalarField3(field.grid, -field.values, field.regularity)
+    return ScalarField3(field.grid, -field.values)
 
 
 class TestSlabbedHypothesisCheck:
@@ -870,7 +850,7 @@ class TestSlabbedHypothesisCheck:
         # every node, so the check has no minimum to compare
         grid = cube_grid(1.0 / 16.0, 17)
         sign = (-1.0) ** np.add.outer(np.add.outer(np.arange(17), np.arange(17)), np.arange(17))
-        v = ScalarField3(grid, 1.7e308 * sign, Regularity("c11"))
+        v = ScalarField3(grid, 1.7e308 * sign)
         _, phi = quadratic_case(h=1.0 / 16.0, n=17)
         with pytest.raises(ParameterError, match="no interior node has a finite -Delta_tau v"):
             mollified_sign_certificate(
@@ -911,17 +891,17 @@ def stencil_m_values(v, phi, deltas):
 def one_ulp_up(field, node):
     vals = field.values.copy()
     vals[node] = np.nextafter(vals[node], np.inf)
-    return ScalarField3(field.grid, vals, field.regularity)
+    return ScalarField3(field.grid, vals)
 
 
 def contiguous(field):
-    return ScalarField3(field.grid, np.ascontiguousarray(field.values), field.regularity)
+    return ScalarField3(field.grid, np.ascontiguousarray(field.values))
 
 
 def plane_view(field, axis):
     """field as a read-only view of its first plane along axis (stride 0)."""
     first = np.take(field.values, [0], axis=axis)
-    return ScalarField3(field.grid, np.broadcast_to(first, field.grid.shape), field.regularity)
+    return ScalarField3(field.grid, np.broadcast_to(first, field.grid.shape))
 
 
 def whole_grid_invariant_axes(v, phi):

@@ -227,7 +227,7 @@ class TestAtomicMeasure:
     )
     def test_invalid_measures_rejected(self, locations, masses, match):
         with pytest.raises(ParameterError, match=match):
-            AtomicMeasure(generation=0, locations=locations, masses=masses)
+            AtomicMeasure(locations=locations, masses=masses)
 
     def test_arrays_read_only_copies(self, gen5):
         _, measure, _ = gen5
@@ -237,7 +237,7 @@ class TestAtomicMeasure:
         with pytest.raises(ValueError, match="read-only"):
             measure.masses[0] = 1.0
         masses = np.array([0.25, 0.75])
-        AtomicMeasure(generation=0, locations=[0j, 0.5], masses=masses)
+        AtomicMeasure(locations=[0j, 0.5], masses=masses)
         assert masses.flags.writeable
 
 
@@ -274,7 +274,7 @@ def scalar_potential(measure, z: complex) -> float:
 
 
 def single_atom(w):
-    return GreenPotential(AtomicMeasure(generation=0, locations=[w], masses=[1.0]))
+    return GreenPotential(AtomicMeasure(locations=[w], masses=[1.0]))
 
 
 class TestScalarKernelOracle:
@@ -288,7 +288,7 @@ class TestScalarKernelOracle:
         else:
             locs = 0.9 * np.sqrt(rng.random(40)) * np.exp(2j * math.pi * rng.random(40))
             weights = rng.uniform(0.1, 1.0, 40)
-            measure = AtomicMeasure(generation=0, locations=locs, masses=weights / weights.sum())
+            measure = AtomicMeasure(locations=locs, masses=weights / weights.sum())
         pot = GreenPotential(measure)
         radius = np.sqrt(rng.random(300))
         z = radius * np.exp(2j * math.pi * rng.random(300))
@@ -490,7 +490,7 @@ class TestGridValuesBlocked:
         locs += list(0.3 * np.sqrt(rng.random(padding)) * np.exp(2j * math.pi * rng.random(padding)))
         w = np.concatenate([weights[: len(lattice)], rng.uniform(0.1, 1.0, padding)])
         w /= w.sum()
-        pot = GreenPotential(AtomicMeasure(generation=0, locations=locs, masses=w))
+        pot = GreenPotential(AtomicMeasure(locations=locs, masses=w))
         hit = locs[0]
         xs = np.concatenate([rng.uniform(-1.1, 1.1, rows), _CIRCLE_COORDS, [hit.real]])
         ys = np.concatenate([rng.uniform(-1.1, 1.1, cols), _CIRCLE_COORDS, [hit.imag]])
@@ -524,7 +524,7 @@ class TestGridValuesBlocked:
         # 60, so the last chunk is partial unless one chunk takes them all
         rng = np.random.default_rng(block + workers)
         locs = rng.uniform(-0.3, 0.3, 13) + 1j * rng.uniform(-0.3, 0.3, 13)
-        pot = GreenPotential(AtomicMeasure(0, locs, np.full(13, 1.0 / 13)))
+        pot = GreenPotential(AtomicMeasure(locs, np.full(13, 1.0 / 13)))
         px, py = rng.uniform(-0.9, 0.9, (2, 10))
         gx, gy = np.meshgrid(px, py[:3], indexing="ij", sparse=True)
         with mock.patch.object(potential_module, "_BLOCK", block), with_workers(workers):
@@ -608,7 +608,7 @@ class TestGridValuesBlocked:
         locs = 0.9 * np.sqrt(rng.random(400)) * np.exp(2j * math.pi * rng.random(400))
         locs[0] = 0.9j
         weights = rng.uniform(0.1, 1.0, 400)
-        pot = GreenPotential(AtomicMeasure(0, locs, weights / weights.sum()))
+        pot = GreenPotential(AtomicMeasure(locs, weights / weights.sum()))
         theta = 2.0 * math.pi * np.arange(1000) / 1000
         circle = pot.grid_values(np.cos(theta), np.sin(theta))
         assert np.all(np.abs(circle) <= ORACLE_BOUND)
@@ -622,7 +622,7 @@ class TestGridValuesBlocked:
     @pytest.mark.parametrize("point", [(2.0, 0.0), (0.0, -2.5), (1.5, 1.5), (math.nan, 0.0)])
     def test_rho_from_one_up_is_rejected_before_any_work(self, point):
         # an atom at 1/2: max|z| max|w| >= 1 for every node set holding the point
-        pot = GreenPotential(AtomicMeasure(0, [0.5, -0.25j], [0.5, 0.5]))
+        pot = GreenPotential(AtomicMeasure([0.5, -0.25j], [0.5, 0.5]))
         gx = np.array([0.1, point[0]])[:, None]
         gy = np.array([0.0, point[1], 0.3])[None, :]
         with mock.patch.object(fields_module, "_run_blocks") as blocks:
@@ -715,7 +715,7 @@ class TestGridValuesBlocked:
         k = next(k for k in itertools.count() if rho ** (k + 1) < tail * (k + 1) * (1.0 - rho))
         n = k + extra
         ring = 0.2 * np.exp(2j * math.pi * np.arange(n - 1) / (n - 1))
-        pot = GreenPotential(AtomicMeasure(0, np.concatenate([[0.3], ring]), np.full(n, 1.0 / n)))
+        pot = GreenPotential(AtomicMeasure(np.concatenate([[0.3], ring]), np.full(n, 1.0 / n)))
         with counting_blocks() as blocks:
             got = pot.grid_values(gx, gy)
         assert blocks.called == (extra == 0)
@@ -832,8 +832,6 @@ def frostman_certificate_oracle(measure: AtomicMeasure, alpha: float) -> Frostma
         ratio = counts.max() * mass / r**alpha
         best = max(best, float(ratio))
     return FrostmanCertificate(
-        alpha=alpha,
-        generation=measure.generation,
         constant=best,
         samples=len(centers) * len(radii),
         radii=tuple(radii),
@@ -905,7 +903,7 @@ class TestFrostmanCertificate:
 
     def test_coincident_atoms_rejected_before_any_count(self):
         # a nearest-neighbour gap of 0 once halved the radius down to 0.0 forever
-        measure = AtomicMeasure(0, [0.1, 0.1, -0.2j, 0.3], [0.25] * 4)
+        measure = AtomicMeasure([0.1, 0.1, -0.2j, 0.3], [0.25] * 4)
         with mock.patch.object(fields_module, "_run_blocks") as blocks, within_seconds(1.0):
             with pytest.raises(ParameterError, match="distinct atom locations"):
                 frostman_certificate(measure, 1.0)
@@ -916,7 +914,7 @@ class TestFrostmanCertificate:
         # where the true ball masses over the same centres and radii give 3.72
         locations = frostman_measure(build_square_cantor(1.0, 2)).locations[:10]
         masses = np.array([0.91] + [0.01] * 9)
-        measure = AtomicMeasure(generation=2, locations=locations, masses=masses)
+        measure = AtomicMeasure(locations=locations, masses=masses)
         with pytest.raises(ParameterError, match="equal atom masses"):
             frostman_certificate(measure, 1.0)
 
@@ -1220,8 +1218,6 @@ class TestZygmundDomain:
     def test_metadata_and_cap_formula(self, cantor_scan):
         domain, _ = cantor_scan
         assert domain.kind == "cantor"
-        assert domain.params["generation"] == 4
-        assert domain.params["atoms"] == 256
         pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 4)))
         xs = domain.cap.axis()
         i, j = 300, 350

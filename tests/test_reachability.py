@@ -1,4 +1,5 @@
-"""Which library functions the standard runs never enter.
+"""Which library functions the standard runs never enter, and which
+dataclass fields nothing outside the tests reads.
 
 The nine standard runs (``scripts/run_all_scenarios.py``, here at smoke
 sizes) plus the ``list`` and ``run`` commands execute under
@@ -9,8 +10,13 @@ The set must equal UNREACHED exactly, so deleting a pinned name, leaving new
 test-only code in the library, or calling a pinned name from a run all fail
 here until the pin and its reason are updated.  Dataclass-generated methods
 are compiled from strings, not from these files, so they never appear.
+
+The second pin, WRITE_ONLY, holds the dataclass fields of the library that
+no attribute load in ``src/levicheck/``, ``scripts/`` or ``levibench/``
+reads (see test_every_dataclass_field_has_a_reader).
 """
 
+import ast
 import inspect
 import json
 import os
@@ -21,6 +27,7 @@ import levicheck
 from levicheck import cli, levi, mollify, staircase
 
 SRC = Path(levicheck.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 # (run name, config) at the smoke sizes of the benchmark's tiny workloads
 RUNS = [
@@ -151,3 +158,48 @@ def test_standard_runs_reach_all_but_the_pinned_names(tmp_path):
     reached = sorted(set(UNREACHED) - unreached)
     assert not new, f"no standard run enters {new}: delete them or pin a reason"
     assert not reached, f"a standard run now enters the pinned {reached}: unpin them"
+
+
+# module.Class.field -> why the library keeps a field nothing outside the tests reads
+WRITE_ONLY = {
+    "mollify.BumpKernel.delta": "tests check the kernel's second moment against delta^2 m2",
+    "potential.FrostmanCertificate.radii": "tests check the dyadic radius sweep through it",
+    "staircase.FatF.truncation_error": "ROADMAP item 11 puts its 2^(1-N) bound in a report",
+}
+
+
+def _is_dataclass(node):
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def test_every_dataclass_field_has_a_reader():
+    """Every field of a @dataclass in src/levicheck/ is read somewhere in
+    src/levicheck/, scripts/ or levibench/*.py, or pinned in WRITE_ONLY.
+
+    A field counts as read when an attribute load of its name occurs in any
+    of those files.  The match is by name only, not by owner, so a field
+    whose name another class shares looks read when only the other one is:
+    ``AtomicMeasure.generation`` would have passed for
+    ``SquareCantor.generation``, which the CLI reads."""
+    fields = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields.update(
+                    (f"{path.stem}.{node.name}", stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                )
+    loaded = {
+        node.attr
+        for folder in (SRC, ROOT / "scripts", ROOT / "levibench")
+        for path in sorted(folder.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {f"{owner}.{name}" for owner, name in fields if name not in loaded}
+    new = sorted(unread - set(WRITE_ONLY))
+    read = sorted(set(WRITE_ONLY) - unread)
+    assert not new, f"nothing reads the fields {new}: delete them or pin a reason"
+    assert not read, f"the pinned fields {read} now have a reader (or are gone): unpin them"

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import levicheck.staircase as staircase_module
 from helpers_disc import disc_node_coords
 from levicheck.fields import ParameterError, circle_mean
 from levicheck.potential import zygmund_domain
@@ -265,7 +266,6 @@ def find_x0_oracle(fat, rows, n_offsets):
             left_defect = min(ratios)
 
     return X0Certificate(
-        fat=fat,
         x0=x0,
         growth=growth,
         delta0=delta0,
@@ -307,6 +307,13 @@ def fat_half(sys_half):
 @pytest.fixture(scope="module")
 def dom99():
     return hartogs_staircase(alpha1=0.99, spacing=1.0 / 256.0)
+
+
+@pytest.fixture(scope="module")
+def fat99():
+    """dom99's F, built here as hartogs_staircase builds it: from the float
+    0.99, whose exact binary value is the first gap ratio, to depth 10."""
+    return fat_F(build_cantor(default_alphas(0.99, 10)))
 
 
 @pytest.fixture(scope="module")
@@ -734,38 +741,50 @@ class TestHartogsDomain:
             0.5 * math.log(1.0 - r * r), abs=1e-12
         )
         assert dom.kind == "ball"
-        assert dom.segment_intervals() is None
+        assert dom.columns == [] and dom.params == {}
 
-    def test_staircase_params(self, dom99):
+    def test_staircase_params(self, dom99, fat99):
+        # c1 = 1 / (8 sup|F| sup|window''|), recomputed from the cap's own F
+        # and window, caps the ring term 16 c1 F(x - 1/2) window''(4 y) at 2
+        f_sup = float(fat99.sup_norm_exact())
+        w2_sup = bump_window_second_derivative_sup()
         p = dom99.params
-        assert p["alpha1"] == pytest.approx(0.99, abs=0.0)
+        assert p["c1"] == 1.0 / (8.0 * f_sup * w2_sup)
+        assert 16.0 * p["c1"] * f_sup * w2_sup == pytest.approx(2.0, rel=1e-12)
         assert p["growth"] == pytest.approx(49.5, rel=1e-12)
-        assert p["z0_real"] == pytest.approx(p["x0"] + 0.5, abs=0.0)
-        assert p["c1"] * 8.0 * p["f_sup"] * p["window_second_sup"] == pytest.approx(
-            1.0, rel=1e-12
-        )
-        assert p["window_ring_bound"] == pytest.approx(2.0, rel=1e-12)
-        assert p["depth"] == 10
-        assert dom99.certificate.offsets_checked == 1000
+        assert p["z0_real"] == float(find_x0(fat99, n_offsets=1).x0 + Fraction(1, 2))
+
+    def test_growth_certified_at_cap_offsets(self, monkeypatch):
+        # the cap stores no certificate, so record the one find_x0 call it makes
+        calls = []
+
+        def recording_find_x0(fat, n_offsets):
+            calls.append((n_offsets, find_x0(fat, n_offsets=n_offsets)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(staircase_module, "find_x0", recording_find_x0)
+        hartogs_staircase(alpha1=0.99, spacing=1.0 / 8.0)
+        [(n_offsets, cert)] = calls
+        assert n_offsets == staircase_module._CAP_OFFSETS
+        assert cert.offsets_checked == 1000
 
     def test_argument_validation(self):
         with pytest.raises(ParameterError):
             hartogs_staircase(alpha1=1.5)
 
-    def test_cap_value_decomposition(self, dom99):
+    def test_cap_value_decomposition(self, dom99, fat99):
         h = dom99.spacing
         x = 0.5 + 2.0 * h
         y = 3.0 * h
         expect = 0.5 * math.log(1.0 - x * x - y * y) + dom99.params["c1"] * float(
-            dom99.fat(x - 0.5)
+            fat99(x - 0.5)
         ) * bump_window(4.0 * y)
         assert dom99.cap.value((x, y)) == pytest.approx(expect, abs=1e-12)
 
-    def test_segment_intervals_shifted(self, dom99):
-        cols = dom99.segment_intervals()
-        kept = dom99.fat.system.kept_union()
-        assert len(cols) == len(kept)
-        assert cols[0][0] == pytest.approx(kept[0][0] + 0.5, abs=0.0)
+    def test_segment_intervals_shifted(self, dom99, fat99):
+        kept = fat99.system.kept_union()
+        assert len(kept) == 2**10
+        assert dom99.columns == [(a + 0.5, b + 0.5) for a, b in kept]
 
 
 class TestIntervalDistance:
@@ -835,8 +854,7 @@ def whole_grid_scan(domain, scan_radius=0.96):
 
     mean_checks = None
     if domain.kind == "staircase":
-        cols = domain.segment_intervals()
-        dx = interval_distance(xs, cols)
+        dx = interval_distance(xs, domain.columns)
         dist_h = np.broadcast_to(dx[:, None], lap.shape).copy()
         dist_e = np.hypot(dist_h, gy)
         mean_checks = whole_grid_mean_checks(domain, scanned, dist_h, gy)
