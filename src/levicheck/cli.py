@@ -2,9 +2,11 @@
 
 Configs are single JSON documents; ``--set key=value`` overrides config
 fields (dotted paths reach into ``params``).  Every scenario writes
-``<outdir>/report.json`` plus CSV exports.  Reports are byte-identical
-across reruns and thread counts for a fixed config and seed: wall-clock
-runtime goes to a ``runtime.txt`` sidecar, never into the report.
+``<outdir>/report.json`` plus CSV exports; the runners here are the one
+place that turns library results into report tables.  Reports are
+byte-identical across reruns and thread counts for a fixed config and
+seed: wall-clock runtime goes to a ``runtime.txt`` sidecar, never into
+the report.
 ``seed`` is recorded in every report but reserved: no computation reads
 it yet.
 
@@ -16,8 +18,9 @@ Exit codes: 0 all assertions pass, 1 an assertion failed (named on stderr
 with its value and bound), 2 usage or configuration error.  A parameter of
 another type than its default's (an int may stand for a float) or outside
 its scenario's ``ranges`` (``tol >= 0`` for levi-check, say), a
-non-integer seed and an ``outdir`` that cannot be created (one that
-passes through a file, say) are usage errors, and so is a library
+non-integer seed, an ``outdir`` that cannot be created (one that
+passes through a file, say) and a ``report.json`` or ``runtime.txt`` that
+cannot be written there are usage errors, and so is a library
 precondition error (``ParameterError``, ``DomainError`` and the like)
 that a parameter value triggers.  Any other exception, such as a
 ``ValueError`` raised inside the numerics, is a bug and propagates with
@@ -175,6 +178,32 @@ def _plain(value):
     return value
 
 
+def _number_str(fr: Fraction) -> str:
+    """Shortest exact decimal for a rational, the form of the x0_certificate
+    values (_plain writes every other Fraction as p/q).
+
+    Round-trip float repr when the value is exactly a float, full decimal
+    expansion for other dyadic rationals, float approximation otherwise.
+    """
+    try:
+        as_float = float(fr)
+    except OverflowError:
+        as_float = None
+    if as_float is not None and Fraction(as_float) == fr:
+        return repr(as_float)
+    den = fr.denominator
+    k = den.bit_length() - 1
+    if den == 1 << k:
+        num = fr.numerator * 5**k
+        sign = "-" if num < 0 else ""
+        digits = str(abs(num)).rjust(k + 1, "0")
+        if k == 0:
+            return sign + digits
+        head, tail = digits[:-k], digits[-k:]
+        return f"{sign}{head}.{tail}"
+    return repr(float(fr))
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -210,6 +239,7 @@ def _run_levi_check(params: dict, expect_violation: bool, outdir: Path):
     scan = levi_scan(phi, tol=float(params["tol"]))
     scan.to_csv(outdir / "levi_nodes.csv")
     counts = scan.counts()
+    least, argmin = scan.least()
     center = (extent // 2,) * 3
     center_value = float(scan.values[center])
 
@@ -231,37 +261,37 @@ def _run_levi_check(params: dict, expect_violation: bool, outdir: Path):
             ]
     else:
         # a node within tol of zero is near_zero, not pseudoconvex
-        least = _reduce(np.min, scan.values[scan.finite_mask])
         assertions = [Assertion("all_nodes_pseudoconvex", least, ">", scan.tol, counts)]
-    tables = {"scan": scan.summary(), "model": model}
-    return assertions, tables
+    table = {"min": least, "argmin": argmin, "tol": scan.tol, **counts}
+    return assertions, {"scan": table, "model": model}
 
 
 def _run_mollify_sweep(params: dict, expect_violation: bool, outdir: Path):
     case = staircase_sweep_case(spacing=float(params["spacing"]))
     deltas = case.delta_sweep(count=int(params["count"]))
-    report = mollified_sign_certificate(
-        case.v,
-        case.phi,
-        alpha=case.alpha,
-        p=case.p,
-        epsilon=float(params["epsilon"]),
-        deltas=deltas,
-    )
-    _write_csv(
-        outdir / "sweep.csv",
-        ["delta", "m_delta"],
-        zip(report.deltas, report.m_values),
-    )
-    slope_gap = abs(report.fitted_slope - report.rate_target)
-    slope = {"fitted_slope": report.fitted_slope, "rate_target": report.rate_target}
+    epsilon = float(params["epsilon"])
+    report = mollified_sign_certificate(case.v, case.phi, deltas=deltas)
+    _write_csv(outdir / "sweep.csv", ["delta", "m_delta"], zip(deltas, report.m_values))
+    rate_target = case.alpha - 3.0 / case.p
+    slope_gap = abs(report.fitted_slope - rate_target)
+    slope = {"fitted_slope": report.fitted_slope, "rate_target": rate_target}
+    sweep = Assertion("mollified_sign_sweep", float(np.min(report.m_values)), ">=", -epsilon)
     assertions = [
-        Assertion("mollified_sign_sweep", float(np.min(report.m_values)), ">=", -report.epsilon),
+        sweep,
         Assertion("decay_slope_within_band", slope_gap, "<=", 0.2, slope),
         Assertion("smoothing_hypothesis_sign", report.hypothesis_min, ">=", -1e-6),
     ]
-    tables = {"certificate": json.loads(report.to_json())}
-    return assertions, tables
+    certificate = {
+        "epsilon": epsilon,
+        "alpha": case.alpha,
+        "p": case.p,
+        "deltas": deltas,
+        "m_values": report.m_values,
+        "fitted_slope": report.fitted_slope,
+        "pass": sweep.passed,
+        "reduced_axes": report.reduced_axes,
+    }
+    return assertions, {"certificate": certificate}
 
 
 def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
@@ -299,10 +329,17 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
         Assertion("interval_length_identity", length_residual, "<=", 0, generations),
         Assertion("quadratic_growth_bound", growth_residual, "<=", 0, growth),
     ]
-    tables = {
-        "alphas": [str(a) for a in system.alphas],
-        "x0_certificate": json.loads(certificate.to_json()),
+    left_gap = certificate.left_gap
+    x0_certificate = {
+        "x0": _number_str(certificate.x0),
+        "growth": _number_str(certificate.growth),
+        "delta0": _number_str(certificate.delta0),
+        "g_min": _number_str(certificate.g_min),
+        "offsets_checked": certificate.offsets_checked,
+        "left_gap": None if left_gap is None else [_number_str(end) for end in left_gap],
+        "left_defect": _number_str(certificate.left_defect),
     }
+    tables = {"alphas": [str(a) for a in system.alphas], "x0_certificate": x0_certificate}
     return assertions, tables
 
 
@@ -323,18 +360,38 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
         zip(*(column.tolist() for column in violators)),
     )
     n_viol = scan.violating_count()
+    _, _, _, dist_h, dist_e = violators  # horizontal and Euclidean distances
+    far = scan.far_field_max()
 
     if expect_violation:
         h, reach = domain.spacing, scan.reach_2h
-        farthest = _reduce(np.max, violators[3])  # the horizontal distances
+        farthest = _reduce(np.max, dist_h)
         assertions = [
             Assertion("violating_nodes_present", n_viol, ">", 0),
             Assertion("violations_within_2h_of_base_kinks", farthest, "<=", reach, {"h": h}),
-            Assertion("far_nodes_strictly_subharmonic", scan.far_field_max(), "<=", -0.5),
+            Assertion("far_nodes_strictly_subharmonic", far, "<=", -0.5),
         ]
     else:
         assertions = [Assertion("no_violating_nodes", n_viol, "<=", 0)]
-    return assertions, {"scan": scan.summary()}
+    table = {
+        "kind": domain.kind,
+        "spacing": domain.spacing,
+        "scan_radius": scan.scan_radius,
+        "scanned_count": scan.scanned_count(),
+        "violating_count": n_viol,
+        "max_laplacian": scan.max_laplacian(),
+    }
+    if cap == "staircase":
+        # the violators' distances to the perturbed segment (maxima 0.0 when none)
+        widest = float(np.max(dist_h, initial=0.0))
+        table["alignment"] = {
+            "count": int(dist_h.size),
+            "max_horizontal": widest,
+            "max_euclidean": float(np.max(dist_e, initial=0.0)),
+            "within_2h": widest <= scan.reach_2h,
+        }
+        table.update(far_field_max=far, mean_checks=scan.mean_checks, **scan._threshold_report())
+    return assertions, {"scan": table}
 
 
 def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
@@ -668,11 +725,15 @@ def run_scenario(config: dict) -> tuple[dict, Path]:
         "passed": all(a.passed for a in assertions),
         "tables": _plain(tables),
     }
-    with open(outdir / "report.json", "w") as handle:
-        json.dump(report, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    with open(outdir / "runtime.txt", "w") as handle:
-        handle.write(f"runtime_seconds: {elapsed:.3f}\n")
+    try:
+        with open(outdir / "report.json", "w") as handle:
+            json.dump(report, handle, sort_keys=True, indent=2)
+            handle.write("\n")
+        with open(outdir / "runtime.txt", "w") as handle:
+            handle.write(f"runtime_seconds: {elapsed:.3f}\n")
+    except OSError as exc:
+        # the scenario's CSVs, written before, stay in outdir
+        raise UsageError(f"cannot write report in {str(outdir)!r}: {exc}") from None
     return report, outdir
 
 

@@ -140,8 +140,8 @@ class Grid3:
 @dataclass
 class ScalarField3:
     """Real scalar samples on a Grid3; immutable after construction.  No
-    smoothness class is stored: a certificate takes its exponents as
-    arguments (mollified_sign_certificate's alpha and p).
+    smoothness class is stored: the exponents alpha and p a sweep is
+    judged by belong to its case (mollify.StaircaseCase).
 
     Writeable values are made C-contiguous and then frozen; values that are
     already read-only, such as a broadcast view, are kept as they are.

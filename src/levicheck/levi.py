@@ -446,6 +446,15 @@ class LeviScan:
         n, bad, ok = map(int, sum(planes))
         return {"scanned": n, "near_zero": n - bad - ok, "violating": bad, "pseudoconvex_ok": ok}
 
+    def least(self) -> tuple[float, list]:
+        """The least finite value and the xi coordinates of its first node in
+        C order; NaN at the first node when no value is finite, so a check
+        of it fails."""
+        values = np.where(self.finite_mask, self.values, np.inf)
+        node = np.unravel_index(np.argmin(values), values.shape)
+        least = float(values[node]) if self.finite_mask[node] else math.nan
+        return least, self._coords(node)
+
     def _coords(self, nodes) -> list:
         """xi coordinates of nodes given as one index (array) per axis."""
         return [self.phi.grid.axis(k)[idx].tolist() for k, idx in enumerate(nodes)]
@@ -465,13 +474,6 @@ class LeviScan:
             writer.writerow(["xi1", "xi2", "xi3", "levi_value", "classification"])
             for x1, x2, x3, value, label in rows:
                 writer.writerow([repr(x1), repr(x2), repr(x3), repr(value), label])
-
-    def summary(self) -> dict:
-        vals = np.where(self.finite_mask, self.values, np.inf)
-        node = np.unravel_index(np.argmin(vals), vals.shape)
-        out = {"min": float(self.values[node]), "argmin": self._coords(node), "tol": self.tol}
-        out.update(self.counts())
-        return out
 
 
 def levi_scan(phi: ScalarField3, tol: float) -> LeviScan:

@@ -11,7 +11,6 @@ in L^p the defect is O(delta^{alpha - 3/p}); the sweep measures the exponent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,36 +223,18 @@ def _thin(field: ScalarField3, axes) -> ScalarField3:
 class CertificateReport:
     """Result of one mollified-sign sweep.
 
-    m_values[k] = min over U^{delta_k} of -Delta_{tau(phi)}(v*theta_{delta_k});
-    passed means every m_value is >= -epsilon.  fitted_slope is the log-log
-    slope of max(-m, 1e-14) against delta, to be compared with alpha - 3/p.
+    m_values[k] = min over U^{delta_k} of -Delta_{tau(phi)}(v*theta_{delta_k})
+    for the caller's deltas, in order.  fitted_slope is the log-log slope of
+    max(-m, 1e-14) against delta, to be compared with alpha - 3/p.
+    hypothesis_min is the least -Delta_{tau(phi)} v over the interior nodes.
     reduced_axes are the axes the sweep convolved along in reduced form
     (convolve3), empty where it took the full 3-D route.
     """
 
-    epsilon: float
-    alpha: float
-    p: float
-    deltas: tuple[float, ...]
     m_values: tuple[float, ...]
     fitted_slope: float
-    passed: bool
-    rate_target: float
     hypothesis_min: float
     reduced_axes: tuple[int, ...]
-
-    def to_json(self) -> str:
-        payload = {
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "p": self.p,
-            "deltas": list(self.deltas),
-            "m_values": list(self.m_values),
-            "fitted_slope": self.fitted_slope,
-            "pass": self.passed,
-            "reduced_axes": list(self.reduced_axes),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 _SLOPE_FLOOR = 1e-14
@@ -261,22 +242,15 @@ _SLOPE_FLOOR = 1e-14
 _HYPOTHESIS_RTOL = 1e-9
 
 
-def mollified_sign_certificate(
-    v: ScalarField3,
-    phi: ScalarField3,
-    alpha: float,
-    p: float,
-    epsilon: float,
-    deltas,
-) -> CertificateReport:
+def mollified_sign_certificate(v: ScalarField3, phi: ScalarField3, deltas) -> CertificateReport:
     """Sweep m(delta) = min over U^delta of -Delta_{tau(phi)}(v*theta_delta).
 
-    Preconditions: p > 3, alpha in (3/p, 1), at least two distinct finite
-    deltas, and v and phi share one grid.  alpha is the caller's claim
-    about phi's gradient Holder class; it is not checked against phi, and
-    it enters the report only as the rate target alpha - 3/p.  The raw
-    hypothesis -Delta_{tau(phi)} v >= 0 is checked by finite differences at
-    every interior node; failure raises HypothesisError.  Convex kinks
+    Preconditions: at least two distinct finite deltas, and v and phi share
+    one grid.  The rate alpha - 3/p the fitted slope is compared with and
+    the m >= -epsilon verdict are the caller's (StaircaseCase carries the
+    shipped case's alpha and p).  The raw hypothesis -Delta_{tau(phi)} v
+    >= 0 is checked by finite differences at every interior node; failure
+    raises HypothesisError.  Convex kinks
     hidden in v would carry negative distributional mass that the pointwise
     check cannot see, but the sweep itself exposes them: their defect grows
     like -1/delta and fails the m >= -epsilon assertion.
@@ -290,16 +264,7 @@ def mollified_sign_certificate(
     that broadcast result.  Fields with no such axis take the full 3-D
     route.
     """
-    alpha = float(alpha)
-    p = float(p)
-    epsilon = float(epsilon)
     deltas = tuple(float(d) for d in deltas)
-    if not p > 3.0:
-        raise ParameterError(f"p must exceed 3, got {p}")
-    if not 3.0 / p < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (3/p, 1) = ({3.0 / p}, 1), got {alpha}")
-    if not epsilon > 0.0:
-        raise ParameterError("epsilon must be positive")
     if not all(map(math.isfinite, deltas)) or len(set(deltas)) < 2:
         raise ParameterError(f"the slope fit needs two distinct finite deltas, got {deltas}")
     if v.grid != phi.grid:
@@ -333,14 +298,8 @@ def mollified_sign_certificate(
     fitted = float(np.polyfit(log_d, log_m, 1)[0])
 
     return CertificateReport(
-        epsilon=epsilon,
-        alpha=alpha,
-        p=p,
-        deltas=deltas,
         m_values=tuple(m_values),
         fitted_slope=fitted,
-        passed=bool(np.all(m_arr >= -epsilon)),
-        rate_target=alpha - 3.0 / p,
         hypothesis_min=hyp_min,
         reduced_axes=axes,
     )

@@ -31,7 +31,6 @@ each float equals that of the corresponding Fraction).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -100,31 +99,6 @@ def _as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ParameterError(f"{x!r} is not a fraction") from None
     raise ParameterError(f"cannot interpret {x!r} as an exact rational")
-
-
-def _number_str(fr: Fraction) -> str:
-    """Shortest exact decimal for a rational.
-
-    Round-trip float repr when the value is exactly a float, full decimal
-    expansion for other dyadic rationals, float approximation otherwise.
-    """
-    try:
-        as_float = float(fr)
-    except OverflowError:
-        as_float = None
-    if as_float is not None and Fraction(as_float) == fr:
-        return repr(as_float)
-    den = fr.denominator
-    k = den.bit_length() - 1
-    if den == 1 << k:
-        num = fr.numerator * 5**k
-        sign = "-" if num < 0 else ""
-        digits = str(abs(num)).rjust(k + 1, "0")
-        if k == 0:
-            return sign + digits
-        head, tail = digits[:-k], digits[-k:]
-        return f"{sign}{head}.{tail}"
-    return repr(float(fr))
 
 
 def default_alphas(alpha1, depth: int) -> tuple[Fraction, ...]:
@@ -439,20 +413,6 @@ class X0Certificate:
     left_gap: tuple[Fraction, Fraction] | None
     left_defect: Fraction
 
-    def to_json(self) -> str:
-        payload = {
-            "x0": _number_str(self.x0),
-            "growth": _number_str(self.growth),
-            "delta0": _number_str(self.delta0),
-            "g_min": _number_str(self.g_min),
-            "offsets_checked": self.offsets_checked,
-            "left_gap": None
-            if self.left_gap is None
-            else [_number_str(self.left_gap[0]), _number_str(self.left_gap[1])],
-            "left_defect": _number_str(self.left_defect),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
 
 def find_x0(fat: FatF, n_offsets: int) -> X0Certificate:
     """Locate and exactly certify the quadratic growth base point of F.
@@ -708,34 +668,6 @@ class SubharmonicityScan:
     def reach_2h(self) -> float:
         """The horizontal distance 2h the violations must lie within, plus float slack."""
         return 2.0 * self.domain.spacing + 1e-12
-
-    def violation_alignment(self) -> dict:
-        """Distance statistics of the violating set relative to the segment
-        (maxima 0.0 when no node violates)."""
-        _, _, _, dh, de = self.violators()
-        return {
-            "count": int(dh.size),
-            "max_horizontal": float(np.max(dh, initial=0.0)),
-            "max_euclidean": float(np.max(de, initial=0.0)),
-            "within_2h": bool(np.max(dh, initial=0.0) <= self.reach_2h),
-        }
-
-    def summary(self) -> dict:
-        out = {
-            "kind": self.domain.kind,
-            "spacing": self.domain.spacing,
-            "scan_radius": self.scan_radius,
-            "scanned_count": self.scanned_count(),
-            "violating_count": self.violating_count(),
-            "max_laplacian": self.max_laplacian(),
-        }
-        if self.domain.kind == "staircase":
-            out["far_field_max"] = self.far_field_max()
-            out["alignment"] = self.violation_alignment()
-            out.update(self._threshold_report())
-        if self.mean_checks is not None:
-            out["mean_checks"] = self.mean_checks
-        return out
 
     def _threshold_report(self) -> dict:
         """Smooth-part mean-comparison constant and the growth it demands.

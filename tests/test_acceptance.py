@@ -6,6 +6,7 @@ claim about the public API.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -13,11 +14,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers_poly import Poly3, fit_positive_scale
+from levicheck.cli import run_scenario
 from levicheck.fields import DiscField, Grid3, ScalarField3
 from levicheck.levi import (
     Defining2,
@@ -28,7 +31,6 @@ from levicheck.levi import (
     levi_condition_2d,
     tau_fields,
 )
-from levicheck.mollify import mollified_sign_certificate, staircase_sweep_case
 from levicheck.potential import (
     AtomicMeasure,
     GreenPotential,
@@ -94,27 +96,25 @@ def test_02_concave_quadric_anchor_minus_quarter():
     assert abs(graph_levi_fields(phi)[3, 3, 3] + 0.25) <= 1e-6
 
 
-def test_03_mollified_sign_sweep_with_decay_rate():
+def test_03_mollified_sign_sweep_with_decay_rate(tmp_path):
     # Shipped (alpha, p) = (0.9, 6) staircase-lifted case at h = 1/128:
     # m(delta) >= -1e-2 at every point of the 7-point sweep, fitted slope
-    # within 0.2 of alpha - 3/p = 0.4.  Budget: 5 min.
+    # within 0.2 of alpha - 3/p = 0.4, the target the mollify-sweep
+    # scenario reports.  Budget: 5 min.
     start = time.perf_counter()
-    case = staircase_sweep_case(spacing=1.0 / 128.0)
-    report = mollified_sign_certificate(
-        case.v,
-        case.phi,
-        alpha=0.9,
-        p=6.0,
-        epsilon=1e-2,
-        deltas=case.delta_sweep(count=7),
-    )
+    params = {"spacing": 1.0 / 128.0, "epsilon": 1e-2, "count": 7}
+    config = {"scenario": "mollify-sweep", "params": params, "outdir": str(tmp_path)}
+    scenario, _ = run_scenario(config)
     elapsed = time.perf_counter() - start
+    checks = {a["name"]: a for a in scenario["assertions"]}
+    band = checks["decay_slope_within_band"]["detail"]
+    m_values = scenario["tables"]["certificate"]["m_values"]
 
-    assert len(report.m_values) == 7
-    assert min(report.m_values) >= -1e-2
-    assert report.rate_target == pytest.approx(0.4, abs=1e-12)
-    assert abs(report.fitted_slope - 0.4) <= 0.2
-    assert report.passed
+    assert len(m_values) == 7
+    assert min(m_values) >= -1e-2
+    assert band["rate_target"] == pytest.approx(0.4, abs=1e-12)
+    assert abs(band["fitted_slope"] - 0.4) <= 0.2
+    assert checks["mollified_sign_sweep"]["passed"] and scenario["passed"]
     assert elapsed <= 300.0
 
 
@@ -164,9 +164,8 @@ def test_05_hartogs_cap_scan_contrast():
 
     assert ball.violating_count() == 0
     assert stair.violating_count() > 0
-    align = stair.violation_alignment()
-    assert align["within_2h"]
-    assert align["max_horizontal"] <= 2.0 * spacing + 1e-12
+    dist_h = stair.violators()[3]  # horizontal distances to the kept columns
+    assert np.max(dist_h) <= 2.0 * spacing + 1e-12
     assert stair.far_field_max() <= -0.5
     assert elapsed <= 120.0
 
@@ -317,6 +316,32 @@ STANDARD_RUN_DIGESTS = {
 }
 
 
+def _load_standard_runs():
+    """The nine standard runs, read from scripts/run_all_scenarios.py, the
+    one list of them (scripts/ is no package: loaded from its path)."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_all_scenarios.py"
+    spec = importlib.util.spec_from_file_location("run_all_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.RUNS)
+
+
+STANDARD_RUNS = _load_standard_runs()
+
+# the worker thread counts test_09 runs each standard run at
+THREAD_COUNTS = {
+    "green-identity": (1, 4, 8, 8),
+    "levi-check-ball": (1, 4),
+    "levi-check-g2": (1, 4),
+    "mollify-sweep": (1, 4),
+    "staircase-build": (1, 4),
+    "hartogs-scan-ball": (1, 4),
+    "hartogs-scan-staircase": (1, 4),
+    "cantor-potential": (1, 4),
+    "slice-check": (1, 4),
+}
+
+
 def _outdir_digests(outdir):
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -329,27 +354,9 @@ def test_09_report_determinism_across_threads(tmp_path):
     # Same config and seed: byte-identical report.json on rerun and across
     # worker thread counts, for all nine standard runs, each with its
     # default parameters; every output file also matches its pinned digest.
-    runs = [
-        ("green-identity", {"scenario": "green-identity"}, (1, 4, 8, 8)),
-        ("levi-check-ball", {"scenario": "levi-check"}, (1, 4)),
-        (
-            "levi-check-g2",
-            {"scenario": "levi-check", "params": {"model": "g2"}, "expect_violation": True},
-            (1, 4),
-        ),
-        ("mollify-sweep", {"scenario": "mollify-sweep"}, (1, 4)),
-        ("staircase-build", {"scenario": "staircase-build"}, (1, 4)),
-        ("hartogs-scan-ball", {"scenario": "hartogs-scan"}, (1, 4)),
-        (
-            "hartogs-scan-staircase",
-            {"scenario": "hartogs-scan", "params": {"cap": "staircase"}, "expect_violation": True},
-            (1, 4),
-        ),
-        ("cantor-potential", {"scenario": "cantor-potential"}, (1, 4)),
-        ("slice-check", {"scenario": "slice-check"}, (1, 4)),
-    ]
     digests = {}
-    for name, scenario, thread_counts in runs:
+    for name, scenario in STANDARD_RUNS.items():
+        thread_counts = THREAD_COUNTS[name]
         outdir = tmp_path / name
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps({**scenario, "outdir": str(outdir), "seed": 0}))

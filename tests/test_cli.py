@@ -16,6 +16,12 @@ import levicheck.cli as cli_module
 import levicheck.levi as levi_module
 import levicheck.staircase as staircase_module
 from levicheck.cli import SCENARIOS, Assertion, main, run_scenario
+from helpers_report import (
+    certificate_report,
+    levi_summary,
+    scan_summary,
+    x0_certificate_to_json,
+)
 from levicheck.fields import DiscField
 from test_reachability import RUNS as SMOKE_RUNS
 
@@ -203,6 +209,17 @@ class TestUsageErrors:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "cannot create outdir" in capsys.readouterr().err
         assert blocker.read_text() == "" and not list(tmp_path.rglob("report.json"))
+
+    @pytest.mark.parametrize("blocked", ["report.json", "runtime.txt"])
+    def test_unwritable_report_exits_2(self, tmp_path, capsys, blocked):
+        # once an IsADirectoryError traceback and exit 1, the code of a failed assertion
+        outdir = tmp_path / "out"
+        (outdir / blocked).mkdir(parents=True)
+        cfg = write_config(tmp_path, "c.json", scenario="slice-check")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+        # the CSV the scenario wrote before the report stays
+        assert (outdir / "slices.csv").read_text().startswith("t_re,t_im,ratio_min,expected")
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt")
     @pytest.mark.parametrize(
@@ -867,3 +884,109 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             blobs.append((tmp_path / "out" / "report.json").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+def _canonical(table):
+    """A table as report.json writes it, NaN and all, for comparing."""
+    return json.dumps(cli_module._plain(table), sort_keys=True)
+
+
+class TestTablesAgainstTheDeletedSerializers:
+    """Each runner's table is what the library results once serialized
+    themselves (tests/helpers_report.py), built from the very result the
+    runner got, at configs that test_09 does not pin."""
+
+    @staticmethod
+    def record(monkeypatch, name, change=lambda result: result):
+        """Wrap cli's binding of the library call name; the returned list
+        gets (kwargs, result) of each call, result passed through change."""
+        calls = []
+        original = getattr(cli_module, name)
+
+        def recording(*args, **kwargs):
+            calls.append((kwargs, change(original(*args, **kwargs))))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cli_module, name, recording)
+        return calls
+
+    @staticmethod
+    def written(tmp_path, config, entry):
+        _, outdir = run_scenario(dict(config, outdir=str(tmp_path / "out")))
+        tables = json.loads((outdir / "report.json").read_text())["tables"]
+        return json.dumps(tables[entry], sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "params, nan_second",
+        [({"spacing": 1.0 / 256.0}, False), ({"count": 2}, True)],
+        ids=["spacing-1/256", "nan-minimum"],
+    )
+    def test_mollify_sweep_certificate(self, tmp_path, monkeypatch, params, nan_second):
+        def change(report):
+            if not nan_second:
+                return report
+            m_values = (report.m_values[0], math.nan) + report.m_values[2:]
+            return dataclasses.replace(report, m_values=m_values)
+
+        calls = self.record(monkeypatch, "mollified_sign_certificate", change)
+        got = self.written(tmp_path, {"scenario": "mollify-sweep", "params": params}, "certificate")
+        [(kwargs, report)] = calls
+        # the arguments the runner once passed: case.alpha, case.p, epsilon
+        want = certificate_report(report, alpha=0.9, p=6.0, epsilon=1e-2, **kwargs)
+        assert want.rate_target == pytest.approx(0.4) and want.passed is not nan_second
+        assert got == _canonical(json.loads(want.to_json()))
+
+    @pytest.mark.parametrize("left_gap", ["found", None])
+    def test_staircase_build_x0_certificate(self, tmp_path, monkeypatch, left_gap):
+        # no schedule find_x0 was tried on leaves x0 without a gap to its
+        # left (every minimizer opens a kept interval past the first), so
+        # the None form comes from the certificate with left_gap dropped
+        def change(cert):
+            return cert if left_gap else dataclasses.replace(cert, left_gap=None)
+
+        calls = self.record(monkeypatch, "find_x0", change)
+        config = {"scenario": "staircase-build", "params": {"depth": 6, "n_offsets": 100}}
+        got = self.written(tmp_path, config, "x0_certificate")
+        [(_, cert)] = calls
+        assert (cert.left_gap is None) is (left_gap is None)
+        assert got == _canonical(json.loads(x0_certificate_to_json(cert)))
+
+    @pytest.mark.parametrize(
+        "params, expect_violation",
+        [
+            ({"cap": "staircase"}, False),
+            ({"cap": "staircase", "alpha1": "1/2"}, False),
+            ({"cap": "ball"}, True),
+        ],
+        ids=["staircase-99/100", "staircase-1/2", "ball-expecting-violation"],
+    )
+    def test_hartogs_scan_table(self, tmp_path, monkeypatch, params, expect_violation):
+        calls = self.record(monkeypatch, "subharmonicity_scan")
+        config = {
+            "scenario": "hartogs-scan",
+            "expect_violation": expect_violation,
+            "params": {**params, "spacing": 1.0 / 128.0},
+        }
+        got = self.written(tmp_path, config, "scan")
+        [(_, scan)] = calls
+        want = scan_summary(scan)
+        staircase = params["cap"] == "staircase"
+        assert ("alignment" in want) is ("implied_growth_threshold" in want) is staircase
+        assert got == _canonical(want)
+
+    @pytest.mark.parametrize(
+        "params, expect_violation",
+        [
+            ({"model": "ball", "extent": 9}, False),
+            ({"model": "ball", "extent": 9, "tol": 1.0}, False),
+            ({"model": "g2", "extent": 9}, True),
+            ({"model": "g2", "extent": 9}, False),
+        ],
+        ids=["ball", "ball-tol-1", "g2-expecting-violation", "g2"],
+    )
+    def test_levi_check_scan_table(self, tmp_path, monkeypatch, params, expect_violation):
+        calls = self.record(monkeypatch, "levi_scan")
+        config = {"scenario": "levi-check", "expect_violation": expect_violation, "params": params}
+        got = self.written(tmp_path, config, "scan")
+        [(_, scan)] = calls
+        assert got == _canonical(levi_summary(scan))

@@ -23,6 +23,7 @@ from helpers_poly import (
     t_matrix,
 )
 from test_potential import with_workers
+from levicheck.cli import run_scenario
 from levicheck.fields import (
     DiscField,
     DomainError,
@@ -689,9 +690,18 @@ class TestLeviScan:
         assert counts["scanned"] == 5 * 5 * 5
         assert counts["violating"] == counts["scanned"]
         assert counts["pseudoconvex_ok"] == 0 and counts["near_zero"] == 0
-        assert scan.summary()["min"] == pytest.approx(-0.25, abs=1e-12)
+        assert scan.least()[0] == pytest.approx(-0.25, abs=1e-12)
 
-    def test_csv_and_summary(self, tmp_path):
+    def test_least_without_a_finite_node_is_nan(self):
+        # NaN at the first node, not that node's +inf, so a check of it fails
+        grid = centered_grid(0.1, 5)
+        phi = ScalarField3.from_function(grid, lambda a, b, c: b * b + c * c)
+        scan = LeviScan(phi=phi, values=np.full(grid.shape, np.inf), tol=0.0)
+        least, where = scan.least()
+        assert math.isnan(least)
+        assert where == [float(grid.axis(k)[0]) for k in range(3)]
+
+    def test_csv_and_scan_table(self, tmp_path):
         grid = centered_grid(0.25, 5)
         phi = ScalarField3.from_function(grid, lambda a, b, c: b * b + c * c)
         scan = levi_scan(phi, tol=1e-9)
@@ -700,7 +710,11 @@ class TestLeviScan:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "xi1,xi2,xi3,levi_value,classification"
         assert len(lines) == 1 + 3 * 3 * 3
-        summary = scan.summary()
+        # the same scan through levi-check, whose g2 model is this phi
+        params = {"model": "g2", "spacing": 0.25, "extent": 5, "tol": 1e-9}
+        config = {"scenario": "levi-check", "params": params, "outdir": str(tmp_path / "run")}
+        summary = run_scenario(config)[0]["tables"]["scan"]
+        assert (tmp_path / "run" / "levi_nodes.csv").read_bytes() == path.read_bytes()
         assert set(summary) == {
             "min",
             "argmin",
@@ -794,13 +808,6 @@ def oracle_counts(scan) -> dict:
     }
 
 
-def oracle_summary(scan) -> dict:
-    worst = oracle_min_sample(scan)
-    out = {"min": worst.levi_value, "argmin": list(worst.location), "tol": scan.tol}
-    out.update(oracle_counts(scan))
-    return out
-
-
 class TestLeviScanAgainstPerNodeOracle:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -812,7 +819,7 @@ class TestLeviScanAgainstPerNodeOracle:
         source=st.sampled_from(["levi", "noise", "blank"]),
         workers=st.sampled_from([1, 2, 3]),
     )
-    def test_csv_bytes_and_summary_match(
+    def test_csv_bytes_counts_and_least_match(
         self, tmp_path_factory, seed, origin, spacing, extents, tol, source, workers
     ):
         # "levi" scans a random cubic's graph_levi_fields, NaN ring and all;
@@ -842,7 +849,8 @@ class TestLeviScanAgainstPerNodeOracle:
             oracle_to_csv(scan, out / "old.csv")
             assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
             assert scan.counts() == oracle_counts(scan)
-            assert repr(scan.summary()) == repr(oracle_summary(scan))
+            worst = oracle_min_sample(scan)
+            assert repr(scan.least()) == repr((worst.levi_value, list(worst.location)))
             # at tol = inf every finite node is near_zero, and tol + 1 is not finite
             if source != "blank" and math.isfinite(tol):
                 rows = csv.reader((out / "new.csv").read_text().splitlines()[1:])

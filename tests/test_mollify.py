@@ -1,8 +1,8 @@
 """Mollifier kernels, shrinking-grid convolution, and the mollified-sign
 certificate sweep."""
 
+import dataclasses
 import importlib.util
-import json
 import math
 import sys
 import tracemalloc
@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
+import levicheck.cli as cli_module
 import levicheck.levi as levi_module
 import levicheck.mollify as mollify_module
 from helpers_poly import Poly3, node_derivatives
+from levicheck.cli import run_scenario
 from levicheck.fields import (
     Grid3,
     ParameterError,
@@ -365,8 +367,7 @@ def kink_id(normal):
 class TestCertificateBasics:
     def test_quarter_floor_for_pure_z2_square(self):
         v, phi = quadratic_case()
-        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
-        assert rep.passed
+        rep = mollified_sign_certificate(v, phi, deltas=SWEEP)
         for m in rep.m_values:
             assert m == pytest.approx(0.25, abs=1e-10)
         assert rep.hypothesis_min == pytest.approx(0.25, abs=1e-10)
@@ -379,52 +380,39 @@ class TestCertificateBasics:
         raw = -delta_tau_fields(v.hessian_fields(), tau1, tau2)
         raw_min = float(np.nanmin(raw))
         assert raw_min > 0.0
-        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
-        assert rep.passed
+        rep = mollified_sign_certificate(v, phi, deltas=SWEEP)
+        assert min(rep.m_values) >= -1e-2
         gaps = [abs(m - raw_min) for m in rep.m_values]
         assert gaps[-1] <= 5e-3
         assert gaps[-1] <= gaps[0]
 
-    def test_report_json_schema(self):
+    def test_report_holds_what_the_sweep_computes(self):
+        # the arguments and the verdict are the caller's: cli's mollify-sweep
+        # writes them into its certificate table
         v, phi = quadratic_case()
-        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
-        payload = json.loads(rep.to_json())
-        assert set(payload) == {
-            "epsilon",
-            "alpha",
-            "p",
-            "deltas",
+        rep = mollified_sign_certificate(v, phi, deltas=SWEEP)
+        assert [f.name for f in dataclasses.fields(rep)] == [
             "m_values",
             "fitted_slope",
-            "pass",
+            "hypothesis_min",
             "reduced_axes",
-        }
-        assert payload["pass"] is True
+        ]
         # v = -(xi2^2 + xi3^2) and phi hold no xi1
-        assert payload["reduced_axes"] == [0]
-        assert len(payload["deltas"]) == len(payload["m_values"]) == 7
-        assert rep.to_json() == mollified_sign_certificate(
-            v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP
-        ).to_json()
+        assert rep.reduced_axes == (0,)
+        assert len(rep.m_values) == len(SWEEP) == 7
+        again = mollified_sign_certificate(v, phi, deltas=SWEEP)
+        assert repr(again) == repr(rep)
 
     def test_parameter_preconditions(self):
         v, phi = quadratic_case()
-        with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, phi, alpha=0.9, p=2.0, epsilon=1e-2, deltas=SWEEP)
-        with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, phi, alpha=0.4, p=6.0, epsilon=1e-2, deltas=SWEEP)
-        with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=-1.0, deltas=SWEEP)
         small = smooth_field(cube_grid(1.0 / 16.0, 17), lambda a, b, c: a)
         with pytest.raises(ParameterError):
-            mollified_sign_certificate(v, small, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
+            mollified_sign_certificate(v, small, deltas=SWEEP)
 
     def test_sweep_rejects_under_resolved_deltas(self):
         v, phi = quadratic_case()
         with pytest.raises(UnderResolvedKernelError):
-            mollified_sign_certificate(
-                v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=(0.1, v.grid.spacing)
-            )
+            mollified_sign_certificate(v, phi, deltas=(0.1, v.grid.spacing))
 
     @pytest.mark.parametrize(
         "deltas",
@@ -438,9 +426,7 @@ class TestCertificateBasics:
         with mock.patch.object(
             mollify_module, "_neg_delta_tau_extremes", side_effect=AssertionError
         ), pytest.raises(ParameterError, match="two distinct finite deltas"):
-            mollified_sign_certificate(
-                case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
-            )
+            mollified_sign_certificate(case.v, case.phi, deltas=deltas)
 
     def test_hidden_convex_kink_raises(self):
         grid = cube_grid(1.0 / 32.0, 41)
@@ -451,7 +437,7 @@ class TestCertificateBasics:
         v = ScalarField3(grid, vals)
         phi = smooth_field(grid, lambda a, b, c: -0.5 * b)
         with pytest.raises(HypothesisError):
-            mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP)
+            mollified_sign_certificate(v, phi, deltas=SWEEP)
 
     @pytest.mark.parametrize("normal", KINK_NORMALS, ids=kink_id)
     def test_hidden_convex_kink_raises_in_any_plane(self, normal):
@@ -465,9 +451,7 @@ class TestCertificateBasics:
         kink = 0.5 * np.abs(across - 19.75 * grid.spacing * sum(normal))
         kinked = ScalarField3(grid, v.values + kink)
         with pytest.raises(HypothesisError):
-            mollified_sign_certificate(
-                kinked, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP
-            )
+            mollified_sign_certificate(kinked, phi, deltas=SWEEP)
 
     @pytest.mark.parametrize("q, raises", [(-0.9e-9, False), (-1.1e-9, True)])
     def test_hypothesis_tolerance_edge(self, q, raises):
@@ -479,14 +463,10 @@ class TestCertificateBasics:
         assert low == pytest.approx(q, rel=1e-6) and peak == pytest.approx(-q, rel=1e-6)
         if raises:
             with pytest.raises(HypothesisError):
-                mollified_sign_certificate(
-                    scaled, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP
-                )
+                mollified_sign_certificate(scaled, phi, deltas=SWEEP)
         else:
-            rep = mollified_sign_certificate(
-                scaled, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=SWEEP
-            )
-            assert rep.passed and rep.hypothesis_min.hex() == low.hex()
+            rep = mollified_sign_certificate(scaled, phi, deltas=SWEEP)
+            assert min(rep.m_values) >= -1e-2 and rep.hypothesis_min.hex() == low.hex()
 
 # g's Holder seminorm for the declared exponent 0.9 on the shipped grid:
 # measured 6.84 at h = 1/128 and again at 1/256
@@ -499,11 +479,25 @@ def shipped_case():
 
 
 @pytest.fixture(scope="module")
-def shipped_report(shipped_case):
-    case = shipped_case
-    return mollified_sign_certificate(
-        case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=case.delta_sweep(7)
-    )
+def shipped_run(tmp_path_factory):
+    """One default mollify-sweep run (the shipped case's seven deltas at
+    h = 1/128): its report and the certificate result the runner got."""
+    results = []
+
+    def certificate(*args, **kwargs):
+        results.append(mollified_sign_certificate(*args, **kwargs))
+        return results[-1]
+
+    outdir = tmp_path_factory.mktemp("mollify-sweep")
+    with mock.patch.object(cli_module, "mollified_sign_certificate", certificate):
+        report, _ = run_scenario({"scenario": "mollify-sweep", "outdir": str(outdir)})
+    [result] = results
+    return report, result
+
+
+@pytest.fixture(scope="module")
+def shipped_report(shipped_run):
+    return shipped_run[1]
 
 
 class TestStaircaseCase:
@@ -599,7 +593,7 @@ class TestStaircaseCase:
         h = case.v.grid.spacing
         n1, n2, _ = case.v.grid.extents
         a1, b1 = case.road_top
-        for d, m in zip(rep.deltas, rep.m_values):
+        for d, m in zip(case.delta_sweep(7), rep.m_values):
             ker = make_kernel(d, h)
             w1 = ker.weights.sum(axis=(0, 2))
             margin = ker.margin
@@ -614,22 +608,27 @@ class TestStaircaseCase:
 
     def test_sweep_minima_negative_but_above_epsilon(self, shipped_report):
         rep = shipped_report
-        assert rep.passed
         for m in rep.m_values:
             assert -1e-2 <= m <= -1e-4
 
-    def test_fitted_slope_near_target_rate(self, shipped_report):
-        assert shipped_report.rate_target == pytest.approx(0.4)
-        assert abs(shipped_report.fitted_slope - 0.4) <= 0.2
+    def test_fitted_slope_near_target_rate(self, shipped_run):
+        # the target alpha - 3/p of the shipped case, as the scenario reports it
+        report, rep = shipped_run
+        [band] = [a for a in report["assertions"] if a["name"] == "decay_slope_within_band"]
+        assert band["detail"]["rate_target"] == pytest.approx(0.4)
+        assert band["detail"]["fitted_slope"] == rep.fitted_slope
+        assert abs(rep.fitted_slope - 0.4) <= 0.2
         # regression pin on the frozen constants
-        assert shipped_report.fitted_slope == pytest.approx(0.4884, abs=2e-2)
+        assert rep.fitted_slope == pytest.approx(0.4884, abs=2e-2)
+
+    def test_declared_exponents_give_a_decay_rate(self, shipped_case):
+        # alpha a Holder exponent below 1 and the rate alpha - 3/p positive
+        assert 3.0 / shipped_case.p < shipped_case.alpha < 1.0
 
     def test_report_is_deterministic(self, shipped_case, shipped_report):
         case = shipped_case
-        again = mollified_sign_certificate(
-            case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=case.delta_sweep(7)
-        )
-        assert again.to_json() == shipped_report.to_json()
+        again = mollified_sign_certificate(case.v, case.phi, deltas=case.delta_sweep(7))
+        assert repr(again) == repr(shipped_report)
 
     def test_case_rejects_tiny_grid(self):
         with pytest.raises(ParameterError):
@@ -676,9 +675,7 @@ class TestBlockedSweepMinimum:
     def test_m_values_match_whole_grid_bitwise(self, small_case, workers, block):
         case, deltas, want = small_case
         with mock.patch.object(levi_module, "_BLOCK", block), with_workers(workers):
-            rep = mollified_sign_certificate(
-                case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
-            )
+            rep = mollified_sign_certificate(case.v, case.phi, deltas=deltas)
         assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
 
     @pytest.mark.parametrize("workers", _WORKERS)
@@ -702,7 +699,7 @@ class TestBlockedSweepMinimum:
             mock.patch.object(mollify_module, "_HYPOTHESIS_RTOL", math.inf),
             with_workers(workers),
         ):
-            rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas)
+            rep = mollified_sign_certificate(v, phi, deltas=deltas)
         assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
 
     def test_broken_route_raises_after_the_last_block(self, small_case, monkeypatch):
@@ -716,9 +713,7 @@ class TestBlockedSweepMinimum:
         monkeypatch.setattr(levi_module, "_BLOCK", 1)
         monkeypatch.setattr(levi_module, "_delta_tau_forms", shifted)
         with pytest.raises(ConsistencyError) as err:
-            mollified_sign_certificate(
-                case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
-            )
+            mollified_sign_certificate(case.v, case.phi, deltas=deltas)
         assert err.value.where == "delta_tau_fields"
 
     def test_consistency_error_detail_does_not_depend_on_the_workers(
@@ -733,9 +728,7 @@ class TestBlockedSweepMinimum:
         details = []
         for workers in (1, 2):
             with with_workers(workers), pytest.raises(ConsistencyError) as err:
-                mollified_sign_certificate(
-                    case.v, case.phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
-                )
+                mollified_sign_certificate(case.v, case.phi, deltas=deltas)
             details.append((err.value.where, err.value.worst, err.value.scale))
         assert details[0] == details[1]
         assert details[0][0] == "delta_tau_fields" and details[0][1] > 1e-9 * details[0][2]
@@ -802,13 +795,9 @@ class TestSlabbedHypothesisCheck:
         if layout == "contiguous":
             v, phi = contiguous(v), contiguous(phi)
         with mock.patch.object(levi_module, "_BLOCK", block), with_workers(workers):
-            rep = mollified_sign_certificate(
-                v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
-            )
+            rep = mollified_sign_certificate(v, phi, deltas=deltas)
             with pytest.raises(HypothesisError) as err:
-                mollified_sign_certificate(
-                    negated(v), phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
-                )
+                mollified_sign_certificate(negated(v), phi, deltas=deltas)
         assert rep.reduced_axes == (2,)
         assert rep.hypothesis_min.hex() == whole_grid_hypothesis(case.v, case.phi)[0].hex()
         want = whole_grid_hypothesis(negated(case.v), case.phi)
@@ -853,9 +842,7 @@ class TestSlabbedHypothesisCheck:
         v = ScalarField3(grid, 1.7e308 * sign)
         _, phi = quadratic_case(h=1.0 / 16.0, n=17)
         with pytest.raises(ParameterError, match="no interior node has a finite -Delta_tau v"):
-            mollified_sign_certificate(
-                v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=(2.0 / 16.0, 3.0 / 16.0)
-            )
+            mollified_sign_certificate(v, phi, deltas=(2.0 / 16.0, 3.0 / 16.0))
 
     def test_peak_memory_stays_below_one_field(self):
         # the whole-grid check held nine Hessian arrays and complex
@@ -982,8 +969,7 @@ class TestReducedSweep:
     def test_shipped_case_within_1e_12_of_3d_route(self, shipped_case, shipped_report):
         case, rep = shipped_case, shipped_report
         assert rep.reduced_axes == (2,)
-        assert json.loads(rep.to_json())["reduced_axes"] == [2]
-        want = stencil_m_values(case.v, case.phi, rep.deltas)
+        want = stencil_m_values(case.v, case.phi, case.delta_sweep(7))
         # measured: at most 7.14e-13
         assert max(abs(m - w) for m, w in zip(rep.m_values, want)) <= 1e-12
 
@@ -1003,7 +989,7 @@ class TestReducedSweep:
             v = one_ulp_up(v, node)
         else:
             phi = one_ulp_up(phi, node)
-        rep = mollified_sign_certificate(v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas)
+        rep = mollified_sign_certificate(v, phi, deltas=deltas)
         assert rep.reduced_axes == ()
         want = whole_grid_m_values(v, phi, deltas)
         assert [m.hex() for m in rep.m_values] == [m.hex() for m in want]
@@ -1022,9 +1008,7 @@ class TestReducedSweep:
         phi = smooth_field(grid, no_xi1((1, 2, 3)))
         deltas = (2.0 / 16.0, 3.0 / 16.0)
         with mock.patch.object(mollify_module, "_HYPOTHESIS_RTOL", math.inf):
-            rep = mollified_sign_certificate(
-                v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
-            )
+            rep = mollified_sign_certificate(v, phi, deltas=deltas)
         assert rep.reduced_axes == (0,)
         on_route = whole_grid_m_values(v, phi, deltas, axes=(0,))
         assert [m.hex() for m in rep.m_values] == [m.hex() for m in on_route]
@@ -1046,9 +1030,7 @@ class TestReducedSweep:
         deltas = (2.0 / 16.0, 3.0 / 16.0)
         others = tuple(ax for ax in range(3) if ax != axis)
         with mock.patch.object(mollify_module, "_HYPOTHESIS_RTOL", math.inf):
-            rep = mollified_sign_certificate(
-                v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=deltas
-            )
+            rep = mollified_sign_certificate(v, phi, deltas=deltas)
         assert rep.reduced_axes == others
         on_route = whole_grid_m_values(v, phi, deltas, axes=others)
         assert [m.hex() for m in rep.m_values] == [m.hex() for m in on_route]
@@ -1060,11 +1042,9 @@ class TestReducedSweep:
         grid = Grid3((0.0, 0.0, 0.0), 1.0 / 16.0, (13, 15, 17))
         v = smooth_field(grid, lambda a, b, c: np.full((1, 1, 1), 0.75))
         phi = smooth_field(grid, lambda a, b, c: np.full((1, 1, 1), -0.25))
-        rep = mollified_sign_certificate(
-            v, phi, alpha=0.9, p=6.0, epsilon=1e-2, deltas=(2.0 / 16.0, 3.0 / 16.0)
-        )
+        rep = mollified_sign_certificate(v, phi, deltas=(2.0 / 16.0, 3.0 / 16.0))
         assert rep.reduced_axes == (1, 2)
-        assert rep.passed and max(abs(m) for m in rep.m_values) <= 1e-10
+        assert max(abs(m) for m in rep.m_values) <= 1e-10
 
 
 def test_calibration_script_runs_the_frozen_case(monkeypatch, capsys):

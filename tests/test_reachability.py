@@ -1,9 +1,9 @@
 """Which library functions the standard runs never enter, and which
 dataclass fields nothing outside the tests reads.
 
-The nine standard runs (``scripts/run_all_scenarios.py``, here at smoke
-sizes) plus the ``list`` and ``run`` commands execute under
-``sys.setprofile``.  Every function, method, closure and lambda compiled from
+The nine standard runs (``scripts/run_all_scenarios.py``, here at the
+smoke sizes of SMOKE_PARAMS) plus the ``list`` and ``run`` commands
+execute under ``sys.setprofile``.  Every function, method, closure and lambda compiled from
 ``src/levicheck/`` that no frame entered is reported by its qualified name;
 a closure is listed only if the function around it ran.
 The set must equal UNREACHED exactly, so deleting a pinned name, leaving new
@@ -25,43 +25,45 @@ from pathlib import Path
 
 import levicheck
 from levicheck import cli, levi, mollify, staircase
+from test_acceptance import STANDARD_RUN_DIGESTS, STANDARD_RUNS, THREAD_COUNTS
 
 SRC = Path(levicheck.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 
-# (run name, config) at the smoke sizes of the benchmark's tiny workloads
+# run name -> the params that shrink each standard run to the smoke sizes
+# of the benchmark's tiny workloads
+SMOKE_PARAMS = {
+    "levi-check-ball": {"extent": 9},
+    "levi-check-g2": {"extent": 9},
+    "mollify-sweep": {"count": 2},
+    "staircase-build": {"depth": 6, "n_offsets": 50},
+    "hartogs-scan-ball": {"spacing": 1.0 / 64.0},
+    "hartogs-scan-staircase": {"spacing": 1.0 / 128.0},
+    "cantor-potential": {
+        "generation": 3,
+        "cert_generations": [3, 4],
+        "dim_generation": 7,
+        "graph_angles": 512,
+    },
+    "green-identity": {"spacing": 1.0 / 256.0},
+    "slice-check": {},
+}
+
+# (run name, config): the standard runs at smoke sizes
 RUNS = [
-    ("levi-check-ball", {"scenario": "levi-check", "params": {"extent": 9}}),
-    (
-        "levi-check-g2",
-        {"scenario": "levi-check", "expect_violation": True, "params": {"model": "g2", "extent": 9}},
-    ),
-    ("mollify-sweep", {"scenario": "mollify-sweep", "params": {"count": 2}}),
-    ("staircase-build", {"scenario": "staircase-build", "params": {"depth": 6, "n_offsets": 50}}),
-    ("hartogs-scan-ball", {"scenario": "hartogs-scan", "params": {"spacing": 1.0 / 64.0}}),
-    (
-        "hartogs-scan-staircase",
-        {
-            "scenario": "hartogs-scan",
-            "expect_violation": True,
-            "params": {"cap": "staircase", "spacing": 1.0 / 128.0},
-        },
-    ),
-    (
-        "cantor-potential",
-        {
-            "scenario": "cantor-potential",
-            "params": {
-                "generation": 3,
-                "cert_generations": [3, 4],
-                "dim_generation": 7,
-                "graph_angles": 512,
-            },
-        },
-    ),
-    ("green-identity", {"scenario": "green-identity", "params": {"spacing": 1.0 / 256.0}}),
-    ("slice-check", {"scenario": "slice-check"}),
+    (name, dict(config, params={**config.get("params", {}), **SMOKE_PARAMS[name]}))
+    for name, config in STANDARD_RUNS.items()
 ]
+
+
+def test_run_lists_name_the_pinned_runs():
+    # scripts/run_all_scenarios.py holds the one list of standard runs; each
+    # table keyed by run name covers exactly the runs test_09 pins
+    names = set(STANDARD_RUN_DIGESTS)
+    assert set(STANDARD_RUNS) == names
+    assert set(THREAD_COUNTS) == names
+    assert set(SMOKE_PARAMS) == names
+
 
 # qualified name -> why the library keeps it although no standard run enters it
 UNREACHED = {

@@ -1,6 +1,5 @@
 """Staircase construction, growth certificate, and Hartogs cap scans."""
 
-import json
 import math
 import re
 from bisect import bisect_right
@@ -15,6 +14,8 @@ from scipy.integrate import quad
 
 import levicheck.staircase as staircase_module
 from helpers_disc import disc_node_coords
+from helpers_report import violation_alignment
+from levicheck.cli import run_scenario
 from levicheck.fields import ParameterError, circle_mean
 from levicheck.potential import zygmund_domain
 from levicheck.staircase import (
@@ -306,14 +307,14 @@ def fat_half(sys_half):
 
 @pytest.fixture(scope="module")
 def dom99():
-    return hartogs_staircase(alpha1=0.99, spacing=1.0 / 256.0)
+    return hartogs_staircase(alpha1="99/100", spacing=1.0 / 256.0)
 
 
 @pytest.fixture(scope="module")
 def fat99():
-    """dom99's F, built here as hartogs_staircase builds it: from the float
-    0.99, whose exact binary value is the first gap ratio, to depth 10."""
-    return fat_F(build_cantor(default_alphas(0.99, 10)))
+    """dom99's F, built here as hartogs_staircase builds it: from the
+    hartogs-scan default alpha1 "99/100", exactly 99/100, to depth 10."""
+    return fat_F(build_cantor(default_alphas("99/100", 10)))
 
 
 @pytest.fixture(scope="module")
@@ -695,11 +696,14 @@ class TestFindX0:
         with pytest.raises(ParameterError):
             find_x0(fat_half, n_offsets=0)
 
-    def test_json_payload(self, fat_half):
+    def test_report_table_is_exact(self, fat_half, tmp_path):
+        # the staircase-build table writes the certificate's numbers as exact decimals
         cert = find_x0(fat_half, n_offsets=10)
-        payload = json.loads(cert.to_json())
-        assert Fraction(payload["x0"]) == cert.x0
-        assert payload["offsets_checked"] == 10
+        params = {"alpha1": "1/2", "depth": fat_half.system.depth, "n_offsets": 10}
+        config = {"scenario": "staircase-build", "params": params, "outdir": str(tmp_path)}
+        table = run_scenario(config)[0]["tables"]["x0_certificate"]
+        assert Fraction(table["x0"]) == cert.x0 and Fraction(table["g_min"]) == cert.g_min
+        assert table["offsets_checked"] == 10
 
 
 class TestBumpWindow:
@@ -751,7 +755,7 @@ class TestHartogsDomain:
         p = dom99.params
         assert p["c1"] == 1.0 / (8.0 * f_sup * w2_sup)
         assert 16.0 * p["c1"] * f_sup * w2_sup == pytest.approx(2.0, rel=1e-12)
-        assert p["growth"] == pytest.approx(49.5, rel=1e-12)
+        assert p["growth"] == 49.5  # exactly (1 / (1 - 99/100) - 1) / 2
         assert p["z0_real"] == float(find_x0(fat99, n_offsets=1).x0 + Fraction(1, 2))
 
     def test_growth_certified_at_cap_offsets(self, monkeypatch):
@@ -763,7 +767,7 @@ class TestHartogsDomain:
             return calls[-1][1]
 
         monkeypatch.setattr(staircase_module, "find_x0", recording_find_x0)
-        hartogs_staircase(alpha1=0.99, spacing=1.0 / 8.0)
+        hartogs_staircase(alpha1="99/100", spacing=1.0 / 8.0)
         [(n_offsets, cert)] = calls
         assert n_offsets == staircase_module._CAP_OFFSETS
         assert cert.offsets_checked == 1000
@@ -808,24 +812,22 @@ class TestSubharmonicityScan:
 
     def test_steep_staircase_violates_on_segment(self, scan99):
         assert scan99.violating_count() > 0
-        align = scan99.violation_alignment()
-        assert align["within_2h"]
-        assert align["max_horizontal"] <= 2.0 * scan99.domain.spacing + 1e-12
-        assert align["max_euclidean"] > 0.1
+        _, _, _, dist_h, dist_e = scan99.violators()
+        assert scan99.reach_2h == 2.0 * scan99.domain.spacing + 1e-12
+        assert np.max(dist_h) <= scan99.reach_2h
+        assert np.max(dist_e) > 0.1
 
     def test_far_field_strictly_superharmonic(self, scan99):
         assert scan99.far_field_max() <= -0.5
 
     def test_threshold_flags(self, scan99, scan50):
-        s99 = scan99.summary()
-        s50 = scan50.summary()
-        assert not s99["growth_below_threshold"]
-        assert s50["growth_below_threshold"]
-        assert s50["violating_count"] == 0
+        assert not scan99._threshold_report()["growth_below_threshold"]
+        assert scan50._threshold_report()["growth_below_threshold"]
+        assert scan50.violating_count() == 0
 
     def test_mean_checks_side_by_side(self, scan99, scan50):
-        mc99 = scan99.summary()["mean_checks"]
-        mc50 = scan50.summary()["mean_checks"]
+        mc99 = scan99.mean_checks
+        mc50 = scan50.mean_checks
         assert mc99["positive"] > 0
         assert mc99["max_excess"] > 0.0
         assert mc50["positive"] == 0
@@ -839,7 +841,8 @@ class TestSubharmonicityScan:
 # -- oracle: subharmonicity_scan as it stored whole-grid masks and distance
 # copies and tested the segment nodes one circle_mean call at a time,
 # verbatim but for its return value; violators(), far_field_max(),
-# violation_alignment() and mean_checks must equal what it reported
+# the alignment of violators() (tests/helpers_report.py) and mean_checks
+# must equal what it reported
 
 
 def whole_grid_scan(domain, scan_radius=0.96):
@@ -913,9 +916,9 @@ def whole_grid_mean_checks(domain, scanned, dist_h, gy):
 # name -> (domain, scan radius); at radius 0.3 no node of the segment is scanned
 SCAN_DOMAINS = {
     "ball": (lambda: hartogs_ball_domain(spacing=1.0 / 128.0), 0.96),
-    "staircase-128": (lambda: hartogs_staircase(alpha1=0.99, spacing=1.0 / 128.0), 0.96),
-    "staircase-300": (lambda: hartogs_staircase(alpha1=0.99, spacing=1.0 / 300.0), 0.96),
-    "staircase-64-inner": (lambda: hartogs_staircase(alpha1=0.99, spacing=1.0 / 64.0), 0.3),
+    "staircase-128": (lambda: hartogs_staircase(alpha1="99/100", spacing=1.0 / 128.0), 0.96),
+    "staircase-300": (lambda: hartogs_staircase(alpha1="99/100", spacing=1.0 / 300.0), 0.96),
+    "staircase-64-inner": (lambda: hartogs_staircase(alpha1="99/100", spacing=1.0 / 64.0), 0.3),
     "cantor": (lambda: zygmund_domain(1.0, 2, 1.0 / 64.0), 0.96),
 }
 
@@ -930,7 +933,7 @@ def test_column_distances_report_what_whole_grid_copies_did(name):
         "scanned_count": scan.scanned_count(),
         "violators": [column.tolist() for column in scan.violators()],
         "far_field_max": scan.far_field_max(),
-        "alignment": scan.violation_alignment(),
+        "alignment": violation_alignment(scan),
         "mean_checks": scan.mean_checks,
     }
     # repr keeps every bit of a float and reads NaN as equal to NaN
