@@ -329,14 +329,13 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
         Assertion("interval_length_identity", length_residual, "<=", 0, generations),
         Assertion("quadratic_growth_bound", growth_residual, "<=", 0, growth),
     ]
-    left_gap = certificate.left_gap
     x0_certificate = {
         "x0": _number_str(certificate.x0),
         "growth": _number_str(certificate.growth),
         "delta0": _number_str(certificate.delta0),
         "g_min": _number_str(certificate.g_min),
         "offsets_checked": certificate.offsets_checked,
-        "left_gap": None if left_gap is None else [_number_str(end) for end in left_gap],
+        "left_gap": [_number_str(end) for end in certificate.left_gap],
         "left_defect": _number_str(certificate.left_defect),
     }
     tables = {"alphas": [str(a) for a in system.alphas], "x0_certificate": x0_certificate}
@@ -462,9 +461,9 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
 def _run_green_identity(params: dict, expect_violation: bool, outdir: Path):
     spacing = float(params["spacing"])
     fields = {
-        "re_zeta": DiscField.from_function(1.0, spacing, lambda x, y: x),
-        "abs2": DiscField.from_function(1.0, spacing, lambda x, y: x * x + y * y),
-        "abs4": DiscField.from_function(1.0, spacing, lambda x, y: (x * x + y * y) ** 2),
+        "re_zeta": DiscField.from_function(spacing, lambda x, y: x),
+        "abs2": DiscField.from_function(spacing, lambda x, y: x * x + y * y),
+        "abs4": DiscField.from_function(spacing, lambda x, y: (x * x + y * y) ** 2),
     }
     radii = [float(r) for r in params["radii"]]
     # the fields share one grid, so each radius's weights serve all three
@@ -517,6 +516,7 @@ SCENARIOS = {
         {"model": "ball", "spacing": 0.025, "extent": 17, "tol": 1e-8},
         {
             "spacing": ((">=", 1e-4),),  # far finer, the verdict fails falsely (at 1e-9)
+            "extent": (("<=", 121),),  # about 300 B a node: 586 MB peak at 121^3
             "tol": ((">=", 0),),  # the pseudoconvexity bound: below 0 it passes concave nodes
         },
         _run_levi_check,
@@ -553,6 +553,7 @@ SCENARIOS = {
         {"cap": "ball", "alpha1": "99/100", "spacing": 1.0 / 512.0, "scan_radius": 0.96},
         {
             "alpha1": ((">", 0), ("<", 1)),  # checked whatever the cap: no report records a bad one
+            "spacing": ((">=", 1.0 / 2048.0),),  # at 1/2048 either cap peaks at 598 MB
             "scan_radius": ((">", 0), ("<", 1)),  # the scan rejects it only after the cap build
         },
         _run_hartogs_scan,
@@ -590,6 +591,7 @@ SCENARIOS = {
         {"spacing": 0.1, "extent": 7, "t_values": [[0.1, 0.0], [0.0, 0.05], [0.08, -0.06]]},
         {
             "spacing": ((">=", 1e-4),),  # far finer, the verdict fails falsely (at 1e-300)
+            "extent": (("<=", 385),),  # each slice is one 3-D array: 564 MB peak at 385^3
             "t_values": ((">=", 1),),  # every check over no slice passes vacuously
         },
         _run_slice_check,

@@ -285,25 +285,22 @@ def wirtinger_parts(g, hess):
 
 @dataclass
 class DiscField:
-    """Real scalar samples on a square grid covering the open disc |z| < radius.
+    """Real scalar samples on a square grid covering the open unit disc.
 
     Values live on the full square (side = 2*half+1 nodes, node [half, half]
     at the origin); NaN marks nodes where the generator is undefined.  The
-    authoritative domain is the node set with |z| < radius; the finite
-    pattern may extend past the rim (polynomials) or stop short of it
-    (log-type caps).  Interpolation needs all four cell corners finite.
+    authoritative domain is the node set with |z| < 1; the finite pattern
+    may extend past the rim (polynomials) or stop short of it (log-type
+    caps).  Interpolation needs all four cell corners finite.
     """
 
-    radius: float
     spacing: float
     values: np.ndarray
     half: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.radius <= 1.0:
-            raise ParameterError("radius must lie in (0, 1]")
-        if not 0.0 < self.spacing < self.radius:
-            # at spacing >= radius the origin is the only node inside the disc
+        if not 0.0 < self.spacing < 1.0:
+            # at spacing >= 1 the origin is the only node inside the disc
             raise ParameterError(f"spacing must be positive and below the radius, got {self.spacing!r}")
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
@@ -317,12 +314,9 @@ class DiscField:
 
     @classmethod
     def from_function(
-        cls,
-        radius: float,
-        spacing: float,
-        fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        cls, spacing: float, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     ) -> "DiscField":
-        """Sample fn on the square grid covering the disc of this radius, with
+        """Sample fn on the square grid covering the unit disc, with
         _PAD_CELLS nodes beyond the rim on every side.
 
         fn gets sparse meshes, x of shape (m, 1) and y of shape (1, m), and
@@ -330,9 +324,9 @@ class DiscField:
         (m, m), e.g. (m, 1) for lambda x, y: x.  Terms in one coordinate
         then cost O(m) rather than O(m^2).  Non-finite values become NaN.
         """
-        if not 0.0 < spacing < radius:
+        if not 0.0 < spacing < 1.0:
             raise ParameterError(f"spacing must be positive and below the radius, got {spacing!r}")
-        half = int(math.ceil(radius / spacing)) + _PAD_CELLS
+        half = int(math.ceil(1.0 / spacing)) + _PAD_CELLS
         coords = spacing * np.arange(-half, half + 1)
         gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)
         with np.errstate(all="ignore"):
@@ -340,7 +334,7 @@ class DiscField:
                 np.asarray(fn(gx, gy), dtype=np.float64), (len(coords), len(coords))
             ).copy()
         vals[~np.isfinite(vals)] = np.nan
-        return cls(radius, spacing, vals)
+        return cls(spacing, vals)
 
     def axis(self) -> np.ndarray:
         return self.spacing * (np.arange(self.values.shape[0]) - self.half)

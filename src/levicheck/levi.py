@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -518,8 +517,6 @@ def slice_ratio_min(sliced: ScalarField3) -> float:
 # -- Green-formula identity on the disc -----------------------------------
 
 
-# still an lru_cache: callers reset it with the other lazy constants
-@lru_cache(maxsize=1)
 def _unit_square_log_moment() -> float:
     """integral of log(1/|zeta|) over the unit square centered at 0.
 

@@ -404,17 +404,15 @@ def _order(rho: float, n: int) -> int:
     return next((k for k in range(n) if rho ** (k + 1) < _TAIL * (k + 1) * (1.0 - rho)), n)
 
 
-def potential_field(
-    potential: GreenPotential, radius: float = 1.0, spacing: float = 1.0 / 256.0
-) -> DiscField:
-    """Sample the potential on the square grid covering the disc."""
+def potential_field(potential: GreenPotential, spacing: float) -> DiscField:
+    """Sample the potential on the square grid covering the unit disc."""
 
     def fn(gx, gy):
         vals = potential.grid_values(gx, gy)
         vals[np.hypot(gx, gy) > 1.0] = np.nan
         return vals
 
-    return DiscField.from_function(radius, spacing, fn)
+    return DiscField.from_function(spacing, fn)
 
 
 # -- flux recovery of the measure -------------------------------------------
@@ -573,7 +571,7 @@ def zygmund_seminorm(
 ) -> float:
     """Empirical M = max |u(x+h) + u(x-h) - 2u(x)| / ||h||^alpha.
 
-    Random base points in |x| <= 0.8 * radius with random offsets of
+    Random base points in |x| <= 0.8 with random offsets of
     length in [4 * grid spacing, 0.1]; deterministic for a fixed seed.
     Displacements below four cells would measure interpolation error
     rather than the field.
@@ -594,7 +592,7 @@ def zygmund_seminorm(
     while remaining > 0:
         k = min(chunk, remaining)
         remaining -= k
-        rad = 0.8 * u.radius * np.sqrt(rng.random(k))
+        rad = 0.8 * np.sqrt(rng.random(k))
         ang = 2.0 * math.pi * rng.random(k)
         x = rad * np.cos(ang)
         y = rad * np.sin(ang)
@@ -626,4 +624,4 @@ def zygmund_domain(
     def cap_values(gx, gy):
         return _ball_cap_values(gx, gy) - pot.grid_values(gx, gy)
 
-    return HartogsDomain(cap=DiscField.from_function(1.0, spacing, cap_values), kind="cantor")
+    return HartogsDomain(cap=DiscField.from_function(spacing, cap_values), kind="cantor")

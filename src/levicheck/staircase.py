@@ -1,6 +1,6 @@
 """Fat Cantor staircase construction and the Hartogs-type cap built on it.
 
-The construction proceeds in four stages, each with an exact rational
+The construction proceeds in three stages, each with an exact rational
 backbone so the structural identities can be asserted without floating
 point slack:
 
@@ -8,8 +8,8 @@ point slack:
     removes from each generation-n interval its centered open gap of
     relative size ``alpha_{n+1}``.  Only the endpoint row of the deepest
     generation N is stored; ``level(n)`` slices generation n out of it.
-  * ``staircase_f`` produces the piecewise affine iterate ``f_n`` that
-    climbs from 0 to 1 on the kept intervals and is constant on gaps.
+    The system's staircase ``f_N``, its Cantor function, climbs from 0 to
+    1 affinely on the kept intervals and is constant on gaps.
   * ``fat_F`` integrates ``f_N - t`` into a piecewise quadratic ``F`` with
     ``F(0) = F(1) = 0`` and ``F'' = -1`` on removed-gap interiors.
   * ``find_x0`` certifies a base point with a one-sided quadratic growth
@@ -48,7 +48,6 @@ __all__ = [
     "ConstructionError",
     "FatF",
     "HartogsDomain",
-    "StaircaseIterates",
     "SubharmonicityScan",
     "X0Certificate",
     "build_cantor",
@@ -60,7 +59,6 @@ __all__ = [
     "hartogs_ball_domain",
     "hartogs_staircase",
     "interval_distance",
-    "staircase_f",
     "subharmonicity_scan",
     "superharmonic_mean_excess",
 ]
@@ -113,14 +111,20 @@ def default_alphas(alpha1, depth: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class CantorSystem:
-    """The nested kept intervals, stored as their deepest generation.
+    """The nested kept intervals, stored as their deepest generation, and
+    their staircase f_N, N = ``depth``.
 
     ``xs`` holds the 2**(N+1) endpoints of the generation-N kept intervals
-    in increasing order, left and right alternating, with N = ``depth``,
-    each as an integer numerator over the common ``denominator`` D.  A
-    generation-n interval's outer ends are those of its outermost
-    generation-N descendants, so ``level(n)`` slices every coarser
-    generation out of this one row.
+    in increasing order, left and right alternating, each as an integer
+    numerator over the common ``denominator`` D.  A generation-n
+    interval's outer ends are those of its outermost generation-N
+    descendants, so ``level(n)`` slices every coarser generation out of
+    this one row.
+
+    f_N, the system's Cantor function, rises linearly from i * 2**-N to
+    (i+1) * 2**-N on kept interval ``level(N)[i]`` and is constant between
+    them; ``ys`` holds it at the breakpoints ``xs`` as numerators over
+    2**N.  Calling the system evaluates f_N in floats.
     """
 
     alphas: tuple[Fraction, ...]
@@ -164,6 +168,66 @@ class CantorSystem:
         """
         return bisect_right(self.xs, p * self.denominator // q) - 1
 
+    @cached_property
+    def ys(self) -> tuple[int, ...]:
+        return tuple((k + 1) // 2 for k in range(len(self.xs)))
+
+    @cached_property
+    def _xs_float(self) -> np.ndarray:
+        d = self.denominator
+        return np.array([x / d for x in self.xs])
+
+    @cached_property
+    def _ys_float(self) -> np.ndarray:
+        return np.array(self.ys) / 2.0**self.depth
+
+    @cached_property
+    def excess(self) -> tuple[int, ...]:
+        """f_N(x) - x at each breakpoint x, the slope of F there, as
+        numerators over D 2**N."""
+        d, n = self.denominator, self.depth
+        return tuple(y * d - (x << n) for x, y in zip(self.xs, self.ys))
+
+    def __call__(self, x):
+        return np.interp(np.asarray(x, dtype=float), self._xs_float, self._ys_float)
+
+    def _scaled(self, k: int, p: int, q: int) -> int:
+        """f_N(p/q) times q l 2**N, for p/q on breakpoint piece k.
+
+        l = xs[1] is the common numerator of the kept intervals' length,
+        over which f_N rises by 2**-N; on the gaps (odd k) it is flat.
+        """
+        out = self.ys[k] * q * self.xs[1]
+        if k % 2 == 0:
+            out += p * self.denominator - self.xs[k] * q
+        return out
+
+    def value_exact(self, x) -> Fraction:
+        x = _as_fraction(x)
+        if x <= 0:
+            return Fraction(0)
+        if x >= 1:
+            return Fraction(1)
+        p, q = x.numerator, x.denominator
+        return Fraction(self._scaled(self._locate(p, q), p, q), (q * self.xs[1]) << self.depth)
+
+    def sup_distance(self, other: "CantorSystem") -> Fraction:
+        """Exact sup norm of f_N - f_M, the staircases of the two systems
+        (both piecewise affine).
+
+        The knots of both, over the common denominator q, suffice; at them
+        each staircase's values are integers over its own q l 2**N.
+        """
+        q = math.lcm(self.denominator, other.denominator)
+        knots = {x * (q // system.denominator) for system in (self, other) for x in system.xs}
+        mine, theirs = ((q * system.xs[1]) << system.depth for system in (self, other))
+
+        def at(system, p):
+            return system._scaled(system._locate(p, q), p, q)
+
+        best = max(abs(at(self, p) * theirs - at(other, p) * mine) for p in knots)
+        return Fraction(best, mine * theirs)
+
 
 def build_cantor(alphas: Sequence) -> CantorSystem:
     """Build the nested interval system from gap ratios ``alphas``.
@@ -198,111 +262,28 @@ def build_cantor(alphas: Sequence) -> CantorSystem:
 
 
 @dataclass(frozen=True)
-class StaircaseIterates:
-    """Piecewise affine f_N with f_N(0) = 0, f_N(1) = 1, N = ``system.depth``.
+class FatF:
+    """F(x) = integral_0^x (f_N(t) - t) dt, piecewise quadratic and exact,
+    with f_N the staircase of ``system``.
 
-    On kept interval ``system.level(N)[i]`` the graph rises linearly from
-    i * 2**-N to (i+1) * 2**-N; between kept intervals it is constant.  Its
-    breakpoints are ``system.xs`` (numerators over D), and ``ys`` holds f_N
-    there as numerators over 2**N.
+    Stores only what it adds to ``system``: ``values``, F at the
+    breakpoints ``xs`` of f_N as integer numerators over ``denominator``
+    = 2 D^2 2**N.  The float view of the values is built on the first
+    float call.  The limit staircase differs from f_N by at most 2**-N in
+    sup norm, so the corresponding limit potential differs from this F by
+    at most ``truncation_error`` = 2**(1-N).
     """
 
     system: CantorSystem
+    values: tuple[int, ...]
 
     @property
     def xs(self) -> tuple[int, ...]:
         return self.system.xs
 
-    @cached_property
-    def ys(self) -> tuple[int, ...]:
-        return tuple((k + 1) // 2 for k in range(len(self.xs)))
-
-    @cached_property
-    def _xs_float(self) -> np.ndarray:
-        d = self.system.denominator
-        return np.array([x / d for x in self.xs])
-
-    @cached_property
-    def _ys_float(self) -> np.ndarray:
-        return np.array(self.ys) / 2.0**self.system.depth
-
-    @cached_property
-    def excess(self) -> tuple[int, ...]:
-        """f_N(x) - x at each breakpoint x, the slope of F there, as
-        numerators over D 2**N."""
-        d, n = self.system.denominator, self.system.depth
-        return tuple(y * d - (x << n) for x, y in zip(self.xs, self.ys))
-
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self._xs_float, self._ys_float)
-
-    def _scaled(self, k: int, p: int, q: int) -> int:
-        """f_N(p/q) times q l 2**N, for p/q on breakpoint piece k.
-
-        l = xs[1] is the common numerator of the kept intervals' length,
-        over which f_N rises by 2**-N; on the gaps (odd k) it is flat.
-        """
-        out = self.ys[k] * q * self.xs[1]
-        if k % 2 == 0:
-            out += p * self.system.denominator - self.xs[k] * q
-        return out
-
-    def value_exact(self, x) -> Fraction:
-        x = _as_fraction(x)
-        if x <= 0:
-            return Fraction(0)
-        if x >= 1:
-            return Fraction(1)
-        p, q = x.numerator, x.denominator
-        k = self.system._locate(p, q)
-        return Fraction(self._scaled(k, p, q), (q * self.xs[1]) << self.system.depth)
-
-    def sup_distance(self, other: "StaircaseIterates") -> Fraction:
-        """Exact sup norm of f_N - f_M (both piecewise affine).
-
-        The knots of both, over the common denominator q, suffice; at them
-        each iterate's values are integers over its own q l 2**N.
-        """
-        q = math.lcm(self.system.denominator, other.system.denominator)
-        knots = {x * (q // it.system.denominator) for it in (self, other) for x in it.xs}
-        mine, theirs = ((q * it.xs[1]) << it.system.depth for it in (self, other))
-
-        def at(it, p):
-            return it._scaled(it.system._locate(p, q), p, q)
-
-        best = max(abs(at(self, p) * theirs - at(other, p) * mine) for p in knots)
-        return Fraction(best, mine * theirs)
-
-
-def staircase_f(system: CantorSystem) -> StaircaseIterates:
-    """Staircase iterate f_N for the given interval system, N = its depth."""
-    return StaircaseIterates(system=system)
-
-
-@dataclass(frozen=True)
-class FatF:
-    """F(x) = integral_0^x (f_N(t) - t) dt, piecewise quadratic and exact.
-
-    Stores only what it adds to ``iterates``: ``values``, F at the
-    breakpoints ``xs`` of f_N as integer numerators over ``denominator``
-    = 2 D^2 2**N, and ``truncation_error``.  Float views of the breakpoints
-    and values are built on the first float call.  The limit staircase
-    differs from f_N by at most 2**-N in sup norm, so the corresponding
-    limit potential differs from this F by at most ``truncation_error`` =
-    2**(1-N).
-    """
-
-    iterates: StaircaseIterates
-    values: tuple[int, ...]
-    truncation_error: float
-
     @property
-    def system(self) -> CantorSystem:
-        return self.iterates.system
-
-    @property
-    def xs(self) -> tuple[int, ...]:
-        return self.iterates.xs
+    def truncation_error(self) -> float:
+        return 2.0 ** (1 - self.system.depth)
 
     @property
     def denominator(self) -> int:
@@ -325,7 +306,7 @@ class FatF:
         """
         d, ell = self.system.denominator, self.xs[1]
         u = p * d - self.xs[k] * q  # u over D q
-        g = self.iterates.excess[k]
+        g = self.system.excess[k]
         out = ell * (self.values[k] * q * q + (2 * g * q - (u << self.system.depth)) * u)
         if k % 2 == 0:
             out += d * u * u
@@ -343,15 +324,15 @@ class FatF:
         x = _as_fraction(x)
         if x <= 0 or x >= 1:
             return Fraction(0)
-        return self.iterates.value_exact(x) - x
+        return self.system.value_exact(x) - x
 
     def __call__(self, x):
-        it = self.iterates
+        f = self.system
         x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(it._xs_float, x, side="right") - 1, 0, len(it.xs) - 2)
-        xk = it._xs_float[idx]
-        fk = it._ys_float[idx]
-        vals = self._vals_float[idx] + 0.5 * ((fk - xk) + (it(x) - x)) * (x - xk)
+        idx = np.clip(np.searchsorted(f._xs_float, x, side="right") - 1, 0, len(f.xs) - 2)
+        xk = f._xs_float[idx]
+        fk = f._ys_float[idx]
+        vals = self._vals_float[idx] + 0.5 * ((fk - xk) + (f(x) - x)) * (x - xk)
         return np.where((x <= 0.0) | (x >= 1.0), 0.0, vals)
 
     def sup_norm_exact(self) -> Fraction:
@@ -363,7 +344,7 @@ class FatF:
         zero t = (x0 g1 - x1 g0) / (g1 - g0).  The breakpoint values share
         one denominator; a vertex's value is compared by cross-multiplying.
         """
-        xs, g = self.xs, self.iterates.excess
+        xs, g = self.xs, self.system.excess
         d, ell = self.system.denominator, xs[1]
         best, best_den = max(abs(v) for v in self.values), self.denominator
         for k in range(len(xs) - 1):
@@ -379,12 +360,10 @@ class FatF:
 
 def fat_F(system: CantorSystem) -> FatF:
     """Exact piecewise quadratic antiderivative of f_N - t, N = system.depth."""
-    it = staircase_f(system)
-    g, xs = it.excess, it.xs
+    g, xs = system.excess, system.xs
     # trapezoid sums over 2 D^2 2**N (see FatF.denominator), accumulated
     steps = ((g[k] + g[k + 1]) * (xs[k + 1] - xs[k]) for k in range(len(xs) - 1))
-    vals = tuple(accumulate(steps, initial=0))
-    return FatF(iterates=it, values=vals, truncation_error=2.0 ** (1 - system.depth))
+    return FatF(system=system, values=tuple(accumulate(steps, initial=0)))
 
 
 @dataclass(frozen=True)
@@ -399,10 +378,10 @@ class X0Certificate:
 
     with L = (slope1 - 1) / 2, and the certificate verifies this exactly
     at ``offsets_checked`` rational offsets.  The bound is genuinely
-    one-sided: every minimizer of g is the right endpoint of a removed
-    gap, f_N is constant immediately to its left, and there the deviation
-    equals -s^2/2 exactly.  ``left_defect`` records the verified infimum
-    of deviation / s^2 over sampled s < 0.
+    one-sided: x0 is the right end of the removed gap ``left_gap``, f_N is
+    constant on it, and there the deviation equals -s^2/2 exactly.
+    ``left_defect`` records the verified infimum of deviation / s^2 over
+    sampled s < 0.
     """
 
     x0: Fraction
@@ -410,7 +389,7 @@ class X0Certificate:
     delta0: Fraction
     g_min: Fraction
     offsets_checked: int
-    left_gap: tuple[Fraction, Fraction] | None
+    left_gap: tuple[Fraction, Fraction]
     left_defect: Fraction
 
 
@@ -422,14 +401,14 @@ def find_x0(fat: FatF, n_offsets: int) -> X0Certificate:
     piecewise affine, so breakpoints suffice), then verifies
     deviation(s) = F(x0+s) - F(x0) - s F'(x0) >= growth * s^2 at
     ``n_offsets`` equally spaced rational offsets s in (0, delta0].  A
-    failed comparison raises ConstructionError.  The constant left piece
-    is sampled too and its exact deviation ratio reported as
-    ``left_defect`` (equal to -1/2 when the left neighbor is a gap).
+    failed comparison raises ConstructionError, as does depth 1, where g
+    is flat and its leftmost minimizer is the interval's left end.  The
+    gap left of x0 is sampled too and its exact deviation ratio reported
+    as ``left_defect`` (-1/2).
     """
     if n_offsets < 1:
         raise ParameterError(f"n_offsets must be >= 1, got {n_offsets}")
     system = fat.system
-    it = fat.iterates
     xs, d, n = system.xs, system.denominator, system.depth
     a1, b1 = system.level(1)[0]
     slope1 = 1 / (1 - system.alphas[0])
@@ -438,7 +417,7 @@ def find_x0(fat: FatF, n_offsets: int) -> X0Certificate:
     # g at breakpoint k as a numerator over slope1's denominator times D 2**N;
     # the first generation-1 interval holds the first half of the row
     c, e = slope1.numerator, slope1.denominator
-    g = [it.ys[k] * e * d - ((c * xs[k]) << n) for k in range(len(xs) // 2)]
+    g = [system.ys[k] * e * d - ((c * xs[k]) << n) for k in range(len(xs) // 2)]
     best_k = min(range(len(g)), key=g.__getitem__)
     x0 = Fraction(xs[best_k], d)
 
@@ -453,7 +432,7 @@ def find_x0(fat: FatF, n_offsets: int) -> X0Certificate:
     step, scale = delta0.numerator * d, delta0.denominator * n_offsets
     q = d * scale
     f0 = fat.values[best_k] * q * q * xs[1]
-    df0 = 2 * d * q * xs[1] * it.excess[best_k]
+    df0 = 2 * d * q * xs[1] * system.excess[best_k]
     bound = fat.denominator * xs[1] * growth.numerator
     for j in range(1, n_offsets + 1):
         s = step * j  # s_j = s / q
@@ -466,17 +445,16 @@ def find_x0(fat: FatF, n_offsets: int) -> X0Certificate:
                 f"deviation {float(dev)!r} < {float(growth * s * s)!r}"
             )
 
-    # the stretches between consecutive generation-N kept intervals are
-    # exactly the removed gaps, so a gap ends at x0 just when x0 opens a
-    # kept interval other than the first: an even index past 0 (best_k > 0,
-    # since delta0 > 0)
-    left_gap = None
-    if best_k % 2 == 0:
-        left_gap = (Fraction(xs[best_k - 1], d), x0)
+    # at depth >= 2, f_N's slope 1 / prod(1 - alpha_k) exceeds slope1, so g
+    # rises strictly on every kept interval and falls on every gap: x0 opens
+    # a kept interval (even best_k), not the first (delta0 > 0), and the
+    # stretch left of it, between two generation-N kept intervals, is a
+    # removed gap
+    left_gap = (Fraction(xs[best_k - 1], d), x0)
 
     f_x0 = fat.value_exact(x0)
     df_x0 = fat.derivative_exact(x0)
-    reach = delta0 if left_gap is None else min(delta0, (left_gap[1] - left_gap[0]) / 2)
+    reach = min(delta0, (x0 - left_gap[0]) / 2)
     ratios = []
     for k in range(1, 8):
         s = -reach * k / 8
@@ -552,7 +530,7 @@ def _ball_cap_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def hartogs_ball_domain(spacing: float = 1.0 / 512.0) -> HartogsDomain:
     """Unperturbed cap phi = (1/2) log(1 - |z|^2)."""
-    return HartogsDomain(cap=DiscField.from_function(1.0, spacing, _ball_cap_values), kind="ball")
+    return HartogsDomain(cap=DiscField.from_function(spacing, _ball_cap_values), kind="ball")
 
 
 def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
@@ -585,7 +563,7 @@ def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
 
     params = {"z0_real": float(cert.x0 + Fraction(1, 2)), "c1": c1, "growth": float(cert.growth)}
     return HartogsDomain(
-        cap=DiscField.from_function(1.0, spacing, phi),
+        cap=DiscField.from_function(spacing, phi),
         kind="staircase",
         params=params,
         columns=[(a + 0.5, b + 0.5) for a, b in system.kept_union()],
@@ -708,10 +686,8 @@ def subharmonicity_scan(
 ) -> SubharmonicityScan:
     """Classify the sign of the 5-point Laplacian over |z| <= scan_radius."""
     cap = domain.cap
-    if not 0 < scan_radius < cap.radius:
-        raise ParameterError(
-            f"scan radius must lie in (0, {cap.radius}), got {scan_radius!r}"
-        )
+    if not 0 < scan_radius < 1.0:
+        raise ParameterError(f"scan radius must lie in (0, 1.0), got {scan_radius!r}")
     lap = cap.laplacian_field()
     lap[~np.isfinite(lap) | (np.hypot(*cap.meshes()) > scan_radius)] = np.nan
     scan = SubharmonicityScan(domain, scan_radius, lap, np.full(lap.shape[0], np.nan))

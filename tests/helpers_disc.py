@@ -1,13 +1,13 @@
-"""DiscField node helpers that only tests use: the |z| < radius node mask
+"""DiscField node helpers that only tests use: the |z| < 1 node mask
 and the coordinates of a node, as the library once defined them."""
 
 import numpy as np
 
 
 def disc_inside(g):
-    """Mask of the nodes of g with |z| < g.radius."""
+    """Mask of the nodes of g with |z| < 1."""
     gx, gy = g.meshes()
-    return np.hypot(gx, gy) < g.radius
+    return np.hypot(gx, gy) < 1.0
 
 
 def disc_node_coords(g, node) -> tuple[float, float]:

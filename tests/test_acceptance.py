@@ -261,9 +261,9 @@ def test_08_green_identity_residuals():
     # u in {Re zeta, |zeta|^2, |zeta|^4} at r in {0.25, 0.5, 1}.
     spacing = 1.0 / 512.0
     fields = [
-        DiscField.from_function(1.0, spacing, lambda x, y: x),
-        DiscField.from_function(1.0, spacing, lambda x, y: x * x + y * y),
-        DiscField.from_function(1.0, spacing, lambda x, y: (x * x + y * y) ** 2),
+        DiscField.from_function(spacing, lambda x, y: x),
+        DiscField.from_function(spacing, lambda x, y: x * x + y * y),
+        DiscField.from_function(spacing, lambda x, y: (x * x + y * y) ** 2),
     ]
     weights = {r: _log_weights(fields[0], r) for r in (0.25, 0.5, 1.0)}
     for field in fields:

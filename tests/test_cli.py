@@ -240,6 +240,30 @@ class TestUsageErrors:
                 "spacing must be >= 0.00048828125 for green-identity, got 0.00048828124",
             ),
             ("slice-check", "params.spacing=9.9e-5", "spacing must be >= 0.0001 for slice-check"),
+            # each one built its grid and crashed in numpy with exit 1: a run
+            # at 1e-6 asked for 29.1 TiB, one at extent 200001 for 298 GiB
+            (
+                "hartogs-scan",
+                "params.spacing=1e-6",
+                "spacing must be >= 0.00048828125 for hartogs-scan, got 1e-06",
+            ),
+            (
+                "hartogs-scan",
+                "params.spacing=0.00048828124",
+                "spacing must be >= 0.00048828125 for hartogs-scan, got 0.00048828124",
+            ),
+            (
+                "levi-check",
+                "params.extent=200001",
+                "extent must be <= 121 for levi-check, got 200001",
+            ),
+            ("levi-check", "params.extent=123", "extent must be <= 121 for levi-check, got 123"),
+            (
+                "slice-check",
+                "params.extent=200001",
+                "extent must be <= 385 for slice-check, got 200001",
+            ),
+            ("slice-check", "params.extent=387", "extent must be <= 385 for slice-check, got 387"),
             ("hartogs-scan", 'params.alpha1="1"', "alpha1 must be < 1 for hartogs-scan, got '1'"),
             (
                 "cantor-potential",
@@ -936,19 +960,11 @@ class TestTablesAgainstTheDeletedSerializers:
         assert want.rate_target == pytest.approx(0.4) and want.passed is not nan_second
         assert got == _canonical(json.loads(want.to_json()))
 
-    @pytest.mark.parametrize("left_gap", ["found", None])
-    def test_staircase_build_x0_certificate(self, tmp_path, monkeypatch, left_gap):
-        # no schedule find_x0 was tried on leaves x0 without a gap to its
-        # left (every minimizer opens a kept interval past the first), so
-        # the None form comes from the certificate with left_gap dropped
-        def change(cert):
-            return cert if left_gap else dataclasses.replace(cert, left_gap=None)
-
-        calls = self.record(monkeypatch, "find_x0", change)
+    def test_staircase_build_x0_certificate(self, tmp_path, monkeypatch):
+        calls = self.record(monkeypatch, "find_x0")
         config = {"scenario": "staircase-build", "params": {"depth": 6, "n_offsets": 100}}
         got = self.written(tmp_path, config, "x0_certificate")
         [(_, cert)] = calls
-        assert (cert.left_gap is None) is (left_gap is None)
         assert got == _canonical(json.loads(x0_certificate_to_json(cert)))
 
     @pytest.mark.parametrize(

@@ -435,7 +435,7 @@ def per_point_bilinear(g, x, y):
 
 def _log_cap_field():
     # NaN outside |z| < 1; coarse, so drawn points reach every region
-    return DiscField.from_function(1.0, 1.0 / 16, lambda x, y: 0.5 * np.log(1.0 - x * x - y * y))
+    return DiscField.from_function(1.0 / 16, lambda x, y: 0.5 * np.log(1.0 - x * x - y * y))
 
 
 def _inf_corner_field():
@@ -443,7 +443,7 @@ def _inf_corner_field():
     # edge cells are finite, so the snap band decides their values
     vals = np.add.outer(np.arange(5.0), 0.5 * np.arange(5.0))
     vals[3, 2] = np.inf
-    return DiscField(0.5, 0.25, vals)
+    return DiscField(0.25, vals)
 
 
 SAMPLER_FIELDS = {"log_cap": _log_cap_field(), "inf_corner": _inf_corner_field()}
@@ -485,18 +485,18 @@ class TestDiscField:
             assert g.value((x, y)) == expected
 
     def test_inside_mask_and_node_values(self):
-        g = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x + y * y)
+        g = DiscField.from_function(1.0 / 64, lambda x, y: x * x + y * y)
         assert g.values[g.half, g.half] == 0.0
         x0, y0 = disc_node_coords(g, (g.half + 3, g.half - 2))
         assert g.values[g.half + 3, g.half - 2] == x0 * x0 + y0 * y0
         count = int(disc_inside(g).sum())
-        # lattice-point count inside |z| < 1/2 tracks area / h^2 with an
+        # lattice-point count inside |z| < 1 tracks area / h^2 with an
         # error bounded by a perimeter term
-        expected = math.pi * 0.25 / g.spacing**2
-        assert abs(count - expected) <= 8.0 * 0.5 / g.spacing
+        expected = math.pi / g.spacing**2
+        assert abs(count - expected) <= 8.0 / g.spacing
 
     def test_bilinear_linear_exact(self):
-        g = DiscField.from_function(0.5, 1.0 / 32, lambda x, y: x + 2 * y)
+        g = DiscField.from_function(1.0 / 32, lambda x, y: x + 2 * y)
         assert abs(g.value((0.11, -0.23)) - (0.11 - 0.46)) <= 1e-12
         assert abs(g.value(complex(0.3, 0.4)) - (0.3 + 0.8)) <= 1e-12
 
@@ -504,27 +504,27 @@ class TestDiscField:
         def cap(x, y):
             return 0.5 * np.log(1.0 - x * x - y * y)
 
-        g = DiscField.from_function(1.0, 1.0 / 64, cap)
+        g = DiscField.from_function(1.0 / 64, cap)
         assert g.value((0.0, 0.0)) == 0.0
         with pytest.raises(DomainError):
             g.value((1.02, 0.0))
 
     def test_laplacian_quadratic_and_harmonic(self):
-        quad = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x + y * y)
+        quad = DiscField.from_function(1.0 / 64, lambda x, y: x * x + y * y)
         lap = quad.laplacian_field()
         interior = np.isfinite(lap)
         assert interior[1:-1, 1:-1].all()
         assert np.max(np.abs(lap[interior] - 4.0)) <= 1e-9
-        harm = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x - y * y)
+        harm = DiscField.from_function(1.0 / 64, lambda x, y: x * x - y * y)
         lap_h = harm.laplacian_field()
         assert np.max(np.abs(lap_h[np.isfinite(lap_h)])) <= 1e-9
 
 
-def full_mesh_values(radius, spacing, fn):
+def full_mesh_values(spacing, fn):
     """Reference sampler: fn on full (m, m) ij meshes, two nodes past the
-    rim, which the sparse meshes of DiscField.from_function must match bit
-    for bit."""
-    half = int(math.ceil(radius / spacing)) + 2
+    unit circle, which the sparse meshes of DiscField.from_function must
+    match bit for bit."""
+    half = int(math.ceil(1.0 / spacing)) + 2
     coords = spacing * np.arange(-half, half + 1)
     gx, gy = np.meshgrid(coords, coords, indexing="ij")
     with np.errstate(all="ignore"):
@@ -536,15 +536,15 @@ def full_mesh_values(radius, spacing, fn):
 def _cantor_potential_field():
     measure = potential.frostman_measure(potential.build_square_cantor(1.0, 3))
     pot = potential.GreenPotential(measure)
-    return potential.potential_field(pot, 1.0, 1.0 / 128.0)
+    return potential.potential_field(pot, 1.0 / 128.0)
 
 
 class TestFromFunctionSparseMeshes:
     def test_one_axis_result_broadcasts_to_square(self):
-        g = DiscField.from_function(0.5, 1.0 / 32, lambda x, y: x)
+        g = DiscField.from_function(1.0 / 32, lambda x, y: x)
         assert g.values.shape == (g.half * 2 + 1,) * 2
         assert np.array_equal(g.values, np.broadcast_to(g.axis()[:, None], g.values.shape))
-        g = DiscField.from_function(0.5, 1.0 / 32, lambda x, y: 2.5)
+        g = DiscField.from_function(1.0 / 32, lambda x, y: 2.5)
         assert g.values.shape == (g.half * 2 + 1,) * 2 and (g.values == 2.5).all()
 
     def test_fn_gets_sparse_ij_meshes(self):
@@ -554,9 +554,9 @@ class TestFromFunctionSparseMeshes:
             seen.append((x, y))
             return x + y
 
-        DiscField.from_function(0.5, 1.0 / 32, fn)
+        DiscField.from_function(1.0 / 32, fn)
         [(x, y)] = seen
-        n = 2 * (16 + 2) + 1
+        n = 2 * (32 + 2) + 1
         assert x.shape == (n, 1) and y.shape == (1, n)
         assert np.array_equal(x.ravel(), y.ravel())
 
@@ -574,9 +574,9 @@ class TestFromFunctionSparseMeshes:
         calls = []
         sample = DiscField.from_function.__func__
 
-        def spy(cls, radius, spacing, fn):
-            calls.append((radius, spacing, fn))
-            return sample(cls, radius, spacing, fn)
+        def spy(cls, spacing, fn):
+            calls.append((spacing, fn))
+            return sample(cls, spacing, fn)
 
         monkeypatch.setattr(DiscField, "from_function", classmethod(spy))
         field = build()
@@ -652,31 +652,32 @@ def one_circle_mean(g, center, r):
 
 class TestCircleMean:
     def test_constant_exact(self):
-        g = DiscField.from_function(0.5, 1.0 / 32, lambda x, y: 2.5 + 0.0 * x)
+        g = DiscField.from_function(1.0 / 32, lambda x, y: 2.5 + 0.0 * x)
         assert circle_mean(g, 0j, 0.3) == 2.5
 
     def test_harmonic_mean_value(self):
-        g = DiscField.from_function(0.5, 1.0 / 256, lambda x, y: x)
+        g = DiscField.from_function(1.0 / 256, lambda x, y: x)
         assert abs(circle_mean(g, 0j, 0.3)) <= 1e-10
 
     def test_radius_squared(self):
-        g = DiscField.from_function(0.5, 1.0 / 1024, lambda x, y: x * x + y * y)
+        g = DiscField.from_function(1.0 / 1024, lambda x, y: x * x + y * y)
         assert circle_mean(g, 0j, 0.3) == pytest.approx(0.09, abs=1e-6)
 
     def test_rotation_invariance_axis_swap(self):
-        g = DiscField.from_function(0.5, 1.0 / 128, lambda x, y: np.hypot(x, y) ** 3)
-        swapped = DiscField(g.radius, g.spacing, np.asarray(g.values).T.copy())
+        g = DiscField.from_function(1.0 / 128, lambda x, y: np.hypot(x, y) ** 3)
+        swapped = DiscField(g.spacing, np.asarray(g.values).T.copy())
         m1 = circle_mean(g, 0j, 0.31)
         m2 = circle_mean(swapped, 0j, 0.31)
         assert abs(m1 - m2) <= 1e-8
 
     def test_circle_exits_domain(self):
-        g = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x + y)
+        g = DiscField.from_function(1.0 / 64, lambda x, y: x + y)
+        # the padded square ends at 1 + 2/64; the circle reaches 1.1
         with pytest.raises(DomainError):
-            circle_mean(g, complex(0.4, 0.0), 0.3)
+            circle_mean(g, complex(0.8, 0.0), 0.3)
 
     def test_offcenter_harmonic(self):
-        g = DiscField.from_function(0.5, 1.0 / 512, lambda x, y: x * x - y * y)
+        g = DiscField.from_function(1.0 / 512, lambda x, y: x * x - y * y)
         c = complex(0.1, -0.05)
         expected = c.real**2 - c.imag**2
         assert circle_mean(g, c, 0.2) == pytest.approx(expected, abs=1e-6)
@@ -686,7 +687,7 @@ class TestCircleMean:
         # each mean is its own circle's fsum: bit for bit the scalar call,
         # whatever the other centres and the shape they come in
         g = DiscField.from_function(
-            1.0, spacing, lambda x, y: 0.5 * np.log1p(-(x * x + y * y)) + np.sin(7.0 * x) * y
+            spacing, lambda x, y: 0.5 * np.log1p(-(x * x + y * y)) + np.sin(7.0 * x) * y
         )
         rng = np.random.default_rng(7)
         for r in rng.uniform(0.004, 0.05, 4).tolist():

@@ -908,9 +908,9 @@ class TestSliceGraph:
 def disc_fields():
     h = 1.0 / 512
     return {
-        "harmonic": DiscField.from_function(1.0, h, lambda x, y: x - 0.3 * y),
-        "r2": DiscField.from_function(1.0, h, lambda x, y: x * x + y * y),
-        "r4": DiscField.from_function(1.0, h, lambda x, y: (x * x + y * y) ** 2),
+        "harmonic": DiscField.from_function(h, lambda x, y: x - 0.3 * y),
+        "r2": DiscField.from_function(h, lambda x, y: x * x + y * y),
+        "r4": DiscField.from_function(h, lambda x, y: (x * x + y * y) ** 2),
     }
 
 
@@ -939,7 +939,7 @@ class TestGreenIdentity:
         assert rep.area_term == pytest.approx(0.5**4, abs=1e-5)
 
     def test_constant_flags_convention(self):
-        u = DiscField.from_function(0.5, 1.0 / 128, lambda x, y: 2.5 + 0.0 * x)
+        u = DiscField.from_function(1.0 / 128, lambda x, y: 2.5 + 0.0 * x)
         rep = green_report(u, 0.25)
         assert rep.residual <= 1e-12
         # the 5-point Laplacian of a constant is exactly 0, so the area term
@@ -948,7 +948,7 @@ class TestGreenIdentity:
         assert rep.circle_mean == pytest.approx(2.5, abs=1e-12)
 
     def test_radius_resolution_error(self):
-        u = DiscField.from_function(0.5, 1.0 / 64, lambda x, y: x * x)
+        u = DiscField.from_function(1.0 / 64, lambda x, y: x * x)
         with pytest.raises(StencilError):
             _log_weights(u, 3.0 / 64)
 
@@ -990,13 +990,13 @@ class TestLogWeights:
         h = 1.0 / cells
         r = 4.0 * h + fraction * (1.0 - 4.0 * h)
         half = int(math.ceil(1.0 / h)) + 2
-        g = DiscField(1.0, h, np.zeros((2 * half + 1, 2 * half + 1)))
+        g = DiscField(h, np.zeros((2 * half + 1, 2 * half + 1)))
         fast = _log_weights(g, r)
         assert np.array_equal(fast.view(np.int64), log_weights_loop(g, r).view(np.int64))
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
     def test_bitwise_equal_at_the_shipped_spacing(self, r):
-        u = DiscField.from_function(1.0, 1.0 / 512, lambda x, y: x)
+        u = DiscField.from_function(1.0 / 512, lambda x, y: x)
         assert np.array_equal(
             _log_weights(u, r).view(np.int64), log_weights_loop(u, r).view(np.int64)
         )

@@ -40,7 +40,7 @@ from levicheck.mollify import (
     mollified_sign_certificate,
     staircase_sweep_case,
 )
-from levicheck.staircase import build_cantor, staircase_f
+from levicheck.staircase import build_cantor
 from test_levi import shift_t_form
 from test_potential import _WORKERS, with_workers
 
@@ -545,11 +545,11 @@ class TestStaircaseCase:
         # f the staircase iterate, 0 left of 0
         h = 1.0 / 32.0
         case = staircase_sweep_case(spacing=h)
-        f = staircase_f(build_cantor(mollify_module._ALPHAS))
+        f = build_cantor(mollify_module._ALPHAS)
         lam = float(mollify_module._STRETCH)
         x = case.v.grid.axis(1) / lam
         w = h / lam
-        knots = np.array([x / f.system.denominator for x in f.xs])
+        knots = np.array([x / f.denominator for x in f.xs])
         for xj, ghat in zip(x, case.ghat_values):
             inside = knots[(knots > xj - w) & (knots < xj + w)]
             mean = quad(f, xj - w, xj + w, points=inside, epsabs=1e-14, limit=200)[0] / (2 * w)
@@ -579,7 +579,7 @@ class TestStaircaseCase:
         assert case.alpha == 0.9
         # g = 1 + f(xi2 / L) on the grid's xi2 nodes; its seminorm for the
         # declared exponent over all node pairs, the constant 1 cancelling
-        f = staircase_f(build_cantor(mollify_module._ALPHAS))
+        f = build_cantor(mollify_module._ALPHAS)
         x2 = case.v.grid.axis(1)
         gx = f(x2 / float(mollify_module._STRETCH))
         seminorm = max(

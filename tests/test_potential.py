@@ -102,7 +102,7 @@ def gen5():
 @pytest.fixture(scope="module")
 def gen4_field():
     measure = frostman_measure(build_square_cantor(1.0, 4))
-    return potential_field(GreenPotential(measure), 1.0, 1.0 / 512.0)
+    return potential_field(GreenPotential(measure), 1.0 / 512.0)
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +381,7 @@ class TestGreenPotential:
 
     def test_nonnegative_on_grid(self, gen5):
         _, _, potential = gen5
-        field = potential_field(potential, 1.0, 1.0 / 128.0)
+        field = potential_field(potential, 1.0 / 128.0)
         inside = field.values[disc_inside(field)]
         assert np.nanmin(inside) >= -1e-12
 
@@ -1182,20 +1182,18 @@ class TestGraphSet:
 class TestZygmundSeminorm:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_quadratic_attains_max_at_largest_offset(self, alpha):
-        field = DiscField.from_function(1.0, 1.0 / 256.0, lambda x, y: x * x + y * y)
+        field = DiscField.from_function(1.0 / 256.0, lambda x, y: x * x + y * y)
         m = zygmund_seminorm(field, alpha, budget=2000)
         top = 2.0 * 0.1 ** (2.0 - alpha)
         assert m <= top * 1.02
         assert m >= 2.0 * 0.09 ** (2.0 - alpha)
 
     def test_returns_python_float(self):
-        field = DiscField.from_function(1.0, 1.0 / 256.0, lambda x, y: x * x + y * y)
+        field = DiscField.from_function(1.0 / 256.0, lambda x, y: x * x + y * y)
         assert type(zygmund_seminorm(field, 1.0, budget=200)) is float
 
     def test_affine_field_has_zero_seminorm(self):
-        field = DiscField.from_function(
-            1.0, 1.0 / 256.0, lambda x, y: 0.3 * x - 0.7 * y + 0.1
-        )
+        field = DiscField.from_function(1.0 / 256.0, lambda x, y: 0.3 * x - 0.7 * y + 0.1)
         assert zygmund_seminorm(field, 1.0, budget=2000) <= 1e-10
 
     def test_green_potential_stable_under_budget_doubling(self, gen4_field):
@@ -1209,7 +1207,7 @@ class TestZygmundSeminorm:
             zygmund_seminorm(gen4_field, 2.0, budget=10)
         with pytest.raises(ParameterError, match="budget"):
             zygmund_seminorm(gen4_field, 1.0, budget=0)
-        coarse = DiscField.from_function(1.0, 0.2, lambda x, y: x * y)
+        coarse = DiscField.from_function(0.2, lambda x, y: x * y)
         with pytest.raises(ParameterError, match="coarse"):
             zygmund_seminorm(coarse, 1.0, budget=10)
 

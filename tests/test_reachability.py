@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 import levicheck
-from levicheck import cli, levi, mollify, staircase
+from levicheck import cli, mollify, staircase
 from test_acceptance import STANDARD_RUN_DIGESTS, STANDARD_RUNS, THREAD_COUNTS
 
 SRC = Path(levicheck.__file__).parent
@@ -91,7 +91,8 @@ UNREACHED = {
     "potential.zygmund_seminorm": "ROADMAP item 3 records the cap's seminorm with it",
     "staircase.superharmonic_mean_excess": "ROADMAP item 3's second route for the Cantor cap",
     "staircase.CantorSystem.kept_measure": "tests check the exact Cantor length identities with it",
-    "staircase.StaircaseIterates.sup_distance": "tests check that successive f_n converge",
+    "staircase.CantorSystem.sup_distance": "tests check that successive f_n converge",
+    "staircase.FatF.truncation_error": "ROADMAP item 11 puts its 2^(1-N) bound in a report",
 }
 
 
@@ -139,11 +140,7 @@ def _entered(work):
 
 def test_standard_runs_reach_all_but_the_pinned_names(tmp_path):
     # a value cached by an earlier test would hide the call that computes it
-    for cached in (
-        levi._unit_square_log_moment,
-        mollify.kernel_profile_constants,
-        staircase.bump_window_second_derivative_sup,
-    ):
+    for cached in (mollify.kernel_profile_constants, staircase.bump_window_second_derivative_sup):
         cached.cache_clear()
     config = tmp_path / "slice.json"
     config.write_text(json.dumps({"scenario": "slice-check", "outdir": str(tmp_path / "cli")}))
@@ -166,7 +163,6 @@ def test_standard_runs_reach_all_but_the_pinned_names(tmp_path):
 WRITE_ONLY = {
     "mollify.BumpKernel.delta": "tests check the kernel's second moment against delta^2 m2",
     "potential.FrostmanCertificate.radii": "tests check the dyadic radius sweep through it",
-    "staircase.FatF.truncation_error": "ROADMAP item 11 puts its 2^(1-N) bound in a report",
 }
 
 

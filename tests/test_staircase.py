@@ -34,7 +34,6 @@ from levicheck.staircase import (
     hartogs_ball_domain,
     hartogs_staircase,
     interval_distance,
-    staircase_f,
     subharmonicity_scan,
     superharmonic_mean_excess,
 )
@@ -98,7 +97,7 @@ def build_cantor_levels_oracle(alphas, depth=None):
 
 
 # -- oracle: the Fraction construction of the breakpoint row, f_N and F,
-# verbatim from build_cantor, staircase_f and fat_F before they moved to
+# verbatim from build_cantor, the staircase iterate and fat_F before they moved to
 # integer numerators; the library's rows must equal them as Fractions
 
 
@@ -119,7 +118,7 @@ class Rows:
         return cls(
             alphas=fat.system.alphas,
             xs=tuple(Fraction(x, d) for x in fat.xs),
-            ys=tuple(Fraction(y, scale) for y in fat.iterates.ys),
+            ys=tuple(Fraction(y, scale) for y in fat.system.ys),
             values=tuple(Fraction(v, fat.denominator) for v in fat.values),
         )
 
@@ -333,8 +332,8 @@ def scan50(dom50):
 
 
 def iterate(system, n):
-    """f_n of ``system``: the iterate of its depth-n truncation."""
-    return staircase_f(build_cantor(system.alphas[:n]))
+    """The depth-n truncation of ``system``, whose staircase is f_n."""
+    return build_cantor(system.alphas[:n])
 
 
 class TestBuildCantor:
@@ -444,7 +443,7 @@ class TestBuildCantor:
             ]
 
 
-class TestStaircaseIterates:
+class TestCantorFunction:
     def test_first_iterate_half_on_gap(self, sys_half):
         f1 = iterate(sys_half, 1)
         for t in (Fraction(1, 4), Fraction(1, 2), Fraction(5, 8), Fraction(3, 4)):
@@ -454,14 +453,14 @@ class TestStaircaseIterates:
     def test_breakpoint_values(self, sys_half):
         n = 4
         fn = iterate(sys_half, n)
-        for i, (a, b) in enumerate(fn.system.level(n)):
-            assert fn.value_exact(exact(fn.system, a)) == Fraction(i, 2**n)
-            assert fn.value_exact(exact(fn.system, b)) == Fraction(i + 1, 2**n)
+        for i, (a, b) in enumerate(fn.level(n)):
+            assert fn.value_exact(exact(fn, a)) == Fraction(i, 2**n)
+            assert fn.value_exact(exact(fn, b)) == Fraction(i + 1, 2**n)
 
     def test_slope_inverse_measure(self, sys_half):
         for n in range(1, sys_half.depth + 1):
             fn = iterate(sys_half, n)
-            a, b = (exact(fn.system, x) for x in fn.system.level(n)[-1])
+            a, b = (exact(fn, x) for x in fn.level(n)[-1])
             slope = (fn.value_exact(b) - fn.value_exact(a)) / (b - a)
             assert slope * sys_half.kept_measure(n) == 1
 
@@ -475,7 +474,7 @@ class TestStaircaseIterates:
             assert fn.value_exact(1 - t) == 1 - fn.value_exact(t)
 
     def test_float_matches_exact(self, sys_half):
-        fn = staircase_f(sys_half)
+        fn = sys_half
         rng = np.random.default_rng(7)
         for t in rng.uniform(0.0, 1.0, size=40):
             fr = Fraction(float(t))
@@ -528,7 +527,7 @@ class TestFatF:
         assert second == pytest.approx(-1.0, abs=1e-4)
 
     def test_matches_quadrature_of_integrand(self, fat_half):
-        fn = fat_half.iterates
+        fn = fat_half.system
         knots = [float(exact(fat_half.system, t)) for t in fn.xs]
         for x in (0.1, 0.33, 0.5, 0.8):
             inner = [t for t in knots if 0.0 < t < x]
@@ -544,7 +543,7 @@ class TestFatF:
         assert sup <= dense + 1e-6
 
     def test_derivative_is_f_minus_t(self, fat_half):
-        fn = fat_half.iterates
+        fn = fat_half.system
         for t in (Fraction(1, 9), Fraction(9, 64), Fraction(5, 8)):
             assert fat_half.derivative_exact(t) == fn.value_exact(t) - t
 
@@ -563,7 +562,7 @@ class TestFatF:
         )
         for x in [*points, *rows.xs]:
             assert fat.value_exact(x) == value_exact_oracle(rows, x)
-            assert fat.iterates.value_exact(x) == iterate_value_oracle(rows, x)
+            assert fat.system.value_exact(x) == iterate_value_oracle(rows, x)
         assert fat.sup_norm_exact() == sup_norm_exact_oracle(rows)
 
     @pytest.mark.parametrize(
@@ -640,8 +639,28 @@ class TestFindX0:
         assert cert.growth == alpha1 / (2 * (1 - alpha1))
         a1, b1 = fat.system.level(1)[0]
         assert exact(fat.system, a1) < cert.x0 < exact(fat.system, b1)
-        assert cert.left_gap is not None
         assert cert.left_gap == left_gap_oracle(Rows.of(fat), cert.x0)
+
+    @pytest.mark.parametrize("depth", [2, 3, 5, 8])
+    @pytest.mark.parametrize("den", [3, 7, 10, 100])
+    def test_x0_ends_a_gap_for_every_alpha1_over_den(self, den, depth):
+        # from depth 2 the staircase is steeper than slope1 on every kept
+        # interval, so g's leftmost minimizer opens one past the first
+        for k in range(1, den):
+            fat = fat_F(build_cantor(default_alphas(Fraction(k, den), depth)))
+            cert = find_x0(fat, n_offsets=10)
+            assert cert.left_gap == left_gap_oracle(Rows.of(fat), cert.x0)
+            assert cert.left_gap[1] == cert.x0
+            assert cert.left_defect == -Fraction(1, 2)
+
+    @pytest.mark.parametrize("den", [3, 7, 10, 100])
+    def test_depth_one_has_no_growth_point(self, den):
+        # f_1 has slope slope1 on its kept interval: g is flat there, and its
+        # leftmost minimizer is the interval's left end
+        for k in range(1, den):
+            fat = fat_F(build_cantor(default_alphas(Fraction(k, den), 1)))
+            with pytest.raises(ConstructionError, match="interval boundary"):
+                find_x0(fat, n_offsets=10)
 
     def test_growth_bound_float_spot_check(self, fat_half):
         cert = find_x0(fat_half, n_offsets=100)
@@ -668,7 +687,7 @@ class TestFindX0:
 
     def test_supporting_line_minimality(self, fat_half):
         cert = find_x0(fat_half, n_offsets=10)
-        fn = fat_half.iterates
+        fn = fat_half.system
         slope1 = 1 / (1 - fat_half.system.alphas[0])
         a1, b1 = fat_half.system.level(1)[0]
         f_x0 = fn.value_exact(cert.x0)
