@@ -47,6 +47,8 @@ _GENERATION_BUDGET = 10
 # node-atom pairs per tile of GreenPotential.grid_values (its float64 work
 # buffer takes at most 2 MiB, one core's L2 cache), points per chunk of box_dimension
 _BLOCK = 1 << 16
+# (center, square) pairs per _disc_counts step: fastest from 1 << 12 to 1 << 14
+_PAIRS = 1 << 13
 _TAIL = 1e-17  # bound on the dropped tail of each of grid_values' series
 # frostman_certificate checks every center of up to this many atoms, else a
 # stride sample
@@ -180,34 +182,26 @@ class FrostmanCertificate:
     radii: tuple[float, ...]
 
 
-def frostman_certificate(measure: AtomicMeasure, alpha: float) -> FrostmanCertificate:
+def frostman_certificate(square_set: SquareCantor) -> FrostmanCertificate:
     """Certify the growth bound over dyadic radii and sampled centers.
 
-    Checks every center when there are at most _MAX_CENTERS atoms, else a
-    deterministic stride sample.  Radii run down to the atom resolution:
-    the smallest dyadic radius still covering at least one nearest
-    neighbor gap.  mu(D(z, r)) is taken as count x mass: equal masses only.
-    """
-    alpha = float(alpha)
+    Checks every atom as a center when there are at most _MAX_CENTERS,
+    else a deterministic stride sample.  Radii run down to the atom
+    resolution: the smallest dyadic radius still covering at least one
+    nearest neighbor gap.  mu(D(z, r)) is count x 4^{-n}, counted on the
+    construction's quadtree (_disc_counts): squares wholly in or out of the
+    disc count at once, single atoms only where the circle cuts.  No margin:
+    rounded differences, squares and sums are monotone, so an atom's
+    rounded distance lies between its box's nearest and farthest."""
+    alpha = square_set.alpha
     if not 0.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    if np.any(measure.masses != measure.masses[0]):
-        raise ParameterError("frostman_certificate needs equal atom masses")
-    locs = measure.locations
-    n_atoms = len(locs)
-    stride = max(1, n_atoms // _MAX_CENTERS)
-    centers = locs[::stride]
-
-    pts = np.column_stack([locs.real, locs.imag])
-    tree = cKDTree(pts)
-    if n_atoms > 1:
-        gaps, _ = tree.query(pts, k=2)
-        resolution = float(gaps[:, 1].min())
-        # a zero gap would halve r down to 0.0 and never leave the loop below
-        if not resolution > 0.0:
-            raise ParameterError("frostman_certificate needs distinct atom locations")
-    else:
-        resolution = 1e-6
+    pts = square_set.centers()
+    centers = pts[:: max(1, len(pts) // _MAX_CENTERS)]
+    resolution = float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
+    # at small alpha offsets round away onto corners: r would halve to 0.0 forever
+    if not resolution > 0.0:
+        raise ParameterError("frostman_certificate needs distinct atom locations")
     radii = []
     r = 0.5
     while r >= resolution:
@@ -215,23 +209,57 @@ def frostman_certificate(measure: AtomicMeasure, alpha: float) -> FrostmanCertif
         r *= 0.5
     if len(radii) < 2:
         raise ParameterError("measure too coarse for a dyadic radius sweep")
-
-    qry = np.column_stack([centers.real, centers.imag])
-
-    def count(_, r: float):
-        # query_ball_point counts the closed disc, at least the open-disc
-        # count behind mu(D(z, r)), so the constant errs on the conservative side
-        return tree.query_ball_point(qry, r, return_length=True).max()
-
-    # the radii over the one pool; the integer peaks fold in radius order
-    peaks = fields._run_blocks(radii, lambda: None, count)
+    boxes = _square_boxes(pts)
+    # the closed-disc count is at least the open-disc count behind
+    # mu(D(z, r)), so the constant errs on the conservative side; the radii
+    # go over the one pool and their integer peaks fold in radius order
+    peaks = fields._run_blocks(radii, lambda: None, lambda _, r: _disc_counts(boxes, centers, r).max())
     best = 0.0
-    mass = measure.masses[0]
+    mass = 4.0 ** (-square_set.generation)
     for r, peak in zip(radii, peaks):
         best = max(best, float(peak * mass / r**alpha))
     return FrostmanCertificate(
         constant=best, samples=len(centers) * len(radii), radii=tuple(radii)
     )
+
+
+def _square_boxes(points: np.ndarray) -> list[np.ndarray]:
+    """Atom bounding boxes of the quadtree's squares, root first: entry k
+    has rows xmin, ymin, -xmax, -ymax, exact over the atoms, of the level-k
+    squares.  In build_square_cantor's order the atoms with index = g mod
+    4^k make up level-k square g, whose children are g + 4^k d, d < 4."""
+    boxes = [np.concatenate([points, -points], axis=1)]
+    while len(boxes[-1]) > 1:
+        boxes.append(boxes[-1].reshape(4, -1, 4).min(axis=0))
+    return boxes[::-1]
+
+
+def _disc_counts(boxes: list[np.ndarray], centers: np.ndarray, r: float) -> np.ndarray:
+    """Atoms in the closed disc dx*dx + dy*dy <= r*r about each (x, y) row
+    of centers, as the per-atom test counts them, from _square_boxes.
+
+    (center, square) pairs walk down the tree, _PAIRS at most a step: a
+    square whose farthest box corner passes the test adds all its atoms,
+    one whose nearest box point fails it adds none, any other splits into
+    its four children.  A leaf's box is its atom, so its test is exact."""
+    rr = r * r
+    cen = np.concatenate([centers, -centers], axis=1)
+    counts = np.zeros(len(centers), dtype=np.int64)
+    todo = [(0, np.arange(len(centers)), np.zeros(len(centers), dtype=np.intp))]
+    while todo:
+        k, ci, sq = todo.pop()
+        # rows x - xmin, y - ymin, xmax - x, ymax - y
+        d = np.ascontiguousarray((cen.take(ci, axis=0) - boxes[k].take(sq, axis=0)).T)
+        lo, hi = d[:2], d[2:]
+        far, near = np.maximum(lo, hi) ** 2, np.minimum(np.minimum(lo, hi), 0.0) ** 2
+        inside = far[0] + far[1] <= rr
+        atoms = 1 << 2 * (len(boxes) - 1 - k)  # in a level-k square
+        counts += np.bincount(ci.compress(inside), minlength=len(counts)) * atoms
+        split = np.flatnonzero((near[0] + near[1] <= rr) & ~inside)
+        ci = np.tile(ci.take(split), 4)
+        sq = np.add.outer(np.arange(4) << 2 * k, sq.take(split)).ravel()
+        todo += [(k + 1, ci[i : i + _PAIRS], sq[i : i + _PAIRS]) for i in range(0, len(ci), _PAIRS)]
+    return counts
 
 
 # -- Green potentials --------------------------------------------------------

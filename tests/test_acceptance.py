@@ -233,9 +233,7 @@ def test_07_frostman_growth_and_box_dimensions():
     # alpha; boundary graph set dimension within 0.15 of 1 + alpha.
     constants = {}
     for n in (4, 5, 6):
-        cert = frostman_certificate(
-            frostman_measure(build_square_cantor(1.0, n)), 1.0
-        )
+        cert = frostman_certificate(build_square_cantor(1.0, n))
         constants[n] = cert.constant
     for n in (4, 5):
         ratio = constants[n + 1] / constants[n]

@@ -313,6 +313,8 @@ class TestUsageErrors:
             ("cantor-potential", "params.graph_generation=0", "generation must be >= 1, got 0"),
             # box_dimension raised it after growth.csv was written
             ("cantor-potential", "params.alpha=0.3", "too fine for the point spread"),
+            # atoms rounded onto one point: the radius sweep once halved r to 0.0 forever
+            ("cantor-potential", "params.alpha=0.1", "needs distinct atom locations"),
         ],
     )
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, scenario, override, message):
@@ -402,6 +404,22 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, "c.json", scenario="mollify-sweep")
         assert main(["run", "--config", str(cfg), "--set", f"params.spacing={spacing}"]) == 2
         assert "spacing must be <= 0.01 for mollify-sweep" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    # from spacing 0.149 (bisected) up to 0.9 the staircase scan's segment
+    # mean checks raised DomainError after the cap build and the whole scan
+    @pytest.mark.parametrize("spacing", ["0.15", "0.3"])
+    def test_hartogs_scan_spacing_above_limit_exits_2_before_the_cap(
+        self, tmp_path, capsys, monkeypatch, spacing
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("hartogs_staircase ran")
+
+        monkeypatch.setattr(cli_module, "hartogs_staircase", never)
+        cfg = write_config(tmp_path, "c.json", scenario="hartogs-scan", expect_violation=True)
+        args = ["--set", 'params.cap="staircase"', "--set", f"params.spacing={spacing}"]
+        assert main(["run", "--config", str(cfg), *args]) == 2
+        assert "spacing must be <= 0.125 for hartogs-scan" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize(
@@ -800,8 +818,8 @@ class TestReportedChecks:
         constants = iter([1.0, ratio])
         original = cli_module.frostman_certificate
 
-        def fixed_constant(measure, alpha):
-            return dataclasses.replace(original(measure, alpha), constant=next(constants))
+        def fixed_constant(square_set):
+            return dataclasses.replace(original(square_set), constant=next(constants))
 
         monkeypatch.setattr(cli_module, "frostman_certificate", fixed_constant)
         (config,) = [c for name, c in SMOKE_RUNS if name == "cantor-potential"]

@@ -9,6 +9,7 @@ pipeline and guarded here against drift.
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import itertools
 import math
 import os
@@ -843,40 +844,41 @@ def assert_same_certificate(got, want):
 
 
 class TestFrostmanPool:
-    """The radii dealt over the worker pool against the serial radius loop,
-    bit for bit, whatever the thread count."""
+    """The quadtree counts, radii dealt over the worker pool, against the
+    k-d tree's serial radius loop, bit for bit, whatever the thread count."""
 
-    @pytest.mark.parametrize("generation", range(1, 8))
+    @pytest.mark.parametrize("generation", range(1, 9))
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3])
     def test_equal_to_the_serial_loop(self, alpha, generation):
-        # generation 7 holds 16,384 atoms, above _MAX_CENTERS: a stride sample
-        measure = frostman_measure(build_square_cantor(alpha, generation))
+        # generations 7 and 8 hold 16,384 and 65,536 atoms, above
+        # _MAX_CENTERS: a stride sample
+        square_set = build_square_cantor(alpha, generation)
         try:
-            want = frostman_certificate_oracle(measure, alpha)
+            want = frostman_certificate_oracle(frostman_measure(square_set), alpha)
         except ParameterError as err:
             # one corner gap wider than r = 1/4 leaves a single radius
             for workers in _WORKERS:
                 with with_workers(workers), pytest.raises(ParameterError) as got:
-                    frostman_certificate(measure, alpha)
+                    frostman_certificate(square_set)
                 assert str(got.value) == str(err)
             return
         for workers in _WORKERS:
             with with_workers(workers):
-                assert_same_certificate(frostman_certificate(measure, alpha), want)
+                assert_same_certificate(frostman_certificate(square_set), want)
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_threads_interleaved(self, workers):
         # a short switch interval interleaves the shares at every few
         # bytecodes, so a peak written to another share's radius would show
-        measure = frostman_measure(build_square_cantor(1.0, 6))
-        want = frostman_certificate_oracle(measure, 1.0)
+        square_set = build_square_cantor(1.0, 6)
+        want = frostman_certificate_oracle(frostman_measure(square_set), 1.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with with_workers(workers), mock.patch.object(
                 concurrent.futures, "ThreadPoolExecutor", wraps=concurrent.futures.ThreadPoolExecutor
             ) as pool:
-                got = frostman_certificate(measure, 1.0)
+                got = frostman_certificate(square_set)
         finally:
             sys.setswitchinterval(interval)
         assert_same_certificate(got, want)
@@ -888,35 +890,65 @@ class TestFrostmanCertificate:
     def test_constants_pinned_and_stable(self):
         consts = {}
         for n in (4, 5, 6):
-            cert = frostman_certificate(
-                frostman_measure(build_square_cantor(1.0, n)), 1.0
-            )
+            cert = frostman_certificate(build_square_cantor(1.0, n))
             assert cert.constant == GROWTH_CONSTANTS[n]
             consts[n] = cert.constant
         assert 0.5 <= consts[5] / consts[4] <= 2.0
         assert 0.5 <= consts[6] / consts[5] <= 2.0
 
     def test_alpha_guard(self, gen5):
-        _, measure, _ = gen5
+        # build_square_cantor refuses this alpha; a hand-made set can carry it
+        square_set = dataclasses.replace(gen5[0], alpha=2.5)
         with pytest.raises(ParameterError, match="alpha"):
-            frostman_certificate(measure, 2.5)
+            frostman_certificate(square_set)
 
     def test_coincident_atoms_rejected_before_any_count(self):
-        # a nearest-neighbour gap of 0 once halved the radius down to 0.0 forever
-        measure = AtomicMeasure([0.1, 0.1, -0.2j, 0.3], [0.25] * 4)
+        # at alpha 0.1 the generation-4 offsets (about 6e-19) round away
+        # against the corners; a nearest-neighbour gap of 0 once halved the
+        # radius down to 0.0 forever
+        square_set = build_square_cantor(0.1, 4)
+        assert len(np.unique(square_set.centers(), axis=0)) < 4**4
         with mock.patch.object(fields_module, "_run_blocks") as blocks, within_seconds(1.0):
             with pytest.raises(ParameterError, match="distinct atom locations"):
-                frostman_certificate(measure, 1.0)
+                frostman_certificate(square_set)
         blocks.assert_not_called()
 
-    def test_unequal_masses_rejected(self):
-        # mu(D) taken as count x masses[0] read 10.92 on these ten atoms,
-        # where the true ball masses over the same centres and radii give 3.72
-        locations = frostman_measure(build_square_cantor(1.0, 2)).locations[:10]
-        masses = np.array([0.91] + [0.01] * 9)
-        measure = AtomicMeasure(locations=locations, masses=masses)
-        with pytest.raises(ParameterError, match="equal atom masses"):
-            frostman_certificate(measure, 1.0)
+
+class TestDiscCounts:
+    """The quadtree count equals the k-d tree's per-atom closed-disc count
+    for every center, on dyadic, random and tie radii, where a tie puts an
+    atom on the circle: r * r equals its rounded squared distance."""
+
+    @pytest.mark.parametrize("generation", range(1, 9))
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 1.8, 1.95])
+    def test_equal_to_query_ball_point(self, alpha, generation):
+        pts = build_square_cantor(alpha, generation).centers()
+        centers = pts[:: max(1, len(pts) // potential_module._MAX_CENTERS)]
+        boxes = potential_module._square_boxes(pts)
+        rng = np.random.default_rng(generation)
+        # squared distances from a few centers to a few atoms, rounded as the count rounds them
+        d = centers[rng.integers(len(centers), size=24)] - pts[rng.integers(len(pts), size=24)]
+        d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        near_ties = [np.nextafter(np.sqrt(d2), step) for step in (0.0, np.inf)]
+        ties = [r for r in np.concatenate([np.sqrt(d2), *near_ties]) if r * r in d2]
+        assert len(ties) >= 6
+        radii = [0.5**j for j in range(1, 12)] + list(rng.uniform(1e-4, 1.0, 8)) + ties
+        tree = cKDTree(pts)
+        for r in map(float, radii):
+            got = potential_module._disc_counts(boxes, centers, r)
+            want = tree.query_ball_point(centers, r, return_length=True)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want, err_msg=f"r={r!r}")
+
+    def test_whole_squares_and_single_atoms(self):
+        # about the root square's center, r = 1 holds every atom and r = 0 none;
+        # about an atom, r = 0 holds that atom alone
+        pts = build_square_cantor(1.0, 3).centers()
+        boxes = potential_module._square_boxes(pts)
+        origin = np.zeros((1, 2))
+        assert potential_module._disc_counts(boxes, origin, 1.0).tolist() == [64]
+        assert potential_module._disc_counts(boxes, origin, 0.0).tolist() == [0]
+        assert potential_module._disc_counts(boxes, pts, 0.0).tolist() == [1] * 64
 
 
 # -- oracle: box_dimension as it was before it built its keys in point
