@@ -418,12 +418,10 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
     ratios = [b[1] / a[1] for a, b in zip(constants, constants[1:])]
 
     a = dim_set.ratio
-    planar = box_dimension(
-        dim_set.centers(), [0.7 * a**k for k in range(1, 7)]
-    )
+    planar = box_dimension(dim_set.centers().T, [0.7 * a**k for k in range(1, 7)])
     graph_pot = GreenPotential(frostman_measure(graph_sc))
-    graph_pts = graph_set_points(graph_sc, graph_pot, n_angles=int(params["graph_angles"]))
-    graph = box_dimension(graph_pts, [2.0**-k for k in range(3, 9)])
+    graph_cols = graph_set_points(graph_sc, graph_pot, n_angles=int(params["graph_angles"]))
+    graph = box_dimension(graph_cols, [2.0**-k for k in range(3, 9)])
     # no CSV before both regressions: a scale too fine for the points exits 2 with none
     _write_csv(outdir / "growth.csv", ["n", "C", "samples"], constants)
     _write_csv(

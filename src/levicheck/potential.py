@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import fields
 from .fields import DiscField, DomainError, ParameterError
@@ -45,7 +44,8 @@ __all__ = [
 _START_SIDE = 0.7
 _GENERATION_BUDGET = 10
 # node-atom pairs per tile of GreenPotential.grid_values (its float64 work
-# buffer takes at most 2 MiB, one core's L2 cache), points per chunk of box_dimension
+# buffer takes at most 2 MiB, one core's L2 cache), and about the keys per
+# chunk of box_dimension, as whole key rows
 _BLOCK = 1 << 16
 # (center, square) pairs per _disc_counts step: fastest from 1 << 12 to 1 << 14
 _PAIRS = 1 << 13
@@ -188,9 +188,10 @@ def frostman_certificate(square_set: SquareCantor) -> FrostmanCertificate:
     Checks every atom as a center when there are at most _MAX_CENTERS,
     else a deterministic stride sample.  Radii run down to the atom
     resolution: the smallest dyadic radius still covering at least one
-    nearest neighbor gap.  mu(D(z, r)) is count x 4^{-n}, counted on the
-    construction's quadtree (_disc_counts): squares wholly in or out of the
-    disc count at once, single atoms only where the circle cuts.  No margin:
+    nearest neighbor gap, read off the construction (_least_gap).  mu(D(z,
+    r)) is count x 4^{-n}, counted on the construction's quadtree
+    (_disc_counts): squares wholly in or out of the disc count at once,
+    single atoms only where the circle cuts.  No margin:
     rounded differences, squares and sums are monotone, so an atom's
     rounded distance lies between its box's nearest and farthest."""
     alpha = square_set.alpha
@@ -198,7 +199,7 @@ def frostman_certificate(square_set: SquareCantor) -> FrostmanCertificate:
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
     pts = square_set.centers()
     centers = pts[:: max(1, len(pts) // _MAX_CENTERS)]
-    resolution = float(cKDTree(pts).query(pts, k=2)[0][:, 1].min())
+    resolution = _least_gap(pts)
     # at small alpha offsets round away onto corners: r would halve to 0.0 forever
     if not resolution > 0.0:
         raise ParameterError("frostman_certificate needs distinct atom locations")
@@ -221,6 +222,27 @@ def frostman_certificate(square_set: SquareCantor) -> FrostmanCertificate:
     return FrostmanCertificate(
         constant=best, samples=len(centers) * len(radii), radii=tuple(radii)
     )
+
+
+def _least_gap(points: np.ndarray) -> float:
+    """Least distance between two of build_square_cantor's atoms: the least
+    sibling gap of the last generation, where atom i's x-sibling is i + N/4
+    (rows 1 and 3 of the (4, N/4) split against rows 0 and 2) and its
+    y-sibling i + N/2, and a sibling pair differs in one coordinate only.
+
+    No other pair is closer.  Two atoms whose least common square has side
+    S sit in two of its corner children of side aS, a gap (1 - 2a) S apart
+    along x or y, and each lies half its own side t inside its child, so
+    they are at least (1 - 2a) S + t apart.  Siblings (S = s, the last
+    parent's side, t = as) are (1 - a) s apart; any other pair has S >= s/a
+    and is farther by (1 - 2a)(S - s), at least (1 - 2a)(1 - a) S.  That
+    is exact arithmetic; in float64 the result equals a k-d tree's least
+    gap bit for bit over alphas in (0, 2) and generations 1 to 8, 0.0
+    where small-alpha offsets round away onto their corners included."""
+    q = points.reshape(4, -1, 2)
+    dx = np.abs(q[1::2, :, 0] - q[::2, :, 0]).min()
+    dy = np.abs(q[2:, :, 1] - q[:2, :, 1]).min()
+    return float(min(dx, dy))
 
 
 def _square_boxes(points: np.ndarray) -> list[np.ndarray]:
@@ -471,41 +493,52 @@ class BoxCountRegression:
     slope: float
 
 
-def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
+def box_dimension(columns, scales) -> BoxCountRegression:
     """Count occupied axis boxes per scale and regress the dimension.
 
-    points is (N, d); each scale partitions space into a grid of closed-
-    open boxes anchored at the pointwise minimum corner, so dyadic scale
-    chains nest against the set rather than against an arbitrary origin.
+    columns holds the d coordinate columns as float arrays that broadcast
+    together, the way grid_values takes sparse meshes: the points are the
+    entries of their broadcast shape, so (zx[:, None], zy[:, None], wx, wy)
+    is N circles of A points without N * A copies of z, and the rows of a
+    (d, N) array such as centers().T are N dense points.  Each scale
+    partitions space into a grid of closed-open boxes anchored at the
+    pointwise minimum corner, so dyadic scale chains nest against the set
+    rather than against an arbitrary origin.
 
     Scales are counted finest first.  Where s_c = s_f * 2^j exactly for the
     last scale s_f counted, s_c's cells are s_f's shifted right by j: x /
     (s_f 2^j) equals (x / s_f) / 2^j in binary floating point, and
     floor(floor(y) / 2^j) = floor(y / 2^j).  Other scales, and every scale
     of a call with an x < 0 that x / s_c underflows to -0.0, are built from
-    the points.  A scale with a cell id of 2^52 or more, which float64 may
+    the columns.  A scale with a cell id of 2^52 or more, which float64 may
     round, is rejected.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ParameterError("points must be a nonempty (N, d) array")
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    try:
+        shape = np.broadcast_shapes(*(c.shape for c in cols)) or (1,)
+    except ValueError:
+        raise ParameterError("coordinate columns must broadcast together") from None
+    if not cols or not math.prod(shape):
+        raise ParameterError("points must be nonempty: d >= 1 columns of at least one point")
     scales = tuple(float(s) for s in scales)
     if len(scales) < 5:
         raise ParameterError("dimension regression needs at least 5 scales")
     if any(s <= 0.0 for s in scales):
         raise ParameterError("scales must be positive")
-    # column by column: a reduction over axis 0 steps d values at a time, 4x slower
-    lo = np.array([col.min() for col in pts.T])
-    hi = np.array([col.max() for col in pts.T])
+    # give every column the points' rank, so each slices by leading rows;
+    # broadcasting repeats entries only, so every entry is some point's
+    cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
+    lo = np.array([c.min() for c in cols])
+    hi = np.array([c.max() for c in cols])
     # min and max propagate NaN, and an infinite point makes one of them infinite
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ParameterError("points must be finite")
-    d = pts.shape[1]
+    d = len(cols)
     width = 63 // d
     # x / s_c of a point in (-t, 0) may underflow to -0.0 while x / s_f stays
     # negative: then no scale derives
     t = max(scales) * 2.0**-1022
-    blocks = (pts[k : k + _BLOCK] for k in range(0, len(pts), _BLOCK))
+    blocks = (f[k : k + _BLOCK] for f in map(np.ravel, cols) for k in range(0, f.size, _BLOCK))
     tiny = any(np.any((b < 0.0) & (b > -t)) for b in blocks)
     bases = []
     for s in scales:
@@ -519,26 +552,34 @@ def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
         if np.any(np.maximum(-base, top) >= 2.0**52):
             raise ParameterError(f"scale {s} too fine for the point coordinates")
         bases.append(base)
-    key = np.empty(pts.shape[0], dtype=np.uint64)
+    key = np.empty(math.prod(shape), dtype=np.uint64)
+    row = math.prod(shape[1:])  # keys per leading row
+    rows = max(1, _BLOCK // row)
     counts = [0] * len(scales)
     fine = None
     for i in sorted(range(len(scales)), key=scales.__getitem__):
         s, base = scales[i], bases[i]
         j = 0 if fine is None else math.frexp(s)[1] - math.frexp(scales[fine])[1]
         derive = fine is not None and not tiny and math.ldexp(scales[fine], j) == s
-        if not derive:
-            n = len(pts)
-        # keys in chunks of _BLOCK: from the distinct keys of s_f, or from pts
-        for start in range(0, n, _BLOCK):
-            k = key[start : start + _BLOCK]
+        # keys about _BLOCK at a time: from the distinct keys of s_f, or
+        # from the columns' leading rows, broadcast into the key chunk
+        if derive:
+            chunks = [(key[at : at + _BLOCK], at) for at in range(0, n, _BLOCK)]
+        else:
+            n = key.size
+            chunks = [
+                (key[at * row : (at + rows) * row].reshape((-1,) + shape[1:]), at)
+                for at in range(0, shape[0], rows)
+            ]
+        for k, at in chunks:
             packed = k.copy() if derive else None
             k.fill(0)
-            for c, (col, b) in enumerate(zip(pts[start : start + _BLOCK].T, base)):
+            for c, (col, b) in enumerate(zip(cols, base)):
                 if derive:
                     cell = ((packed >> width * (d - 1 - c)) & ((1 << width) - 1)).view(np.int64)
                     cell = ((cell + int(bases[fine][c])) >> min(j, 63)) - int(b)
                 else:
-                    cell = col / s
+                    cell = (col if len(col) == 1 else col[at : at + rows]) / s
                     np.floor(cell, out=cell)
                     cell -= b
                 k <<= width
@@ -563,16 +604,18 @@ def box_dimension(points: np.ndarray, scales) -> BoxCountRegression:
 def graph_set_points(
     square_set: SquareCantor,
     potential: GreenPotential,
-    n_angles: int = 256,
-) -> np.ndarray:
+    n_angles: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sample the boundary graph {(z, w): z in E, |w| = exp(phi(z))} in R^4.
 
     phi = (1/2) log(1 - |z|^2) - u(z); one circle of n_angles points per
-    square.  The z samples are the lower-left square corners: corners
-    persist through the subdivision so they lie in the limit set exactly,
-    and they keep half a diagonal away from the atoms, so u stays finite
-    there (at the atom centers themselves u = +inf and the circles would
-    collapse).
+    square, returned as the coordinate columns (zx, zy, wx, wy) of shapes
+    (N, 1), (N, 1), (N, n_angles), (N, n_angles) that box_dimension takes:
+    point (i, k) is corner i with angle k.  The z samples are the
+    lower-left square corners: corners persist through the subdivision so
+    they lie in the limit set exactly, and they keep half a diagonal away
+    from the atoms, so u stays finite there (at the atom centers
+    themselves u = +inf and the circles would collapse).
     """
     corners = np.asarray(square_set.squares, dtype=np.float64)
     zx = corners[:, 0]
@@ -583,12 +626,7 @@ def graph_set_points(
     theta = 2.0 * math.pi * np.arange(n_angles) / n_angles
     wx = r[:, None] * np.cos(theta)[None, :]
     wy = r[:, None] * np.sin(theta)[None, :]
-    out = np.empty((len(corners) * n_angles, 4))
-    out[:, 0] = np.repeat(zx, n_angles)
-    out[:, 1] = np.repeat(zy, n_angles)
-    out[:, 2] = wx.ravel()
-    out[:, 3] = wy.ravel()
-    return out
+    return zx[:, None], zy[:, None], wx, wy
 
 
 def zygmund_seminorm(

@@ -242,15 +242,15 @@ def test_07_frostman_growth_and_box_dimensions():
     planar_set = build_square_cantor(1.0, 8)
     a = planar_set.ratio
     planar = box_dimension(
-        planar_set.centers(), [0.7 * a**k for k in range(1, 7)]
+        planar_set.centers().T, [0.7 * a**k for k in range(1, 7)]
     )
     assert abs(planar.slope - 1.0) <= 0.1
 
     graph_pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 5)))
-    graph_pts = graph_set_points(
+    graph_cols = graph_set_points(
         build_square_cantor(1.0, 6), graph_pot, n_angles=2048
     )
-    graph = box_dimension(graph_pts, [2.0**-k for k in range(3, 10)])
+    graph = box_dimension(graph_cols, [2.0**-k for k in range(3, 10)])
     assert abs(graph.slope - 2.0) <= 0.15
 
 

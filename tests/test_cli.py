@@ -891,6 +891,16 @@ class TestImportGraph:
                 ), (stage, heavy)
 
 
+    def test_import_loads_no_spatial(self):
+        # frostman_certificate reads its gap off the construction: no k-d tree
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GRAPH_CODE, "[]"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert not any(m.startswith("scipy.spatial") for m in loaded["import"])
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", scenario="slice-check")

@@ -93,6 +93,13 @@ def box_count_oracle(pts, s):
     return len({tuple(r) for r in np.floor(pts / s)})
 
 
+def stacked(columns):
+    """The (N, d) points of coordinate columns that broadcast together, in
+    the broadcast shape's order (a 0-d shape holds one point)."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    return np.column_stack([np.broadcast_to(c, shape).ravel() for c in columns])
+
+
 @pytest.fixture(scope="module")
 def gen5():
     square_set = build_square_cantor(1.0, 5)
@@ -914,6 +921,53 @@ class TestFrostmanCertificate:
         blocks.assert_not_called()
 
 
+def least_gap_oracle(points: np.ndarray) -> float:
+    """The nearest-neighbour gap as frostman_certificate took it before it
+    read the gap off the construction: the k-d tree's least distance from
+    an atom to another.  Coincident atoms are 0.0 apart, found without the
+    tree, which is slow on many of them."""
+    if len(np.unique(points.view(np.complex128))) < len(points):
+        return 0.0
+    return float(cKDTree(points).query(points, k=2)[0][:, 1].min())
+
+
+# alphas over (0, 2) and up against its ends; the smallest put some
+# offsets below half an ulp of their corners, so atoms coincide
+_GAP_ALPHAS = [*np.linspace(0.05, 1.999, 60).tolist(), 0.1, 0.3, 0.5, 1.0, 1.3, 1.8, 1.95]
+
+
+class TestLeastGap:
+    """The least sibling gap of the last generation equals the k-d tree's
+    nearest-neighbour gap bit for bit, 0.0 where atoms coincide."""
+
+    @pytest.mark.parametrize("generation", range(1, 9))
+    def test_equal_to_the_kd_tree(self, generation):
+        gaps = []
+        # at generations 7 and 8, where one tree takes about 0.1 s, every
+        # sixth alpha, 0.1 and 1.95 among them
+        for alpha in _GAP_ALPHAS[:: 1 if generation <= 6 else 6]:
+            pts = build_square_cantor(alpha, generation).centers()
+            got, want = potential_module._least_gap(pts), least_gap_oracle(pts)
+            assert got.hex() == want.hex(), alpha
+            gaps.append(got)
+        if generation >= 3:
+            # the distinct-atom guard's case is among them
+            assert 0.0 in gaps and min(g for g in gaps if g) > 0.0
+
+    @pytest.mark.parametrize("squash", [(1.0, 0.5), (0.5, 1.0)])
+    def test_either_axis_can_hold_the_gap(self, squash):
+        # the construction is symmetric in x and y, so both sibling gaps
+        # tie; squashed along one axis, that axis's siblings are closest
+        for generation in (1, 4, 6):
+            pts = build_square_cantor(1.3, generation).centers() * squash
+            assert potential_module._least_gap(pts).hex() == least_gap_oracle(pts).hex()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.3])
+    def test_equal_to_the_kd_tree_at_the_generation_budget(self, alpha):
+        pts = build_square_cantor(alpha, 10).centers()
+        assert potential_module._least_gap(pts).hex() == least_gap_oracle(pts).hex()
+
+
 class TestDiscCounts:
     """The quadtree count equals the k-d tree's per-atom closed-disc count
     for every center, on dyadic, random and tie radii, where a tie puts an
@@ -1013,7 +1067,7 @@ class TestBoxDimension:
     def test_planar_alpha_one_slope_exact(self):
         sc = build_square_cantor(1.0, 8)
         scales = [0.7 * 0.25**k for k in range(1, 7)]
-        reg = box_dimension(sc.centers(), scales)
+        reg = box_dimension(sc.centers().T, scales)
         assert reg.counts == (4, 16, 64, 256, 1024, 4096)
         assert abs(reg.slope - 1.0) <= 1e-9
         assert abs(reg.slope - 1.0) <= 0.1
@@ -1021,23 +1075,23 @@ class TestBoxDimension:
     def test_planar_alpha_half_slope(self):
         sc = build_square_cantor(0.5, 8)
         a = sc.ratio
-        reg = box_dimension(sc.centers(), [0.7 * a**k for k in range(1, 6)])
+        reg = box_dimension(sc.centers().T, [0.7 * a**k for k in range(1, 6)])
         assert abs(reg.slope - 0.5) <= 1e-9
 
     def test_parameter_guards(self):
-        pts = np.zeros((10, 2))
+        cols = np.zeros((2, 10))
         with pytest.raises(ParameterError, match="5 scales"):
-            box_dimension(pts, [0.5, 0.25, 0.125, 0.0625])
+            box_dimension(cols, [0.5, 0.25, 0.125, 0.0625])
         with pytest.raises(ParameterError, match="positive"):
-            box_dimension(pts, [0.5, 0.25, 0.125, 0.0625, 0.0])
+            box_dimension(cols, [0.5, 0.25, 0.125, 0.0625, 0.0])
         with pytest.raises(ParameterError, match="nonempty"):
-            box_dimension(np.zeros((0, 2)), [0.5, 0.25, 0.125, 0.0625, 0.03125])
+            box_dimension(np.zeros((2, 0)), [0.5, 0.25, 0.125, 0.0625, 0.03125])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, bad):
         pts = np.array([[0.1, 0.2], [0.5, bad], [0.9, 0.7]])
         with pytest.raises(ParameterError, match="finite"):
-            box_dimension(pts, [2.0**-k for k in range(1, 6)])
+            box_dimension(pts.T, [2.0**-k for k in range(1, 6)])
 
     @given(
         d=st.integers(1, 4),
@@ -1057,7 +1111,7 @@ class TestBoxDimension:
             # coordinates on the lattice of a drawn scale land on box edges
             pts = np.round(pts / scales[0]) * scales[0]
         pts = np.concatenate([pts, pts[rng.integers(0, n, dup)]])
-        reg = box_dimension(pts, scales)
+        reg = box_dimension(pts.T, scales)
         assert reg.counts == tuple(box_count_oracle(pts, s) for s in scales)
 
     @given(
@@ -1078,27 +1132,134 @@ class TestBoxDimension:
         # n // 2 + 1 divides no length of at least 3
         size = {"1": 1, "7": 7, "non-divisor": len(pts) // 2 + 1}[chunk]
         with mock.patch.object(potential_module, "_BLOCK", size):
-            reg = box_dimension(pts, scales)
+            reg = box_dimension(pts.T, scales)
         want = box_dimension_oracle(pts, scales)
         assert reg.counts == want.counts
         assert reg.slope.hex() == want.slope.hex()
 
     def test_graph_cloud_in_bounded_memory(self, gen5):
-        # 1,048,576 x 4 points (32 MiB), built before tracing starts
+        # 1,048,576 points in 4 columns (16 MiB of w), built before tracing starts
         square_set, _, potential = gen5
-        pts = graph_set_points(square_set, potential, n_angles=1024)
+        cols = graph_set_points(square_set, potential, n_angles=1024)
         scales = [2.0**-k for k in range(3, 9)]
         tracemalloc.start()
         try:
-            reg = box_dimension(pts, scales)
+            reg = box_dimension(cols, scales)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the 8 MiB keys, one column chunk, its integer copy and the run
-        # mask; the whole-array build held a transposed copy of the cloud
-        # and full-length temporaries too, 57 MB in all
+        # mask; the whole-array build held a transposed copy of the dense
+        # cloud and full-length temporaries too, 57 MB in all
         assert peak <= 12 * 2**20
-        assert reg == box_dimension_oracle(pts, scales)
+        assert reg == box_dimension_oracle(stacked(cols), scales)
+
+    @pytest.mark.parametrize("n_angles", [1, 16, 1024])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3])
+    def test_graph_columns_match_the_dense_oracle(self, alpha, n_angles):
+        # the runner's graph set at generation 5: z columns of N rows
+        # broadcast against N x n_angles circles
+        square_set = build_square_cantor(alpha, 5)
+        potential = GreenPotential(frostman_measure(square_set))
+        cols = graph_set_points(square_set, potential, n_angles)
+        scales = [2.0**-k for k in range(3, 9)]
+        reg = box_dimension(cols, scales)
+        want = box_dimension_oracle(stacked(cols), scales)
+        assert reg.counts == want.counts
+        assert reg.slope.hex() == want.slope.hex()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3])
+    def test_planar_columns_match_the_dense_oracle(self, alpha):
+        square_set = build_square_cantor(alpha, 8)
+        scales = [0.7 * square_set.ratio**k for k in range(1, 7)]
+        reg = box_dimension(square_set.centers().T, scales)
+        want = box_dimension_oracle(square_set.centers(), scales)
+        assert reg.counts == want.counts
+        assert reg.slope.hex() == want.slope.hex()
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 4),
+        rank=st.integers(0, 3),
+        snap=st.booleans(),
+        chunk=st.sampled_from([1, 7, potential_module._BLOCK]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_broadcast_columns_match_the_dense_oracle(self, seed, d, rank, snap, chunk):
+        # each column keeps a random subset of the axes, the others of
+        # length 1, and may drop leading ones: 0-d columns included
+        rng = np.random.default_rng(seed)
+        full = rng.integers(1, 9, rank)
+        scales = [2.0 ** rng.uniform(-9.0, 1.0) for _ in range(6)]
+        scales += [math.ldexp(scales[0], k) for k in range(1, 4)]
+        cols = []
+        for _ in range(d):
+            shape = np.where(rng.random(rank) < 0.5, full, 1)[rng.integers(0, rank + 1) :]
+            col = rng.uniform(-3.0, 3.0, shape) * rng.uniform(0.01, 1.0)
+            cols.append(np.round(col / scales[0]) * scales[0] if snap else col)
+        with mock.patch.object(potential_module, "_BLOCK", chunk):
+            reg = box_dimension(cols, scales)
+        want = box_dimension_oracle(stacked(cols), scales)
+        assert reg.counts == want.counts
+        assert reg.slope.hex() == want.slope.hex()
+
+    @pytest.mark.parametrize(
+        "cols, scales",
+        [
+            pytest.param((np.zeros((0, 1)), np.zeros((1, 5))), [1.0, 2.0, 4.0, 8.0, 16.0], id="empty"),
+            pytest.param(
+                (np.array([[0.1], [math.nan]]), np.array([0.2, 0.3, 0.4])),
+                [2.0**-k for k in range(1, 6)],
+                id="nan-in-rows",
+            ),
+            pytest.param(
+                (np.array([[0.1], [0.5]]), np.array([0.2, -math.inf, 0.4])),
+                [2.0**-k for k in range(1, 6)],
+                id="inf-in-angles",
+            ),
+            # four columns pack 15 bits each: a spread of 2^15 cells does not fit
+            pytest.param(
+                (np.zeros((2, 1)), np.zeros((2, 1)), np.array([[-1.0, 2.0**15 - 1.0]]), np.zeros((1, 1))),
+                [1.0, 2.0, 4.0, 8.0, 16.0],
+                id="too-fine-for-spread",
+            ),
+            # one column of 63 bits, (3, 1)-shaped: ids of 2^52 or more
+            pytest.param(
+                (np.array([[-1.0], [2.0**54], [2.0**54 + 4.0]]),),
+                [1.0, 2.0, 4.0, 8.0, 16.0],
+                id="ids-past-2-52",
+            ),
+        ],
+    )
+    def test_broadcast_errors_match_the_dense_points(self, cols, scales):
+        # the same error as for the stacked points' dense columns, and as
+        # the oracle's where it has the check: it predates the 2^52 guard
+        dense = stacked(cols)
+        with pytest.raises(ParameterError) as want:
+            box_dimension(dense.T, scales)
+        with pytest.raises(ParameterError) as got:
+            box_dimension(cols, scales)
+        assert str(got.value) == str(want.value)
+        if str(want.value) != str(_IDS_TOO_LARGE):
+            # the oracle words the empty case its own way
+            pattern = "nonempty" if len(dense) == 0 else re.escape(str(want.value))
+            with pytest.raises(ParameterError, match=pattern):
+                box_dimension_oracle(dense, scales)
+
+    def test_tiny_negative_in_a_broadcast_column_builds_from_the_points(self):
+        # -5e-324 / 2 rounds to -0.0, into the cell of 0 at scale 2, while
+        # -5e-324 / 1 stays in cell -1: cells derived from scale 1 would
+        # keep the two x values apart at every scale
+        cols = (np.array([[-5e-324], [0.0]]), np.array([[0.0, 0.3, 0.6]]))
+        scales = [1.0, 2.0, 4.0, 8.0, 16.0]
+        reg = box_dimension(cols, scales)
+        want = box_dimension_oracle(stacked(cols), scales)
+        assert reg.counts == want.counts == (2, 1, 1, 1, 1)
+        assert reg.slope.hex() == want.slope.hex()
+
+    def test_columns_that_do_not_broadcast_rejected(self):
+        with pytest.raises(ParameterError, match="broadcast together"):
+            box_dimension((np.zeros(3), np.zeros(4)), [2.0**-k for k in range(1, 6)])
 
     @pytest.mark.parametrize(
         "spread, scales, too_fine",
@@ -1115,12 +1276,12 @@ class TestBoxDimension:
         pts[1, 2] = -1.0
         pts[2, 2] = spread - 1.0
         if too_fine is None:
-            reg = box_dimension(pts, scales)
+            reg = box_dimension(pts.T, scales)
             assert reg.counts == tuple(box_count_oracle(pts, s) for s in scales)
         else:
-            for count in (box_dimension, box_dimension_oracle):
+            for count, points in ((box_dimension, pts.T), (box_dimension_oracle, pts)):
                 with pytest.raises(ParameterError, match=f"scale {too_fine} too fine for"):
-                    count(pts, scales)
+                    count(points, scales)
 
     @given(
         d=st.integers(1, 4),
@@ -1150,7 +1311,7 @@ class TestBoxDimension:
             pts = np.round(pts / finest) * finest
         pts = np.concatenate([pts, pts[rng.integers(0, n, n // 3)]])
         with mock.patch.object(potential_module, "_BLOCK", chunk):
-            reg = box_dimension(pts, scales)
+            reg = box_dimension(pts.T, scales)
         want = box_dimension_oracle(pts, scales)
         assert reg.scales == want.scales
         assert reg.counts == want.counts
@@ -1176,9 +1337,9 @@ class TestBoxDimension:
         scales = [1.0, 2.0, 4.0, 8.0, 16.0]
         if isinstance(counts, ParameterError):
             with pytest.raises(ParameterError, match=str(counts)):
-                box_dimension(pts, scales)
+                box_dimension(pts.T, scales)
             return
-        reg = box_dimension(pts, scales)
+        reg = box_dimension(pts.T, scales)
         want = box_dimension_oracle(pts, scales)
         assert reg.counts == want.counts == counts
         assert reg.slope.hex() == want.slope.hex()
@@ -1189,24 +1350,27 @@ class TestBoxDimension:
         rng = np.random.default_rng(seed)
         pts = rng.random((64, 2))
         scales = [2.0**-k for k in range(1, 7)]
-        reg = box_dimension(pts, scales)
+        reg = box_dimension(pts.T, scales)
         assert all(a <= b for a, b in zip(reg.counts, reg.counts[1:]))
 
 
 class TestGraphSet:
     def test_point_cloud_shape_and_radii(self, gen5):
         square_set, _, potential = gen5
-        pts = graph_set_points(square_set, potential, n_angles=16)
-        assert pts.shape == (4**5 * 16, 4)
-        assert np.isfinite(pts).all()
-        r = np.hypot(pts[:, 2], pts[:, 3])
+        zx, zy, wx, wy = graph_set_points(square_set, potential, n_angles=16)
+        assert (zx.shape, zy.shape, wx.shape, wy.shape) == ((4**5, 1),) * 2 + ((4**5, 16),) * 2
+        np.testing.assert_array_equal(np.hstack([zx, zy]), square_set.squares)
+        assert np.isfinite(wx).all() and np.isfinite(wy).all()
+        r = np.hypot(wx, wy)
         assert r.min() > 0.0
         assert r.max() < 1.0
+        # each circle has one radius, the one of its corner
+        assert np.all(r.max(axis=1) - r.min(axis=1) <= 1e-15 * r.max(axis=1))
 
     def test_graph_dimension_near_one_plus_alpha(self, gen5):
         square_set, _, potential = gen5
-        pts = graph_set_points(square_set, potential, n_angles=1024)
-        reg = box_dimension(pts, [2.0**-k for k in range(3, 9)])
+        cols = graph_set_points(square_set, potential, n_angles=1024)
+        reg = box_dimension(cols, [2.0**-k for k in range(3, 9)])
         assert abs(reg.slope - 2.0) <= 0.15
         assert abs(reg.slope - GRAPH_SLOPE_PIN) <= 2e-2
 
