@@ -76,6 +76,7 @@ from .mollify import (
     staircase_sweep_case,
 )
 from .potential import (
+    _START_SIDE,
     AtomicMeasure,
     GreenPotential,
     box_dimension,
@@ -418,7 +419,7 @@ def _run_cantor_potential(params: dict, expect_violation: bool, outdir: Path):
     ratios = [b[1] / a[1] for a, b in zip(constants, constants[1:])]
 
     a = dim_set.ratio
-    planar = box_dimension(dim_set.centers().T, [0.7 * a**k for k in range(1, 7)])
+    planar = box_dimension(dim_set.centers().T, [_START_SIDE * a**k for k in range(1, 7)])
     graph_pot = GreenPotential(frostman_measure(graph_sc))
     graph_cols = graph_set_points(graph_sc, graph_pot, n_angles=int(params["graph_angles"]))
     graph = box_dimension(graph_cols, [2.0**-k for k in range(3, 9)])

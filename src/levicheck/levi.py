@@ -522,9 +522,9 @@ def _unit_square_log_moment() -> float:
 
     By 8-fold symmetry this is 8 * int_0^{pi/4} R^2/2 (log(1/R) + 1/2) dtheta
     with R = 1/(2 cos theta).  The value is that integral as scipy's quad
-    returns it (epsabs = epsrel = 1e-13), frozen so that no run loads
-    scipy.integrate; the closed form 3/2 + ln(2)/2 - pi/4 rounds 1 ulp
-    higher.  Tests recompute both.
+    returns it (epsabs = epsrel = 1e-13), frozen so that no code path
+    computes it; the closed form 3/2 + ln(2)/2 - pi/4 rounds 1 ulp higher.
+    Tests recompute both.
     """
     return 1.0611754268825242
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -52,36 +51,17 @@ def bump_profile(r):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=1)
 def kernel_profile_constants() -> tuple[float, float]:
     """(normalization, axis second moment m2) of the unit-ball bump.
 
     normalization * exp(-1/(1-r^2)) integrates to 1 over the unit ball of
-    R^3; m2 is its second moment along any single axis.
+    R^3; m2 is its second moment along any single axis.  The values are
+    1 / M and I / M for the radial integrals M = int_0^1 4 pi r^2 b(r) dr
+    and I = int_0^1 (4 pi / 3) r^4 b(r) dr, b = bump_profile, as scipy's
+    quad returns them (epsabs = epsrel = 1e-13, limit 200), frozen so that
+    no code path computes them; tests recompute both.
     """
-    # imported here: no standard run needs it, and scipy.integrate is slow to load
-    from scipy.integrate import quad
-
-    mass_raw, mass_err = quad(
-        lambda r: 4.0 * math.pi * r * r * math.exp(-1.0 / (1.0 - r * r)),
-        0.0,
-        1.0,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200,
-    )
-    mom_raw, mom_err = quad(
-        lambda r: (4.0 * math.pi / 3.0) * r**4 * math.exp(-1.0 / (1.0 - r * r)),
-        0.0,
-        1.0,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200,
-    )
-    if mass_err > 1e-11 or mom_err > 1e-11:
-        raise ArithmeticError("kernel quadrature did not converge")
-    c = 1.0 / mass_raw
-    return c, c * mom_raw
+    return 2.2671167396083267, 0.11169565399086731
 
 
 @dataclass(frozen=True)
@@ -91,8 +71,8 @@ class BumpKernel:
     weights has shape (2R+1,)*3 with R = floor(delta/spacing); the tap at
     offset (a,b,c) multiplies the field value spacing*(a,b,c) away.  The
     weights sum to 1 up to rounding, and their axis second moment tracks
-    the continuum value delta^2 * m2 (kernel_profile_constants) to
-    O((spacing/delta)^2); tests check both.
+    the continuum value delta^2 * m2, with m2 the frozen second moment of
+    kernel_profile_constants, to O((spacing/delta)^2); tests check both.
     """
 
     delta: float

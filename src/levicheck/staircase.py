@@ -32,10 +32,11 @@ each float equals that of the corresponding Fraction).
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -104,6 +105,9 @@ def default_alphas(alpha1, depth: int) -> tuple[Fraction, ...]:
     a1 = _as_fraction(alpha1)
     if not 0 < a1 < 1:
         raise ParameterError(f"alpha1 must lie in (0, 1), got {alpha1!r}")
+    # the certified growth (1/(1 - alpha1) - 1) / 2 goes into reports as a float
+    if 1 / (1 - a1) > sys.float_info.max:
+        raise ParameterError("alpha1 lies so close to 1 that 1/(1 - alpha1) overflows a float")
     if not 1 <= depth <= _DEPTH_BUDGET:
         raise ParameterError(f"depth must lie in [1, {_DEPTH_BUDGET}], got {depth}")
     return tuple(a1 * Fraction(1, 4) ** (k - 1) for k in range(1, depth + 1))
@@ -487,14 +491,14 @@ def bump_window(t):
     return out if np.ndim(t) else float(out[0])
 
 
-@lru_cache(maxsize=1)
 def bump_window_second_derivative_sup() -> float:
-    """Numeric sup of |d^2/dt^2 bump_window| over the transitionband."""
-    h = 1e-5
-    t = np.arange(1.0 + h, 2.0 - h, h)
-    vals = bump_window(np.stack([t - h, t, t + h]))
-    second = (vals[0] - 2.0 * vals[1] + vals[2]) / h**2
-    return float(np.max(np.abs(second)))
+    """sup |d^2/dt^2 bump_window| over the transition band 1 < |t| < 2.
+
+    The value is the max of |w(t-h) - 2 w(t) + w(t+h)| / h^2 over the
+    nodes t = 1 + h, 1 + 2h, ... below 2 - h at step h = 1e-5, taken once
+    and frozen so that no code path samples it; tests recompute it.
+    """
+    return 9.841044645853001
 
 
 @dataclass(frozen=True)

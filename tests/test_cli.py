@@ -474,6 +474,27 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    # at 1 - 10^-320 staircase-build wrote intervals.csv and both runs then
+    # died with an OverflowError in float(growth), growth ~ 1/(2 (1 - alpha1))
+    @pytest.mark.parametrize(
+        "scenario, overrides",
+        [
+            ("staircase-build", ["params.depth=3", "params.n_offsets=10"]),
+            ("hartogs-scan", ['params.cap="staircase"', "params.spacing=0.015625"]),
+        ],
+    )
+    @pytest.mark.parametrize("exponent, code", [(320, 2), (300, 0)])
+    def test_alpha1_whose_growth_overflows_a_float_exits_2_before_any_output(
+        self, tmp_path, capsys, scenario, overrides, exponent, code
+    ):
+        alpha1 = f"{10**exponent - 1}/{10**exponent}"
+        cfg = write_config(tmp_path, "c.json", scenario=scenario)
+        args = [a for o in [*overrides, f'params.alpha1="{alpha1}"'] for a in ("--set", o)]
+        assert main(["run", "--config", str(cfg), *args]) == code
+        if code == 2:
+            assert "1/(1 - alpha1) overflows a float" in capsys.readouterr().err
+            assert not list((tmp_path / "out").glob("*"))
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -890,6 +911,18 @@ class TestImportGraph:
                     m == heavy or m.startswith(heavy + ".") for m in loaded[stage]
                 ), (stage, heavy)
 
+    def test_frozen_constants_load_no_integrate(self):
+        # kernel_profile_constants once ran scipy's quad on its first call
+        code = (
+            "import sys, levicheck.cli\n"
+            "from levicheck import mollify, staircase\n"
+            "mollify.kernel_profile_constants()\n"
+            "staircase.bump_window_second_derivative_sup()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_import_loads_no_spatial(self):
         # frostman_certificate reads its gap off the construction: no k-d tree

@@ -44,12 +44,6 @@ from levicheck.staircase import build_cantor
 from test_levi import shift_t_form
 from test_potential import _WORKERS, with_workers
 
-# frozen from an independent radial quadrature of exp(-1/(1-r^2)) over the
-# unit ball: normalization and single-axis second moment of the unit kernel
-PROFILE_NORM = 2.2671167396083267
-PROFILE_M2 = 0.11169565399086731
-
-
 def cube_grid(h, n, origin=0.0):
     return Grid3((origin, origin, origin), h, (n, n, n))
 
@@ -105,9 +99,18 @@ def direct_convolve(values, weights):
 
 class TestKernelProfile:
     def test_profile_constants_match_frozen_quadrature(self):
+        # the radial integrals kernel_profile_constants used to compute,
+        # recomputed with its old integrands and tolerances
+        def radial(f):
+            val, err = quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert err <= 1e-11
+            return val
+
+        mass = radial(lambda r: 4.0 * math.pi * r * r * math.exp(-1.0 / (1.0 - r * r)))
+        mom = radial(lambda r: (4.0 * math.pi / 3.0) * r**4 * math.exp(-1.0 / (1.0 - r * r)))
         c, m2 = kernel_profile_constants()
-        assert c == pytest.approx(PROFILE_NORM, abs=1e-10)
-        assert m2 == pytest.approx(PROFILE_M2, abs=1e-10)
+        assert c.hex() == (1.0 / mass).hex() == "0x1.2230e19e6a7c1p+1"
+        assert m2.hex() == (1.0 / mass * mom).hex() == "0x1.c98161cff00dep-4"
 
     def test_axis_moment_below_isotropy_bound(self):
         # three equal axis moments must sum to the radial moment < 1

@@ -745,13 +745,22 @@ class TestBumpWindow:
         assert abs(bump_window(1.0 + 1e-4) - 1.0) < 1e-30
         assert bump_window(2.0 - 1e-4) < 1e-30
 
-    def test_second_derivative_sup_stable_in_step(self):
-        sup = bump_window_second_derivative_sup()
-        h = 3e-5
+    @staticmethod
+    def sampled_second_derivative_sup(h):
         t = np.arange(1.0 + h, 2.0 - h, h)
         vals = bump_window(np.stack([t - h, t, t + h]))
-        alt = float(np.max(np.abs((vals[0] - 2.0 * vals[1] + vals[2]) / h**2)))
-        assert sup == pytest.approx(alt, rel=1e-2)
+        return float(np.max(np.abs((vals[0] - 2.0 * vals[1] + vals[2]) / h**2)))
+
+    def test_second_derivative_sup_is_the_sampled_stencil(self):
+        # the 1e-5-step sample bump_window_second_derivative_sup used to take;
+        # the window through math.exp instead of np.exp gives the same bits
+        sampled = self.sampled_second_derivative_sup(1e-5)
+        frozen = bump_window_second_derivative_sup()
+        assert frozen.hex() == sampled.hex() == "0x1.3ae9d6760d43fp+3"
+
+    def test_second_derivative_sup_stable_in_step(self):
+        sup = bump_window_second_derivative_sup()
+        assert sup == pytest.approx(self.sampled_second_derivative_sup(3e-5), rel=1e-2)
         assert sup == pytest.approx(9.84, rel=1e-2)
 
 
