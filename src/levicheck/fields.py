@@ -5,8 +5,8 @@ the real parameters of a graph defining function over a tangent-hyperplane
 model.  Stencils are second order: 3-point central for first and pure
 second derivatives, 4-point cross for mixed ones.
 
-Reductions use compensated summation in a fixed traversal order so that
-results are bit-reproducible regardless of thread count.
+Reductions are correctly rounded (stable_sum, math.fsum), so results are
+bit-reproducible regardless of traversal order and thread count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import concurrent.futures
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -47,8 +46,9 @@ class ParameterError(ValueError):
     """Construction parameters violate a documented precondition."""
 
 
-# values per slice that stable_sum converts to Python floats at a time
-_FSUM_CHUNK = 1 << 14
+# binary exponents stable_sum's sigma may take: sigma at most 2^1023, and
+# sigma * 2^-53 no less than 2^-1022, the least normal double
+_SIGMA_EXPONENTS = range(-1022 + 53, 1023 + 1)
 # nodes DiscField.from_function samples beyond the disc's rim on each side
 _PAD_CELLS = 2
 # equally spaced angles circle_mean samples on a circle
@@ -56,17 +56,50 @@ _N_THETA = 512
 
 
 def stable_sum(values) -> float:
-    """Compensated sum over C-order traversal; thread-count independent.
+    """math.fsum of the values, bit for bit: their correctly rounded sum,
+    the same in any order of the values and at any thread count.
 
-    The values reach math.fsum as a stream, a slice of _FSUM_CHUNK at a
-    time, never as one list of them all; fsum sees the same sequence, so
-    the sum is still the correctly rounded one, bit for bit."""
+    The sum is taken by error-free extraction (Rump, Ogita & Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput.
+    31(1), 2008, ExtractVector and its Lemma 3.3).  With max|p| < 2^e over
+    the n values p, a pass takes sigma = 2^(e + bitlen(n + 2)) and
+    q = (sigma + p) - sigma, p rounded to a multiple of sigma * 2^-53; the
+    rounding and p - q are exact, and every |q| <= 2^e, so every partial
+    sum of the q's is such a multiple below sigma and tau = q.sum() is
+    exact in any order.  The next pass takes p - q, all below
+    sigma * 2^-53.  Once p is all zero the taus sum exactly to the values,
+    and math.fsum rounds that exact sum correctly, as it would the values'.
+
+    math.fsum on the values themselves, in their C order, gives the sum
+    where the passes cannot: a NaN or an infinity (fsum's NaN, inf or its
+    ValueError for -inf + inf), a first sigma above 2^1023 (where fsum
+    may raise OverflowError) and a sigma * 2^-53 below the normal range.
+    It reads the values through a memoryview, one at a time, never as one
+    list.  An input with no nonzero value sums to fsum's zero: that of
+    [-0.0] if every value is -0.0, else that of [0.0].
+    """
     flat = np.asarray(values, dtype=np.float64).ravel(order="C")
-    return math.fsum(
-        chain.from_iterable(
-            flat[i : i + _FSUM_CHUNK].tolist() for i in range(0, flat.size, _FSUM_CHUNK)
-        )
-    )
+    bits = (flat.size + 2).bit_length()
+    p, q = np.empty_like(flat), np.empty_like(flat)
+    rest = flat
+    taus = []
+    top = max(flat.max(initial=0.0), -flat.min(initial=0.0))
+    while 0.0 < top < math.inf:
+        e = math.frexp(top)[1] + bits
+        if e not in _SIGMA_EXPONENTS:
+            break
+        sigma = math.ldexp(1.0, e)
+        np.add(rest, sigma, out=q)
+        q -= sigma
+        rest = np.subtract(rest, q, out=p)
+        taus.append(float(q.sum()))
+        top = max(p.max(), -p.min())
+    if top != 0.0:
+        return math.fsum(memoryview(flat))
+    if taus:
+        return math.fsum(taus)
+    # no nonzero value: the sign of fsum's zero follows from the values' signs
+    return math.fsum([-0.0] if flat.size and np.signbit(flat).all() else [0.0])
 
 
 def _workers() -> int:

@@ -548,6 +548,12 @@ def _log_weights(g: DiscField, r: float) -> np.ndarray:
     The weights depend only on g's grid and r, so they serve every field
     on that grid.
 
+    The array returned is the window of the grid centred on the origin
+    node, of half-width k = ceil(r/h) nodes (the whole grid when that is
+    wider): fl(h * (k + 1)) >= r, so every node outside it has s >= r and
+    weight 0.  Its nodes keep the coordinate doubles of g.axis(), so each
+    weight has the bits it has on the whole grid.
+
     A refined cell's weight is bit for bit the per-cell sum
     np.sum(log(r / |s|)) over its in-disc sub-samples s, taken in their
     4x4 C order.  All refined cells form one (cells, 16) array whose rows
@@ -560,13 +566,16 @@ def _log_weights(g: DiscField, r: float) -> np.ndarray:
     h = g.spacing
     if r < 4.0 * h:
         raise StencilError(f"r = {r} spans fewer than 4 cells (h = {h})")
-    gx, gy = g.meshes()
+    # r/h is compared first: the ceil would raise at r = inf, NaN or 1e308
+    k = math.ceil(r / h) if r / h < g.half else g.half
+    coords = g.axis()[g.half - k : g.half + k + 1]
+    gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)
     s = np.hypot(gx, gy)
     inside = s < r
     w = np.zeros_like(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         w[inside] = h * h * np.log(r / s[inside])
-    origin = (g.half, g.half)
+    origin = (k, k)
     w[origin] = h * h * (_unit_square_log_moment() + math.log(r / h))
     refine = inside & ((np.abs(s - r) <= 1.5 * h) | (s <= 6.5 * h))
     refine[origin] = False
@@ -596,14 +605,19 @@ def green_identity_report(
     The report holds the circle mean, the area term (the second summand on
     the right) and residual = |mean - u(0) - area term|.
 
-    weights is _log_weights on u's grid at this r, and lap is
-    u.laplacian_field(); a caller checking several fields or radii builds
-    each once.
+    weights is _log_weights on u's grid at this r, the window of the grid
+    centred on the origin node that holds the disc, and lap is
+    u.laplacian_field() on the whole grid; a caller checking several
+    fields or radii builds each once.  Only lap's block under the window
+    is read: the finiteness check and the products cover the window's
+    nonzero weights, in its C order.
     """
     mean = circle_mean(u, 0j, r)
     center = float(u.values[u.half, u.half])
     if not np.isfinite(center):
         raise DomainError("u undefined at the center")
+    k = weights.shape[0] // 2
+    lap = lap[u.half - k : u.half + k + 1, u.half - k : u.half + k + 1]
     used = weights != 0.0
     if not np.isfinite(lap[used]).all():
         raise DomainError("Laplacian undefined somewhere in the disc of integration")

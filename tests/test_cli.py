@@ -670,6 +670,16 @@ class TestRunReports:
         assert main(["run", "--config", str(cfg), "--set", "params.spacing=0.00390625"]) == 0
         assert calls == {"weights": 3, "laplacian": 3}
 
+    @pytest.mark.parametrize("radius", [1e308, math.inf, math.nan, 0.0])
+    def test_green_identity_radius_off_the_grid_is_a_usage_error(self, tmp_path, radius):
+        # 1e308/h and inf/h overflow a ceil, NaN/h has none, 0 spans no cell:
+        # each is a usage error that writes nothing
+        cfg = write_config(
+            tmp_path, "c.json", scenario="green-identity", params={"radii": [radius]}
+        )
+        assert main(["run", "--config", str(cfg), "--set", "params.spacing=0.0078125"]) == 2
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_run_scenario_api_returns_report(self, tmp_path):
         report, outdir = run_scenario(
             {"scenario": "slice-check", "outdir": str(tmp_path / "api")}

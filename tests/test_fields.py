@@ -15,7 +15,6 @@ from helpers_poly import Poly3, node_gradient, node_hessian
 from levicheck import cli, fields, potential, staircase
 from test_potential import with_workers
 from levicheck.fields import (
-    _FSUM_CHUNK,
     DiscField,
     DomainError,
     Grid3,
@@ -383,24 +382,126 @@ class TestSerialization:
         vals = rng.standard_normal(1000) * 10.0**rng.integers(-8, 8, size=1000)
         assert stable_sum(vals) == math.fsum(vals.tolist())
 
-    @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
-    def test_streamed_sum_is_bitwise_fsum_across_chunk_edges(self, chunks, extra):
-        size = chunks * _FSUM_CHUNK + extra
-        rng = np.random.default_rng(size)
-        # magnitudes from 1e-8 to 1e8 with both signs, so the compensation matters
-        vals = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size=size)
-        got = np.float64(stable_sum(vals.reshape(-1, 1)))
-        want = np.float64(math.fsum(vals.tolist()))
-        assert got.view(np.int64) == want.view(np.int64)
+    @pytest.mark.parametrize(
+        "vals, streamed",
+        [
+            ([1.0, -3.5e-200, 2.0**-900], False),  # extracted in several passes
+            # two values, so sigma = 2^(e + bitlen(4)) = 2^(e + 3) for max < 2^e
+            ([2.0**1019, -1.0], False),  # sigma = 2^1023
+            ([2.0**1020, -1.0], True),  # sigma would be 2^1024
+            ([2.0**-973, 2.0**-1000], False),  # sigma * 2^-53 = 2^-1022, the least normal
+            ([2.0**-975, 2.0**-1000], True),  # sigma * 2^-53 would be 2^-1024
+            ([1.0, 2.0**-1000], True),  # the second pass's sigma is too small
+            ([1.0, np.nan], True),
+            ([-np.inf, 1.0], True),
+            ([0.0, -0.0], False),  # no nonzero value: fsum of one zero
+            ([-0.0, -0.0], False),
+            ([], False),
+        ],
+    )
+    def test_fsum_streams_the_values_only_where_extraction_cannot(self, vals, streamed):
+        # the extraction hands math.fsum a list of pass sums, the fallback a
+        # memoryview of the values themselves
+        want = math.fsum(vals)
+        with mock.patch.object(fields.math, "fsum", wraps=math.fsum) as spy:
+            got = stable_sum(np.array(vals, dtype=np.float64))
+        (arg,), _ = spy.call_args
+        assert isinstance(arg, memoryview) is streamed
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [1.0, 2.0**-53],  # a tie: rounds to the even 1.0
+            [1.0, 2.0**-53, 2.0**-160],  # just past the tie: rounds up
+            [1.0 + 2.0**-52, 2.0**-53],  # a tie: rounds to the even 1 + 2^-51
+            [1e100, 1.0, -1e100],
+            [2.0**-1074, -(2.0**-1074), 2.0**-1074],
+        ],
+    )
+    def test_ties_and_cancellation_round_as_fsum(self, vals):
+        got = np.float64(stable_sum(np.array(vals)))
+        assert got.view(np.int64) == np.float64(math.fsum(vals)).view(np.int64)
 
     def test_streamed_sum_keeps_the_opposite_infinities_error(self):
-        vals = np.zeros(3 * _FSUM_CHUNK + 7)
+        vals = np.zeros(49159)
         vals[5] = np.inf
         vals[-1] = -np.inf
         with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
             math.fsum(vals.tolist())
         with pytest.raises(ValueError, match=r"-inf \+ inf in fsum"):
             stable_sum(vals)
+
+
+# sizes 0, 1 and 2^k - 3 .. 2^k + 1 up to 2^16 + 1
+SUM_SIZES = sorted({0, 1} | {2**k + d for k in range(2, 17) for d in range(-3, 2)})
+
+
+def sum_outcome(sum_fn, vals):
+    """sum_fn(vals)'s bits as an int, or its exception's type and message."""
+    try:
+        return int(np.float64(sum_fn(vals)).view(np.int64))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStableSumIsFsum:
+    """stable_sum against math.fsum on this interpreter: the same bits, or
+    the same exception."""
+
+    @staticmethod
+    def check(vals):
+        assert sum_outcome(stable_sum, vals) == sum_outcome(math.fsum, vals.tolist())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.sampled_from(SUM_SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        low=st.floats(-300.0, 300.0),
+        span=st.floats(0.0, 600.0),
+        subnormal=st.sampled_from([0.0, 0.01, 0.5]),
+        cancel=st.booleans(),
+    )
+    def test_mixed_magnitudes(self, size, seed, low, span, subnormal, cancel):
+        # magnitudes 10^low .. 10^(low + span) within 1e-300 .. 1e300, some
+        # values replaced by subnormals, and optionally each odd value the
+        # negation of an even one, shuffled, so whole pairs cancel
+        rng = np.random.default_rng(seed)
+        high = min(low + span, 300.0)
+        vals = rng.standard_normal(size) * 10.0 ** rng.uniform(low, high, size)
+        tiny = rng.random(size) < subnormal
+        vals[tiny] = rng.integers(-(2**52), 2**52, size=int(tiny.sum())) * 2.0**-1074
+        if cancel:
+            vals[1::2] = -vals[0 : size - 1 : 2]
+            vals = rng.permutation(vals)
+        self.check(vals)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        size=st.sampled_from(SUM_SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        negative=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_all_zero_input_keeps_the_sign_of_fsums_zero(self, size, seed, negative):
+        rng = np.random.default_rng(seed)
+        self.check(np.where(rng.random(size) < negative, -0.0, 0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.sampled_from(SUM_SIZES[1:]),
+        seed=st.integers(0, 2**32 - 1),
+        log2_scale=st.floats(-3.0, 3.0),
+        mixed_signs=st.booleans(),
+    )
+    def test_maxima_near_the_overflow_bound(self, size, seed, log2_scale, mixed_signs):
+        # values up to scale * 2^1023 / size: sigma stays within 2^1023 for
+        # scale below about 1/4, and the sum itself overflows above about 2
+        rng = np.random.default_rng(seed)
+        top = min(2.0**log2_scale / size, 1.99)
+        vals = rng.uniform(0.5, 1.0, size) * math.ldexp(top, 1023)
+        if mixed_signs:
+            vals *= rng.choice([-1.0, 1.0], size)
+        self.check(vals)
 
 
 def per_point_bilinear(g, x, y):

@@ -980,6 +980,20 @@ def log_weights_loop(g, r):
     return w
 
 
+def assert_window_is_the_loop(g, r):
+    """_log_weights(g, r) is the centred block of half-width ceil(r/h)
+    (at most g.half) of the per-cell loop, bit for bit, and the loop is
+    exactly 0 outside it."""
+    window = _log_weights(g, r)
+    oracle = log_weights_loop(g, r)
+    k = min(math.ceil(r / g.spacing), g.half)
+    assert window.shape == (2 * k + 1, 2 * k + 1)
+    block = (slice(g.half - k, g.half + k + 1),) * 2
+    assert np.array_equal(window.view(np.int64), oracle[block].view(np.int64))
+    oracle[block] = 0.0
+    assert not oracle.any()
+
+
 class TestLogWeights:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -987,19 +1001,18 @@ class TestLogWeights:
         fraction=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_bitwise_equal_to_the_per_cell_loop(self, cells, fraction):
+        # radii up to 1.5, past the grid's edge at 1 + 2h, where the window
+        # is the whole grid
         h = 1.0 / cells
-        r = 4.0 * h + fraction * (1.0 - 4.0 * h)
+        r = 4.0 * h + fraction * (1.5 - 4.0 * h)
         half = int(math.ceil(1.0 / h)) + 2
-        g = DiscField(h, np.zeros((2 * half + 1, 2 * half + 1)))
-        fast = _log_weights(g, r)
-        assert np.array_equal(fast.view(np.int64), log_weights_loop(g, r).view(np.int64))
+        assert_window_is_the_loop(DiscField(h, np.zeros((2 * half + 1, 2 * half + 1))), r)
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
     def test_bitwise_equal_at_the_shipped_spacing(self, r):
-        u = DiscField.from_function(1.0 / 512, lambda x, y: x)
-        assert np.array_equal(
-            _log_weights(u, r).view(np.int64), log_weights_loop(u, r).view(np.int64)
-        )
+        # r/h is an integer here: the window's edge nodes lie on the rim,
+        # where s < r fails, so they weigh 0
+        assert_window_is_the_loop(DiscField.from_function(1.0 / 512, lambda x, y: x), r)
 
 
 class TestUnitSquareLogMoment:
