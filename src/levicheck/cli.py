@@ -3,10 +3,12 @@
 Configs are single JSON documents; ``--set key=value`` overrides config
 fields (dotted paths reach into ``params``).  Every scenario writes
 ``<outdir>/report.json`` plus CSV exports; the runners here are the one
-place that turns library results into report tables.  Reports are
-byte-identical across reruns and thread counts for a fixed config and
-seed: wall-clock runtime goes to a ``runtime.txt`` sidecar, never into
-the report.
+place that turns library results into report tables.  ``json`` writes
+each report, numpy values, Fractions and complex numbers through its
+``default`` hook ``_json_default``, and ``run_scenario`` returns the
+report read back from the text it wrote.  Reports are byte-identical
+across reruns and thread counts for a fixed config and seed: wall-clock
+runtime goes to a ``runtime.txt`` sidecar, never into the report.
 ``seed`` is recorded in every report but reserved: no computation reads
 it yet.
 
@@ -111,6 +113,9 @@ _CONFIG_ERRORS = (
 
 
 _OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+# horizontal distance from the kept columns beyond which the staircase cap
+# must be strictly superharmonic
+_FAR_FIELD = 0.1
 
 
 @dataclass(frozen=True)
@@ -158,30 +163,25 @@ class Scenario:
     runner: Callable[[dict, bool, Path], tuple[list[Assertion], dict]]
 
 
-def _plain(value):
-    """Recursively convert to JSON-stable builtin types."""
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
+def _json_default(value):
+    """json's hook for the values it cannot write itself: numpy scalars and
+    arrays as their Python values, a Fraction as p/q, a complex as [re, im]."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _to_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, default=_json_default)
 
 
 def _number_str(fr: Fraction) -> str:
     """Shortest exact decimal for a rational, the form of the x0_certificate
-    values (_plain writes every other Fraction as p/q).
+    values (_json_default writes every other Fraction as p/q).
 
     Round-trip float repr when the value is exactly a float, full decimal
     expansion for other dyadic rationals, float approximation otherwise.
@@ -352,7 +352,8 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
         domain = hartogs_staircase(alpha1=params["alpha1"], spacing=spacing)
     else:
         raise ParameterError(f"unknown hartogs-scan cap {cap!r} (ball | staircase)")
-    scan = subharmonicity_scan(domain, scan_radius=float(params["scan_radius"]))
+    scan_radius = float(params["scan_radius"])
+    scan = subharmonicity_scan(domain, scan_radius=scan_radius)
     violators = scan.violators()
     _write_csv(
         outdir / "violators.csv",
@@ -361,10 +362,12 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     )
     n_viol = scan.violating_count()
     _, _, _, dist_h, dist_e = violators  # horizontal and Euclidean distances
-    far = scan.far_field_max()
+    lap = scan.laplacian
+    far = _reduce(np.max, lap[scan.scanned & (scan.dist_x[:, None] > _FAR_FIELD)])
+    h = domain.spacing
+    reach = 2.0 * h + 1e-12  # 2h, plus float slack
 
     if expect_violation:
-        h, reach = domain.spacing, scan.reach_2h
         farthest = _reduce(np.max, dist_h)
         assertions = [
             Assertion("violating_nodes_present", n_viol, ">", 0),
@@ -375,22 +378,36 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
         assertions = [Assertion("no_violating_nodes", n_viol, "<=", 0)]
     table = {
         "kind": domain.kind,
-        "spacing": domain.spacing,
-        "scan_radius": scan.scan_radius,
+        "spacing": h,
+        "scan_radius": scan_radius,
         "scanned_count": scan.scanned_count(),
         "violating_count": n_viol,
-        "max_laplacian": scan.max_laplacian(),
+        "max_laplacian": _reduce(np.max, lap[scan.scanned]),
     }
     if cap == "staircase":
         # the violators' distances to the perturbed segment (maxima 0.0 when none)
         widest = float(np.max(dist_h, initial=0.0))
-        table["alignment"] = {
-            "count": int(dist_h.size),
-            "max_horizontal": widest,
-            "max_euclidean": float(np.max(dist_e, initial=0.0)),
-            "within_2h": widest <= scan.reach_2h,
-        }
-        table.update(far_field_max=far, mean_checks=scan.mean_checks, **scan._threshold_report())
+        excess = scan.mean_excess
+        p = domain.params
+        table.update(
+            alignment={
+                "count": int(dist_h.size),
+                "max_horizontal": widest,
+                "max_euclidean": float(np.max(dist_e, initial=0.0)),
+                "within_2h": widest <= reach,
+            },
+            far_field_max=far,
+            mean_checks={
+                "radius": scan.mean_radius,
+                "nodes": int(excess.size),
+                "positive": int(np.count_nonzero(excess > 0.0)),
+                "max_excess": _reduce(np.max, excess),
+            },
+            empirical_c3=p["c3"],
+            implied_growth_threshold=p["growth_threshold"],
+            growth=p["growth"],
+            growth_below_threshold=p["growth"] < p["growth_threshold"],
+        )
     return assertions, {"scan": table}
 
 
@@ -719,24 +736,23 @@ def run_scenario(config: dict) -> tuple[dict, Path]:
         "scenario": name,
         "seed": seed,
         "expect_violation": expect_violation,
-        "parameters": _plain(params),
+        "parameters": params,
         "assertions": [
-            {"name": a.name, "passed": bool(a.passed), "detail": _plain(a.detail)}
-            for a in assertions
+            {"name": a.name, "passed": a.passed, "detail": a.detail} for a in assertions
         ],
         "passed": all(a.passed for a in assertions),
-        "tables": _plain(tables),
+        "tables": tables,
     }
+    text = _to_json(report)
     try:
         with open(outdir / "report.json", "w") as handle:
-            json.dump(report, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+            handle.write(text + "\n")
         with open(outdir / "runtime.txt", "w") as handle:
             handle.write(f"runtime_seconds: {elapsed:.3f}\n")
     except OSError as exc:
         # the scenario's CSVs, written before, stay in outdir
         raise UsageError(f"cannot write report in {str(outdir)!r}: {exc}") from None
-    return report, outdir
+    return json.loads(text), outdir
 
 
 def _cmd_run(args) -> int:
@@ -766,10 +782,10 @@ def _cmd_run(args) -> int:
 def _cmd_list(args) -> int:
     if args.json:
         payload = {
-            name: {"description": s.description, "defaults": _plain(s.defaults)}
+            name: {"description": s.description, "defaults": s.defaults}
             for name, s in sorted(SCENARIOS.items())
         }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_to_json(payload))
     else:
         for name, s in sorted(SCENARIOS.items()):
             print(f"{name:18s} {s.description}")

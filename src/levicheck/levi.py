@@ -548,11 +548,12 @@ def _log_weights(g: DiscField, r: float) -> np.ndarray:
     The weights depend only on g's grid and r, so they serve every field
     on that grid.
 
-    The array returned is the window of the grid centred on the origin
-    node, of half-width k = ceil(r/h) nodes (the whole grid when that is
-    wider): fl(h * (k + 1)) >= r, so every node outside it has s >= r and
-    weight 0.  Its nodes keep the coordinate doubles of g.axis(), so each
-    weight has the bits it has on the whole grid.
+    r must lie in [4h, 1]: the disc a DiscField is defined on is the unit
+    disc.  The array returned is the window of the grid centred on the
+    origin node, of half-width k = ceil(r/h) nodes: fl(h * (k + 1)) >= r,
+    so every node outside it has s >= r and weight 0.  Its nodes keep the
+    coordinate doubles of g.axis(), so each weight has the bits it has on
+    the whole grid.
 
     A refined cell's weight is bit for bit the per-cell sum
     np.sum(log(r / |s|)) over its in-disc sub-samples s, taken in their
@@ -564,10 +565,11 @@ def _log_weights(g: DiscField, r: float) -> np.ndarray:
     rows with zeros at the out-of-disc places would not.
     """
     h = g.spacing
+    if not r <= 1.0:
+        raise DomainError(f"r = {r} is not a radius in the unit disc (r <= 1)")
     if r < 4.0 * h:
         raise StencilError(f"r = {r} spans fewer than 4 cells (h = {h})")
-    # r/h is compared first: the ceil would raise at r = inf, NaN or 1e308
-    k = math.ceil(r / h) if r / h < g.half else g.half
+    k = math.ceil(r / h)
     coords = g.axis()[g.half - k : g.half + k + 1]
     gx, gy = np.meshgrid(coords, coords, indexing="ij", sparse=True)
     s = np.hypot(gx, gy)

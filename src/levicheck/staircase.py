@@ -74,9 +74,6 @@ _DEPTH_BUDGET = 14
 # certified at
 _CAP_DEPTH = 10
 _CAP_OFFSETS = 1000
-# horizontal distance from the kept columns beyond which the staircase cap
-# must be strictly superharmonic
-_FAR_FIELD = 0.1
 
 
 class ConstructionError(Exception):
@@ -509,8 +506,8 @@ class HartogsDomain:
     ``kind`` is "ball" for the unperturbed cap, "staircase" for the cap
     plus c1 * F(x - 1/2) * window(4 y), or "cantor" for the cap minus a
     Green potential (potential.zygmund_domain).  The staircase alone sets
-    the other two: ``params`` holds z0_real, c1 and growth, the constants
-    SubharmonicityScan._threshold_report reads, and ``columns`` the
+    the other two: ``params`` holds z0_real, c1, growth, c3 and
+    growth_threshold (see hartogs_staircase), and ``columns`` the
     perturbation's support columns, F's kept intervals shifted by +1/2.
     """
 
@@ -550,6 +547,14 @@ def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
     unperturbed cap has Laplacian at most -2 / (1 - 5/16)^2 < -4.2, so the
     cap stays strictly superharmonic wherever the staircase term is flat;
     Laplacian sign changes can only happen over the kept columns.
+
+    Circle means of the unperturbed cap at radius r fall below the center
+    value by about c3 r^2, c3 a quarter of its Laplacian modulus
+    2 / (1 - |z|^2)^2 at |z0| + 0.02 (radial and increasing, so its sup
+    within 0.02 of z0).  The staircase term raises them by at least
+    c1 (L/4 - 1/8) r^2, so the mean-value inequality can only break when
+    the growth L exceeds growth_threshold = 4 c3 / c1 + 1/2.  hartogs-scan
+    reports both and asserts neither: its violation count is the ground truth.
     """
     system = build_cantor(default_alphas(alpha1, _CAP_DEPTH))
     fat = fat_F(system)
@@ -565,7 +570,16 @@ def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
         base = _ball_cap_values(x, y)
         return base + c1 * fat(x - 0.5) * bump_window(4.0 * y)
 
-    params = {"z0_real": float(cert.x0 + Fraction(1, 2)), "c1": c1, "growth": float(cert.growth)}
+    z0_real = float(cert.x0 + Fraction(1, 2))
+    r_max = min(abs(z0_real) + 0.02, 0.999)
+    c3 = 0.25 * (2.0 / (1.0 - r_max * r_max) ** 2)
+    params = {
+        "z0_real": z0_real,
+        "c1": c1,
+        "growth": float(cert.growth),
+        "c3": c3,
+        "growth_threshold": 4.0 * c3 / c1 + 0.5,
+    }
     return HartogsDomain(
         cap=DiscField.from_function(spacing, phi),
         kind="staircase",
@@ -594,7 +608,7 @@ def interval_distance(points: np.ndarray, intervals: Sequence[tuple[float, float
     return np.minimum(dist, np.where(cand > 0, cand, np.inf))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubharmonicityScan:
     """Discrete Laplacian classification of a Hartogs cap.
 
@@ -607,13 +621,15 @@ class SubharmonicityScan:
     ignores y because the window keeps the perturbation fully active on a
     band of fixed height, so violations can sit far from y = 0 in the
     Euclidean metric while still lying over the kept columns.
+    ``mean_radius`` and ``mean_excess`` are the segment's circle-mean
+    checks (see _segment_mean_excess), None when the cap has no segment.
     """
 
     domain: HartogsDomain
-    scan_radius: float
     laplacian: np.ndarray
     dist_x: np.ndarray
-    mean_checks: dict | None = None
+    mean_radius: float | None = None
+    mean_excess: np.ndarray | None = None
 
     @property
     def scanned(self) -> np.ndarray:
@@ -637,53 +653,6 @@ class SubharmonicityScan:
         dh = self.dist_x[i]
         return xs[i], xs[j], self.laplacian[i, j], dh, np.hypot(dh, xs[j])
 
-    def max_laplacian(self) -> float:
-        vals = self.laplacian[self.scanned]
-        return float(np.max(vals)) if vals.size else float("nan")
-
-    def far_field_max(self) -> float:
-        """Max Laplacian over scanned nodes at horizontal distance > _FAR_FIELD."""
-        vals = self.laplacian[self.scanned & (self.dist_x[:, None] > _FAR_FIELD)]
-        return float(np.max(vals)) if vals.size else float("nan")
-
-    @property
-    def reach_2h(self) -> float:
-        """The horizontal distance 2h the violations must lie within, plus float slack."""
-        return 2.0 * self.domain.spacing + 1e-12
-
-    def _threshold_report(self) -> dict:
-        """Smooth-part mean-comparison constant and the growth it demands.
-
-        Circle means of the unperturbed cap at radius r fall below the
-        center value by about c3 r^2 with c3 a quarter of the Laplacian
-        modulus near z0.  The staircase term raises them by at least
-        c1 (L/4 - 1/8) r^2 (quadratic growth to the right, exact -s^2/2
-        defect on the constant left piece), so the mean-value inequality
-        can only break when L exceeds 4 c3 / c1 + 1/2.  Reported, not
-        asserted; the scan's violation count is the ground truth.
-        """
-        p = self.domain.params
-        c3 = 0.25 * _ball_laplacian_modulus_sup(abs(p["z0_real"]), 0.02)
-        c1 = p["c1"]
-        threshold = 4.0 * c3 / c1 + 0.5
-        growth = p["growth"]
-        return {
-            "empirical_c3": c3,
-            "implied_growth_threshold": threshold,
-            "growth": growth,
-            "growth_below_threshold": bool(growth < threshold),
-        }
-
-
-def _ball_laplacian_modulus_sup(center_radius: float, radius: float) -> float:
-    """Sup of |Laplacian of (1/2) log(1 - |z|^2)| = 2/(1 - |z|^2)^2 nearby.
-
-    The modulus is radial and increasing, so the sup over a disc of the
-    given radius around a point sits at the largest radius reached.
-    """
-    r = min(center_radius + radius, 0.999)
-    return 2.0 / (1.0 - r * r) ** 2
-
 
 def subharmonicity_scan(
     domain: HartogsDomain, scan_radius: float = 0.96
@@ -694,40 +663,35 @@ def subharmonicity_scan(
         raise ParameterError(f"scan radius must lie in (0, 1.0), got {scan_radius!r}")
     lap = cap.laplacian_field()
     lap[~np.isfinite(lap) | (np.hypot(*cap.meshes()) > scan_radius)] = np.nan
-    scan = SubharmonicityScan(domain, scan_radius, lap, np.full(lap.shape[0], np.nan))
-    if domain.kind == "staircase":
-        scan.dist_x = interval_distance(cap.axis(), domain.columns)
-        scan.mean_checks = _segment_mean_checks(scan)
-    return scan
+    if domain.kind != "staircase":
+        return SubharmonicityScan(domain, lap, np.full(lap.shape[0], np.nan))
+    dist_x = interval_distance(cap.axis(), domain.columns)
+    return SubharmonicityScan(domain, lap, dist_x, *_segment_mean_excess(cap, lap, dist_x))
 
 
-def _segment_mean_checks(scan: SubharmonicityScan) -> dict:
-    """Circle-mean excess at the nodes straddling the perturbed segment.
+def _segment_mean_excess(
+    cap: DiscField, lap: np.ndarray, dist_x: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Circle radius and circle-mean excess at the nodes straddling the
+    perturbed segment, in C order.
 
-    The tested nodes sit within 2h horizontally of the kept columns and
-    within 2.5h of y = 0, where the staircase kinks live; a positive
-    excess at small radius witnesses mean-value failure independently of
-    the finite-difference Laplacian.  The radius tracks 4h but is clipped
-    to [0.004, 0.0085]: above roughly 0.015 the smooth part's negative
-    drift (about c3 r^2) overtakes the kink excess even for steep caps,
-    so larger circles would test the wrong regime.
+    The tested nodes are scanned, sit within 2h horizontally of the kept
+    columns and within 2.5h of y = 0, where the staircase kinks live; a
+    positive excess at small radius witnesses mean-value failure
+    independently of the finite-difference Laplacian.  The radius tracks 4h
+    but is clipped to [0.004, 0.0085]: above roughly 0.015 the smooth
+    part's negative drift (about c3 r^2) overtakes the kink excess even for
+    steep caps, so larger circles would test the wrong regime.
     """
-    cap = scan.domain.cap
     h = cap.spacing
     radius = min(max(4.0 * h, 0.004), 0.0085)
     xs = cap.axis()
-    near = (scan.dist_x[:, None] <= 2.0 * h) & (np.abs(xs) <= 2.5 * h)
-    i, j = np.nonzero(scan.scanned & near)
+    near = (dist_x[:, None] <= 2.0 * h) & (np.abs(xs) <= 2.5 * h)
+    i, j = np.nonzero(np.isfinite(lap) & near)
     centre = cap.sample(xs[i], xs[j])
     if np.isnan(centre).any():
         raise DomainError("a segment node lies outside the finite sample set")
-    excess = circle_mean(cap, xs[i] + 1j * xs[j], radius) - centre
-    return {
-        "radius": radius,
-        "nodes": int(excess.size),
-        "positive": int(np.count_nonzero(excess > 0.0)),
-        "max_excess": float(np.max(excess)) if excess.size else math.nan,
-    }
+    return radius, circle_mean(cap, xs[i] + 1j * xs[j], radius) - centre
 
 
 def superharmonic_mean_excess(

@@ -8,7 +8,16 @@ fields it read and the lines of ``mollified_sign_certificate`` that set
 them, ``X0Certificate.to_json`` with the ``_number_str`` it called,
 ``SubharmonicityScan.summary``/``violation_alignment`` and
 ``LeviScan.summary``.  An old runner's table was ``json.loads`` of a
-``to_json`` string, or a ``summary()`` dict, before ``cli._plain``.
+``to_json`` string, or a ``summary()`` dict, before ``_plain``.
+
+The scan's table members (``max_laplacian``, ``far_field_max``,
+``reach_2h``, ``_threshold_report`` with ``_ball_laplacian_modulus_sup``,
+and the ``mean_checks`` dict ``subharmonicity_scan`` once stored) are
+functions of the scan here, computed from its arrays as the deleted
+members did.  ``scan_summary`` takes the scan radius, which the scan no
+longer stores.  ``_plain``, the recursive converter reports went through
+before ``json`` got a ``default`` hook, is kept verbatim as the hook's
+oracle.
 """
 
 import json
@@ -16,6 +25,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from levicheck.cli import _FAR_FIELD
+
+
+def _plain(value):
+    """Recursively convert to JSON-stable builtin types."""
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _plain(value.tolist())
+    return value
 
 
 @dataclass(frozen=True)
@@ -107,6 +139,60 @@ def x0_certificate_to_json(self) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def max_laplacian(self) -> float:
+    vals = self.laplacian[self.scanned]
+    return float(np.max(vals)) if vals.size else float("nan")
+
+
+def far_field_max(self) -> float:
+    """Max Laplacian over scanned nodes at horizontal distance > _FAR_FIELD."""
+    vals = self.laplacian[self.scanned & (self.dist_x[:, None] > _FAR_FIELD)]
+    return float(np.max(vals)) if vals.size else float("nan")
+
+
+def reach_2h(self) -> float:
+    """The horizontal distance 2h the violations must lie within, plus float slack."""
+    return 2.0 * self.domain.spacing + 1e-12
+
+
+def _ball_laplacian_modulus_sup(center_radius: float, radius: float) -> float:
+    """Sup of |Laplacian of (1/2) log(1 - |z|^2)| = 2/(1 - |z|^2)^2 nearby.
+
+    The modulus is radial and increasing, so the sup over a disc of the
+    given radius around a point sits at the largest radius reached.
+    """
+    r = min(center_radius + radius, 0.999)
+    return 2.0 / (1.0 - r * r) ** 2
+
+
+def threshold_report(self) -> dict:
+    """Smooth-part mean-comparison constant and the growth it demands."""
+    p = self.domain.params
+    c3 = 0.25 * _ball_laplacian_modulus_sup(abs(p["z0_real"]), 0.02)
+    c1 = p["c1"]
+    threshold = 4.0 * c3 / c1 + 0.5
+    growth = p["growth"]
+    return {
+        "empirical_c3": c3,
+        "implied_growth_threshold": threshold,
+        "growth": growth,
+        "growth_below_threshold": bool(growth < threshold),
+    }
+
+
+def mean_checks(self) -> dict | None:
+    """The segment's circle-mean checks as subharmonicity_scan stored them."""
+    if self.mean_excess is None:
+        return None
+    excess = self.mean_excess
+    return {
+        "radius": self.mean_radius,
+        "nodes": int(excess.size),
+        "positive": int(np.count_nonzero(excess > 0.0)),
+        "max_excess": float(np.max(excess)) if excess.size else float("nan"),
+    }
+
+
 def violation_alignment(self) -> dict:
     """Distance statistics of the violating set relative to the segment
     (maxima 0.0 when no node violates)."""
@@ -115,25 +201,25 @@ def violation_alignment(self) -> dict:
         "count": int(dh.size),
         "max_horizontal": float(np.max(dh, initial=0.0)),
         "max_euclidean": float(np.max(de, initial=0.0)),
-        "within_2h": bool(np.max(dh, initial=0.0) <= self.reach_2h),
+        "within_2h": bool(np.max(dh, initial=0.0) <= reach_2h(self)),
     }
 
 
-def scan_summary(self) -> dict:
+def scan_summary(self, scan_radius) -> dict:
     out = {
         "kind": self.domain.kind,
         "spacing": self.domain.spacing,
-        "scan_radius": self.scan_radius,
+        "scan_radius": scan_radius,
         "scanned_count": self.scanned_count(),
         "violating_count": self.violating_count(),
-        "max_laplacian": self.max_laplacian(),
+        "max_laplacian": max_laplacian(self),
     }
     if self.domain.kind == "staircase":
-        out["far_field_max"] = self.far_field_max()
+        out["far_field_max"] = far_field_max(self)
         out["alignment"] = violation_alignment(self)
-        out.update(self._threshold_report())
-    if self.mean_checks is not None:
-        out["mean_checks"] = self.mean_checks
+        out.update(threshold_report(self))
+    if mean_checks(self) is not None:
+        out["mean_checks"] = mean_checks(self)
     return out
 
 

@@ -1,6 +1,7 @@
 """Scenario runner: exit codes, report schema, overrides, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import operator
@@ -11,12 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import levicheck.cli as cli_module
 import levicheck.levi as levi_module
 import levicheck.staircase as staircase_module
 from levicheck.cli import SCENARIOS, Assertion, main, run_scenario
 from helpers_report import (
+    _plain,
     certificate_report,
     levi_summary,
     scan_summary,
@@ -81,6 +86,12 @@ class TestListCommand:
         # the sweep's exponents are its case's own, not knobs
         assert set(payload["mollify-sweep"]["defaults"]) == {"spacing", "epsilon", "count"}
         assert payload["staircase-build"]["defaults"]["alpha1"] == "9/10"
+
+    def test_json_listing_bytes_are_pinned(self, capsys):
+        # every scenario's description and defaults, as json writes them
+        assert main(["list", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "71e85c1ebdb89c140860784a18ce4c3a4f20423ddc7634a9ef7bd87df9846628"
 
 
 class TestUsageErrors:
@@ -426,7 +437,7 @@ class TestUsageErrors:
         "override, message",
         [
             ("params.radii=[0.001]", "spans fewer than 4 cells"),
-            ("params.radii=[2.0]", "leaves the finite sample set"),
+            ("params.radii=[2.0]", "r = 2.0 is not a radius in the unit disc (r <= 1)"),
         ],
     )
     def test_green_identity_radius_out_of_range_exits_2(
@@ -672,7 +683,7 @@ class TestRunReports:
 
     @pytest.mark.parametrize("radius", [1e308, math.inf, math.nan, 0.0])
     def test_green_identity_radius_off_the_grid_is_a_usage_error(self, tmp_path, radius):
-        # 1e308/h and inf/h overflow a ceil, NaN/h has none, 0 spans no cell:
+        # 1e308, inf and NaN are no radius in the unit disc, 0 spans no cell:
         # each is a usage error that writes nothing
         cfg = write_config(
             tmp_path, "c.json", scenario="green-identity", params={"radii": [radius]}
@@ -792,8 +803,10 @@ class TestReportedChecks:
         "name, config, failing", CHECKED_RUNS, ids=[name for name, _, _ in CHECKED_RUNS]
     )
     def test_passed_and_margin_agree_with_value_op_bound(self, tmp_path, name, config, failing):
-        _, outdir = run_scenario(dict(config, outdir=str(tmp_path / name)))
+        returned, outdir = run_scenario(dict(config, outdir=str(tmp_path / name)))
         report = json.loads((outdir / "report.json").read_text())
+        # the caller gets the report as written; repr reads NaN as equal to NaN
+        assert repr(returned) == repr(report)
         for check in report["assertions"]:
             detail = check["detail"]
             op = detail["op"]
@@ -983,7 +996,53 @@ class TestDeterminism:
 
 def _canonical(table):
     """A table as report.json writes it, NaN and all, for comparing."""
-    return json.dumps(cli_module._plain(table), sort_keys=True)
+    return json.dumps(table, sort_keys=True, default=cli_module._json_default)
+
+
+# the leaves runners put in reports: builtin and numpy scalars, NaN, +-inf
+# and -0.0 among the floats, Fractions, complex numbers and numpy arrays
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_, np.complex128]),
+    hnp.array_shapes(min_dims=0, max_dims=3, max_side=3),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=4),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.fractions(),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    _ARRAYS,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonHook:
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_hook_writes_what_plain_did(self, value):
+        # _plain converted a report before json wrote it; the hook must give
+        # the same text
+        assert cli_module._to_json(value) == json.dumps(_plain(value), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", np.datetime64("2020-01-01")])
+    def test_anything_else_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli_module._to_json({"entry": [value]})
 
 
 class TestTablesAgainstTheDeletedSerializers:
@@ -1055,8 +1114,8 @@ class TestTablesAgainstTheDeletedSerializers:
             "params": {**params, "spacing": 1.0 / 128.0},
         }
         got = self.written(tmp_path, config, "scan")
-        [(_, scan)] = calls
-        want = scan_summary(scan)
+        [(kwargs, scan)] = calls
+        want = scan_summary(scan, kwargs["scan_radius"])
         staircase = params["cap"] == "staircase"
         assert ("alignment" in want) is ("implied_growth_threshold" in want) is staircase
         assert got == _canonical(want)

@@ -981,12 +981,11 @@ def log_weights_loop(g, r):
 
 
 def assert_window_is_the_loop(g, r):
-    """_log_weights(g, r) is the centred block of half-width ceil(r/h)
-    (at most g.half) of the per-cell loop, bit for bit, and the loop is
-    exactly 0 outside it."""
+    """_log_weights(g, r) is the centred block of half-width ceil(r/h) of
+    the per-cell loop, bit for bit, and the loop is exactly 0 outside it."""
     window = _log_weights(g, r)
     oracle = log_weights_loop(g, r)
-    k = min(math.ceil(r / g.spacing), g.half)
+    k = math.ceil(r / g.spacing)
     assert window.shape == (2 * k + 1, 2 * k + 1)
     block = (slice(g.half - k, g.half + k + 1),) * 2
     assert np.array_equal(window.view(np.int64), oracle[block].view(np.int64))
@@ -1001,12 +1000,20 @@ class TestLogWeights:
         fraction=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_bitwise_equal_to_the_per_cell_loop(self, cells, fraction):
-        # radii up to 1.5, past the grid's edge at 1 + 2h, where the window
-        # is the whole grid
         h = 1.0 / cells
-        r = 4.0 * h + fraction * (1.5 - 4.0 * h)
+        r = 4.0 * h + fraction * (1.0 - 4.0 * h)
         half = int(math.ceil(1.0 / h)) + 2
         assert_window_is_the_loop(DiscField(h, np.zeros((2 * half + 1, 2 * half + 1))), r)
+
+    @pytest.mark.parametrize(
+        "r", [math.nextafter(1.0, 2.0), 1.0 + 1.0 / 512, 1.5, 2.0, 1e308, math.inf, math.nan]
+    )
+    def test_radius_beyond_the_unit_disc_raises(self, r):
+        # the grid reaches 1 + 2h, but the disc a DiscField is defined on is
+        # the unit disc
+        g = DiscField.from_function(1.0 / 512, lambda x, y: x)
+        with pytest.raises(DomainError, match="is not a radius in the unit disc"):
+            _log_weights(g, r)
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
     def test_bitwise_equal_at_the_shipped_spacing(self, r):

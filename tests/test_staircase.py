@@ -14,13 +14,12 @@ from scipy.integrate import quad
 
 import levicheck.staircase as staircase_module
 from helpers_disc import disc_node_coords
-from helpers_report import violation_alignment
-from levicheck.cli import run_scenario
+from helpers_report import far_field_max, max_laplacian, mean_checks, violation_alignment
+from levicheck.cli import _FAR_FIELD, run_scenario
 from levicheck.fields import ParameterError, circle_mean
 from levicheck.potential import zygmund_domain
 from levicheck.staircase import (
     _DEPTH_BUDGET,
-    _FAR_FIELD,
     ConstructionError,
     FatF,
     X0Certificate,
@@ -835,31 +834,45 @@ class TestSubharmonicityScan:
     def test_ball_has_no_violations(self):
         scan = subharmonicity_scan(hartogs_ball_domain(spacing=1.0 / 128.0))
         assert scan.violating_count() == 0
-        assert scan.max_laplacian() <= -2.0 + 1e-3
+        assert max_laplacian(scan) <= -2.0 + 1e-3
         assert scan.scanned_count() > 0
 
-    def test_steep_staircase_violates_on_segment(self, scan99):
+    def test_steep_staircase_violates_on_segment(self, scan99, tmp_path):
         assert scan99.violating_count() > 0
         _, _, _, dist_h, dist_e = scan99.violators()
-        assert scan99.reach_2h == 2.0 * scan99.domain.spacing + 1e-12
-        assert np.max(dist_h) <= scan99.reach_2h
+        # the reach is the runner's: the bound of its 2h check on the same cap
+        config = {
+            "scenario": "hartogs-scan",
+            "expect_violation": True,
+            "params": {"cap": "staircase", "alpha1": "99/100", "spacing": 1.0 / 256.0},
+            "outdir": str(tmp_path / "out"),
+        }
+        report, _ = run_scenario(config)
+        [reach] = [
+            a["detail"]["bound"]
+            for a in report["assertions"]
+            if a["name"] == "violations_within_2h_of_base_kinks"
+        ]
+        assert reach == 2.0 * scan99.domain.spacing + 1e-12
+        assert np.max(dist_h) <= reach
         assert np.max(dist_e) > 0.1
 
     def test_far_field_strictly_superharmonic(self, scan99):
-        assert scan99.far_field_max() <= -0.5
+        assert far_field_max(scan99) <= -0.5
 
     def test_threshold_flags(self, scan99, scan50):
-        assert not scan99._threshold_report()["growth_below_threshold"]
-        assert scan50._threshold_report()["growth_below_threshold"]
+        p99, p50 = scan99.domain.params, scan50.domain.params
+        assert not p99["growth"] < p99["growth_threshold"]
+        assert p50["growth"] < p50["growth_threshold"]
         assert scan50.violating_count() == 0
 
     def test_mean_checks_side_by_side(self, scan99, scan50):
-        mc99 = scan99.mean_checks
-        mc50 = scan50.mean_checks
-        assert mc99["positive"] > 0
-        assert mc99["max_excess"] > 0.0
-        assert mc50["positive"] == 0
-        assert mc50["max_excess"] <= 0.0
+        excess99 = scan99.mean_excess
+        excess50 = scan50.mean_excess
+        assert np.count_nonzero(excess99 > 0.0) > 0
+        assert np.max(excess99) > 0.0
+        assert np.count_nonzero(excess50 > 0.0) == 0
+        assert np.max(excess50) <= 0.0
 
     def test_scan_radius_validation(self, dom99):
         with pytest.raises(ParameterError):
@@ -868,9 +881,9 @@ class TestSubharmonicityScan:
 
 # -- oracle: subharmonicity_scan as it stored whole-grid masks and distance
 # copies and tested the segment nodes one circle_mean call at a time,
-# verbatim but for its return value; violators(), far_field_max(),
-# the alignment of violators() (tests/helpers_report.py) and mean_checks
-# must equal what it reported
+# verbatim but for its return value; violators(), and far_field_max, the
+# alignment of violators() and mean_checks computed from the scan's arrays
+# (tests/helpers_report.py), must equal what it reported
 
 
 def whole_grid_scan(domain, scan_radius=0.96):
@@ -960,14 +973,14 @@ def test_column_distances_report_what_whole_grid_copies_did(name):
     got = {
         "scanned_count": scan.scanned_count(),
         "violators": [column.tolist() for column in scan.violators()],
-        "far_field_max": scan.far_field_max(),
+        "far_field_max": far_field_max(scan),
         "alignment": violation_alignment(scan),
-        "mean_checks": scan.mean_checks,
+        "mean_checks": mean_checks(scan),
     }
     # repr keeps every bit of a float and reads NaN as equal to NaN
     assert repr(got) == repr(want)
     assert (scan.violating_count() > 0) == (name in ("staircase-128", "staircase-300", "cantor"))
-    assert (scan.mean_checks is not None) == name.startswith("staircase")
+    assert (scan.mean_excess is not None) == name.startswith("staircase")
 
 
 class TestSuperharmonicMeanExcess:
