@@ -62,8 +62,8 @@ from .fields import (
 from .levi import (
     _DUAL_TOL,
     ConsistencyError,
-    Defining2,
     _log_weights,
+    g2_model,
     graph_levi_fields,
     green_identity_report,
     levi_condition_2d,
@@ -97,6 +97,8 @@ from .staircase import (
     find_x0,
     hartogs_ball_domain,
     hartogs_staircase,
+    interval_distance,
+    segment_mean_excess,
     subharmonicity_scan,
 )
 
@@ -247,7 +249,7 @@ def _run_levi_check(params: dict, expect_violation: bool, outdir: Path):
     if expect_violation:
         assertions = [Assertion("violating_nodes_present", counts["violating"], ">", 0)]
         if model == "g2":
-            symbolic = levi_condition_2d(Defining2.g2_model(), (0.0, 0.0))
+            symbolic = levi_condition_2d(g2_model, (0.0, 0.0))
             fd_grid = _centered_grid(1e-3, 7)
             fd_phi = ScalarField3.from_function(fd_grid, lambda a, b, c: b * b + c * c)
             fd_value = float(graph_levi_fields(fd_phi)[3, 3, 3])
@@ -343,18 +345,32 @@ def _run_staircase_build(params: dict, expect_violation: bool, outdir: Path):
     return assertions, tables
 
 
+def _violators(axis: np.ndarray, lap: np.ndarray, dist_x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(x, y, laplacian, horizontal distance, Euclidean distance) at the
+    violating nodes (lap > 0) of a cap on the grid ``axis``, in C order;
+    ``dist_x`` holds each column's horizontal distance to the segment."""
+    i, j = np.nonzero(lap > 0.0)
+    dh = dist_x[i]
+    return axis[i], axis[j], lap[i, j], dh, np.hypot(dh, axis[j])
+
+
 def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
+    # the one place that knows the cap kind: only the staircase has a segment
     cap = params["cap"]
     spacing = float(params["spacing"])
     if cap == "ball":
-        domain = hartogs_ball_domain(spacing=spacing)
+        field = hartogs_ball_domain(spacing=spacing)
+        dist_x = np.full(field.axis().shape, np.nan)
     elif cap == "staircase":
         domain = hartogs_staircase(alpha1=params["alpha1"], spacing=spacing)
+        field = domain.cap
+        dist_x = interval_distance(field.axis(), domain.columns)
     else:
         raise ParameterError(f"unknown hartogs-scan cap {cap!r} (ball | staircase)")
     scan_radius = float(params["scan_radius"])
-    scan = subharmonicity_scan(domain, scan_radius=scan_radius)
-    violators = scan.violators()
+    scan = subharmonicity_scan(field, scan_radius=scan_radius)
+    lap = scan.laplacian
+    violators = _violators(field.axis(), lap, dist_x)
     _write_csv(
         outdir / "violators.csv",
         ["x", "y", "laplacian", "dist_horizontal", "dist_euclidean"],
@@ -362,9 +378,8 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     )
     n_viol = scan.violating_count()
     _, _, _, dist_h, dist_e = violators  # horizontal and Euclidean distances
-    lap = scan.laplacian
-    far = _reduce(np.max, lap[scan.scanned & (scan.dist_x[:, None] > _FAR_FIELD)])
-    h = domain.spacing
+    far = _reduce(np.max, lap[scan.scanned & (dist_x[:, None] > _FAR_FIELD)])
+    h = field.spacing
     reach = 2.0 * h + 1e-12  # 2h, plus float slack
 
     if expect_violation:
@@ -377,7 +392,7 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     else:
         assertions = [Assertion("no_violating_nodes", n_viol, "<=", 0)]
     table = {
-        "kind": domain.kind,
+        "kind": cap,
         "spacing": h,
         "scan_radius": scan_radius,
         "scanned_count": scan.scanned_count(),
@@ -387,7 +402,7 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
     if cap == "staircase":
         # the violators' distances to the perturbed segment (maxima 0.0 when none)
         widest = float(np.max(dist_h, initial=0.0))
-        excess = scan.mean_excess
+        radius, excess = segment_mean_excess(field, lap, dist_x)
         p = domain.params
         table.update(
             alignment={
@@ -398,7 +413,7 @@ def _run_hartogs_scan(params: dict, expect_violation: bool, outdir: Path):
             },
             far_field_max=far,
             mean_checks={
-                "radius": scan.mean_radius,
+                "radius": radius,
                 "nodes": int(excess.size),
                 "positive": int(np.count_nonzero(excess > 0.0)),
                 "max_excess": _reduce(np.max, excess),
@@ -560,7 +575,12 @@ SCENARIOS = {
         "Exact Cantor staircase identities and the quadratic growth point",
         {"alpha1": "9/10", "depth": 12, "n_offsets": 1000},
         # default_alphas checks alpha1 and the depth budget before any work
-        {"n_offsets": ((">=", 1),)},  # find_x0 checks it only after the fat_F work
+        {
+            # at depth 1 f_1 has slope1 itself, so find_x0's base point sits on
+            # the interval boundary: it raises only after intervals.csv is out
+            "depth": ((">=", 2),),
+            "n_offsets": ((">=", 1),),  # find_x0 checks it only after the fat_F work
+        },
         _run_staircase_build,
     ),
     "hartogs-scan": Scenario(

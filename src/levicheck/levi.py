@@ -9,6 +9,10 @@ xi = (y1, Re z2, Im z2).  For real rho the ambient Levi condition reads
 
 and on the graph it reduces to -Delta_tau phi with tau = tau(phi).
 Both routes are computed and cross-checked wherever possible.
+
+A closed-form domain is a function (z1, z2) -> WirtingerData, the data
+of its defining function (``ball``, ``g2_model``, ``hartogs_ball``, or one
+that ``hartogs_lifted`` or ``from_graph_partials`` returns).
 """
 
 from __future__ import annotations
@@ -37,7 +41,11 @@ __all__ = [
     "DegeneratePointError",
     "ConsistencyError",
     "WirtingerData",
-    "Defining2",
+    "ball",
+    "from_graph_partials",
+    "g2_model",
+    "hartogs_ball",
+    "hartogs_lifted",
     "levi_condition_2d",
     "tau_fields",
     "delta_tau",
@@ -97,117 +105,89 @@ class WirtingerData:
     rz1z2b: complex
 
 
-class Defining2:
-    """Defining function of a domain in C^2 with per-point Wirtinger data,
-    backed by exact symbolic derivative callables."""
-
-    def __init__(self, data_fn: Callable[[complex, complex], WirtingerData]):
-        self._data_fn = data_fn
-
-    def data(self, z1: complex, z2: complex) -> WirtingerData:
-        return self._data_fn(complex(z1), complex(z2))
-
-    # -- built-in symbolic domains ----------------------------------------
-
-    @classmethod
-    def ball(cls) -> "Defining2":
-        def data(z1: complex, z2: complex) -> WirtingerData:
-            return WirtingerData(
-                rz1=np.conjugate(z1),
-                rz2=np.conjugate(z2),
-                rz1z1b=1.0,
-                rz2z2b=1.0,
-                rz1z2b=0.0,
-            )
-
-        return cls(data)
-
-    @classmethod
-    def g2_model(cls) -> "Defining2":
-        # Re z1 - |z2|^2: the model hypersurface with a strictly concave side
-        def data(z1: complex, z2: complex) -> WirtingerData:
-            return WirtingerData(
-                rz1=0.5,
-                rz2=-np.conjugate(z2),
-                rz1z1b=0.0,
-                rz2z2b=-1.0,
-                rz1z2b=0.0,
-            )
-
-        return cls(data)
-
-    @classmethod
-    def hartogs_lifted(
-        cls,
-        phi_dz: Callable[[complex], complex],
-        phi_lap: Callable[[complex], float],
-    ) -> "Defining2":
-        """rho(z1, z2) = log|z1| - phi(z2): the lift of a radius-1 Hartogs cap.
-
-        The Levi condition needs only phi's derivatives, so phi itself is
-        not passed: phi_dz is d(phi)/dz and phi_lap is d^2(phi)/dz dzbar at
-        z = z2.  Degenerate at z1 = 0.
-        """
-
-        def data(z1: complex, z2: complex) -> WirtingerData:
-            if z1 == 0:
-                raise DegeneratePointError("log|z1| lift undefined at z1 = 0")
-            return WirtingerData(
-                rz1=1.0 / (2.0 * z1),
-                rz2=-complex(phi_dz(z2)),
-                rz1z1b=0.0,
-                rz2z2b=-float(phi_lap(z2)),
-                rz1z2b=0.0,
-            )
-
-        return cls(data)
-
-    @classmethod
-    def hartogs_ball(cls) -> "Defining2":
-        """The unit ball written as the Hartogs lift of phi = (1/2) log(1 - |z|^2)."""
-
-        def check(z: complex) -> complex:
-            if abs(z) >= 1.0:
-                raise DomainError(f"|z2| = {abs(z)} outside the Hartogs base disc")
-            return z
-
-        def dz(z: complex) -> complex:
-            return -z.conjugate() / (2.0 * (1.0 - abs(check(z)) ** 2))
-
-        def lap(z: complex) -> float:
-            return -0.5 / (1.0 - abs(check(z)) ** 2) ** 2
-
-        return cls.hartogs_lifted(dz, lap)
-
-    @classmethod
-    def from_graph_partials(
-        cls,
-        grad: Callable[[np.ndarray], np.ndarray],
-        hess: Callable[[np.ndarray], np.ndarray],
-    ) -> "Defining2":
-        """rho = x1 - phi with phi given by its real gradient and Hessian over
-        xi = (y1, Re z2, Im z2); the Levi condition needs no value of phi."""
-
-        def data(z1: complex, z2: complex) -> WirtingerData:
-            xi = np.array([z1.imag, z2.real, z2.imag])
-            g = np.asarray(grad(xi), dtype=float)
-            h = np.asarray(hess(xi), dtype=float)
-            return WirtingerData(
-                rz1=0.5 * (1.0 + 1j * g[0]),
-                rz2=-0.5 * (g[1] - 1j * g[2]),
-                rz1z1b=-0.25 * h[0, 0],
-                rz2z2b=-0.25 * (h[1, 1] + h[2, 2]),
-                rz1z2b=0.25j * (h[0, 1] + 1j * h[0, 2]),
-            )
-
-        return cls(data)
+def ball(z1: complex, z2: complex) -> WirtingerData:
+    """|z1|^2 + |z2|^2 - 1: the unit ball."""
+    return WirtingerData(
+        rz1=np.conjugate(z1),
+        rz2=np.conjugate(z2),
+        rz1z1b=1.0,
+        rz2z2b=1.0,
+        rz1z2b=0.0,
+    )
 
 
-def levi_condition_2d(rho: Defining2, point) -> float:
-    """LHS of the ambient Levi condition at point = (z1, z2); >= 0 iff the
-    condition holds there."""
+def g2_model(z1: complex, z2: complex) -> WirtingerData:
+    """Re z1 - |z2|^2: the model hypersurface with a strictly concave side."""
+    return WirtingerData(
+        rz1=0.5,
+        rz2=-np.conjugate(z2),
+        rz1z1b=0.0,
+        rz2z2b=-1.0,
+        rz1z2b=0.0,
+    )
+
+
+def hartogs_lifted(
+    phi_dz: Callable[[complex], complex],
+    phi_lap: Callable[[complex], float],
+) -> Callable[[complex, complex], WirtingerData]:
+    """rho(z1, z2) = log|z1| - phi(z2): the lift of a radius-1 Hartogs cap.
+
+    The Levi condition needs only phi's derivatives, so phi itself is
+    not passed: phi_dz is d(phi)/dz and phi_lap is d^2(phi)/dz dzbar at
+    z = z2.  Degenerate at z1 = 0.
+    """
+
+    def data(z1: complex, z2: complex) -> WirtingerData:
+        if z1 == 0:
+            raise DegeneratePointError("log|z1| lift undefined at z1 = 0")
+        return WirtingerData(
+            rz1=1.0 / (2.0 * z1),
+            rz2=-complex(phi_dz(z2)),
+            rz1z1b=0.0,
+            rz2z2b=-float(phi_lap(z2)),
+            rz1z2b=0.0,
+        )
+
+    return data
+
+
+def hartogs_ball(z1: complex, z2: complex) -> WirtingerData:
+    """The unit ball written as the Hartogs lift of phi = (1/2) log(1 - |z|^2)."""
+    if abs(z2) >= 1.0:
+        raise DomainError(f"|z2| = {abs(z2)} outside the Hartogs base disc")
+    s = 1.0 - abs(z2) ** 2
+    return hartogs_lifted(lambda z: -z.conjugate() / (2.0 * s), lambda z: -0.5 / s**2)(z1, z2)
+
+
+def from_graph_partials(
+    grad: Callable[[np.ndarray], np.ndarray],
+    hess: Callable[[np.ndarray], np.ndarray],
+) -> Callable[[complex, complex], WirtingerData]:
+    """rho = x1 - phi with phi given by its real gradient and Hessian over
+    xi = (y1, Re z2, Im z2); the Levi condition needs no value of phi."""
+
+    def data(z1: complex, z2: complex) -> WirtingerData:
+        xi = np.array([z1.imag, z2.real, z2.imag])
+        g = np.asarray(grad(xi), dtype=float)
+        h = np.asarray(hess(xi), dtype=float)
+        return WirtingerData(
+            rz1=0.5 * (1.0 + 1j * g[0]),
+            rz2=-0.5 * (g[1] - 1j * g[2]),
+            rz1z1b=-0.25 * h[0, 0],
+            rz2z2b=-0.25 * (h[1, 1] + h[2, 2]),
+            rz1z2b=0.25j * (h[0, 1] + 1j * h[0, 2]),
+        )
+
+    return data
+
+
+def levi_condition_2d(rho: Callable[[complex, complex], WirtingerData], point) -> float:
+    """LHS of the ambient Levi condition at point = (z1, z2) of the domain
+    whose defining function rho has the Wirtinger data rho(z1, z2); >= 0
+    iff the condition holds there."""
     z1, z2 = complex(point[0]), complex(point[1])
-    d = rho.data(z1, z2)
+    d = rho(z1, z2)
     grad_norm = 2.0 * math.sqrt(float(_abs2(d.rz1) + _abs2(d.rz2)))
     if grad_norm < _MIN_GRADIENT:
         raise DegeneratePointError(f"|grad rho| = {grad_norm:.3e} at {point}")
@@ -380,8 +360,9 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
     direct form, tau and both Delta_tau forms with the whole-grid
     expressions in their order, so the values depend neither on the
     blocking nor on the thread count.  wirtinger_parts' mix and lap feed
-    both routes; tau_fields builds its own dz2, as -2 tau1 misses dz2's
-    bits where a part is subnormal or infinite.  Each slab returns its two
+    both routes, and tau is built from that dz2 as tau_fields builds it
+    (never dz2 from tau: -2 tau1 misses dz2's bits where a part is
+    subnormal or infinite).  Each slab returns its two
     _dual_gaps, in slab order, and the two checks run after the last slab,
     in the whole-grid order: Delta_tau's complex form against its T-form,
     then the direct form against -Delta_tau.  Each tests the largest
@@ -398,8 +379,9 @@ def graph_levi_fields(phi: ScalarField3) -> np.ndarray:
             + 0.5 * np.real(1j * (1.0 - 1j * phi_y1) * dz2 * mix)
             - 0.25 * (1.0 + phi_y1**2) * lap
         )
+        tau1, tau2 = -0.5 * dz2, 0.5 * (1.0 + 1j * phi_y1)
         del dz2
-        complex_form, t_form = _delta_tau_forms(hess, *tau_fields(g), mix, lap)
+        complex_form, t_form = _delta_tau_forms(hess, tau1, tau2, mix, lap)
         out[planes, 1:-1, 1:-1] = direct
         return _dual_gap(complex_form, t_form), _dual_gap(direct, -complex_form)
 

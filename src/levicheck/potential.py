@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fields
 from .fields import DiscField, DomainError, ParameterError
-from .staircase import HartogsDomain, _ball_cap_values
+from .staircase import _ball_cap_values
 
 __all__ = [
     "AtomicMeasure",
@@ -677,7 +677,7 @@ def zygmund_domain(
     alpha: float,
     n: int,
     spacing: float = 1.0 / 256.0,
-) -> HartogsDomain:
+) -> DiscField:
     """Hartogs-type cap phi = (1/2) log(1 - |z|^2) - u(z).
 
     The cap is strictly superharmonic away from the support of the
@@ -690,4 +690,4 @@ def zygmund_domain(
     def cap_values(gx, gy):
         return _ball_cap_values(gx, gy) - pot.grid_values(gx, gy)
 
-    return HartogsDomain(cap=DiscField.from_function(spacing, cap_values), kind="cantor")
+    return DiscField.from_function(spacing, cap_values)

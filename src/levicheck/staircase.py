@@ -16,9 +16,11 @@ point slack:
     bound ``F(x0+s) >= F(x0) + s F'(x0) + L s^2`` for ``s >= 0``.
 
 ``hartogs_staircase`` then lifts ``F`` into a radially symmetric log cap
-on the unit disc perturbed along a horizontal segment, and
-``subharmonicity_scan`` classifies where the discrete Laplacian of that
-cap goes positive.
+on the unit disc perturbed along a horizontal segment.  Every cap is a
+``DiscField``: ``hartogs_ball_domain`` returns the unperturbed one, and
+``subharmonicity_scan`` classifies where the discrete Laplacian of any
+cap goes positive; ``segment_mean_excess`` tests the mean-value
+inequality across the staircase's segment.
 
 All interval endpoints and breakpoints are integer numerators over one
 common denominator D, the staircase values integers over 2**N and the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -60,6 +62,7 @@ __all__ = [
     "hartogs_ball_domain",
     "hartogs_staircase",
     "interval_distance",
+    "segment_mean_excess",
     "subharmonicity_scan",
     "superharmonic_mean_excess",
 ]
@@ -500,25 +503,18 @@ def bump_window_second_derivative_sup() -> float:
 
 @dataclass(frozen=True)
 class HartogsDomain:
-    """Radially symmetric log cap on the unit disc, optionally perturbed.
+    """The staircase cap and the numbers hartogs-scan reports of it.
 
-    ``cap`` holds phi on a regular grid over the disc (NaN outside);
-    ``kind`` is "ball" for the unperturbed cap, "staircase" for the cap
-    plus c1 * F(x - 1/2) * window(4 y), or "cantor" for the cap minus a
-    Green potential (potential.zygmund_domain).  The staircase alone sets
-    the other two: ``params`` holds z0_real, c1, growth, c3 and
-    growth_threshold (see hartogs_staircase), and ``columns`` the
-    perturbation's support columns, F's kept intervals shifted by +1/2.
+    ``cap`` holds phi = (1/2) log(1 - |z|^2) + c1 F(x - 1/2) window(4 y)
+    on a regular grid over the disc (NaN outside); ``params`` holds
+    z0_real, c1, growth, c3 and growth_threshold (see hartogs_staircase),
+    and ``columns`` the perturbation's support columns, F's kept intervals
+    shifted by +1/2.
     """
 
     cap: DiscField
-    kind: str
-    params: dict = field(default_factory=dict)
-    columns: list[tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def spacing(self) -> float:
-        return self.cap.spacing
+    params: dict
+    columns: list[tuple[float, float]]
 
 
 def _ball_cap_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -529,9 +525,9 @@ def _ball_cap_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return vals
 
 
-def hartogs_ball_domain(spacing: float = 1.0 / 512.0) -> HartogsDomain:
+def hartogs_ball_domain(spacing: float = 1.0 / 512.0) -> DiscField:
     """Unperturbed cap phi = (1/2) log(1 - |z|^2)."""
-    return HartogsDomain(cap=DiscField.from_function(spacing, _ball_cap_values), kind="ball")
+    return DiscField.from_function(spacing, _ball_cap_values)
 
 
 def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
@@ -582,7 +578,6 @@ def hartogs_staircase(alpha1, spacing: float = 1.0 / 512.0) -> HartogsDomain:
     }
     return HartogsDomain(
         cap=DiscField.from_function(spacing, phi),
-        kind="staircase",
         params=params,
         columns=[(a + 0.5, b + 0.5) for a, b in system.kept_union()],
     )
@@ -610,26 +605,14 @@ def interval_distance(points: np.ndarray, intervals: Sequence[tuple[float, float
 
 @dataclass(frozen=True)
 class SubharmonicityScan:
-    """Discrete Laplacian classification of a Hartogs cap.
+    """Discrete Laplacian classification of a cap.
 
     ``laplacian`` is the 5-point Laplacian field, NaN off the scanned
     nodes (where it is undefined or outside the scan radius); the scanned
     nodes are its finite ones and the violating nodes its positive ones.
-    ``dist_x`` holds, per grid column x, the horizontal distance to the
-    perturbed segment {y = 0, x - 1/2 in kept union}, all NaN when the cap
-    has no segment (the ball and the Cantor cap).  Horizontal distance
-    ignores y because the window keeps the perturbation fully active on a
-    band of fixed height, so violations can sit far from y = 0 in the
-    Euclidean metric while still lying over the kept columns.
-    ``mean_radius`` and ``mean_excess`` are the segment's circle-mean
-    checks (see _segment_mean_excess), None when the cap has no segment.
     """
 
-    domain: HartogsDomain
     laplacian: np.ndarray
-    dist_x: np.ndarray
-    mean_radius: float | None = None
-    mean_excess: np.ndarray | None = None
 
     @property
     def scanned(self) -> np.ndarray:
@@ -645,43 +628,34 @@ class SubharmonicityScan:
     def scanned_count(self) -> int:
         return int(np.count_nonzero(self.scanned))
 
-    def violators(self) -> tuple[np.ndarray, ...]:
-        """(x, y, laplacian, horizontal distance, Euclidean distance) at the
-        violating nodes, in C order."""
-        i, j = np.nonzero(self.violating)
-        xs = self.domain.cap.axis()
-        dh = self.dist_x[i]
-        return xs[i], xs[j], self.laplacian[i, j], dh, np.hypot(dh, xs[j])
 
-
-def subharmonicity_scan(
-    domain: HartogsDomain, scan_radius: float = 0.96
-) -> SubharmonicityScan:
+def subharmonicity_scan(cap: DiscField, scan_radius: float = 0.96) -> SubharmonicityScan:
     """Classify the sign of the 5-point Laplacian over |z| <= scan_radius."""
-    cap = domain.cap
     if not 0 < scan_radius < 1.0:
         raise ParameterError(f"scan radius must lie in (0, 1.0), got {scan_radius!r}")
     lap = cap.laplacian_field()
     lap[~np.isfinite(lap) | (np.hypot(*cap.meshes()) > scan_radius)] = np.nan
-    if domain.kind != "staircase":
-        return SubharmonicityScan(domain, lap, np.full(lap.shape[0], np.nan))
-    dist_x = interval_distance(cap.axis(), domain.columns)
-    return SubharmonicityScan(domain, lap, dist_x, *_segment_mean_excess(cap, lap, dist_x))
+    return SubharmonicityScan(lap)
 
 
-def _segment_mean_excess(
+def segment_mean_excess(
     cap: DiscField, lap: np.ndarray, dist_x: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Circle radius and circle-mean excess at the nodes straddling the
     perturbed segment, in C order.
 
-    The tested nodes are scanned, sit within 2h horizontally of the kept
-    columns and within 2.5h of y = 0, where the staircase kinks live; a
-    positive excess at small radius witnesses mean-value failure
-    independently of the finite-difference Laplacian.  The radius tracks 4h
-    but is clipped to [0.004, 0.0085]: above roughly 0.015 the smooth
-    part's negative drift (about c3 r^2) overtakes the kink excess even for
-    steep caps, so larger circles would test the wrong regime.
+    ``lap`` is a scan's Laplacian (finite at the scanned nodes) and
+    ``dist_x`` holds, per grid column x, the horizontal distance to the
+    segment {y = 0, x - 1/2 in kept union}.  Horizontal distance ignores y
+    because the window keeps the perturbation fully active on a band of
+    fixed height.  The tested nodes are scanned, sit within 2h
+    horizontally of the kept columns and within 2.5h of y = 0, where the
+    staircase kinks live; a positive excess at small radius witnesses
+    mean-value failure independently of the finite-difference Laplacian.
+    The radius tracks 4h but is clipped to [0.004, 0.0085]: above roughly
+    0.015 the smooth part's negative drift (about c3 r^2) overtakes the
+    kink excess even for steep caps, so larger circles would test the
+    wrong regime.
     """
     h = cap.spacing
     radius = min(max(4.0 * h, 0.004), 0.0085)
@@ -694,9 +668,7 @@ def _segment_mean_excess(
     return radius, circle_mean(cap, xs[i] + 1j * xs[j], radius) - centre
 
 
-def superharmonic_mean_excess(
-    domain: HartogsDomain, center: complex, radii: Iterable[float]
-) -> dict:
+def superharmonic_mean_excess(cap: DiscField, center: complex, radii: Iterable[float]) -> dict:
     """Circle-mean minus center value of the cap at the given radii.
 
     A superharmonic function has non-positive excess for every radius; a
@@ -705,6 +677,6 @@ def superharmonic_mean_excess(
     """
     out = {}
     for r in radii:
-        mean = circle_mean(domain.cap, center, float(r))
-        out[repr(float(r))] = float(mean - domain.cap.value(center))
+        mean = circle_mean(cap, center, float(r))
+        out[repr(float(r))] = float(mean - cap.value(center))
     return out

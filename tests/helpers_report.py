@@ -13,11 +13,14 @@ them, ``X0Certificate.to_json`` with the ``_number_str`` it called,
 The scan's table members (``max_laplacian``, ``far_field_max``,
 ``reach_2h``, ``_threshold_report`` with ``_ball_laplacian_modulus_sup``,
 and the ``mean_checks`` dict ``subharmonicity_scan`` once stored) are
-functions of the scan here, computed from its arrays as the deleted
-members did.  ``scan_summary`` takes the scan radius, which the scan no
-longer stores.  ``_plain``, the recursive converter reports went through
-before ``json`` got a ``default`` hook, is kept verbatim as the hook's
-oracle.
+functions here, computed from the scan's arrays as the deleted members
+did.  The scan now holds only its Laplacian, so what it once stored
+besides comes in as arguments: the cap, its kind, the staircase's
+``params`` and the per-column distances ``dist_x``, which
+``column_distances`` builds as the scan once did.  ``scan_summary`` also
+takes the scan radius.  ``_plain``, the recursive converter reports went
+through before ``json`` got a ``default`` hook, is kept verbatim as the
+hook's oracle.
 """
 
 import json
@@ -26,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from levicheck.cli import _FAR_FIELD
+from levicheck.cli import _FAR_FIELD, _violators
+from levicheck.staircase import interval_distance, segment_mean_excess
 
 
 def _plain(value):
@@ -139,20 +143,27 @@ def x0_certificate_to_json(self) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def column_distances(cap, columns) -> np.ndarray:
+    """Per grid column x, the horizontal distance to the kept ``columns``
+    of the segment, all NaN without a segment (the ball and the Cantor cap)."""
+    xs = cap.axis()
+    return interval_distance(xs, columns) if columns else np.full(xs.shape, np.nan)
+
+
 def max_laplacian(self) -> float:
     vals = self.laplacian[self.scanned]
     return float(np.max(vals)) if vals.size else float("nan")
 
 
-def far_field_max(self) -> float:
+def far_field_max(self, dist_x) -> float:
     """Max Laplacian over scanned nodes at horizontal distance > _FAR_FIELD."""
-    vals = self.laplacian[self.scanned & (self.dist_x[:, None] > _FAR_FIELD)]
+    vals = self.laplacian[self.scanned & (dist_x[:, None] > _FAR_FIELD)]
     return float(np.max(vals)) if vals.size else float("nan")
 
 
-def reach_2h(self) -> float:
+def reach_2h(spacing) -> float:
     """The horizontal distance 2h the violations must lie within, plus float slack."""
-    return 2.0 * self.domain.spacing + 1e-12
+    return 2.0 * spacing + 1e-12
 
 
 def _ball_laplacian_modulus_sup(center_radius: float, radius: float) -> float:
@@ -165,9 +176,9 @@ def _ball_laplacian_modulus_sup(center_radius: float, radius: float) -> float:
     return 2.0 / (1.0 - r * r) ** 2
 
 
-def threshold_report(self) -> dict:
+def threshold_report(params) -> dict:
     """Smooth-part mean-comparison constant and the growth it demands."""
-    p = self.domain.params
+    p = params
     c3 = 0.25 * _ball_laplacian_modulus_sup(abs(p["z0_real"]), 0.02)
     c1 = p["c1"]
     threshold = 4.0 * c3 / c1 + 0.5
@@ -180,46 +191,43 @@ def threshold_report(self) -> dict:
     }
 
 
-def mean_checks(self) -> dict | None:
+def mean_checks(radius, excess) -> dict:
     """The segment's circle-mean checks as subharmonicity_scan stored them."""
-    if self.mean_excess is None:
-        return None
-    excess = self.mean_excess
     return {
-        "radius": self.mean_radius,
+        "radius": radius,
         "nodes": int(excess.size),
         "positive": int(np.count_nonzero(excess > 0.0)),
         "max_excess": float(np.max(excess)) if excess.size else float("nan"),
     }
 
 
-def violation_alignment(self) -> dict:
+def violation_alignment(violators, spacing) -> dict:
     """Distance statistics of the violating set relative to the segment
     (maxima 0.0 when no node violates)."""
-    _, _, _, dh, de = self.violators()
+    _, _, _, dh, de = violators
     return {
         "count": int(dh.size),
         "max_horizontal": float(np.max(dh, initial=0.0)),
         "max_euclidean": float(np.max(de, initial=0.0)),
-        "within_2h": bool(np.max(dh, initial=0.0) <= reach_2h(self)),
+        "within_2h": bool(np.max(dh, initial=0.0) <= reach_2h(spacing)),
     }
 
 
-def scan_summary(self, scan_radius) -> dict:
+def scan_summary(self, scan_radius, kind, cap, dist_x, params=None) -> dict:
     out = {
-        "kind": self.domain.kind,
-        "spacing": self.domain.spacing,
+        "kind": kind,
+        "spacing": cap.spacing,
         "scan_radius": scan_radius,
         "scanned_count": self.scanned_count(),
         "violating_count": self.violating_count(),
         "max_laplacian": max_laplacian(self),
     }
-    if self.domain.kind == "staircase":
-        out["far_field_max"] = far_field_max(self)
-        out["alignment"] = violation_alignment(self)
-        out.update(threshold_report(self))
-    if mean_checks(self) is not None:
-        out["mean_checks"] = mean_checks(self)
+    if kind == "staircase":
+        out["far_field_max"] = far_field_max(self, dist_x)
+        violators = _violators(cap.axis(), self.laplacian, dist_x)
+        out["alignment"] = violation_alignment(violators, cap.spacing)
+        out.update(threshold_report(params))
+        out["mean_checks"] = mean_checks(*segment_mean_excess(cap, self.laplacian, dist_x))
     return out
 
 

@@ -20,12 +20,13 @@ import numpy as np
 import pytest
 
 from helpers_poly import Poly3, fit_positive_scale
-from helpers_report import far_field_max
-from levicheck.cli import run_scenario
+from helpers_report import column_distances, far_field_max
+from levicheck.cli import _violators, run_scenario
 from levicheck.fields import DiscField, Grid3, ScalarField3
 from levicheck.levi import (
-    Defining2,
     _log_weights,
+    from_graph_partials,
+    g2_model,
     delta_tau,
     graph_levi_fields,
     green_identity_report,
@@ -72,7 +73,7 @@ def test_01_levi_dual_route_on_1000_random_polynomials():
         phi = ScalarField3.from_function(grid, poly)
         graph_vals.append(graph_levi_fields(phi)[node])
         tau_vals.append(-delta_tau(phi, tau_fields(phi.fd_gradient(node)), node))
-        rho = Defining2.from_graph_partials(poly.grad, poly.hess)
+        rho = from_graph_partials(poly.grad, poly.hess)
         ambient_vals.append(levi_condition_2d(rho, (0.0, 0.0)))
     graph_vals = np.array(graph_vals)
     tau_vals = np.array(tau_vals)
@@ -89,7 +90,7 @@ def test_01_levi_dual_route_on_1000_random_polynomials():
 def test_02_concave_quadric_anchor_minus_quarter():
     # Model Re z1 - |z2|^2 at the origin: exactly -1/4 on the symbolic
     # route, within 1e-6 on the finite-difference route at h = 1e-3.
-    symbolic = levi_condition_2d(Defining2.g2_model(), (0.0, 0.0))
+    symbolic = levi_condition_2d(g2_model, (0.0, 0.0))
     assert symbolic == -0.25
     phi = ScalarField3.from_function(
         centered_grid(1e-3, 7), lambda a, b, c: b * b + c * c
@@ -158,16 +159,17 @@ def test_05_hartogs_cap_scan_contrast():
     start = time.perf_counter()
     spacing = 1.0 / 512.0
     ball = subharmonicity_scan(hartogs_ball_domain(spacing=spacing))
-    stair = subharmonicity_scan(
-        hartogs_staircase(alpha1=Fraction(99, 100), spacing=spacing)
-    )
+    domain = hartogs_staircase(alpha1=Fraction(99, 100), spacing=spacing)
+    stair = subharmonicity_scan(domain.cap)
     elapsed = time.perf_counter() - start
 
     assert ball.violating_count() == 0
     assert stair.violating_count() > 0
-    dist_h = stair.violators()[3]  # horizontal distances to the kept columns
+    dist_x = column_distances(domain.cap, domain.columns)
+    # horizontal distances of the violators to the kept columns
+    dist_h = _violators(domain.cap.axis(), stair.laplacian, dist_x)[3]
     assert np.max(dist_h) <= 2.0 * spacing + 1e-12
-    assert far_field_max(stair) <= -0.5
+    assert far_field_max(stair, dist_x) <= -0.5
     assert elapsed <= 120.0
 
 

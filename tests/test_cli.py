@@ -23,6 +23,7 @@ from levicheck.cli import SCENARIOS, Assertion, main, run_scenario
 from helpers_report import (
     _plain,
     certificate_report,
+    column_distances,
     levi_summary,
     scan_summary,
     x0_certificate_to_json,
@@ -299,6 +300,8 @@ class TestUsageErrors:
                 "params.n_offsets=0",
                 "n_offsets must be >= 1 for staircase-build, got 0",
             ),
+            # find_x0 raised it only after intervals.csv was written
+            ("staircase-build", "params.depth=1", "depth must be >= 2 for staircase-build, got 1"),
             # the scan rejected 1.5 only after the cap was built
             ("hartogs-scan", "params.scan_radius=0", "scan_radius must be > 0 for hartogs-scan"),
             (
@@ -1107,6 +1110,8 @@ class TestTablesAgainstTheDeletedSerializers:
         ids=["staircase-99/100", "staircase-1/2", "ball-expecting-violation"],
     )
     def test_hartogs_scan_table(self, tmp_path, monkeypatch, params, expect_violation):
+        staircase = params["cap"] == "staircase"
+        builds = self.record(monkeypatch, "hartogs_staircase" if staircase else "hartogs_ball_domain")
         calls = self.record(monkeypatch, "subharmonicity_scan")
         config = {
             "scenario": "hartogs-scan",
@@ -1114,9 +1119,11 @@ class TestTablesAgainstTheDeletedSerializers:
             "params": {**params, "spacing": 1.0 / 128.0},
         }
         got = self.written(tmp_path, config, "scan")
+        [(_, built)] = builds
         [(kwargs, scan)] = calls
-        want = scan_summary(scan, kwargs["scan_radius"])
-        staircase = params["cap"] == "staircase"
+        cap, columns, p = (built.cap, built.columns, built.params) if staircase else (built, [], None)
+        dist_x = column_distances(cap, columns)
+        want = scan_summary(scan, kwargs["scan_radius"], params["cap"], cap, dist_x, p)
         assert ("alignment" in want) is ("implied_growth_threshold" in want) is staircase
         assert got == _canonical(want)
 

@@ -664,9 +664,9 @@ class TestFromFunctionSparseMeshes:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: staircase.hartogs_ball_domain(1.0 / 128.0).cap,
+            lambda: staircase.hartogs_ball_domain(1.0 / 128.0),
             lambda: staircase.hartogs_staircase(alpha1="2/3", spacing=1.0 / 128.0).cap,
-            lambda: potential.zygmund_domain(1.0, 3, spacing=1.0 / 128.0).cap,
+            lambda: potential.zygmund_domain(1.0, 3, spacing=1.0 / 128.0),
             _cantor_potential_field,
         ],
         ids=["ball", "staircase", "cantor", "potential_field"],

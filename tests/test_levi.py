@@ -41,14 +41,17 @@ from levicheck.levi import (
     _unit_square_log_moment,
     _verify,
     ConsistencyError,
-    Defining2,
     LeviScan,
     DegeneratePointError,
     GreenIdentityReport,
     delta_tau,
     delta_tau_fields,
+    ball,
+    from_graph_partials,
+    g2_model,
     graph_levi_fields,
     green_identity_report,
+    hartogs_ball,
     levi_condition_2d,
     levi_scan,
     slice_graph,
@@ -181,7 +184,7 @@ class TestTMatrix:
 
 class TestLeviCondition2d:
     def test_ball_at_rim_point(self):
-        assert levi_condition_2d(Defining2.ball(), (1.0, 0.0)) == 1.0
+        assert levi_condition_2d(ball, (1.0, 0.0)) == 1.0
 
     @pytest.mark.parametrize(
         "point",
@@ -190,17 +193,17 @@ class TestLeviCondition2d:
     def test_ball_closed_form(self, point):
         # for |z1|^2 + |z2|^2 - 1 the quantity reduces to |z1|^2 + |z2|^2
         expected = abs(point[0]) ** 2 + abs(point[1]) ** 2
-        assert levi_condition_2d(Defining2.ball(), point) == pytest.approx(expected, abs=1e-14)
+        assert levi_condition_2d(ball, point) == pytest.approx(expected, abs=1e-14)
 
     def test_g2_model_value(self):
-        assert levi_condition_2d(Defining2.g2_model(), (0.0, 0.0)) == -0.25
+        assert levi_condition_2d(g2_model, (0.0, 0.0)) == -0.25
 
     def test_degenerate_gradient_raises(self):
         with pytest.raises(DegeneratePointError):
-            levi_condition_2d(Defining2.ball(), (0.0, 0.0))
+            levi_condition_2d(ball, (0.0, 0.0))
 
     def test_hartogs_ball_closed_form(self):
-        rho = Defining2.hartogs_ball()
+        rho = hartogs_ball
         for z1, z2 in [(0.5, 0.3), (0.2 - 0.1j, 0.4j), (0.9, -0.6 + 0.2j)]:
             got = levi_condition_2d(rho, (z1, z2))
             expected = 1.0 / (8.0 * abs(z1) ** 2 * (1.0 - abs(z2) ** 2) ** 2)
@@ -208,7 +211,7 @@ class TestLeviCondition2d:
             assert got > 0.0
 
     def test_hartogs_ball_errors(self):
-        rho = Defining2.hartogs_ball()
+        rho = hartogs_ball
         with pytest.raises(DegeneratePointError):
             levi_condition_2d(rho, (0.0, 0.5))
         with pytest.raises(DomainError):
@@ -348,7 +351,7 @@ class TestGraphLevi:
         h = 1e-4
         phi = ScalarField3.from_function(centered_grid(h, 7), poly)
         fd_value = graph_levi_fields(phi)[3, 3, 3]
-        rho = Defining2.from_graph_partials(poly.grad, poly.hess)
+        rho = from_graph_partials(poly.grad, poly.hess)
         symbolic = levi_condition_2d(rho, (0.0, 0.0))
         assert abs(fd_value - symbolic) <= 1e-8
 

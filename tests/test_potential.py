@@ -115,8 +115,8 @@ def gen4_field():
 
 @pytest.fixture(scope="module")
 def cantor_scan():
-    domain = zygmund_domain(1.0, 4, spacing=1.0 / 256.0)
-    return domain, subharmonicity_scan(domain)
+    cap = zygmund_domain(1.0, 4, spacing=1.0 / 256.0)
+    return cap, subharmonicity_scan(cap)
 
 
 class TestContractionRatio:
@@ -1410,22 +1410,22 @@ class TestZygmundSeminorm:
 
 class TestZygmundDomain:
     def test_metadata_and_cap_formula(self, cantor_scan):
-        domain, _ = cantor_scan
-        assert domain.kind == "cantor"
+        cap, _ = cantor_scan
+        assert isinstance(cap, DiscField)  # the Cantor cap is the bare cap
         pot = GreenPotential(frostman_measure(build_square_cantor(1.0, 4)))
-        xs = domain.cap.axis()
+        xs = cap.axis()
         i, j = 300, 350
         ref = 0.5 * math.log(1.0 - (xs[i] ** 2 + xs[j] ** 2)) - pot(
             complex(xs[i], xs[j])
         )
-        assert abs(domain.cap.values[i, j] - ref) <= 1e-12
+        assert abs(cap.values[i, j] - ref) <= 1e-12
 
     def test_violations_localized_near_squares(self, cantor_scan):
-        domain, scan = cantor_scan
-        h = domain.cap.spacing
+        cap, scan = cantor_scan
+        h = cap.spacing
         viol = np.argwhere(scan.violating)
         assert len(viol) > 0
-        xs = domain.cap.axis()
+        xs = cap.axis()
         sq = build_square_cantor(1.0, 4)
         centers = sq.centers()
         dist = np.empty(len(viol))
@@ -1443,9 +1443,9 @@ class TestZygmundDomain:
         assert dist.max() <= 0.1
 
     def test_far_field_is_strictly_superharmonic(self, cantor_scan):
-        domain, scan = cantor_scan
+        cap, scan = cantor_scan
         locs = frostman_measure(build_square_cantor(1.0, 4)).locations
-        gx, gy = np.broadcast_arrays(*domain.cap.meshes())
+        gx, gy = np.broadcast_arrays(*cap.meshes())
         dist = (
             cKDTree(np.column_stack([locs.real, locs.imag]))
             .query(np.column_stack([gx.ravel(), gy.ravel()]))[0]

@@ -76,10 +76,10 @@ UNREACHED = {
     "fields.ScalarField3.hessian_fields": "wrapped by levibench/tracing.py; the whole-grid oracle of tests",
     "fields.ScalarField3.wirtinger_fields": "wrapped by levibench/tracing.py; tests check it per node",
     "levi.ConsistencyError.__init__": "raised only when two routes disagree; tests force it",
-    "levi.Defining2.ball": "closed-form domain, the exact Levi anchor of tests",
-    "levi.Defining2.hartogs_ball": "closed-form domain, the exact Levi anchor of tests",
-    "levi.Defining2.hartogs_lifted": "the Hartogs lift behind hartogs_ball and its tests",
-    "levi.Defining2.from_graph_partials": "the symbolic route of test_01's dual-route check",
+    "levi.ball": "closed-form domain, the exact Levi anchor of tests",
+    "levi.hartogs_ball": "closed-form domain, the exact Levi anchor of tests",
+    "levi.hartogs_lifted": "the Hartogs lift behind hartogs_ball and its tests",
+    "levi.from_graph_partials": "the symbolic route of test_01's dual-route check",
     "levi.delta_tau": "levibench/tracing.py wraps it; delta_tau_fields at one node",
     "levi.delta_tau_fields": "levibench/tracing.py wraps it; the one Delta_tau form, one block",
     "mollify.kernel_profile_constants": (

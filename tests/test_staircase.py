@@ -14,9 +14,15 @@ from scipy.integrate import quad
 
 import levicheck.staircase as staircase_module
 from helpers_disc import disc_node_coords
-from helpers_report import far_field_max, max_laplacian, mean_checks, violation_alignment
-from levicheck.cli import _FAR_FIELD, run_scenario
-from levicheck.fields import ParameterError, circle_mean
+from helpers_report import (
+    column_distances,
+    far_field_max,
+    max_laplacian,
+    mean_checks,
+    violation_alignment,
+)
+from levicheck.cli import _FAR_FIELD, _violators, run_scenario
+from levicheck.fields import DiscField, ParameterError, circle_mean
 from levicheck.potential import zygmund_domain
 from levicheck.staircase import (
     _DEPTH_BUDGET,
@@ -33,6 +39,7 @@ from levicheck.staircase import (
     hartogs_ball_domain,
     hartogs_staircase,
     interval_distance,
+    segment_mean_excess,
     subharmonicity_scan,
     superharmonic_mean_excess,
 )
@@ -317,7 +324,12 @@ def fat99():
 
 @pytest.fixture(scope="module")
 def scan99(dom99):
-    return subharmonicity_scan(dom99)
+    return subharmonicity_scan(dom99.cap)
+
+
+@pytest.fixture(scope="module")
+def dist99(dom99):
+    return column_distances(dom99.cap, dom99.columns)
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +339,7 @@ def dom50():
 
 @pytest.fixture(scope="module")
 def scan50(dom50):
-    return subharmonicity_scan(dom50)
+    return subharmonicity_scan(dom50.cap)
 
 
 def iterate(system, n):
@@ -765,14 +777,14 @@ class TestBumpWindow:
 
 class TestHartogsDomain:
     def test_ball_cap_values(self):
-        dom = hartogs_ball_domain(spacing=1.0 / 128.0)
-        assert dom.cap.value(0j) == 0.0
+        cap = hartogs_ball_domain(spacing=1.0 / 128.0)
+        assert cap.value(0j) == 0.0
         r = 0.5
-        assert dom.cap.value(complex(r, 0.0)) == pytest.approx(
+        assert cap.value(complex(r, 0.0)) == pytest.approx(
             0.5 * math.log(1.0 - r * r), abs=1e-12
         )
-        assert dom.kind == "ball"
-        assert dom.columns == [] and dom.params == {}
+        # the ball is the bare cap: no segment columns, no staircase params
+        assert isinstance(cap, DiscField)
 
     def test_staircase_params(self, dom99, fat99):
         # c1 = 1 / (8 sup|F| sup|window''|), recomputed from the cap's own F
@@ -804,7 +816,7 @@ class TestHartogsDomain:
             hartogs_staircase(alpha1=1.5)
 
     def test_cap_value_decomposition(self, dom99, fat99):
-        h = dom99.spacing
+        h = dom99.cap.spacing
         x = 0.5 + 2.0 * h
         y = 3.0 * h
         expect = 0.5 * math.log(1.0 - x * x - y * y) + dom99.params["c1"] * float(
@@ -837,9 +849,9 @@ class TestSubharmonicityScan:
         assert max_laplacian(scan) <= -2.0 + 1e-3
         assert scan.scanned_count() > 0
 
-    def test_steep_staircase_violates_on_segment(self, scan99, tmp_path):
+    def test_steep_staircase_violates_on_segment(self, dom99, scan99, dist99, tmp_path):
         assert scan99.violating_count() > 0
-        _, _, _, dist_h, dist_e = scan99.violators()
+        _, _, _, dist_h, dist_e = _violators(dom99.cap.axis(), scan99.laplacian, dist99)
         # the reach is the runner's: the bound of its 2h check on the same cap
         config = {
             "scenario": "hartogs-scan",
@@ -853,22 +865,23 @@ class TestSubharmonicityScan:
             for a in report["assertions"]
             if a["name"] == "violations_within_2h_of_base_kinks"
         ]
-        assert reach == 2.0 * scan99.domain.spacing + 1e-12
+        assert reach == 2.0 * dom99.cap.spacing + 1e-12
         assert np.max(dist_h) <= reach
         assert np.max(dist_e) > 0.1
 
-    def test_far_field_strictly_superharmonic(self, scan99):
-        assert far_field_max(scan99) <= -0.5
+    def test_far_field_strictly_superharmonic(self, scan99, dist99):
+        assert far_field_max(scan99, dist99) <= -0.5
 
-    def test_threshold_flags(self, scan99, scan50):
-        p99, p50 = scan99.domain.params, scan50.domain.params
+    def test_threshold_flags(self, dom99, dom50, scan50):
+        p99, p50 = dom99.params, dom50.params
         assert not p99["growth"] < p99["growth_threshold"]
         assert p50["growth"] < p50["growth_threshold"]
         assert scan50.violating_count() == 0
 
-    def test_mean_checks_side_by_side(self, scan99, scan50):
-        excess99 = scan99.mean_excess
-        excess50 = scan50.mean_excess
+    def test_mean_checks_side_by_side(self, dom99, scan99, dist99, dom50, scan50):
+        _, excess99 = segment_mean_excess(dom99.cap, scan99.laplacian, dist99)
+        dist50 = column_distances(dom50.cap, dom50.columns)
+        _, excess50 = segment_mean_excess(dom50.cap, scan50.laplacian, dist50)
         assert np.count_nonzero(excess99 > 0.0) > 0
         assert np.max(excess99) > 0.0
         assert np.count_nonzero(excess50 > 0.0) == 0
@@ -876,18 +889,19 @@ class TestSubharmonicityScan:
 
     def test_scan_radius_validation(self, dom99):
         with pytest.raises(ParameterError):
-            subharmonicity_scan(dom99, scan_radius=1.5)
+            subharmonicity_scan(dom99.cap, scan_radius=1.5)
 
 
 # -- oracle: subharmonicity_scan as it stored whole-grid masks and distance
 # copies and tested the segment nodes one circle_mean call at a time,
-# verbatim but for its return value; violators(), and far_field_max, the
-# alignment of violators() and mean_checks computed from the scan's arrays
-# (tests/helpers_report.py), must equal what it reported
+# verbatim but for its return value and for taking the cap and its segment
+# columns (none but the staircase's) in place of a domain and its kind; the
+# runner's violators, and far_field_max, the alignment of those violators
+# and mean_checks computed from the scan's arrays (tests/helpers_report.py),
+# must equal what it reported
 
 
-def whole_grid_scan(domain, scan_radius=0.96):
-    cap = domain.cap
+def whole_grid_scan(cap, columns, scan_radius=0.96):
     lap = cap.laplacian_field()
     xs = cap.axis()
     gx, gy = cap.meshes()
@@ -897,11 +911,11 @@ def whole_grid_scan(domain, scan_radius=0.96):
     violating = scanned & (lap_masked > 0.0)
 
     mean_checks = None
-    if domain.kind == "staircase":
-        dx = interval_distance(xs, domain.columns)
+    if columns:
+        dx = interval_distance(xs, columns)
         dist_h = np.broadcast_to(dx[:, None], lap.shape).copy()
         dist_e = np.hypot(dist_h, gy)
-        mean_checks = whole_grid_mean_checks(domain, scanned, dist_h, gy)
+        mean_checks = whole_grid_mean_checks(cap, scanned, dist_h, gy)
     else:
         dist_h = np.full(lap.shape, np.nan)
         dist_e = np.full(lap.shape, np.nan)
@@ -919,7 +933,7 @@ def whole_grid_scan(domain, scan_radius=0.96):
     far = lap_masked[scanned & (dist_horizontal > _FAR_FIELD)]
     dh = dist_horizontal[violating]
     de = dist_euclidean[violating]
-    reach = 2.0 * domain.spacing + 1e-12
+    reach = 2.0 * cap.spacing + 1e-12
     return {
         "scanned_count": int(np.count_nonzero(scanned)),
         "violators": violators,
@@ -934,8 +948,7 @@ def whole_grid_scan(domain, scan_radius=0.96):
     }
 
 
-def whole_grid_mean_checks(domain, scanned, dist_h, gy):
-    cap = domain.cap
+def whole_grid_mean_checks(cap, scanned, dist_h, gy):
     h = cap.spacing
     radius = min(max(4.0 * h, 0.004), 0.0085)
     sel = scanned & (dist_h <= 2.0 * h) & (np.abs(gy) <= 2.5 * h)
@@ -954,33 +967,44 @@ def whole_grid_mean_checks(domain, scanned, dist_h, gy):
     }
 
 
-# name -> (domain, scan radius); at radius 0.3 no node of the segment is scanned
+def staircase_cap(spacing):
+    domain = hartogs_staircase(alpha1="99/100", spacing=spacing)
+    return domain.cap, domain.columns
+
+
+# name -> ((cap, segment columns), scan radius); at radius 0.3 no node of the
+# segment is scanned
 SCAN_DOMAINS = {
-    "ball": (lambda: hartogs_ball_domain(spacing=1.0 / 128.0), 0.96),
-    "staircase-128": (lambda: hartogs_staircase(alpha1="99/100", spacing=1.0 / 128.0), 0.96),
-    "staircase-300": (lambda: hartogs_staircase(alpha1="99/100", spacing=1.0 / 300.0), 0.96),
-    "staircase-64-inner": (lambda: hartogs_staircase(alpha1="99/100", spacing=1.0 / 64.0), 0.3),
-    "cantor": (lambda: zygmund_domain(1.0, 2, 1.0 / 64.0), 0.96),
+    "ball": (lambda: (hartogs_ball_domain(spacing=1.0 / 128.0), []), 0.96),
+    "staircase-128": (lambda: staircase_cap(1.0 / 128.0), 0.96),
+    "staircase-300": (lambda: staircase_cap(1.0 / 300.0), 0.96),
+    "staircase-64-inner": (lambda: staircase_cap(1.0 / 64.0), 0.3),
+    "cantor": (lambda: (zygmund_domain(1.0, 2, 1.0 / 64.0), []), 0.96),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_DOMAINS))
 def test_column_distances_report_what_whole_grid_copies_did(name):
     build, scan_radius = SCAN_DOMAINS[name]
-    domain = build()
-    scan = subharmonicity_scan(domain, scan_radius)
-    want = whole_grid_scan(domain, scan_radius)
+    cap, columns = build()
+    scan = subharmonicity_scan(cap, scan_radius)
+    want = whole_grid_scan(cap, columns, scan_radius)
+    dist_x = column_distances(cap, columns)
+    violators = _violators(cap.axis(), scan.laplacian, dist_x)
     got = {
         "scanned_count": scan.scanned_count(),
-        "violators": [column.tolist() for column in scan.violators()],
-        "far_field_max": far_field_max(scan),
-        "alignment": violation_alignment(scan),
-        "mean_checks": mean_checks(scan),
+        "violators": [column.tolist() for column in violators],
+        "far_field_max": far_field_max(scan, dist_x),
+        "alignment": violation_alignment(violators, cap.spacing),
+        "mean_checks": (
+            mean_checks(*segment_mean_excess(cap, scan.laplacian, dist_x)) if columns else None
+        ),
     }
     # repr keeps every bit of a float and reads NaN as equal to NaN
     assert repr(got) == repr(want)
     assert (scan.violating_count() > 0) == (name in ("staircase-128", "staircase-300", "cantor"))
-    assert (scan.mean_excess is not None) == name.startswith("staircase")
+    # only the staircase has a segment, and with it the circle-mean checks
+    assert bool(columns) == name.startswith("staircase")
 
 
 class TestSuperharmonicMeanExcess:
@@ -991,10 +1015,10 @@ class TestSuperharmonicMeanExcess:
 
     def test_steep_staircase_positive_at_small_radii(self, dom99):
         z0 = complex(dom99.params["z0_real"], 0.0)
-        out = superharmonic_mean_excess(dom99, z0, [0.01, 0.005])
+        out = superharmonic_mean_excess(dom99.cap, z0, [0.01, 0.005])
         assert all(v > 0.0 for v in out.values())
 
     def test_shallow_staircase_stays_negative(self, dom50):
         z0 = complex(dom50.params["z0_real"], 0.0)
-        out = superharmonic_mean_excess(dom50, z0, [0.02, 0.01, 0.005])
+        out = superharmonic_mean_excess(dom50.cap, z0, [0.02, 0.01, 0.005])
         assert all(v < 0.0 for v in out.values())
